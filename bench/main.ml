@@ -361,6 +361,9 @@ let run_fleet () =
     (List.length r.Fleet.rows)
     (count "ok") (count "rejected") (count "failed") r.Fleet.executed
     r.Fleet.resumed;
+  if r.Fleet.torn > 0 then
+    say "row journal: %d torn row%s dropped and re-run" r.Fleet.torn
+      (if r.Fleet.torn = 1 then "" else "s");
   say "wall %.1fs, %.1f searches/min" r.Fleet.wall_s
     (if r.Fleet.wall_s > 0.0 then
        float_of_int r.Fleet.executed /. r.Fleet.wall_s *. 60.0

@@ -14,9 +14,9 @@
    digest is the MD5 of the search's byte-exact stdout payload, so CI
    can diff whole fleets cheaply.
 
-   Kill/resume: with [resume] every completed row is journaled
-   (checksummed, append-only, same format discipline as {!Checkpoint})
-   and candidate-level profiling rides the regular checkpoint journal,
+   Kill/resume: with [resume] every completed row is journaled (one
+   {!Hfuse_profiler.Store.Journal} record per row, its JSON line) and
+   candidate-level profiling rides the regular checkpoint journal,
    so a shard killed mid-run resumes without recomputing finished
    pairs — and mid-pair kills resume without re-profiling finished
    candidates. *)
@@ -24,6 +24,7 @@
 module Spec = Kernel_corpus.Spec
 module Settings = Hfuse_profiler.Settings
 module Checkpoint = Hfuse_profiler.Checkpoint
+module Store = Hfuse_profiler.Store
 module Json = Hfuse_profiler.Report.Json
 module Report = Hfuse_profiler.Report
 module Ops = Hfuse_serve.Ops
@@ -91,6 +92,7 @@ type result = {
   pairs_total : int;  (** corpus-wide pair count after [limit] *)
   executed : int;  (** rows computed in this invocation *)
   resumed : int;  (** rows replayed from the journal *)
+  torn : int;  (** damaged journal rows dropped (their pairs re-ran) *)
   wall_s : float;
   telemetry : (string * (string * int) list) list;
       (** per-section counter sums over every executed search *)
@@ -221,41 +223,24 @@ let row_of_json (j : Json.t) : row option =
 
 let rows_path ~id = Filename.concat Checkpoint.default_dir (id ^ ".rows")
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-(* Same discipline as Checkpoint: one "md5hex payload" line per record,
-   flushed as written; corrupt or torn lines are dropped on load. *)
-let load_rows path : (int, row) Hashtbl.t =
+(* journaled rows by index, and how many payloads did not decode *)
+let rows_of_payloads payloads : (int, row) Hashtbl.t * int =
   let tbl = Hashtbl.create 256 in
-  (if Sys.file_exists path then
-     let ic = open_in path in
-     (try
-        while true do
-          let line = input_line ic in
-          if String.length line > 33 && line.[32] = ' ' then begin
-            let sum = String.sub line 0 32 in
-            let payload = String.sub line 33 (String.length line - 33) in
-            if Digest.to_hex (Digest.string payload) = sum then
-              match Json.of_string payload with
-              | Ok j -> (
-                  match row_of_json j with
-                  | Some r -> Hashtbl.replace tbl r.r_index r
-                  | None -> ())
-              | Error _ -> ()
-          end
-        done
-      with End_of_file -> ());
-     close_in ic);
-  tbl
+  let bad =
+    List.fold_left
+      (fun bad payload ->
+        let json = Result.to_option (Json.of_string payload) in
+        match Option.bind json row_of_json with
+        | Some r ->
+            Hashtbl.replace tbl r.r_index r;
+            bad
+        | None -> bad + 1)
+      0 payloads
+  in
+  (tbl, bad)
 
-let append_row oc (r : row) =
-  let payload = Json.to_line (json_of_row r) in
-  Printf.fprintf oc "%s %s\n" (Digest.to_hex (Digest.string payload)) payload;
-  flush oc
+let append_row j (r : row) =
+  Store.Journal.append j (Json.to_line (json_of_row r))
 
 (* ------------------------------------------------------------------ *)
 (* Executing one pair                                                   *)
@@ -377,17 +362,17 @@ let write_repro (cfg : config) (p : pair) ~(detail : string) =
   match cfg.out_dir with
   | None -> ()
   | Some dir ->
-      mkdir_p dir;
+      Store.mkdir_p dir;
       let file =
         Filename.concat dir
           (Printf.sprintf "%04d_%s+%s.cu" p.p_index p.p_k1.Spec.name
              p.p_k2.Spec.name)
       in
-      let oc = open_out file in
-      Printf.fprintf oc "// fleet repro: pair %d (%s), %s\n// %s\n%s\n%s\n"
-        p.p_index p.p_domain cfg.arch.Gpusim.Arch.name detail
-        p.p_k1.Spec.source p.p_k2.Spec.source;
-      close_out oc
+      Out_channel.with_open_text file (fun oc ->
+          Printf.fprintf oc
+            "// fleet repro: pair %d (%s), %s\n// %s\n%s\n%s\n" p.p_index
+            p.p_domain cfg.arch.Gpusim.Arch.name detail p.p_k1.Spec.source
+            p.p_k2.Spec.source)
 
 (* One search through the in-process verb engine. *)
 let run_local (cfg : config) ?pool ~checkpoint (p : pair) :
@@ -494,16 +479,22 @@ let run (cfg : config) : result =
   let pairs_total = List.length (limited_pairs cfg) in
   let total = List.length pairs in
   let id = run_id cfg in
-  let journal, checkpoint =
+  let journal, torn, checkpoint =
     if cfg.resume && cfg.via_server = None then begin
-      mkdir_p Checkpoint.default_dir;
-      let path = rows_path ~id in
-      let done_rows = load_rows path in
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-      (Some (done_rows, oc), Checkpoint.open_ ~run_id:id ())
+      let j, payloads, torn =
+        Store.Journal.open_ ~header:None (rows_path ~id)
+      in
+      let done_rows, bad = rows_of_payloads payloads in
+      (Some (done_rows, j), torn + bad, Checkpoint.open_ ~run_id:id ())
     end
-    else (None, Checkpoint.disabled)
+    else (None, 0, Checkpoint.disabled)
   in
+  (* both journals close on every exit, Ctrl-C and transport failures
+     included *)
+  Fun.protect ~finally:(fun () ->
+      Option.iter (fun (_, j) -> Store.Journal.close j) journal;
+      Checkpoint.close checkpoint)
+  @@ fun () ->
   let telemetry = ref [] in
   let telemetry_mutex = Mutex.create () in
   let resumed = ref 0 and executed = ref 0 in
@@ -514,9 +505,7 @@ let run (cfg : config) : result =
     incr completed;
     if fresh then begin
       incr executed;
-      match journal with
-      | Some (_, oc) -> append_row oc r
-      | None -> ()
+      Option.iter (fun (_, j) -> append_row j r) journal
     end
     else incr resumed;
     cfg.on_row ~completed:!completed ~total r
@@ -586,8 +575,6 @@ let run (cfg : config) : result =
                   note_telemetry tel;
                   record slot row ~fresh:true)
             pairs));
-  (match journal with Some (_, oc) -> close_out oc | None -> ());
-  Checkpoint.close checkpoint;
   let rows =
     Array.to_list results
     |> List.filter_map Fun.id
@@ -598,6 +585,7 @@ let run (cfg : config) : result =
     pairs_total;
     executed = !executed;
     resumed = !resumed;
+    torn;
     wall_s = Unix.gettimeofday () -. t0;
     telemetry = !telemetry;
     corpus_digest = Corpus.digest ();

@@ -58,6 +58,7 @@ type result = {
   pairs_total : int;  (** corpus-wide pair count after [limit] *)
   executed : int;  (** rows computed in this invocation *)
   resumed : int;  (** rows replayed from the journal *)
+  torn : int;  (** damaged journal rows dropped (their pairs re-ran) *)
   wall_s : float;
   telemetry : (string * (string * int) list) list;
       (** per-section counter sums over every executed search *)

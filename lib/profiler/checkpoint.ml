@@ -1,25 +1,24 @@
 (* Append-only checkpoint journal; see checkpoint.mli.
 
-   Record grammar (one record per line):
+   A {!Store.Journal} whose record payloads are
 
-     # <free-form header, ignored>
-     T <key> <md5> <escaped-payload>      candidate time
-     R <key> <md5> <escaped-payload>      measurement replay
+     T <key> <time encoding>        candidate time
+     R <key> <report encoding>      measurement replay
 
-   The payload is the exact Profile_cache text encoding with newlines,
-   backslashes and NULs escaped so a record is one line; the digest
-   covers kind, key and the escaped payload, so any torn or damaged
-   line fails verification and is dropped on load (counted in [torn])
-   rather than crashing the resume.  Appends are flushed per record:
-   after a kill, at most the line being written is lost, and that line
-   is exactly what the digest check drops. *)
+   with the exact Profile_cache encodings.  A record that fails its
+   digest or its decode is dropped on load and counted in [torn], so a
+   resume recomputes it instead of failing. *)
+
+(* bump when the record payload changes; journals written under an
+   older grammar fail their line digests, load as torn and are
+   recomputed, never misread *)
+let version = "v3"
 
 type entry = Gpusim.Timing.report * Gpusim.Timing.engine_stats
 
 type t = {
-  enabled : bool;
-  path : string;
-  mutable oc : out_channel option;
+  path : string;  (** [""] when disabled *)
+  mutable journal : Store.Journal.t option;
   times : (string, float) Hashtbl.t;
   reports : (string, entry) Hashtbl.t;
   mutable loaded : int;
@@ -30,16 +29,15 @@ let default_dir = Filename.concat "_hfuse_cache" "journal"
 
 let disabled =
   {
-    enabled = false;
     path = "";
-    oc = None;
+    journal = None;
     times = Hashtbl.create 1;
     reports = Hashtbl.create 1;
     loaded = 0;
     torn = 0;
   }
 
-let enabled t = t.enabled
+let enabled t = t.path <> ""
 let path t = t.path
 let loaded t = t.loaded
 let torn t = t.torn
@@ -63,146 +61,70 @@ let run_id ?(sim_fuel = Gpusim.Launch.default_loop_fuel)
             ])))
 
 (* ------------------------------------------------------------------ *)
-(* Record encoding                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let escape (s : string) : string =
-  let buf = Buffer.create (String.length s + 16) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\x00' -> Buffer.add_string buf "\\z"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let unescape (s : string) : string =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    (match s.[!i] with
-    | '\\' when !i + 1 < n ->
-        incr i;
-        Buffer.add_char buf
-          (match s.[!i] with
-          | 'n' -> '\n'
-          | 'z' -> '\x00'
-          | c (* includes '\\' *) -> c)
-    | c -> Buffer.add_char buf c);
-    incr i
-  done;
-  Buffer.contents buf
-
-let record_digest ~kind ~key ~escaped =
-  Digest.to_hex (Digest.string (kind ^ "\x00" ^ key ^ "\x00" ^ escaped))
-
-let append t ~kind ~key (payload : string) : unit =
-  match t.oc with
-  | None -> ()
-  | Some oc ->
-      let escaped = escape payload in
-      Printf.fprintf oc "%s %s %s %s\n" kind key
-        (record_digest ~kind ~key ~escaped)
-        escaped;
-      (* a record is durable the moment it is written: a kill can only
-         tear the line in flight, which the load-time digest drops *)
-      flush oc
-
-(* [T key digest escaped-payload] -> (kind, key, payload) *)
-let parse_line (line : string) : (string * string * string) option =
-  match String.split_on_char ' ' line with
-  | kind :: key :: digest :: rest when kind = "T" || kind = "R" ->
-      let escaped = String.concat " " rest in
-      if digest = record_digest ~kind ~key ~escaped then
-        Some (kind, key, unescape escaped)
-      else None
-  | _ -> None
-
-(* ------------------------------------------------------------------ *)
 (* Lifecycle                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let load (t : t) : unit =
-  match open_in t.path with
-  | exception Sys_error _ -> ()
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          try
-            while true do
-              let line = input_line ic in
-              if line <> "" && line.[0] <> '#' then
-                match parse_line line with
-                | Some ("T", key, payload) -> (
-                    match Profile_cache.decode_time payload with
-                    | v ->
-                        Hashtbl.replace t.times key v;
-                        t.loaded <- t.loaded + 1
-                    | exception _ -> t.torn <- t.torn + 1)
-                | Some ("R", key, payload) -> (
-                    match Profile_cache.decode_report payload with
-                    | v ->
-                        Hashtbl.replace t.reports key v;
-                        t.loaded <- t.loaded + 1
-                    | exception _ -> t.torn <- t.torn + 1)
-                | Some _ | None -> t.torn <- t.torn + 1
-            done
-          with End_of_file -> ())
+let append t ~kind ~key (payload : string) : unit =
+  Option.iter
+    (fun j -> Store.Journal.append j (String.concat " " [ kind; key; payload ]))
+    t.journal
+
+(* ["<kind> <key> <payload>"]; raises on anything else *)
+let load_record (t : t) (record : string) : unit =
+  let i = String.index record ' ' in
+  let j = String.index_from record (i + 1) ' ' in
+  let key = String.sub record (i + 1) (j - i - 1) in
+  let payload = String.sub record (j + 1) (String.length record - j - 1) in
+  (match String.sub record 0 i with
+  | "T" -> Hashtbl.replace t.times key (Profile_cache.decode_time payload)
+  | "R" -> Hashtbl.replace t.reports key (Profile_cache.decode_report payload)
+  | _ -> failwith "journal record kind");
+  t.loaded <- t.loaded + 1
 
 let open_ ?(dir = default_dir) ~(run_id : string) () : t =
-  Profile_cache.mkdir_p dir;
   let path = Filename.concat dir (run_id ^ ".jnl") in
+  let header = Printf.sprintf "hfuse-journal %s run %s" version run_id in
+  let journal, records, torn =
+    Store.Journal.open_ ~header:(Some header) path
+  in
   let t =
     {
-      enabled = true;
       path;
-      oc = None;
+      journal = Some journal;
       times = Hashtbl.create 64;
       reports = Hashtbl.create 64;
       loaded = 0;
-      torn = 0;
+      torn;
     }
   in
-  load t;
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  if t.loaded = 0 && t.torn = 0 then
-    Printf.fprintf oc "# hfuse-journal %s run %s\n" Profile_cache.version
-      run_id;
-  t.oc <- Some oc;
+  List.iter
+    (fun r -> try load_record t r with _ -> t.torn <- t.torn + 1)
+    records;
   t
 
 (* ------------------------------------------------------------------ *)
 (* Records                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let find_time t ~key = if t.enabled then Hashtbl.find_opt t.times key else None
+let find_time t ~key = if enabled t then Hashtbl.find_opt t.times key else None
 
 let record_time t ~key (v : float) : unit =
-  if t.enabled && not (Hashtbl.mem t.times key) then begin
+  if enabled t && not (Hashtbl.mem t.times key) then begin
     Hashtbl.replace t.times key v;
     append t ~kind:"T" ~key (Profile_cache.encode_time v)
   end
 
 let find_report t ~key =
-  if t.enabled then Hashtbl.find_opt t.reports key else None
+  if enabled t then Hashtbl.find_opt t.reports key else None
 
 let record_report t ~key (v : entry) : unit =
-  if t.enabled && not (Hashtbl.mem t.reports key) then begin
+  if enabled t && not (Hashtbl.mem t.reports key) then begin
     Hashtbl.replace t.reports key v;
     append t ~kind:"R" ~key (Profile_cache.encode_report v)
   end
 
-let flush t =
-  match t.oc with Some oc -> Stdlib.flush oc | None -> ()
+let flush t = Option.iter Store.Journal.flush t.journal
 
 let close t =
-  match t.oc with
-  | Some oc ->
-      t.oc <- None;
-      (try Stdlib.flush oc with Sys_error _ -> ());
-      close_out_noerr oc
-  | None -> ()
+  Option.iter Store.Journal.close t.journal;
+  t.journal <- None

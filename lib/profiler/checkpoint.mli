@@ -10,11 +10,10 @@
     points of the same deterministic schedule, an interrupted-and-
     resumed run produces output bit-identical to an uninterrupted one.
 
-    The journal is an append-only text file under
-    [_hfuse_cache/journal/<run_id>.jnl], flushed after every record.
-    Each record carries an MD5 checksum; loading silently drops a torn
-    tail (the record being written when the process died) and any
-    corrupted lines, counting them in {!torn} — resuming from a
+    The journal is a {!Store.Journal} at
+    [_hfuse_cache/journal/<run_id>.jnl].  Loading drops a torn tail
+    (the record being written when the process died) and any corrupted
+    or undecodable record, counting them in {!torn} — resuming from a
     damaged journal recomputes the lost entries instead of failing.
 
     Run ids are content hashes of the run's parameters (figure, pairs,

@@ -10,21 +10,12 @@
    any input changes (including compiler changes that alter the emitted
    fused source).
 
-   Entries live under [dir]/v2/<digest>: a one-line header
-   ([hfuse-cache v2 <md5-of-payload>]) followed by the payload (times
-   as a single [%h] hex-float line; [r-<digest>] files hold whole
+   Entries are {!Store} entries under [dir]/v2/<digest> (times as a
+   single [%h] hex-float line; [r-<digest>] files hold whole
    measurement-replay reports — see the full-report section below).
-   Writes go through a unique temp file + rename so a concurrent
-   reader never sees a torn entry even with several processes sharing
-   the directory; the header checksum catches everything rename cannot
-   (a crash that left a truncated file behind, bit rot, a partial copy)
-   and such entries are moved aside to [<root>/quarantine/<key>] and
-   treated as misses, so the value is recomputed and re-stored.
    Lookups and stores are only ever issued from the search's
    coordinating domain (the timing fan-out never touches the cache),
    so no in-process locking is needed. *)
-
-module Fault = Hfuse_fault.Fault
 
 (* bump whenever the key derivation, the entry format, or the timing
    model's inputs change incompatibly; old entries are simply never
@@ -40,13 +31,8 @@ type stats = {
 }
 
 type t = {
-  enabled : bool;
-  dir : string;  (** versioned entry directory *)
+  store : Store.t option;  (** [None] when disabled *)
   stats : stats;
-  fault : Fault.plan option;
-      (** chaos plan for this handle's corruption draws; [None] falls
-          back to the installed process plan.  A server threads each
-          request's plan through its per-request handle. *)
 }
 
 let fresh_stats () = { hits = 0; misses = 0; stores = 0; corrupt = 0 }
@@ -54,21 +40,21 @@ let hits t = t.stats.hits
 let misses t = t.stats.misses
 let stores t = t.stats.stores
 let corrupt t = t.stats.corrupt
-let enabled t = t.enabled
-let dir t = t.dir
+let enabled t = Option.is_some t.store
+let dir t = match t.store with Some s -> Store.dir s | None -> ""
 
 let default_dir = "_hfuse_cache"
 
+(* [fault] scopes this handle's chaos-corruption draws; a server
+   threads each request's plan through its per-request handle *)
 let create ?(dir = default_dir) ?fault () =
   {
-    enabled = true;
-    dir = Filename.concat dir version;
+    store =
+      Some (Store.create ~magic ~version ~fault (Filename.concat dir version));
     stats = fresh_stats ();
-    fault;
   }
 
-let disabled () =
-  { enabled = false; dir = ""; stats = fresh_stats (); fault = None }
+let disabled () = { store = None; stats = fresh_stats () }
 
 (** Environment-driven configuration, so CI and scripts can flip the
     cache without threading flags everywhere: [HFUSE_CACHE=0] disables
@@ -129,107 +115,32 @@ let key ~(arch : string) ~(source : string) ~(d1 : int) ~(d2 : int)
 (* Storage                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let entry_path t k = Filename.concat t.dir k
+let mkdir_p = Store.mkdir_p
 
-(* Tolerates concurrent creators: several workers (or several [bench]
-   processes) may race to create the directory, so EEXIST is success,
-   not an error.  The old [Sys.file_exists]-then-[Sys.mkdir] dance had
-   a window where both checks passed and one mkdir failed. *)
-let rec mkdir_p d =
-  if d <> "" && d <> "." && d <> "/" then
-    match Unix.mkdir d 0o755 with
-    | () -> ()
-    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    | exception Unix.Unix_error (Unix.ENOENT, _, _) ->
-        mkdir_p (Filename.dirname d);
-        (try Unix.mkdir d 0o755
-         with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-
-let checksum payload = Digest.to_hex (Digest.string payload)
-
-(* whole-file read; [Sys_error] means the entry is simply absent *)
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* header check: magic, version, and payload digest must all match *)
-let parse_entry (raw : string) : string option =
-  match String.index_opt raw '\n' with
-  | None -> None
-  | Some nl -> (
-      let header = String.sub raw 0 nl in
-      let payload = String.sub raw (nl + 1) (String.length raw - nl - 1) in
-      match String.split_on_char ' ' header with
-      | [ m; v; d ] when m = magic && v = version && d = checksum payload ->
-          Some payload
-      | _ -> None)
-
-let quarantine_dir t = Filename.concat (Filename.dirname t.dir) "quarantine"
-
-(* A checksum-failing entry is evidence of a crash or corruption, not a
-   stale format: keep the bytes for post-mortem instead of deleting
-   them, and get the entry out of the lookup path so the value is
-   recomputed. *)
-let quarantine t ~key ~path =
-  t.stats.corrupt <- t.stats.corrupt + 1;
-  (try
-     mkdir_p (quarantine_dir t);
-     Sys.rename path (Filename.concat (quarantine_dir t) key)
-   with Sys_error _ -> ( try Sys.remove path with Sys_error _ -> ()));
-  if Fault.enabled ?plan:t.fault () then Fault.note_recovered Fault.Cache_corrupt
-
-type 'a entry = Absent | Corrupt | Found of 'a
-
-let read_entry (t : t) ~(key : string) (decode : string -> 'a) : 'a entry =
-  let path = entry_path t key in
-  match read_file path with
-  | exception Sys_error _ -> Absent
-  | raw -> (
-      match parse_entry raw with
-      | None ->
-          quarantine t ~key ~path;
-          Corrupt
-      | Some payload -> (
-          (* a payload that passed its digest but fails to decode means
-             the format and the checksum disagree — same treatment *)
-          match decode payload with
-          | v -> Found v
-          | exception _ ->
-              quarantine t ~key ~path;
-              Corrupt))
-
-let tmp_seq = Atomic.make 0
-
-let write_entry (t : t) ~(key : string) (payload : string) : unit =
-  mkdir_p t.dir;
-  let final = entry_path t key in
-  (* pid + per-process counter: unique even when one process stores the
-     same key twice or two processes share the directory *)
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d" final (Unix.getpid ())
-      (Atomic.fetch_and_add tmp_seq 1)
+(* A corrupt entry counts as both a miss and a [corrupt]. *)
+let find_entry (t : t) ~(key : string) (decode : string -> 'a) : 'a option =
+  let miss () =
+    t.stats.misses <- t.stats.misses + 1;
+    None
   in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Printf.fprintf oc "%s %s %s\n" magic version (checksum payload);
-      output_string oc payload);
-  Sys.rename tmp final;
-  t.stats.stores <- t.stats.stores + 1;
-  (* chaos hook: model a crash that committed a torn entry.  Drawn from
-     the entry key so the same (seed, key) corrupts on every run
-     regardless of scheduling; the checksum path above recovers it. *)
-  if
-    Fault.enabled ?plan:t.fault ()
-    && Fault.fires ?plan:t.fault Fault.Cache_corrupt ~key:(Hashtbl.hash key)
-  then begin
-    Fault.note_injected Fault.Cache_corrupt;
-    try Unix.truncate final (max 8 (String.length payload / 2))
-    with Unix.Unix_error _ -> ()
-  end
+  match t.store with
+  | None -> None
+  | Some s -> (
+      match Store.read s ~key decode with
+      | Store.Found v ->
+          t.stats.hits <- t.stats.hits + 1;
+          Some v
+      | Store.Absent -> miss ()
+      | Store.Corrupt ->
+          t.stats.corrupt <- t.stats.corrupt + 1;
+          miss ())
+
+let store_entry (t : t) ~(key : string) (payload : string) : unit =
+  Option.iter
+    (fun s ->
+      Store.write s ~key payload;
+      t.stats.stores <- t.stats.stores + 1)
+    t.store
 
 (* ------------------------------------------------------------------ *)
 (* Candidate-time entries                                               *)
@@ -240,19 +151,10 @@ let write_entry (t : t) ~(key : string) (payload : string) : unit =
 let encode_time (time_ms : float) : string = Printf.sprintf "%h\n" time_ms
 let decode_time (s : string) : float = float_of_string (String.trim s)
 
-let find (t : t) ~(key : string) : float option =
-  if not t.enabled then None
-  else
-    match read_entry t ~key decode_time with
-    | Found v ->
-        t.stats.hits <- t.stats.hits + 1;
-        Some v
-    | Absent | Corrupt ->
-        t.stats.misses <- t.stats.misses + 1;
-        None
+let find (t : t) ~(key : string) : float option = find_entry t ~key decode_time
 
 let store (t : t) ~(key : string) (time_ms : float) : unit =
-  if t.enabled then write_entry t ~key (encode_time time_ms)
+  store_entry t ~key (encode_time time_ms)
 
 (* ------------------------------------------------------------------ *)
 (* Full-report entries (measurement replays)                            *)
@@ -331,7 +233,7 @@ let report_key ~(arch : string) ~(policy : string)
      line 2: kernel count N
      N lines: label NUL elapsed issued blocks_per_sm
      last:    the 7 engine_stats counters
-   Also the checkpoint journal's report encoding (see Checkpoint). *)
+   Also the checkpoint journal's report payload. *)
 
 let encode_report
     ((r : Gpusim.Timing.report), (es : Gpusim.Timing.engine_stats)) : string =
@@ -416,29 +318,8 @@ let decode_report (s : string) :
 
 let store_report (t : t) ~(key : string)
     (entry : Gpusim.Timing.report * Gpusim.Timing.engine_stats) : unit =
-  if t.enabled then write_entry t ~key (encode_report entry)
+  store_entry t ~key (encode_report entry)
 
 let find_report (t : t) ~(key : string) :
     (Gpusim.Timing.report * Gpusim.Timing.engine_stats) option =
-  if not t.enabled then None
-  else
-    match read_entry t ~key decode_report with
-    | Found v ->
-        t.stats.hits <- t.stats.hits + 1;
-        Some v
-    | Absent | Corrupt ->
-        t.stats.misses <- t.stats.misses + 1;
-        None
-
-let pp_stats ppf (t : t) =
-  if t.enabled then begin
-    Fmt.pf ppf "%d hit%s, %d miss%s, %d store%s" t.stats.hits
-      (if t.stats.hits = 1 then "" else "s")
-      t.stats.misses
-      (if t.stats.misses = 1 then "" else "es")
-      t.stats.stores
-      (if t.stats.stores = 1 then "" else "s");
-    if t.stats.corrupt > 0 then
-      Fmt.pf ppf ", %d quarantined" t.stats.corrupt
-  end
-  else Fmt.string ppf "disabled"
+  find_entry t ~key decode_report

@@ -7,19 +7,14 @@
     cache self-invalidates when any input — including the compiler's
     emitted source — changes.
 
-    Crash safety: every entry under [dir]/v2/ carries a one-line header
-    with an MD5 checksum of its payload and is committed with a unique
-    temp file + atomic rename.  An entry whose header or checksum fails
-    (torn write from a crash, bit flip, truncation) is moved to
-    [<root>/quarantine/<key>] for post-mortem, counted in {!corrupt},
-    and treated as a miss, so the value is recomputed and re-stored —
-    a corrupted cache can slow a run down but never change its result.
-    Lookups and stores must stay on the search's coordinating domain. *)
+    Entries are {!Store} checksummed entries under [dir]/v2/ (magic
+    [hfuse-cache]); a corrupt one is quarantined to
+    [<root>/quarantine/<key>], counted in {!corrupt}, and treated as a
+    miss, so the value is recomputed and re-stored — a corrupted cache
+    can slow a run down but never change its result.  Lookups and
+    stores must stay on the search's coordinating domain. *)
 
 type t
-
-(** Entry-format/version tag baked into paths and keys. *)
-val version : string
 
 (** Default cache directory ([_hfuse_cache], relative to the cwd). *)
 val default_dir : string
@@ -50,9 +45,7 @@ val enabled : t -> bool
 (** Versioned entry directory (empty for a disabled cache). *)
 val dir : t -> string
 
-(** Directory-creation helper shared with the checkpoint journal:
-    [mkdir -p] semantics that tolerate concurrent creators (EEXIST from
-    a racing worker or process is success, not an error). *)
+(** {!Store.mkdir_p}. *)
 val mkdir_p : string -> unit
 
 (** Content hash identifying one profiled candidate. *)
@@ -118,6 +111,3 @@ val stores : t -> int
 
 (** Entries quarantined after a header/checksum/decode failure. *)
 val corrupt : t -> int
-
-(** ["N hits, M misses, K stores(, J quarantined)"], or ["disabled"]. *)
-val pp_stats : t Fmt.t

@@ -117,23 +117,86 @@ let solo_memo : (string, float option) Hashtbl.t = Hashtbl.create 16
    persistent report cache (specs + packed traces + arch), shared by
    every request in the process: the daemon's warm profile cache.
    Hits are bit-identical to replays — the simulator is deterministic
-   and entries keep every report field.  Consulted only after the
-   checkpoint journal and the persistent cache, so their observable
-   behaviour (hit/store counters) is unchanged in one-shot runs. *)
+   and entries keep every report field. *)
 let report_memo : (string, Timing.report * Timing.engine_stats) Hashtbl.t =
   Hashtbl.create 256
-
-let report_memo_find key = locked (fun () -> Hashtbl.find_opt report_memo key)
-
-let report_memo_store key v =
-  locked (fun () -> Hashtbl.replace report_memo key v)
 
 (* Same idea for the search's per-candidate times (the persistent
    cache's time entries, keyed by [candidate_key]): a daemon answering
    the same search twice replays nothing the second time. *)
 let time_memo : (string, float) Hashtbl.t = Hashtbl.create 256
-let time_memo_find key = locked (fun () -> Hashtbl.find_opt time_memo key)
-let time_memo_store key v = locked (fun () -> Hashtbl.replace time_memo key v)
+
+(* One tier a profiled value can come from: checkpoint journal,
+   persistent cache or process-wide memo. *)
+type 'v tier = {
+  find : key:string -> 'v option;
+  add : key:string -> 'v -> unit;
+}
+
+type 'v tiers = { journal : 'v tier; cache : 'v tier; memo : 'v tier }
+
+let memo_tier (tbl : (string, 'v) Hashtbl.t) : 'v tier =
+  {
+    find = (fun ~key -> locked (fun () -> Hashtbl.find_opt tbl key));
+    add = (fun ~key v -> locked (fun () -> Hashtbl.replace tbl key v));
+  }
+
+let report_tiers ~cache ~checkpoint =
+  {
+    journal =
+      {
+        find = Checkpoint.find_report checkpoint;
+        add = Checkpoint.record_report checkpoint;
+      };
+    cache =
+      {
+        find = Profile_cache.find_report cache;
+        add = Profile_cache.store_report cache;
+      };
+    memo = memo_tier report_memo;
+  }
+
+let time_tiers ~cache ~checkpoint =
+  {
+    journal =
+      {
+        find = Checkpoint.find_time checkpoint;
+        add = Checkpoint.record_time checkpoint;
+      };
+    cache =
+      { find = Profile_cache.find cache; add = Profile_cache.store cache };
+    memo = memo_tier time_memo;
+  }
+
+(* The one place that knows the resolution order: the checkpoint
+   journal first (a resumed run replays the interrupted run's answers),
+   then the persistent cache (hits are journaled so the resume no
+   longer depends on the cache file), then the process-wide memo (a
+   long-lived daemon's earlier requests; hits backfill the cache and
+   the journal).  The memo comes last so that one-shot runs see the
+   same cache hit/store counters with or without it. *)
+let resolve (t : 'v tiers) (key : string) : 'v option =
+  match t.journal.find ~key with
+  | Some _ as hit -> hit
+  | None -> (
+      match t.cache.find ~key with
+      | Some v ->
+          t.journal.add ~key v;
+          t.memo.add ~key v;
+          Some v
+      | None -> (
+          match t.memo.find ~key with
+          | Some v ->
+              t.cache.add ~key v;
+              t.journal.add ~key v;
+              Some v
+          | None -> None))
+
+(* a freshly computed value lands in every tier *)
+let commit (t : 'v tiers) (key : string) (v : 'v) : unit =
+  t.memo.add ~key v;
+  t.cache.add ~key v;
+  t.journal.add ~key v
 
 let clear_cache () =
   Trace_store.clear_memory ();
@@ -592,61 +655,37 @@ let candidate_key ?settings (arch : Arch.t) (c1 : configured)
    per call would dominate); otherwise a fresh pool of [jobs] workers
    is scoped to this call.
 
-   With an enabled [cache], each entry is first looked up in the
-   persistent report cache (content-keyed over the specs and their
-   packed traces, so any input change misses); only the misses reach
-   the pool, and their reports are stored afterwards.  Cache hits are
-   bit-identical to replays — entries hold every report field exactly —
-   and each hit folds the producing replay's engine stats into the
-   process-wide counters so cumulative stats still describe the work
-   behind the reported numbers.  Cache I/O stays on the calling
-   domain.
-
-   An enabled [checkpoint] journal is consulted before the cache (a
-   resumed run answers everything the interrupted run already
-   produced), and every result — cache hit or fresh replay — is also
-   recorded into it, so a later resume replays this call entirely from
-   the journal. *)
+   Each entry is first answered through [resolve] (journal, persistent
+   report cache, memo — content-keyed over the specs and their packed
+   traces, so any input change misses); only the misses reach the
+   pool, and their reports are committed to every tier afterwards, so
+   a later resume replays this call entirely from the journal.  Hits
+   are bit-identical to replays — entries hold every report field
+   exactly — and each hit folds the producing replay's engine stats
+   into the process-wide counters so cumulative stats still describe
+   the work behind the reported numbers.  Tier I/O stays on the
+   calling domain. *)
 let run_many ?pool ?(jobs = 1) ?(cache = Profile_cache.disabled ())
     ?(checkpoint = Checkpoint.disabled)
     (runs : (Arch.t * Timing.launch_spec list) array) : Timing.report array =
   let n = Array.length runs in
-  let use_cache = Profile_cache.enabled cache in
-  let use_ckpt = Checkpoint.enabled checkpoint in
-  let keys = Array.make n "" in
-  let results : Timing.report option array = Array.make n None in
-  Array.iteri
-    (fun i (arch, specs) ->
-      let key =
-        Profile_cache.report_key ~arch:arch.Arch.name ~policy:"fifo" specs
-      in
-      keys.(i) <- key;
-      match
-        if use_ckpt then Checkpoint.find_report checkpoint ~key else None
-      with
-      | Some (r, es) ->
-          Timing.accumulate_stats es;
-          results.(i) <- Some r
-      | None -> (
-          match
-            if use_cache then Profile_cache.find_report cache ~key else None
-          with
-          | Some (r, es) ->
-              Timing.accumulate_stats es;
-              Checkpoint.record_report checkpoint ~key (r, es);
-              report_memo_store key (r, es);
-              results.(i) <- Some r
-          | None -> (
-              match report_memo_find key with
-              | Some ((r, es) as v) ->
-                  Timing.accumulate_stats es;
-                  if use_ckpt then Checkpoint.record_report checkpoint ~key v;
-                  (* a warm-memo hit backfills an enabled persistent
-                     cache that missed (e.g. a fresh cache root) *)
-                  if use_cache then Profile_cache.store_report cache ~key v;
-                  results.(i) <- Some r
-              | None -> ())))
-    runs;
+  let tiers = report_tiers ~cache ~checkpoint in
+  let keys =
+    Array.map
+      (fun (arch, specs) ->
+        Profile_cache.report_key ~arch:arch.Arch.name ~policy:"fifo" specs)
+      runs
+  in
+  let results =
+    Array.map
+      (fun key ->
+        Option.map
+          (fun (r, es) ->
+            Timing.accumulate_stats es;
+            r)
+          (resolve tiers key))
+      keys
+  in
   let miss_idx =
     List.filter (fun i -> Option.is_none results.(i)) (List.init n Fun.id)
     |> Array.of_list
@@ -668,9 +707,7 @@ let run_many ?pool ?(jobs = 1) ?(cache = Profile_cache.disabled ())
     (fun j i ->
       let r, es = fresh.(j) in
       results.(i) <- Some r;
-      report_memo_store keys.(i) (r, es);
-      if use_cache then Profile_cache.store_report cache ~key:keys.(i) (r, es);
-      if use_ckpt then Checkpoint.record_report checkpoint ~key:keys.(i) (r, es))
+      commit tiers keys.(i) (r, es))
     miss_idx;
   Checkpoint.flush checkpoint;
   Array.map (function Some r -> r | None -> assert false) results
@@ -818,31 +855,8 @@ let search ?(jobs = 1) ?pool ?settings ?stats ?cache
           candidate_key ~settings:s arch c1 c2 f ~reg_bound:cfg.reg_bound)
         batch
     in
-    (* resolution order: checkpoint journal (a resumed run replays the
-       interrupted run's answers), then the persistent cache (hits are
-       journaled so the resume no longer depends on the cache file),
-       then the process-wide warm memo (a long-lived daemon's previous
-       requests; hits backfill the cache and journal) *)
-    let cached =
-      Array.map
-        (fun key ->
-          match Checkpoint.find_time checkpoint ~key with
-          | Some t -> Some t
-          | None -> (
-              match Profile_cache.find cache ~key with
-              | Some t ->
-                  Checkpoint.record_time checkpoint ~key t;
-                  time_memo_store key t;
-                  Some t
-              | None -> (
-                  match time_memo_find key with
-                  | Some t ->
-                      Profile_cache.store cache ~key t;
-                      Checkpoint.record_time checkpoint ~key t;
-                      Some t
-                  | None -> None)))
-        keys
-    in
+    let tiers = time_tiers ~cache ~checkpoint in
+    let cached = Array.map (resolve tiers) keys in
     let times = Array.map (Option.value ~default:nan) cached in
     (* trace acquisition for the misses: one fresh-memory recording
        per *distinct* trace key, fanned over the worker pool.
@@ -970,10 +984,7 @@ let search ?(jobs = 1) ?pool ?settings ?stats ?cache
         | Ok t ->
             incr completed;
             times.(i) <- t;
-            let key = keys.(i) in
-            time_memo_store key t;
-            Profile_cache.store cache ~key t;
-            Checkpoint.record_time checkpoint ~key t
+            commit tiers keys.(i) t
         | Error (fl : Hfuse_parallel.Pool.failure) ->
             let f, _ = batch.(i) in
             times.(i) <- candidate_failed f fl.f_exn)

@@ -25,20 +25,17 @@
      traces; an optional byte bound ([Settings.trace_mem_mb]) keeps a
      long-lived daemon from growing without limit.
 
-   - a per-handle on-disk tier mirroring Profile_cache v2: entries
-     under [<root>/traces/v1/<digest>] with a checksummed one-line
-     header, unique-tmp + atomic-rename commits, and corrupt entries
-     quarantined to [<root>/traces/quarantine/<digest>] and re-recorded.
-     Disk keys additionally fold in the GPU model name and a source
-     digest, so shared directories self-invalidate across archs and
-     kernel-source changes even though trace keys only carry kernel
-     *names*.
+   - a per-handle on-disk tier: {!Store} entries under
+     [<root>/traces/v1/<digest>], corrupt ones quarantined to
+     [<root>/traces/quarantine/<digest>] and re-recorded.  Disk keys
+     additionally fold in the GPU model name and a source digest, so
+     shared directories self-invalidate across archs and kernel-source
+     changes even though trace keys only carry kernel *names*.
 
    A single-flight table dedups concurrent recordings of one key:
    the first caller records while the rest wait and share the result
    (counted in [merges]).  Disk I/O happens outside the lock. *)
 
-module Fault = Hfuse_fault.Fault
 module Trace = Gpusim.Trace
 
 (* bump whenever the key derivation or Trace.encode_blocks changes
@@ -228,115 +225,43 @@ let find_mem (k : string) : Trace.block array option =
 (* Disk tier                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type t = {
-  enabled : bool;
-  dir : string;  (** versioned entry directory: [<root>/traces/v1] *)
-  fault : Fault.plan option;
-      (** chaos plan for this handle's corruption draws; [None] falls
-          back to the installed process plan *)
-}
+(* [None] when the disk tier is disabled *)
+type t = Store.t option
 
-let enabled t = t.enabled
-let dir t = t.dir
+let dir = function Some s -> Store.dir s | None -> ""
 
 let create ?(dir = Profile_cache.default_dir) ?fault () =
-  {
-    enabled = true;
-    dir = Filename.concat (Filename.concat dir "traces") version;
-    fault;
-  }
+  Some
+    (Store.create ~magic ~version ~fault
+       (Filename.concat (Filename.concat dir "traces") version))
 
-let disabled () = { enabled = false; dir = ""; fault = None }
+let disabled () = None
 
 let of_dir ?fault = function
   | Some dir -> create ~dir ?fault ()
   | None -> disabled ()
 
-let entry_path t k = Filename.concat t.dir k
-let checksum payload = Digest.to_hex (Digest.string payload)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let parse_entry (raw : string) : string option =
-  match String.index_opt raw '\n' with
-  | None -> None
-  | Some nl -> (
-      let header = String.sub raw 0 nl in
-      let payload = String.sub raw (nl + 1) (String.length raw - nl - 1) in
-      match String.split_on_char ' ' header with
-      | [ m; v; d ] when m = magic && v = version && d = checksum payload ->
-          Some payload
-      | _ -> None)
-
-let quarantine_dir t = Filename.concat (Filename.dirname t.dir) "quarantine"
-
-(* same policy as Profile_cache: keep the bytes for post-mortem, get
-   the entry out of the lookup path, recover by re-recording *)
-let quarantine t ~key ~path =
-  ignore (Atomic.fetch_and_add c_corrupt 1);
-  (try
-     Profile_cache.mkdir_p (quarantine_dir t);
-     Sys.rename path (Filename.concat (quarantine_dir t) key)
-   with Sys_error _ -> ( try Sys.remove path with Sys_error _ -> ()));
-  if Fault.enabled ?plan:t.fault () then
-    Fault.note_recovered Fault.Cache_corrupt
+let decode payload =
+  match Trace.decode_blocks payload with
+  | Some blocks -> blocks
+  | None -> failwith "trace entry"
 
 let find_disk (t : t) (k : string) : Trace.block array option =
-  if not t.enabled then None
-  else
-    let path = entry_path t k in
-    match read_file path with
-    | exception Sys_error _ -> None
-    | raw -> (
-        match parse_entry raw with
-        | None ->
-            quarantine t ~key:k ~path;
-            None
-        | Some payload -> (
-            match Trace.decode_blocks payload with
-            | Some blocks ->
-                ignore (Atomic.fetch_and_add c_disk_hits 1);
-                Some blocks
-            | None ->
-                (* payload passed its digest yet fails to decode: the
-                   format and the checksum disagree — same treatment *)
-                quarantine t ~key:k ~path;
-                None))
+  match Option.map (fun s -> Store.read s ~key:k decode) t with
+  | Some (Store.Found blocks) ->
+      ignore (Atomic.fetch_and_add c_disk_hits 1);
+      Some blocks
+  | Some Store.Corrupt ->
+      ignore (Atomic.fetch_and_add c_corrupt 1);
+      None
+  | Some Store.Absent | None -> None
 
-let tmp_seq = Atomic.make 0
-
-let store_disk (t : t) (k : string) (payload : string) : unit =
-  if t.enabled then begin
-    Profile_cache.mkdir_p t.dir;
-    let final = entry_path t k in
-    let tmp =
-      Printf.sprintf "%s.tmp.%d.%d" final (Unix.getpid ())
-        (Atomic.fetch_and_add tmp_seq 1)
-    in
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        Printf.fprintf oc "%s %s %s\n" magic version (checksum payload);
-        output_string oc payload);
-    Sys.rename tmp final;
-    ignore (Atomic.fetch_and_add c_stores 1);
-    (* chaos hook: model a crash that committed a torn entry; drawn
-       from the entry key so the same (seed, key) corrupts on every
-       run regardless of scheduling.  The checksum path recovers it. *)
-    if
-      Fault.enabled ?plan:t.fault ()
-      && Fault.fires ?plan:t.fault Fault.Cache_corrupt ~key:(Hashtbl.hash k)
-    then begin
-      Fault.note_injected Fault.Cache_corrupt;
-      try Unix.truncate final (max 8 (String.length payload / 2))
-      with Unix.Unix_error _ -> ()
-    end
-  end
+let store_disk (t : t) (k : string) (blocks : Trace.block array) : unit =
+  Option.iter
+    (fun s ->
+      Store.write s ~key:k (Trace.encode_blocks blocks);
+      ignore (Atomic.fetch_and_add c_stores 1))
+    t
 
 (* ------------------------------------------------------------------ *)
 (* Lookup / insert                                                      *)
@@ -359,7 +284,7 @@ let find (t : t) ~(key : key) : Trace.block array option =
 let add (t : t) ?limit_bytes ~(key : key) (blocks : Trace.block array) : unit =
   ignore (Atomic.fetch_and_add c_recorded 1);
   Mutex.protect mem_mutex (fun () -> insert_mem ~limit_bytes key.mem blocks);
-  store_disk t key.disk (Trace.encode_blocks blocks)
+  store_disk t key.disk blocks
 
 let get_or_record (t : t) ?limit_bytes ~(key : key)
     (record : unit -> Trace.block array) : Trace.block array =

@@ -8,9 +8,9 @@
 
     Two tiers: a process-wide in-memory LRU shared by every handle
     (bounded via [limit_bytes], see {!Settings.trace_mem_mb}), and a
-    per-handle on-disk tier mirroring Profile_cache v2 — checksummed
-    entries under [<root>/traces/v1/<digest>], unique-tmp + rename
-    commits, corrupt entries quarantined and re-recorded.  A
+    per-handle on-disk tier of {!Store} entries under
+    [<root>/traces/v1/<digest>] (magic [hfuse-traces]), corrupt ones
+    quarantined and re-recorded.  A
     single-flight table dedups concurrent recordings of one key. *)
 
 (** Entry-format/version tag baked into paths and keys. *)
@@ -44,8 +44,6 @@ val disabled : unit -> t
 
 (** Handle from a resolved root: [Some dir] enables, [None] disables. *)
 val of_dir : ?fault:Hfuse_fault.Fault.plan -> string option -> t
-
-val enabled : t -> bool
 
 (** Versioned entry directory (empty for a disabled store). *)
 val dir : t -> string

@@ -187,6 +187,44 @@ let test_resume_identity () =
     (List.map row_repr first.Fleet.rows)
     (List.map row_repr clean.Fleet.rows)
 
+let test_resume_torn_rows () =
+  (* a damaged row journal — one garbled line, a tail cut mid-line —
+     resumes the intact row, re-runs exactly the two damaged pairs, and
+     ends with a clean run's rows *)
+  let cfg = { (test_cfg ~limit:3 ()) with Fleet.resume = true } in
+  let path = Filename.concat Hfuse_profiler.Checkpoint.default_dir
+               (Fleet.run_id cfg ^ ".rows") in
+  if Sys.file_exists path then Sys.remove path;
+  let clean = Fleet.run cfg in
+  Alcotest.(check int) "first run executes" 3 clean.Fleet.executed;
+  let lines =
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  (match lines with
+  | [ intact; garbled; cut ] ->
+      let flip c = if c = '1' then '2' else '1' in
+      let garbled =
+        String.mapi (fun i c -> if i = 50 then flip c else c) garbled
+      in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (intact ^ "\n" ^ garbled ^ "\n");
+          output_string oc (String.sub cut 0 (String.length cut / 2)))
+  | _ -> Alcotest.fail "expected three journaled rows");
+  let resumed = Fleet.run cfg in
+  Alcotest.(check int) "intact row replayed" 1 resumed.Fleet.resumed;
+  Alcotest.(check int) "damaged rows re-executed" 2 resumed.Fleet.executed;
+  Alcotest.(check int) "damaged rows counted" 2 resumed.Fleet.torn;
+  Alcotest.(check (list string)) "rows match the clean run"
+    (List.map row_repr clean.Fleet.rows)
+    (List.map row_repr resumed.Fleet.rows);
+  (* the re-executed rows were journaled on lines of their own, not
+     fused onto the cut tail: a third run replays everything *)
+  let again = Fleet.run cfg in
+  Alcotest.(check int) "everything replays" 3 again.Fleet.resumed;
+  Alcotest.(check int) "nothing re-executed" 0 again.Fleet.executed
+
 let test_report_shape () =
   let cfg = test_cfg ~limit:2 () in
   let r = Fleet.run cfg in
@@ -221,5 +259,6 @@ let suite =
     Alcotest.test_case "rows identical across shards" `Slow
       test_rows_identical_across_shards;
     Alcotest.test_case "resume identity" `Slow test_resume_identity;
+    Alcotest.test_case "resume drops torn rows" `Slow test_resume_torn_rows;
     Alcotest.test_case "report shape" `Quick test_report_shape;
   ]

@@ -29,4 +29,5 @@ let () =
       ("repair", Test_repair.suite);
       ("serve", Test_serve.suite);
       ("fleet", Test_fleet.suite);
+      ("store", Test_store.suite);
     ]
