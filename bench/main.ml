@@ -289,7 +289,7 @@ let run_ablation () =
   let sizes = Experiment.representative_sizes arch in
   let c1 = Runner.configure mem s1 ~size:(Experiment.size_of sizes s1) in
   let c2 = Runner.configure mem s2 ~size:(Experiment.size_of sizes s2) in
-  let native = (Runner.native arch c1 c2).Gpusim.Timing.time_ms in
+  let native = (Runner.native ~cache:!cache arch c1 c2).Gpusim.Timing.time_ms in
   let sr = Runner.search ~jobs:!jobs ~cache:!cache arch c1 c2 in
   say "%-12s %-10s %12s %10s" "partition" "regbound" "time (ms)" "speedup%";
   List.iter

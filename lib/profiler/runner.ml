@@ -101,17 +101,13 @@ type trace_key =
    store's digests fold in everything the keys above name plus the
    simulation fuel, the kernel source (names alone would go stale when
    a kernel's source changes under a persistent directory), and — on
-   disk only — the arch.  This mutex guards the report/time/solo memos
+   disk only — the arch.  This mutex guards the report/time memos
    below. *)
 let cache_mutex = Mutex.create ()
 
 let locked (f : unit -> 'a) : 'a =
   Mutex.lock cache_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock cache_mutex) f
-
-(* Per-kernel solo elapsed cycles for the cost model's calibration,
-   memoized per process (see [solo_cycles] below; same mutex). *)
-let solo_memo : (string, float option) Hashtbl.t = Hashtbl.create 16
 
 (* In-memory candidate-report memo, content-keyed exactly like the
    persistent report cache (specs + packed traces + arch), shared by
@@ -201,9 +197,37 @@ let commit (t : 'v tiers) (key : string) (v : 'v) : unit =
 let clear_cache () =
   Trace_store.clear_memory ();
   locked @@ fun () ->
-  Hashtbl.reset solo_memo;
   Hashtbl.reset report_memo;
   Hashtbl.reset time_memo
+
+(* Replay entries are content-keyed over the specs and their packed
+   traces, so any input change misses. *)
+let report_key (arch : Arch.t) (specs : Timing.launch_spec list) : string =
+  Profile_cache.report_key ~arch:arch.Arch.name ~policy:"fifo" specs
+
+(* A report answered by the tiers folds the producing replay's engine
+   stats into the process-wide counters, so cumulative stats still
+   describe the work behind the reported numbers. *)
+let lookup_report (t : (Timing.report * Timing.engine_stats) tiers)
+    (key : string) : Timing.report option =
+  Option.map
+    (fun (r, es) ->
+      Timing.accumulate_stats es;
+      r)
+    (resolve t key)
+
+(* One replay through the report tiers: answered by [lookup_report], or
+   run on this domain and committed to every tier. *)
+let replay ~cache ~checkpoint (arch : Arch.t)
+    (specs : Timing.launch_spec list) : Timing.report =
+  let tiers = report_tiers ~cache ~checkpoint in
+  let key = report_key arch specs in
+  match lookup_report tiers key with
+  | Some r -> r
+  | None ->
+      let ((r, _) as entry) = Timing.run_with_stats arch specs in
+      commit tiers key entry;
+      r
 
 (* render a trace key into the store's digest input *)
 let trace_ident (key : trace_key) : string list =
@@ -286,13 +310,16 @@ let spec_of ?settings ?arch (c : configured) ?(block_dim : int option)
     stream;
   }
 
-(** Native baseline: both kernels submitted via parallel streams. *)
-let native ?settings (arch : Arch.t) (c1 : configured) (c2 : configured) :
-    Timing.report =
-  Timing.run arch
+(** Native baseline: both kernels submitted via parallel streams,
+    replayed through the report tiers. *)
+let native ?settings ?cache ?(checkpoint = Checkpoint.disabled)
+    (arch : Arch.t) (c1 : configured) (c2 : configured) : Timing.report =
+  let s = resolved settings in
+  let cache = match cache with Some c -> c | None -> Settings.cache s in
+  replay ~cache ~checkpoint arch
     [
-      spec_of ?settings ~arch:arch.Arch.name c1 ~stream:0 ();
-      spec_of ?settings ~arch:arch.Arch.name c2 ~stream:1 ();
+      spec_of ~settings:s ~arch:arch.Arch.name c1 ~stream:0 ();
+      spec_of ~settings:s ~arch:arch.Arch.name c2 ~stream:1 ();
     ]
 
 (** One kernel alone (Fig. 8 metrics; also the ratio probes). *)
@@ -655,37 +682,20 @@ let candidate_key ?settings (arch : Arch.t) (c1 : configured)
    per call would dominate); otherwise a fresh pool of [jobs] workers
    is scoped to this call.
 
-   Each entry is first answered through [resolve] (journal, persistent
-   report cache, memo — content-keyed over the specs and their packed
-   traces, so any input change misses); only the misses reach the
-   pool, and their reports are committed to every tier afterwards, so
-   a later resume replays this call entirely from the journal.  Hits
-   are bit-identical to replays — entries hold every report field
-   exactly — and each hit folds the producing replay's engine stats
-   into the process-wide counters so cumulative stats still describe
-   the work behind the reported numbers.  Tier I/O stays on the
-   calling domain. *)
+   Each entry is [replay] in batch form: first answered through
+   [lookup_report] (journal, persistent report cache, memo); only the
+   misses reach the pool, and their reports are committed to every
+   tier afterwards, so a later resume replays this call entirely from
+   the journal.  Hits are bit-identical to replays — entries hold
+   every report field exactly.  Tier I/O stays on the calling
+   domain. *)
 let run_many ?pool ?(jobs = 1) ?(cache = Profile_cache.disabled ())
     ?(checkpoint = Checkpoint.disabled)
     (runs : (Arch.t * Timing.launch_spec list) array) : Timing.report array =
   let n = Array.length runs in
   let tiers = report_tiers ~cache ~checkpoint in
-  let keys =
-    Array.map
-      (fun (arch, specs) ->
-        Profile_cache.report_key ~arch:arch.Arch.name ~policy:"fifo" specs)
-      runs
-  in
-  let results =
-    Array.map
-      (fun key ->
-        Option.map
-          (fun (r, es) ->
-            Timing.accumulate_stats es;
-            r)
-          (resolve tiers key))
-      keys
-  in
+  let keys = Array.map (fun (arch, specs) -> report_key arch specs) runs in
+  let results = Array.map (lookup_report tiers) keys in
   let miss_idx =
     List.filter (fun i -> Option.is_none results.(i)) (List.init n Fun.id)
     |> Array.of_list
@@ -723,42 +733,18 @@ let is_profile_failure = function
   | _ -> false
 
 (* Observed solo elapsed cycles of one kernel at its native launch —
-   the cost model's per-kernel calibration input.  Memoized per process
-   and persisted through the report cache (content-keyed over the spec
-   and its packed traces, so any trace change self-invalidates); a
-   warm search never re-simulates it.  A failed solo yields [None] and
-   the model runs uncalibrated. *)
-let solo_cycles ?settings ~(cache : Profile_cache.t) (arch : Arch.t)
+   the cost model's per-kernel calibration input, replayed through the
+   report tiers, so a warm search or a daemon's repeat never
+   re-simulates it.  A failed solo yields [None] and the model runs
+   uncalibrated. *)
+let solo_cycles ~(s : Settings.t) ~cache ~checkpoint (arch : Arch.t)
     (c : configured) : float option =
-  let s = resolved settings in
-  let memo_key =
-    Printf.sprintf "%s|%s|%d|%d" arch.Arch.name c.spec.name c.size
-      s.Settings.trace_blocks
-  in
-  match locked (fun () -> Hashtbl.find_opt solo_memo memo_key) with
-  | Some v -> v
-  | None ->
-      let v =
-        match
-          let spec = spec_of ~settings:s ~arch:arch.Arch.name c ~stream:0 () in
-          let key =
-            Profile_cache.report_key ~arch:arch.Arch.name ~policy:"fifo"
-              [ spec ]
-          in
-          match Profile_cache.find_report cache ~key with
-          | Some (r, es) ->
-              Timing.accumulate_stats es;
-              r
-          | None ->
-              let r, es = Timing.run_with_stats arch [ spec ] in
-              Profile_cache.store_report cache ~key (r, es);
-              r
-        with
-        | r -> Some (float_of_int r.Timing.elapsed_cycles)
-        | exception e when is_profile_failure e -> None
-      in
-      locked (fun () -> Hashtbl.replace solo_memo memo_key v);
-      v
+  match
+    replay ~cache ~checkpoint arch
+      [ spec_of ~settings:s ~arch:arch.Arch.name c ~stream:0 () ]
+  with
+  | r -> Some (float_of_int r.Timing.elapsed_cycles)
+  | exception e when is_profile_failure e -> None
 
 (* Differential soundness oracle for repaired fusions: launch the two
    kernels sequentially in one fresh memory (the unfused reference) and
@@ -1018,8 +1004,8 @@ let search ?(jobs = 1) ?pool ?settings ?stats ?cache
        search *)
     let inputs =
       match
-        ( solo_cycles ~settings:s ~cache arch c1,
-          solo_cycles ~settings:s ~cache arch c2 )
+        ( solo_cycles ~s ~cache ~checkpoint arch c1,
+          solo_cycles ~s ~cache ~checkpoint arch c2 )
       with
       | Some s1, Some s2 -> Hfuse_costmodel.calibrate inputs ~solo1:s1 ~solo2:s2
       | _ -> inputs

@@ -72,7 +72,7 @@ type trace_key =
       tb : int;
     }
 
-(** Drop the in-process memo tiers (trace-store memory, solo/report/
+(** Drop the in-process memo tiers (trace-store memory, report and
     time memos); persistent entries survive. *)
 val clear_cache : unit -> unit
 
@@ -91,10 +91,20 @@ val spec_of :
   ?settings:Settings.t -> ?arch:string -> configured -> ?block_dim:int ->
   stream:int -> unit -> Gpusim.Timing.launch_spec
 
-(** Native baseline: both kernels via parallel streams (FIFO dispatch). *)
+(** Native baseline: both kernels via parallel streams (FIFO dispatch).
+
+    The replay goes through the same tiers as {!run_many}, keyed by
+    {!Profile_cache.report_key} over the two launch specs and their
+    packed traces: the [checkpoint] journal (default
+    {!Checkpoint.disabled}), then the persistent report cache (default:
+    minted from [settings], as {!search} does), then the process-wide
+    report memo.  A miss replays on the calling domain and lands in
+    every tier; a hit folds the stored engine stats into
+    {!Gpusim.Timing.cumulative_stats}.  Either way the report is
+    bit-identical to a fresh replay. *)
 val native :
-  ?settings:Settings.t -> Gpusim.Arch.t -> configured -> configured ->
-  Gpusim.Timing.report
+  ?settings:Settings.t -> ?cache:Profile_cache.t -> ?checkpoint:Checkpoint.t ->
+  Gpusim.Arch.t -> configured -> configured -> Gpusim.Timing.report
 
 (** One kernel alone (Fig. 8 metrics, ratio probes). *)
 val solo :
@@ -245,9 +255,10 @@ val run_many :
                  [settings] — disabled unless its [cache_dir] is set,
                  which the [HFUSE_CACHE]/[HFUSE_CACHE_DIR] environment
                  seeds).
-    @param checkpoint resume journal: candidate times already recorded
-                 by an interrupted run are replayed, and every fresh
-                 time is journaled (default {!Checkpoint.disabled}).
+    @param checkpoint resume journal: candidate times and solo
+                 calibration reports already recorded by an interrupted
+                 run are replayed, and every fresh one is journaled
+                 (default {!Checkpoint.disabled}).
     @param top_k profile only the [top_k] candidates the analytical
                  cost model ({!Hfuse_costmodel}) ranks best; the rest
                  are recorded un-profiled in [result.pruned].  Without

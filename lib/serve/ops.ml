@@ -349,11 +349,12 @@ let search ?settings ?(checkpoint = Checkpoint.disabled) ?pool
     | None -> Hfuse_profiler.Experiment.size_of (Lazy.force sizes) spec
   in
   let size1 = size_of p.s_k1 p.s_size1 and size2 = size_of p.s_k2 p.s_size2 in
-  (* per-request counters: a fresh stats record, a fresh cache handle,
-     and tally snapshots bracketing the whole verb (native baseline
-     included, so a one-shot process's delta equals its cumulative
-     tally) — nothing global is reset, so concurrent requests cannot
-     clobber each other *)
+  (* per-request counters: a fresh stats record, a fresh cache handle
+     (shared by the native baseline and the search), and tally
+     snapshots bracketing the whole verb (native baseline included, so
+     a one-shot process's delta equals its cumulative tally) — nothing
+     global is reset, so concurrent requests cannot clobber each
+     other *)
   let stats = Runner.fresh_search_stats () in
   let cache = Settings.cache s in
   let fault_before = Fault.tally () in
@@ -362,7 +363,9 @@ let search ?settings ?(checkpoint = Checkpoint.disabled) ?pool
   let mem = Gpusim.Memory.create () in
   let c1 = Runner.configure mem p.s_k1 ~size:size1 in
   let c2 = Runner.configure mem p.s_k2 ~size:size2 in
-  let native = (Runner.native ~settings:s arch c1 c2).Gpusim.Timing.time_ms in
+  let native =
+    (Runner.native ~settings:s ~cache ~checkpoint arch c1 c2).Gpusim.Timing.time_ms
+  in
   let sr =
     Runner.search ~jobs:p.s_jobs ?pool ~settings:s ~stats ~cache ~checkpoint
       ?top_k:p.s_top_k ~repair:p.s_repair arch c1 c2

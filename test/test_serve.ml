@@ -11,6 +11,9 @@ module Settings = Hfuse_profiler.Settings
 module Registry = Kernel_corpus.Registry
 module Fault = Hfuse_fault.Fault
 module J = Hfuse_profiler.Report.Json
+module Runner = Hfuse_profiler.Runner
+module Profile_cache = Hfuse_profiler.Profile_cache
+module Checkpoint = Hfuse_profiler.Checkpoint
 
 (* Unix-domain socket paths are length-limited (~108 bytes), so the
    harness binds under the system temp dir, never the build sandbox. *)
@@ -441,6 +444,115 @@ let test_stale_socket_replaced () =
       in
       Alcotest.(check string) "rebound over stale socket" "pong\n" ping.rout)
 
+(* ------------------------------------------------------------------ *)
+(* The native baseline through the report tiers                        *)
+
+(* a fresh, empty root under the system temp dir *)
+let fresh_root tag =
+  let root =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "hfuse_serve_%s_%d" tag (Unix.getpid ()))
+  in
+  let rec rm p =
+    if Sys.file_exists p then
+      if Sys.is_directory p then begin
+        Array.iter (fun f -> rm (Filename.concat p f)) (Sys.readdir p);
+        Sys.rmdir p
+      end
+      else Sys.remove p
+  in
+  rm root;
+  root
+
+let settings_at root = Settings.resolve ~cache_dir:root ~fault:None ()
+
+(* a one-shot CLI process: empty memo tiers, then the verb *)
+let oneshot ?checkpoint settings =
+  Runner.clear_cache ();
+  let o = Ops.search ~settings ?checkpoint search_params in
+  Alcotest.(check int) "search exit code" 0 o.exit_code;
+  o
+
+let telemetry_count (o : Ops.outcome) section field =
+  match Option.bind (J.member section o.telemetry) (J.member field) with
+  | Some (J.Int n) -> n
+  | _ -> Alcotest.failf "%s telemetry lacks %s" section field
+
+let cache_count o field = telemetry_count o "cache" field
+
+(* the report key of the search's native baseline *)
+let native_key settings =
+  let arch = search_params.s_arch in
+  let mem = Gpusim.Memory.create () in
+  let conf spec size = Runner.configure mem spec ~size:(Option.get size) in
+  let c1 = conf search_params.s_k1 search_params.s_size1 in
+  let c2 = conf search_params.s_k2 search_params.s_size2 in
+  Profile_cache.report_key ~arch:arch.Gpusim.Arch.name ~policy:"fifo"
+    [
+      Runner.spec_of ~settings ~arch:arch.Gpusim.Arch.name c1 ~stream:0 ();
+      Runner.spec_of ~settings ~arch:arch.Gpusim.Arch.name c2 ~stream:1 ();
+    ]
+
+let test_search_warm_replays_nothing () =
+  let settings = settings_at (Some (fresh_root "warm")) in
+  let cold = oneshot settings in
+  Alcotest.(check int) "cold stores: candidates, two solos, the baseline"
+    (telemetry_count cold "search" "profiled" + 3)
+    (cache_count cold "stores");
+  let warm = oneshot settings in
+  Alcotest.(check string) "warm output bytes" cold.output warm.output;
+  Alcotest.(check int) "warm misses" 0 (cache_count warm "misses");
+  Alcotest.(check int) "warm stores" 0 (cache_count warm "stores");
+  (* every lookup the cold run made — its stores (candidates, two solo
+     reports, the native baseline) and its probe re-hits — is a hit *)
+  Alcotest.(check int) "warm hits"
+    (cache_count cold "stores" + cache_count cold "hits")
+    (cache_count warm "hits")
+
+let test_search_heals_corrupt_native () =
+  let root = fresh_root "corrupt" in
+  let settings = settings_at (Some root) in
+  let cold = oneshot settings in
+  (* truncate the committed native entry to half, as the cache_corrupt
+     chaos hook does *)
+  let path =
+    Filename.concat (Profile_cache.dir (Settings.cache settings))
+      (native_key settings)
+  in
+  Alcotest.(check bool) "native report entry committed" true
+    (Sys.file_exists path);
+  Unix.truncate path ((Unix.stat path).Unix.st_size / 2);
+  let healed = oneshot settings in
+  Alcotest.(check string) "recomputed output bytes" cold.output healed.output;
+  Alcotest.(check int) "native entry quarantined" 1
+    (cache_count healed "quarantined");
+  Alcotest.(check int) "native entry re-stored" 1 (cache_count healed "stores");
+  let again = oneshot settings in
+  Alcotest.(check string) "healed entry serves" cold.output again.output;
+  Alcotest.(check int) "healed cache misses nothing" 0
+    (cache_count again "misses")
+
+let test_search_resume_answers_native () =
+  let settings = settings_at None in
+  let dir = fresh_root "journal" in
+  let run_id = Checkpoint.run_id ~parts:[ "serve"; "native" ] () in
+  let ck = Checkpoint.open_ ~dir ~run_id () in
+  let first = oneshot ~checkpoint:ck settings in
+  Checkpoint.close ck;
+  let ck = Checkpoint.open_ ~dir ~run_id () in
+  Alcotest.(check bool) "journal holds the native report" true
+    (Checkpoint.find_report ck ~key:(native_key settings) <> None);
+  let journaled = Checkpoint.loaded ck in
+  let resumed = oneshot ~checkpoint:ck settings in
+  Checkpoint.close ck;
+  Alcotest.(check string) "resumed output bytes" first.output resumed.output;
+  (* a replay would have appended its fresh record *)
+  let ck = Checkpoint.open_ ~dir ~run_id () in
+  Alcotest.(check int) "resume appended nothing" journaled
+    (Checkpoint.loaded ck);
+  Checkpoint.close ck
+
 let suite =
   [
     Alcotest.test_case "request lines round-trip" `Quick
@@ -459,4 +571,10 @@ let suite =
       test_daemon_admission_control;
     Alcotest.test_case "stale socket file is replaced" `Quick
       test_stale_socket_replaced;
+    Alcotest.test_case "warm search replays nothing" `Quick
+      test_search_warm_replays_nothing;
+    Alcotest.test_case "corrupt native report heals" `Quick
+      test_search_heals_corrupt_native;
+    Alcotest.test_case "resume answers native from the journal" `Quick
+      test_search_resume_answers_native;
   ]
