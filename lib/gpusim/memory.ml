@@ -9,18 +9,25 @@
 
 open Cuda
 
-type buffer = { name : string; data : Bytes.t }
+(* A buffer's bytes are built on first access: zero-filled, then
+   written by the [init] given at [alloc].  Until then only its length
+   exists, so a workload that is configured but never run costs
+   nothing beyond its argument list. *)
+type contents = Pending of (Bytes.t -> unit) | Built of Bytes.t
+
+type buffer = { name : string; len : int; mutable contents : contents }
 
 type t = { mutable buffers : buffer array; mutable n : int }
 
 let create () = { buffers = [||]; n = 0 }
 
-(** Allocate a zero-filled global buffer; returns a pointer to its
-    start with the given element type. *)
-let alloc (t : t) ~(name : string) ~(elem : Ctype.t) ~(count : int) :
-    Value.ptr =
-  let bytes = count * Ctype.sizeof elem in
-  let buf = { name; data = Bytes.make bytes '\000' } in
+(** Allocate a global buffer of [count] elements, zero-filled and then
+    written by [init] when first reached; returns a pointer to its
+    start with the given element type.  Ids are assigned here, in
+    allocation order. *)
+let alloc ?(init = ignore) (t : t) ~(name : string) ~(elem : Ctype.t)
+    ~(count : int) : Value.ptr =
+  let buf = { name; len = count * Ctype.sizeof elem; contents = Pending init } in
   if t.n = Array.length t.buffers then begin
     let cap = max 8 (2 * Array.length t.buffers) in
     let a = Array.make cap buf in
@@ -31,15 +38,22 @@ let alloc (t : t) ~(name : string) ~(elem : Ctype.t) ~(count : int) :
   t.n <- t.n + 1;
   { Value.space = Value.Global; buf = t.n - 1; off = 0; elem }
 
-let buffer (t : t) (id : int) : Bytes.t =
-  if id < 0 || id >= t.n then Value.fail "invalid buffer id %d" id;
-  t.buffers.(id).data
+let build (b : buffer) : Bytes.t =
+  match b.contents with
+  | Built data -> data
+  | Pending init ->
+      let data = Bytes.make b.len '\000' in
+      init data;
+      b.contents <- Built data;
+      data
 
-let buffer_name (t : t) (id : int) : string =
+let get (t : t) (id : int) : buffer =
   if id < 0 || id >= t.n then Value.fail "invalid buffer id %d" id;
-  t.buffers.(id).name
+  t.buffers.(id)
 
-let size_bytes (t : t) (id : int) : int = Bytes.length (buffer t id)
+let buffer (t : t) (id : int) : Bytes.t = build (get t id)
+let buffer_name (t : t) (id : int) : string = (get t id).name
+let size_bytes (t : t) (id : int) : int = (get t id).len
 
 (* ------------------------------------------------------------------ *)
 (* Typed access to raw bytes                                            *)
@@ -98,26 +112,25 @@ let store_bytes (data : Bytes.t) (off : int) (ty : Ctype.t) (v : Value.t) :
 (* Host-side convenience (filling and reading whole buffers)            *)
 (* ------------------------------------------------------------------ *)
 
+let write width ty wrap (data : Bytes.t) (off : int) xs =
+  Array.iteri (fun i x -> store_bytes data (off + (width * i)) ty (wrap x)) xs
+
+let float_cells = write 4 Ctype.Float (fun x -> Value.Float x)
+let int32_cells = write 4 Ctype.Int (fun x -> Value.Int x)
+let int64_cells = write 8 Ctype.ULong (fun x -> Value.ULong x)
+
+let store_floats data (xs : float array) = float_cells data 0 xs
+let store_int32s data (xs : int32 array) = int32_cells data 0 xs
+let store_int64s data (xs : int64 array) = int64_cells data 0 xs
+
 let fill_floats (t : t) (p : Value.ptr) (xs : float array) : unit =
-  let data = buffer t p.Value.buf in
-  Array.iteri
-    (fun i x ->
-      store_bytes data (p.Value.off + (4 * i)) Ctype.Float (Value.Float x))
-    xs
+  float_cells (buffer t p.Value.buf) p.Value.off xs
 
 let fill_int32s (t : t) (p : Value.ptr) (xs : int32 array) : unit =
-  let data = buffer t p.Value.buf in
-  Array.iteri
-    (fun i x ->
-      store_bytes data (p.Value.off + (4 * i)) Ctype.Int (Value.Int x))
-    xs
+  int32_cells (buffer t p.Value.buf) p.Value.off xs
 
 let fill_int64s (t : t) (p : Value.ptr) (xs : int64 array) : unit =
-  let data = buffer t p.Value.buf in
-  Array.iteri
-    (fun i x ->
-      store_bytes data (p.Value.off + (8 * i)) Ctype.ULong (Value.ULong x))
-    xs
+  int64_cells (buffer t p.Value.buf) p.Value.off xs
 
 let read_floats (t : t) (p : Value.ptr) (count : int) : float array =
   let data = buffer t p.Value.buf in
@@ -144,7 +157,8 @@ let read_int64s (t : t) (p : Value.ptr) (count : int) : int64 array =
     and fused executions). *)
 let snapshot (t : t) : (string * Bytes.t) list =
   List.init t.n (fun i ->
-      (t.buffers.(i).name, Bytes.copy t.buffers.(i).data))
+      let b = t.buffers.(i) in
+      (b.name, Bytes.copy (build b)))
 
 let equal_snapshot (a : (string * Bytes.t) list)
     (b : (string * Bytes.t) list) : bool =

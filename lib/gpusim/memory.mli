@@ -4,15 +4,30 @@
     cells) is essential because the corpus reinterprets buffers across
     types and mixes 32/64-bit views. *)
 
+(** A set of buffers whose bytes are built on first access.  A
+    [Memory.t] with deferred buffers is owned by one domain at a time:
+    building a buffer mutates the memory. *)
 type t
 
 val create : unit -> t
 
-(** Allocate a zero-filled buffer; returns a pointer to its start. *)
-val alloc : t -> name:string -> elem:Cuda.Ctype.t -> count:int -> Value.ptr
+(** Allocate a buffer of [count] elements and return a pointer to its
+    start.  The buffer id is assigned now, in allocation order; the
+    bytes are not.  They are built the first time {!buffer},
+    {!snapshot} or a [fill_*]/[read_*] helper reaches them: zero-filled,
+    then passed once to [init] (default: left zero). *)
+val alloc :
+  ?init:(Bytes.t -> unit) ->
+  t ->
+  name:string ->
+  elem:Cuda.Ctype.t ->
+  count:int ->
+  Value.ptr
 
 val buffer : t -> int -> Bytes.t
 val buffer_name : t -> int -> string
+
+(** Length in bytes; does not build the buffer. *)
 val size_bytes : t -> int -> int
 
 (** Typed access at a byte offset; bounds-checked.
@@ -20,6 +35,13 @@ val size_bytes : t -> int -> int
 val load_bytes : Bytes.t -> int -> Cuda.Ctype.t -> Value.t
 
 val store_bytes : Bytes.t -> int -> Cuda.Ctype.t -> Value.t -> unit
+
+(** Write consecutive elements from byte 0 of raw bytes: the building
+    blocks of an [alloc]'s [init]. *)
+val store_floats : Bytes.t -> float array -> unit
+
+val store_int32s : Bytes.t -> int32 array -> unit
+val store_int64s : Bytes.t -> int64 array -> unit
 
 (** Host-side helpers. *)
 val fill_floats : t -> Value.ptr -> float array -> unit

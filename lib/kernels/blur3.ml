@@ -53,14 +53,14 @@ let host_reference ~input ~geometry:(h, w) : float array =
 let instantiate (mem : Memory.t) ~size : Workload.instance =
   let ((h, w) as geo) = geometry ~size in
   let total = h * w in
-  let rng = Prng.create (0x424C + size) in
-  let input_data = Prng.float_array rng total ~lo:(-4.0) ~hi:4.0 in
+  let input_data () =
+    Prng.float_array (Prng.create (0x424C + size)) total ~lo:(-4.0) ~hi:4.0
+  in
   let input =
     Memory.alloc mem ~name:"blur3.input" ~elem:Ctype.Float ~count:total
+      ~init:(fun d -> Memory.store_floats d (input_data ()))
   in
-  Memory.fill_floats mem input input_data;
   let out = Memory.alloc mem ~name:"blur3.out" ~elem:Ctype.Float ~count:total in
-  let expect = host_reference ~input:input_data ~geometry:geo in
   {
     Workload.args =
       [
@@ -72,6 +72,7 @@ let instantiate (mem : Memory.t) ~size : Workload.instance =
     outputs = [ ("blur3.out", out, total) ];
     check =
       (fun mem ->
+        let expect = host_reference ~input:(input_data ()) ~geometry:geo in
         Workload.check_floats ~what:"blur3.out" ~expect
           (Memory.read_floats mem out total));
   }

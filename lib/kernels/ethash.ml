@@ -90,14 +90,17 @@ let block_threads = 128
 
 let instantiate (mem : Memory.t) ~size : Workload.instance =
   let iters = max 1 size in
-  let rng = Prng.create 0xE7A5 in
-  let dag_data = Array.init (dag_rows * 8) (fun _ -> Prng.next_u32 rng) in
-  let dag = Memory.alloc mem ~name:"ethash.dag" ~elem:Ctype.UInt ~count:(dag_rows * 8) in
-  Memory.fill_int32s mem dag dag_data;
+  let dag_data () =
+    let rng = Prng.create 0xE7A5 in
+    Array.init (dag_rows * 8) (fun _ -> Prng.next_u32 rng)
+  in
+  let dag =
+    Memory.alloc mem ~name:"ethash.dag" ~elem:Ctype.UInt ~count:(dag_rows * 8)
+      ~init:(fun d -> Memory.store_int32s d (dag_data ()))
+  in
   let threads = Workload.default_grid * block_threads in
   let result = Memory.alloc mem ~name:"ethash.result" ~elem:Ctype.UInt ~count:threads in
   let seed = 0x5EED0001l in
-  let expect = host_reference ~dag:dag_data ~threads ~seed ~iters in
   {
     Workload.args =
       [
@@ -109,6 +112,7 @@ let instantiate (mem : Memory.t) ~size : Workload.instance =
     outputs = [ ("ethash.result", result, threads) ];
     check =
       (fun mem ->
+        let expect = host_reference ~dag:(dag_data ()) ~threads ~seed ~iters in
         Workload.check_int32s ~what:"ethash.result" ~expect
           (Memory.read_int32s mem result threads));
   }

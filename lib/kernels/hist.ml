@@ -66,20 +66,21 @@ let host_reference ~input : int32 array =
 
 let instantiate (mem : Memory.t) ~size : Workload.instance =
   let total = geometry ~size in
-  let rng = Prng.create (0x4157 + size) in
   (* activation-like bell-shaped values (sum of three uniforms): most
      mass lands in the central bins, so warp atomics conflict heavily —
      the regime the real tensor-value histogram runs in *)
-  let input_data =
+  let input_data () =
+    let rng = Prng.create (0x4157 + size) in
     Array.init total (fun _ ->
         let u () = Prng.next_float_in rng ~lo:(-1.0) ~hi:1.0 in
         let v = (u () +. u () +. u ()) *. 0.85 in
         v)
   in
-  let b = Memory.alloc mem ~name:"hist.b" ~elem:Ctype.Float ~count:total in
-  Memory.fill_floats mem b input_data;
+  let b =
+    Memory.alloc mem ~name:"hist.b" ~elem:Ctype.Float ~count:total
+      ~init:(fun d -> Memory.store_floats d (input_data ()))
+  in
   let a = Memory.alloc mem ~name:"hist.a" ~elem:Ctype.Int ~count:nbins in
-  let expect = host_reference ~input:input_data in
   {
     Workload.args =
       [
@@ -91,6 +92,7 @@ let instantiate (mem : Memory.t) ~size : Workload.instance =
     outputs = [ ("hist.a", a, nbins) ];
     check =
       (fun mem ->
+        let expect = host_reference ~input:(input_data ()) in
         Workload.check_int32s ~what:"hist.a" ~expect
           (Memory.read_int32s mem a nbins));
   }

@@ -79,12 +79,14 @@ let instantiate (mem : Memory.t) ~size : Workload.instance =
   let total_img = channels * height * width in
   let total_col = channels * kh * kw * oh * ow in
   let total = channels * oh * ow in
-  let rng = Prng.create (0x12C0 + size) in
-  let img_data = Prng.float_array rng total_img ~lo:(-1.0) ~hi:1.0 in
-  let img = Memory.alloc mem ~name:"im2col.img" ~elem:Ctype.Float ~count:total_img in
-  Memory.fill_floats mem img img_data;
+  let img_data () =
+    Prng.float_array (Prng.create (0x12C0 + size)) total_img ~lo:(-1.0) ~hi:1.0
+  in
+  let img =
+    Memory.alloc mem ~name:"im2col.img" ~elem:Ctype.Float ~count:total_img
+      ~init:(fun d -> Memory.store_floats d (img_data ()))
+  in
   let col = Memory.alloc mem ~name:"im2col.col" ~elem:Ctype.Float ~count:total_col in
-  let expect = host_reference ~img:img_data ~geometry:geo in
   {
     Workload.args =
       [
@@ -97,6 +99,7 @@ let instantiate (mem : Memory.t) ~size : Workload.instance =
     outputs = [ ("im2col.col", col, total_col) ];
     check =
       (fun mem ->
+        let expect = host_reference ~img:(img_data ()) ~geometry:geo in
         Workload.check_floats ~what:"im2col.col" ~expect
           (Memory.read_floats mem col total_col));
   }

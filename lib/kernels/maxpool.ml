@@ -81,14 +81,16 @@ let instantiate (mem : Memory.t) ~size : Workload.instance =
   in
   let total_in = nbatch * channels * ih * iw in
   let total_out = nbatch * channels * oh * ow in
-  let rng = Prng.create (0x6D61 + size) in
-  let input_data = Prng.float_array rng total_in ~lo:(-4.0) ~hi:4.0 in
-  let input = Memory.alloc mem ~name:"maxpool.input" ~elem:Ctype.Float ~count:total_in in
-  Memory.fill_floats mem input input_data;
+  let input_data () =
+    Prng.float_array (Prng.create (0x6D61 + size)) total_in ~lo:(-4.0) ~hi:4.0
+  in
+  let input =
+    Memory.alloc mem ~name:"maxpool.input" ~elem:Ctype.Float ~count:total_in
+      ~init:(fun d -> Memory.store_floats d (input_data ()))
+  in
   let output =
     Memory.alloc mem ~name:"maxpool.output" ~elem:Ctype.Float ~count:total_out
   in
-  let expect = host_reference ~input:input_data ~geometry:geo in
   {
     Workload.args =
       [
@@ -101,6 +103,7 @@ let instantiate (mem : Memory.t) ~size : Workload.instance =
     outputs = [ ("maxpool.output", output, total_out) ];
     check =
       (fun mem ->
+        let expect = host_reference ~input:(input_data ()) ~geometry:geo in
         Workload.check_floats ~what:"maxpool.output" ~expect
           (Memory.read_floats mem output total_out));
   }

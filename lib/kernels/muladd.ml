@@ -32,19 +32,25 @@ let host_reference ~a ~b : float array =
       let tb = Value.f32 (b.(i) *. be) in
       Value.f32 (Value.f32 (ta +. tb) +. ga))
 
+(* [a] and [b] are consecutive draws of one stream, so each buffer's
+   fill replays the whole stream and keeps its own draw. *)
+let inputs ~size ~total =
+  let rng = Prng.create (0x4D41 + size) in
+  let a = Prng.float_array rng total ~lo:(-4.0) ~hi:4.0 in
+  let b = Prng.float_array rng total ~lo:(-4.0) ~hi:4.0 in
+  (a, b)
+
 let instantiate (mem : Memory.t) ~size : Workload.instance =
   let total = geometry ~size in
-  let rng = Prng.create (0x4D41 + size) in
-  let a_data = Prng.float_array rng total ~lo:(-4.0) ~hi:4.0 in
-  let b_data = Prng.float_array rng total ~lo:(-4.0) ~hi:4.0 in
-  let a = Memory.alloc mem ~name:"muladd.a" ~elem:Ctype.Float ~count:total in
-  Memory.fill_floats mem a a_data;
-  let b = Memory.alloc mem ~name:"muladd.b" ~elem:Ctype.Float ~count:total in
-  Memory.fill_floats mem b b_data;
+  let input name pick =
+    Memory.alloc mem ~name ~elem:Ctype.Float ~count:total ~init:(fun d ->
+        Memory.store_floats d (pick (inputs ~size ~total)))
+  in
+  let a = input "muladd.a" fst in
+  let b = input "muladd.b" snd in
   let out =
     Memory.alloc mem ~name:"muladd.out" ~elem:Ctype.Float ~count:total
   in
-  let expect = host_reference ~a:a_data ~b:b_data in
   {
     Workload.args =
       [
@@ -56,6 +62,8 @@ let instantiate (mem : Memory.t) ~size : Workload.instance =
     outputs = [ ("muladd.out", out, total) ];
     check =
       (fun mem ->
+        let a, b = inputs ~size ~total in
+        let expect = host_reference ~a ~b in
         Workload.check_floats ~what:"muladd.out" ~expect
           (Memory.read_floats mem out total));
   }

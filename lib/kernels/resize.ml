@@ -45,16 +45,16 @@ let host_reference ~input ~geometry:(_, iw, oh, ow) : float array =
 let instantiate (mem : Memory.t) ~size : Workload.instance =
   let ((ih, iw, oh, ow) as geo) = geometry ~size in
   let total_in = ih * iw and total_out = oh * ow in
-  let rng = Prng.create (0x5253 + size) in
-  let input_data = Prng.float_array rng total_in ~lo:(-4.0) ~hi:4.0 in
+  let input_data () =
+    Prng.float_array (Prng.create (0x5253 + size)) total_in ~lo:(-4.0) ~hi:4.0
+  in
   let input =
     Memory.alloc mem ~name:"resize.input" ~elem:Ctype.Float ~count:total_in
+      ~init:(fun d -> Memory.store_floats d (input_data ()))
   in
-  Memory.fill_floats mem input input_data;
   let out =
     Memory.alloc mem ~name:"resize.out" ~elem:Ctype.Float ~count:total_out
   in
-  let expect = host_reference ~input:input_data ~geometry:geo in
   {
     Workload.args =
       [
@@ -66,6 +66,7 @@ let instantiate (mem : Memory.t) ~size : Workload.instance =
     outputs = [ ("resize.out", out, total_out) ];
     check =
       (fun mem ->
+        let expect = host_reference ~input:(input_data ()) ~geometry:geo in
         Workload.check_floats ~what:"resize.out" ~expect
           (Memory.read_floats mem out total_out));
   }

@@ -31,24 +31,27 @@ let host_reference ~r ~g ~b : float array =
       let tb = Value.f32 (b.(i) *. fb) in
       Value.f32 (Value.f32 (tr +. tg) +. tb))
 
+(* [r], [g] and [b] are consecutive draws of one stream, so each
+   buffer's fill replays the whole stream and keeps its own draw. *)
+let inputs ~size ~total =
+  let rng = Prng.create (0x5247 + size) in
+  let r = Prng.float_array rng total ~lo:0.0 ~hi:1.0 in
+  let g = Prng.float_array rng total ~lo:0.0 ~hi:1.0 in
+  let b = Prng.float_array rng total ~lo:0.0 ~hi:1.0 in
+  (r, g, b)
+
 let instantiate (mem : Memory.t) ~size : Workload.instance =
   let total = geometry ~size in
-  let rng = Prng.create (0x5247 + size) in
-  let r_data = Prng.float_array rng total ~lo:0.0 ~hi:1.0 in
-  let g_data = Prng.float_array rng total ~lo:0.0 ~hi:1.0 in
-  let b_data = Prng.float_array rng total ~lo:0.0 ~hi:1.0 in
-  let alloc name data =
-    let p = Memory.alloc mem ~name ~elem:Ctype.Float ~count:total in
-    Memory.fill_floats mem p data;
-    p
+  let input name pick =
+    Memory.alloc mem ~name ~elem:Ctype.Float ~count:total ~init:(fun d ->
+        Memory.store_floats d (pick (inputs ~size ~total)))
   in
-  let r = alloc "rgb2gray.r" r_data in
-  let g = alloc "rgb2gray.g" g_data in
-  let b = alloc "rgb2gray.b" b_data in
+  let r = input "rgb2gray.r" (fun (r, _, _) -> r) in
+  let g = input "rgb2gray.g" (fun (_, g, _) -> g) in
+  let b = input "rgb2gray.b" (fun (_, _, b) -> b) in
   let gray =
     Memory.alloc mem ~name:"rgb2gray.gray" ~elem:Ctype.Float ~count:total
   in
-  let expect = host_reference ~r:r_data ~g:g_data ~b:b_data in
   {
     Workload.args =
       [
@@ -60,6 +63,8 @@ let instantiate (mem : Memory.t) ~size : Workload.instance =
     outputs = [ ("rgb2gray.gray", gray, total) ];
     check =
       (fun mem ->
+        let r, g, b = inputs ~size ~total in
+        let expect = host_reference ~r ~g ~b in
         Workload.check_floats ~what:"rgb2gray.gray" ~expect
           (Memory.read_floats mem gray total));
   }

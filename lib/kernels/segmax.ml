@@ -49,14 +49,14 @@ let host_reference ~input ~nseg : float array =
 let instantiate (mem : Memory.t) ~size : Workload.instance =
   let nseg = geometry ~size in
   let total = nseg * seglen in
-  let rng = Prng.create (0x534D + size) in
-  let input_data = Prng.float_array rng total ~lo:(-4.0) ~hi:4.0 in
+  let input_data () =
+    Prng.float_array (Prng.create (0x534D + size)) total ~lo:(-4.0) ~hi:4.0
+  in
   let input =
     Memory.alloc mem ~name:"segmax.input" ~elem:Ctype.Float ~count:total
+      ~init:(fun d -> Memory.store_floats d (input_data ()))
   in
-  Memory.fill_floats mem input input_data;
   let out = Memory.alloc mem ~name:"segmax.out" ~elem:Ctype.Float ~count:nseg in
-  let expect = host_reference ~input:input_data ~nseg in
   {
     Workload.args =
       [
@@ -68,6 +68,7 @@ let instantiate (mem : Memory.t) ~size : Workload.instance =
     outputs = [ ("segmax.out", out, nseg) ];
     check =
       (fun mem ->
+        let expect = host_reference ~input:(input_data ()) ~nseg in
         Workload.check_floats ~what:"segmax.out" ~expect
           (Memory.read_floats mem out nseg));
   }

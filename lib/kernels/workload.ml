@@ -1,9 +1,12 @@
-(* Workload plumbing shared by the nine benchmark kernels.
+(* Workload plumbing shared by the hand-written corpus kernels.
 
    A kernel module provides [instantiate], which allocates inputs and
    outputs in a fresh-or-given simulated memory and returns an
    {!instance}: the positional kernel arguments, the launch geometry, and
-   a host-reference check.  The [size] knob scales per-thread work (the
+   a host-reference check.  Instantiating only describes the workload:
+   inputs are generated when a buffer is first reached, and the host
+   reference when [check] runs, so configuring a kernel for a search
+   that never executes it costs next to nothing.  The [size] knob scales per-thread work (the
    ratio sweeps of Fig. 7 vary one kernel's size while holding the
    other's). *)
 

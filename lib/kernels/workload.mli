@@ -1,6 +1,10 @@
-(** Workload plumbing shared by the nine benchmark kernels. *)
+(** Workload plumbing shared by the hand-written corpus kernels. *)
 
-(** A kernel workload bound to buffers in a specific memory. *)
+(** A kernel workload bound to buffers in a specific memory.
+    Instantiating computes nothing: each input buffer is allocated with
+    its seed-deterministic generator as the {!Gpusim.Memory.alloc}
+    [init], so its bytes are generated the first time a launch or a
+    read reaches them. *)
 type instance = {
   args : Gpusim.Value.t list;  (** positional kernel arguments *)
   grid : int;
@@ -8,7 +12,9 @@ type instance = {
   outputs : (string * Gpusim.Value.ptr * int) list;
       (** (name, pointer, element count) per output buffer *)
   check : Gpusim.Memory.t -> (unit, string) result;
-      (** host-reference validation of the outputs *)
+      (** host-reference validation of the outputs.  The reference is
+          computed when [check] is called, from inputs regenerated from
+          the same seed. *)
 }
 
 (** Absolute/relative tolerance for fp32 reductions (device and host

@@ -57,13 +57,12 @@ type configured = {
   size : int;
   info : Hfuse_core.Kernel_info.t;  (** at native block dimensions *)
   inst : Workload.instance;
-  mem : Memory.t;
 }
 
 let configure (mem : Memory.t) (spec : Spec.t) ~(size : int) : configured =
   let inst = spec.instantiate mem ~size in
   let info = Spec.kernel_info spec inst in
-  { spec; size; info; inst; mem }
+  { spec; size; info; inst }
 
 (* ------------------------------------------------------------------ *)
 (* Trace store                                                          *)
@@ -1260,8 +1259,8 @@ let validate_vfuse ?settings (s1 : Spec.t) ~(size1 : int) (s2 : Spec.t)
   let mem = Memory.create () in
   let i1 = s1.instantiate mem ~size:size1 in
   let i2 = s2.instantiate mem ~size:size2 in
-  let c1 = { spec = s1; size = size1; info = Spec.kernel_info s1 i1; inst = i1; mem } in
-  let c2 = { spec = s2; size = size2; info = Spec.kernel_info s2 i2; inst = i2; mem } in
+  let c1 = { spec = s1; size = size1; info = Spec.kernel_info s1 i1; inst = i1 } in
+  let c2 = { spec = s2; size = size2; info = Spec.kernel_info s2 i2; inst = i2 } in
   match vfuse_generate c1 c2 with
   | exception Hfuse_core.Fuse_common.Fusion_error e -> Error e
   | v -> (

@@ -40,7 +40,6 @@ type configured = {
   size : int;
   info : Hfuse_core.Kernel_info.t;  (** at native block dimensions *)
   inst : Kernel_corpus.Workload.instance;
-  mem : Gpusim.Memory.t;
 }
 
 val configure :

@@ -121,6 +121,51 @@ let test_crypto_sources_generated () =
   Alcotest.(check bool) "blake2b has 12 rounds" true
     (Test_util.contains (Registry.find_exn "Blake2B").source "// round 11")
 
+(* The input bytes each workload starts from, pinned: any change to a
+   generator's PRNG draw order or to how inputs reach memory fails here,
+   whether the buffers are filled at allocation or on first touch. *)
+let snapshot_digest snap =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (name, data) ->
+      Buffer.add_string b (Printf.sprintf "%s %d\n" name (Bytes.length data));
+      Buffer.add_bytes b data)
+    snap;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden_inputs () =
+  let golden =
+    In_channel.with_open_bin (Filename.concat "golden" "inputs.md5")
+      In_channel.input_lines
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  let actual =
+    List.concat_map
+      (fun (s : Spec.t) ->
+        List.map
+          (fun size ->
+            let mem = Memory.create () in
+            ignore (s.instantiate mem ~size);
+            Printf.sprintf "%s %d %s" s.name size
+              (snapshot_digest (Memory.snapshot mem)))
+          [ 1; 3 ])
+      Registry.extended
+  in
+  Alcotest.(check (list string)) "input digests" golden actual
+
+(* A check must compare against a real reference: on memory that was
+   never launched the outputs are still zero, and every kernel's host
+   reference differs from zero somewhere. *)
+let test_unlaunched_checks_fail () =
+  List.iter
+    (fun (s : Spec.t) ->
+      let mem = Memory.create () in
+      let inst = s.instantiate mem ~size:1 in
+      match inst.Workload.check mem with
+      | Error _ -> ()
+      | Ok () -> Alcotest.failf "%s: check passed on unlaunched memory" s.name)
+    Registry.extended
+
 let suite =
   corpus_cases
   @ [
@@ -134,4 +179,7 @@ let suite =
         test_workload_determinism;
       Alcotest.test_case "generated crypto sources" `Quick
         test_crypto_sources_generated;
+      Alcotest.test_case "golden input bytes" `Quick test_golden_inputs;
+      Alcotest.test_case "unlaunched checks fail" `Quick
+        test_unlaunched_checks_fail;
     ]

@@ -91,6 +91,32 @@ let test_buffer_names () =
     (Memory.buffer_name mem p.Value.buf);
   Alcotest.(check int) "size in bytes" 8 (Memory.size_bytes mem p.Value.buf)
 
+let test_deferred_init () =
+  let mem = Memory.create () in
+  let runs = ref 0 in
+  let p =
+    Memory.alloc mem ~name:"lazy" ~elem:Ctype.Int ~count:4 ~init:(fun d ->
+        incr runs;
+        Memory.store_int32s d [| 1l; 2l; 3l; 4l |])
+  in
+  let q = Memory.alloc mem ~name:"zero" ~elem:Ctype.Int ~count:2 in
+  Alcotest.(check int) "ids in allocation order" 1 q.Value.buf;
+  Alcotest.(check int) "not run by alloc" 0 !runs;
+  Alcotest.(check int) "size without building" 16
+    (Memory.size_bytes mem p.Value.buf);
+  Alcotest.(check int) "not run by size_bytes" 0 !runs;
+  Alcotest.(check (array int32)) "read_* builds" [| 1l; 2l; 3l; 4l |]
+    (Memory.read_int32s mem p 4);
+  ignore (Memory.buffer mem p.Value.buf);
+  ignore (Memory.snapshot mem);
+  ignore (Memory.read_int32s mem p 4);
+  Memory.store_bytes (Memory.buffer mem p.Value.buf) 0 Ctype.Int (Value.Int 9l);
+  Alcotest.(check (array int32)) "built bytes persist" [| 9l; 2l; 3l; 4l |]
+    (Memory.read_int32s mem p 4);
+  Alcotest.(check int) "init ran exactly once" 1 !runs;
+  Alcotest.(check (array int32)) "no init: zero-filled" [| 0l; 0l |]
+    (Memory.read_int32s mem q 2)
+
 let suite =
   [
     Alcotest.test_case "typed round trips" `Quick test_roundtrip_all_types;
@@ -99,4 +125,5 @@ let suite =
     Alcotest.test_case "fill/read helpers" `Quick test_fill_read;
     Alcotest.test_case "snapshots" `Quick test_snapshot_equal;
     Alcotest.test_case "buffer names" `Quick test_buffer_names;
+    Alcotest.test_case "deferred init" `Quick test_deferred_init;
   ]
