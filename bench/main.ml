@@ -119,7 +119,7 @@ let checkpoint_for (figure : string) : Checkpoint.t =
     let id =
       Checkpoint.run_id
         ~sim_fuel:(Settings.current ()).Settings.sim_fuel
-        ~trace_blocks:(Runner.trace_blocks ())
+        ~trace_blocks:(Settings.trace_blocks ())
         ~parts:
           [
             figure;
@@ -182,7 +182,7 @@ let write_json name ~wall ~engine rows =
         ("bench", Str name);
         ("wall_s", Float wall);
         ("jobs", Int !jobs);
-        ("trace_blocks", Int (Runner.trace_blocks ()));
+        ("trace_blocks", Int (Settings.trace_blocks ()));
         ("cache", Report.json_of_cache !cache);
         ("search", Report.json_of_search_stats (Runner.search_stats ()));
         ("trace_store", Report.json_of_trace_tally (Trace_store.tally ()));
@@ -253,7 +253,7 @@ let run_ablation () =
   (* the native baseline under the real FIFO Grid-Management-Unit policy
      vs an idealised backfilling distributor *)
   let arch = Gpusim.Arch.gtx1080ti in
-  let sizes = Experiment.representative_sizes arch in
+  let sizes = Experiment.representative_sizes ~cache:!cache arch in
   say "%-24s %14s %14s %9s" "pair" "FIFO (ms)" "Leftover (ms)" "overlap%";
   List.iter
     (fun (n1, n2) ->
@@ -286,7 +286,6 @@ let run_ablation () =
   section "Ablation B: thread-space partition landscape (Batchnorm+Hist)";
   let s1 = Registry.find_exn "Batchnorm" and s2 = Registry.find_exn "Hist" in
   let mem = Gpusim.Memory.create () in
-  let sizes = Experiment.representative_sizes arch in
   let c1 = Runner.configure mem s1 ~size:(Experiment.size_of sizes s1) in
   let c2 = Runner.configure mem s2 ~size:(Experiment.size_of sizes s2) in
   let native = (Runner.native ~cache:!cache arch c1 c2).Gpusim.Timing.time_ms in
@@ -482,10 +481,13 @@ let run_micro () =
         (Staged.stage (fun () ->
              ignore
                (Hfuse_core.Search.search
-                  ~profile:(fun f ~reg_bound ->
-                    float_of_int
-                      (f.Hfuse_core.Hfuse.d1
-                      + match reg_bound with Some r -> r | None -> 0))
+                  ~profile:
+                    (List.map
+                       (fun ((f : Hfuse_core.Hfuse.t),
+                             (c : Hfuse_core.Search.config)) ->
+                         float_of_int
+                           (f.d1
+                           + match c.reg_bound with Some r -> r | None -> 0)))
                   ~d0:1024 k1 k2)));
       Test.make ~name:"timing replay (native pair)"
         (Staged.stage (fun () ->
@@ -559,7 +561,7 @@ let () =
         parse_flags rest
     | "--trace-blocks" :: n :: rest ->
         (match int_of_string_opt n with
-        | Some n when n >= 1 -> Runner.set_trace_blocks n
+        | Some n when n >= 1 -> Settings.set_trace_blocks n
         | _ ->
             Printf.eprintf
               "bench: --trace-blocks expects a positive integer, got %s\n" n;

@@ -126,7 +126,7 @@ let jobs_arg =
 let trace_blocks_arg =
   let set = function
     | None -> ()
-    | Some n when n >= 1 -> Hfuse_profiler.Runner.set_trace_blocks n
+    | Some n when n >= 1 -> Hfuse_profiler.Settings.set_trace_blocks n
     | Some n ->
         Printf.eprintf "hfuse: --trace-blocks expects N >= 1, got %d\n" n;
         exit 2
@@ -510,9 +510,11 @@ let search_cmd =
       if not resume then Hfuse_profiler.Checkpoint.disabled
       else
         (* the journal's identity needs the resolved sizes *)
-        let sizes = Hfuse_profiler.Experiment.representative_sizes arch in
-        let size_of (s : Kernel_corpus.Spec.t) o =
-          Option.value o ~default:(Hfuse_profiler.Experiment.size_of sizes s)
+        let size1, size2 =
+          Hfuse_profiler.Experiment.pair_sizes
+            ~cache:(Hfuse_profiler.Settings.cache settings)
+            ~checkpoint:Hfuse_profiler.Checkpoint.disabled arch (s1, size1)
+            (s2, size2)
         in
         let id =
           Hfuse_profiler.Checkpoint.run_id
@@ -521,8 +523,7 @@ let search_cmd =
             ~parts:
               ([
                  "search"; arch.Gpusim.Arch.name; s1.name;
-                 string_of_int (size_of s1 size1); s2.name;
-                 string_of_int (size_of s2 size2);
+                 string_of_int size1; s2.name; string_of_int size2;
                  prune_id_part top_k;
                ]
                (* only when enabled: repair adds candidates, so it is
@@ -600,11 +601,13 @@ let search_cmd =
 let model_cmd =
   let run arch (s1 : Kernel_corpus.Spec.t) (s2 : Kernel_corpus.Spec.t) size1
       size2 () =
-    let sizes = Hfuse_profiler.Experiment.representative_sizes arch in
-    let size_of (s : Kernel_corpus.Spec.t) o =
-      Option.value o ~default:(Hfuse_profiler.Experiment.size_of sizes s)
+    let size1, size2 =
+      let settings = Hfuse_profiler.Settings.current () in
+      Hfuse_profiler.Experiment.pair_sizes
+        ~cache:(Hfuse_profiler.Settings.cache settings)
+        ~checkpoint:Hfuse_profiler.Checkpoint.disabled arch (s1, size1)
+        (s2, size2)
     in
-    let size1 = size_of s1 size1 and size2 = size_of s2 size2 in
     let mem = Gpusim.Memory.create () in
     let c1 = Hfuse_profiler.Runner.configure mem s1 ~size:size1 in
     let c2 = Hfuse_profiler.Runner.configure mem s2 ~size:size2 in
@@ -619,14 +622,7 @@ let model_cmd =
     let sr =
       Hfuse_core.Search.search
         ~limits:(Gpusim.Arch.sm_limits arch)
-        ~profile:(fun fused ~reg_bound ->
-          Hfuse_costmodel.score inputs ~fused
-            ~config:
-              {
-                Hfuse_core.Search.partition =
-                  { Hfuse_core.Partition.d1 = fused.d1; d2 = fused.d2 };
-                reg_bound;
-              })
+        ~profile:(Hfuse_costmodel.rank inputs)
         ~d0:(Hfuse_profiler.Runner.d0_for c1 c2)
         c1.info c2.info
     in

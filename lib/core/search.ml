@@ -8,14 +8,13 @@
    The search runs in two phases.  Phase 1 is serial: enumerate
    partitions, generate and verify the fused kernels, and compute the
    register bounds — this builds the candidate list in search order.
-   Phase 2 evaluates the candidates.  By default it maps the [profile]
-   callback over them one by one; a caller may instead supply
-   [profile_batch], which receives the whole candidate list at once and
-   may evaluate it however it likes (the harness fans the pure timing
-   runs out over a domain pool and consults a persistent cache).  Either
-   way the times come back in candidate order, so [best] tie-breaking —
-   first strictly-fastest candidate in search order wins — is identical
-   regardless of evaluation strategy.
+   Phase 2 hands the whole candidate list to the [profile] callback,
+   which may evaluate it however it likes (the harness fans the pure
+   timing runs out over a domain pool and consults a persistent cache;
+   a per-candidate cost is a [List.map]).  The times come back in
+   candidate order, so [best] tie-breaking — first strictly-fastest
+   candidate in search order wins — is identical regardless of
+   evaluation strategy.
 
    Profiling is a callback so the same algorithm runs against the cycle-
    level simulator (the harness), against synthetic cost functions
@@ -67,15 +66,12 @@ exception No_valid_partition of string
 
 (** [search ~profile ~d0 k1 k2] runs the Fig. 6 algorithm.
 
-    [profile fused ~reg_bound] must return the running time (any unit, as
-    long as it is consistent) of the fused kernel compiled/launched under
-    the given register bound.
+    [profile candidates] must return, in order, one running time (any
+    unit, as long as it is consistent) per (fused kernel, config) pair,
+    the kernel compiled/launched under the config's register bound.
 
     @param limits  SM resource limits used to compute the register bound
                    (default: the Pascal/Volta values the paper uses).
-    @param profile_batch  when given, evaluates the whole candidate list
-                   instead of per-candidate [profile] calls; must return
-                   one time per candidate, in order.
     @param rank    analytical cost model: scores for the whole verified
                    candidate list (lower is better, same order).  Scores
                    are recorded in the result; with [top_k] they drive
@@ -101,7 +97,6 @@ exception No_valid_partition of string
     @raise No_valid_partition when the pair admits no thread-space
            partition (e.g. two fixed kernels whose sum exceeds 1024). *)
 let search ?(limits = Occupancy.pascal_volta_limits)
-    ?(profile_batch : ((Hfuse.t * config) list -> float list) option)
     ?(rank : ((Hfuse.t * config) list -> float list) option)
     ?(top_k : int option)
     ?(repair :
@@ -111,7 +106,7 @@ let search ?(limits = Occupancy.pascal_volta_limits)
        repair_outcome option)
        option)
     ?(on_reject : (Partition.t -> Hfuse_analysis.Diag.t list -> unit) option)
-    ~(profile : Hfuse.t -> reg_bound:int option -> float) ~(d0 : int)
+    ~(profile : (Hfuse.t * config) list -> float list) ~(d0 : int)
     (k1 : Kernel_info.t) (k2 : Kernel_info.t) : result =
   let partitions =
     Partition.enumerate
@@ -237,25 +232,13 @@ let search ?(limits = Occupancy.pascal_volta_limits)
         (!kept, !kept_scores, !cut)
     | _ -> (pending, scores, [])
   in
-  (* phase 2: evaluate the candidates — batched when the caller provides
-     an evaluator (parallel timing, persistent cache), serial otherwise *)
-  let times =
-    match profile_batch with
-    | Some f ->
-        let ts = f (pairs_of pending) in
-        if List.length ts <> List.length pending then
-          invalid_arg
-            (Fmt.str
-               "Search.search: profile_batch returned %d time(s) for %d \
-                candidate(s)"
-               (List.length ts) (List.length pending));
-        ts
-    | None ->
-        List.map
-          (fun (fused, config, _) ->
-            profile fused ~reg_bound:config.reg_bound)
-          pending
-  in
+  (* phase 2: evaluate the surviving candidates in one call *)
+  let times = profile (pairs_of pending) in
+  if List.length times <> List.length pending then
+    invalid_arg
+      (Fmt.str
+         "Search.search: profile returned %d time(s) for %d candidate(s)"
+         (List.length times) (List.length pending));
   let all =
     List.map2
       (fun (fused, config, repaired) time ->

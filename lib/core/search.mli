@@ -50,9 +50,14 @@ exception No_valid_partition of string
     phases: a serial phase enumerates partitions, generates and
     verifies the fused kernels and computes register bounds, building
     the candidate list in search order; a second phase evaluates the
-    candidates.  [profile fused ~reg_bound] must return the fused
-    kernel's running time under the given register bound (any
-    consistent unit).
+    candidates.  [profile] receives the whole candidate list at once —
+    the hook that lets a harness fan pure timing runs out over a domain
+    pool and consult a persistent profiling cache; a per-candidate cost
+    function is a [List.map].  It must return one running time per
+    candidate (any consistent unit, under the candidate's register
+    bound), in candidate order ([Invalid_argument] otherwise); [best]
+    tie-breaking (first strictly-fastest in search order) is therefore
+    the same whatever the evaluation strategy.
 
     Each partition's fused kernel passes through the static
     fusion-safety verifier before any profiling; rejected partitions
@@ -64,14 +69,6 @@ exception No_valid_partition of string
     @param limits SM resource limits for the register bound and the
            partition/verifier thread caps (default: the Pascal/Volta
            values the paper uses).
-    @param profile_batch when given, phase 2 hands it the whole
-           candidate list instead of calling [profile] per candidate —
-           the hook that lets a harness fan pure timing runs out over a
-           domain pool and consult a persistent profiling cache.  It
-           must return one time per candidate, in candidate order
-           ([Invalid_argument] otherwise); [best] tie-breaking (first
-           strictly-fastest in search order) is then identical to the
-           serial path whatever the evaluation strategy.
     @param rank analytical cost model (phase 1.5): given the whole
            verified candidate list, returns one score per candidate in
            order (lower is better; [Invalid_argument] on a length
@@ -102,7 +99,6 @@ exception No_valid_partition of string
            the verifier rejects every partition. *)
 val search :
   ?limits:Occupancy.sm_limits ->
-  ?profile_batch:((Hfuse.t * config) list -> float list) ->
   ?rank:((Hfuse.t * config) list -> float list) ->
   ?top_k:int ->
   ?repair:
@@ -111,7 +107,7 @@ val search :
     Hfuse_analysis.Diag.t list ->
     repair_outcome option) ->
   ?on_reject:(Partition.t -> Hfuse_analysis.Diag.t list -> unit) ->
-  profile:(Hfuse.t -> reg_bound:int option -> float) ->
+  profile:((Hfuse.t * config) list -> float list) ->
   d0:int ->
   Kernel_info.t ->
   Kernel_info.t ->

@@ -30,11 +30,14 @@ open Kernel_corpus
     target (the paper: "we select a representative input size so that
     the execution time ratios of the benchmark pairs are close to one",
     Section IV-A).  Assumes work scales ~linearly with [size], which
-    holds for the whole corpus (spatial width or hash iterations). *)
-let rep_cache : (string, (string * int) list) Hashtbl.t = Hashtbl.create 4
-
-let representative_sizes_uncached ?pool ?cache ?checkpoint (arch : Arch.t) :
+    holds for the whole corpus (spatial width or hash iterations).  The
+    solo replays resolve through the report tiers, so a warm process or
+    cache root answers without simulating. *)
+let representative_sizes ?pool ?cache ?checkpoint (arch : Arch.t) :
     (string * int) list =
+  let cache =
+    match cache with Some c -> c | None -> Settings.cache (Settings.current ())
+  in
   let mem = Memory.create () in
   (* configure+trace each kernel in registry order, then replay pooled *)
   let prepped =
@@ -45,7 +48,7 @@ let representative_sizes_uncached ?pool ?cache ?checkpoint (arch : Arch.t) :
       Registry.all
   in
   let reports =
-    Runner.run_many ?pool ?cache ?checkpoint
+    Runner.run_many ?pool ~cache ?checkpoint
       (Array.of_list (List.map snd prepped))
   in
   let timed =
@@ -62,17 +65,21 @@ let representative_sizes_uncached ?pool ?cache ?checkpoint (arch : Arch.t) :
       (s.name, max 1 scaled))
     timed
 
-let representative_sizes ?pool ?cache ?checkpoint (arch : Arch.t) :
-    (string * int) list =
-  match Hashtbl.find_opt rep_cache arch.Arch.name with
-  | Some sizes -> sizes
-  | None ->
-      let sizes = representative_sizes_uncached ?pool ?cache ?checkpoint arch in
-      Hashtbl.replace rep_cache arch.Arch.name sizes;
-      sizes
-
 let size_of sizes (s : Spec.t) =
   match List.assoc_opt s.name sizes with Some n -> n | None -> s.default_size
+
+(* Explicit sizes win; the probe runs only when one is missing, so a
+   request that pins both (the fleet driver always does) never pays
+   for it. *)
+let pair_sizes ~cache ~checkpoint (arch : Arch.t)
+    ((s1, size1) : Spec.t * int option) ((s2, size2) : Spec.t * int option) :
+    int * int =
+  match (size1, size2) with
+  | Some n1, Some n2 -> (n1, n2)
+  | _ ->
+      let sizes = representative_sizes ~cache ~checkpoint arch in
+      ( Option.value size1 ~default:(size_of sizes s1),
+        Option.value size2 ~default:(size_of sizes s2) )
 
 (* A run list under construction: phase 1 pushes (arch, specs) entries
    and remembers their indices into the phase-2 report array. *)
@@ -234,13 +241,19 @@ let figure8 ?(jobs = 1) ?pool ?cache ?checkpoint ?(archs = Arch.all) () :
     kernel_row list =
   let go pool =
     let rl = runlist () in
+    let sizes =
+      List.map
+        (fun (arch : Arch.t) ->
+          (arch.name, representative_sizes ~pool ?cache ?checkpoint arch))
+        archs
+    in
     let prepped =
       List.map
         (fun (s : Spec.t) ->
           ( s,
             List.map
-              (fun arch ->
-                let sizes = representative_sizes ~pool ?cache ?checkpoint arch in
+              (fun (arch : Arch.t) ->
+                let sizes = List.assoc arch.name sizes in
                 let mem = Memory.create () in
                 let c = Runner.configure mem s ~size:(size_of sizes s) in
                 (arch, push rl (arch, [ Runner.spec_of c ~stream:0 () ])))

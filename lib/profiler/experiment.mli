@@ -11,8 +11,11 @@
 
 (** Per-kernel sizes with solo times close to a common target, per
     architecture (the paper's "execution time ratios close to one");
-    memoised.  [pool] parallelises the solo probes on a memo miss;
-    [cache] serves them from the persistent report cache. *)
+    resolved through the report tiers like every other replay
+    ({!Runner.run_many}): the [checkpoint] journal, the persistent
+    report cache (default: minted from {!Settings.current}), then the
+    process-wide memo.  [pool] parallelises the solo probes that
+    miss. *)
 val representative_sizes :
   ?pool:Hfuse_parallel.Pool.t ->
   ?cache:Profile_cache.t ->
@@ -20,7 +23,20 @@ val representative_sizes :
   Gpusim.Arch.t ->
   (string * int) list
 
+(** A kernel's size in a {!representative_sizes} answer (its default
+    size when absent). *)
 val size_of : (string * int) list -> Kernel_corpus.Spec.t -> int
+
+(** A pair's workload sizes: each explicit size as given, a missing one
+    from {!representative_sizes} over [cache] and [checkpoint].  The
+    probe runs only when a size is missing. *)
+val pair_sizes :
+  cache:Profile_cache.t ->
+  checkpoint:Checkpoint.t ->
+  Gpusim.Arch.t ->
+  Kernel_corpus.Spec.t * int option ->
+  Kernel_corpus.Spec.t * int option ->
+  int * int
 
 type point = {
   size1 : int;

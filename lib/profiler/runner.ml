@@ -34,19 +34,10 @@ open Gpusim
 open Kernel_corpus
 module Fault = Hfuse_fault.Fault
 
-(* Traced blocks per profiling launch.  1 matches the paper's
-   methodology (one representative block, replayed cyclically over the
-   grid by the timing model); raising it trades profiling time for
-   sensitivity to inter-block variation.  The knob now lives in
-   {!Settings} (the per-request configuration record); these delegates
-   keep the historical entry points working.  Every profiling function
-   below takes [?settings] and captures its knobs from there — the
-   process default is only the fallback source. *)
-let trace_blocks = Settings.trace_blocks
-let set_trace_blocks = Settings.set_trace_blocks
-
-(* [?settings] resolution: an omitted record means "the process
-   defaults, resolved now" — exactly what a one-shot CLI wants. *)
+(* Every profiling function below takes [?settings] (traced blocks,
+   fuel, cache root, chaos plan) and captures its knobs from there.  An
+   omitted record means "the process defaults, resolved now" — exactly
+   what a one-shot CLI wants. *)
 let resolved : Settings.t option -> Settings.t = function
   | Some s -> s
   | None -> Settings.current ()
@@ -63,6 +54,38 @@ let configure (mem : Memory.t) (spec : Spec.t) ~(size : int) : configured =
   let inst = spec.instantiate mem ~size in
   let info = Spec.kernel_info spec inst in
   { spec; size; info; inst }
+
+(* ------------------------------------------------------------------ *)
+(* The canonical environment                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A fresh memory holding only [cs]' workloads, re-instantiated in
+   order.  Every trace recording and soundness gate runs here (see the
+   header comment). *)
+let fresh (cs : configured list) : Memory.t * configured list =
+  let mem = Memory.create () in
+  ( mem,
+    List.map (fun c -> { c with inst = c.spec.instantiate mem ~size:c.size }) cs
+  )
+
+(* One launch under the settings' chaos plan and fuel: [~traced:true]
+   executes and records only the traced blocks (profiling mode),
+   [~traced:false] runs the whole grid untraced. *)
+let launch ~(s : Settings.t) ~(traced : bool) (mem : Memory.t)
+    (info : Hfuse_core.Kernel_info.t) (cs : configured list) : Launch.result =
+  let tb = if traced then s.Settings.trace_blocks else 0 in
+  Launch.launch_info
+    ?exec_blocks:(if traced then Some tb else None)
+    ?fault:s.Settings.fault ~loop_fuel:s.Settings.sim_fuel mem info
+    ~args:(List.concat_map (fun c -> c.inst.Workload.args) cs)
+    ~trace_blocks:tb
+
+(* The traces of [info] launched over [cs]' workloads in a fresh
+   memory: a pure function of its inputs, safe on any domain. *)
+let record ~(s : Settings.t) (cs : configured list)
+    (info : Hfuse_core.Kernel_info.t) : Trace.block array =
+  let mem, cs = fresh cs in
+  (launch ~s ~traced:true mem info cs).block_traces
 
 (* ------------------------------------------------------------------ *)
 (* Trace store                                                          *)
@@ -274,15 +297,7 @@ let traces_of ?settings ?(arch = "-") (c : configured)
   traced ~s ~arch ~source:c.spec.source
     (K_solo { kernel = c.spec.name; size = c.size; block_dim = d; tb })
     (fun () ->
-      (* canonical recording environment: a fresh memory holding only
-         this workload (see the header comment) *)
-      let mem = Memory.create () in
-      let inst = c.spec.instantiate mem ~size:c.size in
-      let info = Hfuse_core.Kernel_info.with_block_dim c.info d in
-      (Launch.launch_info ~exec_blocks:tb ?fault:s.Settings.fault
-         ~loop_fuel:s.Settings.sim_fuel mem info ~args:inst.args
-         ~trace_blocks:tb)
-        .block_traces)
+      record ~s [ c ] (Hfuse_core.Kernel_info.with_block_dim c.info d))
 
 (* ------------------------------------------------------------------ *)
 (* Timing-spec constructors                                             *)
@@ -329,22 +344,6 @@ let solo ?settings (arch : Arch.t) (c : configured) : Timing.report =
 (* Fused runs                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** The canonical recording of a horizontally fused candidate's
-    traces: a fresh memory with both workloads instantiated in pair
-    order.  Pure up to its inputs — safe to run on any domain (the
-    batch evaluator fans these over the pool). *)
-let record_hfuse ~(s : Settings.t) (c1 : configured) (c2 : configured)
-    (f : Hfuse_core.Hfuse.t) : Trace.block array =
-  let tb = s.Settings.trace_blocks in
-  let mem = Memory.create () in
-  let i1 = c1.spec.instantiate mem ~size:c1.size in
-  let i2 = c2.spec.instantiate mem ~size:c2.size in
-  (Launch.launch_info ~exec_blocks:tb ?fault:s.Settings.fault
-     ~loop_fuel:s.Settings.sim_fuel mem
-     (Hfuse_core.Hfuse.info f)
-     ~args:(i1.args @ i2.args) ~trace_blocks:tb)
-    .block_traces
-
 let hfuse_key ~(tb : int) (c1 : configured) (c2 : configured)
     (f : Hfuse_core.Hfuse.t) : trace_key =
   K_hfuse
@@ -366,7 +365,7 @@ let hfuse_traces ?settings ?(arch = "-") (c1 : configured) (c2 : configured)
   traced ~s ~arch
     ~source:(Hfuse_core.Hfuse.to_source f)
     (hfuse_key ~tb:s.Settings.trace_blocks c1 c2 f)
-    (fun () -> record_hfuse ~s c1 c2 f)
+    (fun () -> record ~s [ c1; c2 ] (Hfuse_core.Hfuse.info f))
 
 (** Launch spec for a fused candidate over already-recorded traces.
     Pure — safe to build and [Timing.run] on any domain. *)
@@ -434,14 +433,7 @@ let vfuse_spec ?settings ?(arch = "-") (c1 : configured) (c2 : configured)
            block = v.block;
            tb;
          })
-      (fun () ->
-        let mem = Memory.create () in
-        let i1 = c1.spec.instantiate mem ~size:c1.size in
-        let i2 = c2.spec.instantiate mem ~size:c2.size in
-        (Launch.launch_info ~exec_blocks:tb ?fault:s.Settings.fault
-           ~loop_fuel:s.Settings.sim_fuel mem vinfo
-           ~args:(i1.args @ i2.args) ~trace_blocks:tb)
-          .block_traces)
+      (fun () -> record ~s [ c1; c2 ] vinfo)
   in
   {
     Timing.label = v.fn.f_name;
@@ -469,7 +461,6 @@ let d0_for (c1 : configured) (c2 : configured) : int =
   | Hfuse_core.Kernel_info.Fixed, Hfuse_core.Kernel_info.Fixed ->
       Hfuse_core.Kernel_info.threads_per_block c1.info
       + Hfuse_core.Kernel_info.threads_per_block c2.info
-  | Hfuse_core.Kernel_info.Fixed, _ | _, Hfuse_core.Kernel_info.Fixed -> 1024
   | _ -> 1024
 
 (** Cumulative observability counters for the profiling search. *)
@@ -548,47 +539,11 @@ let count_rejections (st : search_stats) (ds : Hfuse_analysis.Diag.t list) :
 
 (* the process-wide accumulator the one-shot CLIs print; a server
    passes each request its own [fresh_search_stats ()] via [?stats] *)
-let global_stats : search_stats = fresh_search_stats ()
+let global_stats = ref (fresh_search_stats ())
 
-let search_stats () =
-  {
-    profiled = global_stats.profiled;
-    cache_hits = global_stats.cache_hits;
-    profile_wall_s = global_stats.profile_wall_s;
-    failed = global_stats.failed;
-    ranked = global_stats.ranked;
-    pruned = global_stats.pruned;
-    rank_agree = global_stats.rank_agree;
-    rank_total = global_stats.rank_total;
-    max_regret_pct = global_stats.max_regret_pct;
-    traced = global_stats.traced;
-    trace_hits = global_stats.trace_hits;
-    trace_merged = global_stats.trace_merged;
-    trace_wall_s = global_stats.trace_wall_s;
-    repair_attempted = global_stats.repair_attempted;
-    repaired = global_stats.repaired;
-    repair_unsound = global_stats.repair_unsound;
-    rejections = global_stats.rejections;
-  }
-
-let reset_search_stats () =
-  global_stats.profiled <- 0;
-  global_stats.cache_hits <- 0;
-  global_stats.profile_wall_s <- 0.0;
-  global_stats.failed <- 0;
-  global_stats.ranked <- 0;
-  global_stats.pruned <- 0;
-  global_stats.rank_agree <- 0;
-  global_stats.rank_total <- 0;
-  global_stats.max_regret_pct <- 0.0;
-  global_stats.traced <- 0;
-  global_stats.trace_hits <- 0;
-  global_stats.trace_merged <- 0;
-  global_stats.trace_wall_s <- 0.0;
-  global_stats.repair_attempted <- 0;
-  global_stats.repaired <- 0;
-  global_stats.repair_unsound <- 0;
-  global_stats.rejections <- []
+(* a copy: later searches keep mutating the live record *)
+let search_stats () = { !global_stats with profiled = !global_stats.profiled }
+let reset_search_stats () = global_stats := fresh_search_stats ()
 
 let pp_search_stats ppf (s : search_stats) =
   Fmt.pf ppf "%d candidate%s profiled, %d cache hit%s, %.2fs profiling wall"
@@ -753,19 +708,14 @@ let solo_cycles ~(s : Settings.t) ~cache ~checkpoint (arch : Arch.t)
    gate, so an unsound (or undecidable) repair is never admitted. *)
 let repair_gate ~(s : Settings.t) (c1 : configured) (c2 : configured)
     (f : Hfuse_core.Hfuse.t) : bool =
-  let launch mem info args =
-    ignore
-      (Launch.launch_info ?fault:s.Settings.fault
-         ~loop_fuel:s.Settings.sim_fuel mem info ~args ~trace_blocks:0)
-  in
   let snapshot_of launches =
     (* instantiation order matches every other fresh-memory run, so the
        two snapshots are over identically-named, identically-seeded
        buffers and [equal_snapshot] compares like with like *)
-    let mem = Memory.create () in
-    let i1 = c1.spec.Spec.instantiate mem ~size:c1.size in
-    let i2 = c2.spec.Spec.instantiate mem ~size:c2.size in
-    launches mem i1 i2;
+    let mem, cs = fresh [ c1; c2 ] in
+    List.iter
+      (fun (info, on) -> ignore (launch ~s ~traced:false mem info on))
+      (launches cs);
     Memory.snapshot mem
   in
   match
@@ -776,28 +726,48 @@ let repair_gate ~(s : Settings.t) (c1 : configured) (c2 : configured)
              f.Hfuse_core.Hfuse.d1, f.Hfuse_core.Hfuse.d2 ))
     @@ fun () ->
     let reference =
-      snapshot_of (fun mem i1 i2 ->
-          let k1 =
-            Hfuse_core.Kernel_info.with_block_dim
-              (Spec.kernel_info c1.spec i1)
-              f.Hfuse_core.Hfuse.d1
-          in
-          let k2 =
-            Hfuse_core.Kernel_info.with_block_dim
-              (Spec.kernel_info c2.spec i2)
-              f.Hfuse_core.Hfuse.d2
-          in
-          launch mem k1 i1.args;
-          launch mem k2 i2.args)
+      snapshot_of (fun cs ->
+          List.map2
+            (fun (c : configured) d ->
+              (Hfuse_core.Kernel_info.with_block_dim c.info d, [ c ]))
+            cs
+            [ f.Hfuse_core.Hfuse.d1; f.Hfuse_core.Hfuse.d2 ])
     in
-    let fused =
-      snapshot_of (fun mem i1 i2 ->
-          launch mem (Hfuse_core.Hfuse.info f) (i1.args @ i2.args))
-    in
+    let fused = snapshot_of (fun cs -> [ (Hfuse_core.Hfuse.info f, cs) ]) in
     Memory.equal_snapshot reference fused
   with
   | equal -> equal
   | exception e when is_profile_failure e -> false
+
+(* A probe group's extremes by d1 (the first candidate wins a tie) and
+   the member nearest their middle (the earliest non-extreme wins a tie;
+   [None] when every member is an extreme).  [group] is non-empty. *)
+let extremes_and_mid
+    (group : (Hfuse_core.Hfuse.t * Hfuse_core.Search.config) list) =
+  let d1_of ((_, cfg) : Hfuse_core.Hfuse.t * Hfuse_core.Search.config) =
+    cfg.Hfuse_core.Search.partition.Hfuse_core.Partition.d1
+  in
+  let first = List.hd group in
+  let lo, hi =
+    List.fold_left
+      (fun (mn, mx) c ->
+        ( (if d1_of c < d1_of mn then c else mn),
+          if d1_of c > d1_of mx then c else mx ))
+      (first, first) group
+  in
+  let target = (d1_of lo + d1_of hi) / 2 in
+  let mid =
+    List.fold_left
+      (fun best c ->
+        if c == lo || c == hi then best
+        else
+          match best with
+          | Some b when abs (d1_of b - target) <= abs (d1_of c - target) ->
+              best
+          | _ -> Some c)
+      None group
+  in
+  (lo, mid, hi)
 
 let search ?(jobs = 1) ?pool ?settings ?stats ?cache
     ?(checkpoint = Checkpoint.disabled) ?(top_k : int option)
@@ -806,7 +776,7 @@ let search ?(jobs = 1) ?pool ?settings ?stats ?cache
   let s = resolved settings in
   (* per-request stats land in the caller's record; the historical
      default keeps accumulating into the process-wide counters *)
-  let stats = match stats with Some st -> st | None -> global_stats in
+  let stats = match stats with Some st -> st | None -> !global_stats in
   let cache = match cache with Some c -> c | None -> Settings.cache s in
   (* a candidate whose profile fails (fuel exhaustion, deadlock, a
      crashed worker past its retry budget) is excluded by giving it an
@@ -818,11 +788,6 @@ let search ?(jobs = 1) ?pool ?settings ?stats ?cache
       f.fn.f_name f.d1 f.d2 (Printexc.to_string e);
     Float.infinity
   in
-  let profile fused ~reg_bound =
-    Fault.with_retries ~key:(Hashtbl.hash (fused.Hfuse_core.Hfuse.d1, reg_bound))
-      (fun () ->
-        (hfuse_report ~settings:s arch c1 c2 fused ~reg_bound).Timing.time_ms)
-  in
   (* phase 2 evaluator: disk-cache probes run serially on this domain
      (the cache file I/O and its counters are single-domain), missing
      traces are recorded concurrently in fresh memories (deduped per
@@ -830,8 +795,8 @@ let search ?(jobs = 1) ?pool ?settings ?stats ?cache
      over the pool.  Candidate order is preserved end-to-end, so
      results are bit-identical to the serial path for any [jobs] and
      any cache/store temperature. *)
-  let profile_batch (batch : (Hfuse_core.Hfuse.t * Hfuse_core.Search.config) list)
-      : float list =
+  let profile (batch : (Hfuse_core.Hfuse.t * Hfuse_core.Search.config) list) :
+      float list =
     let t0 = Unix.gettimeofday () in
     let batch = Array.of_list batch in
     let keys =
@@ -889,7 +854,7 @@ let search ?(jobs = 1) ?pool ?settings ?stats ?cache
     let recorded =
       let go p =
         Hfuse_parallel.Pool.map_isolated ?fault:s.Settings.fault p
-          (fun j -> record_hfuse ~s c1 c2 uniq.(j))
+          (fun j -> record ~s [ c1; c2 ] (Hfuse_core.Hfuse.info uniq.(j)))
           to_record
       in
       if Array.length to_record = 0 then [||]
@@ -1014,7 +979,7 @@ let search ?(jobs = 1) ?pool ?settings ?stats ?cache
        kernel 1, maximal d1 starves kernel 2), the unbounded one
        nearest the middle (pins the residency-invariant floor), and per
        spilling register bound that group's extremes and middle.  The
-       probes are real candidates profiled through [profile_batch], so
+       probes are real candidates profiled through [profile], so
        they fan out over the worker pool and their times come from
        (and land in) the same caches as phase 2.
 
@@ -1039,92 +1004,43 @@ let search ?(jobs = 1) ?pool ?settings ?stats ?cache
             cfg.Hfuse_core.Search.reg_bound = None)
           candidates
       in
-      let d1_of ((_, cfg) : Hfuse_core.Hfuse.t * Hfuse_core.Search.config) =
-        cfg.Hfuse_core.Search.partition.Hfuse_core.Partition.d1
-      in
       match unbounded with
-      | first :: (_ :: _ as rest) ->
-          let lo, hi =
-            List.fold_left
-              (fun (mn, mx) c ->
-                ( (if d1_of c < d1_of mn then c else mn),
-                  if d1_of c > d1_of mx then c else mx ))
-              (first, first) rest
+      | _ :: _ :: _ ->
+          let lo, mid, hi = extremes_and_mid unbounded in
+          (* per spilling register bound: that group's extremes and the
+             member nearest the middle — only candidates whose bound
+             actually forces spilling reveal the capped physics *)
+          let spilling =
+            List.filter
+              (fun ((f, cfg) : Hfuse_core.Hfuse.t * Hfuse_core.Search.config)
+                 ->
+                match cfg.Hfuse_core.Search.reg_bound with
+                | Some r -> f.Hfuse_core.Hfuse.regs > r
+                | None -> false)
+              bounded
           in
-          let target = (d1_of lo + d1_of hi) / 2 in
-          let nearest_mid pool ~skip_extremes =
-            List.fold_left
-              (fun best c ->
-                if skip_extremes && (c == lo || c == hi) then best
-                else
-                  match best with
-                  | Some b when abs (d1_of b - target) <= abs (d1_of c - target)
-                    ->
-                      best
-                  | _ -> Some c)
-              None pool
-          in
-          let mid = nearest_mid unbounded ~skip_extremes:true in
           let capped =
-            (* per spilling register bound: that group's extremes and
-               the member nearest the middle — only candidates whose
-               bound actually forces spilling reveal the capped
-               physics *)
-            let spilling =
-              List.filter
-                (fun ((f, cfg) : Hfuse_core.Hfuse.t * Hfuse_core.Search.config)
-                   ->
-                  match cfg.Hfuse_core.Search.reg_bound with
-                  | Some r -> f.Hfuse_core.Hfuse.regs > r
-                  | None -> false)
-                bounded
-            in
-            let bounds =
-              List.sort_uniq compare
-                (List.filter_map
-                   (fun ((_, cfg) :
-                          Hfuse_core.Hfuse.t * Hfuse_core.Search.config) ->
-                     cfg.Hfuse_core.Search.reg_bound)
-                   spilling)
-            in
-            List.concat_map
-              (fun r ->
-                let group =
-                  List.filter
-                    (fun ((_, cfg) :
-                           Hfuse_core.Hfuse.t * Hfuse_core.Search.config) ->
-                      cfg.Hfuse_core.Search.reg_bound = Some r)
-                    spilling
-                in
-                match group with
-                | [] -> []
-                | first :: rest ->
-                    let glo, ghi =
-                      List.fold_left
-                        (fun (mn, mx) c ->
-                          ( (if d1_of c < d1_of mn then c else mn),
-                            if d1_of c > d1_of mx then c else mx ))
-                        (first, first) rest
-                    in
-                    let gmid =
-                      List.fold_left
-                        (fun best c ->
-                          if c == glo || c == ghi then best
-                          else
-                            let gt = (d1_of glo + d1_of ghi) / 2 in
-                            match best with
-                            | Some b
-                              when abs (d1_of b - gt) <= abs (d1_of c - gt) ->
-                                best
-                            | _ -> Some c)
-                        None group
-                    in
-                    List.filter_map Fun.id
-                      [ Some glo; gmid; (if ghi == glo then None else Some ghi) ])
-              bounds
+            List.sort_uniq compare
+              (List.filter_map
+                 (fun ((_, cfg) :
+                        Hfuse_core.Hfuse.t * Hfuse_core.Search.config) ->
+                   cfg.Hfuse_core.Search.reg_bound)
+                 spilling)
+            |> List.concat_map (fun r ->
+                   let glo, gmid, ghi =
+                     extremes_and_mid
+                       (List.filter
+                          (fun ((_, cfg) :
+                                 Hfuse_core.Hfuse.t
+                                 * Hfuse_core.Search.config) ->
+                            cfg.Hfuse_core.Search.reg_bound = Some r)
+                          spilling)
+                   in
+                   (glo :: Option.to_list gmid)
+                   @ if ghi == glo then [] else [ ghi ])
           in
           let probes = (lo :: Option.to_list mid) @ (hi :: capped) in
-          let timed = List.combine probes (profile_batch probes) in
+          let timed = List.combine probes (profile probes) in
           let time_of c = List.assq c timed in
           Hfuse_costmodel.calibrate_probes inputs
             ~lo:(lo, time_of lo)
@@ -1168,7 +1084,7 @@ let search ?(jobs = 1) ?pool ?settings ?stats ?cache
   let result =
     Hfuse_core.Search.search
       ~limits:(Arch.sm_limits arch)
-      ~profile_batch ~profile ~rank ?top_k ?repair:repair_cb ~on_reject
+      ~profile ~rank ?top_k ?repair:repair_cb ~on_reject
       ~d0:(d0_for c1 c2) c1.info c2.info
   in
   stats.ranked <-
@@ -1217,61 +1133,45 @@ let naive_hfuse (c1 : configured) (c2 : configured) : Hfuse_core.Hfuse.t option
 (* Correctness validation (full functional execution)                   *)
 (* ------------------------------------------------------------------ *)
 
+(* Full functional execution in fresh memory: [fuse] builds the fused
+   kernel over the pair, which runs over the whole grid; both kernels'
+   outputs are then checked against their host references.  Retried
+   from scratch on an injected hang: the whole run restarts with fresh
+   memory, so a partial first execution cannot leak into the check. *)
+let validate ~(s : Settings.t) ~(key : int) (s1 : Spec.t) ~(size1 : int)
+    (s2 : Spec.t) ~(size2 : int)
+    (fuse : configured -> configured -> Hfuse_core.Kernel_info.t) :
+    (unit, string) result =
+  Fault.with_retries ~key @@ fun () ->
+  let mem = Memory.create () in
+  let c1 = configure mem s1 ~size:size1 in
+  let c2 = configure mem s2 ~size:size2 in
+  match fuse c1 c2 with
+  | exception Hfuse_core.Fuse_common.Fusion_error e -> Error e
+  | info -> (
+      match launch ~s ~traced:false mem info [ c1; c2 ] with
+      | exception Launch.Deadlock e -> Error e
+      | _ -> (
+          match c1.inst.check mem with
+          | Error _ as e -> e
+          | Ok () -> c2.inst.check mem))
+
 (** Run the fused kernel over the whole grid in fresh memory and check
     both kernels' outputs against their host references. *)
 let validate_hfuse ?settings (s1 : Spec.t) ~(size1 : int) (s2 : Spec.t)
     ~(size2 : int) ~(d1 : int) ~(d2 : int) : (unit, string) result =
-  let s = resolved settings in
-  (* retried from scratch on an injected hang: the whole run restarts
-     with fresh memory, so a partial first execution cannot leak into
-     the correctness check *)
-  Fault.with_retries ~key:(Hashtbl.hash (s1.Spec.name, s2.Spec.name, d1, d2))
-  @@ fun () ->
-  let mem = Memory.create () in
-  let i1 = s1.instantiate mem ~size:size1 in
-  let i2 = s2.instantiate mem ~size:size2 in
-  let k1 =
-    Hfuse_core.Kernel_info.with_block_dim (Spec.kernel_info s1 i1) d1
-  in
-  let k2 =
-    Hfuse_core.Kernel_info.with_block_dim (Spec.kernel_info s2 i2) d2
-  in
-  match Hfuse_core.Hfuse.generate k1 k2 with
-  | exception Hfuse_core.Fuse_common.Fusion_error e -> Error e
-  | f -> (
-      let finfo = Hfuse_core.Hfuse.info f in
-      match
-        Launch.launch_info ?fault:s.Settings.fault
-          ~loop_fuel:s.Settings.sim_fuel mem finfo ~args:(i1.args @ i2.args)
-          ~trace_blocks:0
-      with
-      | exception Launch.Deadlock e -> Error e
-      | _ -> (
-          match i1.check mem with
-          | Error _ as e -> e
-          | Ok () -> i2.check mem))
+  validate ~s:(resolved settings)
+    ~key:(Hashtbl.hash (s1.Spec.name, s2.Spec.name, d1, d2))
+    s1 ~size1 s2 ~size2
+    (fun c1 c2 ->
+      Hfuse_core.Hfuse.info
+        (Hfuse_core.Hfuse.generate
+           (Hfuse_core.Kernel_info.with_block_dim c1.info d1)
+           (Hfuse_core.Kernel_info.with_block_dim c2.info d2)))
 
 let validate_vfuse ?settings (s1 : Spec.t) ~(size1 : int) (s2 : Spec.t)
     ~(size2 : int) : (unit, string) result =
-  let s = resolved settings in
-  Fault.with_retries ~key:(Hashtbl.hash (s1.Spec.name, s2.Spec.name))
-  @@ fun () ->
-  let mem = Memory.create () in
-  let i1 = s1.instantiate mem ~size:size1 in
-  let i2 = s2.instantiate mem ~size:size2 in
-  let c1 = { spec = s1; size = size1; info = Spec.kernel_info s1 i1; inst = i1 } in
-  let c2 = { spec = s2; size = size2; info = Spec.kernel_info s2 i2; inst = i2 } in
-  match vfuse_generate c1 c2 with
-  | exception Hfuse_core.Fuse_common.Fusion_error e -> Error e
-  | v -> (
-      let vinfo = Hfuse_core.Vfuse.info v in
-      match
-        Launch.launch_info ?fault:s.Settings.fault
-          ~loop_fuel:s.Settings.sim_fuel mem vinfo ~args:(i1.args @ i2.args)
-          ~trace_blocks:0
-      with
-      | exception Launch.Deadlock e -> Error e
-      | _ -> (
-          match i1.check mem with
-          | Error _ as e -> e
-          | Ok () -> i2.check mem))
+  validate ~s:(resolved settings)
+    ~key:(Hashtbl.hash (s1.Spec.name, s2.Spec.name))
+    s1 ~size1 s2 ~size2
+    (fun c1 c2 -> Hfuse_core.Vfuse.info (vfuse_generate c1 c2))

@@ -22,18 +22,6 @@
     Results are bit-identical to the serial path for any worker count
     and any cache/store temperature. *)
 
-(** Blocks whose traces are recorded per profiling launch.  Defaults to
-    1 (the paper's one-representative-block methodology) or the
-    [HFUSE_TRACE_BLOCKS] environment variable. *)
-val trace_blocks : unit -> int
-
-(** Set the traced-block count for subsequent profiling launches
-    ([--trace-blocks] on the CLIs).  The in-process trace cache and the
-    persistent {!Profile_cache} both key on it, so entries recorded at
-    other widths are never returned.
-    @raise Invalid_argument when [n <= 0]. *)
-val set_trace_blocks : int -> unit
-
 (** A corpus kernel bound to a workload instance in some memory. *)
 type configured = {
   spec : Kernel_corpus.Spec.t;

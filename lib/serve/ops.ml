@@ -339,27 +339,20 @@ let search ?settings ?(checkpoint = Checkpoint.disabled) ?pool
     (p : search_params) : outcome =
   let s = match settings with Some s -> s | None -> Settings.current () in
   let arch = p.s_arch in
-  (* the representative-size probe simulates all nine paper kernels; a
-     request that pins both sizes (the fleet driver always does) must
-     not pay for it *)
-  let sizes = lazy (Hfuse_profiler.Experiment.representative_sizes arch) in
-  let size_of (spec : Kernel_corpus.Spec.t) o =
-    match o with
-    | Some s -> s
-    | None -> Hfuse_profiler.Experiment.size_of (Lazy.force sizes) spec
-  in
-  let size1 = size_of p.s_k1 p.s_size1 and size2 = size_of p.s_k2 p.s_size2 in
   (* per-request counters: a fresh stats record, a fresh cache handle
-     (shared by the native baseline and the search), and tally
-     snapshots bracketing the whole verb (native baseline included, so
-     a one-shot process's delta equals its cumulative tally) — nothing
-     global is reset, so concurrent requests cannot clobber each
-     other *)
+     (shared by the size probe, the native baseline and the search),
+     and tally snapshots bracketing the whole verb (so a one-shot
+     process's delta equals its cumulative tally) — nothing global is
+     reset, so concurrent requests cannot clobber each other *)
   let stats = Runner.fresh_search_stats () in
   let cache = Settings.cache s in
   let fault_before = Fault.tally () in
   let pool_before = Pool.tally () in
   let trace_before = Trace_store.tally () in
+  let size1, size2 =
+    Hfuse_profiler.Experiment.pair_sizes ~cache ~checkpoint arch
+      (p.s_k1, p.s_size1) (p.s_k2, p.s_size2)
+  in
   let mem = Gpusim.Memory.create () in
   let c1 = Runner.configure mem p.s_k1 ~size:size1 in
   let c2 = Runner.configure mem p.s_k2 ~size:size2 in

@@ -28,7 +28,7 @@ let arch = List.hd Gpusim.Arch.all
 let candidates ?(d0 = 1024) () =
   let r =
     Search.search ~limits:lim
-      ~profile:(fun _ ~reg_bound:_ -> 1.0)
+      ~profile:(List.map (fun _ -> 1.0))
       ~d0 (tun ()) (tun ())
   in
   List.map (fun (c : Search.candidate) -> (c.fused, c.config)) r.all

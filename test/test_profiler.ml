@@ -260,6 +260,21 @@ let test_run_many_report_cache () =
   Alcotest.(check bool) "warm reports bit-identical" true (warm = cold);
   Alcotest.(check bool) "cache never changes reports" true (uncached = cold)
 
+(* the representative-size probe resolves through the report tiers: a
+   process with empty memo tiers answers it from a warm cache root *)
+let test_rep_sizes_served_by_cache () =
+  let dir = tmp_cache_dir "rep_sizes" in
+  let cold = Profile_cache.create ~dir () in
+  clear_cache_dir cold;
+  Runner.clear_cache ();
+  let sizes = Hfuse_profiler.Experiment.representative_sizes ~cache:cold arch in
+  Runner.clear_cache ();
+  let warm = Profile_cache.create ~dir () in
+  let again = Hfuse_profiler.Experiment.representative_sizes ~cache:warm arch in
+  Alcotest.(check (list (pair string int))) "same sizes" sizes again;
+  Alcotest.(check int) "warm hits" 9 (Profile_cache.hits warm);
+  Alcotest.(check int) "warm stores" 0 (Profile_cache.stores warm)
+
 (* -- Runner.search: jobs / cache determinism ---------------------------- *)
 
 let search_tun ~jobs ~cache =
@@ -1047,6 +1062,8 @@ let suite =
       test_report_cache_roundtrip;
     Alcotest.test_case "run_many report cache" `Quick
       test_run_many_report_cache;
+    Alcotest.test_case "size probe served by the cache" `Quick
+      test_rep_sizes_served_by_cache;
     Alcotest.test_case "search determinism across -j" `Quick
       test_search_jobs_deterministic;
     Alcotest.test_case "warm cache reproduces cold run" `Quick

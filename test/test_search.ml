@@ -79,6 +79,11 @@ let test_naive_even () =
 
 let lim = Occupancy.pascal_volta_limits
 
+(* a per-candidate cost as the search's whole-list profile hook *)
+let each cost =
+  List.map (fun ((f : Hfuse.t), (c : Search.config)) ->
+      cost f ~reg_bound:c.reg_bound)
+
 let test_search_minimises () =
   (* synthetic cost: prefers d1 = 768, and the register bound always
      helps by 10% *)
@@ -86,7 +91,10 @@ let test_search_minimises () =
     let base = float_of_int (abs (f.d1 - 768) + 100) in
     match reg_bound with Some _ -> base *. 0.9 | None -> base
   in
-  let r = Search.search ~limits:lim ~profile ~d0:1024 (tun ()) (tun ()) in
+  let r =
+    Search.search ~limits:lim ~profile:(each profile) ~d0:1024 (tun ())
+      (tun ())
+  in
   Alcotest.(check int) "best d1" 768 r.best.fused.d1;
   Alcotest.(check bool) "bound chosen" true
     (r.best.config.reg_bound <> None);
@@ -98,14 +106,17 @@ let test_search_prefers_unbounded_when_better () =
     let base = float_of_int (abs (f.d1 - 512) + 100) in
     match reg_bound with Some _ -> base *. 2.0 | None -> base
   in
-  let r = Search.search ~limits:lim ~profile ~d0:1024 (tun ()) (tun ()) in
+  let r =
+    Search.search ~limits:lim ~profile:(each profile) ~d0:1024 (tun ())
+      (tun ())
+  in
   Alcotest.(check int) "best d1" 512 r.best.fused.d1;
   Alcotest.(check (option int)) "no bound" None r.best.config.reg_bound
 
 let test_search_no_partition () =
   match
     Search.search ~limits:lim
-      ~profile:(fun _ ~reg_bound:_ -> 1.0)
+      ~profile:(List.map (fun _ -> 1.0))
       ~d0:1024 (fixed 768) (fixed 512)
   with
   | exception Search.No_valid_partition _ -> ()
@@ -117,7 +128,9 @@ let test_search_counts_profile_calls () =
     incr calls;
     1.0
   in
-  ignore (Search.search ~limits:lim ~profile ~d0:512 (tun ()) (tun ()));
+  ignore
+    (Search.search ~limits:lim ~profile:(each profile) ~d0:512 (tun ())
+       (tun ()));
   (* 3 partitions (128..384) x 2 variants *)
   Alcotest.(check int) "profile calls" 6 !calls
 
@@ -143,7 +156,9 @@ __global__ void wide(float* a, int n) {
     profiled := f.d1 :: !profiled;
     1.0
   in
-  let r = Search.search ~limits:lim ~profile ~d0:512 k1 (tun ()) in
+  let r =
+    Search.search ~limits:lim ~profile:(each profile) ~d0:512 k1 (tun ())
+  in
   Alcotest.(check int) "one rejection" 1 (List.length r.rejected);
   let p, ds = List.hd r.rejected in
   Alcotest.(check int) "rejected d1" 128 p.Partition.d1;
@@ -164,7 +179,7 @@ let test_search_skips_noop_bound () =
     1.0
   in
   ignore
-    (Search.search ~limits:lim ~profile ~d0:512 (tun ~regs:8 ())
+    (Search.search ~limits:lim ~profile:(each profile) ~d0:512 (tun ~regs:8 ())
        (tun ~regs:8 ()));
   Alcotest.(check int) "3 partitions x 1 variant" 3 !calls
 
@@ -186,35 +201,38 @@ let test_search_batch_matches_serial () =
     | Some r -> (base *. 0.9) +. float_of_int (r mod 7)
     | None -> base
   in
-  let serial = Search.search ~limits:lim ~profile:cost ~d0:1024 (tun ()) (tun ()) in
-  let batches = ref 0 and direct = ref 0 in
-  let profile_batch batch =
+  let batches = ref 0 in
+  let profile batch =
     incr batches;
-    List.map
-      (fun (f, (c : Search.config)) -> cost f ~reg_bound:c.reg_bound)
-      batch
+    each cost batch
   in
-  let profile f ~reg_bound =
-    incr direct;
-    cost f ~reg_bound
-  in
-  let r =
-    Search.search ~limits:lim ~profile_batch ~profile ~d0:1024 (tun ())
-      (tun ())
-  in
+  let r = Search.search ~limits:lim ~profile ~d0:1024 (tun ()) (tun ()) in
   Alcotest.(check int) "whole candidate list in one batch" 1 !batches;
-  Alcotest.(check int) "per-candidate profile never called" 0 !direct;
-  Alcotest.(check bool) "all identical" true (sig_of r = sig_of serial);
+  (* each candidate carries its own cost, and the best is the first
+     strictly-fastest in search order *)
+  let serial =
+    List.map
+      (fun (c : Search.candidate) ->
+        ( c.fused.d1,
+          c.fused.d2,
+          c.config.reg_bound,
+          cost c.fused ~reg_bound:c.config.reg_bound ))
+      r.all
+  in
+  let first_fastest =
+    List.fold_left
+      (fun (b : Search.candidate) (c : Search.candidate) ->
+        if c.time < b.time then c else b)
+      (List.hd r.all) r.all
+  in
+  Alcotest.(check bool) "all identical" true (sig_of r = serial);
   Alcotest.(check bool) "best identical" true
-    (cand_sig r.best = cand_sig serial.best)
+    (cand_sig r.best = cand_sig first_fastest)
 
 let test_search_batch_length_mismatch () =
   (* the hook must return one time per candidate, in order *)
-  let profile_batch batch = List.map (fun _ -> 1.0) (List.tl batch) in
-  match
-    Search.search ~limits:lim ~profile_batch
-      ~profile:(fun _ ~reg_bound:_ -> 1.0)
-      ~d0:1024 (tun ()) (tun ())
+  let profile batch = List.map (fun _ -> 1.0) (List.tl batch) in
+  match Search.search ~limits:lim ~profile ~d0:1024 (tun ()) (tun ())
   with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
@@ -232,16 +250,17 @@ let pool_batch_prop =
         float_of_int ((((f.d1 * 37) + (r * 101) + seed) mod 997) + 3)
       in
       let serial =
-        Search.search ~limits:lim ~profile:cost ~d0:1024 (tun ()) (tun ())
+        Search.search ~limits:lim ~profile:(each cost) ~d0:1024 (tun ())
+          (tun ())
       in
-      let profile_batch batch =
+      let pooled batch =
         Hfuse_parallel.Pool.with_pool jobs (fun p ->
             Hfuse_parallel.Pool.map_list p
               (fun (f, (c : Search.config)) -> cost f ~reg_bound:c.reg_bound)
               batch)
       in
       let r =
-        Search.search ~limits:lim ~profile_batch ~profile:cost ~d0:1024
+        Search.search ~limits:lim ~profile:pooled ~d0:1024
           (tun ()) (tun ())
       in
       sig_of r = sig_of serial && cand_sig r.best = cand_sig serial.best)
@@ -272,7 +291,7 @@ let test_prune_keeps_top_k () =
     float_of_int (abs (f.d1 - 640) + r + 1)
   in
   let exhaustive =
-    Search.search ~limits:lim ~profile:cost ~d0:1024 (tun ()) (tun ())
+    Search.search ~limits:lim ~profile:(each cost) ~d0:1024 (tun ()) (tun ())
   in
   let n = List.length exhaustive.all in
   let rank = mock_rank 0 in
@@ -284,7 +303,8 @@ let test_prune_keeps_top_k () =
   in
   let k = 3 in
   let r =
-    Search.search ~limits:lim ~profile:cost ~rank ~top_k:k ~d0:1024 (tun ())
+    Search.search ~limits:lim ~profile:(each cost) ~rank ~top_k:k ~d0:1024
+      (tun ())
       (tun ())
   in
   Alcotest.(check int) "window size" k (List.length r.all);
@@ -327,21 +347,22 @@ let prune_identity_prop =
         float_of_int ((((f.d1 * 37) + (r * 101) + seed) mod 997) + 3)
       in
       let serial =
-        Search.search ~limits:lim ~profile:cost ~d0:1024 (tun ()) (tun ())
+        Search.search ~limits:lim ~profile:(each cost) ~d0:1024 (tun ())
+          (tun ())
       in
       let n = List.length serial.all in
-      let profile_batch batch =
+      let pooled batch =
         Hfuse_parallel.Pool.with_pool jobs (fun p ->
             Hfuse_parallel.Pool.map_list p
               (fun (f, (c : Search.config)) -> cost f ~reg_bound:c.reg_bound)
               batch)
       in
       let ranked =
-        Search.search ~limits:lim ~profile_batch ~profile:cost
+        Search.search ~limits:lim ~profile:pooled
           ~rank:(mock_rank seed) ~top_k:(n + slack) ~d0:1024 (tun ()) (tun ())
       in
       let unranked =
-        Search.search ~limits:lim ~profile_batch ~profile:cost
+        Search.search ~limits:lim ~profile:pooled
           ~top_k:1 (* no rank: scores are empty, top_k cannot bite *)
           ~d0:1024 (tun ()) (tun ())
       in
@@ -364,11 +385,12 @@ let prune_window_prop =
         float_of_int ((((f.d1 * 37) + (r * 101) + seed) mod 997) + 3)
       in
       let exhaustive =
-        Search.search ~limits:lim ~profile:cost ~d0:1024 (tun ()) (tun ())
+        Search.search ~limits:lim ~profile:(each cost) ~d0:1024 (tun ())
+          (tun ())
       in
       let n = List.length exhaustive.all in
       let r =
-        Search.search ~limits:lim ~profile:cost ~rank:(mock_rank seed)
+        Search.search ~limits:lim ~profile:(each cost) ~rank:(mock_rank seed)
           ~top_k:k ~d0:1024 (tun ()) (tun ())
       in
       let kept = List.map conf_sig r.all in

@@ -553,6 +553,36 @@ let test_search_resume_answers_native () =
     (Checkpoint.loaded ck);
   Checkpoint.close ck
 
+(* stdout of [Ops.search] against md5s recorded before the cost
+   model's probe picker was shared between the unbounded and the capped
+   groups: both pairs fit unbounded probes and a three-member capped
+   group, so the printed [model …] scores and pruned lines pin which
+   candidates were probed *)
+let test_golden_search_bytes () =
+  let settings = settings_at None in
+  In_channel.with_open_bin (Filename.concat "golden" "search.md5")
+    In_channel.input_lines
+  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  |> List.iter (fun line ->
+         match String.split_on_char ' ' line with
+         | [ k1; k2; n1; n2; k; digest ] ->
+             let o =
+               Ops.search ~settings
+                 {
+                   search_params with
+                   s_k1 = Registry.find_exn k1;
+                   s_k2 = Registry.find_exn k2;
+                   s_size1 = Some (int_of_string n1);
+                   s_size2 = Some (int_of_string n2);
+                   s_emit = false;
+                   s_top_k =
+                     (if k = "-" then None else Some (int_of_string k));
+                 }
+             in
+             Alcotest.(check string) line digest
+               (Digest.to_hex (Digest.string o.output))
+         | _ -> Alcotest.failf "malformed golden line %S" line)
+
 let suite =
   [
     Alcotest.test_case "request lines round-trip" `Quick
@@ -577,4 +607,5 @@ let suite =
       test_search_heals_corrupt_native;
     Alcotest.test_case "resume answers native from the journal" `Quick
       test_search_resume_answers_native;
+    Alcotest.test_case "golden search bytes" `Quick test_golden_search_bytes;
   ]
