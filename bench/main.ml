@@ -78,10 +78,9 @@ let timed name f =
   say "[%s: %.1fs]" name (Unix.gettimeofday () -. t0);
   r
 
-(* search parallelism / persistent profiling cache / output shape, set
-   by the CLI flags *)
+(* search parallelism / output shape, set by the CLI flags; the
+   profiling knobs live in the one settings value built in [main] *)
 let jobs = ref 1
-let cache = ref (Hfuse_profiler.Profile_cache.from_env ())
 let json_out = ref false
 let pair_filter : (Spec.t * Spec.t) list option ref = ref None
 
@@ -100,10 +99,7 @@ let raw_pairs = ref "all"
 let full_ref = ref false
 let active_checkpoint = ref Checkpoint.disabled
 
-(* fleet subcommand state: sharding, corpus cut, daemon routing.  The
-   profile cache resolves through Settings (the fleet drives the verb
-   engine, which derives its own handles), so --cache/--no-cache are
-   tracked as a cache_dir override here. *)
+(* fleet subcommand state: sharding, corpus cut, daemon routing *)
 let fleet_shards = ref 1
 let fleet_shard = ref 0
 let fleet_limit : int option ref = ref None
@@ -111,15 +107,13 @@ let fleet_size = ref 1
 let fleet_server : string option ref = ref None
 let fleet_out : string option ref = ref None
 let fleet_repair = ref false
-let cache_dir_override : string option option ref = ref None
 
-let checkpoint_for (figure : string) : Checkpoint.t =
+let checkpoint_for ~(settings : Settings.t) (figure : string) : Checkpoint.t =
   if not !resume then Checkpoint.disabled
   else begin
     let id =
-      Checkpoint.run_id
-        ~sim_fuel:(Settings.current ()).Settings.sim_fuel
-        ~trace_blocks:(Settings.trace_blocks ())
+      Checkpoint.run_id ~sim_fuel:settings.sim_fuel
+        ~trace_blocks:settings.trace_blocks
         ~parts:
           [
             figure;
@@ -147,8 +141,8 @@ let finish_checkpoint () =
 
 (* chaos observability: how many faults were injected and recovered
    (the figures themselves must not change under any fault spec) *)
-let chaos_report () =
-  if Fault.enabled () then begin
+let chaos_report ~(settings : Settings.t) =
+  if settings.fault <> None then begin
     say "[fault: %s]" (Fmt.str "%a" Fault.pp_tally (Fault.tally ()));
     say "[pool: %s]"
       (Fmt.str "%a" Hfuse_parallel.Pool.pp_tally (Hfuse_parallel.Pool.tally ()))
@@ -174,7 +168,7 @@ let instrumented f =
   say "[engine: %s]" (Fmt.str "%a" Gpusim.Timing.pp_engine_stats engine);
   (r, wall, engine)
 
-let write_json name ~wall ~engine rows =
+let write_json ~(settings : Settings.t) ~cache name ~wall ~engine rows =
   let open Report.Json in
   let j =
     Obj
@@ -182,8 +176,8 @@ let write_json name ~wall ~engine rows =
         ("bench", Str name);
         ("wall_s", Float wall);
         ("jobs", Int !jobs);
-        ("trace_blocks", Int (Settings.trace_blocks ()));
-        ("cache", Report.json_of_cache !cache);
+        ("trace_blocks", Int settings.trace_blocks);
+        ("cache", Report.json_of_cache cache);
         ("search", Report.json_of_search_stats (Runner.search_stats ()));
         ("trace_store", Report.json_of_trace_tally (Trace_store.tally ()));
         ("engine_stats", Report.json_of_engine_stats engine);
@@ -203,57 +197,62 @@ let write_json name ~wall ~engine rows =
 let multipliers ~full =
   if full then Experiment.default_multipliers else [ 0.5; 1.0; 2.0 ]
 
-let run_fig7 ~full () =
+let run_fig7 ~settings ~cache ~full () =
   section "Figure 7: speedup vs execution-time ratio (16 pairs x 2 GPUs)";
-  let checkpoint = checkpoint_for "fig7" in
+  let checkpoint = checkpoint_for ~settings "fig7" in
   let sweeps, wall, engine =
     instrumented (fun () ->
         timed_search "figure 7" (fun () ->
             Experiment.figure7 ~multipliers:(multipliers ~full) ~jobs:!jobs
-              ~cache:!cache ~checkpoint ?top_k:!top_k ?pairs:!pair_filter ()))
+              ~settings ~cache ~checkpoint ?top_k:!top_k ?pairs:!pair_filter
+              ()))
   in
   finish_checkpoint ();
   print_string (Report.figure7_to_string sweeps);
-  chaos_report ();
-  if !json_out then write_json "fig7" ~wall ~engine (Report.figure7_json sweeps)
+  chaos_report ~settings;
+  if !json_out then
+    write_json ~settings ~cache "fig7" ~wall ~engine
+      (Report.figure7_json sweeps)
 
-let run_fig8 () =
+let run_fig8 ~settings ~cache () =
   section "Figure 8: metrics of individual kernels";
-  let checkpoint = checkpoint_for "fig8" in
+  let checkpoint = checkpoint_for ~settings "fig8" in
   let rows, wall, engine =
     instrumented (fun () ->
         timed "figure 8" (fun () ->
-            Experiment.figure8 ~jobs:!jobs ~cache:!cache ~checkpoint ()))
+            Experiment.figure8 ~jobs:!jobs ~settings ~cache ~checkpoint ()))
   in
   finish_checkpoint ();
   print_string (Report.figure8_to_string rows);
-  chaos_report ();
-  if !json_out then write_json "fig8" ~wall ~engine (Report.figure8_json rows)
+  chaos_report ~settings;
+  if !json_out then
+    write_json ~settings ~cache "fig8" ~wall ~engine (Report.figure8_json rows)
 
-let run_fig9 () =
+let run_fig9 ~settings ~cache () =
   section "Figure 9: metrics of HFuse fused kernels (RegCap / N-RegCap)";
-  let checkpoint = checkpoint_for "fig9" in
+  let checkpoint = checkpoint_for ~settings "fig9" in
   let rows, wall, engine =
     instrumented (fun () ->
         timed_search "figure 9" (fun () ->
-            Experiment.figure9 ~jobs:!jobs ~cache:!cache ~checkpoint
+            Experiment.figure9 ~jobs:!jobs ~settings ~cache ~checkpoint
               ?top_k:!top_k ?pairs:!pair_filter ()))
   in
   finish_checkpoint ();
   print_string (Report.figure9_to_string rows);
-  chaos_report ();
-  if !json_out then write_json "fig9" ~wall ~engine (Report.figure9_json rows)
+  chaos_report ~settings;
+  if !json_out then
+    write_json ~settings ~cache "fig9" ~wall ~engine (Report.figure9_json rows)
 
 (* ------------------------------------------------------------------ *)
 (* Ablations (DESIGN.md E5)                                             *)
 (* ------------------------------------------------------------------ *)
 
-let run_ablation () =
+let run_ablation ~settings ~cache () =
   section "Ablation A: block-dispatch policy (why parallel streams lose)";
   (* the native baseline under the real FIFO Grid-Management-Unit policy
      vs an idealised backfilling distributor *)
   let arch = Gpusim.Arch.gtx1080ti in
-  let sizes = Experiment.representative_sizes ~cache:!cache arch in
+  let sizes = Experiment.representative_sizes ~settings ~cache arch in
   say "%-24s %14s %14s %9s" "pair" "FIFO (ms)" "Leftover (ms)" "overlap%";
   List.iter
     (fun (n1, n2) ->
@@ -262,7 +261,10 @@ let run_ablation () =
       let c1 = Runner.configure mem s1 ~size:(Experiment.size_of sizes s1) in
       let c2 = Runner.configure mem s2 ~size:(Experiment.size_of sizes s2) in
       let specs =
-        [ Runner.spec_of c1 ~stream:0 (); Runner.spec_of c2 ~stream:1 () ]
+        [
+          Runner.spec_of ~settings c1 ~stream:0 ();
+          Runner.spec_of ~settings c2 ~stream:1 ();
+        ]
       in
       let fifo = Gpusim.Timing.run ~policy:Gpusim.Timing.Fifo arch specs in
       let leftover =
@@ -288,8 +290,10 @@ let run_ablation () =
   let mem = Gpusim.Memory.create () in
   let c1 = Runner.configure mem s1 ~size:(Experiment.size_of sizes s1) in
   let c2 = Runner.configure mem s2 ~size:(Experiment.size_of sizes s2) in
-  let native = (Runner.native ~cache:!cache arch c1 c2).Gpusim.Timing.time_ms in
-  let sr = Runner.search ~jobs:!jobs ~cache:!cache arch c1 c2 in
+  let native =
+    (Runner.native ~settings ~cache arch c1 c2).Gpusim.Timing.time_ms
+  in
+  let sr = Runner.search ~jobs:!jobs ~settings ~cache arch c1 c2 in
   say "%-12s %-10s %12s %10s" "partition" "regbound" "time (ms)" "speedup%";
   List.iter
     (fun (cand : Hfuse_core.Search.candidate) ->
@@ -310,14 +314,13 @@ let run_ablation () =
 (* Fleet: corpus-scale sharded soak                                     *)
 (* ------------------------------------------------------------------ *)
 
-let run_fleet () =
+let run_fleet ~settings () =
   let module Fleet = Hfuse_fleet.Fleet in
   section
     (Printf.sprintf "Fleet: corpus-scale fusion-search soak (shard %d/%d)"
        !fleet_shard !fleet_shards);
   (* the fleet drives the verb engine, which derives cache/trace-store
-     handles from an explicit settings record *)
-  let settings = Settings.resolve ?cache_dir:!cache_dir_override () in
+     handles from the settings *)
   let progress_every = 25 in
   let on_row ~completed ~total (r : Fleet.row) =
     if r.Fleet.r_status <> "ok" then
@@ -425,7 +428,7 @@ let run_fleet () =
           say "%-12s %6d %6d %+8.1f%% %+8.1f%% %+8.1f%%" d (List.length dr)
             n arr.(0) median arr.(n - 1))
     domains;
-  chaos_report ();
+  chaos_report ~settings;
   if !json_out then begin
     let file = Printf.sprintf "BENCH_fleet.json" in
     let oc = open_out file in
@@ -438,7 +441,7 @@ let run_fleet () =
 (* Compiler micro-benchmarks (Bechamel)                                 *)
 (* ------------------------------------------------------------------ *)
 
-let run_micro () =
+let run_micro ~settings () =
   section "Compiler micro-benchmarks (Bechamel; one Test.make per stage)";
   let open Bechamel in
   let open Toolkit in
@@ -455,7 +458,10 @@ let run_micro () =
     let mem = Gpusim.Memory.create () in
     let c1 = Runner.configure mem bn ~size:32 in
     let c2 = Runner.configure mem hist ~size:32 in
-    [ Runner.spec_of c1 ~stream:0 (); Runner.spec_of c2 ~stream:1 () ]
+    [
+      Runner.spec_of ~settings c1 ~stream:0 ();
+      Runner.spec_of ~settings c2 ~stream:1 ();
+    ]
   in
   let tests =
     [
@@ -523,10 +529,14 @@ let run_micro () =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  (try Fault.from_env ()
-   with Fault.Invalid_spec msg ->
-     Printf.eprintf "bench: %s\n" msg;
-     exit 2);
+  (* the run's one settings value: the environment, then the flags *)
+  let settings =
+    ref
+      (try Settings.resolve ()
+       with Fault.Invalid_spec msg ->
+         Printf.eprintf "bench: %s\n" msg;
+         exit 2)
+  in
   Sys.catch_break true;
   let args = Array.to_list Sys.argv |> List.tl in
   let full = List.mem "--full" args in
@@ -542,26 +552,18 @@ let () =
             exit 2);
         parse_flags rest
     | "--cache" :: rest ->
-        cache :=
-          Hfuse_profiler.Profile_cache.create
-            ?dir:(Sys.getenv_opt "HFUSE_CACHE_DIR") ();
-        cache_dir_override :=
-          Some
-            (Some
-               (Option.value
-                  (Sys.getenv_opt "HFUSE_CACHE_DIR")
-                  ~default:Hfuse_profiler.Profile_cache.default_dir));
+        settings :=
+          { !settings with cache_dir = Some (Settings.cache_root ()) };
         parse_flags rest
     | "--no-cache" :: rest ->
-        cache := Hfuse_profiler.Profile_cache.disabled ();
-        cache_dir_override := Some None;
+        settings := { !settings with cache_dir = None };
         parse_flags rest
     | "--json" :: rest ->
         json_out := true;
         parse_flags rest
     | "--trace-blocks" :: n :: rest ->
         (match int_of_string_opt n with
-        | Some n when n >= 1 -> Settings.set_trace_blocks n
+        | Some n when n >= 1 -> settings := { !settings with trace_blocks = n }
         | _ ->
             Printf.eprintf
               "bench: --trace-blocks expects a positive integer, got %s\n" n;
@@ -597,9 +599,9 @@ let () =
             exit 2);
         parse_flags rest
     | "--fault" :: spec :: rest ->
-        (match Fault.configure spec with
-        | Ok () -> ()
-        | Error msg ->
+        (match Fault.plan_of_spec spec with
+        | fault -> settings := { !settings with fault }
+        | exception Fault.Invalid_spec msg ->
             Printf.eprintf "bench: --fault: %s\n" msg;
             exit 2);
         parse_flags rest
@@ -644,21 +646,24 @@ let () =
     | [] -> []
   in
   let args = parse_flags args in
+  let settings = !settings in
+  (* one cache handle for the whole run, so its counters span figures *)
+  let cache = Settings.cache settings in
   let t0 = Unix.gettimeofday () in
   (try
      match args with
      | [] ->
-         run_fig8 ();
-         run_fig9 ();
-         run_fig7 ~full ();
-         run_ablation ();
-         run_micro ()
-     | [ "fig7" ] -> run_fig7 ~full ()
-     | [ "fig8" ] -> run_fig8 ()
-     | [ "fig9" ] -> run_fig9 ()
-     | [ "ablation" ] -> run_ablation ()
-     | [ "micro" ] -> run_micro ()
-     | [ "fleet" ] -> run_fleet ()
+         run_fig8 ~settings ~cache ();
+         run_fig9 ~settings ~cache ();
+         run_fig7 ~settings ~cache ~full ();
+         run_ablation ~settings ~cache ();
+         run_micro ~settings ()
+     | [ "fig7" ] -> run_fig7 ~settings ~cache ~full ()
+     | [ "fig8" ] -> run_fig8 ~settings ~cache ()
+     | [ "fig9" ] -> run_fig9 ~settings ~cache ()
+     | [ "ablation" ] -> run_ablation ~settings ~cache ()
+     | [ "micro" ] -> run_micro ~settings ()
+     | [ "fleet" ] -> run_fleet ~settings ()
      | other ->
          Printf.eprintf
            "unknown arguments: %s\n\

@@ -52,6 +52,18 @@ let info_of_file path ~block ~grid ~smem_dynamic ~regs : Hfuse_core.Kernel_info.
 
 module Ops = Hfuse_serve.Ops
 module Protocol = Hfuse_serve.Protocol
+module Settings = Hfuse_profiler.Settings
+
+(* The run's one settings value: the flags given, the environment for
+   the rest.  Exit-code policy lives here, not in the library: a
+   malformed HFUSE_FAULT raises [Invalid_spec], and only the CLI turns
+   it into the usage exit, before any work (a daemon maps it to an
+   error response instead). *)
+let settings ?trace_blocks ?cache_dir ?fault () =
+  try Settings.resolve ?trace_blocks ?cache_dir ?fault ()
+  with Hfuse_fault.Fault.Invalid_spec msg ->
+    Printf.eprintf "hfuse: %s\n" msg;
+    exit 2
 
 let kernel_src_of_file path ~block ~smem ~regs : Ops.kernel_src =
   { Ops.ks_path = path; ks_source = read_file path; ks_block = block;
@@ -65,18 +77,14 @@ let finish (o : Ops.outcome) =
   if o.Ops.exit_code <> 0 then exit o.Ops.exit_code
 
 (* When HFUSE_SERVER names a daemon socket, route the verb there with
-   the CLI's effective settings (the installed fault plan travels as a
-   spec string); otherwise run in process.  Both paths execute the same
-   [Ops] body, so the bytes on stdout are identical either way. *)
-let route ?settings (params : Ops.request_params) : Ops.outcome =
+   the CLI's settings (the fault plan travels as a spec string);
+   otherwise run in process.  Both paths execute the same [Ops] body
+   under the same settings, so the bytes on stdout are identical either
+   way. *)
+let route ~settings (params : Ops.request_params) : Ops.outcome =
   match Hfuse_serve.Client.default_socket () with
-  | None -> Ops.run ?settings params
+  | None -> Ops.run ~settings params
   | Some socket -> (
-      let settings =
-        match settings with
-        | Some s -> s
-        | None -> Hfuse_profiler.Settings.current ()
-      in
       let req =
         { Protocol.id = "cli"; priority = 0;
           settings = Protocol.spec_of_settings settings;
@@ -124,15 +132,14 @@ let jobs_arg =
 (* --trace-blocks N widens the per-launch traced-block count (default 1,
    or the HFUSE_TRACE_BLOCKS environment) *)
 let trace_blocks_arg =
-  let set = function
-    | None -> ()
-    | Some n when n >= 1 -> Hfuse_profiler.Settings.set_trace_blocks n
-    | Some n ->
+  let check = function
+    | Some n when n < 1 ->
         Printf.eprintf "hfuse: --trace-blocks expects N >= 1, got %d\n" n;
         exit 2
+    | tb -> tb
   in
   Term.(
-    const set
+    const check
     $ Arg.(
         value
         & opt (some int) None
@@ -144,9 +151,9 @@ let trace_blocks_arg =
 
 (* --cache / --no-cache override the HFUSE_CACHE / HFUSE_CACHE_DIR
    environment; with neither flag nor environment, the cache is off.
-   Resolves to a cache *root*, not a handle: the root goes into the
-   per-request settings record (and over the wire when routed), and
-   the verb body opens its own handle from it. *)
+   Resolves to a cache-root override ([None]: no flag), not a handle:
+   the root goes into the run's settings (and over the wire when
+   routed), and the verb body opens its own handle from it. *)
 let cache_dir_arg =
   let use =
     Arg.(
@@ -163,31 +170,25 @@ let cache_dir_arg =
           ~doc:"Disable the persistent profiling cache, overriding the \
                 environment.")
   in
-  let resolve use no : string option =
-    if no then None
-    else if use then
-      Some
-        (Option.value
-           (Sys.getenv_opt "HFUSE_CACHE_DIR")
-           ~default:Hfuse_profiler.Profile_cache.default_dir)
-    else Hfuse_profiler.Profile_cache.env_dir ()
+  let resolve use no : string option option =
+    if no then Some None
+    else if use then Some (Some (Settings.cache_root ()))
+    else None
   in
   Term.(const resolve $ use $ no)
 
 (* --fault SPEC arms the deterministic chaos harness (overrides the
    HFUSE_FAULT environment); malformed specs abort before any work *)
 let fault_arg =
-  let set = function
-    | None -> ()
-    | Some spec -> (
-        match Hfuse_fault.Fault.configure spec with
-        | Ok () -> ()
-        | Error msg ->
-            Printf.eprintf "hfuse: --fault: %s\n" msg;
-            exit 2)
+  let parse =
+    Option.map (fun spec ->
+        try Hfuse_fault.Fault.plan_of_spec spec
+        with Hfuse_fault.Fault.Invalid_spec msg ->
+          Printf.eprintf "hfuse: --fault: %s\n" msg;
+          exit 2)
   in
   Term.(
-    const set
+    const parse
     $ Arg.(
         value
         & opt (some string) None
@@ -257,7 +258,7 @@ let prune_id_part = function
 let fuse_cmd =
   let run f1 f2 d1 d2 smem1 smem2 regs1 regs2 grid =
     finish
-      (route
+      (route ~settings:(settings ())
          (Ops.Fuse
             {
               f_k1 = kernel_src_of_file f1 ~block:d1 ~smem:smem1 ~regs:regs1;
@@ -301,7 +302,7 @@ let vfuse_cmd =
 let check_cmd =
   let run arch f1 f2 d1 d2 smem1 smem2 regs1 regs2 grid repair =
     finish
-      (route
+      (route ~settings:(settings ())
          (Ops.Check
             {
               c_arch = arch;
@@ -467,9 +468,10 @@ let size_arg flag_name =
     & info [ flag_name ] ~docv:"N" ~doc:"Workload size (default: representative).")
 
 let simulate_cmd =
-  let run arch (spec : Kernel_corpus.Spec.t) size validate engine_stats () =
+  let run arch (spec : Kernel_corpus.Spec.t) size validate engine_stats
+      trace_blocks =
     finish
-      (route
+      (route ~settings:(settings ?trace_blocks ())
          (Ops.Simulate
             {
               m_arch = arch;
@@ -502,24 +504,23 @@ let simulate_cmd =
 
 let search_cmd =
   let run arch (s1 : Kernel_corpus.Spec.t) (s2 : Kernel_corpus.Spec.t) size1
-      size2 emit jobs cache_dir resume top_k repair () () =
-    (* the per-request settings record: one env/flag capture up front,
-       threaded explicitly (and shipped to the daemon when routed) *)
-    let settings = Hfuse_profiler.Settings.resolve ~cache_dir () in
+      size2 emit jobs cache_dir resume top_k repair fault trace_blocks =
+    (* one env/flag capture up front, threaded explicitly (and shipped
+       to the daemon when routed) *)
+    let settings = settings ?trace_blocks ?cache_dir ?fault () in
     let checkpoint =
       if not resume then Hfuse_profiler.Checkpoint.disabled
       else
         (* the journal's identity needs the resolved sizes *)
         let size1, size2 =
-          Hfuse_profiler.Experiment.pair_sizes
-            ~cache:(Hfuse_profiler.Settings.cache settings)
+          Hfuse_profiler.Experiment.pair_sizes ~settings
+            ~cache:(Settings.cache settings)
             ~checkpoint:Hfuse_profiler.Checkpoint.disabled arch (s1, size1)
             (s2, size2)
         in
         let id =
-          Hfuse_profiler.Checkpoint.run_id
-            ~sim_fuel:settings.Hfuse_profiler.Settings.sim_fuel
-            ~trace_blocks:settings.Hfuse_profiler.Settings.trace_blocks
+          Hfuse_profiler.Checkpoint.run_id ~sim_fuel:settings.Settings.sim_fuel
+            ~trace_blocks:settings.Settings.trace_blocks
             ~parts:
               ([
                  "search"; arch.Gpusim.Arch.name; s1.name;
@@ -600,11 +601,11 @@ let search_cmd =
    simulated `search` of the same pair. *)
 let model_cmd =
   let run arch (s1 : Kernel_corpus.Spec.t) (s2 : Kernel_corpus.Spec.t) size1
-      size2 () =
+      size2 trace_blocks =
     let size1, size2 =
-      let settings = Hfuse_profiler.Settings.current () in
-      Hfuse_profiler.Experiment.pair_sizes
-        ~cache:(Hfuse_profiler.Settings.cache settings)
+      let settings = settings ?trace_blocks () in
+      Hfuse_profiler.Experiment.pair_sizes ~settings
+        ~cache:(Settings.cache settings)
         ~checkpoint:Hfuse_profiler.Checkpoint.disabled arch (s1, size1)
         (s2, size2)
     in
@@ -832,10 +833,15 @@ let fuzz_cmd =
 (* -- serve -------------------------------------------------------------- *)
 
 let serve_cmd =
-  let run socket jobs queue_limit () =
+  let run socket jobs queue_limit fault =
     match
       Hfuse_serve.Server.create
-        { Hfuse_serve.Server.socket_path = socket; jobs; queue_limit }
+        {
+          Hfuse_serve.Server.socket_path = socket;
+          jobs;
+          queue_limit;
+          settings = settings ?fault ();
+        }
     with
     | exception Failure msg ->
         Printf.eprintf "hfuse: serve: %s\n" msg;
@@ -940,13 +946,6 @@ let client_cmd =
 (* -- main --------------------------------------------------------------- *)
 
 let () =
-  (* exit-code policy lives here, not in the library: a malformed
-     HFUSE_FAULT raises [Invalid_spec], and only the CLI turns it into
-     the usage exit (a daemon maps it to an error response instead) *)
-  (try Hfuse_fault.Fault.from_env ()
-   with Hfuse_fault.Fault.Invalid_spec msg ->
-     Printf.eprintf "hfuse: %s\n" msg;
-     exit 2);
   Sys.catch_break true;
   let doc = "automatic horizontal fusion for GPU kernels (CGO 2022)" in
   exit

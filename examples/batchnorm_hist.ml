@@ -14,23 +14,24 @@ open Kernel_corpus
 open Hfuse_profiler
 
 let () =
+  let settings = Settings.resolve () in
   let bn = Registry.find_exn "Batchnorm" and hist = Registry.find_exn "Hist" in
   List.iter
     (fun arch ->
       Printf.printf "=== %s ===\n%!" arch.Gpusim.Arch.name;
       (* representative workload: execution-time ratio close to 1 *)
-      let sizes = Experiment.representative_sizes arch in
+      let sizes = Experiment.representative_sizes ~settings arch in
       let mem = Gpusim.Memory.create () in
       let c1 = Runner.configure mem bn ~size:(Experiment.size_of sizes bn) in
       let c2 = Runner.configure mem hist ~size:(Experiment.size_of sizes hist) in
-      let t1 = (Runner.solo arch c1).Gpusim.Timing.time_ms in
-      let t2 = (Runner.solo arch c2).Gpusim.Timing.time_ms in
+      let t1 = (Runner.solo ~settings arch c1).Gpusim.Timing.time_ms in
+      let t2 = (Runner.solo ~settings arch c2).Gpusim.Timing.time_ms in
       Printf.printf "solo: batchnorm %.4f ms, hist %.4f ms (ratio %.2f)\n%!"
         t1 t2 (t1 /. t2);
-      let native = (Runner.native arch c1 c2).Gpusim.Timing.time_ms in
+      let native = (Runner.native ~settings arch c1 c2).Gpusim.Timing.time_ms in
       Printf.printf "native (parallel streams): %.4f ms\n%!" native;
       (* the Fig. 6 search, profiling each candidate on the simulator *)
-      let sr = Runner.search arch c1 c2 in
+      let sr = Runner.search ~settings arch c1 c2 in
       List.iter
         (fun (cand : Hfuse_core.Search.candidate) ->
           Printf.printf "  candidate %4d/%-4d %-12s %.4f ms (%+.1f%%)\n%!"
@@ -62,7 +63,7 @@ let () =
     Gpusim.Arch.all;
   (* functional check at the paper's 1080Ti partition *)
   match
-    Runner.validate_hfuse (Registry.find_exn "Batchnorm") ~size1:2
+    Runner.validate_hfuse ~settings (Registry.find_exn "Batchnorm") ~size1:2
       (Registry.find_exn "Hist") ~size2:2 ~d1:896 ~d2:128
   with
   | Ok () -> print_endline "fused 896/128 kernel validated against host references"

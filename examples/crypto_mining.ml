@@ -11,6 +11,7 @@ open Kernel_corpus
 open Hfuse_profiler
 
 let () =
+  let settings = Settings.resolve () in
   let arch = Gpusim.Arch.gtx1080ti in
   Printf.printf "dual-mining on the simulated %s\n\n%!" arch.Gpusim.Arch.name;
   Printf.printf "%-22s %10s %10s %9s %10s\n" "pair" "native ms" "fused ms"
@@ -23,8 +24,8 @@ let () =
          done anyway *)
       let c1 = Runner.configure mem s1 ~size:2 in
       let c2 = Runner.configure mem s2 ~size:2 in
-      let native = (Runner.native arch c1 c2).Gpusim.Timing.time_ms in
-      let sr = Runner.search arch c1 c2 in
+      let native = (Runner.native ~settings arch c1 c2).Gpusim.Timing.time_ms in
+      let sr = Runner.search ~settings arch c1 c2 in
       let best = sr.Hfuse_core.Search.best in
       let fused_ms = best.Hfuse_core.Search.time in
       (* total hashes of both kernels per millisecond of fused execution *)
@@ -47,7 +48,7 @@ let () =
      matching the paper's Fig. 7 crypto rows.";
   (* correctness spot check *)
   match
-    Runner.validate_hfuse (Registry.find_exn "Ethash") ~size1:1
+    Runner.validate_hfuse ~settings (Registry.find_exn "Ethash") ~size1:1
       (Registry.find_exn "Blake256") ~size2:1 ~d1:128 ~d2:256
   with
   | Ok () -> print_endline "fused Ethash+Blake256 validated against host references"

@@ -58,10 +58,11 @@ let () =
         Hfuse_profiler.Runner.configure mem2 s ~size:4)
       picks
   in
+  let settings = Hfuse_profiler.Settings.resolve () in
   let native =
     Timing.run arch
       (List.mapi
-         (fun i c -> Hfuse_profiler.Runner.spec_of c ~stream:i ())
+         (fun i c -> Hfuse_profiler.Runner.spec_of ~settings c ~stream:i ())
          confs)
   in
   let finfo = Hfuse_core.Hfuse.info m.fused in

@@ -18,14 +18,15 @@ let () =
     | [| _; a; b |] -> (a, b)
     | _ -> ("Batchnorm", "Hist")
   in
+  let settings = Settings.resolve () in
   let s1 = Registry.find_exn name1 and s2 = Registry.find_exn name2 in
   let arch = Gpusim.Arch.gtx1080ti in
   let lim = Gpusim.Arch.sm_limits arch in
-  let sizes = Experiment.representative_sizes arch in
+  let sizes = Experiment.representative_sizes ~settings arch in
   let mem = Gpusim.Memory.create () in
   let c1 = Runner.configure mem s1 ~size:(Experiment.size_of sizes s1) in
   let c2 = Runner.configure mem s2 ~size:(Experiment.size_of sizes s2) in
-  let native = (Runner.native arch c1 c2).Gpusim.Timing.time_ms in
+  let native = (Runner.native ~settings arch c1 c2).Gpusim.Timing.time_ms in
   Printf.printf "%s + %s on %s (native: %.4f ms)\n\n" name1 name2
     arch.Gpusim.Arch.name native;
   Printf.printf "%-10s %7s %6s %6s | %12s | %12s %8s\n" "partition" "regs"
@@ -49,7 +50,7 @@ let () =
              ~threads:(d1 + d2) ~smem
       in
       let t_none =
-        (Runner.hfuse_report arch c1 c2 fused ~reg_bound:None)
+        (Runner.hfuse_report ~settings arch c1 c2 fused ~reg_bound:None)
           .Gpusim.Timing.time_ms
       in
       let r0 =
@@ -59,7 +60,7 @@ let () =
       let t_r0 =
         Option.map
           (fun r ->
-            (Runner.hfuse_report arch c1 c2 fused ~reg_bound:(Some r))
+            (Runner.hfuse_report ~settings arch c1 c2 fused ~reg_bound:(Some r))
               .Gpusim.Timing.time_ms)
           r0
       in

@@ -7,10 +7,10 @@
    on every run, at any [-j], in any interleaving.  No wall clock and
    no global PRNG anywhere.
 
-   The plan and the tallies are process-wide: the plan is installed
-   once at startup (before worker domains exist) and read-only after;
-   tallies are [Atomic] counters so injection points on worker domains
-   can note faults without locks. *)
+   A plan is a value the caller passes to every draw ([?plan]; omitted
+   means no faults).  The tallies are process-wide [Atomic] counters,
+   so injection points on worker domains can note faults without
+   locks. *)
 
 type kind = Worker_crash | Cache_corrupt | Sim_hang
 
@@ -39,8 +39,6 @@ let () =
 
 type plan = { seed : int; rates : float array (* indexed by kind_index *) }
 
-let installed_plan : plan option Atomic.t = Atomic.make None
-
 (* ------------------------------------------------------------------ *)
 (* Spec parsing                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -51,56 +49,37 @@ let kind_of_name = function
   | "sim_hang" -> Some Sim_hang
   | _ -> None
 
-let parse (spec : string) : (plan option, string) result =
+let plan_of_spec (spec : string) : plan option =
+  let bad fmt = Printf.ksprintf (fun msg -> raise (Invalid_spec msg)) fmt in
   let spec = String.trim spec in
-  if spec = "" then Ok None
+  if spec = "" then None
   else
     let rates = Array.make nkinds 0.0 in
     let seed = ref 1 in
     let entry e =
       match String.index_opt e ':' with
-      | None -> Error (Printf.sprintf "expected kind:rate, got %S" e)
+      | None -> bad "expected kind:rate, got %S" e
       | Some i -> (
           let name = String.trim (String.sub e 0 i) in
           let v = String.trim (String.sub e (i + 1) (String.length e - i - 1)) in
-          match name with
-          | "seed" -> (
+          match (name, kind_of_name name) with
+          | "seed", _ -> (
               match int_of_string_opt v with
-              | Some s ->
-                  seed := s;
-                  Ok ()
-              | None -> Error (Printf.sprintf "seed expects an integer, got %S" v))
-          | _ -> (
-              match kind_of_name name with
-              | None -> Error (Printf.sprintf "unknown fault kind %S" name)
-              | Some k -> (
-                  match float_of_string_opt v with
-                  | Some r when r >= 0.0 && r <= 1.0 ->
-                      rates.(kind_index k) <- r;
-                      Ok ()
-                  | _ ->
-                      Error
-                        (Printf.sprintf "rate for %s must be in [0, 1], got %S"
-                           name v))))
+              | Some s -> seed := s
+              | None -> bad "seed expects an integer, got %S" v)
+          | _, None -> bad "unknown fault kind %S" name
+          | _, Some k -> (
+              match float_of_string_opt v with
+              | Some r when r >= 0.0 && r <= 1.0 -> rates.(kind_index k) <- r
+              | _ -> bad "rate for %s must be in [0, 1], got %S" name v))
     in
-    let rec go = function
-      | [] -> Ok (Some { seed = !seed; rates })
-      | e :: rest -> ( match entry e with Ok () -> go rest | Error _ as err -> err)
-    in
-    go (List.filter (fun s -> String.trim s <> "") (String.split_on_char ',' spec))
-
-(* [plan_of_spec] is the request-scoped entry point: it never touches
-   the installed process plan, so concurrent requests can each carry
-   their own plan without clobbering one another. *)
-let plan_of_spec spec =
-  match parse spec with Ok p -> p | Error msg -> raise (Invalid_spec msg)
-
-let install p = Atomic.set installed_plan p
-let installed () = Atomic.get installed_plan
+    List.iter entry
+      (List.filter (fun s -> String.trim s <> "") (String.split_on_char ',' spec));
+    Some { seed = !seed; rates }
 
 (* Round-trips through {!plan_of_spec}: rates print with enough digits
-   to reparse exactly, so a client can ship its installed plan to a
-   server verbatim. *)
+   to reparse exactly, so a client can ship its plan to a server
+   verbatim. *)
 let to_spec (p : plan) : string =
   let parts =
     List.filter_map
@@ -112,33 +91,10 @@ let to_spec (p : plan) : string =
   in
   String.concat "," (parts @ [ "seed:" ^ string_of_int p.seed ])
 
-let configure spec =
-  match parse spec with
-  | Ok p ->
-      install p;
-      Ok ()
-  | Error _ as e -> e
-
-let from_env () =
-  match Sys.getenv_opt "HFUSE_FAULT" with
-  | None -> ()
-  | Some spec -> (
-      match configure spec with
-      | Ok () -> ()
-      | Error msg -> raise (Invalid_spec ("HFUSE_FAULT: " ^ msg)))
-
-let clear () = install None
-
-(* An explicitly passed [?plan] wins; omitted falls back to the
-   installed process plan — the one-shot default. *)
-let effective = function
-  | Some _ as p -> p
-  | None -> Atomic.get installed_plan
-
-let enabled ?plan () = effective plan <> None
+let enabled ?plan () = plan <> None
 
 let rate ?plan k =
-  match effective plan with
+  match plan with
   | None -> 0.0
   | Some p -> p.rates.(kind_index k)
 
@@ -164,7 +120,7 @@ let uniform ~(seed : int) ~(salt : int) ~(key : int) : float =
   Int64.to_float (Int64.shift_right_logical h 11) *. 0x1p-53
 
 let fires ?plan k ~key =
-  match effective plan with
+  match plan with
   | None -> false
   | Some p ->
       let r = p.rates.(kind_index k) in
@@ -177,7 +133,7 @@ let fresh_key k = Atomic.fetch_and_add key_seq.(kind_index k) 1
    to 100% seed-mixed jitter so simultaneous retries de-correlate —
    still a pure function of (key, attempt). *)
 let jitter ?plan ~key ~attempt () =
-  let seed = match effective plan with None -> 0 | Some p -> p.seed in
+  let seed = match plan with None -> 0 | Some p -> p.seed in
   let base = 0.0005 *. Float.of_int (1 lsl min attempt 6) in
   base *. (1.0 +. uniform ~seed ~salt:100 ~key:(mix key attempt))
 

@@ -29,53 +29,30 @@ val kind_name : kind -> string
     (quarantined cache entry). *)
 exception Injected of kind
 
-(** A malformed fault spec.  Raised by {!plan_of_spec} and {!from_env}
-    instead of exiting: library code never kills its host process.  A
-    daemon maps it to one failed request; the CLIs map it to exit 2. *)
+(** A malformed fault spec.  Raised by {!plan_of_spec} instead of
+    exiting: library code never kills its host process.  A daemon maps
+    it to one failed request; the CLIs map it to exit 2. *)
 exception Invalid_spec of string
 
-(** A parsed fault plan: per-kind rates plus a campaign seed.  Beyond
-    the single installed process plan, plans are first-class so a
-    long-lived server can thread one per request ([?plan] on the draw
-    functions below) without concurrent requests clobbering each
-    other's configuration. *)
+(** A parsed fault plan: per-kind rates plus a campaign seed.  There is
+    no process-wide plan: callers pass one to every draw ([?plan] on
+    the functions below; omitted means no faults), so a long-lived
+    server threads one per request without concurrent requests
+    clobbering each other's configuration. *)
 type plan
 
-(** [plan_of_spec spec] parses a spec without installing it.  [spec] is
-    a comma-separated [kind:rate] list, e.g.
-    ["worker_crash:0.05,cache_corrupt:0.1,sim_hang:0.02"], optionally
+(** [plan_of_spec spec] parses a spec: a comma-separated [kind:rate]
+    list, e.g. ["worker_crash:0.05,cache_corrupt:0.1,sim_hang:0.02"], optionally
     with a [seed:N] entry (default seed 1).  Rates must be in [0, 1].
     [None] for an empty spec (no faults).
     @raise Invalid_spec on a malformed spec. *)
 val plan_of_spec : string -> plan option
 
 (** Render a plan as a spec string that {!plan_of_spec} reparses to an
-    equal plan — how a client ships its installed plan to a server. *)
+    equal plan — how a client ships its plan to a server. *)
 val to_spec : plan -> string
 
-(** Install a plan as the process default ([None] clears it). *)
-val install : plan option -> unit
-
-(** The installed process plan, if any. *)
-val installed : unit -> plan option
-
-(** [configure spec] parses and installs a fault plan (spec syntax as
-    {!plan_of_spec}).  An empty spec clears the plan. *)
-val configure : string -> (unit, string) result
-
-(** Install a plan from the [HFUSE_FAULT] environment variable, if set
-    (same syntax as {!configure}).
-    @raise Invalid_spec on a malformed value, so CI never silently
-    runs fault-free — the CLI entry points map it to exit 2. *)
-val from_env : unit -> unit
-
-(** Remove the installed plan: all draws stop firing. *)
-val clear : unit -> unit
-
-(** Whether a fault plan is in force.  An explicit [?plan] is
-    consulted instead of the installed process plan — the same
-    convention as every draw function below: the installed plan is
-    only the one-shot default. *)
+(** Whether a fault plan is in force: [plan] was given. *)
 val enabled : ?plan:plan -> unit -> bool
 
 (** Configured rate for a kind (0 when unconfigured or disabled). *)

@@ -70,7 +70,7 @@ type config = {
   on_row : completed:int -> total:int -> row -> unit;
 }
 
-let default_config () : config =
+let default_config (settings : Settings.t) : config =
   {
     arch = Gpusim.Arch.gtx1080ti;
     shards = 1;
@@ -83,7 +83,7 @@ let default_config () : config =
     via_server = None;
     resume = false;
     out_dir = None;
-    settings = Settings.current ();
+    settings;
     on_row = (fun ~completed:_ ~total:_ _ -> ());
   }
 

@@ -50,8 +50,9 @@ type config = {
   on_row : completed:int -> total:int -> row -> unit;  (** progress *)
 }
 
-val default_config : unit -> config
-(** One shard of everything, serial, size 1, no resume, env settings. *)
+val default_config : Hfuse_profiler.Settings.t -> config
+(** One shard of everything, serial, size 1, no resume, under the given
+    settings. *)
 
 type result = {
   rows : row list;  (** this shard's rows, ascending index *)

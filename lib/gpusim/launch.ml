@@ -35,15 +35,9 @@ let fail fmt = Fmt.kstr (fun s -> raise (Launch_error s)) fmt
 
 (* Per-launch watchdog budget: interpreter loop iterations per warp.
    3M covers every corpus workload by orders of magnitude while still
-   tripping on genuinely runaway kernels in seconds; [HFUSE_SIM_FUEL]
-   tunes the process default, [?loop_fuel] overrides per launch. *)
-let default_loop_fuel =
-  match Sys.getenv_opt "HFUSE_SIM_FUEL" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n > 0 -> n
-      | _ -> 3_000_000)
-  | None -> 3_000_000
+   tripping on genuinely runaway kernels in seconds; [?loop_fuel]
+   overrides it per launch (the profiler passes its settings' fuel). *)
+let default_loop_fuel = 3_000_000
 
 (* An injected hang shrinks the budget to a token amount instead of
    looping: the watchdog then trips exactly as it would on a real
@@ -246,9 +240,8 @@ let launch ?fault ?(loop_fuel = default_loop_fuel) (mem : Memory.t)
      hung kernel by collapsing the fuel budget; the resulting watchdog
      trip is re-raised as the transient [Fault.Injected Sim_hang] so
      retry layers can distinguish it from a real runaway kernel.  The
-     draw consults the caller's plan when one is threaded through
-     ([?fault], e.g. one server request's plan), falling back to the
-     installed process plan. *)
+     draw consults the caller's plan ([?fault], e.g. one server
+     request's); without one nothing is injected. *)
   let injected_hang =
     Hfuse_fault.Fault.(
       enabled ?plan:fault ()

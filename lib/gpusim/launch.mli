@@ -18,7 +18,9 @@ exception Launch_error of string
     can record the diagnostic and degrade gracefully. *)
 exception Sim_timeout of { kernel : string; fuel : int; block : int }
 
-(** Default per-warp loop-fuel budget: 3,000,000, or [HFUSE_SIM_FUEL]. *)
+(** Default per-warp loop-fuel budget: 3,000,000 interpreter loop
+    iterations.  The profiler passes its settings' fuel instead
+    ([Settings.sim_fuel], seeded by [HFUSE_SIM_FUEL]). *)
 val default_loop_fuel : int
 
 type config = {
@@ -52,9 +54,9 @@ val static_shared_bytes : Cuda.Ast.stmt list -> int
 
 (** Launch [fn] (normalised internally) over the grid; [args] bind the
     kernel parameters positionally.  [loop_fuel] defaults to
-    {!default_loop_fuel}.  [fault] scopes chaos-injection draws
-    ([sim_hang]) to an explicit plan — e.g. one server request's —
-    instead of the installed process plan.
+    {!default_loop_fuel}.  [fault] is the chaos plan for this launch's
+    [sim_hang] draw — e.g. one server request's; omitted, nothing is
+    injected.
     @raise Deadlock on unsatisfiable barriers.
     @raise Launch_error on bad geometry or argument counts.
     @raise Interp.Exec_error on runtime faults in the kernel.

@@ -121,7 +121,6 @@ let int64_cells = write 8 Ctype.ULong (fun x -> Value.ULong x)
 
 let store_floats data (xs : float array) = float_cells data 0 xs
 let store_int32s data (xs : int32 array) = int32_cells data 0 xs
-let store_int64s data (xs : int64 array) = int64_cells data 0 xs
 
 let fill_floats (t : t) (p : Value.ptr) (xs : float array) : unit =
   float_cells (buffer t p.Value.buf) p.Value.off xs

@@ -41,7 +41,6 @@ val store_bytes : Bytes.t -> int -> Cuda.Ctype.t -> Value.t -> unit
 val store_floats : Bytes.t -> float array -> unit
 
 val store_int32s : Bytes.t -> int32 array -> unit
-val store_int64s : Bytes.t -> int64 array -> unit
 
 (** Host-side helpers. *)
 val fill_floats : t -> Value.ptr -> float array -> unit

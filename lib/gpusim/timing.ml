@@ -138,28 +138,6 @@ type engine_stats = {
   warp_reuses : int;  (** warp records recycled from the free list *)
 }
 
-let empty_stats =
-  {
-    cycles_stepped = 0;
-    cycles_skipped = 0;
-    sm_steps = 0;
-    sm_steps_skipped = 0;
-    scan_skip_hits = 0;
-    warp_allocs = 0;
-    warp_reuses = 0;
-  }
-
-let add_stats a b =
-  {
-    cycles_stepped = a.cycles_stepped + b.cycles_stepped;
-    cycles_skipped = a.cycles_skipped + b.cycles_skipped;
-    sm_steps = a.sm_steps + b.sm_steps;
-    sm_steps_skipped = a.sm_steps_skipped + b.sm_steps_skipped;
-    scan_skip_hits = a.scan_skip_hits + b.scan_skip_hits;
-    warp_allocs = a.warp_allocs + b.warp_allocs;
-    warp_reuses = a.warp_reuses + b.warp_reuses;
-  }
-
 (* process-wide accumulator; [run] may execute on pool worker domains,
    hence atomics rather than a plain mutable record *)
 let cum_cycles_stepped = Atomic.make 0

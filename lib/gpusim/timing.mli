@@ -85,8 +85,6 @@ type engine_stats = {
   warp_reuses : int;  (** warp records recycled from the free list *)
 }
 
-val empty_stats : engine_stats
-val add_stats : engine_stats -> engine_stats -> engine_stats
 val pp_engine_stats : Format.formatter -> engine_stats -> unit
 
 (** Instructions between injected local-memory round trips for a

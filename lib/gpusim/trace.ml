@@ -43,21 +43,6 @@ let fold f acc t =
   iter (fun i -> acc := f !acc i) t;
   !acc
 
-(* Packed variants: no [Instr.t] materialisation — replay-rate consumers
-   (the timing engine, mix/cost scans) match on (code, payload) directly. *)
-
-let iter_packed f t =
-  for i = 0 to t.len - 1 do
-    f t.codes.(i) t.payloads.(i)
-  done
-
-let fold_packed f acc t =
-  let acc = ref acc in
-  for i = 0 to t.len - 1 do
-    acc := f !acc t.codes.(i) t.payloads.(i)
-  done;
-  !acc
-
 (** Instruction-mix histogram: count per class code. *)
 let mix (t : t) : int array =
   let h = Array.make 16 0 in

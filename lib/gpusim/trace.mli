@@ -14,13 +14,6 @@ val get : t -> int -> Instr.t
 val iter : (Instr.t -> unit) -> t -> unit
 val fold : ('a -> Instr.t -> 'a) -> 'a -> t -> 'a
 
-(** Allocation-free variants over the packed [(code, payload)]
-    encoding (see {!Instr.code}); prefer these on replay-rate paths —
-    {!iter}/{!fold} build an {!Instr.t} per instruction. *)
-
-val iter_packed : (int -> int -> unit) -> t -> unit
-val fold_packed : ('a -> int -> int -> 'a) -> 'a -> t -> 'a
-
 (** Histogram over instruction-class codes. *)
 val mix : t -> int array
 

@@ -46,11 +46,10 @@ type failure = {
     {!failure}; one task's failure never affects another's.  Results
     are in input order.  [retries] bounds re-runs after a *real*
     exception (default 0 — a deterministic simulator usually fails the
-    same way twice); injected faults are always retried.  [fault]
-    scopes chaos-injection draws to an explicit plan (e.g. one
-    request's plan in a server); omitted, the installed process plan
-    applies as before.  [f] must be safe to run on another domain (no
-    shared mutable state). *)
+    same way twice); injected faults are always retried.  [fault] is
+    the chaos plan for the [worker_crash] draws (e.g. one request's
+    plan in a server); omitted, nothing is injected.  [f] must be safe
+    to run on another domain (no shared mutable state). *)
 val map_isolated :
   ?retries:int -> ?fault:Hfuse_fault.Fault.plan -> t -> ('a -> 'b) ->
   'a array -> ('b, failure) result array

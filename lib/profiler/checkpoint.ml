@@ -49,8 +49,8 @@ let torn t = t.torn
    block count is folded in for the same reason: every profiled time is
    a function of how many blocks were traced, so resuming a 1-block
    journal under HFUSE_TRACE_BLOCKS=4 must re-profile, not replay. *)
-let run_id ?(sim_fuel = Gpusim.Launch.default_loop_fuel)
-    ?(trace_blocks = 1) ~(parts : string list) () : string =
+let run_id ~(sim_fuel : int) ~(trace_blocks : int) ~(parts : string list) () :
+    string =
   Digest.to_hex
     (Digest.string
        (String.concat "\x00"

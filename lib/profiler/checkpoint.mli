@@ -37,13 +37,13 @@ val open_ : ?dir:string -> run_id:string -> unit -> t
 
 val enabled : t -> bool
 
-(** Content-hash a run identity from its defining parameters.
-    [sim_fuel] (default {!Gpusim.Launch.default_loop_fuel}, i.e. the
-    effective [HFUSE_SIM_FUEL]) and [trace_blocks] (default [1]) are
-    always folded in: simulated outcomes depend on the fuel budget and
-    on how many blocks were traced, so a journal written under one
-    value of either must not be resumed under another. *)
-val run_id : ?sim_fuel:int -> ?trace_blocks:int -> parts:string list -> unit -> string
+(** Content-hash a run identity from its defining parameters.  The
+    run's [sim_fuel] and [trace_blocks] settings are always folded in:
+    simulated outcomes depend on the fuel budget and on how many blocks
+    were traced, so a journal written under one value of either must
+    not be resumed under another. *)
+val run_id :
+  sim_fuel:int -> trace_blocks:int -> parts:string list -> unit -> string
 
 (** Path of the journal file (empty when disabled). *)
 val path : t -> string

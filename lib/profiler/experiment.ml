@@ -33,10 +33,10 @@ open Kernel_corpus
     holds for the whole corpus (spatial width or hash iterations).  The
     solo replays resolve through the report tiers, so a warm process or
     cache root answers without simulating. *)
-let representative_sizes ?pool ?cache ?checkpoint (arch : Arch.t) :
-    (string * int) list =
-  let cache =
-    match cache with Some c -> c | None -> Settings.cache (Settings.current ())
+let representative_sizes ?settings ?pool ?cache ?checkpoint (arch : Arch.t)
+    : (string * int) list =
+  let settings =
+    match settings with Some s -> s | None -> Settings.resolve ()
   in
   let mem = Memory.create () in
   (* configure+trace each kernel in registry order, then replay pooled *)
@@ -44,11 +44,11 @@ let representative_sizes ?pool ?cache ?checkpoint (arch : Arch.t) :
     List.map
       (fun (s : Spec.t) ->
         let c = Runner.configure mem s ~size:s.default_size in
-        (s, (arch, [ Runner.spec_of c ~stream:0 () ])))
+        (s, (arch, [ Runner.spec_of ~settings c ~stream:0 () ])))
       Registry.all
   in
   let reports =
-    Runner.run_many ?pool ~cache ?checkpoint
+    Runner.run_many ?pool ~settings ?cache ?checkpoint
       (Array.of_list (List.map snd prepped))
   in
   let timed =
@@ -71,13 +71,13 @@ let size_of sizes (s : Spec.t) =
 (* Explicit sizes win; the probe runs only when one is missing, so a
    request that pins both (the fleet driver always does) never pays
    for it. *)
-let pair_sizes ~cache ~checkpoint (arch : Arch.t)
+let pair_sizes ~settings ~cache ~checkpoint (arch : Arch.t)
     ((s1, size1) : Spec.t * int option) ((s2, size2) : Spec.t * int option) :
     int * int =
   match (size1, size2) with
   | Some n1, Some n2 -> (n1, n2)
   | _ ->
-      let sizes = representative_sizes ~cache ~checkpoint arch in
+      let sizes = representative_sizes ~settings ~cache ~checkpoint arch in
       ( Option.value size1 ~default:(size_of sizes s1),
         Option.value size2 ~default:(size_of sizes s2) )
 
@@ -144,10 +144,11 @@ let avg_vfuse_speedup (s : sweep) =
 let default_multipliers = [ 0.25; 0.5; 1.0; 2.0; 4.0 ]
 
 (** Sweep one pair on one arch: vary the first kernel's size over
-    [multipliers] x its representative size.  [jobs]/[pool]/[cache] are
-    passed through to {!Runner.search} and the measurement fan-out. *)
-let sweep_pair ?(multipliers = default_multipliers) ?jobs ?pool ?cache
-    ?checkpoint ?top_k (arch : Arch.t) (sizes : (string * int) list)
+    [multipliers] x its representative size.  [jobs]/[pool]/[settings]/
+    [cache] are passed through to {!Runner.search} and the measurement
+    fan-out. *)
+let sweep_pair ?(multipliers = default_multipliers) ?jobs ?pool ~settings
+    ?cache ?checkpoint ?top_k (arch : Arch.t) (sizes : (string * int) list)
     ((s1, s2) : Spec.t * Spec.t) : sweep =
   let mem = Memory.create () in
   let base1 = size_of sizes s1 and size2 = size_of sizes s2 in
@@ -161,19 +162,20 @@ let sweep_pair ?(multipliers = default_multipliers) ?jobs ?pool ?cache
         in
         let c1 = Runner.configure mem s1 ~size:size1 in
         let c2 = Runner.configure mem s2 ~size:size2 in
-        let i1 = push rl (arch, [ Runner.spec_of c1 ~stream:0 () ]) in
-        let i2 = push rl (arch, [ Runner.spec_of c2 ~stream:0 () ]) in
+        let spec c = Runner.spec_of ~settings c in
+        let i1 = push rl (arch, [ spec c1 ~stream:0 () ]) in
+        let i2 = push rl (arch, [ spec c2 ~stream:0 () ]) in
         let inat =
-          push rl
-            ( arch,
-              [ Runner.spec_of c1 ~stream:0 (); Runner.spec_of c2 ~stream:1 () ]
-            )
+          push rl (arch, [ spec c1 ~stream:0 (); spec c2 ~stream:1 () ])
         in
-        let sr = Runner.search ?jobs ?pool ?cache ?checkpoint ?top_k arch c1 c2 in
+        let sr =
+          Runner.search ?jobs ?pool ~settings ?cache ?checkpoint ?top_k arch
+            c1 c2
+        in
         let best = sr.Hfuse_core.Search.best in
         let ivf =
           match Runner.vfuse_generate c1 c2 with
-          | v -> Some (push rl (arch, [ Runner.vfuse_spec c1 c2 v ]))
+          | v -> Some (push rl (arch, [ Runner.vfuse_spec ~settings c1 c2 v ]))
           | exception Hfuse_core.Fuse_common.Fusion_error _ -> None
         in
         let inv =
@@ -181,7 +183,7 @@ let sweep_pair ?(multipliers = default_multipliers) ?jobs ?pool ?cache
           then
             match Runner.naive_hfuse c1 c2 with
             | Some f ->
-                let traces = Runner.hfuse_traces c1 c2 f in
+                let traces = Runner.hfuse_traces ~settings c1 c2 f in
                 Some
                   (push rl
                      (arch, [ Runner.hfuse_spec f ~reg_bound:None ~traces ]))
@@ -192,7 +194,9 @@ let sweep_pair ?(multipliers = default_multipliers) ?jobs ?pool ?cache
       multipliers
   in
   (* phase 2: pure measurement replays, fanned over the pool *)
-  let reports = Runner.run_many ?pool ?jobs ?cache ?checkpoint (runs_of rl) in
+  let reports =
+    Runner.run_many ?pool ?jobs ~settings ?cache ?checkpoint (runs_of rl)
+  in
   let points =
     List.map
       (fun (size1, i1, i2, inat, best, ivf, inv) ->
@@ -216,15 +220,18 @@ let sweep_pair ?(multipliers = default_multipliers) ?jobs ?pool ?cache
   { pair = (s1, s2); arch; varied_first = true; points }
 
 (** The full Figure 7: 16 pairs x 2 architectures, one shared pool. *)
-let figure7 ?multipliers ?(jobs = 1) ?cache ?checkpoint ?top_k ?(archs = Arch.all)
-    ?(pairs = Registry.all_pairs) () : sweep list =
+let figure7 ?multipliers ?(jobs = 1) ~settings ?cache ?checkpoint ?top_k
+    ?(archs = Arch.all) ?(pairs = Registry.all_pairs) () : sweep list =
   Hfuse_parallel.Pool.with_pool jobs (fun pool ->
       List.concat_map
         (fun arch ->
-          let sizes = representative_sizes ~pool ?cache ?checkpoint arch in
+          let sizes =
+            representative_sizes ~settings ~pool ?cache ?checkpoint arch
+          in
           List.map
             (fun pair ->
-              sweep_pair ?multipliers ~pool ?cache ?checkpoint ?top_k arch sizes pair)
+              sweep_pair ?multipliers ~pool ~settings ?cache ?checkpoint ?top_k
+                arch sizes pair)
             pairs)
         archs)
 
@@ -237,14 +244,15 @@ type kernel_row = {
   per_arch : (Arch.t * Metrics.t) list;  (** in [archs] order *)
 }
 
-let figure8 ?(jobs = 1) ?pool ?cache ?checkpoint ?(archs = Arch.all) () :
-    kernel_row list =
+let figure8 ?(jobs = 1) ?pool ~settings ?cache ?checkpoint ?(archs = Arch.all)
+    () : kernel_row list =
   let go pool =
     let rl = runlist () in
     let sizes =
       List.map
         (fun (arch : Arch.t) ->
-          (arch.name, representative_sizes ~pool ?cache ?checkpoint arch))
+          ( arch.name,
+            representative_sizes ~settings ~pool ?cache ?checkpoint arch ))
         archs
     in
     let prepped =
@@ -256,11 +264,14 @@ let figure8 ?(jobs = 1) ?pool ?cache ?checkpoint ?(archs = Arch.all) () :
                 let sizes = List.assoc arch.name sizes in
                 let mem = Memory.create () in
                 let c = Runner.configure mem s ~size:(size_of sizes s) in
-                (arch, push rl (arch, [ Runner.spec_of c ~stream:0 () ])))
+                ( arch,
+                  push rl (arch, [ Runner.spec_of ~settings c ~stream:0 () ]) ))
               archs ))
         Registry.all
     in
-    let reports = Runner.run_many ~pool ?cache ?checkpoint (runs_of rl) in
+    let reports =
+      Runner.run_many ~pool ~settings ?cache ?checkpoint (runs_of rl)
+    in
     List.map
       (fun ((s : Spec.t), per_arch) ->
         {
@@ -310,20 +321,20 @@ type f9_prep = {
   p_regcap : (int * int) option;  (** (r0, replay index) *)
 }
 
-let f9_prepare ?jobs ?pool ?cache ?checkpoint ?top_k (arch : Arch.t)
+let f9_prepare ?jobs ?pool ~settings ?cache ?checkpoint ?top_k (arch : Arch.t)
     (sizes : (string * int) list) ((s1, s2) : Spec.t * Spec.t) rl : f9_prep =
   let mem = Memory.create () in
   let c1 = Runner.configure mem s1 ~size:(size_of sizes s1) in
   let c2 = Runner.configure mem s2 ~size:(size_of sizes s2) in
-  let i1 = push rl (arch, [ Runner.spec_of c1 ~stream:0 () ]) in
-  let i2 = push rl (arch, [ Runner.spec_of c2 ~stream:0 () ]) in
-  let inat =
-    push rl
-      (arch, [ Runner.spec_of c1 ~stream:0 (); Runner.spec_of c2 ~stream:1 () ])
+  let spec c = Runner.spec_of ~settings c in
+  let i1 = push rl (arch, [ spec c1 ~stream:0 () ]) in
+  let i2 = push rl (arch, [ spec c2 ~stream:0 () ]) in
+  let inat = push rl (arch, [ spec c1 ~stream:0 (); spec c2 ~stream:1 () ]) in
+  let sr =
+    Runner.search ?jobs ?pool ~settings ?cache ?checkpoint ?top_k arch c1 c2
   in
-  let sr = Runner.search ?jobs ?pool ?cache ?checkpoint ?top_k arch c1 c2 in
   let fused = sr.Hfuse_core.Search.best.Hfuse_core.Search.fused in
-  let traces = Runner.hfuse_traces c1 c2 fused in
+  let traces = Runner.hfuse_traces ~settings c1 c2 fused in
   let ihf0 = push rl (arch, [ Runner.hfuse_spec fused ~reg_bound:None ~traces ]) in
   let fused_smem =
     Hfuse_core.Kernel_info.smem_total (Hfuse_core.Hfuse.info fused)
@@ -377,29 +388,40 @@ let f9_row (reports : Timing.report array) (p : f9_prep) : fused_row =
       Option.map (fun (r, i) -> variant (Some r) reports.(i)) p.p_regcap;
   }
 
-let figure9_pair ?jobs ?pool ?cache ?checkpoint ?top_k (arch : Arch.t)
-    (sizes : (string * int) list) (pair : Spec.t * Spec.t) : fused_row =
+let figure9_pair ?jobs ?pool ~settings ?cache ?checkpoint ?top_k
+    (arch : Arch.t) (sizes : (string * int) list) (pair : Spec.t * Spec.t) :
+    fused_row =
   let rl = runlist () in
-  let prep = f9_prepare ?jobs ?pool ?cache ?checkpoint ?top_k arch sizes pair rl in
-  let reports = Runner.run_many ?pool ?jobs ?cache ?checkpoint (runs_of rl) in
+  let prep =
+    f9_prepare ?jobs ?pool ~settings ?cache ?checkpoint ?top_k arch sizes pair
+      rl
+  in
+  let reports =
+    Runner.run_many ?pool ?jobs ~settings ?cache ?checkpoint (runs_of rl)
+  in
   f9_row reports prep
 
 (** Figure 9 over all pairs and architectures: every pair's traces and
     search run serially (phase 1), then a single pool-wide fan-out
     replays all measurement runs at once. *)
-let figure9 ?(jobs = 1) ?cache ?checkpoint ?top_k ?(archs = Arch.all)
+let figure9 ?(jobs = 1) ~settings ?cache ?checkpoint ?top_k ?(archs = Arch.all)
     ?(pairs = Registry.all_pairs) () : fused_row list =
   Hfuse_parallel.Pool.with_pool jobs (fun pool ->
       let rl = runlist () in
       let preps =
         List.concat_map
           (fun arch ->
-            let sizes = representative_sizes ~pool ?cache ?checkpoint arch in
+            let sizes =
+              representative_sizes ~settings ~pool ?cache ?checkpoint arch
+            in
             List.map
               (fun pair ->
-                f9_prepare ~pool ?cache ?checkpoint ?top_k arch sizes pair rl)
+                f9_prepare ~pool ~settings ?cache ?checkpoint ?top_k arch sizes
+                  pair rl)
               pairs)
           archs
       in
-      let reports = Runner.run_many ~pool ?cache ?checkpoint (runs_of rl) in
+      let reports =
+        Runner.run_many ~pool ~settings ?cache ?checkpoint (runs_of rl)
+      in
       List.map (f9_row reports) preps)

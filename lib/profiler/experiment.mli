@@ -11,12 +11,14 @@
 
 (** Per-kernel sizes with solo times close to a common target, per
     architecture (the paper's "execution time ratios close to one");
-    resolved through the report tiers like every other replay
-    ({!Runner.run_many}): the [checkpoint] journal, the persistent
-    report cache (default: minted from {!Settings.current}), then the
-    process-wide memo.  [pool] parallelises the solo probes that
-    miss. *)
+    traced and replayed under [settings] (default:
+    [Settings.resolve ()], the environment's), and resolved through
+    the report tiers like every other replay ({!Runner.run_many}): the
+    [checkpoint] journal, the persistent report cache (default: minted
+    from [settings]), then the process-wide memo.  [pool] parallelises
+    the solo probes that miss. *)
 val representative_sizes :
+  ?settings:Settings.t ->
   ?pool:Hfuse_parallel.Pool.t ->
   ?cache:Profile_cache.t ->
   ?checkpoint:Checkpoint.t ->
@@ -28,9 +30,10 @@ val representative_sizes :
 val size_of : (string * int) list -> Kernel_corpus.Spec.t -> int
 
 (** A pair's workload sizes: each explicit size as given, a missing one
-    from {!representative_sizes} over [cache] and [checkpoint].  The
-    probe runs only when a size is missing. *)
+    from {!representative_sizes} under [settings], over [cache] and
+    [checkpoint].  The probe runs only when a size is missing. *)
 val pair_sizes :
+  settings:Settings.t ->
   cache:Profile_cache.t ->
   checkpoint:Checkpoint.t ->
   Gpusim.Arch.t ->
@@ -67,12 +70,14 @@ val avg_vfuse_speedup : sweep -> float
 (** The paper's ratio points: 0.25x .. 4x the representative size. *)
 val default_multipliers : float list
 
-(** [jobs]/[pool]/[cache]/[top_k] are handed to every {!Runner.search}
-    the sweep performs and to the measurement fan-out. *)
+(** [jobs]/[pool]/[settings]/[cache]/[top_k] are handed to every
+    {!Runner.search} the sweep performs and to the measurement
+    fan-out. *)
 val sweep_pair :
   ?multipliers:float list ->
   ?jobs:int ->
   ?pool:Hfuse_parallel.Pool.t ->
+  settings:Settings.t ->
   ?cache:Profile_cache.t ->
   ?checkpoint:Checkpoint.t ->
   ?top_k:int ->
@@ -85,6 +90,7 @@ val sweep_pair :
 val figure7 :
   ?multipliers:float list ->
   ?jobs:int ->
+  settings:Settings.t ->
   ?cache:Profile_cache.t ->
   ?checkpoint:Checkpoint.t ->
   ?top_k:int ->
@@ -102,6 +108,7 @@ type kernel_row = {
 val figure8 :
   ?jobs:int ->
   ?pool:Hfuse_parallel.Pool.t ->
+  settings:Settings.t ->
   ?cache:Profile_cache.t ->
   ?checkpoint:Checkpoint.t ->
   ?archs:Gpusim.Arch.t list ->
@@ -127,6 +134,7 @@ type fused_row = {
 val figure9_pair :
   ?jobs:int ->
   ?pool:Hfuse_parallel.Pool.t ->
+  settings:Settings.t ->
   ?cache:Profile_cache.t ->
   ?checkpoint:Checkpoint.t ->
   ?top_k:int ->
@@ -140,6 +148,7 @@ val figure9_pair :
     fan-out then replays every measurement run at once. *)
 val figure9 :
   ?jobs:int ->
+  settings:Settings.t ->
   ?cache:Profile_cache.t ->
   ?checkpoint:Checkpoint.t ->
   ?top_k:int ->

@@ -45,8 +45,8 @@ let dir t = match t.store with Some s -> Store.dir s | None -> ""
 
 let default_dir = "_hfuse_cache"
 
-(* [fault] scopes this handle's chaos-corruption draws; a server
-   threads each request's plan through its per-request handle *)
+(* [fault] scopes this handle's chaos-corruption draws (omitted: none);
+   a server threads each request's plan through its per-request handle *)
 let create ?(dir = default_dir) ?fault () =
   {
     store =
@@ -55,27 +55,6 @@ let create ?(dir = default_dir) ?fault () =
   }
 
 let disabled () = { store = None; stats = fresh_stats () }
-
-(** Environment-driven configuration, so CI and scripts can flip the
-    cache without threading flags everywhere: [HFUSE_CACHE=0] disables
-    it; [HFUSE_CACHE_DIR=path] (or [HFUSE_CACHE=1]) enables it.  With
-    neither set the cache is off.  [env_dir] exposes just the
-    resolution (the root directory, or [None] for disabled), so a
-    per-request settings record can capture the environment's answer
-    once and mint fresh handles from it. *)
-let env_dir () =
-  match Sys.getenv_opt "HFUSE_CACHE" with
-  | Some ("0" | "off" | "no" | "false") -> None
-  | on -> (
-      match Sys.getenv_opt "HFUSE_CACHE_DIR" with
-      | Some dir -> Some dir
-      | None -> if on <> None then Some default_dir else None)
-
-let of_dir ?fault = function
-  | Some dir -> create ~dir ?fault ()
-  | None -> disabled ()
-
-let from_env () = of_dir (env_dir ())
 
 (* ------------------------------------------------------------------ *)
 (* Keys                                                                 *)

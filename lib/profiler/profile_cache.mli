@@ -20,25 +20,12 @@ type t
 val default_dir : string
 
 (** An enabled cache rooted at [dir] (default {!default_dir}).
-    [fault] scopes this handle's chaos-corruption draws to an explicit
-    plan (e.g. one server request's); omitted, the installed process
-    plan applies. *)
+    [fault] is the chaos plan for this handle's corruption draws (e.g.
+    one server request's); omitted, nothing is injected. *)
 val create : ?dir:string -> ?fault:Hfuse_fault.Fault.plan -> unit -> t
 
 (** A cache that never hits and never stores. *)
 val disabled : unit -> t
-
-(** The environment's cache-root answer: [None] when disabled
-    ([HFUSE_CACHE=0] or nothing set), [Some root] when enabled
-    ([HFUSE_CACHE_DIR=path], or [HFUSE_CACHE=1] for {!default_dir}).
-    Lets a per-request settings record capture the resolution once. *)
-val env_dir : unit -> string option
-
-(** Handle from a resolved root: [Some dir] enables, [None] disables. *)
-val of_dir : ?fault:Hfuse_fault.Fault.plan -> string option -> t
-
-(** Configuration from the environment: [of_dir (env_dir ())]. *)
-val from_env : unit -> t
 
 val enabled : t -> bool
 

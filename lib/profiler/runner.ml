@@ -34,13 +34,9 @@ open Gpusim
 open Kernel_corpus
 module Fault = Hfuse_fault.Fault
 
-(* Every profiling function below takes [?settings] (traced blocks,
-   fuel, cache root, chaos plan) and captures its knobs from there.  An
-   omitted record means "the process defaults, resolved now" — exactly
-   what a one-shot CLI wants. *)
-let resolved : Settings.t option -> Settings.t = function
-  | Some s -> s
-  | None -> Settings.current ()
+(* Every profiling function below takes [~settings] (traced blocks,
+   fuel, trace-memory bound, cache root, chaos plan) and reads its
+   knobs from there, never from a process default. *)
 
 (** A corpus kernel bound to a workload instance in some memory. *)
 type configured = {
@@ -285,9 +281,8 @@ let traced ~(s : Settings.t) ~(arch : string) ~(source : string)
 (** Traces of [c] at block dimension [d] (defaults to native).
     [arch] scopes only the persistent entry (traces themselves are
     arch-independent). *)
-let traces_of ?settings ?(arch = "-") (c : configured)
+let traces_of ~settings:(s : Settings.t) ?(arch = "-") (c : configured)
     ?(block_dim : int option) () : Trace.block array =
-  let s = resolved settings in
   let d =
     match block_dim with
     | None -> Hfuse_core.Kernel_info.threads_per_block c.info
@@ -306,7 +301,7 @@ let traces_of ?settings ?(arch = "-") (c : configured)
 let static_smem (info : Hfuse_core.Kernel_info.t) : int =
   Launch.static_shared_bytes info.fn.f_body
 
-let spec_of ?settings ?arch (c : configured) ?(block_dim : int option)
+let spec_of ~settings ?arch (c : configured) ?(block_dim : int option)
     ~(stream : int) () : Timing.launch_spec =
   let d =
     match block_dim with
@@ -315,7 +310,7 @@ let spec_of ?settings ?arch (c : configured) ?(block_dim : int option)
   in
   {
     Timing.label = c.spec.name;
-    block_traces = traces_of ?settings ?arch c ~block_dim:d ();
+    block_traces = traces_of ~settings ?arch c ~block_dim:d ();
     grid = c.inst.grid;
     threads_per_block = d;
     regs = c.spec.regs;
@@ -326,19 +321,20 @@ let spec_of ?settings ?arch (c : configured) ?(block_dim : int option)
 
 (** Native baseline: both kernels submitted via parallel streams,
     replayed through the report tiers. *)
-let native ?settings ?cache ?(checkpoint = Checkpoint.disabled)
+let native ~settings ?cache ?(checkpoint = Checkpoint.disabled)
     (arch : Arch.t) (c1 : configured) (c2 : configured) : Timing.report =
-  let s = resolved settings in
-  let cache = match cache with Some c -> c | None -> Settings.cache s in
+  let cache =
+    match cache with Some c -> c | None -> Settings.cache settings
+  in
   replay ~cache ~checkpoint arch
     [
-      spec_of ~settings:s ~arch:arch.Arch.name c1 ~stream:0 ();
-      spec_of ~settings:s ~arch:arch.Arch.name c2 ~stream:1 ();
+      spec_of ~settings ~arch:arch.Arch.name c1 ~stream:0 ();
+      spec_of ~settings ~arch:arch.Arch.name c2 ~stream:1 ();
     ]
 
 (** One kernel alone (Fig. 8 metrics; also the ratio probes). *)
-let solo ?settings (arch : Arch.t) (c : configured) : Timing.report =
-  Timing.run arch [ spec_of ?settings ~arch:arch.Arch.name c ~stream:0 () ]
+let solo ~settings (arch : Arch.t) (c : configured) : Timing.report =
+  Timing.run arch [ spec_of ~settings ~arch:arch.Arch.name c ~stream:0 () ]
 
 (* ------------------------------------------------------------------ *)
 (* Fused runs                                                           *)
@@ -359,9 +355,8 @@ let hfuse_key ~(tb : int) (c1 : configured) (c2 : configured)
 
 (** Traces of the horizontally fused kernel (recorded on first use;
     stored).  [arch] scopes only the persistent entry. *)
-let hfuse_traces ?settings ?(arch = "-") (c1 : configured) (c2 : configured)
-    (f : Hfuse_core.Hfuse.t) : Trace.block array =
-  let s = resolved settings in
+let hfuse_traces ~settings:(s : Settings.t) ?(arch = "-") (c1 : configured)
+    (c2 : configured) (f : Hfuse_core.Hfuse.t) : Trace.block array =
   traced ~s ~arch
     ~source:(Hfuse_core.Hfuse.to_source f)
     (hfuse_key ~tb:s.Settings.trace_blocks c1 c2 f)
@@ -390,10 +385,10 @@ let hfuse_spec (f : Hfuse_core.Hfuse.t) ~(reg_bound : int option)
 
 (** Interpret a horizontally fused kernel (profiling mode) and time it
     under an optional register bound. *)
-let hfuse_report ?settings (arch : Arch.t) (c1 : configured)
+let hfuse_report ~settings (arch : Arch.t) (c1 : configured)
     (c2 : configured) (f : Hfuse_core.Hfuse.t) ~(reg_bound : int option) :
     Timing.report =
-  let traces = hfuse_traces ?settings ~arch:arch.Arch.name c1 c2 f in
+  let traces = hfuse_traces ~settings ~arch:arch.Arch.name c1 c2 f in
   Timing.run arch [ hfuse_spec f ~reg_bound ~traces ]
 
 (** Vertically fused baseline.  Both kernels run at the larger of the
@@ -416,9 +411,8 @@ let vfuse_generate (c1 : configured) (c2 : configured) : Hfuse_core.Vfuse.t =
 
 (** Launch spec for the vertical baseline (records the fused kernel's
     traces in a fresh memory on first use; stored). *)
-let vfuse_spec ?settings ?(arch = "-") (c1 : configured) (c2 : configured)
-    (v : Hfuse_core.Vfuse.t) : Timing.launch_spec =
-  let s = resolved settings in
+let vfuse_spec ~settings:(s : Settings.t) ?(arch = "-") (c1 : configured)
+    (c2 : configured) (v : Hfuse_core.Vfuse.t) : Timing.launch_spec =
   let vinfo = Hfuse_core.Vfuse.info v in
   let tb = s.Settings.trace_blocks in
   let traces =
@@ -445,10 +439,6 @@ let vfuse_spec ?settings ?(arch = "-") (c1 : configured) (c2 : configured)
     smem = static_smem vinfo + v.smem_dynamic;
     stream = 0;
   }
-
-let vfuse_report ?settings (arch : Arch.t) (c1 : configured)
-    (c2 : configured) (v : Hfuse_core.Vfuse.t) : Timing.report =
-  Timing.run arch [ vfuse_spec ?settings ~arch:arch.Arch.name c1 c2 v ]
 
 (* ------------------------------------------------------------------ *)
 (* The Fig. 6 search, driven by the simulator                           *)
@@ -619,10 +609,9 @@ let model_eval ?(k = 1) ~(scores : float list) ~(times : float list) () :
       Some (i, regret)
   | _ -> None
 
-let candidate_key ?settings (arch : Arch.t) (c1 : configured)
+let candidate_key ~(s : Settings.t) (arch : Arch.t) (c1 : configured)
     (c2 : configured) (f : Hfuse_core.Hfuse.t) ~(reg_bound : int option) :
     string =
-  let s = resolved settings in
   Profile_cache.key ~arch:arch.Arch.name
     ~source:(Hfuse_core.Hfuse.to_source f)
     ~d1:f.d1 ~d2:f.d2 ~grid:f.grid ~smem_dynamic:f.smem_dynamic ~regs:f.regs
@@ -631,10 +620,11 @@ let candidate_key ?settings (arch : Arch.t) (c1 : configured)
 
 (* Fan pure [Timing.run] replays over a pool: one (arch, spec list) per
    report.  [Pool.map] preserves order, so results are bit-identical to
-   a serial loop for any pool width.  A caller-supplied [?pool] is
-   reused (figure sweeps time hundreds of spec lists; spawning domains
-   per call would dominate); otherwise a fresh pool of [jobs] workers
-   is scoped to this call.
+   a serial loop for any pool width; the pool draws its chaos from the
+   settings' plan.  A caller-supplied [?pool] is reused (figure sweeps
+   time hundreds of spec lists; spawning domains per call would
+   dominate); otherwise a fresh pool of [jobs] workers is scoped to
+   this call.
 
    Each entry is [replay] in batch form: first answered through
    [lookup_report] (journal, persistent report cache, memo); only the
@@ -643,9 +633,12 @@ let candidate_key ?settings (arch : Arch.t) (c1 : configured)
    the journal.  Hits are bit-identical to replays — entries hold
    every report field exactly.  Tier I/O stays on the calling
    domain. *)
-let run_many ?pool ?(jobs = 1) ?(cache = Profile_cache.disabled ())
+let run_many ?pool ?(jobs = 1) ~(settings : Settings.t) ?cache
     ?(checkpoint = Checkpoint.disabled)
     (runs : (Arch.t * Timing.launch_spec list) array) : Timing.report array =
+  let cache =
+    match cache with Some c -> c | None -> Settings.cache settings
+  in
   let n = Array.length runs in
   let tiers = report_tiers ~cache ~checkpoint in
   let keys = Array.map (fun (arch, specs) -> report_key arch specs) runs in
@@ -656,7 +649,7 @@ let run_many ?pool ?(jobs = 1) ?(cache = Profile_cache.disabled ())
   in
   let missing = Array.map (fun i -> runs.(i)) miss_idx in
   let go p =
-    Hfuse_parallel.Pool.map p
+    Hfuse_parallel.Pool.map ?fault:settings.Settings.fault p
       (fun (arch, specs) -> Timing.run_with_stats arch specs)
       missing
   in
@@ -769,11 +762,10 @@ let extremes_and_mid
   in
   (lo, mid, hi)
 
-let search ?(jobs = 1) ?pool ?settings ?stats ?cache
+let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
     ?(checkpoint = Checkpoint.disabled) ?(top_k : int option)
     ?(repair = false) (arch : Arch.t) (c1 : configured) (c2 : configured) :
     Hfuse_core.Search.result =
-  let s = resolved settings in
   (* per-request stats land in the caller's record; the historical
      default keeps accumulating into the process-wide counters *)
   let stats = match stats with Some st -> st | None -> !global_stats in
@@ -802,7 +794,7 @@ let search ?(jobs = 1) ?pool ?settings ?stats ?cache
     let keys =
       Array.map
         (fun (f, (cfg : Hfuse_core.Search.config)) ->
-          candidate_key ~settings:s arch c1 c2 f ~reg_bound:cfg.reg_bound)
+          candidate_key ~s arch c1 c2 f ~reg_bound:cfg.reg_bound)
         batch
     in
     let tiers = time_tiers ~cache ~checkpoint in
@@ -1158,9 +1150,9 @@ let validate ~(s : Settings.t) ~(key : int) (s1 : Spec.t) ~(size1 : int)
 
 (** Run the fused kernel over the whole grid in fresh memory and check
     both kernels' outputs against their host references. *)
-let validate_hfuse ?settings (s1 : Spec.t) ~(size1 : int) (s2 : Spec.t)
+let validate_hfuse ~settings (s1 : Spec.t) ~(size1 : int) (s2 : Spec.t)
     ~(size2 : int) ~(d1 : int) ~(d2 : int) : (unit, string) result =
-  validate ~s:(resolved settings)
+  validate ~s:settings
     ~key:(Hashtbl.hash (s1.Spec.name, s2.Spec.name, d1, d2))
     s1 ~size1 s2 ~size2
     (fun c1 c2 ->
@@ -1169,9 +1161,9 @@ let validate_hfuse ?settings (s1 : Spec.t) ~(size1 : int) (s2 : Spec.t)
            (Hfuse_core.Kernel_info.with_block_dim c1.info d1)
            (Hfuse_core.Kernel_info.with_block_dim c2.info d2)))
 
-let validate_vfuse ?settings (s1 : Spec.t) ~(size1 : int) (s2 : Spec.t)
+let validate_vfuse ~settings (s1 : Spec.t) ~(size1 : int) (s2 : Spec.t)
     ~(size2 : int) : (unit, string) result =
-  validate ~s:(resolved settings)
+  validate ~s:settings
     ~key:(Hashtbl.hash (s1.Spec.name, s2.Spec.name))
     s1 ~size1 s2 ~size2
     (fun c1 c2 -> Hfuse_core.Vfuse.info (vfuse_generate c1 c2))

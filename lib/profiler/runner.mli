@@ -68,14 +68,14 @@ val clear_cache : unit -> unit
     themselves are arch-independent, so the in-memory tier shares
     them across archs. *)
 val traces_of :
-  ?settings:Settings.t -> ?arch:string -> configured -> ?block_dim:int ->
+  settings:Settings.t -> ?arch:string -> configured -> ?block_dim:int ->
   unit -> Gpusim.Trace.block array
 
 val static_smem : Hfuse_core.Kernel_info.t -> int
 
 (** Timing spec for one kernel (building block for custom runs). *)
 val spec_of :
-  ?settings:Settings.t -> ?arch:string -> configured -> ?block_dim:int ->
+  settings:Settings.t -> ?arch:string -> configured -> ?block_dim:int ->
   stream:int -> unit -> Gpusim.Timing.launch_spec
 
 (** Native baseline: both kernels via parallel streams (FIFO dispatch).
@@ -90,18 +90,18 @@ val spec_of :
     {!Gpusim.Timing.cumulative_stats}.  Either way the report is
     bit-identical to a fresh replay. *)
 val native :
-  ?settings:Settings.t -> ?cache:Profile_cache.t -> ?checkpoint:Checkpoint.t ->
+  settings:Settings.t -> ?cache:Profile_cache.t -> ?checkpoint:Checkpoint.t ->
   Gpusim.Arch.t -> configured -> configured -> Gpusim.Timing.report
 
 (** One kernel alone (Fig. 8 metrics, ratio probes). *)
 val solo :
-  ?settings:Settings.t -> Gpusim.Arch.t -> configured -> Gpusim.Timing.report
+  settings:Settings.t -> Gpusim.Arch.t -> configured -> Gpusim.Timing.report
 
 (** Traces of a horizontally fused kernel (recorded in a fresh memory
     on first use; stored).  Single-flighted: concurrent callers of one
     key share the first recording. *)
 val hfuse_traces :
-  ?settings:Settings.t -> ?arch:string -> configured -> configured ->
+  settings:Settings.t -> ?arch:string -> configured -> configured ->
   Hfuse_core.Hfuse.t -> Gpusim.Trace.block array
 
 (** Launch spec for a fused candidate over already-recorded traces.
@@ -113,7 +113,7 @@ val hfuse_spec :
 (** Time a fused kernel under an optional register bound (interprets it
     in profiling mode on first use; cached thereafter). *)
 val hfuse_report :
-  ?settings:Settings.t -> Gpusim.Arch.t -> configured -> configured ->
+  settings:Settings.t -> Gpusim.Arch.t -> configured -> configured ->
   Hfuse_core.Hfuse.t -> reg_bound:int option -> Gpusim.Timing.report
 
 val vfuse_block_dim : configured -> configured -> int
@@ -126,12 +126,8 @@ val vfuse_generate : configured -> configured -> Hfuse_core.Vfuse.t
 (** Launch spec for the vertical baseline over stored traces (records
     them in a fresh memory on first use; the spec is pure). *)
 val vfuse_spec :
-  ?settings:Settings.t -> ?arch:string -> configured -> configured ->
+  settings:Settings.t -> ?arch:string -> configured -> configured ->
   Hfuse_core.Vfuse.t -> Gpusim.Timing.launch_spec
-
-val vfuse_report :
-  ?settings:Settings.t -> Gpusim.Arch.t -> configured -> configured ->
-  Hfuse_core.Vfuse.t -> Gpusim.Timing.report
 
 (** Fused block dimension target: 1024 for tunable pairs; the native sum
     when both kernels are fixed. *)
@@ -210,7 +206,10 @@ val model_eval :
     must already hold their traces — building them traces kernels,
     which stays on the calling domain.
 
-    An enabled [cache] serves entries from the persistent report cache
+    The pool draws its [worker_crash] chaos from [settings].
+
+    An enabled [cache] (default: minted from [settings], as {!search}
+    does) serves entries from the persistent report cache
     ({!Profile_cache.find_report}; keyed over the specs and their packed
     traces) and only fans the misses out, storing their reports after.
     Hits are bit-identical to replays, and each hit's recorded engine
@@ -220,8 +219,8 @@ val model_eval :
     records every result, so a killed run resumed with the same journal
     replays this call's answers bit-identically. *)
 val run_many :
-  ?pool:Hfuse_parallel.Pool.t -> ?jobs:int -> ?cache:Profile_cache.t ->
-  ?checkpoint:Checkpoint.t ->
+  ?pool:Hfuse_parallel.Pool.t -> ?jobs:int -> settings:Settings.t ->
+  ?cache:Profile_cache.t -> ?checkpoint:Checkpoint.t ->
   (Gpusim.Arch.t * Gpusim.Timing.launch_spec list) array ->
   Gpusim.Timing.report array
 
@@ -231,17 +230,14 @@ val run_many :
                  (default 1: everything on the calling domain).
     @param pool  reuse a live pool instead of spawning [jobs] workers
                  per profiling batch (takes precedence over [jobs]).
-    @param settings per-request configuration ({!Settings.t}: traced
-                 blocks, simulator fuel, cache root, chaos plan).
-                 Default: {!Settings.current} — the process defaults,
-                 resolved at call time.
+    @param settings the run's configuration ({!Settings.t}: traced
+                 blocks, simulator fuel, trace-memory bound, cache
+                 root, chaos plan).
     @param stats per-request telemetry sink; counters accumulate into
                  the caller's record instead of the process-wide one
                  ({!fresh_search_stats} mints an empty record).
     @param cache persistent profiling cache (default: minted from
-                 [settings] — disabled unless its [cache_dir] is set,
-                 which the [HFUSE_CACHE]/[HFUSE_CACHE_DIR] environment
-                 seeds).
+                 [settings] — disabled unless its [cache_dir] is set).
     @param checkpoint resume journal: candidate times and solo
                  calibration reports already recorded by an interrupted
                  run are replayed, and every fresh one is journaled
@@ -274,7 +270,7 @@ val run_many :
     [repair_unsound].  Rejection histograms ([rejections]) accumulate
     regardless of [repair]. *)
 val search :
-  ?jobs:int -> ?pool:Hfuse_parallel.Pool.t -> ?settings:Settings.t ->
+  ?jobs:int -> ?pool:Hfuse_parallel.Pool.t -> settings:Settings.t ->
   ?stats:search_stats -> ?cache:Profile_cache.t ->
   ?checkpoint:Checkpoint.t -> ?top_k:int -> ?repair:bool ->
   Gpusim.Arch.t -> configured -> configured -> Hfuse_core.Search.result
@@ -284,10 +280,10 @@ val naive_hfuse : configured -> configured -> Hfuse_core.Hfuse.t option
 (** Full-grid correctness: run the fused kernel in fresh memory and
     check both kernels' outputs against their host references. *)
 val validate_hfuse :
-  ?settings:Settings.t -> Kernel_corpus.Spec.t -> size1:int ->
+  settings:Settings.t -> Kernel_corpus.Spec.t -> size1:int ->
   Kernel_corpus.Spec.t -> size2:int -> d1:int -> d2:int ->
   (unit, string) result
 
 val validate_vfuse :
-  ?settings:Settings.t -> Kernel_corpus.Spec.t -> size1:int ->
+  settings:Settings.t -> Kernel_corpus.Spec.t -> size1:int ->
   Kernel_corpus.Spec.t -> size2:int -> (unit, string) result

@@ -1,10 +1,10 @@
-(* One explicit record for the knobs that used to be read from the
-   environment at their use sites ([HFUSE_TRACE_BLOCKS],
-   [HFUSE_SIM_FUEL], [HFUSE_CACHE]/[HFUSE_CACHE_DIR]) plus the chaos
-   plan.  A one-shot CLI resolves it once at startup; a long-lived
-   server resolves one per request — possibly overridden by the
-   request itself — and threads it explicitly, so two concurrent
-   requests with different knobs cannot observe each other. *)
+(* One explicit record for the profiling knobs: traced blocks, sim
+   fuel, the trace-memory bound, the cache root and the chaos plan.
+   This module is the only reader of their [HFUSE_*] variables.  A
+   one-shot CLI resolves one record at startup; a long-lived server
+   resolves its base record at startup and overrides it per request,
+   and the record is threaded explicitly, so two concurrent requests
+   with different knobs cannot observe each other. *)
 
 module Fault = Hfuse_fault.Fault
 
@@ -16,78 +16,70 @@ type t = {
   fault : Fault.plan option;
 }
 
-let env_positive name ~default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n > 0 -> n
+(* an empty variable counts as unset *)
+let getenv name =
+  match Sys.getenv_opt name with Some "" | None -> None | v -> v
+
+(* An override must be at least [min] (1 for counts, 0 where 0 means
+   "unbounded"); an absent one comes from [env], falling back to
+   [default] when the variable is unset or out of range. *)
+let pick name ~min ~env ~default = function
+  | Some n when n < min ->
+      invalid_arg (Printf.sprintf "Settings.resolve: need %s >= %d" name min)
+  | Some n -> n
+  | None -> (
+      let parse v = int_of_string_opt (String.trim v) in
+      match Option.bind (getenv env) parse with
+      | Some n when n >= min -> n
       | _ -> default)
-  | None -> default
 
-(* like [env_positive] but 0 is meaningful ("unbounded") *)
-let env_nonneg name ~default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 0 -> n
-      | _ -> default)
-  | None -> default
+let cache_root () =
+  Option.value (getenv "HFUSE_CACHE_DIR") ~default:Profile_cache.default_dir
 
-(* Process-default traced-block count.  The environment seeds it at
-   startup; [set_trace_blocks] (the CLIs' [--trace-blocks]) retunes it.
-   Per-request work should capture it through {!resolve} instead of
-   reading the mutable default at use sites. *)
-let trace_blocks_ref = ref (env_positive "HFUSE_TRACE_BLOCKS" ~default:1)
-let trace_blocks () = !trace_blocks_ref
+(* [HFUSE_CACHE=0] forces the cache off; [HFUSE_CACHE_DIR=path] (or
+   [HFUSE_CACHE=1] for the default root) enables it; neither leaves
+   it off. *)
+let env_cache_dir () =
+  match getenv "HFUSE_CACHE" with
+  | Some ("0" | "off" | "no" | "false") -> None
+  | Some _ -> Some (cache_root ())
+  | None -> getenv "HFUSE_CACHE_DIR"
 
-let set_trace_blocks n =
-  if n <= 0 then invalid_arg "Settings.set_trace_blocks: need n > 0";
-  trace_blocks_ref := n
+let env_fault () =
+  match getenv "HFUSE_FAULT" with
+  | None -> None
+  | Some spec -> (
+      try Fault.plan_of_spec spec
+      with Fault.Invalid_spec msg ->
+        raise (Fault.Invalid_spec ("HFUSE_FAULT: " ^ msg)))
 
-(* The environment is consulted here, once per resolution, not at the
-   eventual use sites deep in the profiler. *)
-let current () =
+(* The environment is consulted here, once per resolution and only for
+   the fields not overridden, never at the use sites deep in the
+   profiler. *)
+let resolve ?trace_blocks ?sim_fuel ?trace_mem_mb ?cache_dir ?fault () =
   {
-    trace_blocks = trace_blocks ();
+    trace_blocks =
+      pick "trace_blocks" ~min:1 ~env:"HFUSE_TRACE_BLOCKS" ~default:1
+        trace_blocks;
     sim_fuel =
-      env_positive "HFUSE_SIM_FUEL" ~default:Gpusim.Launch.default_loop_fuel;
-    trace_mem_mb = env_nonneg "HFUSE_TRACE_MEM_MB" ~default:0;
-    cache_dir = Profile_cache.env_dir ();
-    fault = Fault.installed ();
-  }
-
-let resolve ?trace_blocks:tb ?sim_fuel ?trace_mem_mb ?cache_dir ?fault () =
-  let d = current () in
-  (match tb with
-  | Some n when n <= 0 -> invalid_arg "Settings.resolve: need trace_blocks > 0"
-  | _ -> ());
-  (match sim_fuel with
-  | Some n when n <= 0 -> invalid_arg "Settings.resolve: need sim_fuel > 0"
-  | _ -> ());
-  (match trace_mem_mb with
-  | Some n when n < 0 -> invalid_arg "Settings.resolve: need trace_mem_mb >= 0"
-  | _ -> ());
-  {
-    trace_blocks = Option.value tb ~default:d.trace_blocks;
-    sim_fuel = Option.value sim_fuel ~default:d.sim_fuel;
-    trace_mem_mb = Option.value trace_mem_mb ~default:d.trace_mem_mb;
-    cache_dir = (match cache_dir with Some v -> v | None -> d.cache_dir);
-    fault = (match fault with Some v -> v | None -> d.fault);
+      pick "sim_fuel" ~min:1 ~env:"HFUSE_SIM_FUEL"
+        ~default:Gpusim.Launch.default_loop_fuel sim_fuel;
+    trace_mem_mb =
+      pick "trace_mem_mb" ~min:0 ~env:"HFUSE_TRACE_MEM_MB" ~default:0
+        trace_mem_mb;
+    cache_dir = (match cache_dir with Some v -> v | None -> env_cache_dir ());
+    fault = (match fault with Some v -> v | None -> env_fault ());
   }
 
 let cache (s : t) : Profile_cache.t =
-  Profile_cache.of_dir ?fault:s.fault s.cache_dir
+  match s.cache_dir with
+  | Some dir -> Profile_cache.create ~dir ?fault:s.fault ()
+  | None -> Profile_cache.disabled ()
 
 let trace_store (s : t) : Trace_store.t =
-  Trace_store.of_dir ?fault:s.fault s.cache_dir
+  match s.cache_dir with
+  | Some dir -> Trace_store.create ~dir ?fault:s.fault ()
+  | None -> Trace_store.disabled ()
 
 let trace_limit_bytes (s : t) : int option =
   if s.trace_mem_mb > 0 then Some (s.trace_mem_mb * 1024 * 1024) else None
-
-let pp ppf (s : t) =
-  Fmt.pf ppf "trace_blocks=%d sim_fuel=%d trace_mem=%s cache=%s fault=%s"
-    s.trace_blocks s.sim_fuel
-    (if s.trace_mem_mb > 0 then Printf.sprintf "%dMB" s.trace_mem_mb
-     else "unbounded")
-    (match s.cache_dir with Some d -> d | None -> "off")
-    (if s.fault = None then "off" else "on")

@@ -1,13 +1,15 @@
-(** Per-request profiling configuration, resolved once and threaded
+(** Per-run profiling configuration, resolved once and threaded
     explicitly.
 
-    Historically the profiler read [HFUSE_TRACE_BLOCKS],
-    [HFUSE_SIM_FUEL] and [HFUSE_CACHE]/[HFUSE_CACHE_DIR] at their use
-    sites, which is fine for a one-shot CLI but racy in a daemon where
-    concurrent requests want different knobs.  A {!t} captures every
-    knob at one point in time; the environment (and the installed
-    process chaos plan) is only the {e default source}, consulted by
-    {!current}/{!resolve}, never by the code that uses the values. *)
+    A {!t} carries every profiling knob: traced blocks, simulator fuel,
+    the trace-memory bound, the cache root and the chaos plan.  This
+    module is the only reader of their environment variables
+    ([HFUSE_TRACE_BLOCKS], [HFUSE_SIM_FUEL], [HFUSE_TRACE_MEM_MB],
+    [HFUSE_CACHE]/[HFUSE_CACHE_DIR], [HFUSE_FAULT]), and only inside
+    {!resolve}.  The CLI and bench resolve one value per run from their
+    flags and the environment; the daemon resolves a base value at
+    startup and overrides it per request.  Code below them takes the
+    value as an argument and never consults a process default. *)
 
 type t = {
   trace_blocks : int;  (** traced blocks per profiling launch *)
@@ -19,25 +21,19 @@ type t = {
       (** persistent profile-cache root; [None] disables the cache *)
   fault : Hfuse_fault.Fault.plan option;
       (** chaos plan scoping this work's injection draws; [None] means
-          no injection (the installed process plan is captured into
-          this field at resolution, not consulted later) *)
+          no injection *)
 }
 
-(** Process-default traced-block count: seeded from
-    [HFUSE_TRACE_BLOCKS] at startup, retuned by {!set_trace_blocks}. *)
-val trace_blocks : unit -> int
-
-(** Set the process-default traced-block count ([--trace-blocks]).
-    @raise Invalid_argument when [n <= 0]. *)
-val set_trace_blocks : int -> unit
-
-(** The process defaults, resolved now: the current traced-block
-    default, [HFUSE_SIM_FUEL] (or the simulator's 3M default),
-    [HFUSE_CACHE]/[HFUSE_CACHE_DIR], and the installed chaos plan. *)
-val current : unit -> t
-
-(** {!current} with per-field overrides (a server request's knobs).
-    @raise Invalid_argument on non-positive [trace_blocks]/[sim_fuel]. *)
+(** A settings value: each given field as passed, every other field
+    from its environment variable — [HFUSE_TRACE_BLOCKS] (default 1),
+    [HFUSE_SIM_FUEL] (default {!Gpusim.Launch.default_loop_fuel}),
+    [HFUSE_TRACE_MEM_MB] (default 0), [HFUSE_CACHE]/[HFUSE_CACHE_DIR]
+    (default off) and [HFUSE_FAULT] (default none); an empty variable
+    counts as unset.  With every field given it reads no environment
+    and only validates.
+    @raise Invalid_argument on [trace_blocks]/[sim_fuel] below 1 or
+    [trace_mem_mb] below 0.
+    @raise Hfuse_fault.Fault.Invalid_spec on a malformed [HFUSE_FAULT]. *)
 val resolve :
   ?trace_blocks:int ->
   ?sim_fuel:int ->
@@ -46,6 +42,10 @@ val resolve :
   ?fault:Hfuse_fault.Fault.plan option ->
   unit ->
   t
+
+(** The root a [--cache] flag enables: [HFUSE_CACHE_DIR], else
+    {!Profile_cache.default_dir}. *)
+val cache_root : unit -> string
 
 (** A fresh profile-cache handle for these settings: enabled at
     [cache_dir] when set (chaos draws scoped to [fault]), disabled
@@ -61,7 +61,3 @@ val trace_store : t -> Trace_store.t
 (** The memory-tier bound in bytes, or [None] for unbounded
     ([trace_mem_mb = 0]). *)
 val trace_limit_bytes : t -> int option
-
-(** ["trace_blocks=N sim_fuel=M trace_mem=KMB|unbounded cache=DIR|off
-    fault=on|off"]. *)
-val pp : t Fmt.t

@@ -45,7 +45,7 @@ val mkdir_p : string -> unit
 type t
 
 (** Entries under [dir] with header [<magic> <version>].  [fault]
-    scopes the chaos draws; [None] uses the installed process plan. *)
+    is the chaos plan for the corruption draws; [None] injects nothing. *)
 val create :
   magic:string -> version:string -> fault:Hfuse_fault.Fault.plan option ->
   string -> t

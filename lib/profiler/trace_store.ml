@@ -237,10 +237,6 @@ let create ?(dir = Profile_cache.default_dir) ?fault () =
 
 let disabled () = None
 
-let of_dir ?fault = function
-  | Some dir -> create ~dir ?fault ()
-  | None -> disabled ()
-
 let decode payload =
   match Trace.decode_blocks payload with
   | Some blocks -> blocks

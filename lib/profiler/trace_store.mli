@@ -34,16 +34,13 @@ type t
 
 (** An enabled store rooted at [dir] (default
     [Profile_cache.default_dir]); entries live under [dir/traces/v1].
-    [fault] scopes this handle's chaos-corruption draws to an explicit
-    plan; omitted, the installed process plan applies. *)
+    [fault] is the chaos plan for this handle's corruption draws;
+    omitted, nothing is injected. *)
 val create : ?dir:string -> ?fault:Hfuse_fault.Fault.plan -> unit -> t
 
 (** A store whose disk tier never hits and never writes (the shared
     memory tier still works). *)
 val disabled : unit -> t
-
-(** Handle from a resolved root: [Some dir] enables, [None] disables. *)
-val of_dir : ?fault:Hfuse_fault.Fault.plan -> string option -> t
 
 (** Versioned entry directory (empty for a disabled store). *)
 val dir : t -> string

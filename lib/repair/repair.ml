@@ -57,10 +57,6 @@ type failure =
   | Budget_exhausted of Diag.t list
   | Generate_failed of string
 
-let failure_diags = function
-  | Unserviceable ds | No_progress ds | Budget_exhausted ds -> ds
-  | Generate_failed _ -> []
-
 let pp_failure ppf = function
   | Unserviceable ds ->
       Fmt.pf ppf "unserviceable: no repair strategy for %a"

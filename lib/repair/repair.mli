@@ -52,10 +52,6 @@ type failure =
 
 val pp_failure : failure Fmt.t
 
-(** The diagnostics left standing when repair failed (empty for
-    [Generate_failed]). *)
-val failure_diags : failure -> Diag.t list
-
 (** [attempt k1 k2] repairs a kernel pair whose fusion the verifier
     rejected: generate (unchecked), verify, dispatch strategies on the
     error kinds, transform the {e input} kernels (or the forced

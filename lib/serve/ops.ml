@@ -194,9 +194,8 @@ let check_repaired (b : Buffer.t)
   match r with
   | Ok (actions, residual) ->
       List.iter
-        (fun (a : Hfuse_repair.Repair.action) ->
-          Buffer.add_string b
-            (Printf.sprintf "repair[%s]: %s\n" a.a_tag a.a_detail))
+        (fun a ->
+          Buffer.add_string b (Fmt.str "%a\n" Hfuse_repair.Repair.pp_action a))
         actions;
       Buffer.add_string b (Hfuse_analysis.Diag.report_to_string residual);
       {
@@ -287,8 +286,7 @@ let check (p : check_params) : outcome =
 (* simulate                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let simulate ?settings (p : simulate_params) : outcome =
-  let s = match settings with Some s -> s | None -> Settings.current () in
+let simulate ~settings:(s : Settings.t) (p : simulate_params) : outcome =
   let spec = p.m_kernel in
   let size = Option.value p.m_size ~default:spec.default_size in
   let mem = Gpusim.Memory.create () in
@@ -335,9 +333,8 @@ let reg_bound_str = function
   | None -> "unbounded"
   | Some r -> Printf.sprintf "r0=%d" r
 
-let search ?settings ?(checkpoint = Checkpoint.disabled) ?pool
-    (p : search_params) : outcome =
-  let s = match settings with Some s -> s | None -> Settings.current () in
+let search ~settings:(s : Settings.t) ?(checkpoint = Checkpoint.disabled)
+    ?pool (p : search_params) : outcome =
   let arch = p.s_arch in
   (* per-request counters: a fresh stats record, a fresh cache handle
      (shared by the size probe, the native baseline and the search),
@@ -350,7 +347,7 @@ let search ?settings ?(checkpoint = Checkpoint.disabled) ?pool
   let pool_before = Pool.tally () in
   let trace_before = Trace_store.tally () in
   let size1, size2 =
-    Hfuse_profiler.Experiment.pair_sizes ~cache ~checkpoint arch
+    Hfuse_profiler.Experiment.pair_sizes ~settings:s ~cache ~checkpoint arch
       (p.s_k1, p.s_size1) (p.s_k2, p.s_size2)
   in
   let mem = Gpusim.Memory.create () in
@@ -433,8 +430,11 @@ let search ?settings ?(checkpoint = Checkpoint.disabled) ?pool
 (* ------------------------------------------------------------------ *)
 
 let run ?settings ?checkpoint ?pool (p : request_params) : outcome =
+  let settings () =
+    match settings with Some s -> s | None -> Settings.resolve ()
+  in
   match p with
   | Fuse p -> fuse p
   | Check p -> check p
-  | Simulate p -> simulate ?settings p
-  | Search p -> search ?settings ?checkpoint ?pool p
+  | Simulate p -> simulate ~settings:(settings ()) p
+  | Search p -> search ~settings:(settings ()) ?checkpoint ?pool p

@@ -84,24 +84,26 @@ val json_of_fault_tally : Hfuse_fault.Fault.tally -> Json.t
 val fuse : fuse_params -> outcome
 val check : check_params -> outcome
 
-(** [settings] defaults to {!Hfuse_profiler.Settings.current} — the
-    CLI's environment capture.  The daemon always passes the resolved
-    per-request record. *)
-val simulate : ?settings:Hfuse_profiler.Settings.t -> simulate_params -> outcome
+(** Simulates (and optionally validates) one kernel under [settings]. *)
+val simulate : settings:Hfuse_profiler.Settings.t -> simulate_params -> outcome
 
-(** Runs the Fig. 6 search with a fresh per-request stats record and a
-    cache handle derived from [settings]; [telemetry] carries the
-    search/cache counters plus pool and fault tally deltas bracketing
-    the request.  [checkpoint] (resume journalling) and [pool] (shared
-    worker pool) are CLI/daemon concerns respectively and default off.
+(** Runs the Fig. 6 search under [settings] — the size probe included —
+    with a fresh per-request stats record and a cache handle derived
+    from [settings]; [telemetry] carries the search/cache counters plus
+    pool and fault tally deltas bracketing the request.  [checkpoint]
+    (resume journalling) and [pool] (shared worker pool) are CLI/daemon
+    concerns respectively and default off.
     @raise Sys.Break and simulator exceptions as the CLI path does. *)
 val search :
-  ?settings:Hfuse_profiler.Settings.t ->
+  settings:Hfuse_profiler.Settings.t ->
   ?checkpoint:Hfuse_profiler.Checkpoint.t ->
   ?pool:Hfuse_parallel.Pool.t ->
   search_params ->
   outcome
 
+(** Dispatches one verb.  [settings] (read by [simulate] and [search]
+    only) defaults to [Settings.resolve ()], the environment's; the
+    daemon and the CLI pass their own value. *)
 val run :
   ?settings:Hfuse_profiler.Settings.t ->
   ?checkpoint:Hfuse_profiler.Checkpoint.t ->

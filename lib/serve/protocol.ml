@@ -17,8 +17,7 @@ module Fault = Hfuse_fault.Fault
 
 (* Per-request settings overrides.  The outer option is "key present
    in the request"; for cache_dir/fault the inner option distinguishes
-   an explicit null ("force off") from a value — exactly the
-   option-of-option shape [Settings.resolve] takes. *)
+   an explicit null ("force off") from a value. *)
 type settings_spec = {
   sp_trace_blocks : int option;
   sp_sim_fuel : int option;
@@ -262,19 +261,24 @@ let parse_request (line : string) : (request, response) result =
 (* Settings resolution                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Resolve a request's overrides into a concrete per-request settings
-   record.  A malformed fault spec or non-positive knob raises
-   ([Fault.Invalid_spec] / [Invalid_argument]); the daemon maps either
-   to one [invalid_request] response — never a dead process. *)
-let resolve_settings (sp : settings_spec) : Settings.t =
-  let fault =
-    match sp.sp_fault with
-    | None -> None
-    | Some None -> Some None
-    | Some (Some spec) -> Some (Fault.plan_of_spec spec)
-  in
-  Settings.resolve ?trace_blocks:sp.sp_trace_blocks ?sim_fuel:sp.sp_sim_fuel
-    ?trace_mem_mb:sp.sp_trace_mem_mb ?cache_dir:sp.sp_cache_dir ?fault ()
+(* A request's overrides applied to the daemon's [base] settings.  Every
+   field is given, so [Settings.resolve] only validates: the environment
+   is never consulted per request.  A malformed fault spec or
+   non-positive knob raises ([Fault.Invalid_spec] / [Invalid_argument]);
+   the daemon maps either to one [invalid_request] response — never a
+   dead process. *)
+let resolve_settings ~(base : Settings.t) (sp : settings_spec) : Settings.t =
+  let or_base o d = Option.value o ~default:d in
+  Settings.resolve
+    ~trace_blocks:(or_base sp.sp_trace_blocks base.trace_blocks)
+    ~sim_fuel:(or_base sp.sp_sim_fuel base.sim_fuel)
+    ~trace_mem_mb:(or_base sp.sp_trace_mem_mb base.trace_mem_mb)
+    ~cache_dir:(or_base sp.sp_cache_dir base.cache_dir)
+    ~fault:
+      (match sp.sp_fault with
+      | None -> base.fault
+      | Some spec -> Option.bind spec Fault.plan_of_spec)
+    ()
 
 (* The CLI's capture of its own effective configuration, for shipping
    with a routed request so the daemon reproduces the one-shot

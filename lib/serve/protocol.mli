@@ -72,15 +72,17 @@ val failure : ?id:string -> error_code -> string -> response
     response to send, echoing the request id when one was readable. *)
 val parse_request : string -> (request, response) result
 
-(** Resolve a request's overrides into a concrete per-request settings
-    record (env defaults fill the gaps).
+(** A request's overrides applied to [base], the daemon's startup
+    settings: each field the request names replaces [base]'s, the
+    others are [base]'s.  The environment is not consulted.
     @raise Hfuse_fault.Fault.Invalid_spec on a malformed fault spec.
     @raise Invalid_argument on non-positive trace_blocks/sim_fuel. *)
-val resolve_settings : settings_spec -> Hfuse_profiler.Settings.t
+val resolve_settings :
+  base:Hfuse_profiler.Settings.t -> settings_spec -> Hfuse_profiler.Settings.t
 
 (** Capture an effective configuration for shipping with a routed
     request, so the daemon reproduces the one-shot behaviour exactly
-    (the installed fault plan travels as {!Hfuse_fault.Fault.to_spec}). *)
+    (the fault plan travels as {!Hfuse_fault.Fault.to_spec}). *)
 val spec_of_settings : Hfuse_profiler.Settings.t -> settings_spec
 
 val request_to_line : request -> string

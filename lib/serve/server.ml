@@ -21,7 +21,12 @@ module Report = Hfuse_profiler.Report
 module Fault = Hfuse_fault.Fault
 module Pool = Hfuse_parallel.Pool
 
-type config = { socket_path : string; jobs : int; queue_limit : int }
+type config = {
+  socket_path : string;
+  jobs : int;
+  queue_limit : int;
+  settings : Hfuse_profiler.Settings.t;
+}
 
 let default_queue_limit = 64
 
@@ -192,7 +197,10 @@ let handle_line t (send : Protocol.response -> unit) (line : string) =
             (Protocol.response_of_outcome ~id:req.Protocol.id (stats_outcome t))
       | Protocol.Work params -> (
           let id = req.Protocol.id in
-          match Protocol.resolve_settings req.Protocol.settings with
+          match
+            Protocol.resolve_settings ~base:t.config.settings
+              req.Protocol.settings
+          with
           | exception Fault.Invalid_spec msg ->
               note_error t;
               send (Protocol.failure ~id Protocol.Invalid_request msg)

@@ -16,6 +16,10 @@ type config = {
   socket_path : string;
   jobs : int;  (** worker domains (at least 1) *)
   queue_limit : int;  (** max queued-unstarted requests before [overloaded] *)
+  settings : Hfuse_profiler.Settings.t;
+      (** the daemon's base settings (its environment plus [serve]'s
+          flags), which each request's overrides replace field by
+          field *)
 }
 
 val default_queue_limit : int

@@ -170,14 +170,15 @@ let corpus_pair ctx (a : Arch.t) n1 n2 ~size1 ~size2 =
   let mem = Memory.create () in
   let c1 = Runner.configure mem s1 ~size:size1 in
   let c2 = Runner.configure mem s2 ~size:size2 in
-  check_specs (ctx ^ ": solo1") a [ Runner.spec_of c1 ~stream:0 () ];
-  check_specs (ctx ^ ": native")
-    a
-    [ Runner.spec_of c1 ~stream:0 (); Runner.spec_of c2 ~stream:1 () ];
+  let settings = Test_util.env_settings () in
+  let spec c = Runner.spec_of ~settings c in
+  check_specs (ctx ^ ": solo1") a [ spec c1 ~stream:0 () ];
+  check_specs (ctx ^ ": native") a
+    [ spec c1 ~stream:0 (); spec c2 ~stream:1 () ];
   match Runner.naive_hfuse c1 c2 with
   | None -> ()
   | Some f ->
-      let traces = Runner.hfuse_traces c1 c2 f in
+      let traces = Runner.hfuse_traces ~settings c1 c2 f in
       check_specs (ctx ^ ": hfused") a
         [ Runner.hfuse_spec f ~reg_bound:None ~traces ]
 
@@ -332,9 +333,10 @@ let test_pool_determinism () =
       Kernel_corpus.Registry.find_exn "Hist" )
   in
   let sizes = [ ("Batchnorm", 4); ("Hist", 4) ] in
-  let r1 = Experiment.figure9_pair ~jobs:1 arch sizes pair in
+  let settings = Test_util.env_settings () in
+  let r1 = Experiment.figure9_pair ~jobs:1 ~settings arch sizes pair in
   Runner.clear_cache ();
-  let r4 = Experiment.figure9_pair ~jobs:4 arch sizes pair in
+  let r4 = Experiment.figure9_pair ~jobs:4 ~settings arch sizes pair in
   Alcotest.(check bool) "-j 1 and -j 4 rows identical" true
     (numeric_of_row r1 = numeric_of_row r4)
 

@@ -34,9 +34,10 @@ let hfuse_case ((s1, s2) : Spec.t * Spec.t) =
     `Slow
     (fun () ->
       let d1, d2 = partition_for s1 s2 in
+      let settings = Test_util.env_settings () in
       match
-        Runner.validate_hfuse s1 ~size1:(size_for s1) s2 ~size2:(size_for s2)
-          ~d1 ~d2
+        Runner.validate_hfuse ~settings s1 ~size1:(size_for s1) s2
+          ~size2:(size_for s2) ~d1 ~d2
       with
       | Ok () -> ()
       | Error e -> Alcotest.fail e)
@@ -46,8 +47,10 @@ let vfuse_case ((s1, s2) : Spec.t * Spec.t) =
     (Printf.sprintf "vfuse %s+%s" s1.name s2.name)
     `Slow
     (fun () ->
+      let settings = Test_util.env_settings () in
       match
-        Runner.validate_vfuse s1 ~size1:(size_for s1) s2 ~size2:(size_for s2)
+        Runner.validate_vfuse ~settings s1 ~size1:(size_for s1) s2
+          ~size2:(size_for s2)
       with
       | Ok () -> ()
       | Error e -> Alcotest.fail e)
@@ -56,10 +59,12 @@ let vfuse_case ((s1, s2) : Spec.t * Spec.t) =
    the partition only changes performance, never results. *)
 let test_partition_sweep () =
   let s1 = Registry.find_exn "Batchnorm" and s2 = Registry.find_exn "Hist" in
+  let settings = Test_util.env_settings () in
   List.iter
     (fun d1 ->
       match
-        Runner.validate_hfuse s1 ~size1:2 s2 ~size2:2 ~d1 ~d2:(1024 - d1)
+        Runner.validate_hfuse ~settings s1 ~size1:2 s2 ~size2:2 ~d1
+          ~d2:(1024 - d1)
       with
       | Ok () -> ()
       | Error e -> Alcotest.failf "partition %d/%d: %s" d1 (1024 - d1) e)
@@ -68,10 +73,11 @@ let test_partition_sweep () =
 (* Fusing in the opposite order must also be equivalent. *)
 let test_order_independence () =
   let s1 = Registry.find_exn "Hist" and s2 = Registry.find_exn "Maxpool" in
-  (match Runner.validate_hfuse s1 ~size1:2 s2 ~size2:2 ~d1:256 ~d2:256 with
+  let settings = Test_util.env_settings () in
+  (match Runner.validate_hfuse ~settings s1 ~size1:2 s2 ~size2:2 ~d1:256 ~d2:256 with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
-  match Runner.validate_hfuse s2 ~size1:2 s1 ~size2:2 ~d1:256 ~d2:256 with
+  match Runner.validate_hfuse ~settings s2 ~size1:2 s1 ~size2:2 ~d1:256 ~d2:256 with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 

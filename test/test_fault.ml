@@ -1,59 +1,61 @@
 (* The chaos-injection harness: spec parsing, pure deterministic draws,
-   backoff jitter, retry/recovery semantics, and the fault tally.  Every
-   test clears the plan on exit so the other suites stay fault-free. *)
+   backoff jitter, retry/recovery semantics, and the fault tally.  Plans
+   are passed to every draw, so a draw without one never fires; every
+   test resets the tally on exit. *)
 
 module Fault = Hfuse_fault.Fault
 
 let with_plan spec f =
-  (match Fault.configure spec with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "configure %S rejected: %s" spec e);
-  Fun.protect ~finally:(fun () ->
-      Fault.clear ();
-      Fault.reset_tally ())
-    f
+  let plan =
+    match Fault.plan_of_spec spec with
+    | Some p -> p
+    | None -> Alcotest.failf "spec %S parsed to no plan" spec
+    | exception Fault.Invalid_spec e ->
+        Alcotest.failf "spec %S rejected: %s" spec e
+  in
+  Fun.protect ~finally:Fault.reset_tally (fun () -> f plan)
 
 let test_configure_ok () =
   with_plan "worker_crash:0.05,cache_corrupt:0.1,sim_hang:0.02,seed:7"
-    (fun () ->
-      Alcotest.(check bool) "enabled" true (Fault.enabled ());
-      Alcotest.(check (float 0.0)) "crash rate" 0.05 (Fault.rate Worker_crash);
-      Alcotest.(check (float 0.0)) "corrupt rate" 0.1 (Fault.rate Cache_corrupt);
-      Alcotest.(check (float 0.0)) "hang rate" 0.02 (Fault.rate Sim_hang));
+    (fun plan ->
+      Alcotest.(check bool) "enabled" true (Fault.enabled ~plan ());
+      Alcotest.(check (float 0.0)) "crash rate" 0.05
+        (Fault.rate ~plan Worker_crash);
+      Alcotest.(check (float 0.0)) "corrupt rate" 0.1
+        (Fault.rate ~plan Cache_corrupt);
+      Alcotest.(check (float 0.0)) "hang rate" 0.02 (Fault.rate ~plan Sim_hang));
   Alcotest.(check bool) "cleared" false (Fault.enabled ());
   Alcotest.(check (float 0.0)) "rates drop to 0" 0.0 (Fault.rate Worker_crash)
 
 let test_configure_errors () =
   let rejects spec =
-    match Fault.configure spec with
-    | Ok () ->
-        Fault.clear ();
-        Alcotest.failf "malformed spec %S accepted" spec
-    | Error _ -> ()
+    match Fault.plan_of_spec spec with
+    | _ -> Alcotest.failf "malformed spec %S accepted" spec
+    | exception Fault.Invalid_spec _ -> ()
   in
   rejects "worker_crash";
   rejects "worker_crash:nope";
   rejects "worker_crash:1.5";
   rejects "worker_crash:-0.1";
   rejects "disk_full:0.5";
-  (* an empty spec is the documented way to clear the plan *)
-  (match Fault.configure "worker_crash:1.0" with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "valid spec rejected: %s" e);
-  (match Fault.configure "" with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "empty spec rejected: %s" e);
-  Alcotest.(check bool) "empty spec clears" false (Fault.enabled ())
+  (* an empty spec is the documented way to ask for no plan *)
+  (match Fault.plan_of_spec "worker_crash:1.0" with
+  | Some _ -> ()
+  | None -> Alcotest.fail "valid spec parsed to no plan");
+  Alcotest.(check bool) "empty spec clears" true
+    (Fault.plan_of_spec "" = None)
 
 let test_fires_deterministic () =
-  with_plan "worker_crash:0.5,seed:3" (fun () ->
-      let draws = Array.init 512 (fun k -> Fault.fires Worker_crash ~key:k) in
+  with_plan "worker_crash:0.5,seed:3" (fun plan ->
+      let draws =
+        Array.init 512 (fun k -> Fault.fires ~plan Worker_crash ~key:k)
+      in
       Array.iteri
         (fun k d ->
           Alcotest.(check bool)
             (Printf.sprintf "key %d draws the same answer twice" k)
             d
-            (Fault.fires Worker_crash ~key:k))
+            (Fault.fires ~plan Worker_crash ~key:k))
         draws;
       let hits =
         Array.fold_left (fun n d -> if d then n + 1 else n) 0 draws
@@ -65,15 +67,15 @@ let test_fires_deterministic () =
         (hits > 128 && hits < 384))
 
 let test_fires_extremes () =
-  with_plan "cache_corrupt:1.0,sim_hang:0.0" (fun () ->
+  with_plan "cache_corrupt:1.0,sim_hang:0.0" (fun plan ->
       for k = 0 to 255 do
         Alcotest.(check bool) "rate 1 always fires" true
-          (Fault.fires Cache_corrupt ~key:k);
+          (Fault.fires ~plan Cache_corrupt ~key:k);
         Alcotest.(check bool) "rate 0 never fires" false
-          (Fault.fires Sim_hang ~key:k);
+          (Fault.fires ~plan Sim_hang ~key:k);
         (* unconfigured kinds never fire either *)
         Alcotest.(check bool) "unconfigured kind never fires" false
-          (Fault.fires Worker_crash ~key:k)
+          (Fault.fires ~plan Worker_crash ~key:k)
       done);
   Alcotest.(check bool) "disabled plan never fires" false
     (Fault.fires Cache_corrupt ~key:0)
@@ -90,7 +92,7 @@ let test_jitter () =
   done
 
 let test_with_retries_injected () =
-  with_plan "worker_crash:1.0" (fun () ->
+  with_plan "worker_crash:1.0" (fun _ ->
       Fault.reset_tally ();
       (* an injected fault is transient: the wrapper retries until the
          task runs clean, even with no real-failure budget *)
@@ -107,8 +109,7 @@ let test_with_retries_injected () =
         (Fault.recovered_total () >= 1))
 
 let test_with_retries_budget () =
-  (* no plan installed: only the explicit budget applies *)
-  Fault.clear ();
+  (* no plan: only the explicit budget applies *)
   Fault.reset_tally ();
   let calls = ref 0 in
   let v =
@@ -142,7 +143,6 @@ let test_with_retries_budget () =
   Fault.reset_tally ()
 
 let test_tally () =
-  Fault.clear ();
   Fault.reset_tally ();
   Alcotest.(check int) "fresh tally empty" 0 (Fault.injected_total ());
   Fault.note_injected Worker_crash;
@@ -164,24 +164,21 @@ let test_tally () =
 
 let test_from_env_raises () =
   (* regression: a malformed HFUSE_FAULT used to exit the process with
-     code 2 from library code — fatal inside a daemon.  It now raises
-     Invalid_spec and leaves the installed plan untouched. *)
+     code 2 from library code — fatal inside a daemon.  Resolving
+     settings now raises Invalid_spec instead. *)
+  let resolve () = (Hfuse_profiler.Settings.resolve ()).fault in
   Unix.putenv "HFUSE_FAULT" "bogus_kind:0.5";
   Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "HFUSE_FAULT" "";
-      Fault.clear ())
+    ~finally:(fun () -> Unix.putenv "HFUSE_FAULT" "")
     (fun () ->
-      (match Fault.from_env () with
-      | () -> Alcotest.fail "malformed HFUSE_FAULT accepted"
+      (match resolve () with
+      | _ -> Alcotest.fail "malformed HFUSE_FAULT accepted"
       | exception Fault.Invalid_spec msg ->
           Alcotest.(check bool) "message names the bad kind" true
             (String.length msg > 0));
-      Alcotest.(check bool) "no plan installed" false (Fault.enabled ());
       Unix.putenv "HFUSE_FAULT" "sim_hang:0.5,seed:4";
-      Fault.from_env ();
       Alcotest.(check (float 0.0)) "valid env installs" 0.5
-        (Fault.rate Sim_hang))
+        (Fault.rate ?plan:(resolve ()) Sim_hang))
 
 let test_spec_round_trip () =
   let spec = "worker_crash:0.05,cache_corrupt:0.1,sim_hang:0.02,seed:7" in
@@ -210,7 +207,7 @@ let test_spec_round_trip () =
 
 let test_explicit_plans_are_independent () =
   (* two requests with different plans must not clobber each other, nor
-     the installed process plan — the daemon threads ?plan explicitly *)
+     a third plan in use alongside — the daemon threads ?plan explicitly *)
   let plan_of spec =
     match Fault.plan_of_spec spec with
     | Some p -> p
@@ -218,7 +215,7 @@ let test_explicit_plans_are_independent () =
   in
   let a = plan_of "worker_crash:1.0,seed:1" in
   let b = plan_of "sim_hang:1.0,seed:2" in
-  with_plan "cache_corrupt:1.0,seed:3" (fun () ->
+  with_plan "cache_corrupt:1.0,seed:3" (fun installed ->
       let results = Array.make 2 true in
       let drain i plan kind other =
         for key = 0 to 999 do
@@ -232,11 +229,11 @@ let test_explicit_plans_are_independent () =
       Thread.join t2;
       Alcotest.(check bool) "plan a saw only its own rates" true results.(0);
       Alcotest.(check bool) "plan b saw only its own rates" true results.(1);
-      (* the installed plan is untouched by the explicit draws *)
+      (* the third plan is untouched by the other plans' draws *)
       Alcotest.(check (float 0.0)) "installed rate intact" 1.0
-        (Fault.rate Cache_corrupt);
+        (Fault.rate ~plan:installed Cache_corrupt);
       Alcotest.(check (float 0.0)) "installed crash rate intact" 0.0
-        (Fault.rate Worker_crash))
+        (Fault.rate ~plan:installed Worker_crash))
 
 let test_diff_clamps () =
   let tally_of injected recovered = { Fault.injected; recovered } in

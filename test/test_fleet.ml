@@ -14,7 +14,7 @@ let test_settings () =
   Settings.resolve ~cache_dir:None ~fault:None ()
 
 let test_cfg ?(limit = 3) () =
-  { (Fleet.default_config ()) with limit = Some limit; settings = test_settings () }
+  { (Fleet.default_config (test_settings ())) with limit = Some limit }
 
 let row_repr (r : Fleet.row) =
   Printf.sprintf "%d|%s|%s|%s|%s|%.17g|%.17g|%.17g" r.Fleet.r_index

@@ -147,11 +147,8 @@ let test_map_lowest_index_failure () =
 let test_injected_crashes_recovered () =
   (* a certain worker-crash plan: every task is killed once and must
      still produce the fault-free answer, at any worker count *)
-  (match Fault.configure "worker_crash:1.0" with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "configure rejected: %s" e);
+  let fault = Fault.plan_of_spec "worker_crash:1.0" in
   Fun.protect ~finally:(fun () ->
-      Fault.clear ();
       Fault.reset_tally ();
       Pool.reset_tally ())
   @@ fun () ->
@@ -165,7 +162,7 @@ let test_injected_crashes_recovered () =
           Alcotest.(check (array int))
             (Printf.sprintf "bit-identical under crashes at -j %d" jobs)
             expect
-            (Pool.map p (fun i -> (i * 7) + 1) xs)))
+            (Pool.map ?fault p (fun i -> (i * 7) + 1) xs)))
     [ 1; 4 ];
   Alcotest.(check bool) "crashes were injected" true
     (Fault.injected_total () >= Array.length xs);

@@ -80,7 +80,9 @@ let hfuse_time ~size1 ~size2 =
       (Hfuse_core.Kernel_info.with_block_dim c1.Runner.info 32)
       (Hfuse_core.Kernel_info.with_block_dim c2.Runner.info 32)
   in
-  (Runner.hfuse_report arch c1 c2 f ~reg_bound:None).Timing.time_ms
+  (Runner.hfuse_report ~settings:(Test_util.env_settings ()) arch c1 c2 f
+     ~reg_bound:None)
+    .Timing.time_ms
 
 let test_trace_key_collision () =
   (* the old packed key folded the pair's sizes into
@@ -211,7 +213,8 @@ let test_report_cache_roundtrip () =
   clear_cache_dir cache;
   let mem = Memory.create () in
   let c = Runner.configure mem ta_tun ~size:3 in
-  let specs = [ Runner.spec_of c ~stream:0 () ] in
+  let settings = Test_util.env_settings () in
+  let specs = [ Runner.spec_of ~settings c ~stream:0 () ] in
   let key =
     Profile_cache.report_key ~arch:arch.Arch.name ~policy:"fifo" specs
   in
@@ -228,7 +231,7 @@ let test_report_cache_roundtrip () =
   let c' = Runner.configure mem ta_tun ~size:17 in
   let key' =
     Profile_cache.report_key ~arch:arch.Arch.name ~policy:"fifo"
-      [ Runner.spec_of c' ~stream:0 () ]
+      [ Runner.spec_of ~settings c' ~stream:0 () ]
   in
   Alcotest.(check bool) "trace contents keyed" true (key <> key');
   (* a torn/garbage entry must read as a miss, not an exception *)
@@ -245,17 +248,23 @@ let test_run_many_report_cache () =
   let mem = Memory.create () in
   let c1 = Runner.configure mem ta_tun ~size:3 in
   let c2 = Runner.configure mem tb_tun ~size:5 in
+  let settings = Test_util.env_settings () in
   let runs =
     [|
-      (arch, [ Runner.spec_of c1 ~stream:0 () ]);
+      (arch, [ Runner.spec_of ~settings c1 ~stream:0 () ]);
       ( arch,
-        [ Runner.spec_of c1 ~stream:0 (); Runner.spec_of c2 ~stream:1 () ] );
+        [
+          Runner.spec_of ~settings c1 ~stream:0 ();
+          Runner.spec_of ~settings c2 ~stream:1 ();
+        ] );
     |]
   in
-  let uncached = Runner.run_many runs in
-  let cold = Runner.run_many ~cache runs in
+  let uncached =
+    Runner.run_many ~settings:{ settings with cache_dir = None } runs
+  in
+  let cold = Runner.run_many ~settings ~cache runs in
   Alcotest.(check int) "cold stores" 2 (Profile_cache.stores cache);
-  let warm = Runner.run_many ~cache runs in
+  let warm = Runner.run_many ~settings ~cache runs in
   Alcotest.(check int) "warm hits" 2 (Profile_cache.hits cache);
   Alcotest.(check bool) "warm reports bit-identical" true (warm = cold);
   Alcotest.(check bool) "cache never changes reports" true (uncached = cold)
@@ -277,14 +286,16 @@ let test_rep_sizes_served_by_cache () =
 
 (* -- Runner.search: jobs / cache determinism ---------------------------- *)
 
-let search_tun ~jobs ~cache =
+let search_with ~settings ~jobs ~cache =
   (* fresh memory and trace cache per run: each run re-traces from the
      same deterministic inputs, like independent processes would *)
   Runner.clear_cache ();
   let mem = Memory.create () in
   let c1 = Runner.configure mem ta_tun ~size:3 in
   let c2 = Runner.configure mem tb_tun ~size:5 in
-  Runner.search ~jobs ~cache arch c1 c2
+  Runner.search ~jobs ~settings ~cache arch c1 c2
+
+let search_tun = search_with ~settings:(Test_util.env_settings ())
 
 let sig_of (r : Hfuse_core.Search.result) =
   List.map
@@ -416,20 +427,24 @@ let test_run_many_recomputes_corrupted () =
   let mem = Memory.create () in
   let c1 = Runner.configure mem ta_tun ~size:3 in
   let c2 = Runner.configure mem tb_tun ~size:5 in
+  let settings = Test_util.env_settings () in
   let runs =
     [|
-      (arch, [ Runner.spec_of c1 ~stream:0 () ]);
+      (arch, [ Runner.spec_of ~settings c1 ~stream:0 () ]);
       ( arch,
-        [ Runner.spec_of c1 ~stream:0 (); Runner.spec_of c2 ~stream:1 () ] );
+        [
+          Runner.spec_of ~settings c1 ~stream:0 ();
+          Runner.spec_of ~settings c2 ~stream:1 ();
+        ] );
     |]
   in
-  let cold = Runner.run_many ~cache runs in
+  let cold = Runner.run_many ~settings ~cache runs in
   (* corrupt every committed entry on disk *)
   Array.iter
     (fun f -> corrupt_on_disk (Filename.concat (Profile_cache.dir cache) f))
     (Sys.readdir (Profile_cache.dir cache));
   let healing = Profile_cache.create ~dir () in
-  let healed = Runner.run_many ~cache:healing runs in
+  let healed = Runner.run_many ~settings ~cache:healing runs in
   Alcotest.(check bool) "recompute identical to cold run" true (healed = cold);
   Alcotest.(check int) "both entries quarantined" 2
     (Profile_cache.corrupt healing);
@@ -438,7 +453,7 @@ let test_run_many_recomputes_corrupted () =
   (* the healed cache answers from disk again *)
   let warm = Profile_cache.create ~dir () in
   Alcotest.(check bool) "healed cache hits" true
-    (Runner.run_many ~cache:warm runs = cold);
+    (Runner.run_many ~settings ~cache:warm runs = cold);
   Alcotest.(check int) "two disk hits" 2 (Profile_cache.hits warm)
 
 (* -- Checkpoint journal -------------------------------------------------- *)
@@ -447,7 +462,10 @@ module Checkpoint = Hfuse_profiler.Checkpoint
 
 let fresh_journal tag =
   let dir = tmp_cache_dir ("jnl_" ^ tag) in
-  let run_id = Checkpoint.run_id ~parts:[ "test"; tag ] () in
+  let run_id =
+    Checkpoint.run_id ~sim_fuel:3_000_000 ~trace_blocks:1
+      ~parts:[ "test"; tag ] ()
+  in
   let file = Filename.concat dir (run_id ^ ".jnl") in
   if Sys.file_exists file then Sys.remove file;
   (dir, run_id)
@@ -513,7 +531,8 @@ let search_ck ~jobs ~checkpoint =
   let mem = Memory.create () in
   let c1 = Runner.configure mem ta_tun ~size:3 in
   let c2 = Runner.configure mem tb_tun ~size:5 in
-  Runner.search ~jobs ~cache:(Profile_cache.disabled ()) ~checkpoint arch c1 c2
+  Runner.search ~jobs ~settings:(Test_util.env_settings ())
+    ~cache:(Profile_cache.disabled ()) ~checkpoint arch c1 c2
 
 let test_search_resume_identity () =
   let baseline = search_tun ~jobs:2 ~cache:(Profile_cache.disabled ()) in
@@ -552,16 +571,15 @@ let test_run_id_sim_fuel () =
      resume under another: the same simulation can legitimately produce
      different times (a watchdogged candidate completes under a bigger
      budget), so replaying it would be wrong, not just stale *)
-  let id_a = Checkpoint.run_id ~sim_fuel:1_000 ~parts:[ "fuel"; "t" ] () in
-  let id_b = Checkpoint.run_id ~sim_fuel:2_000 ~parts:[ "fuel"; "t" ] () in
+  let run_id ~sim_fuel =
+    Checkpoint.run_id ~sim_fuel ~trace_blocks:1 ~parts:[ "fuel"; "t" ] ()
+  in
+  let id_a = run_id ~sim_fuel:1_000 in
+  let id_b = run_id ~sim_fuel:2_000 in
   Alcotest.(check bool) "different fuel, different run id" true
     (id_a <> id_b);
   Alcotest.(check string) "same fuel, same run id" id_a
-    (Checkpoint.run_id ~sim_fuel:1_000 ~parts:[ "fuel"; "t" ] ());
-  Alcotest.(check string) "default fuel is the engine's default"
-    (Checkpoint.run_id ~sim_fuel:Gpusim.Launch.default_loop_fuel
-       ~parts:[ "fuel"; "t" ] ())
-    (Checkpoint.run_id ~parts:[ "fuel"; "t" ] ());
+    (run_id ~sim_fuel:1_000);
   let dir = tmp_cache_dir "jnl_fuel" in
   List.iter
     (fun id ->
@@ -684,21 +702,17 @@ module Fault = Hfuse_fault.Fault
 
 let test_search_chaos_identity () =
   let baseline = search_tun ~jobs:2 ~cache:(Profile_cache.disabled ()) in
-  Fun.protect ~finally:(fun () ->
-      Fault.clear ();
-      Fault.reset_tally ())
-  @@ fun () ->
-  (match
-     Fault.configure "worker_crash:1.0,sim_hang:0.2,cache_corrupt:1.0,seed:3"
-   with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "configure rejected: %s" e);
+  Fun.protect ~finally:Fault.reset_tally @@ fun () ->
+  let fault =
+    Fault.plan_of_spec "worker_crash:1.0,sim_hang:0.2,cache_corrupt:1.0,seed:3"
+  in
+  let settings = Hfuse_profiler.Settings.resolve ~fault () in
   Fault.reset_tally ();
   let dir = tmp_cache_dir "chaos" in
-  let cache = Profile_cache.create ~dir () in
+  let cache = Profile_cache.create ~dir ?fault () in
   clear_cache_dir cache;
   Runner.reset_search_stats ();
-  let faulted = search_tun ~jobs:4 ~cache in
+  let faulted = search_with ~settings ~jobs:4 ~cache in
   (* regression: under injected worker crashes the stats JSON must stay
      machine-readable whatever the float fields hold *)
   (match
@@ -717,8 +731,8 @@ let test_search_chaos_identity () =
     (Fault.recovered_total () > 0);
   (* cache_corrupt:1.0 truncated every committed entry; a warm run
      quarantines them all, recomputes, and still matches the baseline *)
-  let warm_cache = Profile_cache.create ~dir () in
-  let warm = search_tun ~jobs:2 ~cache:warm_cache in
+  let warm_cache = Profile_cache.create ~dir ?fault () in
+  let warm = search_with ~settings ~jobs:2 ~cache:warm_cache in
   Alcotest.(check bool) "quarantine-and-recompute identical" true
     (sig_of warm = sig_of baseline);
   Alcotest.(check bool) "corrupted entries quarantined" true
@@ -946,9 +960,9 @@ let test_trace_store_lru_eviction () =
 
 (* -- Runner.search over the trace store ---------------------------------- *)
 
-let search_traced ~jobs ~dir =
+let search_traced ~fault ~jobs ~dir =
   Runner.clear_cache ();
-  let settings = Settings.resolve ~cache_dir:(Some dir) () in
+  let settings = Settings.resolve ~cache_dir:(Some dir) ~fault () in
   let mem = Memory.create () in
   let c1 = Runner.configure mem ta_tun ~size:3 in
   let c2 = Runner.configure mem tb_tun ~size:5 in
@@ -959,7 +973,7 @@ let test_search_trace_store_warm_identity () =
   let root = tmp_cache_dir "traces_search" in
   clear_trace_root root;
   Runner.reset_search_stats ();
-  let cold = search_traced ~jobs:2 ~dir:root in
+  let cold = search_traced ~fault:None ~jobs:2 ~dir:root in
   let cold_stats = Runner.search_stats () in
   Alcotest.(check bool) "store never changes results" true
     (sig_of cold = sig_of baseline);
@@ -973,7 +987,7 @@ let test_search_trace_store_warm_identity () =
   (* [search_traced] clears the in-process tiers, so this rerun answers
      from the persistent store alone — like a fresh process would *)
   Runner.reset_search_stats ();
-  let warm = search_traced ~jobs:4 ~dir:root in
+  let warm = search_traced ~fault:None ~jobs:4 ~dir:root in
   let warm_stats = Runner.search_stats () in
   Alcotest.(check bool) "warm results identical to cold" true
     (sig_of warm = sig_of cold);
@@ -986,31 +1000,26 @@ let test_search_trace_store_warm_identity () =
   Fun.protect ~finally:(fun () -> Trace_store.set_mem_limit_override None)
   @@ fun () ->
   Trace_store.set_mem_limit_override (Some 1);
-  let bounded = search_traced ~jobs:2 ~dir:root in
+  let bounded = search_traced ~fault:None ~jobs:2 ~dir:root in
   Alcotest.(check bool) "bounded store identical results" true
     (sig_of bounded = sig_of cold)
 
 let test_search_trace_chaos_heal () =
   let baseline = search_tun ~jobs:2 ~cache:(Profile_cache.disabled ()) in
-  Fun.protect ~finally:(fun () ->
-      Fault.clear ();
-      Fault.reset_tally ())
-  @@ fun () ->
-  (match Fault.configure "cache_corrupt:1.0,seed:5" with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "configure rejected: %s" e);
+  Fun.protect ~finally:Fault.reset_tally @@ fun () ->
+  let fault = Fault.plan_of_spec "cache_corrupt:1.0,seed:5" in
   Fault.reset_tally ();
   let root = tmp_cache_dir "traces_chaos" in
   clear_trace_root root;
   (* every committed trace entry is torn by the chaos hook; lookups
      quarantine and re-record, and the search never notices *)
-  let cold = search_traced ~jobs:2 ~dir:root in
+  let cold = search_traced ~fault ~jobs:2 ~dir:root in
   Alcotest.(check bool) "chaos cold identical to baseline" true
     (sig_of cold = sig_of baseline);
   Alcotest.(check bool) "trace corruption injected" true
     (Fault.injected_total () > 0);
   let before = Trace_store.tally () in
-  let warm = search_traced ~jobs:2 ~dir:root in
+  let warm = search_traced ~fault ~jobs:2 ~dir:root in
   let d = Trace_store.diff ~before ~after:(Trace_store.tally ()) in
   Alcotest.(check bool) "chaos warm identical to baseline" true
     (sig_of warm = sig_of baseline);
@@ -1027,13 +1036,14 @@ let test_run_id_trace_blocks () =
   (* same bug class as the fuel fix: profiled times are a function of
      how many blocks were traced, so a journal recorded at one width
      must be invisible to a resume at another *)
-  let id_a = Checkpoint.run_id ~trace_blocks:1 ~parts:[ "tb"; "t" ] () in
-  let id_b = Checkpoint.run_id ~trace_blocks:4 ~parts:[ "tb"; "t" ] () in
+  let run_id ~trace_blocks =
+    Checkpoint.run_id ~sim_fuel:3_000_000 ~trace_blocks ~parts:[ "tb"; "t" ] ()
+  in
+  let id_a = run_id ~trace_blocks:1 in
+  let id_b = run_id ~trace_blocks:4 in
   Alcotest.(check bool) "different width, different run id" true (id_a <> id_b);
   Alcotest.(check string) "same width, same run id" id_a
-    (Checkpoint.run_id ~trace_blocks:1 ~parts:[ "tb"; "t" ] ());
-  Alcotest.(check string) "default width is one block" id_a
-    (Checkpoint.run_id ~parts:[ "tb"; "t" ] ());
+    (run_id ~trace_blocks:1);
   let dir = tmp_cache_dir "jnl_tb" in
   List.iter
     (fun id ->

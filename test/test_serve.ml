@@ -169,38 +169,38 @@ let test_resolve_settings () =
       sp_fault = Some (Some "sim_hang:0.25,seed:9");
     }
   in
-  let s = Protocol.resolve_settings spec in
+  let base = Test_util.env_settings () in
+  let s = Protocol.resolve_settings ~base spec in
   Alcotest.(check int) "trace blocks override" 3 s.Settings.trace_blocks;
   (match s.Settings.fault with
   | None -> Alcotest.fail "fault plan dropped"
   | Some plan ->
       Alcotest.(check (float 0.0)) "plan rate" 0.25
         (Fault.rate ~plan Fault.Sim_hang));
-  (* an explicit null forces the fault plan off even when the process
-     has one installed — the daemon-safety rule that broke under the
-     old ambient-global scheme *)
-  (match Fault.configure "worker_crash:0.5,seed:3" with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "configure: %s" e);
-  Fun.protect ~finally:Fault.clear (fun () ->
-      let s =
-        Protocol.resolve_settings
-          { Protocol.no_overrides with sp_fault = Some None }
-      in
-      Alcotest.(check bool) "null disables inherited plan" true
-        (s.Settings.fault = None);
-      let s = Protocol.resolve_settings Protocol.no_overrides in
-      Alcotest.(check bool) "absent inherits installed plan" true
-        (s.Settings.fault <> None));
+  (* an explicit null forces the fault plan off even when the daemon's
+     base settings carry one — the daemon-safety rule that broke under
+     the old ambient-global scheme *)
+  let base =
+    { base with fault = Fault.plan_of_spec "worker_crash:0.5,seed:3" }
+  in
+  let s =
+    Protocol.resolve_settings ~base
+      { Protocol.no_overrides with sp_fault = Some None }
+  in
+  Alcotest.(check bool) "null disables inherited plan" true
+    (s.Settings.fault = None);
+  let s = Protocol.resolve_settings ~base Protocol.no_overrides in
+  Alcotest.(check bool) "absent inherits the daemon's base plan" true
+    (s.Settings.fault <> None);
   (* malformed specs raise instead of exiting the process *)
   (try
-     ignore (Protocol.resolve_settings
+     ignore (Protocol.resolve_settings ~base
                { Protocol.no_overrides with
                  sp_fault = Some (Some "bogus_kind:0.5") });
      Alcotest.fail "bad fault spec accepted"
    with Fault.Invalid_spec _ -> ());
   try
-    ignore (Protocol.resolve_settings
+    ignore (Protocol.resolve_settings ~base
               { Protocol.no_overrides with sp_trace_blocks = Some 0 });
     Alcotest.fail "trace_blocks 0 accepted"
   with Invalid_argument _ -> ()
@@ -215,7 +215,10 @@ let test_spec_of_settings_round_trip () =
     Settings.resolve ~trace_blocks:2 ~sim_fuel:50000 ~cache_dir:None
       ~fault:(Some plan) ()
   in
-  let s' = Protocol.resolve_settings (Protocol.spec_of_settings s) in
+  let s' =
+    Protocol.resolve_settings ~base:(Test_util.env_settings ())
+      (Protocol.spec_of_settings s)
+  in
   Alcotest.(check int) "trace blocks" s.Settings.trace_blocks
     s'.Settings.trace_blocks;
   Alcotest.(check int) "sim fuel" s.Settings.sim_fuel s'.Settings.sim_fuel;
@@ -269,13 +272,18 @@ let expect_result = function
 
 let test_daemon_end_to_end () =
   let socket = fresh_socket () in
-  let server = Server.start { socket_path = socket; jobs = 2; queue_limit = 16 } in
+  let server = Server.start
+      { socket_path = socket; jobs = 2; queue_limit = 16;
+        settings = Test_util.env_settings () } in
   Fun.protect
     ~finally:(fun () -> try Server.stop server with _ -> ())
     (fun () ->
       (* a second daemon on a live socket is refused *)
       (try
-         ignore (Server.create { socket_path = socket; jobs = 1; queue_limit = 1 });
+         ignore
+           (Server.create
+              { socket_path = socket; jobs = 1; queue_limit = 1;
+                settings = Test_util.env_settings () });
          Alcotest.fail "second daemon bound a live socket"
        with Failure _ -> ());
       let ping =
@@ -386,7 +394,9 @@ let test_daemon_end_to_end () =
 
 let test_daemon_admission_control () =
   let socket = fresh_socket () in
-  let server = Server.start { socket_path = socket; jobs = 1; queue_limit = 1 } in
+  let server = Server.start
+      { socket_path = socket; jobs = 1; queue_limit = 1;
+        settings = Test_util.env_settings () } in
   Fun.protect
     ~finally:(fun () -> try Server.stop server with _ -> ())
     (fun () ->
@@ -432,7 +442,9 @@ let test_stale_socket_replaced () =
   Unix.bind fd (Unix.ADDR_UNIX socket);
   Unix.close fd;
   Alcotest.(check bool) "stale file present" true (Sys.file_exists socket);
-  let server = Server.start { socket_path = socket; jobs = 1; queue_limit = 1 } in
+  let server = Server.start
+      { socket_path = socket; jobs = 1; queue_limit = 1;
+        settings = Test_util.env_settings () } in
   Fun.protect
     ~finally:(fun () -> try Server.stop server with _ -> ())
     (fun () ->
@@ -536,7 +548,10 @@ let test_search_heals_corrupt_native () =
 let test_search_resume_answers_native () =
   let settings = settings_at None in
   let dir = fresh_root "journal" in
-  let run_id = Checkpoint.run_id ~parts:[ "serve"; "native" ] () in
+  let run_id =
+    Checkpoint.run_id ~sim_fuel:settings.sim_fuel
+      ~trace_blocks:settings.trace_blocks ~parts:[ "serve"; "native" ] ()
+  in
   let ck = Checkpoint.open_ ~dir ~run_id () in
   let first = oneshot ~checkpoint:ck settings in
   Checkpoint.close ck;
@@ -558,11 +573,14 @@ let test_search_resume_answers_native () =
    groups: both pairs fit unbounded probes and a three-member capped
    group, so the printed [model …] scores and pruned lines pin which
    candidates were probed *)
-let test_golden_search_bytes () =
-  let settings = settings_at None in
+let golden_search_lines () =
   In_channel.with_open_bin (Filename.concat "golden" "search.md5")
     In_channel.input_lines
   |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+
+let test_golden_search_bytes () =
+  let settings = settings_at None in
+  golden_search_lines ()
   |> List.iter (fun line ->
          match String.split_on_char ' ' line with
          | [ k1; k2; n1; n2; k; digest ] ->
@@ -581,7 +599,59 @@ let test_golden_search_bytes () =
              in
              Alcotest.(check string) line digest
                (Digest.to_hex (Digest.string o.output))
+         | [ _; _; _; _ ] -> () (* representative sizes: see below *)
          | _ -> Alcotest.failf "malformed golden line %S" line)
+
+(* One cold default-size Batchnorm+Hist search, shared by the two tests
+   below.  It asks for 2 traced blocks and no cache in a process whose
+   environment says 1 traced block and names an empty cache root: the
+   size probe must follow the request's settings, not the
+   environment. *)
+let default_size_search =
+  lazy
+    (let root = fresh_root "env_cache" in
+     Profile_cache.mkdir_p root;
+     let set = [ ("HFUSE_TRACE_BLOCKS", "1"); ("HFUSE_CACHE_DIR", root) ] in
+     let saved =
+       List.map (fun (k, _) -> (k, Option.value (Sys.getenv_opt k) ~default:""))
+         set
+     in
+     List.iter (fun (k, v) -> Unix.putenv k v) set;
+     Fun.protect ~finally:(fun () ->
+         List.iter (fun (k, v) -> Unix.putenv k v) saved)
+     @@ fun () ->
+     let settings = Settings.resolve ~trace_blocks:2 ~cache_dir:None () in
+     Runner.clear_cache ();
+     let o =
+       Ops.search ~settings
+         {
+           search_params with
+           s_k1 = Registry.find_exn "Batchnorm";
+           s_k2 = Registry.find_exn "Hist";
+           s_size1 = None;
+           s_size2 = None;
+           s_emit = false;
+         }
+     in
+     (o.output, root))
+
+let test_default_size_trace_blocks () =
+  let digest =
+    List.find_map
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | [ "Batchnorm"; "Hist"; "2"; digest ] -> Some digest
+        | _ -> None)
+      (golden_search_lines ())
+  in
+  let output, _ = Lazy.force default_size_search in
+  Alcotest.(check (option string)) "stdout md5" digest
+    (Some (Digest.to_hex (Digest.string output)))
+
+let test_default_size_no_cache () =
+  let _, root = Lazy.force default_size_search in
+  Alcotest.(check (array string)) "nothing written under HFUSE_CACHE_DIR"
+    [||] (Sys.readdir root)
 
 let suite =
   [
@@ -607,5 +677,9 @@ let suite =
       test_search_heals_corrupt_native;
     Alcotest.test_case "resume answers native from the journal" `Quick
       test_search_resume_answers_native;
+    Alcotest.test_case "default-size search follows its traced blocks" `Slow
+      test_default_size_trace_blocks;
+    Alcotest.test_case "no-cache search ignores HFUSE_CACHE_DIR" `Slow
+      test_default_size_no_cache;
     Alcotest.test_case "golden search bytes" `Quick test_golden_search_bytes;
   ]

@@ -184,7 +184,10 @@ let test_journal_lines () =
    that grammar, is counted torn and recomputed, never misread *)
 let test_old_checkpoint_lines_torn () =
   let dir = fresh_root "old_journal" in
-  let run_id = Checkpoint.run_id ~parts:[ "old grammar" ] () in
+  let run_id =
+    Checkpoint.run_id ~sim_fuel:3_000_000 ~trace_blocks:1
+      ~parts:[ "old grammar" ] ()
+  in
   let escaped = "0x1.2p-3\\n" in
   let digest = Digest.to_hex (Digest.string ("T\x00k\x00" ^ escaped)) in
   Profile_cache.mkdir_p dir;

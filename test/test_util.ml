@@ -23,3 +23,7 @@ let info_of_source ?(block = (256, 1, 1)) ?(grid = 8) ?(smem_dynamic = 0)
 
 let qcheck_cases (tests : QCheck.Test.t list) : unit Alcotest.test_case list =
   List.map (QCheck_alcotest.to_alcotest ~long:false) tests
+
+(** The settings a one-shot run resolves from the test environment
+    (e.g. [HFUSE_CACHE=0], or a pre-warmed [HFUSE_CACHE_DIR]). *)
+let env_settings () = Hfuse_profiler.Settings.resolve ()
