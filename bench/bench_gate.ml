@@ -32,7 +32,14 @@
    invariant).  --min-hit-rate gates the aggregate profile-cache hit
    rate (the warm-run scaling check); --min-throughput prints the
    aggregate searches/min and warns below the floor but never fails —
-   wall clock is not a simulated metric. *)
+   wall clock is not a simulated metric.
+
+   BASELINE may also be the committed reference rows
+   (benchmark/reference/fleet_rows.json, recognised by having no
+   "bench" field).  A reference covers the whole fleet under one
+   configuration, so the fresh reports must match its size, arch and
+   top_k, their rows need only be a subset of it, and each row is
+   compared on pair, status, output digest, native and best time. *)
 
 module Json = Hfuse_profiler.Report.Json
 
@@ -165,6 +172,13 @@ let fleet_row_fields =
    with a [false] default so old baselines stay comparable. *)
 let fleet_row_bool_fields = [ "repaired"; "newly_fusable" ]
 
+(* A committed reference baseline: its rows carry only these fields,
+   under one run configuration. *)
+let is_reference (j : Json.t) = Json.member "bench" j = None
+let reference_row_fields =
+  [ "pair"; "status"; "digest"; "native_ms"; "best_ms" ]
+let reference_config_fields = [ "size"; "arch"; "top_k" ]
+
 let fleet_rows_of path (j : Json.t) : (int * Json.t) list =
   match member_exn path "rows" j with
   | Json.List rows ->
@@ -190,6 +204,11 @@ let run_fleet_gate ~baseline_path ~fresh_paths ~min_hit_rate ~min_throughput =
   let baseline_json = read_json baseline_path in
   let baseline = fleet_rows_of baseline_path baseline_json in
   let base_digest = fleet_str baseline_path "corpus_digest" baseline_json in
+  let reference = is_reference baseline_json in
+  let row_fields =
+    if reference then reference_row_fields else fleet_row_fields
+  in
+  let bool_fields = if reference then [] else fleet_row_bool_fields in
   let drift = ref 0 in
   let seen : (int, string) Hashtbl.t = Hashtbl.create 1024 in
   let hits = ref 0 and misses = ref 0 in
@@ -201,6 +220,17 @@ let run_fleet_gate ~baseline_path ~fresh_paths ~min_hit_rate ~min_throughput =
       if digest <> base_digest then
         die "%s: corpus digest %s differs from baseline %s — incomparable rows"
           path digest base_digest;
+      if reference then
+        List.iter
+          (fun field ->
+            let leaf p j = leaf_to_string (member_exn p field j) in
+            let bv = leaf baseline_path baseline_json and fv = leaf path j in
+            if bv <> fv then
+              die
+                "%s: %s %s differs from the reference's %s — incomparable \
+                 rows"
+                path field fv bv)
+          reference_config_fields;
       let unrecovered =
         match Json.member "fault" j with
         | Some f -> fleet_int path "unrecovered" f
@@ -267,7 +297,7 @@ let run_fleet_gate ~baseline_path ~fresh_paths ~min_hit_rate ~min_throughput =
                     Printf.printf "DRIFT row %d %s: baseline %s, fresh %s\n" i
                       field bv fv
                   end)
-                fleet_row_fields;
+                row_fields;
               List.iter
                 (fun field ->
                   let default_false o =
@@ -281,17 +311,25 @@ let run_fleet_gate ~baseline_path ~fresh_paths ~min_hit_rate ~min_throughput =
                     Printf.printf "DRIFT row %d %s: baseline %s, fresh %s\n" i
                       field bv fv
                   end)
-                fleet_row_bool_fields)
+                bool_fields)
         (fleet_rows_of path j))
     fresh_paths;
-  (* coverage: the fresh shards must union to exactly the baseline *)
-  List.iter
-    (fun (i, _) ->
-      if not (Hashtbl.mem seen i) then begin
-        incr drift;
-        Printf.printf "MISSING row %d: in baseline but no fresh shard\n" i
-      end)
-    baseline;
+  (* coverage: the fresh shards must union to exactly the baseline, or
+     to a nonempty part of a reference *)
+  if reference then begin
+    if Hashtbl.length seen = 0 then begin
+      incr drift;
+      Printf.printf "MISSING: no fresh rows to compare with the reference\n"
+    end
+  end
+  else
+    List.iter
+      (fun (i, _) ->
+        if not (Hashtbl.mem seen i) then begin
+          incr drift;
+          Printf.printf "MISSING row %d: in baseline but no fresh shard\n" i
+        end)
+      baseline;
   (match min_hit_rate with
   | None -> ()
   | Some floor ->
@@ -320,10 +358,15 @@ let run_fleet_gate ~baseline_path ~fresh_paths ~min_hit_rate ~min_throughput =
       !drift (Hashtbl.length seen);
     exit 1
   end;
-  Printf.printf
-    "bench gate: %d fleet row(s) partition the baseline exactly (%d shard \
-     report(s))\n"
-    (Hashtbl.length seen) (List.length fresh_paths)
+  if reference then
+    Printf.printf
+      "bench gate: %d fleet row(s) match the reference (%d report(s))\n"
+      (Hashtbl.length seen) (List.length fresh_paths)
+  else
+    Printf.printf
+      "bench gate: %d fleet row(s) partition the baseline exactly (%d shard \
+       report(s))\n"
+      (Hashtbl.length seen) (List.length fresh_paths)
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in

@@ -41,21 +41,33 @@
      SM-local — cross-SM coupling exists only through the block queues,
      which are only consulted when one of the SM's *own* blocks
      completes (which requires an issue).  A sleeping SM's stall
-     classification and resident-warp count are therefore constant, so
-     visited cycles charge them from a cached copy without touching the
-     warp pools, and globally-dead windows are charged arithmetically.
-   - Hot-path de-allocation: barrier arrivals decode (id, count)
-     directly from the packed payload; per-latency-class calendar
-     queues replace the (cycle -> count) completion Hashtbl (completion
-     times per class are inserted in nondecreasing order, so a flat
-     ring suffices); block dispatch interns per-warp traces into
-     immutable templates shared by every block instance of a kernel and
-     recycles warp records (and their scoreboard rings) through a free
-     list.
+     classification and resident-warp count are therefore constant;
+     they sit in a running aggregate over all SMs, which each visited
+     cycle charges once and a globally-dead window charges
+     arithmetically.
+   - Scan-skip windows for every miss.  A scheduler scan that finds no
+     eligible warp caches the least {!warp_bound} of its pool — the
+     latency expiry of a waiting warp, the release of every pipe a
+     structurally blocked warp needs, or "never" for a warp blocked on
+     MSHRs — valid until that cycle or the next bump of [sm_gen]
+     (barrier release, block dispatch, drain).  A sleeping SM wakes at
+     the least of its schedulers' bounds and its next memory
+     completion, without rescanning its warps.
+   - No allocation on the hot path: the main loop, the scheduler scan
+     and [issue] run [for]/[while] loops over unboxed locals; barrier
+     arrivals decode (id, count) directly from the packed payload;
+     per-latency-class calendar queues replace the (cycle -> count)
+     completion Hashtbl (completion times per class are inserted in
+     nondecreasing order, so a flat ring suffices); block dispatch
+     interns per-warp traces into immutable templates — with one byte
+     of eligibility facts per instruction — shared by every block
+     instance of a kernel, and recycles warp records (and their
+     scoreboard rings) through a free list.
    - Self-profiling: {!engine_stats} counts visited vs skipped cycles,
      SM steps avoided, scan-skip hits and warp allocations, per run and
      cumulatively (atomics, so pooled replays on other domains count
-     too). *)
+     too).  The counts describe the engine's own work, so they change
+     whenever its internals do while every report stays identical. *)
 
 exception Timing_error of string
 
@@ -118,10 +130,12 @@ type report = {
 
 (** Observability counters for the replay engine itself: how much work
     the event-driven stepping avoided relative to a
-    step-every-SM-every-cycle loop, and how much the hot path
-    allocates.  Collected per {!run_with_stats} call and accumulated
+    step-every-SM-every-cycle loop, and how often warp records were
+    recycled.  Collected per {!run_with_stats} call and accumulated
     process-wide (atomically, so replays fanned over a domain pool
-    count too) for the bench harness. *)
+    count too) for the bench harness.  They are engine internals, not
+    results: a change to the engine may move them while every report
+    stays bit-identical. *)
 type engine_stats = {
   cycles_stepped : int;
       (** cycles the main loop actually visited (at least one SM live) *)
@@ -133,7 +147,8 @@ type engine_stats = {
           cached stall/residency contribution — each one is a full
           scheduler scan the legacy engine would have performed *)
   scan_skip_hits : int;
-      (** scheduler steps answered by the scan-skip window cache *)
+      (** scheduler steps answered by a cached scan-skip window
+          (latency or structural miss) instead of a pool scan *)
   warp_allocs : int;  (** warp records freshly allocated *)
   warp_reuses : int;  (** warp records recycled from the free list *)
 }
@@ -265,6 +280,37 @@ let hot_gmem_txns code payload =
 let hot_is_gmem_stall code = code = 5 || code = 11
 let hot_is_bar code = code = 13
 
+
+(* Eligibility facts of one trace instruction, packed into a byte: which
+   structural resources its issue needs, and whether a wait on it counts
+   as a memory-dependency stall.  Computed once per interned template
+   (the MSHR transaction count itself is re-derived from the payload on
+   the rare path that needs it). *)
+let f_lsu = 1 (* occupies the global/local LD-ST path *)
+let f_smem = 2 (* occupies the shared-memory unit *)
+let f_sfu = 4
+let f_mshr = 8 (* holds MSHR slots (L2/DRAM sectors) while in flight *)
+let f_gmem_stall = 16
+let f_structural = f_lsu lor f_smem lor f_sfu lor f_mshr
+
+(* every global-path sector (L2/DRAM) holds an MSHR while in flight *)
+let mshr_txns code payload =
+  if code = 5 then (payload lsr 10) + (payload land 1023)
+  else hot_gmem_txns code payload
+
+let facts_of (arch : Arch.t) code payload =
+  let pipe =
+    if hot_lsu_cycles arch code payload = 0 then 0
+    else if code = 7 || code = 8 || code = 9 then f_smem
+    else f_lsu
+  in
+  pipe
+  lor (if hot_sfu_cycles arch code > 0 then f_sfu else 0)
+  lor (if mshr_txns code payload > 0 then f_mshr else 0)
+  lor if hot_is_gmem_stall code then f_gmem_stall else 0
+
+let imax (a : int) b = if a >= b then a else b
+
 (* ------------------------------------------------------------------ *)
 (* Simulation state                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -276,11 +322,12 @@ let st_done = 2
 
 (* Interned per-warp trace: one immutable template per (kernel, trace
    block, warp), shared by every block instance of the grid — thousands
-   of dispatches point at the same code/payload arrays instead of
+   of dispatches point at the same code/payload/facts arrays instead of
    copying (pointer-)fields into fresh records. *)
 type wtrace = {
   wt_codes : int array;
   wt_payloads : int array;
+  wt_facts : Bytes.t;  (** per-instruction {!facts_of} *)
   wt_len : int;
   wt_threads : int;  (** live threads in this warp *)
 }
@@ -291,6 +338,7 @@ type warp = {
   mutable w_threads : int;  (** live threads in this warp *)
   mutable codes : int array;
   mutable payloads : int array;
+  mutable facts : Bytes.t;
   mutable len : int;
   mutable pc : int;
   mutable ready_at : int;
@@ -369,6 +417,7 @@ let evq_head_time q = if q.q_n = 0 then max_int else q.q_times.(q.q_head)
 type sm = {
   sm_id : int;
   pools : pool array;  (** per scheduler *)
+  mutable resident : int;  (** warps across the pools *)
   mutable warp_seq : int;  (** for scheduler assignment *)
   mutable blocks : block_instance list;
   mutable regs_used : int;
@@ -380,15 +429,17 @@ type sm = {
   mutable gmem_bw_free_at : int;  (** DRAM-bandwidth pipe *)
   sched_free_at : int array;
   sched_next_try : int array;
-      (** scan-skip: no eligible warp before this cycle (valid while
-          [sm_gen] unchanged and the miss was latency-only) *)
+      (** scan-skip window: no warp of the pool can issue before this
+          cycle (a lower bound over its warps, valid while [sm_gen] is
+          unchanged) *)
   sched_stall_class : int array;
       (** cached stall class for the scan-skip window (0 idle, 1 sync,
           2 mem, 3 other) *)
   sched_gen : int array;  (** generation at which sched_next_try was set *)
   mutable sm_gen : int;
-      (** bumped whenever eligibility can change asynchronously:
-          barrier release, block dispatch, structural-hazard miss *)
+      (** bumped whenever eligibility can change other than by a warp's
+          own latency or a pipe's release: barrier release, block
+          dispatch, in-flight capacity freed by a drain *)
   mutable gmem_inflight : int;
   mutable gmem_next_complete : int;
       (** earliest completion cycle across the three calendar queues *)
@@ -400,12 +451,84 @@ type sm = {
   mutable sm_wake : int;
       (** earliest cycle at which this SM could issue or change any
           per-cycle counter contribution; the SM is not stepped before *)
-  wake_classes : int array;
-      (** per scheduler: the stall class contributed at the last step
-          (all >= 0 whenever the SM sleeps — a progressing SM wakes at
-          the very next cycle) *)
-  mutable wake_resident : int;  (** resident warps at the last step *)
+  (* this SM's per-cycle contribution at its last step: stalled
+     schedulers per class and resident warps (constant while it sleeps) *)
+  mutable c_idle : int;
+  mutable c_sync : int;
+  mutable c_mem : int;
+  mutable c_other : int;
+  mutable c_res : int;
 }
+
+(* retire the oldest pending load: the warp waits for its result *)
+let join_head (w : warp) =
+  let r = w.pend_ready.(w.pend_head) in
+  if r > w.ready_at then begin
+    w.ready_at <- r;
+    w.last_was_mem <- true
+  end;
+  let h = w.pend_head + 1 in
+  w.pend_head <- (if h = Array.length w.pend_ready then 0 else h);
+  w.pend_n <- w.pend_n - 1
+
+let register_completion sm q t n =
+  if n > 0 then begin
+    if t < sm.gmem_next_complete then sm.gmem_next_complete <- t;
+    evq_push q t n
+  end
+
+let drain_q sm q ~now =
+  while q.q_n > 0 && q.q_times.(q.q_head) <= now do
+    sm.gmem_inflight <- sm.gmem_inflight - q.q_counts.(q.q_head);
+    q.q_head <- (q.q_head + 1) land (Array.length q.q_times - 1);
+    q.q_n <- q.q_n - 1
+  done
+
+(* drain gmem completions up to now *)
+let drain_gmem sm ~now =
+  if sm.gmem_next_complete <= now then begin
+    drain_q sm sm.q_gmem ~now;
+    drain_q sm sm.q_l1 ~now;
+    drain_q sm sm.q_lmem ~now;
+    let a = evq_head_time sm.q_gmem
+    and b = evq_head_time sm.q_l1
+    and c = evq_head_time sm.q_lmem in
+    let ab = if a < b then a else b in
+    sm.gmem_next_complete <- (if ab < c then ab else c);
+    (* in-flight capacity freed: MSHR-blocked warps may clear *)
+    sm.sm_gen <- sm.sm_gen + 1
+  end
+
+(* Earliest cycle at which ready warp [w]'s next instruction could
+   issue on [sm], given the state at [now]: its latency, then every
+   structural resource it needs.  A result [<= now] means it is eligible
+   now.  Otherwise the result is a sound lower bound until [sm_gen]
+   moves: pipe [free_at]s only grow, and MSHR capacity is freed only by
+   a drain, which bumps the generation — so an MSHR-blocked warp bounds
+   to [max_int].  [spill_facts] are the facts of an injected spill
+   access (no trace position). *)
+let warp_bound (arch : Arch.t) spill_facts sm (w : warp) ~now =
+  let r = w.ready_at in
+  if r > now then r
+  else begin
+    let f =
+      if w.pending_spill > 0 then spill_facts
+      else Char.code (Bytes.get w.facts w.pc) land f_structural
+    in
+    if f = 0 then r
+    else begin
+      let b = ref r in
+      if f land f_lsu <> 0 && sm.lsu_free_at > !b then b := sm.lsu_free_at;
+      if f land f_smem <> 0 && sm.smem_free_at > !b then b := sm.smem_free_at;
+      if f land f_sfu <> 0 && sm.sfu_free_at > !b then b := sm.sfu_free_at;
+      if f land f_mshr <> 0 then begin
+        let txns = mshr_txns w.codes.(w.pc) w.payloads.(w.pc) in
+        if sm.gmem_inflight + txns > arch.gmem_max_inflight then b := max_int
+        else if sm.gmem_bw_free_at > !b then b := sm.gmem_bw_free_at
+      end;
+      !b
+    end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* The simulator                                                        *)
@@ -421,6 +544,12 @@ type counters = {
   issued_per_kernel : int array;
   first_dispatch : int array;
   last_complete : int array;
+  (* sums of every SM's [c_*] contribution: what one cycle charges *)
+  mutable a_idle : int;
+  mutable a_sync : int;
+  mutable a_mem : int;
+  mutable a_other : int;
+  mutable a_res : int;
 }
 
 type run_stats = {
@@ -477,14 +606,28 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
             Array.mapi
               (fun w (t : Trace.t) ->
                 let live = min 32 (s.threads_per_block - (w * 32)) in
+                let facts = Bytes.create t.Trace.len in
+                for i = 0 to t.Trace.len - 1 do
+                  Bytes.unsafe_set facts i
+                    (Char.unsafe_chr
+                       (facts_of arch t.Trace.codes.(i) t.Trace.payloads.(i)))
+                done;
                 {
                   wt_codes = t.Trace.codes;
                   wt_payloads = t.Trace.payloads;
+                  wt_facts = facts;
                   wt_len = t.Trace.len;
                   wt_threads = max 1 live;
                 })
               traces)
           s.block_traces)
+      specs_a
+  in
+  (* spill accesses are LDL/STL: the same structural facts either way *)
+  let spill_facts = facts_of arch 11 0 land f_structural in
+  let spill_every =
+    Array.map
+      (fun s -> if s.spill > 0 then spill_interval s.spill else 0)
       specs_a
   in
   (* stream queues: per stream, FIFO of (kernel, block index) in
@@ -506,11 +649,13 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
         q)
       streams
   in
+  let nsched = arch.schedulers_per_sm in
   let sms =
     Array.init arch.sms (fun i ->
         {
           sm_id = i;
-          pools = Array.init arch.schedulers_per_sm (fun _ -> pool_create ());
+          pools = Array.init nsched (fun _ -> pool_create ());
+          resident = 0;
           warp_seq = 0;
           blocks = [];
           regs_used = 0;
@@ -520,10 +665,10 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
           smem_free_at = 0;
           sfu_free_at = 0;
           gmem_bw_free_at = 0;
-          sched_free_at = Array.make arch.schedulers_per_sm 0;
-          sched_next_try = Array.make arch.schedulers_per_sm 0;
-          sched_stall_class = Array.make arch.schedulers_per_sm 0;
-          sched_gen = Array.make arch.schedulers_per_sm (-1);
+          sched_free_at = Array.make nsched 0;
+          sched_next_try = Array.make nsched 0;
+          sched_stall_class = Array.make nsched 0;
+          sched_gen = Array.make nsched (-1);
           sm_gen = 0;
           gmem_inflight = 0;
           gmem_next_complete = max_int;
@@ -532,8 +677,11 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
           q_lmem = evq_create ();
           barriers = Hashtbl.create 8;
           sm_wake = 0;
-          wake_classes = Array.make arch.schedulers_per_sm 0;
-          wake_resident = 0;
+          c_idle = 0;
+          c_sync = 0;
+          c_mem = 0;
+          c_other = 0;
+          c_res = 0;
         })
   in
   let c =
@@ -547,6 +695,11 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
       issued_per_kernel = Array.make nk 0;
       first_dispatch = Array.make nk max_int;
       last_complete = Array.make nk 0;
+      a_idle = 0;
+      a_sync = 0;
+      a_mem = 0;
+      a_other = 0;
+      a_res = 0;
     }
   in
   let block_uid = ref 0 in
@@ -578,6 +731,7 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
         w.w_threads <- wt.wt_threads;
         w.codes <- wt.wt_codes;
         w.payloads <- wt.wt_payloads;
+        w.facts <- wt.wt_facts;
         w.len <- wt.wt_len;
         w.pc <- 0;
         w.ready_at <- cycle + 1;
@@ -597,6 +751,7 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
           w_threads = wt.wt_threads;
           codes = wt.wt_codes;
           payloads = wt.wt_payloads;
+          facts = wt.wt_facts;
           len = wt.wt_len;
           pc = 0;
           ready_at = cycle + 1;
@@ -611,7 +766,7 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
           pending_spill = 0;
         }
   in
-  let pool_compact p =
+  let pool_compact sm p =
     let j = ref 0 in
     for i = 0 to p.pn - 1 do
       let w = p.parr.(i) in
@@ -621,6 +776,7 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
       end
       else free_warps := w :: !free_warps
     done;
+    sm.resident <- sm.resident - (p.pn - !j);
     p.pn <- !j;
     if p.pn > 0 then p.prr <- p.prr mod p.pn else p.prr <- 0
   in
@@ -643,9 +799,10 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
       if wt.wt_len = 0 then bi.b_warps_left <- bi.b_warps_left - 1
       else begin
         let warp = alloc_warp wt ~kernel:k ~uid ~cycle in
-        let sched = sm.warp_seq mod arch.schedulers_per_sm in
+        let sched = sm.warp_seq mod nsched in
         sm.warp_seq <- sm.warp_seq + 1;
-        pool_add sm.pools.(sched) warp
+        pool_add sm.pools.(sched) warp;
+        sm.resident <- sm.resident + 1
       end
     done;
     if bi.b_warps_left = 0 then begin
@@ -705,52 +862,40 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
   let find_block sm uid =
     List.find (fun b -> b.b_uid = uid) sm.blocks
   in
-  (* initial fill *)
-  let cycle = ref 0 in
-  Array.iter (fun sm -> try_dispatch sm ~cycle:0) sms;
-  let queues_empty () = List.for_all Queue.is_empty queues in
-  (* drain gmem completions up to now *)
-  let drain_gmem sm ~now =
-    if sm.gmem_next_complete <= now then begin
-      let drain_q q =
-        while q.q_n > 0 && q.q_times.(q.q_head) <= now do
-          sm.gmem_inflight <- sm.gmem_inflight - q.q_counts.(q.q_head);
-          q.q_head <- (q.q_head + 1) land (Array.length q.q_times - 1);
-          q.q_n <- q.q_n - 1
-        done
-      in
-      drain_q sm.q_gmem;
-      drain_q sm.q_l1;
-      drain_q sm.q_lmem;
-      sm.gmem_next_complete <-
-        min (evq_head_time sm.q_gmem)
-          (min (evq_head_time sm.q_l1) (evq_head_time sm.q_lmem));
-      (* in-flight capacity freed: structural misses may clear *)
-      sm.sm_gen <- sm.sm_gen + 1
-    end
+  let finish_warp sm (w : warp) ~now =
+    w.state <- st_done;
+    let bi = find_block sm w.w_block_uid in
+    bi.b_warps_left <- bi.b_warps_left - 1;
+    if bi.b_warps_left = 0 then complete_block sm bi ~cycle:now
   in
+  (* set when a barrier release finished a waiter parked on its last
+     instruction: that waiter may sit in another scheduler's pool *)
+  let released_done = ref false in
+  (* initial fill *)
+  Array.iter (fun sm -> try_dispatch sm ~cycle:0) sms;
   (* issue one instruction of [w] on [sm]/[sched]; assumes eligibility *)
   let issue sm sched (w : warp) ~now =
-    let s = specs_a.(w.w_kernel) in
-    let code, payload =
-      if w.pending_spill > 0 then begin
-        w.pending_spill <- w.pending_spill - 1;
-        if w.pending_spill land 1 = 0 then (11, 0) (* LDL *) else (12, 0)
+    let code = ref 0 and payload = ref 0 in
+    if w.pending_spill > 0 then begin
+      w.pending_spill <- w.pending_spill - 1;
+      (* LDL, then STL *)
+      code := if w.pending_spill land 1 = 0 then 11 else 12
+    end
+    else begin
+      code := w.codes.(w.pc);
+      payload := w.payloads.(w.pc);
+      w.pc <- w.pc + 1;
+      (* spill injection *)
+      let every = spill_every.(w.w_kernel) in
+      if every > 0 then begin
+        w.spill_counter <- w.spill_counter + 1;
+        if w.spill_counter >= every then begin
+          w.spill_counter <- 0;
+          w.pending_spill <- 2 (* one store + one reload *)
+        end
       end
-      else begin
-        let code = w.codes.(w.pc) and payload = w.payloads.(w.pc) in
-        w.pc <- w.pc + 1;
-        (* spill injection *)
-        (if s.spill > 0 then begin
-           w.spill_counter <- w.spill_counter + 1;
-           if w.spill_counter >= spill_interval s.spill then begin
-             w.spill_counter <- 0;
-             w.pending_spill <- 2 (* one store + one reload *)
-           end
-         end);
-        (code, payload)
-      end
-    in
+    end;
+    let code = !code and payload = !payload in
     c.issued <- c.issued + 1;
     c.issued_per_kernel.(w.w_kernel) <- c.issued_per_kernel.(w.w_kernel) + 1;
     (* load-use scoreboard: loads park in a small ring; the warp only
@@ -759,45 +904,31 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
     let is_load = code = 5 || code = 7 || code = 11 in
     w.icount <- w.icount + 1;
     let slots = Array.length w.pend_ready in
-    let join_head () =
-      let r = w.pend_ready.(w.pend_head) in
-      if r > w.ready_at then begin
-        w.ready_at <- r;
-        w.last_was_mem <- true
-      end;
-      w.pend_head <- (w.pend_head + 1) mod slots;
-      w.pend_n <- w.pend_n - 1
-    in
     w.last_was_mem <- false;
     while w.pend_n > 0 && w.pend_use.(w.pend_head) <= w.icount do
-      join_head ()
+      join_head w
     done;
     if is_load then begin
-      if w.pend_n = slots then join_head ();
-      let tail = (w.pend_head + w.pend_n) mod slots in
+      if w.pend_n = slots then join_head w;
+      let tail = w.pend_head + w.pend_n in
+      let tail = if tail >= slots then tail - slots else tail in
       w.pend_ready.(tail) <- now + hot_dep_latency arch code payload;
       w.pend_use.(tail) <- w.icount + arch.load_use_distance;
       w.pend_n <- w.pend_n + 1;
-      w.ready_at <- max w.ready_at (now + arch.alu_latency)
+      w.ready_at <- imax w.ready_at (now + arch.alu_latency)
     end
     else
-      w.ready_at <- max w.ready_at (now + hot_dep_latency arch code payload);
+      w.ready_at <- imax w.ready_at (now + hot_dep_latency arch code payload);
     let lsu = hot_lsu_cycles arch code payload in
     if lsu > 0 then begin
       if code = 7 || code = 8 || code = 9 then
-        sm.smem_free_at <- max sm.smem_free_at now + lsu
-      else sm.lsu_free_at <- max sm.lsu_free_at now + lsu
+        sm.smem_free_at <- imax sm.smem_free_at now + lsu
+      else sm.lsu_free_at <- imax sm.lsu_free_at now + lsu
     end;
     let sfu = hot_sfu_cycles arch code in
-    if sfu > 0 then sm.sfu_free_at <- max sm.sfu_free_at now + sfu;
+    if sfu > 0 then sm.sfu_free_at <- imax sm.sfu_free_at now + sfu;
     let schedc = hot_sched_cycles arch code in
     if schedc > 1 then sm.sched_free_at.(sched) <- now + schedc;
-    let register_completion q t n =
-      if n > 0 then begin
-        if t < sm.gmem_next_complete then sm.gmem_next_complete <- t;
-        evq_push q t n
-      end
-    in
     (if code = 5 then begin
        (* loads: misses pay DRAM latency and bandwidth; cache hits hold
           their MSHR for the (shorter) cache round trip only *)
@@ -805,9 +936,9 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
        sm.gmem_inflight <- sm.gmem_inflight + miss + hit;
        if miss > 0 then
          sm.gmem_bw_free_at <-
-           max sm.gmem_bw_free_at now + (miss * arch.gmem_cyc_per_txn);
-       register_completion sm.q_gmem (now + arch.gmem_latency) miss;
-       register_completion sm.q_l1 (now + arch.l1_latency) hit
+           imax sm.gmem_bw_free_at now + (miss * arch.gmem_cyc_per_txn);
+       register_completion sm sm.q_gmem (now + arch.gmem_latency) miss;
+       register_completion sm sm.q_l1 (now + arch.l1_latency) hit
      end
      else begin
        let txns = hot_gmem_txns code payload in
@@ -819,10 +950,10 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
            if code = 6 then (txns * arch.gmem_cyc_per_txn + 1) / 2
            else txns * arch.gmem_cyc_per_txn
          in
-         sm.gmem_bw_free_at <- max sm.gmem_bw_free_at now + bw_cost;
+         sm.gmem_bw_free_at <- imax sm.gmem_bw_free_at now + bw_cost;
          if code = 11 || code = 12 then
-           register_completion sm.q_lmem (now + arch.lmem_latency) txns
-         else register_completion sm.q_gmem (now + arch.gmem_latency) txns
+           register_completion sm sm.q_lmem (now + arch.lmem_latency) txns
+         else register_completion sm sm.q_gmem (now + arch.gmem_latency) txns
        end
      end);
     (* barrier?  (id, count) decode straight off the packed payload —
@@ -835,11 +966,18 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
        in
        let arrived = arrived + w.w_threads in
        if arrived >= count then begin
-         (* release all waiters and this warp *)
+         (* release all waiters and this warp; a waiter whose barrier
+            was its last instruction finishes here *)
          List.iter
            (fun (x : warp) ->
-             x.state <- st_ready;
-             x.ready_at <- now + arch.alu_latency)
+             if x.pc >= x.len && x.pending_spill = 0 then begin
+               finish_warp sm x ~now;
+               released_done := true
+             end
+             else begin
+               x.state <- st_ready;
+               x.ready_at <- now + arch.alu_latency
+             end)
            waiters;
          w.ready_at <- now + arch.alu_latency;
          sm.sm_gen <- sm.sm_gen + 1;
@@ -852,49 +990,15 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
      end);
     (* done?  (a warp parked at a barrier is not finished even if the
        barrier was its last instruction) *)
-    if w.pc >= w.len && w.pending_spill = 0 && w.state <> st_barrier then begin
-      w.state <- st_done;
-      let bi = find_block sm w.w_block_uid in
-      bi.b_warps_left <- bi.b_warps_left - 1;
-      if bi.b_warps_left = 0 then complete_block sm bi ~cycle:now
-    end
+    if w.pc >= w.len && w.pending_spill = 0 && w.state <> st_barrier then
+      finish_warp sm w ~now
   in
-  (* can [w]'s next instruction structurally issue now?
-     [struct_miss] is set when a latency-ready warp was blocked by a
-     structural hazard (which can clear without a warp event). *)
-  let struct_miss = ref false in
-  let eligible sm (w : warp) ~now =
-    w.state = st_ready
-    && w.ready_at <= now
-    &&
-    let code, payload =
-      if w.pending_spill > 0 then
-        if w.pending_spill land 1 = 0 then (11, 0) else (12, 0)
-      else (w.codes.(w.pc), w.payloads.(w.pc))
-    in
-    (* every global-path sector (L2/DRAM) holds an MSHR while in flight *)
-    let txns =
-      if code = 5 then (payload lsr 10) + (payload land 1023)
-      else hot_gmem_txns code payload
-    in
-    let pipe_free =
-      if hot_lsu_cycles arch code payload = 0 then true
-      else if code = 7 || code = 8 || code = 9 then sm.smem_free_at <= now
-      else sm.lsu_free_at <= now
-    in
-    let ok =
-      pipe_free
-      && (hot_sfu_cycles arch code = 0 || sm.sfu_free_at <= now)
-      && (txns = 0
-         || (sm.gmem_inflight + txns <= arch.gmem_max_inflight
-            && sm.gmem_bw_free_at <= now))
-    in
-    if not ok then struct_miss := true;
-    ok
-  in
-  (* one scheduler step; returns -1 when it issued (or its port is busy
+  (* One scheduler step; returns -1 when it issued (or its port is busy
      completing an earlier multi-cycle issue, which is still a utilised
-     slot), otherwise the stall class: 0 idle, 1 sync, 2 mem, 3 other *)
+     slot), otherwise the stall class: 0 idle, 1 sync, 2 mem, 3 other.
+     Every miss — latency or structural — caches its window: the
+     pool's least {!warp_bound} and the stall class, both constant until
+     that cycle or the next generation bump. *)
   let busy_slots = ref 0 in
   let step_scheduler sm sched ~now =
     if sm.sched_free_at.(sched) > now then begin
@@ -910,88 +1014,134 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
     end
     else begin
       let p = sm.pools.(sched) in
-      if p.pn = 0 then 0
+      let pn = p.pn and parr = p.parr in
+      (* one pass from the round-robin cursor: find an eligible warp,
+         and gather the window bound and stall facts in case there is
+         none *)
+      let found = ref (-1) and i = ref p.prr and k = ref 0 in
+      let all_barrier = ref true and any_mem = ref false in
+      let next = ref max_int in
+      while !found < 0 && !k < pn do
+        let w = parr.(!i) in
+        (* a pool holds ready and barrier warps only: a warp is
+           compacted out as soon as it finishes *)
+        if w.state = st_ready then begin
+          let b = warp_bound arch spill_facts sm w ~now in
+          if b <= now then found := !i
+          else begin
+            all_barrier := false;
+            if b < !next then next := b;
+            if
+              w.last_was_mem
+              || w.pc < w.len
+                 && Char.code (Bytes.get w.facts w.pc) land f_gmem_stall <> 0
+            then any_mem := true
+          end
+        end;
+        incr i;
+        if !i = pn then i := 0;
+        incr k
+      done;
+      if !found >= 0 then begin
+        let idx = !found in
+        let w = parr.(idx) in
+        p.prr <- (if idx + 1 = pn then 0 else idx + 1);
+        issue sm sched w ~now;
+        if !released_done then begin
+          released_done := false;
+          for s = 0 to nsched - 1 do
+            pool_compact sm sm.pools.(s)
+          done
+        end
+        else if w.state = st_done then pool_compact sm p;
+        -1
+      end
       else begin
-        let found = ref None in
-        struct_miss := false;
-        (* one pass: find an eligible warp, and gather the stall
-           classification facts in case there is none *)
-        let all_barrier = ref true and any_mem = ref false in
-        let next_ready = ref max_int in
-        (try
-           for i = 0 to p.pn - 1 do
-             let idx = (p.prr + i) mod p.pn in
-             let w = p.parr.(idx) in
-             if eligible sm w ~now then begin
-               found := Some (idx, w);
-               raise Exit
-             end;
-             if w.state <> st_barrier then all_barrier := false;
-             if w.state = st_ready then begin
-               if w.ready_at > now && w.ready_at < !next_ready then
-                 next_ready := w.ready_at;
-               if
-                 w.last_was_mem
-                 || (w.pc < w.len && hot_is_gmem_stall w.codes.(w.pc))
-               then any_mem := true
-             end
-           done
-         with Exit -> ());
-        match !found with
-        | Some (idx, w) ->
-            p.prr <- (idx + 1) mod p.pn;
-            issue sm sched w ~now;
-            if w.state = st_done then pool_compact p;
-            -1
-        | None ->
-            let cls =
-              if !all_barrier then 1 else if !any_mem then 2 else 3
-            in
-            (* cache the miss when it was latency-only *)
-            if not !struct_miss then begin
-              sm.sched_next_try.(sched) <- !next_ready;
-              sm.sched_stall_class.(sched) <- cls;
-              sm.sched_gen.(sched) <- sm.sm_gen
-            end;
-            cls
+        let cls =
+          if pn = 0 then 0
+          else if !all_barrier then 1
+          else if !any_mem then 2
+          else 3
+        in
+        sm.sched_next_try.(sched) <- !next;
+        sm.sched_stall_class.(sched) <- cls;
+        sm.sched_gen.(sched) <- sm.sm_gen;
+        cls
       end
     end
   in
-  let add_stall cls n =
-    match cls with
-    | 0 -> c.idle <- c.idle + n
-    | 1 -> c.sync_stall <- c.sync_stall + n
-    | 2 -> c.mem_stall <- c.mem_stall + n
-    | _ -> c.other_stall <- c.other_stall + n
+  (* Step a live SM: drain, step every scheduler, swap its per-cycle
+     contribution into the aggregate, and re-arm its wake.  An SM that
+     did not progress sleeps until the earliest of its schedulers'
+     window bounds and its next memory completion: every scheduler
+     missed (a busy issue port counts as progress), so its windows
+     cover every warp, and only a drain can move its generation. *)
+  let step_sm sm ~now =
+    st.s_sm_steps <- st.s_sm_steps + 1;
+    drain_gmem sm ~now;
+    let progressed = ref false and wake = ref sm.gmem_next_complete in
+    let n_idle = ref 0 and n_sync = ref 0 in
+    let n_mem = ref 0 and n_other = ref 0 in
+    for sched = 0 to nsched - 1 do
+      let r = step_scheduler sm sched ~now in
+      if r < 0 then progressed := true
+      else begin
+        if r = 0 then incr n_idle
+        else if r = 1 then incr n_sync
+        else if r = 2 then incr n_mem
+        else incr n_other;
+        let b = sm.sched_next_try.(sched) in
+        if b < !wake then wake := b
+      end
+    done;
+    c.a_idle <- c.a_idle - sm.c_idle + !n_idle;
+    c.a_sync <- c.a_sync - sm.c_sync + !n_sync;
+    c.a_mem <- c.a_mem - sm.c_mem + !n_mem;
+    c.a_other <- c.a_other - sm.c_other + !n_other;
+    c.a_res <- c.a_res - sm.c_res + sm.resident;
+    sm.c_idle <- !n_idle;
+    sm.c_sync <- !n_sync;
+    sm.c_mem <- !n_mem;
+    sm.c_other <- !n_other;
+    sm.c_res <- sm.resident;
+    sm.sm_wake <- (if !progressed then now + 1 else !wake)
   in
-  (* next cycle at which this SM could issue or change its per-cycle
-     contribution: warp latency expiries, structural pipes, issue-port
-     completions, and MSHR completions.  All SM-local — cross-SM
-     coupling only happens through an issue on this SM. *)
-  let next_event sm ~now =
-    let t = ref max_int in
-    let upd x = if x > now && x < !t then t := x in
-    Array.iter
-      (fun p ->
-        for i = 0 to p.pn - 1 do
-          let w = p.parr.(i) in
-          if w.state = st_ready then upd w.ready_at
-        done)
-      sm.pools;
-    upd sm.lsu_free_at;
-    upd sm.smem_free_at;
-    upd sm.sfu_free_at;
-    upd sm.gmem_bw_free_at;
-    Array.iter upd sm.sched_free_at;
-    (* gmem completions can unblock the in-flight limit *)
-    upd sm.gmem_next_complete;
-    !t
+  (* charge [n] cycles of every SM's current contribution *)
+  let charge n =
+    c.idle <- c.idle + (c.a_idle * n);
+    c.sync_stall <- c.sync_stall + (c.a_sync * n);
+    c.mem_stall <- c.mem_stall + (c.a_mem * n);
+    c.other_stall <- c.other_stall + (c.a_other * n);
+    c.resident_warp_cycles <- c.resident_warp_cycles + (c.a_res * n)
   in
   let all_warps_done () =
-    !live_blocks = 0 && queues_empty ()
+    !live_blocks = 0 && List.for_all Queue.is_empty queues
   in
-  let nsched = arch.schedulers_per_sm in
+  (* The reference loop also wakes at pipe releases and issue-port
+     completions nobody waits on, so it sees a deadlock only after the
+     last of them: report that cycle, as it does. *)
+  let deadlock_cycle now =
+    let t = ref now in
+    let upd x = if x > !t then t := x in
+    Array.iter
+      (fun sm ->
+        upd sm.lsu_free_at;
+        upd sm.smem_free_at;
+        upd sm.sfu_free_at;
+        upd sm.gmem_bw_free_at;
+        Array.iter upd sm.sched_free_at;
+        Array.iter
+          (fun p ->
+            for i = 0 to p.pn - 1 do
+              if p.parr.(i).state = st_ready then upd p.parr.(i).ready_at
+            done)
+          sm.pools)
+      sms;
+    !t
+  in
+  let nsms = Array.length sms in
   let max_cycles = 2_000_000_000 in
+  let cycle = ref 0 in
   let finished = ref false in
   while not !finished do
     if all_warps_done () then finished := true
@@ -999,72 +1149,34 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
       let now = !cycle in
       if now > max_cycles then fail "timing simulation exceeded cycle budget";
       st.s_cycles_stepped <- st.s_cycles_stepped + 1;
-      let progressed = ref false in
-      let total_resident = ref 0 in
-      Array.iter
-        (fun sm ->
-          if sm.sm_wake <= now then begin
-            (* live SM: drain, step every scheduler, re-arm the wake *)
-            st.s_sm_steps <- st.s_sm_steps + 1;
-            drain_gmem sm ~now;
-            let sm_progressed = ref false in
-            for sched = 0 to nsched - 1 do
-              let r = step_scheduler sm sched ~now in
-              sm.wake_classes.(sched) <- r;
-              if r < 0 then sm_progressed := true else add_stall r 1
-            done;
-            let res = ref 0 in
-            Array.iter (fun p -> res := !res + p.pn) sm.pools;
-            sm.wake_resident <- !res;
-            total_resident := !total_resident + !res;
-            if !sm_progressed then begin
-              progressed := true;
-              sm.sm_wake <- now + 1
-            end
-            else sm.sm_wake <- next_event sm ~now
-          end
-          else begin
-            (* sleeping SM: its stall classes and resident count cannot
-               have changed since its last step — charge the cached
-               contribution without touching the pools *)
-            st.s_sm_steps_skipped <- st.s_sm_steps_skipped + 1;
-            for sched = 0 to nsched - 1 do
-              add_stall sm.wake_classes.(sched) 1
-            done;
-            total_resident := !total_resident + sm.wake_resident
-          end)
-        sms;
-      c.resident_warp_cycles <- c.resident_warp_cycles + !total_resident;
-      if !progressed then cycle := now + 1
+      (* step the live SMs; a sleeping SM's contribution is unchanged
+         since its last step, so the aggregate already holds it *)
+      let t = ref max_int in
+      for i = 0 to nsms - 1 do
+        let sm = sms.(i) in
+        if sm.sm_wake <= now then step_sm sm ~now
+        else st.s_sm_steps_skipped <- st.s_sm_steps_skipped + 1;
+        if sm.sm_wake < !t then t := sm.sm_wake
+      done;
+      charge 1;
+      if !t = max_int then begin
+        if all_warps_done () then finished := true
+        else
+          fail
+            "timing deadlock at cycle %d (barrier never satisfied or \
+             dispatch starvation)"
+            (deadlock_cycle now)
+      end
       else begin
-        (* globally dead: skip ahead to the earliest SM wake, charging
-           the skipped cycles with the (constant) per-SM classification *)
-        let t =
-          Array.fold_left (fun acc sm -> min acc sm.sm_wake) max_int sms
-        in
-        if t = max_int then begin
-          if all_warps_done () then finished := true
-          else
-            fail
-              "timing deadlock at cycle %d (barrier never satisfied or \
-               dispatch starvation)"
-              now
-        end
-        else begin
-          let delta = t - now in
-          if delta > 1 then begin
-            Array.iter
-              (fun sm ->
-                for sched = 0 to nsched - 1 do
-                  add_stall sm.wake_classes.(sched) (delta - 1)
-                done)
-              sms;
-            c.resident_warp_cycles <-
-              c.resident_warp_cycles + (!total_resident * (delta - 1));
-            st.s_cycles_skipped <- st.s_cycles_skipped + (delta - 1)
-          end;
-          cycle := t
-        end
+        (* a progressing SM wakes next cycle; otherwise the machine is
+           dead until the earliest wake, and the cycles between are
+           charged arithmetically *)
+        let gap = !t - now - 1 in
+        if gap > 0 then begin
+          charge gap;
+          st.s_cycles_skipped <- st.s_cycles_skipped + gap
+        end;
+        cycle := !t
       end
     end
   done;

@@ -13,12 +13,15 @@
     {!Hfuse_core.Occupancy} computes; and deterministic spill-traffic
     injection for register caps.
 
-    The engine steps per-SM and event-driven: an SM that provably
-    cannot issue sleeps until its next wake (warp latency expiry,
-    structural pipe release, or memory completion) while its constant
-    stall/occupancy contribution is charged arithmetically.  Reports
-    are bit-identical to the reference {!Timing_legacy} engine — the
-    differential test suite enforces this field-for-field. *)
+    The engine steps per-SM and event-driven: every scheduler scan that
+    finds no eligible warp caches a window — the earliest cycle any of
+    its warps could issue (latency expiry, release of a pipe it needs,
+    or an MSHR drain) — and an SM that provably cannot issue sleeps
+    until the earliest of its windows and its next memory completion,
+    while its constant stall/occupancy contribution is charged
+    arithmetically.  Reports are bit-identical to the reference
+    {!Timing_legacy} engine — the differential test suite enforces this
+    field-for-field, and committed golden digests pin full reports. *)
 
 exception Timing_error of string
 
@@ -68,8 +71,10 @@ type report = {
 }
 
 (** Engine self-profiling: how much work the event-driven stepping
-    avoided relative to a step-every-SM-every-cycle loop, and how much
-    the hot path allocates. *)
+    avoided relative to a step-every-SM-every-cycle loop, and how often
+    warp records were recycled.  These count the engine's own work, not
+    results: an engine change may move them while every report stays
+    bit-identical. *)
 type engine_stats = {
   cycles_stepped : int;
       (** cycles the main loop actually visited (at least one SM live) *)
@@ -80,7 +85,8 @@ type engine_stats = {
       (** SM-cycles on visited cycles served from a sleeping SM's
           cached stall/residency contribution *)
   scan_skip_hits : int;
-      (** scheduler steps answered by the scan-skip window cache *)
+      (** scheduler steps answered by a cached scan-skip window
+          (latency or structural miss) instead of a pool scan *)
   warp_allocs : int;  (** warp records freshly allocated *)
   warp_reuses : int;  (** warp records recycled from the free list *)
 }

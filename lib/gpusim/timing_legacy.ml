@@ -473,6 +473,15 @@ let run ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list) : report =
   let find_block sm uid =
     List.find (fun b -> b.b_uid = uid) sm.blocks
   in
+  let finish_warp sm (w : warp) ~now =
+    w.state <- st_done;
+    let bi = find_block sm w.w_block_uid in
+    bi.b_warps_left <- bi.b_warps_left - 1;
+    if bi.b_warps_left = 0 then complete_block sm bi ~cycle:now
+  in
+  (* set when a barrier release finished a waiter parked on its last
+     instruction: that waiter may sit in another scheduler's pool *)
+  let released_done = ref false in
   (* initial fill *)
   let cycle = ref 0 in
   Array.iter (fun sm -> try_dispatch sm ~cycle:0) sms;
@@ -607,11 +616,18 @@ let run ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list) : report =
            in
            let arrived = arrived + w.w_threads in
            if arrived >= count then begin
-             (* release all waiters and this warp *)
+             (* release all waiters and this warp; a waiter whose
+                barrier was its last instruction finishes here *)
              List.iter
                (fun (x : warp) ->
-                 x.state <- st_ready;
-                 x.ready_at <- now + arch.alu_latency)
+                 if x.pc >= x.len && x.pending_spill = 0 then begin
+                   finish_warp sm x ~now;
+                   released_done := true
+                 end
+                 else begin
+                   x.state <- st_ready;
+                   x.ready_at <- now + arch.alu_latency
+                 end)
                waiters;
              w.ready_at <- now + arch.alu_latency;
              sm.sm_gen <- sm.sm_gen + 1;
@@ -624,12 +640,8 @@ let run ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list) : report =
        | _ -> ());
     (* done?  (a warp parked at a barrier is not finished even if the
        barrier was its last instruction) *)
-    if w.pc >= w.len && w.pending_spill = 0 && w.state <> st_barrier then begin
-      w.state <- st_done;
-      let bi = find_block sm w.w_block_uid in
-      bi.b_warps_left <- bi.b_warps_left - 1;
-      if bi.b_warps_left = 0 then complete_block sm bi ~cycle:now
-    end
+    if w.pc >= w.len && w.pending_spill = 0 && w.state <> st_barrier then
+      finish_warp sm w ~now
   in
   (* can [w]'s next instruction structurally issue now?
      [struct_miss] is set when a latency-ready warp was blocked by a
@@ -710,7 +722,11 @@ let run ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list) : report =
         | Some (idx, w) ->
             p.prr <- (idx + 1) mod p.pn;
             issue sm sched w ~now;
-            if w.state = st_done then pool_compact p;
+            if !released_done then begin
+              released_done := false;
+              Array.iter pool_compact sm.pools
+            end
+            else if w.state = st_done then pool_compact p;
             -1
         | None ->
             let cls =

@@ -160,6 +160,10 @@ let test_synthetic_corpus () =
   check_specs "volta fp32" Arch.v100 [ spec [ List.init 80 (fun _ -> Instr.Falu) ] ];
   (* both engines must refuse identically *)
   check_specs "deadlock" arch [ spec [ [ Instr.Bar (2, 64) ] ] ];
+  (* the reference notices the deadlock only once the shared-memory
+     pipe releases *)
+  check_specs "deadlock behind a busy pipe" arch
+    [ spec ~threads:64 [ [ Instr.St_shared 32 ]; [ Instr.Bar (0, 64) ] ] ];
   check_specs "misfit" arch [ spec ~threads:1024 ~regs:255 [ alus 1 ] ]
 
 (* -- corpus workloads -------------------------------------------------- *)

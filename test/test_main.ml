@@ -25,6 +25,7 @@ let () =
       ("equivalence", Test_equivalence.suite);
       ("differential", Test_diff.suite);
       ("engine-diff", Test_engine_diff.suite);
+      ("replay", Test_replay.suite);
       ("fuzz", Test_fuzz.suite);
       ("repair", Test_repair.suite);
       ("serve", Test_serve.suite);

@@ -186,6 +186,50 @@ let test_volta_fp32_issue () =
   Alcotest.(check bool) "V100 accounts more slots" true
     (v.issued_slots > p.issued_slots)
 
+(* A warp whose last instruction is a barrier finishes when the barrier
+   releases.  It must not issue past its trace: with growth slack that
+   read a phantom instruction, with exact-length arrays (the trace
+   store's decoded traces) it raised.  Slack, exact and decoded traces
+   replay to one report that issues exactly the trace's instructions. *)
+let test_trailing_barrier () =
+  let warps = [ alus 3 @ [ Instr.Bar (0, 64) ]; alus 9 @ [ Instr.Bar (0, 64) ] ] in
+  let slack = Array.of_list (List.map mk_trace warps) in
+  let exact =
+    Array.map
+      (fun (t : Trace.t) ->
+        {
+          Trace.codes = Array.sub t.Trace.codes 0 t.Trace.len;
+          payloads = Array.sub t.Trace.payloads 0 t.Trace.len;
+          len = t.Trace.len;
+        })
+      slack
+  in
+  let decoded =
+    match Trace.decode_blocks (Trace.encode_blocks [| slack |]) with
+    | Some [| b |] -> b
+    | _ -> Alcotest.fail "trace round trip failed"
+  in
+  let variants = [ ("slack", slack); ("exact", exact); ("decoded", decoded) ] in
+  let spec_of b = { (spec ~threads:64 []) with Timing.block_traces = [| b |] } in
+  let reports =
+    List.map (fun (name, b) -> (name, Timing.run arch [ spec_of b ])) variants
+  in
+  List.iter
+    (fun (name, (r : Timing.report)) ->
+      Alcotest.(check int) (name ^ ": issued = instructions") 14 r.issued_slots;
+      Alcotest.(check bool) (name ^ ": same report as slack") true
+        (r = List.assoc "slack" reports))
+    reports;
+  List.iter
+    (fun (name, b) ->
+      let l = Timing_legacy.run arch [ Test_engine_diff.to_legacy (spec_of b) ] in
+      Alcotest.(check int) (name ^ ": legacy issued") 14
+        l.Timing_legacy.issued_slots;
+      Alcotest.(check int) (name ^ ": legacy cycles")
+        (List.assoc "slack" reports).elapsed_cycles
+        l.Timing_legacy.elapsed_cycles)
+    variants
+
 let suite =
   [
     Alcotest.test_case "single warp ALU chain" `Quick
@@ -212,4 +256,6 @@ let suite =
     Alcotest.test_case "report accounting" `Quick test_report_accounting;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "Volta fp32 issue cost" `Quick test_volta_fp32_issue;
+    Alcotest.test_case "trailing barrier finishes at release" `Quick
+      test_trailing_barrier;
   ]
