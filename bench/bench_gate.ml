@@ -39,7 +39,10 @@
    "bench" field).  A reference covers the whole fleet under one
    configuration, so the fresh reports must match its size, arch and
    top_k, their rows need only be a subset of it, and each row is
-   compared on pair, status, output digest, native and best time. *)
+   compared on pair, status, output digest, native and best time.
+   The fresh reports must still jointly cover every row their runs
+   were asked for (each report's shard of its first pairs_total
+   pairs), so a shard that drops a row fails. *)
 
 module Json = Hfuse_profiler.Report.Json
 
@@ -211,6 +214,8 @@ let run_fleet_gate ~baseline_path ~fresh_paths ~min_hit_rate ~min_throughput =
   let bool_fields = if reference then [] else fleet_row_bool_fields in
   let drift = ref 0 in
   let seen : (int, string) Hashtbl.t = Hashtbl.create 1024 in
+  (* the row indices the fresh runs were asked for, against a reference *)
+  let asked : (int, unit) Hashtbl.t = Hashtbl.create 1024 in
   let hits = ref 0 and misses = ref 0 in
   let throughput = ref 0.0 in
   List.iter
@@ -231,6 +236,12 @@ let run_fleet_gate ~baseline_path ~fresh_paths ~min_hit_rate ~min_throughput =
                  rows"
                 path field fv bv)
           reference_config_fields;
+      (if reference then
+         let shards = fleet_int path "shards" j
+         and shard = fleet_int path "shard" j in
+         for i = 0 to fleet_int path "pairs_total" j - 1 do
+           if i mod shards = shard then Hashtbl.replace asked i ()
+         done);
       let unrecovered =
         match Json.member "fault" j with
         | Some f -> fleet_int path "unrecovered" f
@@ -315,12 +326,20 @@ let run_fleet_gate ~baseline_path ~fresh_paths ~min_hit_rate ~min_throughput =
         (fleet_rows_of path j))
     fresh_paths;
   (* coverage: the fresh shards must union to exactly the baseline, or
-     to a nonempty part of a reference *)
+     to every row of a reference their runs were asked for *)
   if reference then begin
     if Hashtbl.length seen = 0 then begin
       incr drift;
       Printf.printf "MISSING: no fresh rows to compare with the reference\n"
-    end
+    end;
+    List.iter
+      (fun i ->
+        if not (Hashtbl.mem seen i) then begin
+          incr drift;
+          Printf.printf "MISSING row %d: asked of a fresh run but in no report\n"
+            i
+        end)
+      (List.sort compare (List.of_seq (Hashtbl.to_seq_keys asked)))
   end
   else
     List.iter

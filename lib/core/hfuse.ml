@@ -54,14 +54,24 @@ let verify ?limits (t : t) : Hfuse_analysis.Diag.t list =
   Hfuse_analysis.Verifier.verify ?limits ~threads:(t.d1 + t.d2) ~regs:t.regs
     ~smem_dynamic:t.smem_dynamic t.sides
 
+(** Both inputs through the normalisation pipeline (device calls
+    inlined, declarations lifted, locals freshly renamed), k1 first, so
+    when both fail the error is k1's.  The block dimension plays no
+    part, so a search normalises once for all its partitions. *)
+let normalize (k1 : Kernel_info.t) (k2 : Kernel_info.t) : Ast.fn * Ast.fn =
+  let f1 = Inline.normalize_kernel k1.prog k1.fn in
+  (f1, Inline.normalize_kernel k2.prog k2.fn)
+
 (** [generate k1 k2] horizontally fuses two kernels at their configured
     block dimensions.  Raises {!Fuse_common.Fusion_error} on structural
     problems (unliftable bodies, barrier-id exhaustion, thread counts not
     multiples of the warp size), and — unless [~check:false] —
     {!Hfuse_analysis.Diag.Unsafe_fusion} when the static fusion-safety
-    verifier finds an error in the result. *)
+    verifier finds an error in the result.  [normalized] supplies the
+    normalised bodies; it is called once the geometry checks pass. *)
 let generate ?(check = true) ?(limits = Occupancy.pascal_volta_limits)
-    ?(smem_align = 16) (k1 : Kernel_info.t) (k2 : Kernel_info.t) : t =
+    ?(smem_align = 16) ?normalized (k1 : Kernel_info.t) (k2 : Kernel_info.t) :
+    t =
   if smem_align <= 0 || smem_align land (smem_align - 1) <> 0 then
     Fuse_common.fail "shared-memory alignment %d is not a power of two"
       smem_align;
@@ -75,9 +85,9 @@ let generate ?(check = true) ?(limits = Occupancy.pascal_volta_limits)
     Fuse_common.fail
       "fused block of %d threads exceeds the %d-thread hardware limit"
       (d1 + d2) limits.Occupancy.max_threads_per_block;
-  (* normalise both inputs *)
-  let f1 = Inline.normalize_kernel k1.prog k1.fn in
-  let f2 = Inline.normalize_kernel k2.prog k2.fn in
+  let f1, f2 =
+    match normalized with Some f -> f () | None -> normalize k1 k2
+  in
   let pool = Rename.create () in
   Rename.reserve pool Fuse_common.dyn_smem_name;
   let p1 = Fuse_common.prepare pool { k1 with fn = f1 } in

@@ -46,6 +46,12 @@ val info : t -> Kernel_info.t
     the repair engine shrinks it when the inter-kernel padding pushes
     the fusion over the shared-memory budget.
 
+    [normalized] (default: [fun () -> normalize k1 k2]) supplies the
+    normalised bodies.  It is called after the geometry checks pass and
+    before anything else can fail, so a search that memoises it across
+    its partitions normalises once and raises the same exception, in
+    the same order, as one that normalises per partition.
+
     @raise Fuse_common.Fusion_error when a block dimension is not a
     warp-size multiple, the fused block exceeds the device's block-size
     cap ([limits.max_threads_per_block]), barrier ids are exhausted, or
@@ -56,9 +62,16 @@ val generate :
   ?check:bool ->
   ?limits:Occupancy.sm_limits ->
   ?smem_align:int ->
+  ?normalized:(unit -> Cuda.Ast.fn * Cuda.Ast.fn) ->
   Kernel_info.t ->
   Kernel_info.t ->
   t
+
+(** [normalize k1 k2] is the two inputs' normalised bodies, as
+    [generate] computes them.  They depend only on each kernel's
+    function and translation unit, not on its block dimension, so every
+    partition of a pair fuses the same bodies. *)
+val normalize : Kernel_info.t -> Kernel_info.t -> Cuda.Ast.fn * Cuda.Ast.fn
 
 (** Run the fusion-safety verifier on an already-generated fusion
     (never raises; returns all diagnostics including warnings). *)

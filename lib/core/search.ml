@@ -129,6 +129,19 @@ let search ?(limits = Occupancy.pascal_volta_limits)
     (match on_reject with Some f -> f partition ds | None -> ());
     rejected := (partition, ds) :: !rejected
   in
+  (* the inputs are normalised once, where the first partition to pass
+     the geometry checks needs them; every later partition fuses the
+     same bodies (normalisation ignores the block dimension).  A plain
+     ref: phase 1 runs on the calling domain only. *)
+  let bodies = ref None in
+  let normalized () =
+    match !bodies with
+    | Some b -> b
+    | None ->
+        let b = Hfuse.normalize k1 k2 in
+        bodies := Some b;
+        b
+  in
   List.iter
     (fun ({ Partition.d1; d2 } as partition) ->
       let k1c = Kernel_info.with_block_dim k1 d1 in
@@ -136,7 +149,7 @@ let search ?(limits = Occupancy.pascal_volta_limits)
       (* the verifier gates profiling: an unsafe partition (deadlocking
          barriers, shared-memory races, over-budget resources) is
          recorded and never handed to the simulator *)
-      match Hfuse.generate ~limits k1c k2c with
+      match Hfuse.generate ~limits ~normalized k1c k2c with
       | exception Hfuse_analysis.Diag.Unsafe_fusion ds -> (
           (* the repair hook gets one shot at a rejected partition; its
              outcome must already be re-verified and soundness-gated,

@@ -3,7 +3,14 @@
    HFuse is a source-to-source compiler: its output is compilable CUDA-C.
    The printer is precedence-aware (it inserts only the parentheses the
    grammar needs) and is exercised by a parse/print round-trip property
-   test. *)
+   test.
+
+   Everything is written straight into one [Buffer].  Every
+   profile-cache and trace-store key digests the printed source, so the
+   layout must not move by a byte (test/golden/pretty.md5 pins it): a
+   braced body indents its statements two columns past the line that
+   opens it, and the indentation stops growing at column 68, so
+   statements nested deeper than that all start at column 68. *)
 
 open Ast
 
@@ -75,19 +82,35 @@ let int_lit_to_string v (ty : Ctype.t) =
   in
   Int64.to_string v ^ suffix
 
-let rec pp_expr ppf e = pp_expr_prec ppf (-3) e
+(* Statements nested past this column start at it. *)
+let max_indent = 68
+
+let rec add_expr b e = add_expr_prec b (-3) e
 
 (* [ctx] is the loosest precedence allowed without parentheses. *)
-and pp_expr_prec ppf ctx e =
-  let p = prec_of_expr e in
-  let wrap = p < ctx in
-  if wrap then Fmt.string ppf "(";
+and add_expr_prec b ctx e =
+  let str = Buffer.add_string b in
+  let sub ctx e = add_expr_prec b ctx e in
+  let prefix op e =
+    str op;
+    sub 10 e
+  in
+  (* [l op r], each side at its own precedence *)
+  let infix l lp op r rp =
+    sub lp l;
+    str " ";
+    str op;
+    str " ";
+    sub rp r
+  in
+  let wrap = prec_of_expr e < ctx in
+  if wrap then str "(";
   (match e with
-  | Int_lit (v, ty) -> Fmt.string ppf (int_lit_to_string v ty)
-  | Float_lit (v, ty) -> Fmt.string ppf (float_lit_to_string v ty)
-  | Bool_lit b -> Fmt.string ppf (if b then "true" else "false")
-  | Var x -> Fmt.string ppf x
-  | Builtin b -> Fmt.string ppf (string_of_builtin b)
+  | Int_lit (v, ty) -> str (int_lit_to_string v ty)
+  | Float_lit (v, ty) -> str (float_lit_to_string v ty)
+  | Bool_lit v -> str (if v then "true" else "false")
+  | Var x -> str x
+  | Builtin bi -> str (string_of_builtin bi)
   | Unop (Neg, e) ->
       (* avoid "--x": separate a negation whose operand also prints a
          leading '-' so the lexer does not see a pre-decrement *)
@@ -98,143 +121,208 @@ and pp_expr_prec ppf ctx e =
         | Float_lit (v, _) -> v < 0.0 || 1.0 /. v = neg_infinity
         | _ -> false
       in
-      if leading_minus then Fmt.pf ppf "-(%a)" pp_expr e
-      else Fmt.pf ppf "-%a" (fun p -> pp_expr_prec p 10) e
-  | Unop (Lnot, e) -> Fmt.pf ppf "!%a" (fun p -> pp_expr_prec p 10) e
-  | Unop (Bnot, e) -> Fmt.pf ppf "~%a" (fun p -> pp_expr_prec p 10) e
-  | Binop (op, a, b) ->
-      let bp = prec_of_binop op in
+      if leading_minus then begin
+        str "-(";
+        add_expr b e;
+        str ")"
+      end
+      else prefix "-" e
+  | Unop (Lnot, e) -> prefix "!" e
+  | Unop (Bnot, e) -> prefix "~" e
+  | Deref e -> prefix "*" e
+  | Addr_of e -> prefix "&" e
+  | Cast (t, e) -> prefix ("(" ^ Ctype.to_string t ^ ")") e
+  | Binop (op, l, r) ->
       (* left-associative: left child may be at the same level, the right
          child must bind strictly tighter *)
-      Fmt.pf ppf "%a %s %a"
-        (fun p -> pp_expr_prec p bp)
-        a (string_of_binop op)
-        (fun p -> pp_expr_prec p (bp + 1))
-        b
-  | Assign (l, r) ->
-      Fmt.pf ppf "%a = %a"
-        (fun p -> pp_expr_prec p (-1))
-        l
-        (fun p -> pp_expr_prec p (-2))
-        r
-  | Op_assign (op, l, r) ->
-      Fmt.pf ppf "%a %s= %a"
-        (fun p -> pp_expr_prec p (-1))
-        l (string_of_binop op)
-        (fun p -> pp_expr_prec p (-2))
-        r
-  | Incdec { pre; inc; lval } ->
-      let op = if inc then "++" else "--" in
-      if pre then Fmt.pf ppf "%s%a" op (fun p -> pp_expr_prec p 10) lval
-      else Fmt.pf ppf "%a%s" (fun p -> pp_expr_prec p 11) lval op
-  | Ternary (c, a, b) ->
-      Fmt.pf ppf "%a ? %a : %a"
-        (fun p -> pp_expr_prec p 0)
-        c
-        (fun p -> pp_expr_prec p (-2))
-        a
-        (fun p -> pp_expr_prec p (-1))
-        b
+      let bp = prec_of_binop op in
+      infix l bp (string_of_binop op) r (bp + 1)
+  | Assign (l, r) -> infix l (-1) "=" r (-2)
+  | Op_assign (op, l, r) -> infix l (-1) (string_of_binop op ^ "=") r (-2)
+  | Incdec { pre = true; inc; lval } -> prefix (if inc then "++" else "--") lval
+  | Incdec { pre = false; inc; lval } ->
+      sub 11 lval;
+      str (if inc then "++" else "--")
+  | Ternary (c, t, f) ->
+      sub 0 c;
+      str " ? ";
+      sub (-2) t;
+      str " : ";
+      sub (-1) f
   | Call (f, args) ->
-      Fmt.pf ppf "%s(%a)" f
-        Fmt.(list ~sep:(any ", ") (fun p -> pp_expr_prec p (-2)))
-        args
+      str f;
+      str "(";
+      List.iteri
+        (fun i a ->
+          if i > 0 then str ", ";
+          sub (-2) a)
+        args;
+      str ")"
   | Index (a, i) ->
-      Fmt.pf ppf "%a[%a]" (fun p -> pp_expr_prec p 11) a pp_expr i
-  | Deref e -> Fmt.pf ppf "*%a" (fun p -> pp_expr_prec p 10) e
-  | Addr_of e -> Fmt.pf ppf "&%a" (fun p -> pp_expr_prec p 10) e
-  | Cast (t, e) ->
-      Fmt.pf ppf "(%s)%a" (Ctype.to_string t) (fun p -> pp_expr_prec p 10) e);
-  if wrap then Fmt.string ppf ")"
+      sub 11 a;
+      str "[";
+      add_expr b i;
+      str "]");
+  if wrap then str ")"
 
-let pp_decl ppf (d : decl) =
-  let storage =
-    match d.d_storage with
+let add_decl b (d : decl) =
+  let str = Buffer.add_string b in
+  str
+    (match d.d_storage with
     | Local -> ""
     | Shared -> "__shared__ "
-    | Shared_extern -> "extern __shared__ "
-  in
+    | Shared_extern -> "extern __shared__ ");
   let base, suffix = Ctype.base_and_suffix d.d_type in
+  str (Ctype.to_string base);
+  str " ";
+  str d.d_name;
+  str suffix;
   (match d.d_init with
-  | None ->
-      Fmt.pf ppf "%s%s %s%s;" storage (Ctype.to_string base) d.d_name suffix
+  | None -> ()
   | Some e ->
-      Fmt.pf ppf "%s%s %s%s = %a;" storage (Ctype.to_string base) d.d_name
-        suffix pp_expr e)
+      str " = ";
+      add_expr b e);
+  str ";"
 
-let rec pp_stmt ppf (s : stmt) =
+(* A line break followed by [ind] columns of indentation. *)
+let newline b ind =
+  Buffer.add_char b '\n';
+  for _ = 1 to ind do
+    Buffer.add_char b ' '
+  done
+
+(* [add_stmt b ind s] prints [s] at the current position, which is
+   column [ind]: a braced body goes on the following lines at
+   [ind + 2] (at most {!max_indent}), and its closing brace at [ind]. *)
+let rec add_stmt b ind (s : stmt) =
+  let str = Buffer.add_string b in
+  let body stmts =
+    add_stmts b (min max_indent (ind + 2)) stmts;
+    newline b ind
+  in
   match s.s with
-  | Decl d -> pp_decl ppf d
-  | Expr e -> Fmt.pf ppf "%a;" pp_expr e
-  | If (c, t, []) ->
-      Fmt.pf ppf "@[<v 2>if (%a) {%a@]@,}" pp_expr c pp_stmts_nested t
+  | Decl d -> add_decl b d
+  | Expr e ->
+      add_expr b e;
+      str ";"
   | If (c, t, e) ->
-      Fmt.pf ppf "@[<v 2>if (%a) {%a@]@,@[<v 2>} else {%a@]@,}" pp_expr c
-        pp_stmts_nested t pp_stmts_nested e
-  | For (init, cond, step, body) ->
-      let pp_init ppf = function
-        | None -> ()
-        | Some (For_expr e) -> pp_expr ppf e
-        | Some (For_decl ds) -> (
-            (* all declarators share the base type by construction *)
-            match ds with
-            | [] -> ()
-            | d0 :: _ ->
-                let base, _ = Ctype.base_and_suffix d0.d_type in
-                Fmt.pf ppf "%s " (Ctype.to_string base);
-                Fmt.(list ~sep:(any ", "))
-                  (fun ppf (d : decl) ->
-                    match d.d_init with
-                    | None -> Fmt.string ppf d.d_name
-                    | Some e -> Fmt.pf ppf "%s = %a" d.d_name pp_expr e)
-                  ppf ds)
-      in
-      Fmt.pf ppf "@[<v 2>for (%a; %a; %a) {%a@]@,}" pp_init init
-        Fmt.(option pp_expr)
-        cond
-        Fmt.(option pp_expr)
-        step pp_stmts_nested body
-  | While (c, body) ->
-      Fmt.pf ppf "@[<v 2>while (%a) {%a@]@,}" pp_expr c pp_stmts_nested body
-  | Do_while (body, c) ->
-      Fmt.pf ppf "@[<v 2>do {%a@]@,} while (%a);" pp_stmts_nested body pp_expr
-        c
-  | Return None -> Fmt.string ppf "return;"
-  | Return (Some e) -> Fmt.pf ppf "return %a;" pp_expr e
-  | Break -> Fmt.string ppf "break;"
-  | Continue -> Fmt.string ppf "continue;"
-  | Sync -> Fmt.string ppf "__syncthreads();"
-  | Bar_sync (id, n) -> Fmt.pf ppf "asm(\"bar.sync %d, %d;\");" id n
-  | Goto l -> Fmt.pf ppf "goto %s;" l
-  | Label l -> Fmt.pf ppf "%s:;" l
-  | Block stmts -> Fmt.pf ppf "@[<v 2>{%a@]@,}" pp_stmts_nested stmts
-  | Nop -> Fmt.string ppf ";"
+      str "if (";
+      add_expr b c;
+      str ") {";
+      body t;
+      if e <> [] then begin
+        str "} else {";
+        body e
+      end;
+      str "}"
+  | For (init, cond, step, stmts) ->
+      str "for (";
+      (match init with
+      | None -> ()
+      | Some (For_expr e) -> add_expr b e
+      | Some (For_decl ds) -> (
+          (* all declarators share the base type by construction *)
+          match ds with
+          | [] -> ()
+          | d0 :: _ ->
+              str (Ctype.to_string (fst (Ctype.base_and_suffix d0.d_type)));
+              str " ";
+              List.iteri
+                (fun i (d : decl) ->
+                  if i > 0 then str ", ";
+                  str d.d_name;
+                  match d.d_init with
+                  | None -> ()
+                  | Some e ->
+                      str " = ";
+                      add_expr b e)
+                ds));
+      str "; ";
+      Option.iter (add_expr b) cond;
+      str "; ";
+      Option.iter (add_expr b) step;
+      str ") {";
+      body stmts;
+      str "}"
+  | While (c, stmts) ->
+      str "while (";
+      add_expr b c;
+      str ") {";
+      body stmts;
+      str "}"
+  | Do_while (stmts, c) ->
+      str "do {";
+      body stmts;
+      str "} while (";
+      add_expr b c;
+      str ");"
+  | Return None -> str "return;"
+  | Return (Some e) ->
+      str "return ";
+      add_expr b e;
+      str ";"
+  | Break -> str "break;"
+  | Continue -> str "continue;"
+  | Sync -> str "__syncthreads();"
+  | Bar_sync (id, n) -> Printf.bprintf b "asm(\"bar.sync %d, %d;\");" id n
+  | Goto l ->
+      str "goto ";
+      str l;
+      str ";"
+  | Label l ->
+      str l;
+      str ":;"
+  | Block stmts ->
+      str "{";
+      body stmts;
+      str "}"
+  | Nop -> str ";"
 
-and pp_stmts_nested ppf stmts =
-  List.iter (fun s -> Fmt.pf ppf "@,%a" pp_stmt s) stmts
+(* each statement on a line of its own at column [ind] *)
+and add_stmts b ind stmts =
+  List.iter
+    (fun s ->
+      newline b ind;
+      add_stmt b ind s)
+    stmts
 
-let pp_param ppf (p : param) =
-  Fmt.pf ppf "%s %s" (Ctype.to_string p.p_type) p.p_name
+let add_fn b (f : fn) =
+  let str = Buffer.add_string b in
+  str (match f.f_kind with Global -> "__global__" | Device -> "__device__");
+  Option.iter (Printf.bprintf b " __launch_bounds__(%d)") f.f_launch_bounds;
+  str " ";
+  str (Ctype.to_string f.f_ret);
+  str " ";
+  str f.f_name;
+  str "(";
+  List.iteri
+    (fun i (p : param) ->
+      if i > 0 then str ", ";
+      str (Ctype.to_string p.p_type);
+      str " ";
+      str p.p_name)
+    f.f_params;
+  str ") {";
+  add_stmts b 2 f.f_body;
+  newline b 0;
+  str "}"
 
-let pp_fn ppf (f : fn) =
-  let kind =
-    match f.f_kind with Global -> "__global__" | Device -> "__device__"
-  in
-  let lb =
-    match f.f_launch_bounds with
-    | None -> ""
-    | Some n -> Fmt.str " __launch_bounds__(%d)" n
-  in
-  Fmt.pf ppf "@[<v 2>%s%s %s %s(%a) {%a@]@,}" kind lb
-    (Ctype.to_string f.f_ret) f.f_name
-    Fmt.(list ~sep:(any ", ") pp_param)
-    f.f_params pp_stmts_nested f.f_body
+let to_string add x =
+  let b = Buffer.create 1024 in
+  add b x;
+  Buffer.contents b
 
-let pp_program ppf (p : program) =
-  List.iter (fun (k, v) -> Fmt.pf ppf "#define %s %Ld@," k v) p.defines;
-  Fmt.(list ~sep:(any "@,@,") pp_fn) ppf p.functions
+let expr_to_string e = to_string add_expr e
+let stmt_to_string s = to_string (fun b -> add_stmt b 0) s
+let fn_to_string f = to_string add_fn f
 
-let expr_to_string e = Fmt.str "%a" pp_expr e
-let stmt_to_string s = Fmt.str "@[<v>%a@]" pp_stmt s
-let fn_to_string f = Fmt.str "@[<v>%a@]" pp_fn f
-let program_to_string p = Fmt.str "@[<v>%a@]" pp_program p
+let program_to_string (p : program) =
+  to_string
+    (fun b p ->
+      List.iter (fun (k, v) -> Printf.bprintf b "#define %s %Ld\n" k v) p.defines;
+      List.iteri
+        (fun i f ->
+          if i > 0 then Buffer.add_string b "\n\n";
+          add_fn b f)
+        p.functions)
+    p

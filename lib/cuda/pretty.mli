@@ -1,14 +1,9 @@
 (** CUDA source emission.  HFuse is source-to-source: the output must be
     compilable CUDA-C.  Precedence-aware (inserts only the parentheses
     the grammar needs); exercised by a parse/print round-trip property
-    test. *)
-
-val pp_expr : Ast.expr Fmt.t
-val pp_decl : Ast.decl Fmt.t
-val pp_stmt : Ast.stmt Fmt.t
-val pp_param : Ast.param Fmt.t
-val pp_fn : Ast.fn Fmt.t
-val pp_program : Ast.program Fmt.t
+    test, and its bytes are pinned by [test/golden/pretty.md5] — the
+    printed source of a fused kernel is part of every profile-cache and
+    trace-store key. *)
 
 val expr_to_string : Ast.expr -> string
 val stmt_to_string : Ast.stmt -> string

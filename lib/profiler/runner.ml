@@ -609,11 +609,12 @@ let model_eval ?(k = 1) ~(scores : float list) ~(times : float list) () :
       Some (i, regret)
   | _ -> None
 
+(* [source] is [Hfuse.to_source f], printed once per partition by the
+   search *)
 let candidate_key ~(s : Settings.t) (arch : Arch.t) (c1 : configured)
-    (c2 : configured) (f : Hfuse_core.Hfuse.t) ~(reg_bound : int option) :
-    string =
-  Profile_cache.key ~arch:arch.Arch.name
-    ~source:(Hfuse_core.Hfuse.to_source f)
+    (c2 : configured) (f : Hfuse_core.Hfuse.t) ~(source : string)
+    ~(reg_bound : int option) : string =
+  Profile_cache.key ~arch:arch.Arch.name ~source
     ~d1:f.d1 ~d2:f.d2 ~grid:f.grid ~smem_dynamic:f.smem_dynamic ~regs:f.regs
     ~reg_bound ~k1:c1.spec.name ~size1:c1.size ~k2:c2.spec.name
     ~size2:c2.size ~trace_blocks:s.Settings.trace_blocks
@@ -780,6 +781,22 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
       f.fn.f_name f.d1 f.d2 (Printexc.to_string e);
     Float.infinity
   in
+  (* each partition's fused kernel is printed once per search: the one
+     source keys both register-bound variants' time entries, in the
+     probe batch and in phase 2, and the partition's trace entry.  Keyed
+     by partition (one fused kernel each within a search) and scoped to
+     this call, so nothing outlives the search. *)
+  let sources : (Hfuse_core.Partition.t, string) Hashtbl.t =
+    Hashtbl.create 16
+  in
+  let source_of (f, (cfg : Hfuse_core.Search.config)) =
+    match Hashtbl.find_opt sources cfg.partition with
+    | Some src -> src
+    | None ->
+        let src = Hfuse_core.Hfuse.to_source f in
+        Hashtbl.add sources cfg.partition src;
+        src
+  in
   (* phase 2 evaluator: disk-cache probes run serially on this domain
      (the cache file I/O and its counters are single-domain), missing
      traces are recorded concurrently in fresh memories (deduped per
@@ -791,10 +808,12 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
       float list =
     let t0 = Unix.gettimeofday () in
     let batch = Array.of_list batch in
+    let srcs = Array.map source_of batch in
     let keys =
-      Array.map
-        (fun (f, (cfg : Hfuse_core.Search.config)) ->
-          candidate_key ~s arch c1 c2 f ~reg_bound:cfg.reg_bound)
+      Array.mapi
+        (fun i (f, (cfg : Hfuse_core.Search.config)) ->
+          candidate_key ~s arch c1 c2 f ~source:srcs.(i)
+            ~reg_bound:cfg.reg_bound)
         batch
     in
     let tiers = time_tiers ~cache ~checkpoint in
@@ -823,17 +842,17 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
             if not (Hashtbl.mem key_slot k) then begin
               Hashtbl.add key_slot k !n_uniq;
               incr n_uniq;
-              uniq_rev := f :: !uniq_rev
+              uniq_rev := i :: !uniq_rev
             end)
       batch;
-    let uniq = Array.of_list (List.rev !uniq_rev) in
+    let uniq_idx = Array.of_list (List.rev !uniq_rev) in
+    let uniq = Array.map (fun i -> fst batch.(i)) uniq_idx in
     let skeys =
       Array.map
-        (fun f ->
-          store_key ~s ~arch:arch.Arch.name
-            ~source:(Hfuse_core.Hfuse.to_source f)
-            (hfuse_key ~tb c1 c2 f))
-        uniq
+        (fun i ->
+          store_key ~s ~arch:arch.Arch.name ~source:srcs.(i)
+            (hfuse_key ~tb c1 c2 (fst batch.(i))))
+        uniq_idx
     in
     (* store lookups stay on the coordinating domain (disk I/O and the
        shared memory tier's counters) *)

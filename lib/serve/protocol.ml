@@ -39,8 +39,11 @@ type request = {
   verb : verb;
 }
 
+let max_request_bytes = 1 lsl 20
+
 type error_code =
   | Parse_error
+  | Request_too_large
   | Invalid_request
   | Unknown_verb
   | Overloaded
@@ -49,6 +52,7 @@ type error_code =
 
 let code_name = function
   | Parse_error -> "parse_error"
+  | Request_too_large -> "request_too_large"
   | Invalid_request -> "invalid_request"
   | Unknown_verb -> "unknown_verb"
   | Overloaded -> "overloaded"

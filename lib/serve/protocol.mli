@@ -45,8 +45,16 @@ type request = {
   verb : verb;
 }
 
+(** The longest request line the daemon reads: 1 MiB, far above the
+    largest inline [fuse]/[check] request (two kernel sources of a few
+    tens of KB).  A longer line is answered with [request_too_large]
+    and the rest of it is discarded unread, so no client line can grow
+    the daemon's heap without bound; the connection stays open. *)
+val max_request_bytes : int
+
 type error_code =
   | Parse_error  (** the line is not valid JSON *)
+  | Request_too_large  (** the line exceeds {!max_request_bytes} *)
   | Invalid_request  (** missing/ill-typed fields, unknown arch/kernel *)
   | Unknown_verb
   | Overloaded  (** admission control: the daemon's queue is full *)

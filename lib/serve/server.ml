@@ -234,6 +234,24 @@ let handle_line t (send : Protocol.response -> unit) (line : string) =
                     (Protocol.failure ~id Protocol.Shutting_down
                        "server is shutting down"))))
 
+(* One request line, like [input_line] (a last line may lack its
+   newline), but never holding more than [Protocol.max_request_bytes]
+   of it: past the cap the rest of the line is read and dropped.
+   @raise End_of_file at the end of the stream. *)
+let read_request_line ic buf =
+  Buffer.clear buf;
+  let rec go too_large =
+    match input_char ic with
+    | '\n' -> too_large
+    | c ->
+        let full = Buffer.length buf >= Protocol.max_request_bytes in
+        if not full then Buffer.add_char buf c;
+        go (too_large || full)
+    | exception End_of_file when too_large || Buffer.length buf > 0 ->
+        too_large
+  in
+  if go false then `Too_large else `Line (Buffer.contents buf)
+
 let handle_conn t fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
@@ -251,11 +269,19 @@ let handle_conn t fd =
           flush oc
         with Sys_error _ | Unix.Unix_error _ -> ())
   in
+  let buf = Buffer.create 4096 in
   let rec loop () =
-    match input_line ic with
+    match read_request_line ic buf with
     | exception (End_of_file | Sys_error _) -> ()
-    | line ->
+    | `Line line ->
         if String.trim line <> "" then handle_line t send line;
+        loop ()
+    | `Too_large ->
+        note_error t;
+        send
+          (Protocol.failure Protocol.Request_too_large
+             (Printf.sprintf "request line exceeds %d bytes"
+                Protocol.max_request_bytes));
         loop ()
   in
   loop ();

@@ -8,9 +8,10 @@
     queueing without bound).  Cheap verbs (ping/stats) are answered
     inline by the reader thread.
 
-    Fault containment: a malformed line, unknown verb, bad per-request
-    fault spec, or exception escaping a verb body each cost exactly
-    one error response, never the process.  SIGPIPE is ignored. *)
+    Fault containment: a malformed line, a line longer than
+    {!Protocol.max_request_bytes}, unknown verb, bad per-request fault
+    spec, or exception escaping a verb body each cost exactly one error
+    response, never the process.  SIGPIPE is ignored. *)
 
 type config = {
   socket_path : string;

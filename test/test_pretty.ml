@@ -134,10 +134,138 @@ let print_deterministic =
     (fun e ->
       String.equal (Pretty.expr_to_string e) (Pretty.expr_to_string e))
 
+(* -- Golden bytes ------------------------------------------------------- *)
+
+(* [golden/pretty.md5] pins the printer's exact output: the source text
+   of a fused kernel is part of every profile-cache and trace-store key,
+   so a printer that changed one byte would turn every existing cache
+   root cold.  One md5 per line, each over the printed programs of one
+   group: a corpus kernel, every partition of every fleet pair led by
+   one kernel, the vertical baseline of a paper pair, a batch of fuzzer
+   programs, deep statement nests (whose indentation stops growing at
+   column 68), and seeded random expressions. *)
+
+module Kernel_info = Hfuse_core.Kernel_info
+module Runner = Hfuse_profiler.Runner
+
+let digest_of (parts : string list) =
+  Digest.to_hex (Digest.string (String.concat "\n\x00" parts))
+
+let configured spec =
+  Runner.configure (Gpusim.Memory.create ()) spec ~size:1
+
+(* the fused source of every partition the search would try (the
+   error text where a partition does not fuse) *)
+let partition_sources (c1 : Runner.configured) (c2 : Runner.configured) =
+  Hfuse_core.Partition.enumerate c1.info c2.info ~d0:(Runner.d0_for c1 c2)
+  |> List.map (fun { Hfuse_core.Partition.d1; d2 } ->
+         match
+           Hfuse_core.Hfuse.generate ~check:false
+             (Kernel_info.with_block_dim c1.info d1)
+             (Kernel_info.with_block_dim c2.info d2)
+         with
+         | f -> Hfuse_core.Hfuse.to_source f
+         | exception e -> Printexc.to_string e)
+
+let nest ~depth ~with_else =
+  let open Ast in
+  let leaf i = assign (Var "acc") (Binop (Add, Var "acc", int_lit i)) in
+  let rec go i =
+    if i = depth then [ leaf i ]
+    else
+      let cond = Binop (Lt, Builtin (Thread_idx X), int_lit (i * 37)) in
+      [ mk_stmt (If (cond, go (i + 1), if with_else then [ leaf (-i) ] else [])) ]
+  in
+  let body =
+    decl ~init:(int_lit 0) "acc" Ctype.Int
+    :: go 0
+    @ [ assign (Index (Var "out", Builtin (Thread_idx X))) (Var "acc") ]
+  in
+  let fn =
+    {
+      f_name = "nest";
+      f_kind = Global;
+      f_params = [ { p_name = "out"; p_type = Ctype.Ptr Ctype.Int } ];
+      f_ret = Ctype.Void;
+      f_body = body;
+      f_launch_bounds = Some 128;
+    }
+  in
+  [
+    Pretty.program_to_string { defines = [ ("N", 40L) ]; functions = [ fn ] };
+    Pretty.fn_to_string fn;
+    String.concat "\n" (List.map Pretty.stmt_to_string body);
+  ]
+
+let golden_pretty_lines () : string list =
+  Hfuse_fleet.Corpus.install ();
+  let specs = Hfuse_fleet.Corpus.all_specs () in
+  let cs = List.map (fun s -> (s, configured s)) specs in
+  let corpus =
+    List.map
+      (fun (s : Kernel_corpus.Spec.t) ->
+        Fmt.str "corpus %s %s" s.name
+          (digest_of [ Pretty.program_to_string (fst (Kernel_corpus.Spec.parse s)) ]))
+      specs
+  in
+  let rec pairs = function
+    | [] -> []
+    | ((s1 : Kernel_corpus.Spec.t), c1) :: rest ->
+        Fmt.str "pairs %s %s" s1.name
+          (digest_of
+             (List.concat_map (fun (_, c2) -> partition_sources c1 c2) rest))
+        :: pairs rest
+  in
+  let vfuse =
+    List.map
+      (fun ((s1 : Kernel_corpus.Spec.t), (s2 : Kernel_corpus.Spec.t)) ->
+        Fmt.str "vfuse %s+%s %s" s1.name s2.name
+          (digest_of
+             [
+               (match Runner.vfuse_generate (configured s1) (configured s2) with
+               | v -> Hfuse_core.Vfuse.to_source v
+               | exception e -> Printexc.to_string e);
+             ]))
+      Kernel_corpus.Registry.all_pairs
+  in
+  let fuzz =
+    List.init 4 (fun b ->
+        let seeds = List.init 25 (fun i -> (b * 25) + i) in
+        Fmt.str "fuzz %d-%d %s" (b * 25) ((b * 25) + 24)
+          (digest_of
+             (List.concat_map
+                (fun seed ->
+                  (Hfuse_fuzz.Gen.generate_case ~seed ()).c_kernels
+                  |> List.map (fun (k : Hfuse_fuzz.Gen.kernel) ->
+                         Pretty.program_to_string k.g_info.prog))
+                seeds)))
+  in
+  let nests =
+    [
+      Fmt.str "nest if %s" (digest_of (nest ~depth:40 ~with_else:false));
+      Fmt.str "nest if-else %s" (digest_of (nest ~depth:40 ~with_else:true));
+    ]
+  in
+  let exprs =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 19 |]) ~n:500 gen_expr
+    |> List.map Pretty.expr_to_string
+  in
+  corpus @ pairs cs @ vfuse @ fuzz @ nests
+  @ [ Fmt.str "exprs %s" (digest_of exprs) ]
+
+let test_golden_pretty () =
+  let expected =
+    In_channel.with_open_bin (Filename.concat "golden" "pretty.md5")
+      In_channel.input_lines
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  Alcotest.(check (list string)) "printed bytes" expected (golden_pretty_lines ())
+
 let suite =
   [
     Alcotest.test_case "minimal parens" `Quick test_minimal_parens;
     Alcotest.test_case "statement printing" `Quick test_stmt_printing;
     Alcotest.test_case "function round trip" `Quick test_fn_round_trip;
+    Alcotest.test_case "golden printer bytes" `Quick test_golden_pretty;
   ]
   @ Test_util.qcheck_cases [ round_trip_prop; print_deterministic ]

@@ -392,6 +392,63 @@ let test_daemon_end_to_end () =
       | _ -> Alcotest.fail "recent not a list"));
   Alcotest.(check bool) "socket unlinked on stop" false (Sys.file_exists socket)
 
+(* A request line past the cap costs one [request_too_large] failure:
+   the daemon drops the rest of the line unread and keeps serving the
+   connection — the golden search on the next line answers its golden
+   bytes. *)
+let test_daemon_oversized_line () =
+  let socket = fresh_socket () in
+  let server =
+    Server.start
+      { socket_path = socket; jobs = 1; queue_limit = 4;
+        settings = Test_util.env_settings () }
+  in
+  Fun.protect
+    ~finally:(fun () -> try Server.stop server with _ -> ())
+    (fun () ->
+      let k1, k2, digest =
+        In_channel.with_open_bin (Filename.concat "golden" "search.md5")
+          In_channel.input_lines
+        |> List.find_map (fun l ->
+               match String.split_on_char ' ' l with
+               | [ k1; k2; "1"; "1"; "-"; digest ] -> Some (k1, k2, digest)
+               | _ -> None)
+        |> Option.get
+      in
+      let golden =
+        {
+          (search_request ~settings:no_disk_cache "golden") with
+          verb =
+            Protocol.Work
+              (Ops.Search
+                 {
+                   search_params with
+                   s_k1 = Registry.find_exn k1;
+                   s_k2 = Registry.find_exn k2;
+                   s_size1 = Some 1;
+                   s_size2 = Some 1;
+                   s_emit = false;
+                 });
+        }
+      in
+      let oversized =
+        "{\"id\":\"big\",\"pad\":\""
+        ^ String.make Protocol.max_request_bytes 'x'
+        ^ "\"}"
+      in
+      match
+        List.map Protocol.parse_response
+          (burst ~socket [ oversized; Protocol.request_to_line golden ])
+      with
+      | [ Ok (Protocol.Failure f); Ok r ] ->
+          Alcotest.(check string) "failure code" "request_too_large" f.code;
+          Alcotest.(check (option string)) "no id read" None f.id;
+          let r = expect_result r in
+          Alcotest.(check string) "golden id" "golden" r.rid;
+          Alcotest.(check string) "golden search bytes" digest
+            (Digest.to_hex (Digest.string r.rout))
+      | _ -> Alcotest.fail "expected a failure, then the golden search")
+
 let test_daemon_admission_control () =
   let socket = fresh_socket () in
   let server = Server.start
@@ -602,6 +659,65 @@ let test_golden_search_bytes () =
          | [ _; _; _; _ ] -> () (* representative sizes: see below *)
          | _ -> Alcotest.failf "malformed golden line %S" line)
 
+(* The entry names a cold exhaustive search writes into a fresh root —
+   time, report and trace entries, as paths relative to the root —
+   against [golden/keys.md5], recorded before each search printed its
+   fused kernels once.  The names are content keys over the printed
+   source, so matching them is what keeps an existing cache root warm
+   across a change to the printer or the search. *)
+let rec entry_names root rel =
+  let dir = if rel = "" then root else Filename.concat root rel in
+  Sys.readdir dir |> Array.to_list
+  |> List.concat_map (fun f ->
+         let rel = if rel = "" then f else rel ^ "/" ^ f in
+         if Sys.is_directory (Filename.concat root rel) then
+           entry_names root rel
+         else [ rel ])
+
+let test_golden_cache_keys () =
+  let lines =
+    In_channel.with_open_bin (Filename.concat "golden" "keys.md5")
+      In_channel.input_lines
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  let searches =
+    List.sort_uniq compare
+      (List.map
+         (fun l ->
+           match String.split_on_char ' ' l with
+           | [ k1; k2; n1; n2; _ ] -> (k1, k2, n1, n2)
+           | _ -> Alcotest.failf "malformed golden line %S" l)
+         lines)
+  in
+  List.iteri
+    (fun i (k1, k2, n1, n2) ->
+      let root = fresh_root (Printf.sprintf "keys%d" i) in
+      Runner.clear_cache ();
+      let o =
+        Ops.search ~settings:(settings_at (Some root))
+          {
+            search_params with
+            s_k1 = Registry.find_exn k1;
+            s_k2 = Registry.find_exn k2;
+            s_size1 = Some (int_of_string n1);
+            s_size2 = Some (int_of_string n2);
+            s_emit = false;
+          }
+      in
+      Alcotest.(check int) "search exit code" 0 o.exit_code;
+      let prefix = String.concat " " [ k1; k2; n1; n2 ] in
+      Alcotest.(check (list string))
+        (prefix ^ " entry names")
+        (List.filter_map
+           (fun l ->
+             match String.split_on_char ' ' l with
+             | [ a; b; c; d; name ] when (a, b, c, d) = (k1, k2, n1, n2) ->
+                 Some name
+             | _ -> None)
+           lines)
+        (List.sort compare (entry_names root "")))
+    searches
+
 (* One cold default-size Batchnorm+Hist search, shared by the two tests
    below.  It asks for 2 traced blocks and no cache in a process whose
    environment says 1 traced block and names an empty cache root: the
@@ -667,6 +783,8 @@ let suite =
       test_spec_of_settings_round_trip;
     Alcotest.test_case "daemon end to end: identity, containment, stats" `Slow
       test_daemon_end_to_end;
+    Alcotest.test_case "oversized request line costs one failure" `Quick
+      test_daemon_oversized_line;
     Alcotest.test_case "admission control refuses past the queue limit" `Slow
       test_daemon_admission_control;
     Alcotest.test_case "stale socket file is replaced" `Quick
@@ -682,4 +800,5 @@ let suite =
     Alcotest.test_case "no-cache search ignores HFUSE_CACHE_DIR" `Slow
       test_default_size_no_cache;
     Alcotest.test_case "golden search bytes" `Quick test_golden_search_bytes;
+    Alcotest.test_case "golden cache keys" `Quick test_golden_cache_keys;
   ]
