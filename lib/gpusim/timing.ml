@@ -32,18 +32,42 @@
    Engine structure (vs the reference {!Timing_legacy} loop, whose
    report this engine reproduces bit-for-bit):
 
-   - Per-SM event-driven stepping.  Each SM carries a [sm_wake] cycle
-     below which it provably cannot issue and none of its counters'
-     per-cycle contributions can change: every eligibility condition is
-     either warp-local latency ([ready_at]), a structural pipe
+   - SM-local state.  Every eligibility condition is either warp-local
+     latency ([ready_at]), a structural pipe
      ([lsu/smem/sfu/gmem_bw_free_at], [sched_free_at]) or an MSHR slot
      freed by a completion ([gmem_next_complete]), and all of those are
-     SM-local — cross-SM coupling exists only through the block queues,
+     SM-local: cross-SM coupling exists only through the block queues,
      which are only consulted when one of the SM's *own* blocks
-     completes (which requires an issue).  A sleeping SM's stall
-     classification and resident-warp count are therefore constant;
-     they sit in a running aggregate over all SMs, which each visited
-     cycle charges once and a globally-dead window charges
+     completes (which requires an issue).  Both the event-driven
+     stepping and the SM classes below rest on this.
+   - SM classes.  Each [sm] record stands for [members] SMs with
+     contiguous indices in identical states; one step serves them all
+     and charges every counter times [members].  With one traced block
+     per kernel, SMs that receive the same blocks at the same cycle
+     stay identical, so a multi-wave launch steps one class where the
+     reference steps every SM.  Block dispatch, the only coupling, is
+     kept exact by three rules.  (1) Uniform pop: under [Fifo], when
+     the head kernel [k] replays one template and more than
+     [members * cap k] of its blocks are queued ([cap k]: blocks of [k]
+     an empty SM admits), every member pops the same blocks at every
+     dispatch point of the step — a member pops at most [cap k] in one
+     step, since what it pops stays resident until the step ends — so
+     the representative pops and the queue drops the other members'
+     copies; when no member can pop, nothing changes either.
+     (2) Split: otherwise the class splits at the dispatch point (the
+     end of an issue that finished a block — never a barrier release,
+     whose releasing warp is still live): members 2.. become a clone
+     that resumes right after the representative's step, at the same
+     point.  (3) Re-merge: at the end of the cycle, adjacent groups that
+     split from one class and logged the same dispatches are identical
+     again and merge.  The initial fill dispatches each SM alone, in
+     index order, and merges SMs that took the same blocks.
+   - Per-class event-driven stepping.  Each class carries a [sm_wake]
+     cycle below which it provably cannot issue and none of its
+     counters' per-cycle contributions can change.  A sleeping class's
+     stall classification and resident-warp count are therefore
+     constant; they sit in a running aggregate over all SMs, which
+     each visited cycle charges once and a globally-dead window charges
      arithmetically.
    - Scan-skip windows for every miss.  A scheduler scan that finds no
      eligible warp caches the least {!warp_bound} of its pool — the
@@ -130,10 +154,11 @@ type report = {
 
 (** Observability counters for the replay engine itself: how much work
     the event-driven stepping avoided relative to a
-    step-every-SM-every-cycle loop, and how often warp records were
-    recycled.  Collected per {!run_with_stats} call and accumulated
-    process-wide (atomically, so replays fanned over a domain pool
-    count too) for the bench harness.  They are engine internals, not
+    step-every-SM-every-cycle loop (steps count SM classes, not SMs),
+    and how often warp records were recycled.  Collected per
+    {!run_with_stats} call and accumulated process-wide (atomically, so
+    replays fanned over a domain pool count too) for the bench
+    harness.  They are engine internals, not
     results: a change to the engine may move them while every report
     stays bit-identical. *)
 type engine_stats = {
@@ -141,11 +166,12 @@ type engine_stats = {
       (** cycles the main loop actually visited (at least one SM live) *)
   cycles_skipped : int;
       (** globally-dead cycles charged arithmetically by skip-ahead *)
-  sm_steps : int;  (** per-SM step invocations (pools were scanned) *)
+  sm_steps : int;
+      (** SM-class step invocations (pools were scanned); one step
+          serves every member of the class *)
   sm_steps_skipped : int;
-      (** SM-cycles on visited cycles served from the sleeping SM's
-          cached stall/residency contribution — each one is a full
-          scheduler scan the legacy engine would have performed *)
+      (** class-cycles on visited cycles served from the sleeping
+          class's cached stall/residency contribution *)
   scan_skip_hits : int;
       (** scheduler steps answered by a cached scan-skip window
           (latency or structural miss) instead of a pool scan *)
@@ -414,8 +440,11 @@ let evq_push q t n =
 
 let evq_head_time q = if q.q_n = 0 then max_int else q.q_times.(q.q_head)
 
+(* One SM class: [members] SMs with contiguous indices whose states are
+   identical, stepped once for all of them.  Every counter a step
+   charges is multiplied by [members]. *)
 type sm = {
-  sm_id : int;
+  mutable members : int;
   pools : pool array;  (** per scheduler *)
   mutable resident : int;  (** warps across the pools *)
   mutable warp_seq : int;  (** for scheduler assignment *)
@@ -452,12 +481,32 @@ type sm = {
       (** earliest cycle at which this SM could issue or change any
           per-cycle counter contribution; the SM is not stepped before *)
   (* this SM's per-cycle contribution at its last step: stalled
-     schedulers per class and resident warps (constant while it sleeps) *)
+     schedulers per class and resident warps (constant while it sleeps);
+     the aggregate holds it times [members] *)
   mutable c_idle : int;
   mutable c_sync : int;
   mutable c_mem : int;
   mutable c_other : int;
   mutable c_res : int;
+  (* --- the step in progress --- *)
+  mutable n_idle : int;  (** stalled schedulers per class so far *)
+  mutable n_sync : int;
+  mutable n_mem : int;
+  mutable n_other : int;
+  mutable uniform : bool;
+      (** a dispatch point of this step found every member popping the
+          same blocks (rule 1), which holds for the rest of the step *)
+  mutable resume : int;
+      (** on a class split off mid-step: the scheduler whose issue
+          reached the dispatch point it resumes at; otherwise -1 *)
+  mutable resume_released : bool;  (** [released_done] at the split *)
+  (* --- re-merge --- *)
+  mutable log : int array;
+      (** this step's dispatches: -1 per dispatch point, then each
+          popped block's template key *)
+  mutable log_n : int;
+  mutable split_cycle : int;  (** cycle of the last split it took part in *)
+  mutable split_tag : int;  (** which class it split from then *)
 }
 
 (* retire the oldest pending load: the warp waits for its result *)
@@ -533,6 +582,10 @@ let warp_bound (arch : Arch.t) spill_facts sm (w : warp) ~now =
 (* ------------------------------------------------------------------ *)
 (* The simulator                                                        *)
 (* ------------------------------------------------------------------ *)
+
+(* One stream's queue: its kernels' blocks in submission order, as a
+   cursor — block [next] of kernel [kernels.(ki)] is at the head. *)
+type squeue = { kernels : int array; mutable ki : int; mutable next : int }
 
 type counters = {
   mutable issued : int;
@@ -630,60 +683,77 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
       (fun s -> if s.spill > 0 then spill_interval s.spill else 0)
       specs_a
   in
-  (* stream queues: per stream, FIFO of (kernel, block index) in
-     submission order *)
-  let streams =
-    List.sort_uniq compare (List.map (fun s -> s.stream) specs)
-  in
+  (* stream queues, in stream order *)
   let queues =
-    List.map
-      (fun st ->
-        let q = Queue.create () in
-        Array.iteri
-          (fun k s ->
-            if s.stream = st then
-              for b = 0 to s.grid - 1 do
-                Queue.add (k, b) q
-              done)
-          specs_a;
-        q)
-      streams
+    List.sort_uniq compare (List.map (fun s -> s.stream) specs)
+    |> List.map (fun st ->
+           let ks =
+             List.filter
+               (fun k -> specs_a.(k).stream = st && specs_a.(k).grid > 0)
+               (List.init nk Fun.id)
+           in
+           { kernels = Array.of_list ks; ki = 0; next = 0 })
+    |> Array.of_list
+  in
+  let nq = Array.length queues in
+  let q_empty q = q.ki >= Array.length q.kernels in
+  (* advance [q]'s cursor past [n] blocks of its head kernel *)
+  let q_pop q n =
+    let k = q.kernels.(q.ki) in
+    q.next <- q.next + n;
+    if q.next >= specs_a.(k).grid then begin
+      q.ki <- q.ki + 1;
+      q.next <- 0
+    end
   in
   let nsched = arch.schedulers_per_sm in
-  let sms =
-    Array.init arch.sms (fun i ->
-        {
-          sm_id = i;
-          pools = Array.init nsched (fun _ -> pool_create ());
-          resident = 0;
-          warp_seq = 0;
-          blocks = [];
-          regs_used = 0;
-          smem_used = 0;
-          threads_used = 0;
-          lsu_free_at = 0;
-          smem_free_at = 0;
-          sfu_free_at = 0;
-          gmem_bw_free_at = 0;
-          sched_free_at = Array.make nsched 0;
-          sched_next_try = Array.make nsched 0;
-          sched_stall_class = Array.make nsched 0;
-          sched_gen = Array.make nsched (-1);
-          sm_gen = 0;
-          gmem_inflight = 0;
-          gmem_next_complete = max_int;
-          q_gmem = evq_create ();
-          q_l1 = evq_create ();
-          q_lmem = evq_create ();
-          barriers = Hashtbl.create 8;
-          sm_wake = 0;
-          c_idle = 0;
-          c_sync = 0;
-          c_mem = 0;
-          c_other = 0;
-          c_res = 0;
-        })
+  let new_sm () =
+    {
+      members = 1;
+      pools = Array.init nsched (fun _ -> pool_create ());
+      resident = 0;
+      warp_seq = 0;
+      blocks = [];
+      regs_used = 0;
+      smem_used = 0;
+      threads_used = 0;
+      lsu_free_at = 0;
+      smem_free_at = 0;
+      sfu_free_at = 0;
+      gmem_bw_free_at = 0;
+      sched_free_at = Array.make nsched 0;
+      sched_next_try = Array.make nsched 0;
+      sched_stall_class = Array.make nsched 0;
+      sched_gen = Array.make nsched (-1);
+      sm_gen = 0;
+      gmem_inflight = 0;
+      gmem_next_complete = max_int;
+      q_gmem = evq_create ();
+      q_l1 = evq_create ();
+      q_lmem = evq_create ();
+      barriers = Hashtbl.create 8;
+      sm_wake = 0;
+      c_idle = 0;
+      c_sync = 0;
+      c_mem = 0;
+      c_other = 0;
+      c_res = 0;
+      n_idle = 0;
+      n_sync = 0;
+      n_mem = 0;
+      n_other = 0;
+      uniform = false;
+      resume = -1;
+      resume_released = false;
+      log = Array.make 16 0;
+      log_n = 0;
+      split_cycle = -1;
+      split_tag = 0;
+    }
   in
+  (* the SM classes in SM index order *)
+  let classes = ref (Array.init arch.sms (fun _ -> new_sm ())) in
+  let ncls = ref arch.sms in
   let c =
     {
       issued = 0;
@@ -716,6 +786,31 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
     && sm.smem_used + s.smem <= arch.smem_per_sm
     && sm.regs_used + (reg_granule s.regs * s.threads_per_block)
        <= arch.regs_per_sm
+  in
+  (* blocks of k an empty SM admits, by [fits]'s arithmetic *)
+  let cap =
+    Array.map
+      (fun s ->
+        let n = ref 0 in
+        let regs = reg_granule s.regs * s.threads_per_block in
+        while
+          !n < arch.max_blocks_per_sm
+          && (!n + 1) * s.threads_per_block <= arch.max_threads_per_sm
+          && (!n + 1) * s.smem <= arch.smem_per_sm
+          && (!n + 1) * regs <= arch.regs_per_sm
+        do
+          incr n
+        done;
+        !n)
+      specs_a
+  in
+  (* kernels whose blocks all replay one template that stays resident
+     once dispatched (some warp has work) *)
+  let one_template =
+    Array.map
+      (fun t ->
+        Array.length t = 1 && Array.exists (fun wt -> wt.wt_len > 0) t.(0))
+      templates
   in
   (* warp records (and their scoreboard rings) recycle through a free
      list: the grid dispatches thousands of block instances whose warps
@@ -780,12 +875,25 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
     p.pn <- !j;
     if p.pn > 0 then p.prr <- p.prr mod p.pn else p.prr <- 0
   in
+  let log_push sm x =
+    if sm.log_n = Array.length sm.log then begin
+      let a = Array.make (2 * sm.log_n) 0 in
+      Array.blit sm.log 0 a 0 sm.log_n;
+      sm.log <- a
+    end;
+    sm.log.(sm.log_n) <- x;
+    sm.log_n <- sm.log_n + 1
+  in
+  (* Dispatch block [b] of [k] on every member of [sm]'s class: the
+     caller has popped one block per member. *)
   let dispatch_block sm k b ~cycle =
     let s = specs_a.(k) in
     let uid = !block_uid in
     incr block_uid;
-    incr live_blocks;
-    let tmpl = templates.(k).(b mod Array.length templates.(k)) in
+    live_blocks := !live_blocks + sm.members;
+    let t = b mod Array.length templates.(k) in
+    log_push sm ((k lsl 20) lor t);
+    let tmpl = templates.(k).(t) in
     let warps = Array.length tmpl in
     let bi = { b_kernel = k; b_uid = uid; b_warps_left = warps } in
     sm.sm_gen <- sm.sm_gen + 1;
@@ -811,68 +919,244 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
       sm.regs_used <- sm.regs_used - (reg_granule s.regs * s.threads_per_block);
       sm.smem_used <- sm.smem_used - s.smem;
       sm.threads_used <- sm.threads_used - s.threads_per_block;
-      decr live_blocks;
+      live_blocks := !live_blocks - sm.members;
       c.last_complete.(k) <- max c.last_complete.(k) cycle
     end
+  in
+  (* the Fifo head: the first non-empty queue, or -1 *)
+  let fifo_head () =
+    let i = ref 0 in
+    while !i < nq && q_empty queues.(!i) do
+      incr i
+    done;
+    if !i = nq then -1 else !i
+  in
+  let head_fits sm q = (not (q_empty q)) && fits sm q.kernels.(q.ki) in
+  (* whether one member of [sm] would pop any block now *)
+  let would_pop sm =
+    match policy with
+    | Fifo ->
+        let h = fifo_head () in
+        h >= 0 && head_fits sm queues.(h)
+    | Leftover -> Array.exists (head_fits sm) queues
+  in
+  (* Rule 1: under Fifo, with one template for the head kernel [k] and
+     more than [members * cap k] of its blocks queued, every member pops
+     the same blocks at every dispatch point of this step (a member pops
+     at most [cap k] blocks of [k] per step: what it pops stays
+     resident until the step ends). *)
+  let uniform_pop sm =
+    (match policy with Fifo -> true | Leftover -> false)
+    &&
+    let h = fifo_head () in
+    h >= 0
+    &&
+    let q = queues.(h) in
+    let k = q.kernels.(q.ki) in
+    one_template.(k) && specs_a.(k).grid - q.next > sm.members * cap.(k)
   in
   let try_dispatch sm ~cycle =
     match policy with
     | Leftover ->
         (* idealised backfill: try queues in stream order *)
-        let rec go queues =
-          match queues with
-          | [] -> ()
-          | q :: rest -> (
-              match Queue.peek_opt q with
-              | Some (k, _) when fits sm k ->
-                  let k, b = Queue.pop q in
-                  dispatch_block sm k b ~cycle;
-                  go (q :: rest)
-              | _ -> go rest)
-        in
-        go queues
+        for i = 0 to nq - 1 do
+          let q = queues.(i) in
+          while head_fits sm q do
+            let k = q.kernels.(q.ki) and b = q.next in
+            q_pop q sm.members;
+            dispatch_block sm k b ~cycle
+          done
+        done
     | Fifo ->
         (* global submission order with head-of-line blocking: only the
            first non-empty queue's head may dispatch *)
-        let rec head = function
-          | [] -> None
-          | q :: rest -> if Queue.is_empty q then head rest else Some q
-        in
         let continue_ = ref true in
         while !continue_ do
-          match head queues with
-          | Some q when (match Queue.peek_opt q with
-                        | Some (k, _) -> fits sm k
-                        | None -> false) ->
-              let k, b = Queue.pop q in
-              dispatch_block sm k b ~cycle
-          | _ -> continue_ := false
+          let h = fifo_head () in
+          if h >= 0 && head_fits sm queues.(h) then begin
+            let q = queues.(h) in
+            let k = q.kernels.(q.ki) and b = q.next in
+            q_pop q sm.members;
+            dispatch_block sm k b ~cycle
+          end
+          else continue_ := false
         done
   in
-  let complete_block sm (bi : block_instance) ~cycle =
+  let copy_warp (w : warp) : warp =
+    let x =
+      alloc_warp
+        {
+          wt_codes = w.codes;
+          wt_payloads = w.payloads;
+          wt_facts = w.facts;
+          wt_len = w.len;
+          wt_threads = w.w_threads;
+        }
+        ~kernel:w.w_kernel ~uid:w.w_block_uid ~cycle:0
+    in
+    x.pc <- w.pc;
+    x.ready_at <- w.ready_at;
+    x.state <- w.state;
+    x.last_was_mem <- w.last_was_mem;
+    x.icount <- w.icount;
+    Array.blit w.pend_ready 0 x.pend_ready 0 arch.load_slots;
+    Array.blit w.pend_use 0 x.pend_use 0 arch.load_slots;
+    x.pend_head <- w.pend_head;
+    x.pend_n <- w.pend_n;
+    x.spill_counter <- w.spill_counter;
+    x.pending_spill <- w.pending_spill;
+    x
+  in
+  (* an independent copy of [sm]'s state (warps, blocks, barriers, the
+     step in progress) *)
+  let clone sm =
+    let copies = ref [] in
+    let pools =
+      Array.map
+        (fun p ->
+          let parr =
+            Array.init p.pn (fun i ->
+                let w = p.parr.(i) in
+                let x = copy_warp w in
+                copies := (w, x) :: !copies;
+                x)
+          in
+          { parr; pn = p.pn; prr = p.prr })
+        sm.pools
+    in
+    let barriers = Hashtbl.create 8 in
+    Hashtbl.iter
+      (fun key (arrived, waiters) ->
+        Hashtbl.replace barriers key
+          (arrived, List.map (fun w -> List.assq w !copies) waiters))
+      sm.barriers;
+    let copy_q q =
+      {
+        q with
+        q_times = Array.copy q.q_times;
+        q_counts = Array.copy q.q_counts;
+      }
+    in
+    {
+      sm with
+      pools;
+      blocks =
+        List.map (fun b -> { b with b_warps_left = b.b_warps_left }) sm.blocks;
+      sched_free_at = Array.copy sm.sched_free_at;
+      sched_next_try = Array.copy sm.sched_next_try;
+      sched_stall_class = Array.copy sm.sched_stall_class;
+      sched_gen = Array.copy sm.sched_gen;
+      q_gmem = copy_q sm.q_gmem;
+      q_l1 = copy_q sm.q_l1;
+      q_lmem = copy_q sm.q_lmem;
+      barriers;
+      log = Array.copy sm.log;
+    }
+  in
+  (* set when a barrier release finished a waiter parked on its last
+     instruction: that waiter may sit in another scheduler's pool *)
+  let released_done = ref false in
+  let split_seq = ref 0 and any_split = ref false in
+  (* Rule 2: members 2.. of [sm]'s class split off as a clone that
+     resumes, right after this step of [sm], at this dispatch point of
+     scheduler [sched]'s issue; [sm] goes on as the first member alone. *)
+  let split sm ~sched ~cycle =
+    if sm.split_cycle <> cycle then begin
+      incr split_seq;
+      sm.split_cycle <- cycle;
+      sm.split_tag <- !split_seq
+    end;
+    let x = clone sm in
+    x.members <- sm.members - 1;
+    x.resume <- sched;
+    x.resume_released <- !released_done;
+    sm.members <- 1;
+    let a = !classes in
+    let i = ref 0 in
+    while a.(!i) != sm do
+      incr i
+    done;
+    let a =
+      if !ncls = Array.length a then begin
+        let b = Array.make (2 * !ncls) sm in
+        Array.blit a 0 b 0 !ncls;
+        classes := b;
+        b
+      end
+      else a
+    in
+    Array.blit a (!i + 1) a (!i + 2) (!ncls - !i - 1);
+    a.(!i + 1) <- x;
+    incr ncls;
+    any_split := true
+  in
+  (* A dispatch point: [sm]'s class pops the blocks each member would,
+     splitting first when members would pop differently. *)
+  let dispatch sm ~sched ~cycle =
+    if sm.members > 1 && (not sm.uniform) && would_pop sm then begin
+      if uniform_pop sm then sm.uniform <- true else split sm ~sched ~cycle
+    end;
+    log_push sm (-1);
+    try_dispatch sm ~cycle
+  in
+  let complete_block sm (bi : block_instance) ~sched ~cycle =
     let s = specs_a.(bi.b_kernel) in
     sm.blocks <- List.filter (fun b -> b != bi) sm.blocks;
     sm.regs_used <- sm.regs_used - (reg_granule s.regs * s.threads_per_block);
     sm.smem_used <- sm.smem_used - s.smem;
     sm.threads_used <- sm.threads_used - s.threads_per_block;
-    decr live_blocks;
+    live_blocks := !live_blocks - sm.members;
     c.last_complete.(bi.b_kernel) <- max c.last_complete.(bi.b_kernel) cycle;
-    try_dispatch sm ~cycle
+    dispatch sm ~sched ~cycle
   in
-  let find_block sm uid =
-    List.find (fun b -> b.b_uid = uid) sm.blocks
-  in
-  let finish_warp sm (w : warp) ~now =
+  (* mark [w] finished; its block, with the warps it has left *)
+  let retire sm (w : warp) =
     w.state <- st_done;
-    let bi = find_block sm w.w_block_uid in
+    let bi = List.find (fun b -> b.b_uid = w.w_block_uid) sm.blocks in
     bi.b_warps_left <- bi.b_warps_left - 1;
-    if bi.b_warps_left = 0 then complete_block sm bi ~cycle:now
+    bi
   in
-  (* set when a barrier release finished a waiter parked on its last
-     instruction: that waiter may sit in another scheduler's pool *)
-  let released_done = ref false in
-  (* initial fill *)
-  Array.iter (fun sm -> try_dispatch sm ~cycle:0) sms;
+  (* Rule 3: adjacent classes that split from one class at [cycle] and
+     logged the same dispatches are in the same state again: merge
+     them, handing the dropped copy's warp records to the free list. *)
+  let merge_split ~cycle =
+    let a = !classes in
+    let i = ref 0 in
+    while !i < !ncls - 1 do
+      let x = a.(!i) and y = a.(!i + 1) in
+      let same_log () =
+        x.log_n = y.log_n
+        &&
+        let j = ref 0 in
+        while !j < x.log_n && x.log.(!j) = y.log.(!j) do
+          incr j
+        done;
+        !j = x.log_n
+      in
+      if
+        x.split_cycle = cycle && y.split_cycle = cycle
+        && x.split_tag = y.split_tag && same_log ()
+      then begin
+        x.members <- x.members + y.members;
+        Array.iter
+          (fun p ->
+            for j = 0 to p.pn - 1 do
+              free_warps := p.parr.(j) :: !free_warps
+            done)
+          y.pools;
+        Array.blit a (!i + 2) a (!i + 1) (!ncls - !i - 2);
+        decr ncls
+      end
+      else incr i
+    done
+  in
+  (* initial fill: each SM alone in index order, then SMs that took the
+     same blocks merge (every record starts split at cycle -1 from tag
+     0, which no later cycle matches) *)
+  for i = 0 to arch.sms - 1 do
+    dispatch !classes.(i) ~sched:(-1) ~cycle:0
+  done;
+  merge_split ~cycle:(-1);
   (* issue one instruction of [w] on [sm]/[sched]; assumes eligibility *)
   let issue sm sched (w : warp) ~now =
     let code = ref 0 and payload = ref 0 in
@@ -896,8 +1180,9 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
       end
     end;
     let code = !code and payload = !payload in
-    c.issued <- c.issued + 1;
-    c.issued_per_kernel.(w.w_kernel) <- c.issued_per_kernel.(w.w_kernel) + 1;
+    c.issued <- c.issued + sm.members;
+    c.issued_per_kernel.(w.w_kernel) <-
+      c.issued_per_kernel.(w.w_kernel) + sm.members;
     (* load-use scoreboard: loads park in a small ring; the warp only
        stalls when it reaches a pending load's use point (the compiler
        hoists/unrolls, so several loads pipeline per warp) *)
@@ -967,11 +1252,14 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
        let arrived = arrived + w.w_threads in
        if arrived >= count then begin
          (* release all waiters and this warp; a waiter whose barrier
-            was its last instruction finishes here *)
+            was its last instruction finishes here — never its block,
+            whose releasing warp [w] is still live, so blocks complete
+            (and dispatch points arise) only at the end of an issue *)
          List.iter
            (fun (x : warp) ->
              if x.pc >= x.len && x.pending_spill = 0 then begin
-               finish_warp sm x ~now;
+               let bi = retire sm x in
+               assert (bi.b_warps_left > 0);
                released_done := true
              end
              else begin
@@ -990,8 +1278,20 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
      end);
     (* done?  (a warp parked at a barrier is not finished even if the
        barrier was its last instruction) *)
-    if w.pc >= w.len && w.pending_spill = 0 && w.state <> st_barrier then
-      finish_warp sm w ~now
+    if w.pc >= w.len && w.pending_spill = 0 && w.state <> st_barrier then begin
+      let bi = retire sm w in
+      if bi.b_warps_left = 0 then complete_block sm bi ~sched ~cycle:now
+    end
+  in
+  (* after an issue that finished warps: compact the pools they sit in *)
+  let compact_after_issue sm p =
+    if !released_done then begin
+      released_done := false;
+      for s = 0 to nsched - 1 do
+        pool_compact sm sm.pools.(s)
+      done
+    end
+    else pool_compact sm p
   in
   (* One scheduler step; returns -1 when it issued (or its port is busy
      completing an earlier multi-cycle issue, which is still a utilised
@@ -1002,7 +1302,7 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
   let busy_slots = ref 0 in
   let step_scheduler sm sched ~now =
     if sm.sched_free_at.(sched) > now then begin
-      incr busy_slots;
+      busy_slots := !busy_slots + sm.members;
       -1
     end
     else if
@@ -1047,13 +1347,7 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
         let w = parr.(idx) in
         p.prr <- (if idx + 1 = pn then 0 else idx + 1);
         issue sm sched w ~now;
-        if !released_done then begin
-          released_done := false;
-          for s = 0 to nsched - 1 do
-            pool_compact sm sm.pools.(s)
-          done
-        end
-        else if w.state = st_done then pool_compact sm p;
+        if !released_done || w.state = st_done then compact_after_issue sm p;
         -1
       end
       else begin
@@ -1070,39 +1364,56 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
       end
     end
   in
-  (* Step a live SM: drain, step every scheduler, swap its per-cycle
-     contribution into the aggregate, and re-arm its wake.  An SM that
+  (* Step a live class: drain, step every scheduler, swap its per-cycle
+     contribution into the aggregate, and re-arm its wake.  A class that
      did not progress sleeps until the earliest of its schedulers'
      window bounds and its next memory completion: every scheduler
      missed (a busy issue port counts as progress), so its windows
-     cover every warp, and only a drain can move its generation. *)
+     cover every warp, and only a drain can move its generation.  A
+     class split off mid-step resumes where its representative split:
+     the dispatch, the pool compaction, then the later schedulers. *)
   let step_sm sm ~now =
     st.s_sm_steps <- st.s_sm_steps + 1;
-    drain_gmem sm ~now;
-    let progressed = ref false and wake = ref sm.gmem_next_complete in
-    let n_idle = ref 0 and n_sync = ref 0 in
-    let n_mem = ref 0 and n_other = ref 0 in
-    for sched = 0 to nsched - 1 do
+    let from = sm.resume + 1 in
+    let progressed = ref (from > 0) and wake = ref max_int in
+    if from > 0 then begin
+      sm.resume <- -1;
+      released_done := sm.resume_released;
+      dispatch sm ~sched:(from - 1) ~cycle:now;
+      compact_after_issue sm sm.pools.(from - 1)
+    end
+    else begin
+      drain_gmem sm ~now;
+      wake := sm.gmem_next_complete;
+      sm.n_idle <- 0;
+      sm.n_sync <- 0;
+      sm.n_mem <- 0;
+      sm.n_other <- 0;
+      sm.uniform <- false;
+      sm.log_n <- 0
+    end;
+    for sched = from to nsched - 1 do
       let r = step_scheduler sm sched ~now in
       if r < 0 then progressed := true
       else begin
-        if r = 0 then incr n_idle
-        else if r = 1 then incr n_sync
-        else if r = 2 then incr n_mem
-        else incr n_other;
+        if r = 0 then sm.n_idle <- sm.n_idle + 1
+        else if r = 1 then sm.n_sync <- sm.n_sync + 1
+        else if r = 2 then sm.n_mem <- sm.n_mem + 1
+        else sm.n_other <- sm.n_other + 1;
         let b = sm.sched_next_try.(sched) in
         if b < !wake then wake := b
       end
     done;
-    c.a_idle <- c.a_idle - sm.c_idle + !n_idle;
-    c.a_sync <- c.a_sync - sm.c_sync + !n_sync;
-    c.a_mem <- c.a_mem - sm.c_mem + !n_mem;
-    c.a_other <- c.a_other - sm.c_other + !n_other;
-    c.a_res <- c.a_res - sm.c_res + sm.resident;
-    sm.c_idle <- !n_idle;
-    sm.c_sync <- !n_sync;
-    sm.c_mem <- !n_mem;
-    sm.c_other <- !n_other;
+    let m = sm.members in
+    c.a_idle <- c.a_idle + ((sm.n_idle - sm.c_idle) * m);
+    c.a_sync <- c.a_sync + ((sm.n_sync - sm.c_sync) * m);
+    c.a_mem <- c.a_mem + ((sm.n_mem - sm.c_mem) * m);
+    c.a_other <- c.a_other + ((sm.n_other - sm.c_other) * m);
+    c.a_res <- c.a_res + ((sm.resident - sm.c_res) * m);
+    sm.c_idle <- sm.n_idle;
+    sm.c_sync <- sm.n_sync;
+    sm.c_mem <- sm.n_mem;
+    sm.c_other <- sm.n_other;
     sm.c_res <- sm.resident;
     sm.sm_wake <- (if !progressed then now + 1 else !wake)
   in
@@ -1114,32 +1425,29 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
     c.other_stall <- c.other_stall + (c.a_other * n);
     c.resident_warp_cycles <- c.resident_warp_cycles + (c.a_res * n)
   in
-  let all_warps_done () =
-    !live_blocks = 0 && List.for_all Queue.is_empty queues
-  in
+  let all_warps_done () = !live_blocks = 0 && Array.for_all q_empty queues in
   (* The reference loop also wakes at pipe releases and issue-port
      completions nobody waits on, so it sees a deadlock only after the
      last of them: report that cycle, as it does. *)
   let deadlock_cycle now =
     let t = ref now in
     let upd x = if x > !t then t := x in
-    Array.iter
-      (fun sm ->
-        upd sm.lsu_free_at;
-        upd sm.smem_free_at;
-        upd sm.sfu_free_at;
-        upd sm.gmem_bw_free_at;
-        Array.iter upd sm.sched_free_at;
-        Array.iter
-          (fun p ->
-            for i = 0 to p.pn - 1 do
-              if p.parr.(i).state = st_ready then upd p.parr.(i).ready_at
-            done)
-          sm.pools)
-      sms;
+    for i = 0 to !ncls - 1 do
+      let sm = !classes.(i) in
+      upd sm.lsu_free_at;
+      upd sm.smem_free_at;
+      upd sm.sfu_free_at;
+      upd sm.gmem_bw_free_at;
+      Array.iter upd sm.sched_free_at;
+      Array.iter
+        (fun p ->
+          for i = 0 to p.pn - 1 do
+            if p.parr.(i).state = st_ready then upd p.parr.(i).ready_at
+          done)
+        sm.pools
+    done;
     !t
   in
-  let nsms = Array.length sms in
   let max_cycles = 2_000_000_000 in
   let cycle = ref 0 in
   let finished = ref false in
@@ -1149,15 +1457,23 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
       let now = !cycle in
       if now > max_cycles then fail "timing simulation exceeded cycle budget";
       st.s_cycles_stepped <- st.s_cycles_stepped + 1;
-      (* step the live SMs; a sleeping SM's contribution is unchanged
-         since its last step, so the aggregate already holds it *)
+      (* step the live classes (a split inserts its clone right after
+         the class being stepped, which this loop then resumes); a
+         sleeping class's contribution is unchanged since its last
+         step, so the aggregate already holds it *)
       let t = ref max_int in
-      for i = 0 to nsms - 1 do
-        let sm = sms.(i) in
+      let i = ref 0 in
+      while !i < !ncls do
+        let sm = !classes.(!i) in
         if sm.sm_wake <= now then step_sm sm ~now
         else st.s_sm_steps_skipped <- st.s_sm_steps_skipped + 1;
-        if sm.sm_wake < !t then t := sm.sm_wake
+        if sm.sm_wake < !t then t := sm.sm_wake;
+        incr i
       done;
+      if !any_split then begin
+        any_split := false;
+        merge_split ~cycle:now
+      end;
       charge 1;
       if !t = max_int then begin
         if all_warps_done () then finished := true

@@ -74,15 +74,19 @@ type report = {
     avoided relative to a step-every-SM-every-cycle loop, and how often
     warp records were recycled.  These count the engine's own work, not
     results: an engine change may move them while every report stays
-    bit-identical. *)
+    bit-identical.  The engine steps SM {e classes} — runs of adjacent
+    SMs in identical states, stepped once for all members — so the step
+    counts are per class, not per SM. *)
 type engine_stats = {
   cycles_stepped : int;
       (** cycles the main loop actually visited (at least one SM live) *)
   cycles_skipped : int;
       (** globally-dead cycles charged arithmetically by skip-ahead *)
-  sm_steps : int;  (** per-SM step invocations (pools were scanned) *)
+  sm_steps : int;
+      (** SM-class step invocations (pools were scanned); one step
+          serves every member of the class *)
   sm_steps_skipped : int;
-      (** SM-cycles on visited cycles served from a sleeping SM's
+      (** class-cycles on visited cycles served from a sleeping class's
           cached stall/residency contribution *)
   scan_skip_hits : int;
       (** scheduler steps answered by a cached scan-skip window

@@ -353,12 +353,14 @@ let search ~settings:(s : Settings.t) ?(checkpoint = Checkpoint.disabled)
   let mem = Gpusim.Memory.create () in
   let c1 = Runner.configure mem p.s_k1 ~size:size1 in
   let c2 = Runner.configure mem p.s_k2 ~size:size2 in
-  let native =
-    (Runner.native ~settings:s ~cache ~checkpoint arch c1 c2).Gpusim.Timing.time_ms
-  in
+  (* the search first: a pair the verifier rejects raises before the
+     native baseline replays or records anything *)
   let sr =
     Runner.search ~jobs:p.s_jobs ?pool ~settings:s ~stats ~cache ~checkpoint
       ?top_k:p.s_top_k ~repair:p.s_repair arch c1 c2
+  in
+  let native =
+    (Runner.native ~settings:s ~cache ~checkpoint arch c1 c2).Gpusim.Timing.time_ms
   in
   let fault_delta = Fault.diff ~before:fault_before ~after:(Fault.tally ()) in
   let pool_delta = Pool.diff ~before:pool_before ~after:(Pool.tally ()) in

@@ -218,75 +218,97 @@ let gen_instr : Instr.t QCheck.Gen.t =
 
 (* One random kernel: 1-8 warps of random work; optionally a full-block
    barrier on every warp and a partial barrier over the first k warps
-   (every participant reaches it, so the launch always terminates). *)
+   (every participant reaches it, so the launch always terminates).
+   A third of the grids span one to several waves and some kernels
+   trace two blocks, so kernel boundaries and wave tails fall inside a
+   dispatch and split the engine's SM classes. *)
 let gen_kernel (idx : int) : Timing.launch_spec QCheck.Gen.t =
   let open QCheck.Gen in
   int_range 1 8 >>= fun n_warps ->
-  int_range 1 6 >>= fun grid ->
+  frequency [ (2, int_range 1 6); (1, int_range 7 120) ] >>= fun grid ->
+  frequency [ (3, return 1); (1, return 2) ] >>= fun n_blocks ->
   oneofl [ 32; 40; 64; 96 ] >>= fun regs ->
-  oneofl [ 0; 0; 0; 12 ] >>= fun spill ->
+  oneofl [ 0; 0; 0; 12; 24 ] >>= fun spill ->
   oneofl [ 0; 0; 8192 ] >>= fun smem ->
-  int_bound 1 >>= fun stream ->
+  int_bound 2 >>= fun stream ->
   bool >>= fun full_bar ->
   bool >>= fun partial_bar ->
   int_range 1 n_warps >>= fun k ->
-  list_repeat n_warps (list_size (int_bound 30) gen_instr) >>= fun warps ->
   let threads = n_warps * 32 in
-  let warps =
-    if full_bar then List.map (fun w -> w @ [ Instr.Bar (0, threads) ]) warps
-    else warps
+  let block =
+    list_repeat n_warps (list_size (int_bound 30) gen_instr) >|= fun warps ->
+    let warps =
+      if full_bar then List.map (fun w -> w @ [ Instr.Bar (0, threads) ]) warps
+      else warps
+    in
+    let warps =
+      if partial_bar then
+        List.mapi
+          (fun i w -> if i < k then w @ [ Instr.Bar (1, k * 32) ] else w)
+          warps
+      else warps
+    in
+    Array.of_list (List.map mk_trace warps)
   in
-  let warps =
-    if partial_bar then
-      List.mapi
-        (fun i w -> if i < k then w @ [ Instr.Bar (1, k * 32) ] else w)
-        warps
-    else warps
-  in
-  return (spec ~label:(Printf.sprintf "k%d" idx) ~grid ~threads ~regs ~spill
-            ~smem ~stream warps)
+  list_repeat n_blocks block >|= fun blocks ->
+  {
+    (spec ~label:(Printf.sprintf "k%d" idx) ~grid ~threads ~regs ~spill ~smem
+       ~stream [])
+    with
+    Timing.block_traces = Array.of_list blocks;
+  }
 
-let gen_specs : Timing.launch_spec list QCheck.Gen.t =
+let gen_specs :
+    (Timing.dispatch_policy * Timing.launch_spec list) QCheck.Gen.t =
   let open QCheck.Gen in
+  frequency [ (3, return Timing.Fifo); (1, return Timing.Leftover) ]
+  >>= fun policy ->
   int_range 1 3 >>= fun n ->
   let rec go i acc =
-    if i = n then return (List.rev acc)
+    if i = n then return (policy, List.rev acc)
     else gen_kernel i >>= fun s -> go (i + 1) (s :: acc)
   in
   go 0 []
 
-let print_specs (specs : Timing.launch_spec list) : string =
-  String.concat "; "
-    (List.map
-       (fun (s : Timing.launch_spec) ->
-         Printf.sprintf
-           "%s{grid=%d thr=%d regs=%d spill=%d smem=%d stream=%d lens=[%s]}"
-           s.Timing.label s.Timing.grid s.Timing.threads_per_block
-           s.Timing.regs s.Timing.spill s.Timing.smem s.Timing.stream
-           (String.concat ","
-              (Array.to_list
-                 (Array.map
-                    (fun t -> string_of_int (Trace.length t))
-                    s.Timing.block_traces.(0)))))
-       specs)
+let print_specs
+    ((policy, specs) : Timing.dispatch_policy * Timing.launch_spec list) :
+    string =
+  let lens (b : Trace.block) =
+    String.concat ","
+      (Array.to_list (Array.map (fun t -> string_of_int (Trace.length t)) b))
+  in
+  (match policy with Timing.Fifo -> "fifo: " | Timing.Leftover -> "leftover: ")
+  ^ String.concat "; "
+      (List.map
+         (fun (s : Timing.launch_spec) ->
+           Printf.sprintf
+             "%s{grid=%d thr=%d regs=%d spill=%d smem=%d stream=%d lens=[%s]}"
+             s.Timing.label s.Timing.grid s.Timing.threads_per_block
+             s.Timing.regs s.Timing.spill s.Timing.smem s.Timing.stream
+             (String.concat " | "
+                (Array.to_list (Array.map lens s.Timing.block_traces))))
+         specs)
 
 let random_specs_bitidentical =
   QCheck.Test.make ~name:"randomized launches: new report = legacy report"
     ~count:80
     (QCheck.make ~print:print_specs gen_specs)
-    (fun specs ->
-      match run_both arch specs with
-      | Ok n, Ok l -> (
-          match diff n l with
-          | [] -> true
-          | ms ->
-              QCheck.Test.fail_reportf "report fields differ: %s"
-                (String.concat ", " ms))
-      | Error a, Error b -> a = b
-      | Ok _, Error m ->
-          QCheck.Test.fail_reportf "legacy raised (%s), new succeeded" m
-      | Error m, Ok _ ->
-          QCheck.Test.fail_reportf "new raised (%s), legacy succeeded" m)
+    (fun (policy, specs) ->
+      List.for_all
+        (fun (a : Arch.t) ->
+          match run_both ~policy a specs with
+          | Ok n, Ok l -> (
+              match diff n l with
+              | [] -> true
+              | ms ->
+                  QCheck.Test.fail_reportf "%s: report fields differ: %s"
+                    a.Arch.name (String.concat ", " ms))
+          | Error a, Error b -> a = b
+          | Ok _, Error m ->
+              QCheck.Test.fail_reportf "legacy raised (%s), new succeeded" m
+          | Error m, Ok _ ->
+              QCheck.Test.fail_reportf "new raised (%s), legacy succeeded" m)
+        [ arch; Arch.v100 ])
 
 (* -- engine self-profiling --------------------------------------------- *)
 

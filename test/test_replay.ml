@@ -4,10 +4,12 @@
    name and the md5 of the report printed field by field (floats as
    [%h], so the digest pins their bits).  The cases cover every
    hand-written corpus kernel's solo replay at size 1 on both arches, a
-   few native pairs and naive fusions, and seeded random launches with
+   few native pairs and naive fusions, seeded random launches with
    spill, several streams, barriers (trailing ones included) and both
-   dispatch policies.  A second test bounds what the hot loop
-   allocates. *)
+   dispatch policies, and the shapes that split the engine's SM classes
+   (kernel boundaries inside a dispatch, sub-wave grids, two traced
+   blocks per kernel, three streams).  A second test bounds what the
+   hot loop allocates. *)
 
 open Gpusim
 open Hfuse_profiler
@@ -166,6 +168,121 @@ let random_cases () : (string * string) list =
         arches)
     (List.init 24 Fun.id)
 
+(* -- shapes that split SM classes --------------------------------------- *)
+
+(* Launches where SMs that stepped in lockstep stop receiving the same
+   blocks: a kernel boundary inside one dispatch, grids smaller than a
+   wave, two trace templates per kernel, three streams under both
+   policies, and spill next to warps that end on a barrier. *)
+let trace_of instrs =
+  let t = Trace.create () in
+  List.iter (Trace.push t) instrs;
+  t
+
+let alus n = List.init n (fun _ -> Instr.Alu)
+
+let kernel ?(regs = 32) ?(spill = 0) ?(smem = 0) ~label ~grid ~threads
+    ~stream (blocks : Instr.t list list list) : Timing.launch_spec =
+  {
+    Timing.label;
+    block_traces =
+      Array.of_list
+        (List.map (fun b -> Array.of_list (List.map trace_of b)) blocks);
+    grid;
+    threads_per_block = threads;
+    regs;
+    spill;
+    smem;
+    stream;
+  }
+
+(* [n] warps, warp [i] running [f i] *)
+let warps n f = List.init n f
+
+let loady i = alus (8 + (3 * i)) @ [ Instr.Ld_global (2, 1) ] @ alus 20
+let shared i =
+  alus (5 + i) @ [ Instr.Ld_shared 2; Instr.St_shared 1 ] @ alus 12
+
+let split_launches :
+    (string * Timing.dispatch_policy * Timing.launch_spec list) list =
+  let k1 ~stream =
+    kernel ~label:"k1" ~grid:37 ~threads:512 ~stream [ warps 16 loady ]
+  and k2 ~stream =
+    kernel ~label:"k2" ~grid:29 ~threads:256 ~smem:8192 ~stream
+      [ warps 8 shared ]
+  in
+  let tail_bar n i = alus (4 + (5 * i)) @ [ Instr.Ld_global (1, 0) ]
+                     @ alus 6 @ [ Instr.Bar (0, n * 32) ] in
+  (* five 384-thread blocks leave room for one 128-thread block, which
+     only Leftover backfills *)
+  let three_streams =
+    [ kernel ~label:"k1" ~grid:37 ~threads:384 ~stream:0 [ warps 12 loady ];
+      k2 ~stream:1;
+      kernel ~label:"k3" ~grid:23 ~threads:128 ~stream:2
+        [ warps 4 (fun i -> shared i @ loady i) ] ]
+  in
+  [
+    ("boundary-streams", Timing.Fifo, [ k1 ~stream:0; k2 ~stream:1 ]);
+    ("boundary-one-stream", Timing.Fifo, [ k2 ~stream:0; k1 ~stream:0 ]);
+    ( "subwave",
+      Timing.Fifo,
+      [ kernel ~label:"s" ~grid:21 ~threads:512 ~stream:0
+          [ warps 16 loady ] ] );
+    ( "subwave-small",
+      Timing.Fifo,
+      [ kernel ~label:"s" ~grid:3 ~threads:128 ~stream:0 [ warps 4 shared ] ] );
+    ( "two-templates",
+      Timing.Fifo,
+      [
+        kernel ~label:"t" ~grid:45 ~threads:256 ~stream:0
+          [ warps 8 loady; warps 8 (fun i -> loady (i + 3) @ alus 9) ];
+      ] );
+    ("three-streams", Timing.Leftover, three_streams);
+    ("three-streams-fifo", Timing.Fifo, three_streams);
+    ( "spill-tail-barrier",
+      Timing.Fifo,
+      [
+        kernel ~label:"b" ~grid:41 ~threads:192 ~regs:64 ~spill:24 ~stream:0
+          [ warps 6 (tail_bar 6) ];
+      ] );
+  ]
+
+let split_cases () : (string * string) list =
+  let launches =
+    List.concat_map
+      (fun (a : Arch.t) ->
+        List.map
+          (fun (name, policy, specs) ->
+            (Printf.sprintf "split/%s/%s" name a.name, outcome ~policy a specs))
+          split_launches)
+      arches
+  in
+  (* native pairs replayed from two traced blocks per kernel *)
+  let settings =
+    Settings.resolve ~trace_blocks:2 ~sim_fuel:Launch.default_loop_fuel
+      ~trace_mem_mb:0 ~cache_dir:None ~fault:None ()
+  in
+  let mem = Memory.create () in
+  let conf name =
+    Runner.configure mem (Kernel_corpus.Registry.find_exn name) ~size:1
+  in
+  let tb2 =
+    List.concat_map
+      (fun (n1, n2) ->
+        let c1 = conf n1 and c2 = conf n2 in
+        let specs =
+          [ Runner.spec_of ~settings c1 ~stream:0 ();
+            Runner.spec_of ~settings c2 ~stream:1 () ]
+        in
+        List.map
+          (fun (a : Arch.t) ->
+            ( Printf.sprintf "native-tb2/%s+%s/%s" n1 n2 a.name,
+              outcome a specs ))
+          arches)
+      [ ("Batchnorm", "Hist"); ("Maxpool", "Upsample") ]
+  in
+  launches @ tb2
+
 let golden_lines () =
   In_channel.with_open_bin (Filename.concat "golden" "replay.md5")
     In_channel.input_lines
@@ -173,7 +290,9 @@ let golden_lines () =
 
 let test_golden_replays () =
   let actual =
-    List.map (fun (n, d) -> n ^ " " ^ d) (corpus_cases () @ random_cases ())
+    List.map
+      (fun (n, d) -> n ^ " " ^ d)
+      (corpus_cases () @ random_cases () @ split_cases ())
   in
   Alcotest.(check (list string)) "replay digests" (golden_lines ()) actual
 
@@ -197,8 +316,28 @@ let test_hot_loop_allocation () =
        per_cycle es.Timing.cycles_stepped)
     true (per_cycle < 4.0)
 
+(* Identical SMs step once: a one-kernel launch of several waves keeps
+   the 1080Ti's four SMs in one class but for its tail, so a stepped
+   cycle steps little more than one SM class.  Stepping each SM alone
+   would take about four. *)
+let test_classes_engaged () =
+  let specs =
+    [ kernel ~label:"w" ~grid:(6 * 4 * 8) ~threads:256 ~stream:0
+        [ warps 8 loady ] ]
+  in
+  let _, es = Timing.run_with_stats Arch.gtx1080ti specs in
+  let per_cycle =
+    float_of_int es.Timing.sm_steps
+    /. float_of_int (max 1 es.Timing.cycles_stepped)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f SM-class steps per stepped cycle (%d cycles) <= 1.2"
+       per_cycle es.Timing.cycles_stepped)
+    true (per_cycle <= 1.2)
+
 let suite =
   [
     Alcotest.test_case "golden replay digests" `Quick test_golden_replays;
     Alcotest.test_case "hot loop allocation" `Quick test_hot_loop_allocation;
+    Alcotest.test_case "SM classes engaged" `Quick test_classes_engaged;
   ]

@@ -13,6 +13,7 @@ module Fault = Hfuse_fault.Fault
 module J = Hfuse_profiler.Report.Json
 module Runner = Hfuse_profiler.Runner
 module Profile_cache = Hfuse_profiler.Profile_cache
+module Trace_store = Hfuse_profiler.Trace_store
 module Checkpoint = Hfuse_profiler.Checkpoint
 
 (* Unix-domain socket paths are length-limited (~108 bytes), so the
@@ -625,6 +626,38 @@ let test_search_resume_answers_native () =
     (Checkpoint.loaded ck);
   Checkpoint.close ck
 
+(* A pair the verifier rejects raises before anything is replayed: no
+   native baseline, no solo trace recorded, nothing stored. *)
+let test_rejected_search_records_nothing () =
+  let root = fresh_root "rejected" in
+  let settings = settings_at (Some root) in
+  Runner.clear_cache ();
+  let before = Trace_store.tally () in
+  (match
+     Ops.search ~settings
+       {
+         search_params with
+         s_k1 = Registry.find_exn "Hist";
+         s_k2 = Registry.find_exn "SHA256";
+         s_size1 = Some 1;
+         s_size2 = Some 1;
+         s_emit = false;
+         s_top_k = Some 8;
+       }
+   with
+  | _ -> Alcotest.fail "Hist+SHA256 was not rejected"
+  | exception Hfuse_core.Search.No_valid_partition _ -> ());
+  let d = Trace_store.diff ~before ~after:(Trace_store.tally ()) in
+  Alcotest.(check int) "traces recorded" 0 d.recorded;
+  let rec files p =
+    if not (Sys.file_exists p) then []
+    else if Sys.is_directory p then
+      List.concat_map (fun f -> files (Filename.concat p f))
+        (Array.to_list (Sys.readdir p))
+    else [ p ]
+  in
+  Alcotest.(check (list string)) "entries under the root" [] (files root)
+
 (* stdout of [Ops.search] against md5s recorded before the cost
    model's probe picker was shared between the unbounded and the capped
    groups: both pairs fit unbounded probes and a three-member capped
@@ -799,6 +832,8 @@ let suite =
       test_default_size_trace_blocks;
     Alcotest.test_case "no-cache search ignores HFUSE_CACHE_DIR" `Slow
       test_default_size_no_cache;
+    Alcotest.test_case "rejected search records nothing" `Quick
+      test_rejected_search_records_nothing;
     Alcotest.test_case "golden search bytes" `Quick test_golden_search_bytes;
     Alcotest.test_case "golden cache keys" `Quick test_golden_cache_keys;
   ]
