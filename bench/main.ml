@@ -370,7 +370,7 @@ let run_fleet ~settings () =
     (if r.Fleet.wall_s > 0.0 then
        float_of_int r.Fleet.executed /. r.Fleet.wall_s *. 60.0
      else 0.0);
-  let tget = Fleet.telemetry_get r.Fleet.telemetry in
+  let tget = Report.telemetry_get r.Fleet.telemetry in
   if !fleet_repair then
     say "repair: %d attempted, %d admitted, %d unsound; %d rows repaired \
          (%d newly fusable)"

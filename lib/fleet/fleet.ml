@@ -94,7 +94,7 @@ type result = {
   resumed : int;  (** rows replayed from the journal *)
   torn : int;  (** damaged journal rows dropped (their pairs re-ran) *)
   wall_s : float;
-  telemetry : (string * (string * int) list) list;
+  telemetry : Report.telemetry_sums;
       (** per-section counter sums over every executed search *)
   corpus_digest : string;
   kernels : int;
@@ -315,6 +315,20 @@ let parse_output (output : string) : (float * float * bool * bool) option =
       Option.map (fun t -> (native, t, repaired, newly_fusable)) best_time
   | _ -> None
 
+let status_row (p : pair) status : row =
+  {
+    r_index = p.p_index;
+    r_pair = p.p_k1.Spec.name ^ "+" ^ p.p_k2.Spec.name;
+    r_domain = p.p_domain;
+    r_status = status;
+    r_digest = "";
+    r_native_ms = 0.0;
+    r_best_ms = 0.0;
+    r_speedup_pct = 0.0;
+    r_repaired = false;
+    r_newly_fusable = false;
+  }
+
 let row_of_output (p : pair) (output : string) : row =
   match parse_output output with
   | Some (native, best, repaired, newly_fusable) ->
@@ -330,33 +344,7 @@ let row_of_output (p : pair) (output : string) : row =
         r_repaired = repaired;
         r_newly_fusable = newly_fusable;
       }
-  | None ->
-      {
-        r_index = p.p_index;
-        r_pair = p.p_k1.Spec.name ^ "+" ^ p.p_k2.Spec.name;
-        r_domain = p.p_domain;
-        r_status = "failed";
-        r_digest = "";
-        r_native_ms = 0.0;
-        r_best_ms = 0.0;
-        r_speedup_pct = 0.0;
-        r_repaired = false;
-        r_newly_fusable = false;
-      }
-
-let status_row (p : pair) status : row =
-  {
-    r_index = p.p_index;
-    r_pair = p.p_k1.Spec.name ^ "+" ^ p.p_k2.Spec.name;
-    r_domain = p.p_domain;
-    r_status = status;
-    r_digest = "";
-    r_native_ms = 0.0;
-    r_best_ms = 0.0;
-    r_speedup_pct = 0.0;
-    r_repaired = false;
-    r_newly_fusable = false;
-  }
+  | None -> status_row p "failed"
 
 let write_repro (cfg : config) (p : pair) ~(detail : string) =
   match cfg.out_dir with
@@ -424,49 +412,6 @@ let run_via_server (cfg : config) ~socket (p : pair) : row * Json.t option =
   | Error msg -> failwith (Printf.sprintf "fleet: daemon transport: %s" msg)
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry aggregation                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Sum every integer leaf of the per-request telemetry, per section and
-   field ("cache"/"hits", "fault"/"injected", ...).  Nested objects
-   (the per-kind fault tallies) collapse into their section totals. *)
-let add_telemetry (acc : (string * (string * int) list) list ref)
-    (t : Json.t) =
-  let bump section field n =
-    let fields = try List.assoc section !acc with Not_found -> [] in
-    let v = try List.assoc field fields with Not_found -> 0 in
-    let fields = (field, v + n) :: List.remove_assoc field fields in
-    acc := (section, fields) :: List.remove_assoc section !acc
-  in
-  match t with
-  | Json.Obj sections ->
-      List.iter
-        (fun (section, body) ->
-          match body with
-          | Json.Obj fields ->
-              List.iter
-                (fun (field, v) ->
-                  match v with
-                  | Json.Int n -> bump section field n
-                  | Json.Obj kinds ->
-                      List.iter
-                        (fun (_, kv) ->
-                          match kv with
-                          | Json.Int n -> bump section field n
-                          | _ -> ())
-                        kinds
-                  | _ -> ())
-                fields
-          | _ -> ())
-        sections
-  | _ -> ()
-
-let telemetry_get (t : (string * (string * int) list) list) section field =
-  match List.assoc_opt section t with
-  | None -> 0
-  | Some fields -> Option.value (List.assoc_opt field fields) ~default:0
-
-(* ------------------------------------------------------------------ *)
 (* The drive loop                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -513,9 +458,8 @@ let run (cfg : config) : result =
   let note_telemetry = function
     | None -> ()
     | Some t ->
-        Mutex.lock telemetry_mutex;
-        add_telemetry telemetry t;
-        Mutex.unlock telemetry_mutex
+        Mutex.protect telemetry_mutex (fun () ->
+            telemetry := Report.add_telemetry !telemetry t)
   in
   (match cfg.via_server with
   | Some socket ->
@@ -647,7 +591,7 @@ let domain_stats (rows : row list) : Json.t =
 
 let report_json (cfg : config) (r : result) : Json.t =
   let t = r.telemetry in
-  let get = telemetry_get t in
+  let get = Report.telemetry_get t in
   let failed_rows =
     List.length (List.filter (fun x -> x.r_status = "failed") r.rows)
   in

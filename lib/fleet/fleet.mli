@@ -61,7 +61,7 @@ type result = {
   resumed : int;  (** rows replayed from the journal *)
   torn : int;  (** damaged journal rows dropped (their pairs re-ran) *)
   wall_s : float;
-  telemetry : (string * (string * int) list) list;
+  telemetry : Hfuse_profiler.Report.telemetry_sums;
       (** per-section counter sums over every executed search *)
   corpus_digest : string;
   kernels : int;
@@ -93,6 +93,3 @@ val report_json : config -> result -> Json.t
 (** The fleet report: corpus identity, throughput, cache / trace-store
     / pool / fault tallies (with [unrecovered] = failed-row count),
     per-domain speedup distributions, and the full row list. *)
-
-val telemetry_get : (string * (string * int) list) list -> string -> string -> int
-(** [telemetry_get t section field] — 0 when absent. *)

@@ -15,7 +15,7 @@
     [Settings.resolve ()], the environment's), and resolved through
     the report tiers like every other replay ({!Runner.run_many}): the
     [checkpoint] journal, the persistent report cache (default: minted
-    from [settings]), then the process-wide memo.  [pool] parallelises
+    from [settings]), then the process-wide memory tier.  [pool] parallelises
     the solo probes that miss. *)
 val representative_sizes :
   ?settings:Settings.t ->
@@ -69,22 +69,6 @@ val avg_vfuse_speedup : sweep -> float
 
 (** The paper's ratio points: 0.25x .. 4x the representative size. *)
 val default_multipliers : float list
-
-(** [jobs]/[pool]/[settings]/[cache]/[top_k] are handed to every
-    {!Runner.search} the sweep performs and to the measurement
-    fan-out. *)
-val sweep_pair :
-  ?multipliers:float list ->
-  ?jobs:int ->
-  ?pool:Hfuse_parallel.Pool.t ->
-  settings:Settings.t ->
-  ?cache:Profile_cache.t ->
-  ?checkpoint:Checkpoint.t ->
-  ?top_k:int ->
-  Gpusim.Arch.t ->
-  (string * int) list ->
-  Kernel_corpus.Spec.t * Kernel_corpus.Spec.t ->
-  sweep
 
 (** Figure 7: all pairs x all architectures, over one shared pool. *)
 val figure7 :

@@ -410,6 +410,42 @@ module Json = struct
     | _ -> None
 end
 
+type telemetry_sums = (string * (string * int) list) list
+
+(* Nested objects (the per-kind fault tallies) collapse into their
+   field's total. *)
+let add_telemetry (acc : telemetry_sums) (t : Json.t) : telemetry_sums =
+  let bump section acc (field, n) =
+    let fields = Option.value (List.assoc_opt section acc) ~default:[] in
+    let v = Option.value (List.assoc_opt field fields) ~default:0 in
+    (section, (field, v + n) :: List.remove_assoc field fields)
+    :: List.remove_assoc section acc
+  in
+  let leaves (field, v) =
+    match v with
+    | Json.Int n -> [ (field, n) ]
+    | Json.Obj kinds ->
+        List.filter_map
+          (function _, Json.Int n -> Some (field, n) | _ -> None)
+          kinds
+    | _ -> []
+  in
+  match t with
+  | Json.Obj sections ->
+      List.fold_left
+        (fun acc (section, body) ->
+          match body with
+          | Json.Obj fields ->
+              List.fold_left (bump section) acc (List.concat_map leaves fields)
+          | _ -> acc)
+        acc sections
+  | _ -> acc
+
+let telemetry_get (t : telemetry_sums) section field =
+  match List.assoc_opt section t with
+  | None -> 0
+  | Some fields -> Option.value (List.assoc_opt field fields) ~default:0
+
 let json_of_metrics (m : Gpusim.Metrics.t) : Json.t =
   Json.Obj
     [

@@ -1,8 +1,6 @@
 (** Text renderings of the evaluation artifacts, in the shape the paper
     prints them ("X / Y" cells are 1080Ti / V100). *)
 
-val pair_name : Kernel_corpus.Spec.t * Kernel_corpus.Spec.t -> string
-val render_sweep : Buffer.t -> Experiment.sweep -> unit
 val figure7_to_string : Experiment.sweep list -> string
 val figure8_to_string : Experiment.kernel_row list -> string
 val figure9_to_string : Experiment.fused_row list -> string
@@ -41,7 +39,15 @@ module Json : sig
   val to_float_opt : t -> float option
 end
 
-val json_of_metrics : Gpusim.Metrics.t -> Json.t
+(** Per-section, per-field sums of telemetry objects' integer leaves
+    (a field holding an object of integers adds their total). *)
+type telemetry_sums = (string * (string * int) list) list
+
+val add_telemetry : telemetry_sums -> Json.t -> telemetry_sums
+
+(** [telemetry_get t section field] — 0 when absent. *)
+val telemetry_get : telemetry_sums -> string -> string -> int
+
 val json_of_engine_stats : Gpusim.Timing.engine_stats -> Json.t
 val json_of_search_stats : Runner.search_stats -> Json.t
 

@@ -119,26 +119,7 @@ type trace_key =
    store's digests fold in everything the keys above name plus the
    simulation fuel, the kernel source (names alone would go stale when
    a kernel's source changes under a persistent directory), and — on
-   disk only — the arch.  This mutex guards the report/time memos
-   below. *)
-let cache_mutex = Mutex.create ()
-
-let locked (f : unit -> 'a) : 'a =
-  Mutex.lock cache_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock cache_mutex) f
-
-(* In-memory candidate-report memo, content-keyed exactly like the
-   persistent report cache (specs + packed traces + arch), shared by
-   every request in the process: the daemon's warm profile cache.
-   Hits are bit-identical to replays — the simulator is deterministic
-   and entries keep every report field. *)
-let report_memo : (string, Timing.report * Timing.engine_stats) Hashtbl.t =
-  Hashtbl.create 256
-
-(* Same idea for the search's per-candidate times (the persistent
-   cache's time entries, keyed by [candidate_key]): a daemon answering
-   the same search twice replays nothing the second time. *)
-let time_memo : (string, float) Hashtbl.t = Hashtbl.create 256
+   disk only — the arch. *)
 
 (* One tier a profiled value can come from: checkpoint journal,
    persistent cache or process-wide memo. *)
@@ -149,38 +130,44 @@ type 'v tier = {
 
 type 'v tiers = { journal : 'v tier; cache : 'v tier; memo : 'v tier }
 
-let memo_tier (tbl : (string, 'v) Hashtbl.t) : 'v tier =
-  {
-    find = (fun ~key -> locked (fun () -> Hashtbl.find_opt tbl key));
-    add = (fun ~key v -> locked (fun () -> Hashtbl.replace tbl key v));
-  }
+(* The memo tier is the trace store's memory LRU under the settings'
+   bound, shared by every request in the process: the daemon's warm
+   profile cache, so a repeated search replays nothing.  Hits are
+   bit-identical to replays — the simulator is deterministic and
+   entries keep every report field. *)
+let tiers ~(s : Settings.t) kind ~journal ~cache =
+  let limit_bytes = Settings.trace_limit_bytes s in
+  let memo =
+    {
+      find = Trace_store.find_memo kind;
+      add = Trace_store.add_memo ?limit_bytes kind;
+    }
+  in
+  { journal; cache; memo }
 
-let report_tiers ~cache ~checkpoint =
-  {
-    journal =
+(* replay reports, content-keyed over specs + packed traces + arch *)
+let report_tiers ~s ~cache ~checkpoint =
+  tiers ~s Report
+    ~journal:
       {
         find = Checkpoint.find_report checkpoint;
         add = Checkpoint.record_report checkpoint;
-      };
-    cache =
+      }
+    ~cache:
       {
         find = Profile_cache.find_report cache;
         add = Profile_cache.store_report cache;
-      };
-    memo = memo_tier report_memo;
-  }
+      }
 
-let time_tiers ~cache ~checkpoint =
-  {
-    journal =
+(* the search's per-candidate times, keyed by [candidate_key] *)
+let time_tiers ~s ~cache ~checkpoint =
+  tiers ~s Time
+    ~journal:
       {
         find = Checkpoint.find_time checkpoint;
         add = Checkpoint.record_time checkpoint;
-      };
-    cache =
-      { find = Profile_cache.find cache; add = Profile_cache.store cache };
-    memo = memo_tier time_memo;
-  }
+      }
+    ~cache:{ find = Profile_cache.find cache; add = Profile_cache.store cache }
 
 (* The one place that knows the resolution order: the checkpoint
    journal first (a resumed run replays the interrupted run's answers),
@@ -212,11 +199,7 @@ let commit (t : 'v tiers) (key : string) (v : 'v) : unit =
   t.cache.add ~key v;
   t.journal.add ~key v
 
-let clear_cache () =
-  Trace_store.clear_memory ();
-  locked @@ fun () ->
-  Hashtbl.reset report_memo;
-  Hashtbl.reset time_memo
+let clear_cache = Trace_store.clear_memory
 
 (* Replay entries are content-keyed over the specs and their packed
    traces, so any input change misses. *)
@@ -236,9 +219,9 @@ let lookup_report (t : (Timing.report * Timing.engine_stats) tiers)
 
 (* One replay through the report tiers: answered by [lookup_report], or
    run on this domain and committed to every tier. *)
-let replay ~cache ~checkpoint (arch : Arch.t)
+let replay ~s ~cache ~checkpoint (arch : Arch.t)
     (specs : Timing.launch_spec list) : Timing.report =
-  let tiers = report_tiers ~cache ~checkpoint in
+  let tiers = report_tiers ~s ~cache ~checkpoint in
   let key = report_key arch specs in
   match lookup_report tiers key with
   | Some r -> r
@@ -326,7 +309,7 @@ let native ~settings ?cache ?(checkpoint = Checkpoint.disabled)
   let cache =
     match cache with Some c -> c | None -> Settings.cache settings
   in
-  replay ~cache ~checkpoint arch
+  replay ~s:settings ~cache ~checkpoint arch
     [
       spec_of ~settings ~arch:arch.Arch.name c1 ~stream:0 ();
       spec_of ~settings ~arch:arch.Arch.name c2 ~stream:1 ();
@@ -641,7 +624,7 @@ let run_many ?pool ?(jobs = 1) ~(settings : Settings.t) ?cache
     match cache with Some c -> c | None -> Settings.cache settings
   in
   let n = Array.length runs in
-  let tiers = report_tiers ~cache ~checkpoint in
+  let tiers = report_tiers ~s:settings ~cache ~checkpoint in
   let keys = Array.map (fun (arch, specs) -> report_key arch specs) runs in
   let results = Array.map (lookup_report tiers) keys in
   let miss_idx =
@@ -688,7 +671,7 @@ let is_profile_failure = function
 let solo_cycles ~(s : Settings.t) ~cache ~checkpoint (arch : Arch.t)
     (c : configured) : float option =
   match
-    replay ~cache ~checkpoint arch
+    replay ~s ~cache ~checkpoint arch
       [ spec_of ~settings:s ~arch:arch.Arch.name c ~stream:0 () ]
   with
   | r -> Some (float_of_int r.Timing.elapsed_cycles)
@@ -816,7 +799,7 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
             ~reg_bound:cfg.reg_bound)
         batch
     in
-    let tiers = time_tiers ~cache ~checkpoint in
+    let tiers = time_tiers ~s ~cache ~checkpoint in
     let cached = Array.map (resolve tiers) keys in
     let times = Array.map (Option.value ~default:nan) cached in
     (* trace acquisition for the misses: one fresh-memory recording
@@ -856,7 +839,9 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
     in
     (* store lookups stay on the coordinating domain (disk I/O and the
        shared memory tier's counters) *)
-    let have = Array.map (fun k -> Trace_store.find store ~key:k) skeys in
+    let have =
+      Array.map (fun k -> Trace_store.find ?limit_bytes store ~key:k) skeys
+    in
     let to_record =
       List.init (Array.length uniq) Fun.id
       |> List.filter (fun j -> Option.is_none have.(j))

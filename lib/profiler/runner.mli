@@ -59,17 +59,9 @@ type trace_key =
       tb : int;
     }
 
-(** Drop the in-process memo tiers (trace-store memory, report and
-    time memos); persistent entries survive. *)
+(** {!Trace_store.clear_memory}: drop the in-process memory tier of
+    traces, reports and times; persistent entries survive. *)
 val clear_cache : unit -> unit
-
-(** Dynamic traces of [c] at a block dimension (default: native);
-    stored.  [arch] scopes only the persistent trace entry — traces
-    themselves are arch-independent, so the in-memory tier shares
-    them across archs. *)
-val traces_of :
-  settings:Settings.t -> ?arch:string -> configured -> ?block_dim:int ->
-  unit -> Gpusim.Trace.block array
 
 val static_smem : Hfuse_core.Kernel_info.t -> int
 
@@ -85,10 +77,10 @@ val spec_of :
     packed traces: the [checkpoint] journal (default
     {!Checkpoint.disabled}), then the persistent report cache (default:
     minted from [settings], as {!search} does), then the process-wide
-    report memo.  A miss replays on the calling domain and lands in
-    every tier; a hit folds the stored engine stats into
-    {!Gpusim.Timing.cumulative_stats}.  Either way the report is
-    bit-identical to a fresh replay. *)
+    memory tier under [settings]' bound.  A miss replays on the
+    calling domain and lands in every tier; a hit folds the stored
+    engine stats into {!Gpusim.Timing.cumulative_stats}.  Either way
+    the report is bit-identical to a fresh replay. *)
 val native :
   settings:Settings.t -> ?cache:Profile_cache.t -> ?checkpoint:Checkpoint.t ->
   Gpusim.Arch.t -> configured -> configured -> Gpusim.Timing.report
@@ -115,8 +107,6 @@ val hfuse_spec :
 val hfuse_report :
   settings:Settings.t -> Gpusim.Arch.t -> configured -> configured ->
   Hfuse_core.Hfuse.t -> reg_bound:int option -> Gpusim.Timing.report
-
-val vfuse_block_dim : configured -> configured -> int
 
 (** Vertical baseline at the larger native block dimension (tunable
     kernels adapt; a smaller fixed kernel is guarded).

@@ -1,5 +1,5 @@
 (* One explicit record for the profiling knobs: traced blocks, sim
-   fuel, the trace-memory bound, the cache root and the chaos plan.
+   fuel, the memory-tier bound, the cache root and the chaos plan.
    This module is the only reader of their [HFUSE_*] variables.  A
    one-shot CLI resolves one record at startup; a long-lived server
    resolves its base record at startup and overrides it per request,

@@ -2,7 +2,7 @@
     explicitly.
 
     A {!t} carries every profiling knob: traced blocks, simulator fuel,
-    the trace-memory bound, the cache root and the chaos plan.  This
+    the memory-tier bound, the cache root and the chaos plan.  This
     module is the only reader of their environment variables
     ([HFUSE_TRACE_BLOCKS], [HFUSE_SIM_FUEL], [HFUSE_TRACE_MEM_MB],
     [HFUSE_CACHE]/[HFUSE_CACHE_DIR], [HFUSE_FAULT]), and only inside
@@ -15,8 +15,9 @@ type t = {
   trace_blocks : int;  (** traced blocks per profiling launch *)
   sim_fuel : int;  (** per-warp interpreter loop-fuel watchdog budget *)
   trace_mem_mb : int;
-      (** byte bound (in MB) on the process-wide in-memory trace
-          store; [0] means unbounded ([HFUSE_TRACE_MEM_MB]) *)
+      (** byte bound (in MB) on the process-wide memory tier of
+          traces, replay reports and candidate times; [0], the
+          default, means unbounded ([HFUSE_TRACE_MEM_MB]) *)
   cache_dir : string option;
       (** persistent profile-cache root; [None] disables the cache *)
   fault : Hfuse_fault.Fault.plan option;

@@ -22,8 +22,10 @@
      trace depends on (kernel identities + sizes + partition + launch
      geometry + trace-block count + simulation fuel).  One table for
      the whole process, so concurrent daemon requests share warm
-     traces; an optional byte bound ([Settings.trace_mem_mb]) keeps a
-     long-lived daemon from growing without limit.
+     traces.  The same table is Runner's memo tier for replay reports
+     and candidate times, so an optional byte bound
+     ([Settings.trace_mem_mb]) covers everything a long-lived daemon
+     keeps in memory.
 
    - a per-handle on-disk tier: {!Store} entries under
      [<root>/traces/v1/<digest>], corrupt ones quarantined to
@@ -141,20 +143,51 @@ let pp_tally ppf (t : tally) =
   if t.corrupt > 0 then Fmt.pf ppf ", %d quarantined" t.corrupt
 
 (* ------------------------------------------------------------------ *)
-(* Memory tier: process-wide LRU                                        *)
+(* Memory tier: one process-wide LRU for every profiled value           *)
 (* ------------------------------------------------------------------ *)
 
-type mem_entry = {
-  blocks : Trace.block array;
-  bytes : int;
-  mutable stamp : int;  (** last-use tick, for LRU eviction *)
+type _ kind =
+  | Traces : Trace.block array kind
+  | Report : (Gpusim.Timing.report * Gpusim.Timing.engine_stats) kind
+  | Time : float kind
+
+type value = V : 'v kind * 'v -> value
+
+(* the payload of [v] when it is of kind [k]: a kind mismatch is a
+   miss, so entries of different kinds never answer for each other *)
+let get : type v. v kind -> value -> v option =
+ fun k (V (k', x)) ->
+  match (k, k') with
+  | Traces, Traces -> Some x
+  | Report, Report -> Some x
+  | Time, Time -> Some x
+  | _ -> None
+
+let value_bytes : type v. v kind -> v -> int =
+ fun k x ->
+  match k with
+  | Traces -> Trace.blocks_bytes x
+  | Report -> Obj.reachable_words (Obj.repr x) * (Sys.word_size / 8)
+  | Time -> 8
+
+(* Entries sit on a circular doubly-linked recency list through the
+   sentinel [lru], newest first: a hit moves its entry to the front and
+   eviction takes from the back, both in O(1). *)
+type entry = {
+  key : string;
+  value : value;
+  bytes : int;  (** the key plus the value *)
+  mutable prev : entry;
+  mutable next : entry;
 }
+
+let rec lru =
+  { key = ""; value = V (Time, 0.); bytes = 0; prev = lru; next = lru }
 
 let mem_mutex = Mutex.create ()
 let mem_cond = Condition.create ()
-let mem_tbl : (string, mem_entry) Hashtbl.t = Hashtbl.create 64
+let mem_tbl : (string, entry) Hashtbl.t = Hashtbl.create 256
 let mem_total = ref 0
-let mem_clock = ref 0
 
 (* keys currently being recorded (single-flight); waiters sleep on
    [mem_cond] until the recorder publishes or gives up *)
@@ -171,55 +204,67 @@ let mem_bytes () = Mutex.protect mem_mutex (fun () -> !mem_total)
 let clear_memory () =
   Mutex.protect mem_mutex (fun () ->
       Hashtbl.reset mem_tbl;
-      mem_total := 0;
-      mem_clock := 0)
+      lru.prev <- lru;
+      lru.next <- lru;
+      mem_total := 0)
 
-let touch (e : mem_entry) =
-  incr mem_clock;
-  e.stamp <- !mem_clock
+(* everything below runs with [mem_mutex] held *)
+let unlink e =
+  e.prev.next <- e.next;
+  e.next.prev <- e.prev
 
-(* caller holds [mem_mutex] *)
-let evict_to (limit : int) =
-  while !mem_total > limit && Hashtbl.length mem_tbl > 1 do
-    let victim = ref None in
-    Hashtbl.iter
-      (fun k e ->
-        match !victim with
-        | Some (_, v) when v.stamp <= e.stamp -> ()
-        | _ -> victim := Some (k, e))
-      mem_tbl;
-    match !victim with
-    | None -> ()
-    | Some (k, e) ->
-        Hashtbl.remove mem_tbl k;
-        mem_total := !mem_total - e.bytes;
-        ignore (Atomic.fetch_and_add c_evictions 1)
-  done
+let push_newest e =
+  e.prev <- lru;
+  e.next <- lru.next;
+  lru.next.prev <- e;
+  lru.next <- e
 
-(* caller holds [mem_mutex].  The just-inserted entry carries the
-   freshest stamp, so it survives its own insertion even when it alone
-   exceeds the bound (the [> 1] guard above); a search can always keep
-   the trace it is about to replay. *)
-let insert_mem ~(limit_bytes : int option) (k : string)
-    (blocks : Trace.block array) : unit =
-  (if not (Hashtbl.mem mem_tbl k) then begin
-     let e = { blocks; bytes = Trace.blocks_bytes blocks; stamp = 0 } in
-     touch e;
-     Hashtbl.add mem_tbl k e;
-     mem_total := !mem_total + e.bytes
-   end);
+let drop e =
+  unlink e;
+  Hashtbl.remove mem_tbl e.key;
+  mem_total := !mem_total - e.bytes
+
+(* An insertion replaces any entry under its key, then evicts oldest
+   first until the tier fits or only the new entry is left: it survives
+   even when it alone exceeds the bound, so a search can always keep
+   the trace it is about to replay.  The tally counts trace evictions
+   only. *)
+let insert_mem ~(limit_bytes : int option) k (key : string) x : unit =
+  Option.iter drop (Hashtbl.find_opt mem_tbl key);
+  let bytes = String.length key + value_bytes k x in
+  let e = { key; value = V (k, x); bytes; prev = lru; next = lru } in
+  push_newest e;
+  Hashtbl.add mem_tbl key e;
+  mem_total := !mem_total + bytes;
   match (!limit_override, limit_bytes) with
-  | Some l, _ | None, Some l -> evict_to l
+  | Some limit, _ | None, Some limit ->
+      while !mem_total > limit && lru.prev != e do
+        let old = lru.prev in
+        drop old;
+        match old.value with
+        | V (Traces, _) -> ignore (Atomic.fetch_and_add c_evictions 1)
+        | V _ -> ()
+      done
   | None, None -> ()
 
-let find_mem (k : string) : Trace.block array option =
-  Mutex.protect mem_mutex (fun () ->
-      match Hashtbl.find_opt mem_tbl k with
-      | Some e ->
-          touch e;
-          ignore (Atomic.fetch_and_add c_mem_hits 1);
-          Some e.blocks
-      | None -> None)
+let lookup_mem k (key : string) =
+  match Hashtbl.find_opt mem_tbl key with
+  | None -> None
+  | Some e ->
+      let hit = get k e.value in
+      if Option.is_some hit then (unlink e; push_newest e);
+      hit
+
+(* a trace lookup counts its hit *)
+let lookup_trace (key : string) =
+  let hit = lookup_mem Traces key in
+  if Option.is_some hit then ignore (Atomic.fetch_and_add c_mem_hits 1);
+  hit
+
+let find_memo k ~key = Mutex.protect mem_mutex (fun () -> lookup_mem k key)
+
+let add_memo ?limit_bytes k ~key x =
+  Mutex.protect mem_mutex (fun () -> insert_mem ~limit_bytes k key x)
 
 (* ------------------------------------------------------------------ *)
 (* Disk tier                                                            *)
@@ -263,23 +308,21 @@ let store_disk (t : t) (k : string) (blocks : Trace.block array) : unit =
 (* Lookup / insert                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let find (t : t) ~(key : key) : Trace.block array option =
-  match find_mem key.mem with
+let find ?limit_bytes (t : t) ~(key : key) : Trace.block array option =
+  match Mutex.protect mem_mutex (fun () -> lookup_trace key.mem) with
   | Some _ as hit -> hit
   | None -> (
       match find_disk t key.disk with
       | None -> None
       | Some blocks ->
-          Mutex.protect mem_mutex (fun () ->
-              (* disk hits enter the memory tier un-bounded here; the
-                 next [add] under a limit rebalances.  Re-check the
-                 table: a racing request may have published already. *)
-              insert_mem ~limit_bytes:None key.mem blocks);
+          (* a disk hit is an insertion like any other: it evicts to the
+             caller's bound *)
+          add_memo ?limit_bytes Traces ~key:key.mem blocks;
           Some blocks)
 
 let add (t : t) ?limit_bytes ~(key : key) (blocks : Trace.block array) : unit =
   ignore (Atomic.fetch_and_add c_recorded 1);
-  Mutex.protect mem_mutex (fun () -> insert_mem ~limit_bytes key.mem blocks);
+  add_memo ?limit_bytes Traces ~key:key.mem blocks;
   store_disk t key.disk blocks
 
 let get_or_record (t : t) ?limit_bytes ~(key : key)
@@ -288,12 +331,10 @@ let get_or_record (t : t) ?limit_bytes ~(key : key)
   let claimed =
     Mutex.protect mem_mutex (fun () ->
         let rec arbitrate ~waited =
-          match Hashtbl.find_opt mem_tbl key.mem with
-          | Some e ->
-              touch e;
-              ignore (Atomic.fetch_and_add c_mem_hits 1);
+          match lookup_trace key.mem with
+          | Some blocks ->
               if waited then ignore (Atomic.fetch_and_add c_merges 1);
-              Either.Left e.blocks
+              Either.Left blocks
           | None ->
               if Hashtbl.mem in_flight key.mem then begin
                 Condition.wait mem_cond mem_mutex;
@@ -320,8 +361,7 @@ let get_or_record (t : t) ?limit_bytes ~(key : key)
       Fun.protect ~finally:release (fun () ->
           match find_disk t key.disk with
           | Some blocks ->
-              Mutex.protect mem_mutex (fun () ->
-                  insert_mem ~limit_bytes key.mem blocks);
+              add_memo ?limit_bytes Traces ~key:key.mem blocks;
               blocks
           | None ->
               let blocks = record () in

@@ -6,12 +6,16 @@
     workload instantiated — see Runner), so a warmed store reproduces
     cold-run results bit-for-bit.
 
-    Two tiers: a process-wide in-memory LRU shared by every handle
-    (bounded via [limit_bytes], see {!Settings.trace_mem_mb}), and a
-    per-handle on-disk tier of {!Store} entries under
+    Two tiers: a process-wide in-memory LRU shared by every handle, and
+    a per-handle on-disk tier of {!Store} entries under
     [<root>/traces/v1/<digest>] (magic [hfuse-traces]), corrupt ones
     quarantined and re-recorded.  A
-    single-flight table dedups concurrent recordings of one key. *)
+    single-flight table dedups concurrent recordings of one key.
+
+    The LRU is the process's one memory tier: it also holds replay
+    reports and candidate times ({!kind}).  Every insertion, disk hits
+    included, evicts least-recently used entries until the tier fits
+    the caller's [limit_bytes]; the newest entry always stays. *)
 
 (** Entry-format/version tag baked into paths and keys. *)
 val version : string
@@ -46,10 +50,11 @@ val disabled : unit -> t
 val dir : t -> string
 
 (** Memory-then-disk lookup.  A disk hit is decoded, verified, and
-    promoted into the memory tier; a checksum- or decode-failing entry
-    is quarantined to [<root>/traces/quarantine/<digest>] and treated
-    as a miss. *)
-val find : t -> key:key -> Gpusim.Trace.block array option
+    promoted into the memory tier (evicting past [limit_bytes] if
+    given); a checksum- or decode-failing entry is quarantined to
+    [<root>/traces/quarantine/<digest>] and treated as a miss. *)
+val find :
+  ?limit_bytes:int -> t -> key:key -> Gpusim.Trace.block array option
 
 (** Insert a fresh recording: memory tier (evicting past [limit_bytes]
     if given), then disk.  Counts one [recorded]. *)
@@ -68,21 +73,35 @@ val get_or_record :
   (unit -> Gpusim.Trace.block array) ->
   Gpusim.Trace.block array
 
-(** Drop every memory-tier entry (disk entries survive) — the trace
-    half of [Runner.clear_cache]. *)
+(** What the memory tier holds; a kind mismatch on a key is a miss. *)
+type _ kind =
+  | Traces : Gpusim.Trace.block array kind
+  | Report : (Gpusim.Timing.report * Gpusim.Timing.engine_stats) kind
+  | Time : float kind
+
+(** Memory-tier lookup and insertion of one kind (evicting past
+    [limit_bytes] if given); neither counts in the {!tally}. *)
+val find_memo : 'v kind -> key:string -> 'v option
+
+val add_memo : ?limit_bytes:int -> 'v kind -> key:string -> 'v -> unit
+
+(** Drop every memory-tier entry (disk entries survive). *)
 val clear_memory : unit -> unit
 
 (** Test hook: force the memory bound to [Some bytes] regardless of
     the per-call [limit_bytes] ([None] restores normal behaviour). *)
 val set_mem_limit_override : int option -> unit
 
-(** Memory-tier occupancy, for daemon telemetry and tests. *)
+(** Memory-tier occupancy over all kinds.  An entry costs its key plus
+    its value: {!Gpusim.Trace.blocks_bytes}, a report's reachable heap
+    words, 8 bytes for a time. *)
 val mem_entries : unit -> int
 
 val mem_bytes : unit -> int
 
 (** Process-wide cumulative counters (all handles share them, like the
-    pool and fault tallies); [recorded] doubles as the miss count. *)
+    pool and fault tallies), over trace entries only; [recorded]
+    doubles as the miss count. *)
 type tally = {
   mem_hits : int;
   disk_hits : int;

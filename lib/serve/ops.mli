@@ -81,12 +81,6 @@ val json_of_pool_tally : Hfuse_parallel.Pool.tally -> Json.t
 
 val json_of_fault_tally : Hfuse_fault.Fault.tally -> Json.t
 
-val fuse : fuse_params -> outcome
-val check : check_params -> outcome
-
-(** Simulates (and optionally validates) one kernel under [settings]. *)
-val simulate : settings:Hfuse_profiler.Settings.t -> simulate_params -> outcome
-
 (** Runs the Fig. 6 search under [settings] — the size probe included —
     with a fresh per-request stats record and a cache handle derived
     from [settings]; [telemetry] carries the search/cache counters plus

@@ -42,10 +42,10 @@ type t = {
   stop : bool Atomic.t;
   m : Mutex.t;  (* guards everything below *)
   verbs : (string, int) Hashtbl.t;
-  search_tally : (string, int) Hashtbl.t;
-      (* cumulative sums of the flat integer leaves of every search
-         request's "search" telemetry — the daemon-lifetime per-kind
-         rejection histogram and repair counters the stats verb reports *)
+  mutable sums : Report.telemetry_sums;
+      (* cumulative sums of every request's telemetry; its "search"
+         section is the daemon-lifetime per-kind rejection histogram
+         and repair counters the stats verb reports *)
   mutable total : int;
   mutable errors : int;
   mutable overloaded : int;
@@ -53,9 +53,7 @@ type t = {
   mutable accept_thread : Thread.t option;
 }
 
-let locked t f =
-  Mutex.lock t.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
+let locked t f = Mutex.protect t.m f
 
 let note_verb t verb =
   locked t (fun () ->
@@ -70,17 +68,7 @@ let note_overloaded t =
 
 let record t ~id ~verb (o : Ops.outcome) =
   locked t (fun () ->
-      (match Json.member "search" o.Ops.telemetry with
-      | Some (Json.Obj fields) ->
-          List.iter
-            (fun (k, v) ->
-              match v with
-              | Json.Int n ->
-                  Hashtbl.replace t.search_tally k
-                    (n + Option.value ~default:0 (Hashtbl.find_opt t.search_tally k))
-              | _ -> ())
-            fields
-      | _ -> ());
+      t.sums <- Report.add_telemetry t.sums o.Ops.telemetry;
       let r =
         { r_id = id; r_verb = verb; r_exit = o.Ops.exit_code;
           r_telemetry = o.Ops.telemetry }
@@ -103,7 +91,7 @@ let stats_outcome t : Ops.outcome =
             (fun v -> (v, Option.value ~default:0 (Hashtbl.find_opt t.verbs v)))
             [ "fuse"; "check"; "simulate"; "search"; "stats"; "ping" ],
           t.recent,
-          Hashtbl.fold (fun k n acc -> (k, n) :: acc) t.search_tally []
+          Option.value (List.assoc_opt "search" t.sums) ~default:[]
           |> List.sort compare ))
   in
   let pending = Pool.pending_submits t.pool in
@@ -329,7 +317,7 @@ let create (config : config) : t =
     stop = Atomic.make false;
     m = Mutex.create ();
     verbs = Hashtbl.create 8;
-    search_tally = Hashtbl.create 32;
+    sums = [];
     total = 0;
     errors = 0;
     overloaded = 0;

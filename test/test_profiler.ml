@@ -958,6 +958,87 @@ let test_trace_store_lru_eviction () =
         (Trace.encode_blocks blocks)
         (Trace.encode_blocks got)
 
+(* One table holds every kind: a kind mismatch on a key is a miss,
+   inserting another kind under a key replaces the entry, and under a
+   bound the least recently used entry goes first, whatever its kind. *)
+let test_memory_tier_kinds () =
+  let open Trace_store in
+  clear_memory ();
+  Fun.protect ~finally:(fun () ->
+      set_mem_limit_override None;
+      clear_memory ())
+  @@ fun () ->
+  add_memo Time ~key:"k" 1.5;
+  Alcotest.(check bool) "a report lookup misses a time" true
+    (find_memo Report ~key:"k" = None);
+  Alcotest.(check bool) "a trace lookup misses a time" true
+    (find_memo Traces ~key:"k" = None);
+  Alcotest.(check (option (float 0.))) "the time answers" (Some 1.5)
+    (find_memo Time ~key:"k");
+  Alcotest.(check int) "a time costs its key plus 8 bytes" 9 (mem_bytes ());
+  let blocks = mk_blocks () in
+  add_memo Traces ~key:"k" blocks;
+  Alcotest.(check int) "another kind replaces the entry" 1 (mem_entries ());
+  Alcotest.(check bool) "the replaced time is gone" true
+    (find_memo Time ~key:"k" = None);
+  Alcotest.(check int) "a trace costs its key plus its blocks"
+    (1 + Trace.blocks_bytes blocks)
+    (mem_bytes ());
+  clear_memory ();
+  (* three 10-byte entries under a 25-byte bound: touching "aa" leaves
+     "bb" the least recently used *)
+  set_mem_limit_override (Some 25);
+  let before = tally () in
+  add_memo Time ~key:"aa" 1.;
+  add_memo Time ~key:"bb" 2.;
+  ignore (find_memo Time ~key:"aa");
+  add_memo Time ~key:"cc" 3.;
+  Alcotest.(check int) "bound holds" 20 (mem_bytes ());
+  Alcotest.(check bool) "least recently used evicted" true
+    (find_memo Time ~key:"bb" = None);
+  Alcotest.(check bool) "touched and newest kept" true
+    (find_memo Time ~key:"aa" <> None && find_memo Time ~key:"cc" <> None);
+  Alcotest.(check int) "the tally counts trace evictions only" 0
+    (diff ~before ~after:(tally ())).evictions
+
+(* A warm search answers its candidate traces from disk through the
+   batch lookup.  Each such disk hit is an insertion and evicts to the
+   settings' bound, as a fresh recording does — a real [trace_mem_mb]
+   bound here, not the test hook. *)
+let test_disk_hits_respect_bound () =
+  let root = tmp_cache_dir "traces_bound" in
+  clear_trace_root root;
+  let search ~trace_mem_mb =
+    Runner.clear_cache ();
+    let settings =
+      Settings.resolve ~trace_mem_mb ~cache_dir:(Some root) ~fault:None ()
+    in
+    let mem = Memory.create () in
+    let c1 = Runner.configure mem (Registry.find_exn "Maxpool") ~size:128 in
+    let c2 = Runner.configure mem (Registry.find_exn "Upsample") ~size:128 in
+    ( Runner.search ~settings ~cache:(Profile_cache.disabled ()) arch c1 c2,
+      Option.value (Settings.trace_limit_bytes settings) ~default:max_int )
+  in
+  let cold, _ = search ~trace_mem_mb:0 in
+  let unbounded = Trace_store.mem_bytes () in
+  let before = Trace_store.tally () in
+  let warm, bound = search ~trace_mem_mb:1 in
+  let d = Trace_store.diff ~before ~after:(Trace_store.tally ()) in
+  Alcotest.(check bool)
+    (Printf.sprintf "the unbounded tier outgrows the bound (%d bytes)"
+       unbounded)
+    true (unbounded > bound);
+  Alcotest.(check int) "warm run records nothing" 0 d.Trace_store.recorded;
+  Alcotest.(check bool) "warm run hits disk" true (d.Trace_store.disk_hits > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "tier within the bound (%d bytes)"
+       (Trace_store.mem_bytes ()))
+    true
+    (Trace_store.mem_bytes () <= bound);
+  Alcotest.(check bool) "bounded warm results identical" true
+    (sig_of warm = sig_of cold);
+  Runner.clear_cache ()
+
 (* -- Runner.search over the trace store ---------------------------------- *)
 
 let search_traced ~fault ~jobs ~dir =
@@ -1110,6 +1191,10 @@ let suite =
       test_trace_store_single_flight;
     Alcotest.test_case "trace store LRU eviction and refetch" `Quick
       test_trace_store_lru_eviction;
+    Alcotest.test_case "memory tier kinds and recency" `Quick
+      test_memory_tier_kinds;
+    Alcotest.test_case "disk hits evict to the settings' bound" `Quick
+      test_disk_hits_respect_bound;
     Alcotest.test_case "warm trace store reproduces cold search" `Quick
       test_search_trace_store_warm_identity;
     Alcotest.test_case "chaos-torn trace store heals" `Quick

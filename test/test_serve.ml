@@ -626,6 +626,93 @@ let test_search_resume_answers_native () =
     (Checkpoint.loaded ck);
   Checkpoint.close ck
 
+(* Distinct searches, each small enough to run in a fraction of a
+   second. *)
+let tier_searches =
+  List.map
+    (fun (k1, k2, n) ->
+      {
+        search_params with
+        s_k1 = Registry.find_exn k1;
+        s_k2 = Registry.find_exn k2;
+        s_size1 = Some n;
+        s_size2 = Some n;
+        s_emit = false;
+      })
+    [ ("Maxpool", "Upsample", 1); ("Batchnorm", "Hist", 1);
+      ("Maxpool", "Upsample", 32) ]
+
+(* The one memory tier under a forced small bound: across a run of
+   distinct searches it fits the bound after every request (or holds
+   just its newest entry), and every answer is byte-identical to an
+   unbounded run's. *)
+let test_bounded_tier_identity () =
+  let settings = settings_at None in
+  let run p =
+    let o = Ops.search ~settings p in
+    Alcotest.(check int) "search exit code" 0 o.exit_code;
+    o.output
+  in
+  let unbounded =
+    List.map
+      (fun p ->
+        Runner.clear_cache ();
+        run p)
+      tier_searches
+  in
+  let bound = 200_000 in
+  Runner.clear_cache ();
+  Fun.protect ~finally:(fun () ->
+      Trace_store.set_mem_limit_override None;
+      Runner.clear_cache ())
+  @@ fun () ->
+  Trace_store.set_mem_limit_override (Some bound);
+  let before = Trace_store.tally () in
+  List.iter2
+    (fun p expected ->
+      Alcotest.(check string) "bounded output bytes" expected (run p);
+      let bytes = Trace_store.mem_bytes () in
+      Alcotest.(check bool)
+        (Printf.sprintf "tier within the bound (%d bytes)" bytes)
+        true
+        (bytes <= bound || Trace_store.mem_entries () = 1))
+    tier_searches unbounded;
+  Alcotest.(check bool) "the bound evicted traces" true
+    (Trace_store.(diff ~before ~after:(tally ())).evictions > 0)
+
+(* With the cache off and no bound, the memory tier alone answers a
+   repeated search: no candidate profiled (its times are in the tier),
+   no trace recorded, no entry added, the native report found there.
+   Clearing it drops traces, reports and times alike. *)
+let test_memos_live_in_tier () =
+  let settings = settings_at None in
+  let first = oneshot settings in
+  let held = Trace_store.mem_entries () in
+  let native_report () =
+    Trace_store.(find_memo Report) ~key:(native_key settings) <> None
+  in
+  Alcotest.(check bool) "the native report is in the tier" true
+    (native_report ());
+  let again = Ops.search ~settings search_params in
+  Alcotest.(check string) "repeat output bytes" first.output again.output;
+  Alcotest.(check int) "repeat profiles nothing" 0
+    (telemetry_count again "search" "profiled");
+  Alcotest.(check int) "repeat traces nothing" 0
+    (telemetry_count again "search" "traced");
+  Alcotest.(check int) "repeat adds no entry" held
+    (Trace_store.mem_entries ());
+  Runner.clear_cache ();
+  Alcotest.(check int) "clear_cache empties the tier" 0
+    (Trace_store.mem_entries ());
+  Alcotest.(check int) "and every byte" 0 (Trace_store.mem_bytes ());
+  Alcotest.(check bool) "the native report is gone" false (native_report ());
+  let third = Ops.search ~settings search_params in
+  Alcotest.(check bool) "times and traces are gone too" true
+    (telemetry_count third "search" "profiled"
+     = telemetry_count first "search" "profiled"
+    && telemetry_count third "search" "traced"
+       = telemetry_count first "search" "traced")
+
 (* A pair the verifier rejects raises before anything is replayed: no
    native baseline, no solo trace recorded, nothing stored. *)
 let test_rejected_search_records_nothing () =
@@ -832,6 +919,10 @@ let suite =
       test_default_size_trace_blocks;
     Alcotest.test_case "no-cache search ignores HFUSE_CACHE_DIR" `Slow
       test_default_size_no_cache;
+    Alcotest.test_case "bounded memory tier answers byte-identically" `Quick
+      test_bounded_tier_identity;
+    Alcotest.test_case "memos live in the memory tier" `Quick
+      test_memos_live_in_tier;
     Alcotest.test_case "rejected search records nothing" `Quick
       test_rejected_search_records_nothing;
     Alcotest.test_case "golden search bytes" `Quick test_golden_search_bytes;
