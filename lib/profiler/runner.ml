@@ -22,13 +22,14 @@
    The Fig. 6 search runs as a two-phase engine.  Phase 1 is serial
    enumeration/verification ([Search.search]); the batch evaluator
    then resolves candidate times from the journal/cache/memo tiers,
-   records the missing traces concurrently (deduped per distinct
-   trace key — N register-bound variants of one partition share one
-   recording), and fans the pure [Timing.run] replays out over an
-   OCaml 5 domain pool ([Hfuse_parallel.Pool]) with a persistent
-   on-disk cache ({!Profile_cache}) keyed by content.  Results are
-   bit-identical to the serial path for any worker count and any
-   cache temperature. *)
+   fetches the missing traces concurrently through the trace store's
+   single-flight [get_or_record] like every other trace (deduped per
+   distinct trace key — N register-bound variants of one partition
+   share one recording), and fans the pure [Timing.run] replays out
+   over one OCaml 5 domain pool per search ([Hfuse_parallel.Pool])
+   with a persistent on-disk cache ({!Profile_cache}) keyed by
+   content.  Results are bit-identical to the serial path for any
+   worker count and any cache temperature. *)
 
 open Gpusim
 open Kernel_corpus
@@ -754,6 +755,14 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
      default keeps accumulating into the process-wide counters *)
   let stats = match stats with Some st -> st | None -> !global_stats in
   let cache = match cache with Some c -> c | None -> Settings.cache s in
+  (* one pool per search: the caller's, else one scoped to the search
+     below, shared by the probe batch and phase 2, recordings and
+     replays alike *)
+  let with_search_pool f =
+    match pool with
+    | Some p -> f p
+    | None -> Hfuse_parallel.Pool.with_pool jobs f
+  in
   (* a candidate whose profile fails (fuel exhaustion, deadlock, a
      crashed worker past its retry budget) is excluded by giving it an
      infinite time: the Fig. 6 fold keeps the first strictly-fastest
@@ -780,14 +789,16 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
         Hashtbl.add sources cfg.partition src;
         src
   in
-  (* phase 2 evaluator: disk-cache probes run serially on this domain
-     (the cache file I/O and its counters are single-domain), missing
-     traces are recorded concurrently in fresh memories (deduped per
-     distinct trace key), then the pure Timing.run replays fan out
-     over the pool.  Candidate order is preserved end-to-end, so
-     results are bit-identical to the serial path for any [jobs] and
-     any cache/store temperature. *)
-  let profile (batch : (Hfuse_core.Hfuse.t * Hfuse_core.Search.config) list) :
+  (* phase 2 evaluator: time-tier probes run serially on this domain
+     (the cache file I/O and its counters are single-domain), the
+     misses' traces come through {!traced} on the pool (one call per
+     distinct trace key, recorded in a fresh memory on a store miss),
+     then the pure Timing.run replays fan out over the same pool.
+     Candidate order is preserved end-to-end, so results are
+     bit-identical to the serial path for any [jobs] and any
+     cache/store temperature. *)
+  let profile pool
+      (batch : (Hfuse_core.Hfuse.t * Hfuse_core.Search.config) list) :
       float list =
     let t0 = Unix.gettimeofday () in
     let batch = Array.of_list batch in
@@ -802,16 +813,15 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
     let tiers = time_tiers ~s ~cache ~checkpoint in
     let cached = Array.map (resolve tiers) keys in
     let times = Array.map (Option.value ~default:nan) cached in
-    (* trace acquisition for the misses: one fresh-memory recording
-       per *distinct* trace key, fanned over the worker pool.
-       Candidates sharing a key — the same partition under different
-       register bounds — are merged onto one recording (the search's
-       deterministic single-flight).  Keys are collected in candidate
-       order and recordings are pure, so results are bit-identical
-       for any [jobs] and any store temperature. *)
+    (* trace acquisition for the misses: one [traced] call per
+       *distinct* trace key, fanned over the pool.  Candidates sharing a
+       key — the same partition under different register bounds — are
+       merged onto one call (the search's deterministic dedup); the
+       store's single-flight shares each key with concurrent requests.
+       Keys are collected in candidate order and recordings are pure,
+       so results are bit-identical for any [jobs] and any store
+       temperature. *)
     let t_trace = Unix.gettimeofday () in
-    let store = Settings.trace_store s in
-    let limit_bytes = Settings.trace_limit_bytes s in
     let tb = s.Settings.trace_blocks in
     let key_slot : (trace_key, int) Hashtbl.t = Hashtbl.create 16 in
     let uniq_rev = ref [] and n_uniq = ref 0 and miss_candidates = ref 0 in
@@ -828,60 +838,33 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
               uniq_rev := i :: !uniq_rev
             end)
       batch;
-    let uniq_idx = Array.of_list (List.rev !uniq_rev) in
-    let uniq = Array.map (fun i -> fst batch.(i)) uniq_idx in
-    let skeys =
-      Array.map
+    (* each key's traces, and whether this task recorded them (its
+       record thunk ran) or the store answered *)
+    let acquired =
+      Hfuse_parallel.Pool.map_isolated ?fault:s.Settings.fault pool
         (fun i ->
-          store_key ~s ~arch:arch.Arch.name ~source:srcs.(i)
-            (hfuse_key ~tb c1 c2 (fst batch.(i))))
-        uniq_idx
-    in
-    (* store lookups stay on the coordinating domain (disk I/O and the
-       shared memory tier's counters) *)
-    let have =
-      Array.map (fun k -> Trace_store.find ?limit_bytes store ~key:k) skeys
-    in
-    let to_record =
-      List.init (Array.length uniq) Fun.id
-      |> List.filter (fun j -> Option.is_none have.(j))
-      |> Array.of_list
-    in
-    let recorded =
-      let go p =
-        Hfuse_parallel.Pool.map_isolated ?fault:s.Settings.fault p
-          (fun j -> record ~s [ c1; c2 ] (Hfuse_core.Hfuse.info uniq.(j)))
-          to_record
-      in
-      if Array.length to_record = 0 then [||]
-      else
-        match pool with
-        | Some p -> go p
-        | None -> Hfuse_parallel.Pool.with_pool jobs go
+          let f = fst batch.(i) in
+          let fresh = ref false in
+          let traces =
+            traced ~s ~arch:arch.Arch.name ~source:srcs.(i)
+              (hfuse_key ~tb c1 c2 f) (fun () ->
+                fresh := true;
+                record ~s [ c1; c2 ] (Hfuse_core.Hfuse.info f))
+          in
+          (traces, !fresh))
+        (Array.of_list (List.rev !uniq_rev))
     in
     (* an exception that is not a per-candidate profile failure
-       (Out_of_memory, programming errors) still aborts the search,
-       exactly as it did when recording ran inline *)
+       (Out_of_memory, programming errors) aborts the search *)
     Array.iter
       (function
+        | Ok (_, true) -> stats.traced <- stats.traced + 1
+        | Ok (_, false) -> stats.trace_hits <- stats.trace_hits + 1
         | Error (fl : Hfuse_parallel.Pool.failure)
           when not (is_profile_failure fl.f_exn) ->
             Printexc.raise_with_backtrace fl.f_exn fl.f_backtrace
-        | _ -> ())
-      recorded;
-    let rec_failed : (int, exn) Hashtbl.t = Hashtbl.create 4 in
-    let fresh_traces = ref 0 in
-    (* stores run on the coordinating domain, in key order *)
-    Array.iteri
-      (fun jj j ->
-        match recorded.(jj) with
-        | Ok traces ->
-            incr fresh_traces;
-            Trace_store.add store ?limit_bytes ~key:skeys.(j) traces;
-            have.(j) <- Some traces
-        | Error (fl : Hfuse_parallel.Pool.failure) ->
-            Hashtbl.add rec_failed j fl.f_exn)
-      to_record;
+        | Error _ -> ())
+      acquired;
     let miss_specs =
       Array.mapi
         (fun i (f, (cfg : Hfuse_core.Search.config)) ->
@@ -889,17 +872,14 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
           | Some _ -> None
           | None -> (
               let j = Hashtbl.find key_slot (hfuse_key ~tb c1 c2 f) in
-              match have.(j) with
-              | Some traces ->
+              match acquired.(j) with
+              | Ok (traces, _) ->
                   Some (hfuse_spec f ~reg_bound:cfg.reg_bound ~traces)
-              | None ->
-                  times.(i) <- candidate_failed f (Hashtbl.find rec_failed j);
+              | Error (fl : Hfuse_parallel.Pool.failure) ->
+                  times.(i) <- candidate_failed f fl.f_exn;
                   None))
         batch
     in
-    stats.traced <- stats.traced + !fresh_traces;
-    stats.trace_hits <-
-      stats.trace_hits + (Array.length uniq - Array.length to_record);
     let merged = !miss_candidates - !n_uniq in
     stats.trace_merged <- stats.trace_merged + merged;
     Trace_store.note_merged merged;
@@ -913,15 +893,10 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
     in
     (* per-task isolation: a worker exception (or a crashed injected
        task past its retry budget) fails one candidate, not the batch *)
-    let time_misses p =
-      Hfuse_parallel.Pool.map_isolated ?fault:s.Settings.fault p
+    let miss_times =
+      Hfuse_parallel.Pool.map_isolated ?fault:s.Settings.fault pool
         (fun (_, spec) -> (Timing.run arch [ spec ]).Timing.time_ms)
         miss_idx
-    in
-    let miss_times =
-      match pool with
-      | Some p -> time_misses p
-      | None -> Hfuse_parallel.Pool.with_pool jobs time_misses
     in
     let completed = ref 0 in
     Array.iteri
@@ -952,7 +927,7 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
      exhaustive run uses them to report model quality — rank agreement
      and regret — against the full simulated sweep).  Only an explicit
      [top_k] makes the scores prune. *)
-  let rank candidates =
+  let rank pool candidates =
     let inputs =
       Hfuse_costmodel.of_pair
         ~limits:(Arch.sm_limits arch)
@@ -1036,7 +1011,7 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
                    @ if ghi == glo then [] else [ ghi ])
           in
           let probes = (lo :: Option.to_list mid) @ (hi :: capped) in
-          let timed = List.combine probes (profile probes) in
+          let timed = List.combine probes (profile pool probes) in
           let time_of c = List.assq c timed in
           Hfuse_costmodel.calibrate_probes inputs
             ~lo:(lo, time_of lo)
@@ -1078,10 +1053,11 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
               end)
   in
   let result =
+    with_search_pool @@ fun pool ->
     Hfuse_core.Search.search
       ~limits:(Arch.sm_limits arch)
-      ~profile ~rank ?top_k ?repair:repair_cb ~on_reject
-      ~d0:(d0_for c1 c2) c1.info c2.info
+      ~profile:(profile pool) ~rank:(rank pool) ?top_k ?repair:repair_cb
+      ~on_reject ~d0:(d0_for c1 c2) c1.info c2.info
   in
   stats.ranked <-
     stats.ranked

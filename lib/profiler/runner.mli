@@ -15,10 +15,12 @@
     coalescing analysis results, invariant under buffer renaming).
 
     {!search} is a two-phase engine: candidates are enumerated and
-    verified serially, missing traces are recorded concurrently
-    (deduped per distinct trace key), and the pure [Timing.run]
-    replays fan out over an OCaml 5 domain pool ([~jobs]) with a
-    persistent on-disk profiling cache ({!Profile_cache}, [~cache]).
+    verified serially, missing traces are fetched concurrently through
+    {!Trace_store.get_or_record} (deduped per distinct trace key, and
+    single-flighted across concurrent requests), and the pure
+    [Timing.run] replays fan out over an OCaml 5 domain pool
+    ([~jobs]) with a persistent on-disk profiling cache
+    ({!Profile_cache}, [~cache]).
     Results are bit-identical to the serial path for any worker count
     and any cache/store temperature. *)
 
@@ -216,10 +218,11 @@ val run_many :
 
 (** The Fig. 6 search with the simulator as the profiling oracle.
 
-    @param jobs  domain-pool width for the phase-2 timing fan-out
-                 (default 1: everything on the calling domain).
+    @param jobs  domain-pool width for trace acquisition and the
+                 timing fan-out (default 1: everything on the calling
+                 domain); one pool serves the whole search.
     @param pool  reuse a live pool instead of spawning [jobs] workers
-                 per profiling batch (takes precedence over [jobs]).
+                 (takes precedence over [jobs]).
     @param settings the run's configuration ({!Settings.t}: traced
                  blocks, simulator fuel, trace-memory bound, cache
                  root, chaos plan).

@@ -34,7 +34,9 @@
      shared directories self-invalidate across archs and kernel-source
      changes even though trace keys only carry kernel *names*.
 
-   A single-flight table dedups concurrent recordings of one key:
+   [get_or_record] is the one way in: every trace the process looks up
+   or records, solo, vertically or horizontally fused, goes through it.
+   Its single-flight table dedups concurrent recordings of one key:
    the first caller records while the rest wait and share the result
    (counted in [merges]).  Disk I/O happens outside the lock. *)
 
@@ -308,23 +310,6 @@ let store_disk (t : t) (k : string) (blocks : Trace.block array) : unit =
 (* Lookup / insert                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let find ?limit_bytes (t : t) ~(key : key) : Trace.block array option =
-  match Mutex.protect mem_mutex (fun () -> lookup_trace key.mem) with
-  | Some _ as hit -> hit
-  | None -> (
-      match find_disk t key.disk with
-      | None -> None
-      | Some blocks ->
-          (* a disk hit is an insertion like any other: it evicts to the
-             caller's bound *)
-          add_memo ?limit_bytes Traces ~key:key.mem blocks;
-          Some blocks)
-
-let add (t : t) ?limit_bytes ~(key : key) (blocks : Trace.block array) : unit =
-  ignore (Atomic.fetch_and_add c_recorded 1);
-  add_memo ?limit_bytes Traces ~key:key.mem blocks;
-  store_disk t key.disk blocks
-
 let get_or_record (t : t) ?limit_bytes ~(key : key)
     (record : unit -> Trace.block array) : Trace.block array =
   (* phase 1: memory tier + single-flight arbitration under the lock *)
@@ -365,5 +350,7 @@ let get_or_record (t : t) ?limit_bytes ~(key : key)
               blocks
           | None ->
               let blocks = record () in
-              add t ?limit_bytes ~key blocks;
+              ignore (Atomic.fetch_and_add c_recorded 1);
+              add_memo ?limit_bytes Traces ~key:key.mem blocks;
+              store_disk t key.disk blocks;
               blocks)

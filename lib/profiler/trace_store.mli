@@ -9,8 +9,9 @@
     Two tiers: a process-wide in-memory LRU shared by every handle, and
     a per-handle on-disk tier of {!Store} entries under
     [<root>/traces/v1/<digest>] (magic [hfuse-traces]), corrupt ones
-    quarantined and re-recorded.  A
-    single-flight table dedups concurrent recordings of one key.
+    quarantined and re-recorded.  {!get_or_record} is the only way to
+    look up or record a trace; its single-flight table dedups
+    concurrent recordings of one key.
 
     The LRU is the process's one memory tier: it also holds replay
     reports and candidate times ({!kind}).  Every insertion, disk hits
@@ -49,23 +50,21 @@ val disabled : unit -> t
 (** Versioned entry directory (empty for a disabled store). *)
 val dir : t -> string
 
-(** Memory-then-disk lookup.  A disk hit is decoded, verified, and
-    promoted into the memory tier (evicting past [limit_bytes] if
-    given); a checksum- or decode-failing entry is quarantined to
-    [<root>/traces/quarantine/<digest>] and treated as a miss. *)
-val find :
-  ?limit_bytes:int -> t -> key:key -> Gpusim.Trace.block array option
+(** The traces under [key]: from the memory tier, else from disk (a
+    disk hit is decoded, verified and promoted into the memory tier; a
+    checksum- or decode-failing entry is quarantined to
+    [<root>/traces/quarantine/<digest>] and treated as a miss), else
+    recorded by calling [record] and inserted into memory, then disk
+    (counting one [recorded]).  Every insertion evicts past
+    [limit_bytes] if given.
 
-(** Insert a fresh recording: memory tier (evicting past [limit_bytes]
-    if given), then disk.  Counts one [recorded]. *)
-val add :
-  t -> ?limit_bytes:int -> key:key -> Gpusim.Trace.block array -> unit
-
-(** [find] then [record]-and-[add] under single-flight arbitration:
-    when several callers want one absent key, the first records while
-    the rest block and share the result (each counted in [merges]).
-    If the recorder raises, the claim is released and a waiter retries.
-    Disk I/O and recording happen outside the store lock. *)
+    Every trace recording in the process goes through here, so one
+    single-flight arbitration covers them all: when several callers
+    (tasks of one search, or concurrent requests) want one absent key,
+    the first records while the rest block and share the result (each
+    counted in [merges]).  If the recorder raises, the claim is
+    released and a waiter retries.  Disk I/O and recording happen
+    outside the store lock. *)
 val get_or_record :
   t ->
   ?limit_bytes:int ->
@@ -118,8 +117,10 @@ val reset_tally : unit -> unit
 (** Per-request delta between two snapshots. *)
 val diff : before:tally -> after:tally -> tally
 
-(** Credit [n] recordings saved by batch-level key dedup (the search's
-    deterministic counterpart of the single-flight table). *)
+(** Credit [n] recordings saved by a search's batch-level key dedup:
+    candidates sharing a trace key make one {!get_or_record} call, so
+    these never reach the single-flight table; crediting them keeps a
+    lone search's [merges] deterministic. *)
 val note_merged : int -> unit
 
 val pp_tally : tally Fmt.t

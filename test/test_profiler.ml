@@ -839,30 +839,40 @@ let sf_key tag =
   Trace_store.keys ~arch:"1080Ti" ~sim_fuel:1000 ~trace_blocks:1
     ~ident:[ "test"; tag ]
 
+(* [get_or_record] thunks: one that fails the test if it runs (the
+   store must answer), and one that counts its runs (the store must
+   record) *)
+let must_hit what () = Alcotest.fail what
+
+let counting runs blocks () =
+  incr runs;
+  blocks
+
 let test_trace_store_roundtrip () =
   let root = tmp_cache_dir "traces_rt" in
   clear_trace_root root;
   Trace_store.clear_memory ();
   let store = Trace_store.create ~dir:root () in
   let key = sf_key "rt" in
-  Alcotest.(check bool) "cold miss" true (Trace_store.find store ~key = None);
   let blocks = mk_blocks () in
+  let runs = ref 0 in
   let before = Trace_store.tally () in
-  Trace_store.add store ~key blocks;
+  ignore (Trace_store.get_or_record store ~key (counting runs blocks));
+  Alcotest.(check int) "cold miss records" 1 !runs;
   (* a second handle over a cold memory tier — as a fresh process would
      be — answers from disk, byte-identically *)
   Trace_store.clear_memory ();
   let store' = Trace_store.create ~dir:root () in
-  (match Trace_store.find store' ~key with
-  | None -> Alcotest.fail "warm disk lookup missed"
-  | Some got ->
-      Alcotest.(check string) "disk round trip byte-identical"
-        (Trace.encode_blocks blocks)
-        (Trace.encode_blocks got));
+  let got =
+    Trace_store.get_or_record store' ~key (must_hit "warm disk lookup missed")
+  in
+  Alcotest.(check string) "disk round trip byte-identical"
+    (Trace.encode_blocks blocks)
+    (Trace.encode_blocks got);
   (* ...and the disk hit was promoted into the memory tier *)
-  (match Trace_store.find store' ~key with
-  | Some _ -> ()
-  | None -> Alcotest.fail "promotion into the memory tier failed");
+  ignore
+    (Trace_store.get_or_record store' ~key
+       (must_hit "promotion into the memory tier failed"));
   let d = Trace_store.diff ~before ~after:(Trace_store.tally ()) in
   Alcotest.(check int) "one recording" 1 d.Trace_store.recorded;
   Alcotest.(check int) "one disk store" 1 d.Trace_store.stores;
@@ -876,30 +886,34 @@ let test_trace_store_quarantine () =
   let store = Trace_store.create ~dir:root () in
   let key = sf_key "quarantine" in
   let blocks = mk_blocks () in
-  Trace_store.add store ~key blocks;
+  ignore (Trace_store.get_or_record store ~key (fun () -> blocks));
   let path = Filename.concat (Trace_store.dir store) key.Trace_store.disk in
   corrupt_on_disk path;
   Trace_store.clear_memory ();
   let before = Trace_store.tally () in
-  Alcotest.(check bool) "corrupt entry is a miss" true
-    (Trace_store.find store ~key = None);
+  (* the corrupt entry is a miss: it is moved aside before the
+     re-recording runs, and re-recording heals the store *)
+  let runs = ref 0 and moved_aside = ref false in
+  ignore
+    (Trace_store.get_or_record store ~key (fun () ->
+         moved_aside := not (Sys.file_exists path);
+         counting runs blocks ()));
+  Alcotest.(check int) "corrupt entry is a miss" 1 !runs;
   let d = Trace_store.diff ~before ~after:(Trace_store.tally ()) in
   Alcotest.(check int) "one quarantined" 1 d.Trace_store.corrupt;
-  Alcotest.(check bool) "entry moved aside" false (Sys.file_exists path);
+  Alcotest.(check bool) "entry moved aside" true !moved_aside;
   Alcotest.(check bool) "entry kept for post-mortem" true
     (Sys.file_exists
        (Filename.concat
           (Filename.concat (Filename.concat root "traces") "quarantine")
           key.Trace_store.disk));
-  (* re-recording heals the store *)
-  Trace_store.add store ~key blocks;
   Trace_store.clear_memory ();
-  match Trace_store.find store ~key with
-  | None -> Alcotest.fail "healed entry missed"
-  | Some got ->
-      Alcotest.(check string) "healed entry byte-identical"
-        (Trace.encode_blocks blocks)
-        (Trace.encode_blocks got)
+  let got =
+    Trace_store.get_or_record store ~key (must_hit "healed entry missed")
+  in
+  Alcotest.(check string) "healed entry byte-identical"
+    (Trace.encode_blocks blocks)
+    (Trace.encode_blocks got)
 
 let test_trace_store_single_flight () =
   Trace_store.clear_memory ();
@@ -946,17 +960,23 @@ let test_trace_store_lru_eviction () =
      it is about to replay) *)
   Trace_store.set_mem_limit_override (Some 1);
   let before = Trace_store.tally () in
-  List.iter (fun key -> Trace_store.add store ~key blocks) keys;
+  let runs = ref 0 in
+  List.iter
+    (fun key ->
+      ignore (Trace_store.get_or_record store ~key (counting runs blocks)))
+    keys;
+  Alcotest.(check int) "every key recorded" 3 !runs;
   Alcotest.(check int) "bound holds at one entry" 1 (Trace_store.mem_entries ());
   let d = Trace_store.diff ~before ~after:(Trace_store.tally ()) in
   Alcotest.(check int) "two evictions" 2 d.Trace_store.evictions;
   (* an evicted key re-fetches from disk, byte-identically *)
-  match Trace_store.find store ~key:(List.hd keys) with
-  | None -> Alcotest.fail "evicted entry lost (disk refetch missed)"
-  | Some got ->
-      Alcotest.(check string) "refetched entry byte-identical"
-        (Trace.encode_blocks blocks)
-        (Trace.encode_blocks got)
+  let got =
+    Trace_store.get_or_record store ~key:(List.hd keys)
+      (must_hit "evicted entry lost (disk refetch missed)")
+  in
+  Alcotest.(check string) "refetched entry byte-identical"
+    (Trace.encode_blocks blocks)
+    (Trace.encode_blocks got)
 
 (* One table holds every kind: a kind mismatch on a key is a miss,
    inserting another kind under a key replaces the entry, and under a

@@ -713,6 +713,32 @@ let test_memos_live_in_tier () =
     && telemetry_count third "search" "traced"
        = telemetry_count first "search" "traced")
 
+(* Two identical cache-off searches at once, as two daemon requests
+   would run: every trace goes through the store's single-flight, so
+   together they record what a lone search records, and both answer
+   byte-identically to it. *)
+let test_concurrent_searches_share_traces () =
+  let settings = { (settings_at None) with trace_mem_mb = 0 } in
+  let p = { search_params with s_size1 = Some 8; s_size2 = Some 8 } in
+  let recorded f =
+    Runner.clear_cache ();
+    let before = Trace_store.tally () in
+    let outputs = f () in
+    (outputs, Trace_store.(diff ~before ~after:(tally ())).recorded)
+  in
+  let search () = (Ops.search ~settings p).output in
+  let lone, lone_recorded = recorded (fun () -> [| search () |]) in
+  let both, both_recorded =
+    recorded (fun () ->
+        Hfuse_parallel.Pool.with_pool 2 (fun pool ->
+            Hfuse_parallel.Pool.map pool search [| (); () |]))
+  in
+  Alcotest.(check bool) "a lone search records traces" true (lone_recorded > 0);
+  Array.iter
+    (Alcotest.(check string) "concurrent output bytes" lone.(0))
+    both;
+  Alcotest.(check int) "each trace recorded once" lone_recorded both_recorded
+
 (* A pair the verifier rejects raises before anything is replayed: no
    native baseline, no solo trace recorded, nothing stored. *)
 let test_rejected_search_records_nothing () =
@@ -923,6 +949,8 @@ let suite =
       test_bounded_tier_identity;
     Alcotest.test_case "memos live in the memory tier" `Quick
       test_memos_live_in_tier;
+    Alcotest.test_case "concurrent searches record each trace once" `Quick
+      test_concurrent_searches_share_traces;
     Alcotest.test_case "rejected search records nothing" `Quick
       test_rejected_search_records_nothing;
     Alcotest.test_case "golden search bytes" `Quick test_golden_search_bytes;

@@ -73,7 +73,8 @@ let test_cache_entry_bytes () =
 
 let test_trace_entry_bytes () =
   let store = Trace_store.create ~dir:(fresh_root "trace_bytes") () in
-  Trace_store.add store ~key:trace_key (Test_profiler.mk_blocks ());
+  ignore
+    (Trace_store.get_or_record store ~key:trace_key Test_profiler.mk_blocks);
   check_golden "trace.entry"
     (read_file
        (Filename.concat (Trace_store.dir store) trace_key.Trace_store.disk))
@@ -110,12 +111,13 @@ let test_golden_root_is_warm () =
   Alcotest.(check int) "nothing quarantined" 0 (Profile_cache.corrupt cache);
   Trace_store.clear_memory ();
   let before = Trace_store.tally () in
-  (match Trace_store.find (Trace_store.create ~dir:root ()) ~key:trace_key with
-  | Some blocks ->
-      Alcotest.(check string) "trace entry decodes"
-        (Trace.encode_blocks (Test_profiler.mk_blocks ()))
-        (Trace.encode_blocks blocks)
-  | None -> Alcotest.fail "golden trace entry missed");
+  Alcotest.(check string) "trace entry decodes"
+    (Trace.encode_blocks (Test_profiler.mk_blocks ()))
+    (Trace.encode_blocks
+       (Trace_store.get_or_record
+          (Trace_store.create ~dir:root ())
+          ~key:trace_key
+          (Test_profiler.must_hit "golden trace entry missed")));
   let d = Trace_store.diff ~before ~after:(Trace_store.tally ()) in
   Alcotest.(check int) "one trace disk hit" 1 d.Trace_store.disk_hits;
   Alcotest.(check int) "no trace stores" 0 d.Trace_store.stores;
