@@ -20,8 +20,8 @@
     sizes, trace blocks...), so a resume with different parameters
     opens a different journal and never replays stale results.
 
-    All operations stay on the coordinating domain, like the profile
-    cache. *)
+    A journal is touched by one domain at a time, like a profile-cache
+    handle. *)
 
 type t
 

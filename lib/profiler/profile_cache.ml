@@ -13,9 +13,11 @@
    Entries are {!Store} entries under [dir]/v2/<digest> (times as a
    single [%h] hex-float line; [r-<digest>] files hold whole
    measurement-replay reports — see the full-report section below).
-   Lookups and stores are only ever issued from the search's
-   coordinating domain (the timing fan-out never touches the cache),
-   so no in-process locking is needed. *)
+   A handle is touched by one domain at a time: the domain that
+   resolves through it (a search's or a sweep's coordinating domain, a
+   daemon request's worker), never the pool tasks it fans out, so its
+   counters need no locking.  Concurrent requests hold their own
+   handles. *)
 
 (* bump whenever the key derivation, the entry format, or the timing
    model's inputs change incompatibly; old entries are simply never

@@ -11,8 +11,9 @@
     [hfuse-cache]); a corrupt one is quarantined to
     [<root>/quarantine/<key>], counted in {!corrupt}, and treated as a
     miss, so the value is recomputed and re-stored — a corrupted cache
-    can slow a run down but never change its result.  Lookups and
-    stores must stay on the search's coordinating domain. *)
+    can slow a run down but never change its result.  A handle must be
+    touched by one domain at a time (the one resolving through it);
+    concurrent requests hold their own handles. *)
 
 type t
 

@@ -21,15 +21,14 @@
 
    The Fig. 6 search runs as a two-phase engine.  Phase 1 is serial
    enumeration/verification ([Search.search]); the batch evaluator
-   then resolves candidate times from the journal/cache/memo tiers,
-   fetches the missing traces concurrently through the trace store's
-   single-flight [get_or_record] like every other trace (deduped per
-   distinct trace key — N register-bound variants of one partition
-   share one recording), and fans the pure [Timing.run] replays out
-   over one OCaml 5 domain pool per search ([Hfuse_parallel.Pool])
-   with a persistent on-disk cache ({!Profile_cache}) keyed by
-   content.  Results are bit-identical to the serial path for any
-   worker count and any cache temperature. *)
+   then looks candidate times up in the journal/cache/memory tiers,
+   fetches the missing traces concurrently (deduped per distinct trace
+   key — N register-bound variants of one partition share one
+   recording), and fans the pure [Timing.run] replays out over one
+   OCaml 5 domain pool per search ([Hfuse_parallel.Pool]) with a
+   persistent on-disk cache ({!Profile_cache}) keyed by content.
+   Results are bit-identical to the serial path for any worker count
+   and any cache temperature. *)
 
 open Gpusim
 open Kernel_corpus
@@ -122,29 +121,27 @@ type trace_key =
    a kernel's source changes under a persistent directory), and — on
    disk only — the arch. *)
 
-(* One tier a profiled value can come from: checkpoint journal,
-   persistent cache or process-wide memo. *)
+(* One tier a profiled value can come from: checkpoint journal or
+   persistent cache, each touched by the resolving domain only. *)
 type 'v tier = {
   find : key:string -> 'v option;
   add : key:string -> 'v -> unit;
 }
 
-type 'v tiers = { journal : 'v tier; cache : 'v tier; memo : 'v tier }
-
-(* The memo tier is the trace store's memory LRU under the settings'
+(* Behind both comes the trace store's memory tier under the settings'
    bound, shared by every request in the process: the daemon's warm
    profile cache, so a repeated search replays nothing.  Hits are
    bit-identical to replays — the simulator is deterministic and
    entries keep every report field. *)
+type 'v tiers = {
+  kind : 'v Trace_store.kind;
+  limit_bytes : int option;
+  journal : 'v tier;
+  cache : 'v tier;
+}
+
 let tiers ~(s : Settings.t) kind ~journal ~cache =
-  let limit_bytes = Settings.trace_limit_bytes s in
-  let memo =
-    {
-      find = Trace_store.find_memo kind;
-      add = Trace_store.add_memo ?limit_bytes kind;
-    }
-  in
-  { journal; cache; memo }
+  { kind; limit_bytes = Settings.trace_limit_bytes s; journal; cache }
 
 (* replay reports, content-keyed over specs + packed traces + arch *)
 let report_tiers ~s ~cache ~checkpoint =
@@ -170,35 +167,43 @@ let time_tiers ~s ~cache ~checkpoint =
       }
     ~cache:{ find = Profile_cache.find cache; add = Profile_cache.store cache }
 
+(* The memory tier's single-flight get-or-compute, safe on any domain,
+   and whether this call computed the value. *)
+let memo (t : 'v tiers) (key : string) (compute : unit -> 'v) : 'v * bool =
+  let fresh = ref false in
+  let v =
+    Trace_store.get_or_compute ?limit_bytes:t.limit_bytes t.kind ~key
+      (fun () ->
+        fresh := true;
+        compute ())
+  in
+  (v, !fresh)
+
+(* a value the memory tier answered or [memo] computed *)
+let persist (t : 'v tiers) (key : string) (v : 'v) : unit =
+  t.cache.add ~key v;
+  t.journal.add ~key v
+
 (* The one place that knows the resolution order: the checkpoint
    journal first (a resumed run replays the interrupted run's answers),
    then the persistent cache (hits are journaled so the resume no
-   longer depends on the cache file), then the process-wide memo (a
-   long-lived daemon's earlier requests; hits backfill the cache and
-   the journal).  The memo comes last so that one-shot runs see the
-   same cache hit/store counters with or without it. *)
-let resolve (t : 'v tiers) (key : string) : 'v option =
+   longer depends on the cache file), then the memory tier, unclaimed
+   (a long-lived daemon's earlier requests).  The memory tier comes
+   last so that one-shot runs see the same cache hit/store counters
+   with or without it.  A miss is computed by [memo], then persisted. *)
+let lookup (t : 'v tiers) (key : string) : 'v option =
   match t.journal.find ~key with
   | Some _ as hit -> hit
   | None -> (
       match t.cache.find ~key with
       | Some v ->
           t.journal.add ~key v;
-          t.memo.add ~key v;
+          ignore (memo t key (Fun.const v));
           Some v
-      | None -> (
-          match t.memo.find ~key with
-          | Some v ->
-              t.cache.add ~key v;
-              t.journal.add ~key v;
-              Some v
-          | None -> None))
-
-(* a freshly computed value lands in every tier *)
-let commit (t : 'v tiers) (key : string) (v : 'v) : unit =
-  t.memo.add ~key v;
-  t.cache.add ~key v;
-  t.journal.add ~key v
+      | None ->
+          let hit = Trace_store.find_memo t.kind ~key in
+          Option.iter (persist t key) hit;
+          hit)
 
 let clear_cache = Trace_store.clear_memory
 
@@ -207,29 +212,25 @@ let clear_cache = Trace_store.clear_memory
 let report_key (arch : Arch.t) (specs : Timing.launch_spec list) : string =
   Profile_cache.report_key ~arch:arch.Arch.name ~policy:"fifo" specs
 
-(* A report answered by the tiers folds the producing replay's engine
-   stats into the process-wide counters, so cumulative stats still
-   describe the work behind the reported numbers. *)
-let lookup_report (t : (Timing.report * Timing.engine_stats) tiers)
-    (key : string) : Timing.report option =
-  Option.map
-    (fun (r, es) ->
-      Timing.accumulate_stats es;
-      r)
-    (resolve t key)
+(* A report not replayed here folds the producing replay's engine stats
+   into the process-wide counters, so cumulative stats still describe
+   the work behind the reported numbers. *)
+let settle (((r, es) : Timing.report * Timing.engine_stats), fresh) =
+  if not fresh then Timing.accumulate_stats es;
+  r
 
-(* One replay through the report tiers: answered by [lookup_report], or
-   run on this domain and committed to every tier. *)
-let replay ~s ~cache ~checkpoint (arch : Arch.t)
-    (specs : Timing.launch_spec list) : Timing.report =
-  let tiers = report_tiers ~s ~cache ~checkpoint in
+(* One replay through the report tiers, on this domain. *)
+let replay ~(s : Settings.t) ?cache ?(checkpoint = Checkpoint.disabled)
+    (arch : Arch.t) (specs : Timing.launch_spec list) : Timing.report =
+  let cache = match cache with Some c -> c | None -> Settings.cache s in
+  let t = report_tiers ~s ~cache ~checkpoint in
   let key = report_key arch specs in
-  match lookup_report tiers key with
-  | Some r -> r
+  match lookup t key with
+  | Some entry -> settle (entry, false)
   | None ->
-      let ((r, _) as entry) = Timing.run_with_stats arch specs in
-      commit tiers key entry;
-      r
+      let got = memo t key (fun () -> Timing.run_with_stats arch specs) in
+      persist t key (fst got);
+      settle got
 
 (* render a trace key into the store's digest input *)
 let trace_ident (key : trace_key) : string list =
@@ -250,17 +251,18 @@ let store_key ~(s : Settings.t) ~(arch : string) ~(source : string)
     ~trace_blocks:s.Settings.trace_blocks
     ~ident:(trace_ident key @ [ Digest.to_hex (Digest.string source) ])
 
+(* traces resolve memory tier → disk → recording *)
 let traced ~(s : Settings.t) ~(arch : string) ~(source : string)
     (key : trace_key) (record : unit -> Trace.block array) :
     Trace.block array =
-  Trace_store.get_or_record (Settings.trace_store s)
-    ?limit_bytes:(Settings.trace_limit_bytes s)
-    ~key:(store_key ~s ~arch ~source key)
-    (fun () ->
-      (* every trace-recording launch is an injection point for the
-         chaos harness's sim_hang; injected faults are transient, so
-         the retry wrapper keeps them out of callers *)
-      Fault.with_retries ~key:(Hashtbl.hash key) record)
+  let skey = store_key ~s ~arch ~source key in
+  Trace_store.get_or_compute ?limit_bytes:(Settings.trace_limit_bytes s)
+    Traces ~key:skey.mem (fun () ->
+      Trace_store.load_or_record (Settings.trace_store s) ~key:skey (fun () ->
+          (* every trace-recording launch is an injection point for the
+             chaos harness's sim_hang; injected faults are transient, so
+             the retry wrapper keeps them out of callers *)
+          Fault.with_retries ~key:(Hashtbl.hash key) record))
 
 (** Traces of [c] at block dimension [d] (defaults to native).
     [arch] scopes only the persistent entry (traces themselves are
@@ -305,12 +307,9 @@ let spec_of ~settings ?arch (c : configured) ?(block_dim : int option)
 
 (** Native baseline: both kernels submitted via parallel streams,
     replayed through the report tiers. *)
-let native ~settings ?cache ?(checkpoint = Checkpoint.disabled)
-    (arch : Arch.t) (c1 : configured) (c2 : configured) : Timing.report =
-  let cache =
-    match cache with Some c -> c | None -> Settings.cache settings
-  in
-  replay ~s:settings ~cache ~checkpoint arch
+let native ~settings ?cache ?checkpoint (arch : Arch.t) (c1 : configured)
+    (c2 : configured) : Timing.report =
+  replay ~s:settings ?cache ?checkpoint arch
     [
       spec_of ~settings ~arch:arch.Arch.name c1 ~stream:0 ();
       spec_of ~settings ~arch:arch.Arch.name c2 ~stream:1 ();
@@ -318,7 +317,8 @@ let native ~settings ?cache ?(checkpoint = Checkpoint.disabled)
 
 (** One kernel alone (Fig. 8 metrics; also the ratio probes). *)
 let solo ~settings (arch : Arch.t) (c : configured) : Timing.report =
-  Timing.run arch [ spec_of ~settings ~arch:arch.Arch.name c ~stream:0 () ]
+  replay ~s:settings arch
+    [ spec_of ~settings ~arch:arch.Arch.name c ~stream:0 () ]
 
 (* ------------------------------------------------------------------ *)
 (* Fused runs                                                           *)
@@ -368,12 +368,13 @@ let hfuse_spec (f : Hfuse_core.Hfuse.t) ~(reg_bound : int option)
   }
 
 (** Interpret a horizontally fused kernel (profiling mode) and time it
-    under an optional register bound. *)
+    under an optional register bound, replayed through the report
+    tiers. *)
 let hfuse_report ~settings (arch : Arch.t) (c1 : configured)
     (c2 : configured) (f : Hfuse_core.Hfuse.t) ~(reg_bound : int option) :
     Timing.report =
   let traces = hfuse_traces ~settings ~arch:arch.Arch.name c1 c2 f in
-  Timing.run arch [ hfuse_spec f ~reg_bound ~traces ]
+  replay ~s:settings arch [ hfuse_spec f ~reg_bound ~traces ]
 
 (** Vertically fused baseline.  Both kernels run at the larger of the
     two native block dimensions (tunable kernels adapt; a fixed smaller
@@ -611,12 +612,10 @@ let candidate_key ~(s : Settings.t) (arch : Arch.t) (c1 : configured)
    dominate); otherwise a fresh pool of [jobs] workers is scoped to
    this call.
 
-   Each entry is [replay] in batch form: first answered through
-   [lookup_report] (journal, persistent report cache, memo); only the
-   misses reach the pool, and their reports are committed to every
-   tier afterwards, so a later resume replays this call entirely from
-   the journal.  Hits are bit-identical to replays — entries hold
-   every report field exactly.  Tier I/O stays on the calling
+   Each entry is [replay] in batch form: [lookup] runs on the calling
+   domain, only the misses reach the pool, through [memo], and their
+   reports are persisted afterwards, so a later resume replays this
+   call entirely from the journal.  Tier I/O stays on the calling
    domain. *)
 let run_many ?pool ?(jobs = 1) ~(settings : Settings.t) ?cache
     ?(checkpoint = Checkpoint.disabled)
@@ -625,21 +624,24 @@ let run_many ?pool ?(jobs = 1) ~(settings : Settings.t) ?cache
     match cache with Some c -> c | None -> Settings.cache settings
   in
   let n = Array.length runs in
-  let tiers = report_tiers ~s:settings ~cache ~checkpoint in
+  let t = report_tiers ~s:settings ~cache ~checkpoint in
   let keys = Array.map (fun (arch, specs) -> report_key arch specs) runs in
-  let results = Array.map (lookup_report tiers) keys in
+  let results =
+    Array.map (fun k -> Option.map (fun e -> (e, false)) (lookup t k)) keys
+  in
   let miss_idx =
     List.filter (fun i -> Option.is_none results.(i)) (List.init n Fun.id)
     |> Array.of_list
   in
-  let missing = Array.map (fun i -> runs.(i)) miss_idx in
   let go p =
     Hfuse_parallel.Pool.map ?fault:settings.Settings.fault p
-      (fun (arch, specs) -> Timing.run_with_stats arch specs)
-      missing
+      (fun i ->
+        let arch, specs = runs.(i) in
+        memo t keys.(i) (fun () -> Timing.run_with_stats arch specs))
+      miss_idx
   in
   let fresh =
-    if Array.length missing = 0 then [||]
+    if Array.length miss_idx = 0 then [||]
     else
       match pool with
       | Some p -> go p
@@ -647,12 +649,11 @@ let run_many ?pool ?(jobs = 1) ~(settings : Settings.t) ?cache
   in
   Array.iteri
     (fun j i ->
-      let r, es = fresh.(j) in
-      results.(i) <- Some r;
-      commit tiers keys.(i) (r, es))
+      persist t keys.(i) (fst fresh.(j));
+      results.(i) <- Some fresh.(j))
     miss_idx;
   Checkpoint.flush checkpoint;
-  Array.map (function Some r -> r | None -> assert false) results
+  Array.map (fun r -> settle (Option.get r)) results
 
 (* Exceptions that fail one candidate's profile without invalidating
    the rest of the search: simulator watchdog trips, launch/geometry
@@ -789,11 +790,12 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
         Hashtbl.add sources cfg.partition src;
         src
   in
-  (* phase 2 evaluator: time-tier probes run serially on this domain
+  (* phase 2 evaluator: time-tier lookups run serially on this domain
      (the cache file I/O and its counters are single-domain), the
      misses' traces come through {!traced} on the pool (one call per
      distinct trace key, recorded in a fresh memory on a store miss),
-     then the pure Timing.run replays fan out over the same pool.
+     then the pure Timing.run replays fan out over the same pool, each
+     under its time key's single-flight claim.
      Candidate order is preserved end-to-end, so results are
      bit-identical to the serial path for any [jobs] and any
      cache/store temperature. *)
@@ -811,7 +813,7 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
         batch
     in
     let tiers = time_tiers ~s ~cache ~checkpoint in
-    let cached = Array.map (resolve tiers) keys in
+    let cached = Array.map (lookup tiers) keys in
     let times = Array.map (Option.value ~default:nan) cached in
     (* trace acquisition for the misses: one [traced] call per
        *distinct* trace key, fanned over the pool.  Candidates sharing a
@@ -895,28 +897,28 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
        task past its retry budget) fails one candidate, not the batch *)
     let miss_times =
       Hfuse_parallel.Pool.map_isolated ?fault:s.Settings.fault pool
-        (fun (_, spec) -> (Timing.run arch [ spec ]).Timing.time_ms)
+        (fun (i, spec) ->
+          memo tiers keys.(i) (fun () ->
+              (Timing.run arch [ spec ]).Timing.time_ms))
         miss_idx
     in
-    let completed = ref 0 in
+    (* a time another request's claim computed is a hit, not a profile *)
+    let completed = ref 0 and hits = ref 0 in
+    Array.iter (fun c -> if Option.is_some c then incr hits) cached;
     Array.iteri
       (fun j (i, _) ->
         match miss_times.(j) with
-        | Ok t ->
-            incr completed;
+        | Ok (t, fresh) ->
+            incr (if fresh then completed else hits);
             times.(i) <- t;
-            commit tiers keys.(i) t
+            persist tiers keys.(i) t
         | Error (fl : Hfuse_parallel.Pool.failure) ->
             let f, _ = batch.(i) in
             times.(i) <- candidate_failed f fl.f_exn)
       miss_idx;
     Checkpoint.flush checkpoint;
     stats.profiled <- stats.profiled + !completed;
-    stats.cache_hits <-
-      stats.cache_hits
-      + Array.fold_left
-          (fun acc c -> acc + if Option.is_some c then 1 else 0)
-          0 cached;
+    stats.cache_hits <- stats.cache_hits + !hits;
     stats.profile_wall_s <-
       stats.profile_wall_s +. (Unix.gettimeofday () -. t0);
     Array.to_list times

@@ -15,12 +15,12 @@
     coalescing analysis results, invariant under buffer renaming).
 
     {!search} is a two-phase engine: candidates are enumerated and
-    verified serially, missing traces are fetched concurrently through
-    {!Trace_store.get_or_record} (deduped per distinct trace key, and
-    single-flighted across concurrent requests), and the pure
-    [Timing.run] replays fan out over an OCaml 5 domain pool
-    ([~jobs]) with a persistent on-disk profiling cache
-    ({!Profile_cache}, [~cache]).
+    verified serially, missing traces are fetched concurrently (deduped
+    per distinct trace key), and the pure [Timing.run] replays fan out
+    over an OCaml 5 domain pool ([~jobs]) with a persistent on-disk
+    profiling cache ({!Profile_cache}, [~cache]).  Traces, reports and
+    times are computed through {!Trace_store.get_or_compute}, once
+    across concurrent requests.
     Results are bit-identical to the serial path for any worker count
     and any cache/store temperature. *)
 
@@ -80,14 +80,15 @@ val spec_of :
     {!Checkpoint.disabled}), then the persistent report cache (default:
     minted from [settings], as {!search} does), then the process-wide
     memory tier under [settings]' bound.  A miss replays on the
-    calling domain and lands in every tier; a hit folds the stored
-    engine stats into {!Gpusim.Timing.cumulative_stats}.  Either way
-    the report is bit-identical to a fresh replay. *)
+    calling domain, single-flighted, and lands in every tier; a report
+    not replayed here folds its stored engine stats into
+    {!Gpusim.Timing.cumulative_stats}.  Either way the report is
+    bit-identical to a fresh replay. *)
 val native :
   settings:Settings.t -> ?cache:Profile_cache.t -> ?checkpoint:Checkpoint.t ->
   Gpusim.Arch.t -> configured -> configured -> Gpusim.Timing.report
 
-(** One kernel alone (Fig. 8 metrics, ratio probes). *)
+(** One kernel alone (Fig. 8 metrics, ratio probes), like {!native}. *)
 val solo :
   settings:Settings.t -> Gpusim.Arch.t -> configured -> Gpusim.Timing.report
 
@@ -105,7 +106,7 @@ val hfuse_spec :
   traces:Gpusim.Trace.block array -> Gpusim.Timing.launch_spec
 
 (** Time a fused kernel under an optional register bound (interprets it
-    in profiling mode on first use; cached thereafter). *)
+    in profiling mode on first use; replayed like {!solo}). *)
 val hfuse_report :
   settings:Settings.t -> Gpusim.Arch.t -> configured -> configured ->
   Hfuse_core.Hfuse.t -> reg_bound:int option -> Gpusim.Timing.report
@@ -203,9 +204,10 @@ val model_eval :
     An enabled [cache] (default: minted from [settings], as {!search}
     does) serves entries from the persistent report cache
     ({!Profile_cache.find_report}; keyed over the specs and their packed
-    traces) and only fans the misses out, storing their reports after.
-    Hits are bit-identical to replays, and each hit's recorded engine
-    stats are folded into {!Gpusim.Timing.cumulative_stats}.
+    traces), then the memory tier, and only fans the misses out
+    (single-flighted), storing their reports after.  Hits are
+    bit-identical to replays, and fold their recorded engine stats into
+    {!Gpusim.Timing.cumulative_stats}.
 
     An enabled [checkpoint] journal is consulted before the cache and
     records every result, so a killed run resumed with the same journal

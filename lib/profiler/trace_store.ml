@@ -34,11 +34,11 @@
      shared directories self-invalidate across archs and kernel-source
      changes even though trace keys only carry kernel *names*.
 
-   [get_or_record] is the one way in: every trace the process looks up
-   or records, solo, vertically or horizontally fused, goes through it.
-   Its single-flight table dedups concurrent recordings of one key:
-   the first caller records while the rest wait and share the result
-   (counted in [merges]).  Disk I/O happens outside the lock. *)
+   [get_or_compute] is the one way in, for traces, replay reports and
+   candidate times alike.  Its single-flight table dedups concurrent
+   computations of one key: the first caller computes (for a trace,
+   [load_or_record]: disk, else a recording) while the rest wait and
+   share the result.  Computing happens outside the lock. *)
 
 module Trace = Gpusim.Trace
 
@@ -165,6 +165,10 @@ let get : type v. v kind -> value -> v option =
   | Time, Time -> Some x
   | _ -> None
 
+(* the tally counts trace entries only *)
+let count : type v. v kind -> int Atomic.t -> unit =
+ fun k c -> match k with Traces -> Atomic.incr c | Report | Time -> ()
+
 let value_bytes : type v. v kind -> v -> int =
  fun k x ->
   match k with
@@ -191,8 +195,8 @@ let mem_cond = Condition.create ()
 let mem_tbl : (string, entry) Hashtbl.t = Hashtbl.create 256
 let mem_total = ref 0
 
-(* keys currently being recorded (single-flight); waiters sleep on
-   [mem_cond] until the recorder publishes or gives up *)
+(* keys currently being computed (single-flight); waiters sleep on
+   [mem_cond] until the claimant publishes or gives up *)
 let in_flight : (string, unit) Hashtbl.t = Hashtbl.create 8
 
 (* test hook: overrides any per-call limit so eviction can be forced
@@ -243,9 +247,7 @@ let insert_mem ~(limit_bytes : int option) k (key : string) x : unit =
       while !mem_total > limit && lru.prev != e do
         let old = lru.prev in
         drop old;
-        match old.value with
-        | V (Traces, _) -> ignore (Atomic.fetch_and_add c_evictions 1)
-        | V _ -> ()
+        match old.value with V (k, _) -> count k c_evictions
       done
   | None, None -> ()
 
@@ -257,16 +259,43 @@ let lookup_mem k (key : string) =
       if Option.is_some hit then (unlink e; push_newest e);
       hit
 
-(* a trace lookup counts its hit *)
-let lookup_trace (key : string) =
-  let hit = lookup_mem Traces key in
-  if Option.is_some hit then ignore (Atomic.fetch_and_add c_mem_hits 1);
-  hit
-
 let find_memo k ~key = Mutex.protect mem_mutex (fun () -> lookup_mem k key)
 
-let add_memo ?limit_bytes k ~key x =
-  Mutex.protect mem_mutex (fun () -> insert_mem ~limit_bytes k key x)
+let get_or_compute ?limit_bytes (k : 'v kind) ~(key : string)
+    (compute : unit -> 'v) : 'v =
+  (* phase 1: memory tier + single-flight arbitration under the lock *)
+  let hit =
+    Mutex.protect mem_mutex (fun () ->
+        let rec arbitrate ~waited =
+          match lookup_mem k key with
+          | Some _ as hit ->
+              count k c_mem_hits;
+              if waited then count k c_merges;
+              hit
+          | None when Hashtbl.mem in_flight key ->
+              Condition.wait mem_cond mem_mutex;
+              arbitrate ~waited:true
+          | None ->
+              Hashtbl.add in_flight key ();
+              None
+        in
+        arbitrate ~waited:false)
+  in
+  match hit with
+  | Some v -> v
+  | None ->
+      (* phase 2: compute outside the lock, then publish.  On failure
+         the claim is released so a waiter retries (a deterministic
+         failure simply repeats for it, as it would have serially). *)
+      Fun.protect
+        ~finally:(fun () ->
+          Mutex.protect mem_mutex (fun () ->
+              Hashtbl.remove in_flight key;
+              Condition.broadcast mem_cond))
+        (fun () ->
+          let v = compute () in
+          Mutex.protect mem_mutex (fun () -> insert_mem ~limit_bytes k key v);
+          v)
 
 (* ------------------------------------------------------------------ *)
 (* Disk tier                                                            *)
@@ -289,68 +318,20 @@ let decode payload =
   | Some blocks -> blocks
   | None -> failwith "trace entry"
 
-let find_disk (t : t) (k : string) : Trace.block array option =
-  match Option.map (fun s -> Store.read s ~key:k decode) t with
+(* A trace's computation: the disk tier, else a recording. *)
+let load_or_record (t : t) ~(key : key) (record : unit -> Trace.block array) :
+    Trace.block array =
+  match Option.map (fun s -> Store.read s ~key:key.disk decode) t with
   | Some (Store.Found blocks) ->
-      ignore (Atomic.fetch_and_add c_disk_hits 1);
-      Some blocks
-  | Some Store.Corrupt ->
-      ignore (Atomic.fetch_and_add c_corrupt 1);
-      None
-  | Some Store.Absent | None -> None
-
-let store_disk (t : t) (k : string) (blocks : Trace.block array) : unit =
-  Option.iter
-    (fun s ->
-      Store.write s ~key:k (Trace.encode_blocks blocks);
-      ignore (Atomic.fetch_and_add c_stores 1))
-    t
-
-(* ------------------------------------------------------------------ *)
-(* Lookup / insert                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let get_or_record (t : t) ?limit_bytes ~(key : key)
-    (record : unit -> Trace.block array) : Trace.block array =
-  (* phase 1: memory tier + single-flight arbitration under the lock *)
-  let claimed =
-    Mutex.protect mem_mutex (fun () ->
-        let rec arbitrate ~waited =
-          match lookup_trace key.mem with
-          | Some blocks ->
-              if waited then ignore (Atomic.fetch_and_add c_merges 1);
-              Either.Left blocks
-          | None ->
-              if Hashtbl.mem in_flight key.mem then begin
-                Condition.wait mem_cond mem_mutex;
-                arbitrate ~waited:true
-              end
-              else begin
-                Hashtbl.add in_flight key.mem ();
-                Either.Right ()
-              end
-        in
-        arbitrate ~waited:false)
-  in
-  match claimed with
-  | Either.Left blocks -> blocks
-  | Either.Right () ->
-      let release () =
-        Mutex.protect mem_mutex (fun () ->
-            Hashtbl.remove in_flight key.mem;
-            Condition.broadcast mem_cond)
-      in
-      (* phase 2: disk then record, outside the lock.  On failure the
-         claim is released so waiters retry (a deterministic failure
-         simply repeats for them, as it would have serially). *)
-      Fun.protect ~finally:release (fun () ->
-          match find_disk t key.disk with
-          | Some blocks ->
-              add_memo ?limit_bytes Traces ~key:key.mem blocks;
-              blocks
-          | None ->
-              let blocks = record () in
-              ignore (Atomic.fetch_and_add c_recorded 1);
-              add_memo ?limit_bytes Traces ~key:key.mem blocks;
-              store_disk t key.disk blocks;
-              blocks)
+      Atomic.incr c_disk_hits;
+      blocks
+  | found ->
+      if found = Some Store.Corrupt then Atomic.incr c_corrupt;
+      let blocks = record () in
+      Atomic.incr c_recorded;
+      Option.iter
+        (fun s ->
+          Store.write s ~key:key.disk (Trace.encode_blocks blocks);
+          Atomic.incr c_stores)
+        t;
+      blocks

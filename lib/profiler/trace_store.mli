@@ -9,14 +9,14 @@
     Two tiers: a process-wide in-memory LRU shared by every handle, and
     a per-handle on-disk tier of {!Store} entries under
     [<root>/traces/v1/<digest>] (magic [hfuse-traces]), corrupt ones
-    quarantined and re-recorded.  {!get_or_record} is the only way to
-    look up or record a trace; its single-flight table dedups
-    concurrent recordings of one key.
+    quarantined and re-recorded.
 
-    The LRU is the process's one memory tier: it also holds replay
-    reports and candidate times ({!kind}).  Every insertion, disk hits
-    included, evicts least-recently used entries until the tier fits
-    the caller's [limit_bytes]; the newest entry always stays. *)
+    The LRU is the process's one memory tier: it holds traces, replay
+    reports and candidate times ({!kind}), and {!get_or_compute} is the
+    one way to fill it; its single-flight table dedups concurrent
+    computations of one key.  Every insertion evicts least-recently
+    used entries until the tier fits the caller's [limit_bytes]; the
+    newest entry always stays. *)
 
 (** Entry-format/version tag baked into paths and keys. *)
 val version : string
@@ -50,39 +50,36 @@ val disabled : unit -> t
 (** Versioned entry directory (empty for a disabled store). *)
 val dir : t -> string
 
-(** The traces under [key]: from the memory tier, else from disk (a
-    disk hit is decoded, verified and promoted into the memory tier; a
-    checksum- or decode-failing entry is quarantined to
-    [<root>/traces/quarantine/<digest>] and treated as a miss), else
-    recorded by calling [record] and inserted into memory, then disk
-    (counting one [recorded]).  Every insertion evicts past
-    [limit_bytes] if given.
-
-    Every trace recording in the process goes through here, so one
-    single-flight arbitration covers them all: when several callers
-    (tasks of one search, or concurrent requests) want one absent key,
-    the first records while the rest block and share the result (each
-    counted in [merges]).  If the recorder raises, the claim is
-    released and a waiter retries.  Disk I/O and recording happen
-    outside the store lock. *)
-val get_or_record :
-  t ->
-  ?limit_bytes:int ->
-  key:key ->
-  (unit -> Gpusim.Trace.block array) ->
-  Gpusim.Trace.block array
-
 (** What the memory tier holds; a kind mismatch on a key is a miss. *)
 type _ kind =
   | Traces : Gpusim.Trace.block array kind
   | Report : (Gpusim.Timing.report * Gpusim.Timing.engine_stats) kind
   | Time : float kind
 
-(** Memory-tier lookup and insertion of one kind (evicting past
-    [limit_bytes] if given); neither counts in the {!tally}. *)
-val find_memo : 'v kind -> key:string -> 'v option
+(** The value under [key] in the memory tier, else [compute ()]'s,
+    inserted (evicting past [limit_bytes] if given).  Every profiled
+    value in the process goes through here, so one single-flight
+    arbitration covers them all: when several callers (tasks of one
+    search, or concurrent requests) want one absent key, the first
+    computes while the rest block and share the result.  If [compute]
+    raises, the claim is released and a waiter retries.  [compute] runs
+    outside the store lock and must not wait on queued pool work.
+    Traces count in the {!tally} ([mem_hits], and [merges] for a shared
+    claim); reports and times do not. *)
+val get_or_compute :
+  ?limit_bytes:int -> 'v kind -> key:string -> (unit -> 'v) -> 'v
 
-val add_memo : ?limit_bytes:int -> 'v kind -> key:string -> 'v -> unit
+(** A trace's computation under its claim on [key.mem]: the disk entry
+    (a checksum- or decode-failing one is quarantined to
+    [<root>/traces/quarantine/<digest>] and missed), else [record ()]'s
+    traces, written to disk and counted as [recorded]. *)
+val load_or_record :
+  t -> key:key -> (unit -> Gpusim.Trace.block array) ->
+  Gpusim.Trace.block array
+
+(** Memory-tier lookup without a claim (a miss does not wait for a
+    computation in flight); not counted in the {!tally}. *)
+val find_memo : 'v kind -> key:string -> 'v option
 
 (** Drop every memory-tier entry (disk entries survive). *)
 val clear_memory : unit -> unit
@@ -118,7 +115,7 @@ val reset_tally : unit -> unit
 val diff : before:tally -> after:tally -> tally
 
 (** Credit [n] recordings saved by a search's batch-level key dedup:
-    candidates sharing a trace key make one {!get_or_record} call, so
+    candidates sharing a trace key make one {!get_or_compute} call, so
     these never reach the single-flight table; crediting them keeps a
     lone search's [merges] deterministic. *)
 val note_merged : int -> unit

@@ -9,7 +9,8 @@
    request's priority; admission control answers [overloaded] without
    queueing when [queue_limit] requests are already waiting.  Each
    connection serialises its writes with a mutex, so responses from
-   concurrent requests interleave only at line granularity.
+   concurrent requests interleave only at line granularity, and closes
+   once its reader and its last job are done.
 
    Fault containment: a malformed line, an unknown verb, a bad fault
    spec, or an exception escaping a verb body each cost exactly one
@@ -169,7 +170,7 @@ let stats_outcome t : Ops.outcome =
 let ping_outcome : Ops.outcome =
   { Ops.output = "pong\n"; log = ""; exit_code = 0; telemetry = Json.Obj [] }
 
-let handle_line t (send : Protocol.response -> unit) (line : string) =
+let handle_line t ~send ~hold ~release (line : string) =
   match Protocol.parse_request line with
   | Error resp ->
       note_error t;
@@ -198,6 +199,7 @@ let handle_line t (send : Protocol.response -> unit) (line : string) =
           | settings -> (
               let verb = Ops.verb_name params in
               let job () =
+                Fun.protect ~finally:release @@ fun () ->
                 let resp =
                   match Ops.run ~settings params with
                   | o ->
@@ -210,17 +212,20 @@ let handle_line t (send : Protocol.response -> unit) (line : string) =
                 in
                 send resp
               in
+              hold ();
               match Pool.submit ~priority:req.Protocol.priority t.pool job with
               | `Queued -> note_verb t verb
               | `Overloaded ->
                   note_overloaded t;
                   send
                     (Protocol.failure ~id Protocol.Overloaded
-                       "request queue is full; retry later")
+                       "request queue is full; retry later");
+                  release ()
               | `Shutdown ->
                   send
                     (Protocol.failure ~id Protocol.Shutting_down
-                       "server is shutting down"))))
+                       "server is shutting down");
+                  release ())))
 
 (* One request line, like [input_line] (a last line may lack its
    newline), but never holding more than [Protocol.max_request_bytes]
@@ -244,6 +249,14 @@ let handle_conn t fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   let wm = Mutex.create () in
+  (* The descriptor closes when its last holder, the reader or a job in
+     flight, lets go: closed earlier, its number could be reused by the
+     next connection, and a late answer would land there. *)
+  let holders = Atomic.make 1 in
+  let hold () = Atomic.incr holders in
+  let release () =
+    if Atomic.fetch_and_add holders (-1) = 1 then close_in_noerr ic
+  in
   let send resp =
     let line = Protocol.response_to_line resp in
     Mutex.lock wm;
@@ -262,7 +275,7 @@ let handle_conn t fd =
     match read_request_line ic buf with
     | exception (End_of_file | Sys_error _) -> ()
     | `Line line ->
-        if String.trim line <> "" then handle_line t send line;
+        if String.trim line <> "" then handle_line t ~send ~hold ~release line;
         loop ()
     | `Too_large ->
         note_error t;
@@ -273,7 +286,7 @@ let handle_conn t fd =
         loop ()
   in
   loop ();
-  close_in_noerr ic
+  release ()
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                            *)
@@ -339,8 +352,8 @@ let serve (t : t) : unit =
         | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> ())
   done;
   (* drain: running jobs complete and answer, queued jobs are dropped
-     (their clients see the connection close), the socket file goes
-     away so probes know the daemon is gone *)
+     (their connections stay open until the process exits), the socket
+     file goes away so probes know the daemon is gone *)
   (try Unix.close t.sock with Unix.Unix_error _ -> ());
   (try Unix.unlink t.config.socket_path with Unix.Unix_error _ | Sys_error _ -> ());
   Pool.shutdown t.pool

@@ -839,8 +839,15 @@ let sf_key tag =
   Trace_store.keys ~arch:"1080Ti" ~sim_fuel:1000 ~trace_blocks:1
     ~ident:[ "test"; tag ]
 
-(* [get_or_record] thunks: one that fails the test if it runs (the
-   store must answer), and one that counts its runs (the store must
+(* A trace through the store's two tiers, as [Runner] fetches one:
+   the memory tier's get-or-compute, whose computation is the disk
+   tier, else the recording. *)
+let get_traces store ~(key : Trace_store.key) record =
+  Trace_store.get_or_compute Traces ~key:key.mem (fun () ->
+      Trace_store.load_or_record store ~key record)
+
+(* [get_traces] thunks: one that fails the test if it runs (the store
+   must answer), and one that counts its runs (the store must
    record) *)
 let must_hit what () = Alcotest.fail what
 
@@ -857,21 +864,21 @@ let test_trace_store_roundtrip () =
   let blocks = mk_blocks () in
   let runs = ref 0 in
   let before = Trace_store.tally () in
-  ignore (Trace_store.get_or_record store ~key (counting runs blocks));
+  ignore (get_traces store ~key (counting runs blocks));
   Alcotest.(check int) "cold miss records" 1 !runs;
   (* a second handle over a cold memory tier — as a fresh process would
      be — answers from disk, byte-identically *)
   Trace_store.clear_memory ();
   let store' = Trace_store.create ~dir:root () in
   let got =
-    Trace_store.get_or_record store' ~key (must_hit "warm disk lookup missed")
+    get_traces store' ~key (must_hit "warm disk lookup missed")
   in
   Alcotest.(check string) "disk round trip byte-identical"
     (Trace.encode_blocks blocks)
     (Trace.encode_blocks got);
   (* ...and the disk hit was promoted into the memory tier *)
   ignore
-    (Trace_store.get_or_record store' ~key
+    (get_traces store' ~key
        (must_hit "promotion into the memory tier failed"));
   let d = Trace_store.diff ~before ~after:(Trace_store.tally ()) in
   Alcotest.(check int) "one recording" 1 d.Trace_store.recorded;
@@ -886,7 +893,7 @@ let test_trace_store_quarantine () =
   let store = Trace_store.create ~dir:root () in
   let key = sf_key "quarantine" in
   let blocks = mk_blocks () in
-  ignore (Trace_store.get_or_record store ~key (fun () -> blocks));
+  ignore (get_traces store ~key (fun () -> blocks));
   let path = Filename.concat (Trace_store.dir store) key.Trace_store.disk in
   corrupt_on_disk path;
   Trace_store.clear_memory ();
@@ -895,7 +902,7 @@ let test_trace_store_quarantine () =
      re-recording runs, and re-recording heals the store *)
   let runs = ref 0 and moved_aside = ref false in
   ignore
-    (Trace_store.get_or_record store ~key (fun () ->
+    (get_traces store ~key (fun () ->
          moved_aside := not (Sys.file_exists path);
          counting runs blocks ()));
   Alcotest.(check int) "corrupt entry is a miss" 1 !runs;
@@ -909,40 +916,75 @@ let test_trace_store_quarantine () =
           key.Trace_store.disk));
   Trace_store.clear_memory ();
   let got =
-    Trace_store.get_or_record store ~key (must_hit "healed entry missed")
+    get_traces store ~key (must_hit "healed entry missed")
   in
   Alcotest.(check string) "healed entry byte-identical"
     (Trace.encode_blocks blocks)
     (Trace.encode_blocks got)
+
+(* Four pool tasks want one absent key: the computation runs once and
+   every caller shares its value.  Then a claimant whose computation
+   raises releases its claim: one waiter computes instead and the
+   rest share that.  One input per kind: a trace through the disk tier
+   (a disabled one), a replay report, a candidate time. *)
+let single_flight (type v) (kind : v Trace_store.kind) ~key
+    ~(compute : unit -> v) (v : v) =
+  let calls = Atomic.make 0 in
+  let race thunk =
+    Pool.with_pool 4 (fun p ->
+        Pool.map_isolated p
+          (fun _ ->
+            Trace_store.get_or_compute kind ~key (fun () ->
+                let n = Atomic.fetch_and_add calls 1 in
+                (* widen the race window: waiters must block on the
+                   claim, not compute *)
+                Unix.sleepf 0.02;
+                thunk n))
+          [| 0; 1; 2; 3 |])
+  in
+  let shared what results =
+    Array.iter
+      (function
+        | Ok got -> Alcotest.(check bool) what true (got = v)
+        | Error _ -> ())
+      results
+  in
+  let results = race (fun _ -> compute ()) in
+  Alcotest.(check int) "exactly one computation ran" 1 (Atomic.get calls);
+  Alcotest.(check bool) "no caller failed" true
+    (Array.for_all Result.is_ok results);
+  shared "every caller shares the value" results;
+  Trace_store.clear_memory ();
+  Atomic.set calls 0;
+  let results =
+    race (fun n -> if n = 0 then failwith "claimant fails" else compute ())
+  in
+  Alcotest.(check int) "the failed claim is computed once more" 2
+    (Atomic.get calls);
+  Alcotest.(check int) "only the failed claimant fails" 1
+    (Array.fold_left
+       (fun acc r -> if Result.is_error r then acc + 1 else acc)
+       0 results);
+  shared "the rest share the second computation" results;
+  Trace_store.clear_memory ()
 
 let test_trace_store_single_flight () =
   Trace_store.clear_memory ();
   let store = Trace_store.disabled () in
   let key = sf_key "single_flight" in
   let blocks = mk_blocks () in
-  let recordings = Atomic.make 0 in
   let before = Trace_store.tally () in
-  let results =
-    Pool.with_pool 4 (fun p ->
-        Pool.map p
-          (fun _ ->
-            Trace_store.get_or_record store ~key (fun () ->
-                Atomic.incr recordings;
-                (* widen the race window: waiters must block on the
-                   claim, not re-record *)
-                Unix.sleepf 0.02;
-                blocks))
-          [| 0; 1; 2; 3 |])
-  in
-  Alcotest.(check int) "exactly one recording ran" 1 (Atomic.get recordings);
-  Array.iter
-    (fun got ->
-      Alcotest.(check string) "every caller shares the recording"
-        (Trace.encode_blocks blocks)
-        (Trace.encode_blocks got))
-    results;
+  single_flight Traces ~key:key.mem
+    ~compute:(fun () ->
+      Trace_store.load_or_record store ~key (fun () -> blocks))
+    blocks;
   let d = Trace_store.diff ~before ~after:(Trace_store.tally ()) in
-  Alcotest.(check int) "store saw one recording" 1 d.Trace_store.recorded
+  Alcotest.(check int) "store saw one recording per run" 2
+    d.Trace_store.recorded;
+  let report = (mk_report (), mk_engine_stats ()) in
+  single_flight Report ~key:"r-single-flight" ~compute:(fun () -> report)
+    report;
+  single_flight Time ~key:"single-flight" ~compute:(fun () -> 1.25) 1.25
 
 let test_trace_store_lru_eviction () =
   let root = tmp_cache_dir "traces_lru" in
@@ -963,7 +1005,7 @@ let test_trace_store_lru_eviction () =
   let runs = ref 0 in
   List.iter
     (fun key ->
-      ignore (Trace_store.get_or_record store ~key (counting runs blocks)))
+      ignore (get_traces store ~key (counting runs blocks)))
     keys;
   Alcotest.(check int) "every key recorded" 3 !runs;
   Alcotest.(check int) "bound holds at one entry" 1 (Trace_store.mem_entries ());
@@ -971,7 +1013,7 @@ let test_trace_store_lru_eviction () =
   Alcotest.(check int) "two evictions" 2 d.Trace_store.evictions;
   (* an evicted key re-fetches from disk, byte-identically *)
   let got =
-    Trace_store.get_or_record store ~key:(List.hd keys)
+    get_traces store ~key:(List.hd keys)
       (must_hit "evicted entry lost (disk refetch missed)")
   in
   Alcotest.(check string) "refetched entry byte-identical"
@@ -988,7 +1030,8 @@ let test_memory_tier_kinds () =
       set_mem_limit_override None;
       clear_memory ())
   @@ fun () ->
-  add_memo Time ~key:"k" 1.5;
+  let add k ~key v = ignore (get_or_compute k ~key (Fun.const v)) in
+  add Time ~key:"k" 1.5;
   Alcotest.(check bool) "a report lookup misses a time" true
     (find_memo Report ~key:"k" = None);
   Alcotest.(check bool) "a trace lookup misses a time" true
@@ -997,7 +1040,7 @@ let test_memory_tier_kinds () =
     (find_memo Time ~key:"k");
   Alcotest.(check int) "a time costs its key plus 8 bytes" 9 (mem_bytes ());
   let blocks = mk_blocks () in
-  add_memo Traces ~key:"k" blocks;
+  add Traces ~key:"k" blocks;
   Alcotest.(check int) "another kind replaces the entry" 1 (mem_entries ());
   Alcotest.(check bool) "the replaced time is gone" true
     (find_memo Time ~key:"k" = None);
@@ -1009,10 +1052,10 @@ let test_memory_tier_kinds () =
      "bb" the least recently used *)
   set_mem_limit_override (Some 25);
   let before = tally () in
-  add_memo Time ~key:"aa" 1.;
-  add_memo Time ~key:"bb" 2.;
+  add Time ~key:"aa" 1.;
+  add Time ~key:"bb" 2.;
   ignore (find_memo Time ~key:"aa");
-  add_memo Time ~key:"cc" 3.;
+  add Time ~key:"cc" 3.;
   Alcotest.(check int) "bound holds" 20 (mem_bytes ());
   Alcotest.(check bool) "least recently used evicted" true
     (find_memo Time ~key:"bb" = None);

@@ -713,31 +713,135 @@ let test_memos_live_in_tier () =
     && telemetry_count third "search" "traced"
        = telemetry_count first "search" "traced")
 
+(* A client that disconnects mid-search costs the daemon nothing
+   lasting.  A half-closed client (it shut its sending side after the
+   request) still reads its answer.  A client that closes mid-search
+   leaves its descriptor open in the daemon until the search has
+   answered, so a client connecting next never reads the vanished
+   client's answer; that client then gets a pong, and a repeat search
+   answers with the lone search's bytes. *)
+let test_disconnect_mid_search () =
+  let lone = (oneshot (settings_at None)).output in
+  Runner.clear_cache ();
+  let socket = fresh_socket () in
+  let server =
+    Server.start
+      { socket_path = socket; jobs = 1; queue_limit = 4;
+        settings = settings_at None }
+  in
+  Fun.protect ~finally:(fun () ->
+      (try Server.stop server with _ -> ());
+      Runner.clear_cache ())
+  @@ fun () ->
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX socket);
+    fd
+  in
+  let write fd req =
+    let line = Protocol.request_to_line req ^ "\n" in
+    ignore (Unix.write_substring fd line 0 (String.length line))
+  in
+  let search id = search_request ~settings:no_disk_cache id in
+  let fd = connect () in
+  write fd (search "half");
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  let ic = Unix.in_channel_of_descr fd in
+  (match input_line ic with
+  | line -> (
+      match Protocol.parse_response line with
+      | Ok resp ->
+          let r = expect_result resp in
+          Alcotest.(check string) "half-closed client's id" "half" r.rid;
+          Alcotest.(check string) "half-closed client's bytes" lone r.rout
+      | Error e -> Alcotest.failf "unparseable answer: %s" e)
+  | exception End_of_file ->
+      Alcotest.fail "a half-closed client lost its answer");
+  close_in_noerr ic;
+  let fd = connect () in
+  write fd (search "gone");
+  Unix.close fd;
+  (* connect after the daemon's reader has seen the vanished client's
+     end, so a descriptor closed at that point would be reused *)
+  Unix.sleepf 0.1;
+  let ic, oc = Unix.open_connection (Unix.ADDR_UNIX socket) in
+  Fun.protect ~finally:(fun () ->
+      (try Unix.shutdown_connection ic with _ -> ());
+      close_in_noerr ic)
+  @@ fun () ->
+  (* every line this client reads must answer its own request *)
+  let ask (req : Protocol.request) =
+    output_string oc (Protocol.request_to_line req);
+    output_char oc '\n';
+    flush oc;
+    let line = input_line ic in
+    match Protocol.parse_response line with
+    | Ok (Protocol.Result { id; _ } as resp) when id = req.id ->
+        expect_result resp
+    | _ -> Alcotest.failf "read a line that is not its answer: %s" line
+  in
+  let simple id verb =
+    { Protocol.id; priority = 0; settings = Protocol.no_overrides; verb }
+  in
+  let answered_gone () =
+    match J.member "recent" (ask (simple "st" Protocol.Stats)).rtel with
+    | Some (J.List entries) ->
+        List.exists (fun e -> J.member "id" e = Some (J.Str "gone")) entries
+    | _ -> Alcotest.fail "stats telemetry lacks recent"
+  in
+  let rec wait n =
+    if not (answered_gone ()) then
+      if n = 0 then Alcotest.fail "the vanished client's search never ran"
+      else (
+        Unix.sleepf 0.05;
+        wait (n - 1))
+  in
+  wait 400;
+  (* room for a misdirected answer to arrive before the next reads *)
+  Unix.sleepf 0.1;
+  Alcotest.(check string) "pong" "pong\n"
+    (ask (simple "p" Protocol.Ping)).rout;
+  Alcotest.(check string) "repeat search bytes" lone (ask (search "again")).rout
+
 (* Two identical cache-off searches at once, as two daemon requests
-   would run: every trace goes through the store's single-flight, so
-   together they record what a lone search records, and both answer
-   byte-identically to it. *)
+   would run: every trace and every candidate time goes through the
+   memory tier's single-flight, so together they record and profile
+   what a lone search does, and both answer byte-identically to it.  A
+   time one request took from the other's claim counts as a hit. *)
 let test_concurrent_searches_share_traces () =
   let settings = { (settings_at None) with trace_mem_mb = 0 } in
   let p = { search_params with s_size1 = Some 8; s_size2 = Some 8 } in
   let recorded f =
     Runner.clear_cache ();
     let before = Trace_store.tally () in
-    let outputs = f () in
-    (outputs, Trace_store.(diff ~before ~after:(tally ())).recorded)
+    let outcomes = f () in
+    (outcomes, Trace_store.(diff ~before ~after:(tally ())).recorded)
   in
-  let search () = (Ops.search ~settings p).output in
+  let search () = Ops.search ~settings p in
   let lone, lone_recorded = recorded (fun () -> [| search () |]) in
   let both, both_recorded =
     recorded (fun () ->
         Hfuse_parallel.Pool.with_pool 2 (fun pool ->
             Hfuse_parallel.Pool.map pool search [| (); () |]))
   in
+  let sum field =
+    Array.fold_left (fun n o -> n + telemetry_count o "search" field) 0 both
+  in
+  let lone = lone.(0) in
+  let lone_n field = telemetry_count lone "search" field in
   Alcotest.(check bool) "a lone search records traces" true (lone_recorded > 0);
   Array.iter
-    (Alcotest.(check string) "concurrent output bytes" lone.(0))
+    (fun (o : Ops.outcome) ->
+      Alcotest.(check string) "concurrent output bytes" lone.output o.output)
     both;
-  Alcotest.(check int) "each trace recorded once" lone_recorded both_recorded
+  Alcotest.(check int) "each trace recorded once" lone_recorded both_recorded;
+  Alcotest.(check int) "each candidate profiled once" (lone_n "profiled")
+    (sum "profiled");
+  (* both searches make a lone search's lookups; all but one profile
+     of each candidate are hits *)
+  Alcotest.(check int) "every other lookup is a hit"
+    (lone_n "profiled" + (2 * lone_n "cache_hits"))
+    (sum "cache_hits")
 
 (* A pair the verifier rejects raises before anything is replayed: no
    native baseline, no solo trace recorded, nothing stored. *)
@@ -933,6 +1037,9 @@ let suite =
       test_daemon_oversized_line;
     Alcotest.test_case "admission control refuses past the queue limit" `Slow
       test_daemon_admission_control;
+    Alcotest.test_case
+      "a client that disconnects mid-search costs nothing lasting" `Quick
+      test_disconnect_mid_search;
     Alcotest.test_case "stale socket file is replaced" `Quick
       test_stale_socket_replaced;
     Alcotest.test_case "warm search replays nothing" `Quick

@@ -74,7 +74,7 @@ let test_cache_entry_bytes () =
 let test_trace_entry_bytes () =
   let store = Trace_store.create ~dir:(fresh_root "trace_bytes") () in
   ignore
-    (Trace_store.get_or_record store ~key:trace_key Test_profiler.mk_blocks);
+    (Test_profiler.get_traces store ~key:trace_key Test_profiler.mk_blocks);
   check_golden "trace.entry"
     (read_file
        (Filename.concat (Trace_store.dir store) trace_key.Trace_store.disk))
@@ -114,7 +114,7 @@ let test_golden_root_is_warm () =
   Alcotest.(check string) "trace entry decodes"
     (Trace.encode_blocks (Test_profiler.mk_blocks ()))
     (Trace.encode_blocks
-       (Trace_store.get_or_record
+       (Test_profiler.get_traces
           (Trace_store.create ~dir:root ())
           ~key:trace_key
           (Test_profiler.must_hit "golden trace entry missed")));
