@@ -463,6 +463,25 @@ let run_micro ~settings () =
       Runner.spec_of ~settings c2 ~stream:1 ();
     ]
   in
+  (* the interpreter's yardsticks: the untraced full-grid launch fleet
+     vetting makes of one generated kernel (fresh memory, as vetting
+     binds it), and the traced single-block launches that record the
+     Batchnorm and Hist solo traces at size 32 *)
+  let vet_spec = (List.hd (Hfuse_fleet.Corpus.curated ())).spec in
+  let vet_info =
+    Spec.kernel_info vet_spec (vet_spec.instantiate (Gpusim.Memory.create ()) ~size:1)
+  in
+  let record_launches =
+    let mem = Gpusim.Memory.create () in
+    List.map
+      (fun s ->
+        let c = Runner.configure mem s ~size:32 in
+        fun () ->
+          ignore
+            (Gpusim.Launch.launch_info ~exec_blocks:1 mem c.info
+               ~args:c.inst.args ~trace_blocks:1))
+      [ bn; hist ]
+  in
   let tests =
     [
       Test.make ~name:"parse corpus kernel"
@@ -498,6 +517,15 @@ let run_micro ~settings () =
       Test.make ~name:"timing replay (native pair)"
         (Staged.stage (fun () ->
              ignore (Gpusim.Timing.run arch replay_specs)));
+      Test.make ~name:"vetting launch (generated)"
+        (Staged.stage (fun () ->
+             let mem = Gpusim.Memory.create () in
+             let inst = vet_spec.instantiate mem ~size:1 in
+             ignore
+               (Gpusim.Launch.launch_info mem vet_info ~args:inst.args
+                  ~trace_blocks:0)));
+      Test.make ~name:"record Batchnorm+Hist traces"
+        (Staged.stage (fun () -> List.iter (fun f -> f ()) record_launches));
     ]
   in
   let ols =

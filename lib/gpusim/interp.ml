@@ -20,7 +20,20 @@
    arrived — the PTX arrival-counter semantics the fused kernels rely
    on.  A barrier that can never be satisfied (e.g. [__syncthreads]
    surviving in a fused kernel) deadlocks, and the scheduler reports it
-   as such. *)
+   as such.
+
+   Lanes and tables.  An evaluation returns a [lanes] array that no one
+   writes to afterwards, except a register's own array in the warp's
+   env, which stores overwrite in place (so a post-increment copies the
+   old value out before its store).  That makes two kinds of lanes
+   safely shared: the builtin lanes ([threadIdx], [blockIdx],
+   [blockDim], [gridDim]) are built once per warp, on first read, and
+   returned to every later read.  The L1 model and the scratch tables
+   of the coalescing analyses (sectors of one global access, words of
+   one shared access, lanes per atomic address) are per block
+   ({!block_tables}), shared by its warps and emptied before each use;
+   only traced blocks size an L1.  Per-lane arithmetic dispatches on
+   the operand constructors in {!Value}, never through [Ctype]. *)
 
 open Cuda
 
@@ -46,9 +59,9 @@ type _ Effect.t +=
 type lanes = Value.t array
 
 (** A per-block model of the SM's sectored L1 data cache: FIFO over
-    32-byte sectors.  Shared by all warps of a block (created in
-    {!Launch}); global loads that hit avoid the DRAM latency and
-    bandwidth charge in the timing model. *)
+    32-byte sectors.  Shared by all warps of a block; global loads that
+    hit avoid the DRAM latency and bandwidth charge in the timing
+    model. *)
 type l1_cache = {
   l1_table : (int, unit) Hashtbl.t;  (** key: buf * 2^24 + sector *)
   l1_fifo : int Queue.t;
@@ -56,7 +69,11 @@ type l1_cache = {
 }
 
 let l1_create ~sectors =
-  { l1_table = Hashtbl.create 1024; l1_fifo = Queue.create (); l1_cap = sectors }
+  {
+    l1_table = Hashtbl.create (if sectors > 0 then 1024 else 1);
+    l1_fifo = Queue.create ();
+    l1_cap = sectors;
+  }
 
 let l1_key buf sector = (buf lsl 24) lor (sector land 0xFFFFFF)
 
@@ -77,6 +94,27 @@ let l1_probe (c : l1_cache) ~buf ~sector : bool =
     end
   end
 
+(** Per-block tables, shared by the block's warps (they run one at a
+    time and never yield inside an access): the L1 model and the
+    scratch tables of the coalescing analyses.  A scratch table is
+    emptied with [Hashtbl.clear] before each use and holds at most one
+    key per lane, so its 16 buckets never resize and it iterates exactly
+    as a fresh table would. *)
+type block_tables = {
+  l1 : l1_cache;
+  segs : (int * int, unit) Hashtbl.t;  (** (buf, sector) of one access *)
+  seen : (int, unit) Hashtbl.t;  (** shared words of one access *)
+  counts : (int * int, int) Hashtbl.t;  (** lanes per atomic address *)
+}
+
+let block_tables ~l1_sectors =
+  {
+    l1 = l1_create ~sectors:l1_sectors;
+    segs = Hashtbl.create 16;
+    seen = Hashtbl.create 16;
+    counts = Hashtbl.create 16;
+  }
+
 (** Per-warp execution context. *)
 type wctx = {
   warp_size : int;
@@ -93,12 +131,20 @@ type wctx = {
   shared_layout : (string, int * Ctype.t) Hashtbl.t;
       (** shared array name -> (byte offset in block smem, element type) *)
   trace : Trace.t option;
-  l1 : l1_cache;
+  tables : block_tables;
+  builtins : lanes array;
+      (** the warp's [threadIdx]/[blockIdx]/[blockDim]/[gridDim] lanes,
+          built on first use; shared by every read, never mutated *)
   locals : (int, Bytes.t) Hashtbl.t;
       (** per-lane local-array backing store, keyed by region id *)
   mutable local_seq : int;  (** next region id *)
   mutable loop_fuel : int;  (** guards against runaway loops *)
 }
+
+(** An empty builtin cache: one slot per builtin, filled on first use. *)
+let builtins_create () : lanes array = Array.make 12 [||]
+
+let tracing ctx = match ctx.trace with None -> false | Some _ -> true
 
 let record ctx i =
   match ctx.trace with None -> () | Some t -> Trace.push t i
@@ -110,6 +156,15 @@ let iter_lanes ctx mask f =
   for l = 0 to ctx.warp_size - 1 do
     if mask land (1 lsl l) <> 0 then f l
   done
+
+(** The lowest active lane, or -1 when no lane is active. *)
+let first_lane ctx mask =
+  let rec go l =
+    if l >= ctx.warp_size then -1
+    else if mask land (1 lsl l) <> 0 then l
+    else go (l + 1)
+  in
+  go 0
 
 let popcount mask =
   let rec go m acc = if m = 0 then acc else go (m land (m - 1)) (acc + 1) in
@@ -123,14 +178,18 @@ let popcount mask =
     (distinct (buffer, sector) pairs), split into L1 misses and hits. *)
 let global_transactions ctx mask (ptrs : Value.ptr array) ~probe_l1 :
     int * int =
-  let segs = Hashtbl.create 16 in
-  iter_lanes ctx mask (fun l ->
+  let segs = ctx.tables.segs in
+  Hashtbl.clear segs;
+  for l = 0 to ctx.warp_size - 1 do
+    if mask land (1 lsl l) <> 0 then begin
       let p = ptrs.(l) in
-      Hashtbl.replace segs (p.Value.buf, p.Value.off lsr 5) ());
+      Hashtbl.replace segs (p.Value.buf, p.Value.off lsr 5) ()
+    end
+  done;
   let miss = ref 0 and hit = ref 0 in
   Hashtbl.iter
     (fun (buf, sector) () ->
-      if probe_l1 && l1_probe ctx.l1 ~buf ~sector then incr hit
+      if probe_l1 && l1_probe ctx.tables.l1 ~buf ~sector then incr hit
       else incr miss)
     segs;
   if !miss + !hit = 0 then (1, 0) else (!miss, !hit)
@@ -140,34 +199,32 @@ let global_transactions ctx mask (ptrs : Value.ptr array) ~probe_l1 :
     addresses broadcast. *)
 let bank_conflict_degree ctx mask (ptrs : Value.ptr array) : int =
   let per_bank = Array.make 32 0 in
-  let seen = Hashtbl.create 16 in
-  iter_lanes ctx mask (fun l ->
+  let seen = ctx.tables.seen in
+  Hashtbl.clear seen;
+  for l = 0 to ctx.warp_size - 1 do
+    if mask land (1 lsl l) <> 0 then begin
       let word = ptrs.(l).Value.off lsr 2 in
       if not (Hashtbl.mem seen word) then begin
         Hashtbl.replace seen word ();
         let bank = word land 31 in
         per_bank.(bank) <- per_bank.(bank) + 1
-      end);
+      end
+    end
+  done;
   Array.fold_left max 1 per_bank
-
-(** Memory space of the first active lane's pointer (Global if none). *)
-let active_space ctx mask (ptrs : Value.ptr array) : Value.space =
-  let r = ref Value.Global in
-  (try
-     iter_lanes ctx mask (fun l ->
-         r := ptrs.(l).Value.space;
-         raise Exit)
-   with Exit -> ());
-  !r
 
 (** Serialisation degree of atomics: the maximum number of active lanes
     addressing the same location. *)
 let atomic_conflict_degree ctx mask (ptrs : Value.ptr array) : int =
-  let counts = Hashtbl.create 16 in
-  iter_lanes ctx mask (fun l ->
+  let counts = ctx.tables.counts in
+  Hashtbl.clear counts;
+  for l = 0 to ctx.warp_size - 1 do
+    if mask land (1 lsl l) <> 0 then begin
       let key = (ptrs.(l).Value.buf, ptrs.(l).Value.off) in
       Hashtbl.replace counts key
-        (1 + Option.value (Hashtbl.find_opt counts key) ~default:0));
+        (1 + match Hashtbl.find counts key with n -> n | exception Not_found -> 0)
+    end
+  done;
   Hashtbl.fold (fun _ n acc -> max n acc) counts 1
 
 (* ------------------------------------------------------------------ *)
@@ -192,43 +249,52 @@ let store_ptr ctx (p : Value.ptr) (v : Value.t) : unit =
 (** Record the trace event for a [load] ([is_load = true]) or store of
     the active lanes' pointers. *)
 let record_access ctx mask (ptrs : Value.ptr array) ~is_load : unit =
-  if ctx.trace <> None then begin
-    (* find a representative active lane for the space *)
-    let space = ref None in
-    (try
-       iter_lanes ctx mask (fun l ->
-           space := Some ptrs.(l).Value.space;
-           raise Exit)
-     with Exit -> ());
-    match !space with
-    | None -> ()
-    | Some Value.Global ->
-        if is_load then begin
-          let miss, hit = global_transactions ctx mask ptrs ~probe_l1:true in
-          record ctx (Instr.Ld_global (miss, hit))
-        end
-        else begin
-          (* write-through, no-allocate: stores always pay DRAM bandwidth
-             but do invalidate nothing and allocate nothing *)
-          let miss, hit = global_transactions ctx mask ptrs ~probe_l1:false in
-          record ctx (Instr.St_global (miss + hit))
-        end
-    | Some Value.Shared ->
-        let n = bank_conflict_degree ctx mask ptrs in
-        record ctx (if is_load then Instr.Ld_shared n else Instr.St_shared n)
-    | Some Value.Local_mem ->
-        (* per-thread arrays model the miners' register-resident state
-           (the real kernels fully unroll); charge a register move, not
-           a memory access *)
-        record ctx Instr.Alu
+  if tracing ctx then begin
+    (* the first active lane's pointer names the space *)
+    let l = first_lane ctx mask in
+    if l >= 0 then
+      match ptrs.(l).Value.space with
+      | Value.Global ->
+          if is_load then begin
+            let miss, hit = global_transactions ctx mask ptrs ~probe_l1:true in
+            record ctx (Instr.Ld_global (miss, hit))
+          end
+          else begin
+            (* write-through, no-allocate: stores always pay DRAM bandwidth
+               but do invalidate nothing and allocate nothing *)
+            let miss, hit = global_transactions ctx mask ptrs ~probe_l1:false in
+            record ctx (Instr.St_global (miss + hit))
+          end
+      | Value.Shared ->
+          let n = bank_conflict_degree ctx mask ptrs in
+          record ctx (if is_load then Instr.Ld_shared n else Instr.St_shared n)
+      | Value.Local_mem ->
+          (* per-thread arrays model the miners' register-resident state
+             (the real kernels fully unroll); charge a register move, not
+             a memory access *)
+          record ctx Instr.Alu
   end
 
 (* ------------------------------------------------------------------ *)
 (* Builtins                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let eval_builtin ctx (b : Ast.builtin) : lanes =
-  let bx, by, _bz = ctx.block_dim in
+let builtin_slot : Ast.builtin -> int = function
+  | Ast.Thread_idx Ast.X -> 0
+  | Ast.Thread_idx Ast.Y -> 1
+  | Ast.Thread_idx Ast.Z -> 2
+  | Ast.Block_idx Ast.X -> 3
+  | Ast.Block_idx Ast.Y -> 4
+  | Ast.Block_idx Ast.Z -> 5
+  | Ast.Block_dim Ast.X -> 6
+  | Ast.Block_dim Ast.Y -> 7
+  | Ast.Block_dim Ast.Z -> 8
+  | Ast.Grid_dim Ast.X -> 9
+  | Ast.Grid_dim Ast.Y -> 10
+  | Ast.Grid_dim Ast.Z -> 11
+
+let build_builtin ctx (b : Ast.builtin) : lanes =
+  let bx, by, bz = ctx.block_dim in
   let per_lane f =
     Array.init ctx.warp_size (fun l ->
         Value.UInt (Int32.of_int (f (ctx.base_tid + l))))
@@ -242,11 +308,22 @@ let eval_builtin ctx (b : Ast.builtin) : lanes =
   | Ast.Block_idx (Ast.Y | Ast.Z) -> lanes_make ctx (Value.UInt 0l)
   | Ast.Block_dim Ast.X -> lanes_make ctx (Value.UInt (Int32.of_int bx))
   | Ast.Block_dim Ast.Y -> lanes_make ctx (Value.UInt (Int32.of_int by))
-  | Ast.Block_dim Ast.Z ->
-      let _, _, bz = ctx.block_dim in
-      lanes_make ctx (Value.UInt (Int32.of_int bz))
+  | Ast.Block_dim Ast.Z -> lanes_make ctx (Value.UInt (Int32.of_int bz))
   | Ast.Grid_dim Ast.X -> lanes_make ctx (Value.UInt (Int32.of_int ctx.grid_dim))
   | Ast.Grid_dim (Ast.Y | Ast.Z) -> lanes_make ctx (Value.UInt 1l)
+
+(* Builtins are warp-invariant: each is built once per warp and the
+   same lanes serve every read (no evaluation result is ever written
+   to; stores write into the env's own arrays). *)
+let eval_builtin ctx (b : Ast.builtin) : lanes =
+  let i = builtin_slot b in
+  let v = ctx.builtins.(i) in
+  if Array.length v > 0 then v
+  else begin
+    let v = build_builtin ctx b in
+    ctx.builtins.(i) <- v;
+    v
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation                                                *)
@@ -257,14 +334,9 @@ let eval_builtin ctx (b : Ast.builtin) : lanes =
     reciprocal plus a short Newton refinement.  Recorded accordingly so
     index-arithmetic-heavy kernels show their real issue pressure. *)
 let record_div ctx mask (out : Value.t array) : unit =
-  if ctx.trace <> None then begin
-    let v = ref (Value.Int 0l) in
-    (try
-       iter_lanes ctx mask (fun l ->
-           v := out.(l);
-           raise Exit)
-     with Exit -> ());
-    match !v with
+  if tracing ctx then begin
+    let l = first_lane ctx mask in
+    match if l >= 0 then out.(l) else Value.Int 0l with
     | Value.Float _ ->
         record ctx Instr.Sfu;
         for _ = 1 to 4 do record ctx Instr.Falu done
@@ -279,14 +351,9 @@ let record_div ctx mask (out : Value.t array) : unit =
     both modelled architectures (as in real SASS), everything else is
     one ALU op. *)
 let record_arith ctx mask (out : Value.t array) : unit =
-  if ctx.trace <> None then begin
-    let v = ref (Value.Int 0l) in
-    (try
-       iter_lanes ctx mask (fun l ->
-           v := out.(l);
-           raise Exit)
-     with Exit -> ());
-    match !v with
+  if tracing ctx then begin
+    let l = first_lane ctx mask in
+    match if l >= 0 then out.(l) else Value.Int 0l with
     | Value.Float _ -> record ctx Instr.Falu
     | Value.Double _ -> record ctx Instr.Dalu
     | Value.Long _ | Value.ULong _ ->
@@ -297,21 +364,21 @@ let record_arith ctx mask (out : Value.t array) : unit =
 
 let truth_mask ctx mask (vs : lanes) : int =
   let m = ref 0 in
-  iter_lanes ctx mask (fun l -> if Value.truthy vs.(l) then m := !m lor (1 lsl l));
+  for l = 0 to ctx.warp_size - 1 do
+    if mask land (1 lsl l) <> 0 && Value.truthy vs.(l) then m := !m lor (1 lsl l)
+  done;
   !m
 
 let lookup_var ctx x : lanes =
-  match Hashtbl.find_opt ctx.env x with
-  | Some v -> v
-  | None -> (
+  match Hashtbl.find ctx.env x with
+  | v -> v
+  | exception Not_found -> (
       (* shared arrays live in the layout, not the env *)
       match Hashtbl.find_opt ctx.shared_layout x with
       | Some (off, elem) ->
           lanes_make ctx
             (Value.Ptr { Value.space = Value.Shared; buf = 0; off; elem })
       | None -> fail "use of unbound variable %s" x)
-
-let declared_type ctx x : Ctype.t option = Hashtbl.find_opt ctx.types x
 
 (** An lvalue, resolved per-lane. *)
 type lval =
@@ -338,7 +405,9 @@ let rec eval ctx mask (e : Ast.expr) : lanes =
   | Ast.Unop (op, a) ->
       let va = eval ctx mask a in
       let out = lanes_make ctx (Value.Int 0l) in
-      iter_lanes ctx mask (fun l -> out.(l) <- Value.unop op va.(l));
+      for l = 0 to ctx.warp_size - 1 do
+        if mask land (1 lsl l) <> 0 then out.(l) <- Value.unop op va.(l)
+      done;
       record_arith ctx mask out;
       out
   | Ast.Binop (Ast.Land, a, b) ->
@@ -377,7 +446,10 @@ let rec eval ctx mask (e : Ast.expr) : lanes =
       let va = eval ctx mask a in
       let vb = eval ctx mask b in
       let out = lanes_make ctx (Value.Int 0l) in
-      iter_lanes ctx mask (fun l -> out.(l) <- Value.binop op va.(l) vb.(l));
+      for l = 0 to ctx.warp_size - 1 do
+        if mask land (1 lsl l) <> 0 then
+          out.(l) <- Value.binop op va.(l) vb.(l)
+      done;
       (match op with
       | Ast.Div | Ast.Mod -> record_div ctx mask out
       | _ -> record_arith ctx mask out);
@@ -390,7 +462,10 @@ let rec eval ctx mask (e : Ast.expr) : lanes =
       let cur = load_lval ctx mask lv in
       let vb = eval ctx mask rhs in
       let out = lanes_make ctx (Value.Int 0l) in
-      iter_lanes ctx mask (fun l -> out.(l) <- Value.binop op cur.(l) vb.(l));
+      for l = 0 to ctx.warp_size - 1 do
+        if mask land (1 lsl l) <> 0 then
+          out.(l) <- Value.binop op cur.(l) vb.(l)
+      done;
       (match op with
       | Ast.Div | Ast.Mod -> record_div ctx mask out
       | _ -> record_arith ctx mask out);
@@ -398,14 +473,18 @@ let rec eval ctx mask (e : Ast.expr) : lanes =
   | Ast.Incdec { pre; inc; lval } ->
       let lv = eval_lval ctx mask lval in
       let cur = load_lval ctx mask lv in
-      let one = Ast.Int_lit (1L, Ctype.Int) in
-      let vb = eval ctx mask one in
+      (* a register's lanes are the env's own array, which the store
+         below overwrites: a post-op keeps a copy of the old value *)
+      let old = match lv with Lvar _ when not pre -> Array.copy cur | _ -> cur in
       let op = if inc then Ast.Add else Ast.Sub in
       let next = lanes_make ctx (Value.Int 0l) in
-      iter_lanes ctx mask (fun l -> next.(l) <- Value.binop op cur.(l) vb.(l));
+      for l = 0 to ctx.warp_size - 1 do
+        if mask land (1 lsl l) <> 0 then
+          next.(l) <- Value.binop op cur.(l) (Value.Int 1l)
+      done;
       record ctx Instr.Alu;
       let stored = store_lval ctx mask lv next in
-      if pre then stored else cur
+      if pre then stored else old
   | Ast.Ternary (c, a, b) ->
       let vc = eval ctx mask c in
       let mt = truth_mask ctx mask vc in
@@ -423,7 +502,9 @@ let rec eval ctx mask (e : Ast.expr) : lanes =
       match lv with
       | Lmem ptrs ->
           let out = lanes_make ctx (Value.Int 0l) in
-          iter_lanes ctx mask (fun l -> out.(l) <- load_ptr ctx ptrs.(l));
+          for l = 0 to ctx.warp_size - 1 do
+            if mask land (1 lsl l) <> 0 then out.(l) <- load_ptr ctx ptrs.(l)
+          done;
           record_access ctx mask ptrs ~is_load:true;
           out
       | Lvar _ -> assert false)
@@ -435,7 +516,9 @@ let rec eval ctx mask (e : Ast.expr) : lanes =
   | Ast.Cast (ty, a) ->
       let va = eval ctx mask a in
       let out = lanes_make ctx (Value.Int 0l) in
-      iter_lanes ctx mask (fun l -> out.(l) <- Value.convert ty va.(l));
+      for l = 0 to ctx.warp_size - 1 do
+        if mask land (1 lsl l) <> 0 then out.(l) <- Value.convert ty va.(l)
+      done;
       (* pointer reinterpretation is free; arithmetic conversions cost *)
       (match ty with
       | Ctype.Ptr _ -> ()
@@ -459,7 +542,8 @@ and eval_lval ctx mask (e : Ast.expr) : lval =
         Array.make ctx.warp_size
           { Value.space = Value.Shared; buf = 0; off = 0; elem = Ctype.Int }
       in
-      iter_lanes ctx mask (fun l ->
+      for l = 0 to ctx.warp_size - 1 do
+        if mask land (1 lsl l) <> 0 then
           match vb.(l) with
           | Value.Ptr p ->
               ptrs.(l) <-
@@ -471,7 +555,8 @@ and eval_lval ctx mask (e : Ast.expr) : lval =
                 }
           | v ->
               fail "subscript of non-pointer value %a (in %s)" Value.pp v
-                (Pretty.expr_to_string e));
+                (Pretty.expr_to_string e)
+      done;
       Lmem ptrs)
   | Ast.Deref e -> (
       let vb = eval ctx mask e in
@@ -491,7 +576,9 @@ and load_lval ctx mask (lv : lval) : lanes =
   | Lvar x -> lookup_var ctx x
   | Lmem ptrs ->
       let out = lanes_make ctx (Value.Int 0l) in
-      iter_lanes ctx mask (fun l -> out.(l) <- load_ptr ctx ptrs.(l));
+      for l = 0 to ctx.warp_size - 1 do
+        if mask land (1 lsl l) <> 0 then out.(l) <- load_ptr ctx ptrs.(l)
+      done;
       record_access ctx mask ptrs ~is_load:true;
       out
 
@@ -501,20 +588,24 @@ and store_lval ctx mask (lv : lval) (v : lanes) : lanes =
   match lv with
   | Lvar x ->
       let cur =
-        match Hashtbl.find_opt ctx.env x with
-        | Some a -> a
-        | None -> fail "assignment to unbound variable %s" x
+        match Hashtbl.find ctx.env x with
+        | a -> a
+        | exception Not_found -> fail "assignment to unbound variable %s" x
       in
-      let conv =
-        match declared_type ctx x with
-        | Some ty when Ctype.is_arith ty || ty = Ctype.Bool ->
-            fun v -> Value.convert ty v
-        | _ -> fun v -> v
-      in
-      iter_lanes ctx mask (fun l -> cur.(l) <- conv v.(l));
+      (match Hashtbl.find ctx.types x with
+      | ty when Ctype.is_arith ty ->
+          for l = 0 to ctx.warp_size - 1 do
+            if mask land (1 lsl l) <> 0 then cur.(l) <- Value.convert ty v.(l)
+          done
+      | _ | (exception Not_found) ->
+          for l = 0 to ctx.warp_size - 1 do
+            if mask land (1 lsl l) <> 0 then cur.(l) <- v.(l)
+          done);
       cur
   | Lmem ptrs ->
-      iter_lanes ctx mask (fun l -> store_ptr ctx ptrs.(l) v.(l));
+      for l = 0 to ctx.warp_size - 1 do
+        if mask land (1 lsl l) <> 0 then store_ptr ctx ptrs.(l) v.(l)
+      done;
       record_access ctx mask ptrs ~is_load:false;
       v
 
@@ -526,18 +617,20 @@ and assign ctx mask lhs (v : lanes) : lanes =
 (* Intrinsics                                                           *)
 (* ------------------------------------------------------------------ *)
 
+and unop_float ctx mask f args ff latcls =
+  match args with
+  | [ a ] ->
+      let va = eval ctx mask a in
+      let out = lanes_make ctx (Value.Float 0.) in
+      for l = 0 to ctx.warp_size - 1 do
+        if mask land (1 lsl l) <> 0 then
+          out.(l) <- Value.Float (Value.f32 (ff (Value.to_float va.(l))))
+      done;
+      record ctx latcls;
+      out
+  | _ -> fail "%s expects 1 argument" f
+
 and eval_call ctx mask (f : string) (args : Ast.expr list) : lanes =
-  let unop_float ff latcls =
-    match args with
-    | [ a ] ->
-        let va = eval ctx mask a in
-        let out = lanes_make ctx (Value.Float 0.) in
-        iter_lanes ctx mask (fun l ->
-            out.(l) <- Value.Float (Value.f32 (ff (Value.to_float va.(l)))));
-        record ctx latcls;
-        out
-    | _ -> fail "%s expects 1 argument" f
-  in
   match f with
   | "min" | "max" -> (
       match args with
@@ -565,14 +658,14 @@ and eval_call ctx mask (f : string) (args : Ast.expr list) : lanes =
           record ctx Instr.Falu;
           out
       | _ -> fail "%s expects 2 arguments" f)
-  | "fabsf" -> unop_float Float.abs Instr.Falu
-  | "sqrtf" -> unop_float sqrt Instr.Sfu
-  | "rsqrtf" -> unop_float (fun x -> 1.0 /. sqrt x) Instr.Sfu
-  | "expf" -> unop_float exp Instr.Sfu
-  | "logf" -> unop_float log Instr.Sfu
-  | "floorf" -> unop_float Float.floor Instr.Falu
-  | "ceilf" -> unop_float Float.ceil Instr.Falu
-  | "roundf" -> unop_float Float.round Instr.Falu
+  | "fabsf" -> unop_float ctx mask f args Float.abs Instr.Falu
+  | "sqrtf" -> unop_float ctx mask f args sqrt Instr.Sfu
+  | "rsqrtf" -> unop_float ctx mask f args (fun x -> 1.0 /. sqrt x) Instr.Sfu
+  | "expf" -> unop_float ctx mask f args exp Instr.Sfu
+  | "logf" -> unop_float ctx mask f args log Instr.Sfu
+  | "floorf" -> unop_float ctx mask f args Float.floor Instr.Falu
+  | "ceilf" -> unop_float ctx mask f args Float.ceil Instr.Falu
+  | "roundf" -> unop_float ctx mask f args Float.round Instr.Falu
   | "getMSB" -> (
       match args with
       | [ a ] ->
@@ -678,11 +771,12 @@ and eval_call ctx mask (f : string) (args : Ast.expr list) : lanes =
                 | _ -> vv.(l)
               in
               store_ptr ctx p neu);
-          let degree = atomic_conflict_degree ctx mask ptrs in
-          let space = active_space ctx mask ptrs in
-          (match space with
-          | Value.Shared -> record ctx (Instr.Atom_shared degree)
-          | _ -> record ctx (Instr.Atom_global degree));
+          (if tracing ctx then
+             let degree = atomic_conflict_degree ctx mask ptrs in
+             let l = first_lane ctx mask in
+             match if l >= 0 then ptrs.(l).Value.space else Value.Global with
+             | Value.Shared -> record ctx (Instr.Atom_shared degree)
+             | _ -> record ctx (Instr.Atom_global degree));
           out
       | _ -> fail "%s expects 2 arguments" f)
   | "atomicCAS" -> (
@@ -703,7 +797,8 @@ and eval_call ctx mask (f : string) (args : Ast.expr list) : lanes =
               out.(l) <- old;
               if Value.truthy (Value.binop Ast.Eq old vc.(l)) then
                 store_ptr ctx p vv.(l));
-          record ctx (Instr.Atom_global (atomic_conflict_degree ctx mask ptrs));
+          if tracing ctx then
+            record ctx (Instr.Atom_global (atomic_conflict_degree ctx mask ptrs));
           out
       | _ -> fail "atomicCAS expects 3 arguments")
   | "__ballot_sync" -> (
@@ -777,20 +872,15 @@ let exec_decl ctx mask (d : Ast.decl) : unit =
           ignore (store_lval ctx mask (Lvar d.d_name) v))
 
 let rec exec_stmts ctx mask (stmts : Ast.stmt list) : outcome =
-  let alive = ref mask in
-  let brk = ref 0 and cont = ref 0 and ret = ref 0 in
-  (try
-     List.iter
-       (fun s ->
-         if !alive = 0 then raise Exit;
-         let out = exec_stmt ctx !alive s in
-         alive := out.fall;
-         brk := !brk lor out.brk;
-         cont := !cont lor out.cont;
-         ret := !ret lor out.ret)
-       stmts
-   with Exit -> ());
-  { fall = !alive; brk = !brk; cont = !cont; ret = !ret }
+  exec_seq ctx mask 0 0 0 stmts
+
+(* statements in order while any lane falls through *)
+and exec_seq ctx alive brk cont ret = function
+  | s :: rest when alive <> 0 ->
+      let out = exec_stmt ctx alive s in
+      exec_seq ctx out.fall (brk lor out.brk) (cont lor out.cont)
+        (ret lor out.ret) rest
+  | _ -> { fall = alive; brk; cont; ret }
 
 and exec_stmt ctx mask (s : Ast.stmt) : outcome =
   match s.s with

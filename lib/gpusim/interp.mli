@@ -28,10 +28,12 @@ type _ Effect.t +=
 
 type lanes = Value.t array
 
-(** Per-block sectored cache model (see {!Launch.config.l1_sectors}). *)
-type l1_cache
+(** Per-block tables shared by the block's warps: the sectored L1
+    model (see {!Launch.config.l1_sectors}; [l1_sectors <= 0] disables
+    it) and the coalescing analyses' scratch tables. *)
+type block_tables
 
-val l1_create : sectors:int -> l1_cache
+val block_tables : l1_sectors:int -> block_tables
 
 (** Per-warp execution context, built by {!Launch}. *)
 type wctx = {
@@ -48,11 +50,16 @@ type wctx = {
   shared : Bytes.t;
   shared_layout : (string, int * Cuda.Ctype.t) Hashtbl.t;
   trace : Trace.t option;
-  l1 : l1_cache;
+  tables : block_tables;
+  builtins : lanes array;
+      (** warp-invariant builtin lanes, filled on first use (start from
+          {!builtins_create}) *)
   locals : (int, Bytes.t) Hashtbl.t;
   mutable local_seq : int;
   mutable loop_fuel : int;
 }
+
+val builtins_create : unit -> lanes array
 
 val full_of_threads : int -> int
 (** Mask with the low [n] bits set. *)

@@ -278,7 +278,11 @@ let launch ?fault ?(loop_fuel = default_loop_fuel) (mem : Memory.t)
     fn.f_params;
   for block_idx = 0 to exec_blocks - 1 do
     let shared = Bytes.make smem_bytes '\000' in
-    let l1 = Interp.l1_create ~sectors:config.l1_sectors in
+    (* only traced blocks probe the L1 model *)
+    let tables =
+      Interp.block_tables
+        ~l1_sectors:(if block_idx < traced then config.l1_sectors else 0)
+    in
     let make_warp w : unit -> unit =
       let base_tid = w * warp_size in
       let live_threads = min warp_size (threads - base_tid) in
@@ -308,7 +312,8 @@ let launch ?fault ?(loop_fuel = default_loop_fuel) (mem : Memory.t)
           shared;
           shared_layout = layout;
           trace;
-          l1;
+          tables;
+          builtins = Interp.builtins_create ();
           locals = Hashtbl.create 8;
           local_seq = 0;
           loop_fuel;

@@ -35,16 +35,6 @@ let fail fmt = Fmt.kstr (fun s -> raise (Runtime_error s)) fmt
 
 let f32 (x : float) : float = Int32.float_of_bits (Int32.bits_of_float x)
 
-let type_of : t -> Ctype.t = function
-  | Int _ -> Int
-  | UInt _ -> UInt
-  | Long _ -> Long
-  | ULong _ -> ULong
-  | Float _ -> Float
-  | Double _ -> Double
-  | Bool _ -> Bool
-  | Ptr p -> Ptr p.elem
-
 (* ------------------------------------------------------------------ *)
 (* Conversions                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -57,7 +47,18 @@ let to_i64 : t -> int64 = function
   | Bool b -> if b then 1L else 0L
   | Ptr _ -> fail "pointer used as integer"
 
-let to_int v = Int64.to_int (to_i64 v)
+(* [Int64.to_int (to_i64 v)] and [Int64.to_int32 (to_i64 v)], without
+   the [int64] round trip for 32-bit values *)
+let to_int : t -> int = function
+  | Int x -> Int32.to_int x
+  | UInt x -> Int32.to_int x land 0xFFFFFFFF
+  | Long x | ULong x -> Int64.to_int x
+  | Bool b -> if b then 1 else 0
+  | v -> Int64.to_int (to_i64 v)
+
+let to_i32 : t -> int32 = function
+  | Int x | UInt x -> x
+  | v -> Int64.to_int32 (to_i64 v)
 
 let to_float : t -> float = function
   | Int x -> Int32.to_float x
@@ -80,6 +81,17 @@ let truthy : t -> bool = function
 (** Convert (as by C cast/assignment) to the given type. *)
 let convert (ty : Ctype.t) (v : t) : t =
   match (ty, v) with
+  (* same type: every payload is already in range (floats rounded) *)
+  | Ctype.Int, Int _
+  | Ctype.UInt, UInt _
+  | Ctype.Long, Long _
+  | Ctype.ULong, ULong _
+  | Ctype.Float, Float _
+  | Ctype.Double, Double _
+  | Ctype.Bool, Bool _ ->
+      v
+  | Ctype.Int, UInt x -> Int x
+  | Ctype.UInt, Int x -> UInt x
   | Ctype.Ptr elem, Ptr p -> Ptr { p with elem }
   | Ctype.Ptr _, _ -> fail "cannot convert non-pointer to pointer"
   | _, Ptr _ -> fail "cannot convert pointer to %s" (Ctype.to_string ty)
@@ -108,8 +120,8 @@ let convert (ty : Ctype.t) (v : t) : t =
       Int (Int32.of_int (if b >= 0x8000 then b - 0x10000 else b))
   | Ctype.UShort, v ->
       UInt (Int32.of_int (Int64.to_int (to_i64 v) land 0xFFFF))
-  | Ctype.Int, v -> Int (Int64.to_int32 (to_i64 v))
-  | Ctype.UInt, v -> UInt (Int64.to_int32 (to_i64 v))
+  | Ctype.Int, v -> Int (to_i32 v)
+  | Ctype.UInt, v -> UInt (to_i32 v)
   | Ctype.Long, v -> Long (to_i64 v)
   | Ctype.ULong, v -> ULong (to_i64 v)
   | Ctype.(Void | Array _), _ ->
@@ -119,16 +131,121 @@ let convert (ty : Ctype.t) (v : t) : t =
 (* Arithmetic                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let u64_div a b =
-  (* unsigned 64-bit division *)
-  Int64.unsigned_div a b
-
-let u64_rem a b = Int64.unsigned_rem a b
 let u64_lt a b = Int64.unsigned_compare a b < 0
+let vtrue = Bool true
+let vfalse = Bool false
+let of_bool c = if c then vtrue else vfalse
+let w32 unsigned v = if unsigned then UInt v else Int v
+let w64 unsigned v = if unsigned then ULong v else Long v
+let wfloat single v = if single then Float (f32 v) else Double v
+
+(* One operator table per class of the usual arithmetic conversions,
+   over raw payloads: 32-bit and 64-bit integers of either signedness,
+   and binary32/binary64 floats. *)
+
+let int32_op (op : Ast.binop) ~unsigned (x : int32) (y : int32) : t =
+  match op with
+  | Ast.Add -> w32 unsigned (Int32.add x y)
+  | Ast.Sub -> w32 unsigned (Int32.sub x y)
+  | Ast.Mul -> w32 unsigned (Int32.mul x y)
+  | Ast.Div ->
+      if y = 0l then fail "integer division by zero";
+      w32 unsigned (if unsigned then Int32.unsigned_div x y else Int32.div x y)
+  | Ast.Mod ->
+      if y = 0l then fail "integer modulo by zero";
+      w32 unsigned (if unsigned then Int32.unsigned_rem x y else Int32.rem x y)
+  | Ast.Band -> w32 unsigned (Int32.logand x y)
+  | Ast.Bor -> w32 unsigned (Int32.logor x y)
+  | Ast.Bxor -> w32 unsigned (Int32.logxor x y)
+  | Ast.Shl -> w32 unsigned (Int32.shift_left x (Int32.to_int y land 31))
+  | Ast.Shr ->
+      w32 unsigned
+        (if unsigned then Int32.shift_right_logical x (Int32.to_int y land 31)
+         else Int32.shift_right x (Int32.to_int y land 31))
+  | Ast.Eq -> of_bool (Int32.equal x y)
+  | Ast.Ne -> of_bool (not (Int32.equal x y))
+  | Ast.Lt ->
+      of_bool (if unsigned then Int32.unsigned_compare x y < 0 else x < y)
+  | Ast.Le ->
+      of_bool (if unsigned then Int32.unsigned_compare x y <= 0 else x <= y)
+  | Ast.Gt ->
+      of_bool (if unsigned then Int32.unsigned_compare x y > 0 else x > y)
+  | Ast.Ge ->
+      of_bool (if unsigned then Int32.unsigned_compare x y >= 0 else x >= y)
+  | Ast.Land -> of_bool (x <> 0l && y <> 0l)
+  | Ast.Lor -> of_bool (x <> 0l || y <> 0l)
+
+let int64_op (op : Ast.binop) ~unsigned (x : int64) (y : int64) : t =
+  match op with
+  | Ast.Add -> w64 unsigned (Int64.add x y)
+  | Ast.Sub -> w64 unsigned (Int64.sub x y)
+  | Ast.Mul -> w64 unsigned (Int64.mul x y)
+  | Ast.Div ->
+      if y = 0L then fail "integer division by zero";
+      w64 unsigned (if unsigned then Int64.unsigned_div x y else Int64.div x y)
+  | Ast.Mod ->
+      if y = 0L then fail "integer modulo by zero";
+      w64 unsigned (if unsigned then Int64.unsigned_rem x y else Int64.rem x y)
+  | Ast.Band -> w64 unsigned (Int64.logand x y)
+  | Ast.Bor -> w64 unsigned (Int64.logor x y)
+  | Ast.Bxor -> w64 unsigned (Int64.logxor x y)
+  | Ast.Shl -> w64 unsigned (Int64.shift_left x (Int64.to_int y land 63))
+  | Ast.Shr ->
+      w64 unsigned
+        (if unsigned then Int64.shift_right_logical x (Int64.to_int y land 63)
+         else Int64.shift_right x (Int64.to_int y land 63))
+  | Ast.Eq -> of_bool (Int64.equal x y)
+  | Ast.Ne -> of_bool (not (Int64.equal x y))
+  | Ast.Lt -> of_bool (if unsigned then u64_lt x y else x < y)
+  | Ast.Le -> of_bool (if unsigned then not (u64_lt y x) else x <= y)
+  | Ast.Gt -> of_bool (if unsigned then u64_lt y x else x > y)
+  | Ast.Ge -> of_bool (if unsigned then not (u64_lt x y) else x >= y)
+  | Ast.Land -> of_bool (x <> 0L && y <> 0L)
+  | Ast.Lor -> of_bool (x <> 0L || y <> 0L)
+
+let float_op (op : Ast.binop) ~single (x : float) (y : float) : t =
+  match op with
+  | Ast.Add -> wfloat single (x +. y)
+  | Ast.Sub -> wfloat single (x -. y)
+  | Ast.Mul -> wfloat single (x *. y)
+  | Ast.Div -> wfloat single (x /. y)
+  | Ast.Eq -> of_bool (x = y)
+  | Ast.Ne -> of_bool (x <> y)
+  | Ast.Lt -> of_bool (x < y)
+  | Ast.Le -> of_bool (x <= y)
+  | Ast.Gt -> of_bool (x > y)
+  | Ast.Ge -> of_bool (x >= y)
+  | Ast.Land -> of_bool (x <> 0. && y <> 0.)
+  | Ast.Lor -> of_bool (x <> 0. || y <> 0.)
+  | _ -> fail "invalid float operator"
+
+(* Shifts take the type of the promoted left operand. *)
+let shift (op : Ast.binop) (a : t) (b : t) : t =
+  match a with
+  | Int _ | Bool _ -> int32_op op ~unsigned:false (to_i32 a) (to_i32 b)
+  | UInt x -> int32_op op ~unsigned:true x (to_i32 b)
+  | Long x -> int64_op op ~unsigned:false x (to_i64 b)
+  | ULong x -> int64_op op ~unsigned:true x (to_i64 b)
+  | Float _ | Double _ | Ptr _ -> invalid_arg "Ctype.rank: not an integer type"
+
+(* Any other operand pair: the usual arithmetic conversions, whose
+   result type is the larger of the two in the order Int (and Bool) <
+   UInt < Long < ULong < Float < Double.  A pointer joins only with a
+   float type, where it then fails as a float. *)
+let mixed (op : Ast.binop) (a : t) (b : t) : t =
+  match (a, b) with
+  | Double _, _ | _, Double _ ->
+      float_op op ~single:false (to_float a) (to_float b)
+  | Float _, _ | _, Float _ -> float_op op ~single:true (to_float a) (to_float b)
+  | Ptr _, _ | _, Ptr _ ->
+      invalid_arg "Ctype.arith_join: non-arithmetic operand"
+  | ULong _, _ | _, ULong _ -> int64_op op ~unsigned:true (to_i64 a) (to_i64 b)
+  | Long _, _ | _, Long _ -> int64_op op ~unsigned:false (to_i64 a) (to_i64 b)
+  | UInt _, _ | _, UInt _ -> int32_op op ~unsigned:true (to_i32 a) (to_i32 b)
+  | _ -> int32_op op ~unsigned:false (to_i32 a) (to_i32 b)
 
 (** Apply a C binary operator with usual arithmetic conversions. *)
 let binop (op : Ast.binop) (a : t) (b : t) : t =
-  let bool_ c = Bool c in
   match (op, a, b) with
   (* pointer arithmetic and comparison *)
   | Ast.Add, Ptr p, i | Ast.Add, i, Ptr p ->
@@ -141,7 +258,7 @@ let binop (op : Ast.binop) (a : t) (b : t) : t =
       Int (Int32.of_int ((p.off - q.off) / Ctype.sizeof p.elem))
   | (Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge), Ptr p, Ptr q ->
       let c = compare (p.space, p.buf, p.off) (q.space, q.buf, q.off) in
-      bool_
+      of_bool
         (match op with
         | Ast.Eq -> c = 0
         | Ast.Ne -> c <> 0
@@ -149,121 +266,19 @@ let binop (op : Ast.binop) (a : t) (b : t) : t =
         | Ast.Le -> c <= 0
         | Ast.Gt -> c > 0
         | _ -> c >= 0)
-  | _ -> (
-      let ta = type_of a and tb = type_of b in
-      let ty =
-        match op with
-        | Ast.Shl | Ast.Shr ->
-            (* shifts: result type is the (promoted) left operand *)
-            let t = if Ctype.rank ta < Ctype.rank Ctype.Int then Ctype.Int else ta in
-            t
-        | _ -> Ctype.arith_join ta tb
-      in
-      match ty with
-      | Ctype.Float | Ctype.Double ->
-          let x = to_float a and y = to_float b in
-          let r op_f = if ty = Ctype.Float then Float (f32 (op_f x y)) else Double (op_f x y) in
-          (match op with
-          | Ast.Add -> r ( +. )
-          | Ast.Sub -> r ( -. )
-          | Ast.Mul -> r ( *. )
-          | Ast.Div -> r ( /. )
-          | Ast.Eq -> bool_ (x = y)
-          | Ast.Ne -> bool_ (x <> y)
-          | Ast.Lt -> bool_ (x < y)
-          | Ast.Le -> bool_ (x <= y)
-          | Ast.Gt -> bool_ (x > y)
-          | Ast.Ge -> bool_ (x >= y)
-          | Ast.Land -> bool_ (x <> 0. && y <> 0.)
-          | Ast.Lor -> bool_ (x <> 0. || y <> 0.)
-          | _ -> fail "invalid float operator")
-      | Ctype.Long | Ctype.ULong ->
-          let unsigned = ty = Ctype.ULong in
-          let x = to_i64 a and y = to_i64 b in
-          let wrap v = if unsigned then ULong v else Long v in
-          (match op with
-          | Ast.Add -> wrap (Int64.add x y)
-          | Ast.Sub -> wrap (Int64.sub x y)
-          | Ast.Mul -> wrap (Int64.mul x y)
-          | Ast.Div ->
-              if y = 0L then fail "integer division by zero";
-              wrap (if unsigned then u64_div x y else Int64.div x y)
-          | Ast.Mod ->
-              if y = 0L then fail "integer modulo by zero";
-              wrap (if unsigned then u64_rem x y else Int64.rem x y)
-          | Ast.Band -> wrap (Int64.logand x y)
-          | Ast.Bor -> wrap (Int64.logor x y)
-          | Ast.Bxor -> wrap (Int64.logxor x y)
-          | Ast.Shl -> wrap (Int64.shift_left x (Int64.to_int y land 63))
-          | Ast.Shr ->
-              wrap
-                (if unsigned then
-                   Int64.shift_right_logical x (Int64.to_int y land 63)
-                 else Int64.shift_right x (Int64.to_int y land 63))
-          | Ast.Eq -> bool_ (x = y)
-          | Ast.Ne -> bool_ (x <> y)
-          | Ast.Lt -> bool_ (if unsigned then u64_lt x y else x < y)
-          | Ast.Le ->
-              bool_ (if unsigned then not (u64_lt y x) else x <= y)
-          | Ast.Gt -> bool_ (if unsigned then u64_lt y x else x > y)
-          | Ast.Ge ->
-              bool_ (if unsigned then not (u64_lt x y) else x >= y)
-          | Ast.Land -> bool_ (x <> 0L && y <> 0L)
-          | Ast.Lor -> bool_ (x <> 0L || y <> 0L))
-      | Ctype.Bool ->
-          bool_
-            (match op with
-            | Ast.Land -> truthy a && truthy b
-            | Ast.Lor -> truthy a || truthy b
-            | Ast.Eq -> truthy a = truthy b
-            | Ast.Ne -> truthy a <> truthy b
-            | _ -> fail "invalid bool operator")
-      | _ ->
-          (* 32-bit integer lane *)
-          let unsigned = Ctype.is_unsigned ty in
-          let x = Int64.to_int32 (to_i64 a) and y = Int64.to_int32 (to_i64 b) in
-          let wrap v = if unsigned then UInt v else Int v in
-          (match op with
-          | Ast.Add -> wrap (Int32.add x y)
-          | Ast.Sub -> wrap (Int32.sub x y)
-          | Ast.Mul -> wrap (Int32.mul x y)
-          | Ast.Div ->
-              if y = 0l then fail "integer division by zero";
-              wrap
-                (if unsigned then Int32.unsigned_div x y else Int32.div x y)
-          | Ast.Mod ->
-              if y = 0l then fail "integer modulo by zero";
-              wrap
-                (if unsigned then Int32.unsigned_rem x y else Int32.rem x y)
-          | Ast.Band -> wrap (Int32.logand x y)
-          | Ast.Bor -> wrap (Int32.logor x y)
-          | Ast.Bxor -> wrap (Int32.logxor x y)
-          | Ast.Shl -> wrap (Int32.shift_left x (Int32.to_int y land 31))
-          | Ast.Shr ->
-              wrap
-                (if unsigned then
-                   Int32.shift_right_logical x (Int32.to_int y land 31)
-                 else Int32.shift_right x (Int32.to_int y land 31))
-          | Ast.Eq -> bool_ (x = y)
-          | Ast.Ne -> bool_ (x <> y)
-          | Ast.Lt ->
-              bool_
-                (if unsigned then Int32.unsigned_compare x y < 0 else x < y)
-          | Ast.Le ->
-              bool_
-                (if unsigned then Int32.unsigned_compare x y <= 0 else x <= y)
-          | Ast.Gt ->
-              bool_
-                (if unsigned then Int32.unsigned_compare x y > 0 else x > y)
-          | Ast.Ge ->
-              bool_
-                (if unsigned then Int32.unsigned_compare x y >= 0 else x >= y)
-          | Ast.Land -> bool_ (truthy a && truthy b)
-          | Ast.Lor -> bool_ (truthy a || truthy b)))
+  | (Ast.Shl | Ast.Shr), _, _ -> shift op a b
+  (* same-class operands: the payloads as they are *)
+  | _, Int x, Int y -> int32_op op ~unsigned:false x y
+  | _, (Int x | UInt x), (Int y | UInt y) -> int32_op op ~unsigned:true x y
+  | _, Float x, Float y -> float_op op ~single:true x y
+  | _, Long x, Long y -> int64_op op ~unsigned:false x y
+  | _, (Long x | ULong x), (Long y | ULong y) -> int64_op op ~unsigned:true x y
+  | _, Double x, Double y -> float_op op ~single:false x y
+  | _ -> mixed op a b
 
 let unop (op : Ast.unop) (v : t) : t =
   match (op, v) with
-  | Ast.Lnot, v -> Bool (not (truthy v))
+  | Ast.Lnot, v -> of_bool (not (truthy v))
   | Ast.Neg, Float x -> Float (f32 (-.x))
   | Ast.Neg, Double x -> Double (-.x)
   | Ast.Neg, Int x -> Int (Int32.neg x)

@@ -31,7 +31,6 @@ val fail : ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Round through IEEE binary32. *)
 val f32 : float -> float
 
-val type_of : t -> Cuda.Ctype.t
 val to_i64 : t -> int64
 val to_int : t -> int
 val to_float : t -> float

@@ -458,6 +458,125 @@ __global__ void k(int* out) {
       Alcotest.(check int) "block 0" 0 block
   | _ -> Alcotest.fail "expected loop-fuel exhaustion"
 
+(* A register post-increment or post-decrement yields the old value,
+   and the variable still steps. *)
+let test_post_incdec () =
+  let mem, _ =
+    launch
+      {|
+__global__ void k(int* out) {
+  int t = threadIdx.x;
+  int x = 5;
+  int y = x++;
+  int z = t--;
+  int w = ++x;
+  out[threadIdx.x] = y * 1000 + z;
+  out[32 + threadIdx.x] = x * 1000 + w * 100 + t + 1;
+}
+|}
+      (fun mem -> [ Value.Ptr (alloc_out mem) ])
+  in
+  let got = out_i32 mem 64 in
+  Alcotest.(check int32) "y = x++ is 5, z = t-- is t (lane 0)" 5000l got.(0);
+  Alcotest.(check int32) "lane 1" 5001l got.(1);
+  Alcotest.(check int32) "x stepped twice, w = ++x is 7, t-- stepped (lane 3)"
+    7703l got.(35)
+
+(* Golden interpreter bytes: md5s of what the interpreter produces for
+   the whole fleet corpus, so any change to the interpreter must
+   reproduce every trace and every memory byte.  Each line of
+   golden/interp.md5 is a case name and a digest:
+   - trace/K/tbN: [Trace.encode_blocks] of kernel K's solo traces at
+     size 1 with N traced blocks, recorded through {!Runner}'s
+     canonical launcher;
+   - memory/K: [Memory.snapshot] after K's untraced full-grid launch at
+     size 1, the launch fleet vetting makes;
+   - fused/P/D1xD2: the traces of each partition's fused kernel that
+     the search enumerates for six fixed fleet pairs P. *)
+
+module Runner = Hfuse_profiler.Runner
+
+let golden_settings ~tb =
+  Hfuse_profiler.Settings.resolve ~trace_blocks:tb
+    ~sim_fuel:Launch.default_loop_fuel ~trace_mem_mb:0 ~cache_dir:None
+    ~fault:None ()
+
+let md5 s = Digest.to_hex (Digest.string s)
+let traces_md5 bt = md5 (Trace.encode_blocks bt)
+
+let snapshot_md5 mem =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (name, bytes) ->
+      Buffer.add_string b name;
+      Buffer.add_char b '\000';
+      Buffer.add_bytes b bytes)
+    (Memory.snapshot mem);
+  md5 (Buffer.contents b)
+
+let solo_cases () =
+  List.concat_map
+    (fun (s : Kernel_corpus.Spec.t) ->
+      let traces tb =
+        let settings = golden_settings ~tb in
+        let c = Runner.configure (Memory.create ()) s ~size:1 in
+        ( Printf.sprintf "trace/%s/tb%d" s.name tb,
+          traces_md5 (Runner.spec_of ~settings c ~stream:0 ()).block_traces )
+      in
+      let memory =
+        let mem = Memory.create () in
+        let c = Runner.configure mem s ~size:1 in
+        ( "memory/" ^ s.name,
+          match
+            Launch.launch_info mem c.info ~args:c.inst.args ~trace_blocks:0
+          with
+          | _ -> snapshot_md5 mem
+          | exception e -> "error:" ^ Printexc.to_string e )
+      in
+      [ traces 1; traces 2; memory ])
+    (Hfuse_fleet.Corpus.all_specs ())
+
+let golden_pairs = [ 0; 100; 300; 500; 700; 1100 ]
+
+let fused_cases () =
+  let settings = golden_settings ~tb:1 in
+  let pairs = Array.of_list (Hfuse_fleet.Fleet.all_pairs ()) in
+  List.concat_map
+    (fun i ->
+      let p = pairs.(i) in
+      let mem = Memory.create () in
+      let c1 = Runner.configure mem p.Hfuse_fleet.Fleet.p_k1 ~size:1 in
+      let c2 = Runner.configure mem p.p_k2 ~size:1 in
+      let r =
+        Hfuse_core.Search.search
+          ~limits:(Arch.sm_limits Arch.gtx1080ti)
+          ~profile:(List.map (fun _ -> 1.0))
+          ~d0:(Runner.d0_for c1 c2) c1.info c2.info
+      in
+      List.filter_map
+        (fun (cand : Hfuse_core.Search.candidate) ->
+          if cand.config.reg_bound <> None then None
+          else
+            let f = cand.fused in
+            Some
+              ( Printf.sprintf "fused/%s+%s/%dx%d" p.p_k1.name p.p_k2.name
+                  f.d1 f.d2,
+                traces_md5 (Runner.hfuse_traces ~settings c1 c2 f) ))
+        r.all)
+    golden_pairs
+
+let golden_interp_lines () =
+  List.map (fun (n, d) -> n ^ " " ^ d) (solo_cases () @ fused_cases ())
+
+let test_golden_interp () =
+  let golden =
+    In_channel.with_open_bin (Filename.concat "golden" "interp.md5")
+      In_channel.input_lines
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  Alcotest.(check (list string)) "interpreter digests" golden
+    (golden_interp_lines ())
+
 let suite =
   [
     Alcotest.test_case "thread ids" `Quick test_thread_ids;
@@ -485,4 +604,7 @@ let suite =
     Alcotest.test_case "barrier in trace" `Quick test_barrier_in_trace;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "loop fuel" `Quick test_loop_fuel;
+    Alcotest.test_case "post-increment yields the old value" `Quick
+      test_post_incdec;
+    Alcotest.test_case "golden interpreter bytes" `Quick test_golden_interp;
   ]

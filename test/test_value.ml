@@ -132,6 +132,101 @@ let conversion_roundtrip =
     ~count:300 arb_i32 (fun a ->
       Value.to_i64 (Value.convert Ctype.Long (i32 a)) = Int64.of_int32 a)
 
+(* Golden value semantics: every binary operator over every ordered
+   pair of a fixed edge set holding each constructor, every unary
+   operator, conversion to every arithmetic type, and [to_int].  Each
+   result prints as [Value.pp] with floats as [%h] (so their bits are
+   pinned), or as the exception raised.  golden/value.md5 holds one md5
+   per (operation, left operand) over the lines for all right operands,
+   so a mismatch names the operation and the value it broke on. *)
+
+let edge_values =
+  (* as [UInt], -1l is 0xFFFFFFFFu *)
+  let ints = [ 0l; 1l; -1l; Int32.max_int; Int32.min_int ] in
+  let longs =
+    [ 0L; 1L; -1L; Int64.max_int; Int64.min_int; 0xFFFFFFFFL;
+      Int64.of_int32 Int32.min_int ]
+  in
+  let floats =
+    [ 0.0; -0.0; 1.0; -1.0; Float.nan; Float.infinity; Float.neg_infinity ]
+  in
+  List.map (fun x -> Value.Int x) ints
+  @ List.map (fun x -> Value.UInt x) ints
+  @ List.map (fun x -> Value.Long x) longs
+  @ List.map (fun x -> Value.ULong x) longs
+  @ List.map (fun x -> Value.Float (Value.f32 x)) (1e-40 :: floats)
+  @ List.map (fun x -> Value.Double x) (5e-324 :: floats)
+  @ [ Value.Bool true; Value.Bool false;
+      Value.Ptr { Value.space = Value.Global; buf = 1; off = 8; elem = Ctype.Int };
+      Value.Ptr
+        { Value.space = Value.Shared; buf = 0; off = 4; elem = Ctype.Float } ]
+
+let show_value = function
+  | Value.Float x -> Printf.sprintf "%hf" x
+  | Value.Double x -> Printf.sprintf "%h" x
+  | v -> Fmt.str "%a" Value.pp v
+
+let show_result f =
+  match f () with
+  | v -> show_value v
+  | exception Value.Runtime_error m -> "Runtime_error: " ^ m
+  | exception e -> Printexc.to_string e
+
+let binops =
+  Ast.
+    [ ("Add", Add); ("Sub", Sub); ("Mul", Mul); ("Div", Div); ("Mod", Mod);
+      ("Band", Band); ("Bor", Bor); ("Bxor", Bxor); ("Shl", Shl);
+      ("Shr", Shr); ("Eq", Eq); ("Ne", Ne); ("Lt", Lt); ("Le", Le);
+      ("Gt", Gt); ("Ge", Ge); ("Land", Land); ("Lor", Lor) ]
+
+let unops = Ast.[ ("Neg", Neg); ("Bnot", Bnot); ("Lnot", Lnot) ]
+
+let arith_types =
+  Ctype.[ Bool; Char; UChar; Short; UShort; Int; UInt; Long; ULong; Float;
+          Double ]
+
+let golden_value_lines () =
+  let digest lines = Digest.to_hex (Digest.string (String.concat "\n" lines)) in
+  let per_left =
+    List.concat_map
+      (fun (name, op) ->
+        List.map
+          (fun a ->
+            Printf.sprintf "binop %s %s %s" name (show_value a)
+              (digest
+                 (List.map
+                    (fun b -> show_result (fun () -> Value.binop op a b))
+                    edge_values)))
+          edge_values)
+      binops
+  in
+  let over_edges name f =
+    Printf.sprintf "%s %s" name
+      (digest
+         (List.map
+            (fun v -> show_value v ^ " " ^ show_result (fun () -> f v))
+            edge_values))
+  in
+  per_left
+  @ List.map (fun (name, op) -> over_edges ("unop " ^ name) (Value.unop op))
+      unops
+  @ List.map
+      (fun ty ->
+        over_edges
+          ("convert " ^ String.map (function ' ' -> '_' | c -> c)
+             (Ctype.to_string ty))
+          (Value.convert ty))
+      arith_types
+  @ [ over_edges "to_int" (fun v -> Value.Long (Int64.of_int (Value.to_int v))) ]
+
+let test_golden_values () =
+  let golden =
+    In_channel.with_open_bin (Filename.concat "golden" "value.md5")
+      In_channel.input_lines
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  Alcotest.(check (list string)) "value digests" golden (golden_value_lines ())
+
 let suite =
   [
     Alcotest.test_case "wrapping" `Quick test_wrapping;
@@ -140,6 +235,7 @@ let suite =
     Alcotest.test_case "conversions" `Quick test_conversions;
     Alcotest.test_case "pointer arithmetic" `Quick test_pointer_arith;
     Alcotest.test_case "division by zero" `Quick test_division_by_zero;
+    Alcotest.test_case "golden value semantics" `Quick test_golden_values;
   ]
   @ Test_util.qcheck_cases
       [
