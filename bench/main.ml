@@ -139,56 +139,58 @@ let finish_checkpoint () =
   Checkpoint.close !active_checkpoint;
   active_checkpoint := Checkpoint.disabled
 
-(* chaos observability: how many faults were injected and recovered
-   (the figures themselves must not change under any fault spec) *)
-let chaos_report ~(settings : Settings.t) =
+(* chaos observability: how many faults the figure's run injected and
+   recovered (the figures themselves must not change under any spec) *)
+let chaos_report ~(settings : Settings.t) ledger =
   if settings.fault <> None then begin
-    say "[fault: %s]" (Fmt.str "%a" Fault.pp_tally (Fault.tally ()));
+    say "[fault: %s]" (Fmt.str "%a" Fault.pp_tally ledger);
     say "[pool: %s]"
-      (Fmt.str "%a" Hfuse_parallel.Pool.pp_tally (Hfuse_parallel.Pool.tally ()))
+      (Fmt.str "%a" Hfuse_parallel.Pool.pp_tally
+         (Hfuse_parallel.Pool.tally_of ledger))
   end
 
-let timed_search name f =
-  Runner.reset_search_stats ();
-  Trace_store.reset_tally ();
-  let r = timed name f in
-  say "[search: %s]"
-    (Fmt.str "%a" Runner.pp_search_stats (Runner.search_stats ()));
-  r
-
-(* Wall time + the engine's self-profiling counters around a figure.
-   The cumulative counters aggregate across pool worker domains, so
-   they see the fanned-out measurement replays too. *)
-let instrumented f =
-  Gpusim.Timing.reset_cumulative_stats ();
+(* One figure under a ledger of its own: its wall time, its searches'
+   counters (printed when the figure searches), the engine's work with
+   pool workers' replays included, and under chaos its faults; [--json]
+   writes them beside the rows as BENCH_<name>.json. *)
+let run_figure ~(settings : Settings.t) ~cache ~searches name label run
+    render json =
+  let checkpoint = checkpoint_for ~settings name in
+  let stats = Runner.fresh_search_stats () in
   let t0 = Unix.gettimeofday () in
-  let r = f () in
+  let rows, ledger = Ledger.run (fun () -> run ~stats ~checkpoint) in
   let wall = Unix.gettimeofday () -. t0 in
-  let engine = Gpusim.Timing.cumulative_stats () in
-  say "[engine: %s]" (Fmt.str "%a" Gpusim.Timing.pp_engine_stats engine);
-  (r, wall, engine)
-
-let write_json ~(settings : Settings.t) ~cache name ~wall ~engine rows =
-  let open Report.Json in
-  let j =
-    Obj
-      [
-        ("bench", Str name);
-        ("wall_s", Float wall);
-        ("jobs", Int !jobs);
-        ("trace_blocks", Int settings.trace_blocks);
-        ("cache", Report.json_of_cache cache);
-        ("search", Report.json_of_search_stats (Runner.search_stats ()));
-        ("trace_store", Report.json_of_trace_tally (Trace_store.tally ()));
-        ("engine_stats", Report.json_of_engine_stats engine);
-        ("rows", rows);
-      ]
-  in
-  let file = Printf.sprintf "BENCH_%s.json" name in
-  let oc = open_out file in
-  output_string oc (to_string j);
-  close_out oc;
-  say "[json: wrote %s]" file
+  say "[%s: %.1fs]" label wall;
+  if searches then
+    say "[search: %s]" (Fmt.str "%a" Runner.pp_search_stats stats);
+  say "[engine: %s]"
+    (Fmt.str "%a" Gpusim.Timing.pp_engine_stats
+       (Gpusim.Timing.engine_stats_of ledger));
+  finish_checkpoint ();
+  print_string (render rows);
+  chaos_report ~settings ledger;
+  if !json_out then begin
+    let open Report.Json in
+    let j =
+      Obj
+        [
+          ("bench", Str name);
+          ("wall_s", Float wall);
+          ("jobs", Int !jobs);
+          ("trace_blocks", Int settings.trace_blocks);
+          ("cache", Report.json_of_cache cache);
+          ("search", Report.json_of_search_stats stats);
+          ("trace_store", Report.json_of_trace_store ledger);
+          ("engine_stats", Report.json_of_section ledger "engine");
+          ("rows", json rows);
+        ]
+    in
+    let file = Printf.sprintf "BENCH_%s.json" name in
+    let oc = open_out file in
+    output_string oc (to_string j);
+    close_out oc;
+    say "[json: wrote %s]" file
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Figures                                                              *)
@@ -199,49 +201,26 @@ let multipliers ~full =
 
 let run_fig7 ~settings ~cache ~full () =
   section "Figure 7: speedup vs execution-time ratio (16 pairs x 2 GPUs)";
-  let checkpoint = checkpoint_for ~settings "fig7" in
-  let sweeps, wall, engine =
-    instrumented (fun () ->
-        timed_search "figure 7" (fun () ->
-            Experiment.figure7 ~multipliers:(multipliers ~full) ~jobs:!jobs
-              ~settings ~cache ~checkpoint ?top_k:!top_k ?pairs:!pair_filter
-              ()))
-  in
-  finish_checkpoint ();
-  print_string (Report.figure7_to_string sweeps);
-  chaos_report ~settings;
-  if !json_out then
-    write_json ~settings ~cache "fig7" ~wall ~engine
-      (Report.figure7_json sweeps)
+  run_figure ~settings ~cache ~searches:true "fig7" "figure 7"
+    (fun ~stats ~checkpoint ->
+      Experiment.figure7 ~multipliers:(multipliers ~full) ~jobs:!jobs ~settings
+        ~stats ~cache ~checkpoint ?top_k:!top_k ?pairs:!pair_filter ())
+    Report.figure7_to_string Report.figure7_json
 
 let run_fig8 ~settings ~cache () =
   section "Figure 8: metrics of individual kernels";
-  let checkpoint = checkpoint_for ~settings "fig8" in
-  let rows, wall, engine =
-    instrumented (fun () ->
-        timed "figure 8" (fun () ->
-            Experiment.figure8 ~jobs:!jobs ~settings ~cache ~checkpoint ()))
-  in
-  finish_checkpoint ();
-  print_string (Report.figure8_to_string rows);
-  chaos_report ~settings;
-  if !json_out then
-    write_json ~settings ~cache "fig8" ~wall ~engine (Report.figure8_json rows)
+  run_figure ~settings ~cache ~searches:false "fig8" "figure 8"
+    (fun ~stats:_ ~checkpoint ->
+      Experiment.figure8 ~jobs:!jobs ~settings ~cache ~checkpoint ())
+    Report.figure8_to_string Report.figure8_json
 
 let run_fig9 ~settings ~cache () =
   section "Figure 9: metrics of HFuse fused kernels (RegCap / N-RegCap)";
-  let checkpoint = checkpoint_for ~settings "fig9" in
-  let rows, wall, engine =
-    instrumented (fun () ->
-        timed_search "figure 9" (fun () ->
-            Experiment.figure9 ~jobs:!jobs ~settings ~cache ~checkpoint
-              ?top_k:!top_k ?pairs:!pair_filter ()))
-  in
-  finish_checkpoint ();
-  print_string (Report.figure9_to_string rows);
-  chaos_report ~settings;
-  if !json_out then
-    write_json ~settings ~cache "fig9" ~wall ~engine (Report.figure9_json rows)
+  run_figure ~settings ~cache ~searches:true "fig9" "figure 9"
+    (fun ~stats ~checkpoint ->
+      Experiment.figure9 ~jobs:!jobs ~settings ~stats ~cache ~checkpoint
+        ?top_k:!top_k ?pairs:!pair_filter ())
+    Report.figure9_to_string Report.figure9_json
 
 (* ------------------------------------------------------------------ *)
 (* Ablations (DESIGN.md E5)                                             *)
@@ -353,7 +332,9 @@ let run_fleet ~settings () =
     (match !fleet_server with
     | None -> ""
     | Some s -> Printf.sprintf ", via daemon at %s" s);
-  let r = timed "fleet" (fun () -> Fleet.run cfg) in
+  let r, ledger =
+    Ledger.run (fun () -> timed "fleet" (fun () -> Fleet.run cfg))
+  in
   let count st =
     List.length (List.filter (fun x -> x.Fleet.r_status = st) r.Fleet.rows)
   in
@@ -428,7 +409,7 @@ let run_fleet ~settings () =
           say "%-12s %6d %6d %+8.1f%% %+8.1f%% %+8.1f%%" d (List.length dr)
             n arr.(0) median arr.(n - 1))
     domains;
-  chaos_report ~settings;
+  chaos_report ~settings ledger;
   if !json_out then begin
     let file = Printf.sprintf "BENCH_fleet.json" in
     let oc = open_out file in

@@ -8,9 +8,8 @@
    no global PRNG anywhere.
 
    A plan is a value the caller passes to every draw ([?plan]; omitted
-   means no faults).  The tallies are process-wide [Atomic] counters,
-   so injection points on worker domains can note faults without
-   locks. *)
+   means no faults).  Injections and recoveries are counted in the
+   ledger of the request that drew them. *)
 
 type kind = Worker_crash | Cache_corrupt | Sim_hang
 
@@ -138,52 +137,30 @@ let jitter ?plan ~key ~attempt () =
   base *. (1.0 +. uniform ~seed ~salt:100 ~key:(mix key attempt))
 
 (* ------------------------------------------------------------------ *)
-(* Tally                                                                *)
+(* Counters                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type tally = { injected : (kind * int) list; recovered : (kind * int) list }
+(* the ledger's [fault] section: every kind's injections, then every
+   kind's recoveries, each nested under its group in JSON *)
+let declare group =
+  Array.map (fun k -> Ledger.counter "fault" (group ^ "." ^ kind_name k))
+    [| Worker_crash; Cache_corrupt; Sim_hang |]
 
-let injected_counts = Array.init nkinds (fun _ -> Atomic.make 0)
-let recovered_counts = Array.init nkinds (fun _ -> Atomic.make 0)
-let note_injected k = Atomic.incr injected_counts.(kind_index k)
-let note_recovered k = Atomic.incr recovered_counts.(kind_index k)
+let injected_c = declare "injected"
+let recovered_c = declare "recovered"
+let note_injected k = Ledger.add injected_c.(kind_index k) 1
+let note_recovered k = Ledger.add recovered_c.(kind_index k) 1
+let injected l k = Ledger.get l injected_c.(kind_index k)
+let recovered l k = Ledger.get l recovered_c.(kind_index k)
 
-let tally () =
-  let snap arr = List.map (fun k -> (k, Atomic.get arr.(kind_index k))) all_kinds in
-  { injected = snap injected_counts; recovered = snap recovered_counts }
-
-let total arr = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 arr
-let injected_total () = total injected_counts
-let recovered_total () = total recovered_counts
-
-let reset_tally () =
-  Array.iter (fun c -> Atomic.set c 0) injected_counts;
-  Array.iter (fun c -> Atomic.set c 0) recovered_counts
-
-(* Per-request telemetry in a long-lived process: snapshot the
-   cumulative tally around a request and report the delta.  Counters
-   only grow, so the difference is non-negative for a consistent pair
-   of snapshots; clamping guards a reset between them. *)
-let diff ~(before : tally) ~(after : tally) : tally =
-  let sub a b =
-    List.map
-      (fun (k, n) ->
-        let m = try List.assoc k b with Not_found -> 0 in
-        (k, max 0 (n - m)))
-      a
-  in
-  { injected = sub after.injected before.injected;
-    recovered = sub after.recovered before.recovered }
-
-let pp_tally ppf (t : tally) =
-  let count kind l = try List.assoc kind l with Not_found -> 0 in
-  let sum l = List.fold_left (fun acc (_, n) -> acc + n) 0 l in
+let pp_tally ppf (l : Ledger.t) =
+  let sum count = List.fold_left (fun acc k -> acc + count l k) 0 all_kinds in
   Fmt.pf ppf "injected %d (crash %d, corrupt %d, hang %d), recovered %d"
-    (sum t.injected)
-    (count Worker_crash t.injected)
-    (count Cache_corrupt t.injected)
-    (count Sim_hang t.injected)
-    (sum t.recovered)
+    (sum injected)
+    (injected l Worker_crash)
+    (injected l Cache_corrupt)
+    (injected l Sim_hang)
+    (sum recovered)
 
 (* ------------------------------------------------------------------ *)
 (* Retry wrapper                                                        *)

@@ -77,30 +77,21 @@ val mix : int -> int -> int
     bounded (~2 ms at attempt 0, capped well under a second). *)
 val jitter : ?plan:plan -> key:int -> attempt:int -> unit -> float
 
-(** Tally of injected faults and recoveries, process-wide and
-    domain-safe.  [recovered] counts operations that failed with an
-    injected fault and subsequently succeeded (retry) or were repaired
-    (quarantine + recompute). *)
-type tally = {
-  injected : (kind * int) list;  (** per kind, [all_kinds] order *)
-  recovered : (kind * int) list;
-}
-
+(** Count an injected fault, or an operation that failed with one and
+    then succeeded (retry) or was repaired (quarantine + recompute), in
+    the current ledger's [fault] section ({!Ledger.add}). *)
 val note_injected : kind -> unit
+
 val note_recovered : kind -> unit
-val tally : unit -> tally
-val injected_total : unit -> int
-val recovered_total : unit -> int
-val reset_tally : unit -> unit
 
-(** [diff ~before ~after] — per-kind deltas between two {!tally}
-    snapshots, clamped at 0.  A long-lived server brackets each
-    request with {!tally} and reports the difference, so per-request
-    telemetry never bleeds earlier requests' counts. *)
-val diff : before:tally -> after:tally -> tally
+(** A kind's injections and recoveries counted in a ledger. *)
+val injected : Ledger.t -> kind -> int
 
-(** ["injected N (crash C, corrupt K, hang H), recovered M"]. *)
-val pp_tally : tally Fmt.t
+val recovered : Ledger.t -> kind -> int
+
+(** A ledger's fault section:
+    ["injected N (crash C, corrupt K, hang H), recovered M"]. *)
+val pp_tally : Ledger.t Fmt.t
 
 (** [with_retries ~key f] runs [f], re-running it after an {!Injected}
     fault (deterministic backoff-free retry; injected faults re-draw

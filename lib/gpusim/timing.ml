@@ -89,9 +89,9 @@
      scoreboard rings) through a free list.
    - Self-profiling: {!engine_stats} counts visited vs skipped cycles,
      SM steps avoided, scan-skip hits and warp allocations, per run and
-     cumulatively (atomics, so pooled replays on other domains count
-     too).  The counts describe the engine's own work, so they change
-     whenever its internals do while every report stays identical. *)
+     in the ledger of the request the run is for.  The counts describe
+     the engine's own work, so they change whenever its internals do
+     while every report stays identical. *)
 
 exception Timing_error of string
 
@@ -156,9 +156,9 @@ type report = {
     the event-driven stepping avoided relative to a
     step-every-SM-every-cycle loop (steps count SM classes, not SMs),
     and how often warp records were recycled.  Collected per
-    {!run_with_stats} call and accumulated process-wide (atomically, so
-    replays fanned over a domain pool count too) for the bench
-    harness.  They are engine internals, not
+    {!run_with_stats} call and added to the current ledger (a replay on
+    a pool worker counts for the request that queued it).  They are
+    engine internals, not
     results: a change to the engine may move them while every report
     stays bit-identical. *)
 type engine_stats = {
@@ -179,48 +179,30 @@ type engine_stats = {
   warp_reuses : int;  (** warp records recycled from the free list *)
 }
 
-(* process-wide accumulator; [run] may execute on pool worker domains,
-   hence atomics rather than a plain mutable record *)
-let cum_cycles_stepped = Atomic.make 0
-let cum_cycles_skipped = Atomic.make 0
-let cum_sm_steps = Atomic.make 0
-let cum_sm_steps_skipped = Atomic.make 0
-let cum_scan_skip_hits = Atomic.make 0
-let cum_warp_allocs = Atomic.make 0
-let cum_warp_reuses = Atomic.make 0
+(* the ledger's [engine] section, one counter per field *)
+let engine_counters =
+  List.map
+    (fun (name, field) -> (Ledger.counter "engine" name, field))
+    [
+      ("cycles_stepped", fun s -> s.cycles_stepped);
+      ("cycles_skipped", fun s -> s.cycles_skipped);
+      ("sm_steps", fun s -> s.sm_steps);
+      ("sm_steps_skipped", fun s -> s.sm_steps_skipped);
+      ("scan_skip_hits", fun s -> s.scan_skip_hits);
+      ("warp_allocs", fun s -> s.warp_allocs);
+      ("warp_reuses", fun s -> s.warp_reuses);
+    ]
 
-let cum_add a n = ignore (Atomic.fetch_and_add a n)
+let note_stats (s : engine_stats) =
+  List.iter (fun (c, field) -> Ledger.add c (field s)) engine_counters
 
-let accumulate (s : engine_stats) =
-  cum_add cum_cycles_stepped s.cycles_stepped;
-  cum_add cum_cycles_skipped s.cycles_skipped;
-  cum_add cum_sm_steps s.sm_steps;
-  cum_add cum_sm_steps_skipped s.sm_steps_skipped;
-  cum_add cum_scan_skip_hits s.scan_skip_hits;
-  cum_add cum_warp_allocs s.warp_allocs;
-  cum_add cum_warp_reuses s.warp_reuses
-
-let accumulate_stats = accumulate
-
-let cumulative_stats () =
-  {
-    cycles_stepped = Atomic.get cum_cycles_stepped;
-    cycles_skipped = Atomic.get cum_cycles_skipped;
-    sm_steps = Atomic.get cum_sm_steps;
-    sm_steps_skipped = Atomic.get cum_sm_steps_skipped;
-    scan_skip_hits = Atomic.get cum_scan_skip_hits;
-    warp_allocs = Atomic.get cum_warp_allocs;
-    warp_reuses = Atomic.get cum_warp_reuses;
-  }
-
-let reset_cumulative_stats () =
-  Atomic.set cum_cycles_stepped 0;
-  Atomic.set cum_cycles_skipped 0;
-  Atomic.set cum_sm_steps 0;
-  Atomic.set cum_sm_steps_skipped 0;
-  Atomic.set cum_scan_skip_hits 0;
-  Atomic.set cum_warp_allocs 0;
-  Atomic.set cum_warp_reuses 0
+let engine_stats_of (l : Ledger.t) =
+  match List.map (fun (c, _) -> Ledger.get l c) engine_counters with
+  | [ cycles_stepped; cycles_skipped; sm_steps; sm_steps_skipped;
+      scan_skip_hits; warp_allocs; warp_reuses ] ->
+      { cycles_stepped; cycles_skipped; sm_steps; sm_steps_skipped;
+        scan_skip_hits; warp_allocs; warp_reuses }
+  | _ -> assert false
 
 let pp_engine_stats ppf (s : engine_stats) =
   let pct a b = if b = 0 then 0.0 else 100.0 *. float_of_int a /. float_of_int b in
@@ -1527,7 +1509,7 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
       warp_reuses = st.s_warp_reuses;
     }
   in
-  accumulate stats;
+  note_stats stats;
   ( {
       elapsed_cycles = elapsed;
       time_ms;

@@ -112,15 +112,11 @@ val run : ?policy:dispatch_policy -> Arch.t -> launch_spec list -> report
 val run_with_stats :
   ?policy:dispatch_policy -> Arch.t -> launch_spec list -> report * engine_stats
 
-(** Process-wide totals over every {!run} since start (or the last
-    {!reset_cumulative_stats}).  Accumulated atomically, so replays
-    fanned over {!Hfuse_parallel.Pool} worker domains are counted. *)
-val cumulative_stats : unit -> engine_stats
+(** Add [s] to the current ledger's [engine] section, as {!run} does
+    with its own stats.  For callers that satisfy a replay from a cache
+    but still count the producing replay's engine work (the profiler's
+    report cache stores each report's stats alongside it). *)
+val note_stats : engine_stats -> unit
 
-val reset_cumulative_stats : unit -> unit
-
-(** Fold [s] into the process-wide counters exactly as {!run} does with
-    its own stats.  For callers that satisfy a replay from a cache but
-    still want the producing replay's engine work accounted (the
-    profiler's report cache stores each report's stats alongside it). *)
-val accumulate_stats : engine_stats -> unit
+(** A ledger's [engine] section. *)
+val engine_stats_of : Ledger.t -> engine_stats

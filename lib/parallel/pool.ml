@@ -10,9 +10,10 @@
    Availability: every task runs inside [run_task], which isolates
    exceptions (one dying task never kills the pool or its siblings),
    retries transient faults with deterministic seed-mixed backoff, and
-   feeds the process-wide failures/retries/recovered tally.  The
-   serial path runs the identical wrapper so fault-injection draws and
-   tallies cannot depend on [-j].
+   counts failures/retries/recovered in the submitter's ledger: a task
+   runs under the ledger current where it was queued, on whichever
+   domain picks it up.  The serial path runs the identical wrapper so
+   fault-injection draws and counts cannot depend on [-j].
 
    Service pools ([create ~queue_limit]) additionally accept
    fire-and-forget {!submit} jobs with integer priorities and a
@@ -153,13 +154,14 @@ let submit ?(priority = 0) (p : t) (job : unit -> unit) : admission =
   end
   else begin
     p.pending_submits <- p.pending_submits + 1;
+    let ledger = Ledger.current () in
     enqueue p ~priority (fun () ->
         (* the admission slot frees when the job starts running: the
            bound is on queued-not-yet-started work *)
         Mutex.lock p.mutex;
         p.pending_submits <- p.pending_submits - 1;
         Mutex.unlock p.mutex;
-        job ());
+        Ledger.within ledger job);
     Condition.signal p.has_work;
     Mutex.unlock p.mutex;
     `Queued
@@ -184,25 +186,20 @@ type failure = {
 
 type tally = { failures : int; retries : int; recovered : int }
 
-let failures_c = Atomic.make 0
-let retries_c = Atomic.make 0
-let recovered_c = Atomic.make 0
+(* the ledger's [pool] section *)
+let failures_c = Ledger.counter "pool" "failures"
+let retries_c = Ledger.counter "pool" "retries"
+let recovered_c = Ledger.counter "pool" "recovered"
 
-let tally () =
+let tally_of (l : Ledger.t) =
   {
-    failures = Atomic.get failures_c;
-    retries = Atomic.get retries_c;
-    recovered = Atomic.get recovered_c;
+    failures = Ledger.get l failures_c;
+    retries = Ledger.get l retries_c;
+    recovered = Ledger.get l recovered_c;
   }
 
-let reset_tally () =
-  Atomic.set failures_c 0;
-  Atomic.set retries_c 0;
-  Atomic.set recovered_c 0
+let tally () = tally_of Ledger.process
 
-(* per-request deltas for a long-lived server: counters only grow, so
-   the difference of two snapshots is the work in between (clamped to
-   guard a reset between them) *)
 let diff ~(before : tally) ~(after : tally) : tally =
   {
     failures = max 0 (after.failures - before.failures);
@@ -248,10 +245,10 @@ let run_task ~(retries : int) ~(salt : int) ~(fault : Fault.plan option)
     in
     match res with
     | Ok v ->
-        if ever_failed then Atomic.incr recovered_c;
+        if ever_failed then Ledger.add recovered_c 1;
         Ok v
     | Error (Fault.Injected k, _) when attempt < injected_cap -> (
-        Atomic.incr retries_c;
+        Ledger.add retries_c 1;
         Unix.sleepf (Fault.jitter ?plan:fault ~key ~attempt ());
         match go (attempt + 1) true with
         | Ok _ as ok ->
@@ -259,11 +256,11 @@ let run_task ~(retries : int) ~(salt : int) ~(fault : Fault.plan option)
             ok
         | Error _ as err -> err)
     | Error (_, _) when attempt < retries ->
-        Atomic.incr retries_c;
+        Ledger.add retries_c 1;
         Unix.sleepf (Fault.jitter ?plan:fault ~key ~attempt ());
         go (attempt + 1) true
     | Error (e, bt) ->
-        Atomic.incr failures_c;
+        Ledger.add failures_c 1;
         Error { f_index = i; f_attempts = attempt + 1; f_exn = e; f_backtrace = bt }
   in
   go 0 false
@@ -272,7 +269,11 @@ let map_isolated ?(retries = 0) ?fault (p : t) (f : 'a -> 'b) (xs : 'a array) :
     ('b, failure) result array =
   let n = Array.length xs in
   let salt = Atomic.fetch_and_add call_seq 1 in
-  let task i x = run_task ~retries ~salt ~fault i f x in
+  (* tasks count for the submitter's request, on whichever domain *)
+  let ledger = Ledger.current () in
+  let task i x =
+    Ledger.within ledger (fun () -> run_task ~retries ~salt ~fault i f x)
+  in
   if p.size <= 1 || n <= 1 then Array.mapi task xs
   else begin
     let results : ('b, failure) result option array = Array.make n None in

@@ -96,18 +96,19 @@ val with_pool : ?queue_limit:int -> int -> (t -> 'a) -> 'a
     ([Domain.recommended_domain_count], capped). *)
 val default_jobs : unit -> int
 
-(** Process-wide availability counters: terminal task failures, retry
-    attempts, and tasks that failed at least once but ultimately
-    succeeded.  Domain-safe. *)
+(** Availability counters: terminal task failures, retry attempts,
+    and tasks that failed at least once but ultimately succeeded.  A
+    task runs, and counts, under its submitter's {!Ledger.current}. *)
 type tally = { failures : int; retries : int; recovered : int }
 
-val tally : unit -> tally
-val reset_tally : unit -> unit
+(** A ledger's [pool] section. *)
+val tally_of : Ledger.t -> tally
 
-(** [diff ~before ~after] — deltas between two {!tally} snapshots
-    (clamped at 0): per-request availability telemetry in a long-lived
-    server, without resetting the cumulative counters the one-shot
-    CLIs print. *)
+(** {!tally_of} the process ledger: every task since start. *)
+val tally : unit -> tally
+
+(** [diff ~before ~after] — deltas between two {!tally} reads (clamped
+    at 0): the work of everything that ran in between. *)
 val diff : before:tally -> after:tally -> tally
 
 (** ["F failures, R retries, C recovered"]. *)

@@ -8,16 +8,15 @@
    - Figure 9: metrics of the 16 HFuse fused kernels, with and without
      the register bound.
 
-   Every figure runs in two phases.  Phase 1 is serial on the calling
-   domain: workload configuration, trace acquisition and the Fig. 6
-   searches (tracing interprets kernels in [Memory.t], which is
-   single-domain state) — measurement replays are only *described*, as
-   (arch, launch-spec list) entries pushed onto a run list in the same
-   order the old serial code executed them.  Phase 2 fans the pure
-   [Timing.run] replays over one shared [Hfuse_parallel.Pool]
-   ([Runner.run_many], order-preserving).  Because tracing order — and
-   hence [Memory.t] evolution — is unchanged and replays are pure,
-   every figure is bit-identical to the serial path for any [jobs]. *)
+   Every figure runs in two phases.  Phase 1 walks the pairs in order:
+   configuration and the Fig. 6 searches, each fanning its recordings
+   and replays over the shared [Hfuse_parallel.Pool]; measurement
+   replays are only *described*, as (arch, launch-spec list) entries on
+   a run list.  Phase 2 fans those replays over the same pool
+   ([Runner.run_many], order-preserving).  Every recording runs in a
+   fresh memory holding only its keyed workload, so traces are pure
+   functions of their keys wherever they are recorded, and every figure
+   is bit-identical for any [jobs]. *)
 
 open Gpusim
 open Kernel_corpus
@@ -148,8 +147,8 @@ let default_multipliers = [ 0.25; 0.5; 1.0; 2.0; 4.0 ]
     [cache] are passed through to {!Runner.search} and the measurement
     fan-out. *)
 let sweep_pair ?(multipliers = default_multipliers) ?jobs ?pool ~settings
-    ?cache ?checkpoint ?top_k (arch : Arch.t) (sizes : (string * int) list)
-    ((s1, s2) : Spec.t * Spec.t) : sweep =
+    ?stats ?cache ?checkpoint ?top_k (arch : Arch.t)
+    (sizes : (string * int) list) ((s1, s2) : Spec.t * Spec.t) : sweep =
   let mem = Memory.create () in
   let base1 = size_of sizes s1 and size2 = size_of sizes s2 in
   let rl = runlist () in
@@ -169,8 +168,8 @@ let sweep_pair ?(multipliers = default_multipliers) ?jobs ?pool ~settings
           push rl (arch, [ spec c1 ~stream:0 (); spec c2 ~stream:1 () ])
         in
         let sr =
-          Runner.search ?jobs ?pool ~settings ?cache ?checkpoint ?top_k arch
-            c1 c2
+          Runner.search ?jobs ?pool ~settings ?stats ?cache ?checkpoint ?top_k
+            arch c1 c2
         in
         let best = sr.Hfuse_core.Search.best in
         let ivf =
@@ -220,8 +219,8 @@ let sweep_pair ?(multipliers = default_multipliers) ?jobs ?pool ~settings
   { pair = (s1, s2); arch; varied_first = true; points }
 
 (** The full Figure 7: 16 pairs x 2 architectures, one shared pool. *)
-let figure7 ?multipliers ?(jobs = 1) ~settings ?cache ?checkpoint ?top_k
-    ?(archs = Arch.all) ?(pairs = Registry.all_pairs) () : sweep list =
+let figure7 ?multipliers ?(jobs = 1) ~settings ?stats ?cache ?checkpoint
+    ?top_k ?(archs = Arch.all) ?(pairs = Registry.all_pairs) () : sweep list =
   Hfuse_parallel.Pool.with_pool jobs (fun pool ->
       List.concat_map
         (fun arch ->
@@ -230,8 +229,8 @@ let figure7 ?multipliers ?(jobs = 1) ~settings ?cache ?checkpoint ?top_k
           in
           List.map
             (fun pair ->
-              sweep_pair ?multipliers ~pool ~settings ?cache ?checkpoint ?top_k
-                arch sizes pair)
+              sweep_pair ?multipliers ~pool ~settings ?stats ?cache ?checkpoint
+                ?top_k arch sizes pair)
             pairs)
         archs)
 
@@ -321,8 +320,9 @@ type f9_prep = {
   p_regcap : (int * int) option;  (** (r0, replay index) *)
 }
 
-let f9_prepare ?jobs ?pool ~settings ?cache ?checkpoint ?top_k (arch : Arch.t)
-    (sizes : (string * int) list) ((s1, s2) : Spec.t * Spec.t) rl : f9_prep =
+let f9_prepare ?jobs ?pool ~settings ?stats ?cache ?checkpoint ?top_k
+    (arch : Arch.t) (sizes : (string * int) list) ((s1, s2) : Spec.t * Spec.t)
+    rl : f9_prep =
   let mem = Memory.create () in
   let c1 = Runner.configure mem s1 ~size:(size_of sizes s1) in
   let c2 = Runner.configure mem s2 ~size:(size_of sizes s2) in
@@ -331,7 +331,8 @@ let f9_prepare ?jobs ?pool ~settings ?cache ?checkpoint ?top_k (arch : Arch.t)
   let i2 = push rl (arch, [ spec c2 ~stream:0 () ]) in
   let inat = push rl (arch, [ spec c1 ~stream:0 (); spec c2 ~stream:1 () ]) in
   let sr =
-    Runner.search ?jobs ?pool ~settings ?cache ?checkpoint ?top_k arch c1 c2
+    Runner.search ?jobs ?pool ~settings ?stats ?cache ?checkpoint ?top_k arch
+      c1 c2
   in
   let fused = sr.Hfuse_core.Search.best.Hfuse_core.Search.fused in
   let traces = Runner.hfuse_traces ~settings c1 c2 fused in
@@ -388,13 +389,13 @@ let f9_row (reports : Timing.report array) (p : f9_prep) : fused_row =
       Option.map (fun (r, i) -> variant (Some r) reports.(i)) p.p_regcap;
   }
 
-let figure9_pair ?jobs ?pool ~settings ?cache ?checkpoint ?top_k
+let figure9_pair ?jobs ?pool ~settings ?stats ?cache ?checkpoint ?top_k
     (arch : Arch.t) (sizes : (string * int) list) (pair : Spec.t * Spec.t) :
     fused_row =
   let rl = runlist () in
   let prep =
-    f9_prepare ?jobs ?pool ~settings ?cache ?checkpoint ?top_k arch sizes pair
-      rl
+    f9_prepare ?jobs ?pool ~settings ?stats ?cache ?checkpoint ?top_k arch
+      sizes pair rl
   in
   let reports =
     Runner.run_many ?pool ?jobs ~settings ?cache ?checkpoint (runs_of rl)
@@ -404,8 +405,8 @@ let figure9_pair ?jobs ?pool ~settings ?cache ?checkpoint ?top_k
 (** Figure 9 over all pairs and architectures: every pair's traces and
     search run serially (phase 1), then a single pool-wide fan-out
     replays all measurement runs at once. *)
-let figure9 ?(jobs = 1) ~settings ?cache ?checkpoint ?top_k ?(archs = Arch.all)
-    ?(pairs = Registry.all_pairs) () : fused_row list =
+let figure9 ?(jobs = 1) ~settings ?stats ?cache ?checkpoint ?top_k
+    ?(archs = Arch.all) ?(pairs = Registry.all_pairs) () : fused_row list =
   Hfuse_parallel.Pool.with_pool jobs (fun pool ->
       let rl = runlist () in
       let preps =
@@ -416,8 +417,8 @@ let figure9 ?(jobs = 1) ~settings ?cache ?checkpoint ?top_k ?(archs = Arch.all)
             in
             List.map
               (fun pair ->
-                f9_prepare ~pool ~settings ?cache ?checkpoint ?top_k arch sizes
-                  pair rl)
+                f9_prepare ~pool ~settings ?stats ?cache ?checkpoint ?top_k arch
+                  sizes pair rl)
               pairs)
           archs
       in

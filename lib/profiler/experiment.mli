@@ -2,12 +2,12 @@
     Figure 7 ratio sweeps, Figure 8 individual-kernel metrics, Figure 9
     fused-kernel metrics with and without the register bound.
 
-    Every figure runs in two phases: configuration, tracing and the
-    Fig. 6 searches stay serial on the calling domain (they mutate
-    [Gpusim.Memory.t]), while the pure measurement replays fan out over
-    one shared [Hfuse_parallel.Pool] ([~jobs]/[~pool]).  Tracing order
-    is exactly the old serial order, so results are bit-identical for
-    any worker count. *)
+    Every figure runs in two phases: the Fig. 6 searches walk the pairs
+    in order (each fans its recordings and replays over the pool), then
+    the measurement replays fan out over one shared
+    [Hfuse_parallel.Pool] ([~jobs]/[~pool]).  Recordings and replays
+    are pure, so results are bit-identical for any worker count.
+    [?stats] sums the counters of every {!Runner.search} of a figure. *)
 
 (** Per-kernel sizes with solo times close to a common target, per
     architecture (the paper's "execution time ratios close to one");
@@ -75,6 +75,7 @@ val figure7 :
   ?multipliers:float list ->
   ?jobs:int ->
   settings:Settings.t ->
+  ?stats:Runner.search_stats ->
   ?cache:Profile_cache.t ->
   ?checkpoint:Checkpoint.t ->
   ?top_k:int ->
@@ -119,6 +120,7 @@ val figure9_pair :
   ?jobs:int ->
   ?pool:Hfuse_parallel.Pool.t ->
   settings:Settings.t ->
+  ?stats:Runner.search_stats ->
   ?cache:Profile_cache.t ->
   ?checkpoint:Checkpoint.t ->
   ?top_k:int ->
@@ -133,6 +135,7 @@ val figure9_pair :
 val figure9 :
   ?jobs:int ->
   settings:Settings.t ->
+  ?stats:Runner.search_stats ->
   ?cache:Profile_cache.t ->
   ?checkpoint:Checkpoint.t ->
   ?top_k:int ->

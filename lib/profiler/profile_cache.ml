@@ -149,8 +149,8 @@ let store (t : t) ~(key : string) (time_ms : float) : unit =
    themselves, so a hit is bit-identical to re-running the engine and
    any trace change (compiler, interpreter, workload) self-invalidates.
    Each entry also records the producing replay's [engine_stats]; a hit
-   folds those into the process-wide counters so cumulative stats keep
-   describing the replays behind the reported numbers. *)
+   adds those to the current ledger, so a request's engine counters
+   keep describing the replays behind its reported numbers. *)
 
 (* FNV-1a-style fold over a packed int array: one xor-multiply per
    element keeps hashing multi-million-instruction traces cheap; the

@@ -456,17 +456,22 @@ let json_of_metrics (m : Gpusim.Metrics.t) : Json.t =
       ("occupancy", Json.Float m.Gpusim.Metrics.occupancy);
     ]
 
-let json_of_engine_stats (s : Gpusim.Timing.engine_stats) : Json.t =
-  Json.Obj
-    [
-      ("cycles_stepped", Json.Int s.Gpusim.Timing.cycles_stepped);
-      ("cycles_skipped", Json.Int s.Gpusim.Timing.cycles_skipped);
-      ("sm_steps", Json.Int s.Gpusim.Timing.sm_steps);
-      ("sm_steps_skipped", Json.Int s.Gpusim.Timing.sm_steps_skipped);
-      ("scan_skip_hits", Json.Int s.Gpusim.Timing.scan_skip_hits);
-      ("warp_allocs", Json.Int s.Gpusim.Timing.warp_allocs);
-      ("warp_reuses", Json.Int s.Gpusim.Timing.warp_reuses);
-    ]
+(* A ledger section as one object, fields in declaration order; the
+   members of a dotted group, declared together, nest under it
+   ([injected.worker_crash] becomes [injected: {worker_crash: ..}]). *)
+let json_of_section ?(gauges = []) (l : Ledger.t) (section : string) : Json.t =
+  let leaf = function
+    | Ledger.Count n -> Json.Int n
+    | Ledger.Seconds s -> Json.Float s
+  in
+  let nest (name, v) fields =
+    match (String.split_on_char '.' name, fields) with
+    | [ group; field ], (g, Json.Obj members) :: rest when g = group ->
+        (group, Json.Obj ((field, leaf v) :: members)) :: rest
+    | [ group; field ], _ -> (group, Json.Obj [ (field, leaf v) ]) :: fields
+    | _ -> (name, leaf v) :: fields
+  in
+  Json.Obj (List.fold_right nest (Ledger.fields l section) gauges)
 
 let json_of_search_stats (s : Runner.search_stats) : Json.t =
   Json.Obj
@@ -495,19 +500,13 @@ let json_of_search_stats (s : Runner.search_stats) : Json.t =
         (fun (tag, n) -> ("rej_" ^ tag, Json.Int n))
         s.Runner.rejections)
 
-let json_of_trace_tally (t : Trace_store.tally) : Json.t =
-  Json.Obj
-    [
-      ("mem_hits", Json.Int t.Trace_store.mem_hits);
-      ("disk_hits", Json.Int t.Trace_store.disk_hits);
-      ("recorded", Json.Int t.Trace_store.recorded);
-      ("stores", Json.Int t.Trace_store.stores);
-      ("quarantined", Json.Int t.Trace_store.corrupt);
-      ("evictions", Json.Int t.Trace_store.evictions);
-      ("merges", Json.Int t.Trace_store.merges);
-      ("mem_entries", Json.Int (Trace_store.mem_entries ()));
-      ("mem_bytes", Json.Int (Trace_store.mem_bytes ()));
-    ]
+let json_of_trace_store (l : Ledger.t) : Json.t =
+  json_of_section l "trace_store"
+    ~gauges:
+      [
+        ("mem_entries", Json.Int (Trace_store.mem_entries ()));
+        ("mem_bytes", Json.Int (Trace_store.mem_bytes ()));
+      ]
 
 let json_of_cache (c : Profile_cache.t) : Json.t =
   Json.Obj

@@ -48,12 +48,17 @@ val add_telemetry : telemetry_sums -> Json.t -> telemetry_sums
 (** [telemetry_get t section field] — 0 when absent. *)
 val telemetry_get : telemetry_sums -> string -> string -> int
 
-val json_of_engine_stats : Gpusim.Timing.engine_stats -> Json.t
+(** A ledger section ([pool], [fault], [engine], ...) as one object:
+    its counters in declaration order (a dotted name nests under its
+    group: [injected.worker_crash] under [injected]), then [gauges]. *)
+val json_of_section :
+  ?gauges:(string * Json.t) list -> Ledger.t -> string -> Json.t
+
 val json_of_search_stats : Runner.search_stats -> Json.t
 
-(** Cumulative trace-store counters plus current memory-tier occupancy
+(** A ledger's [trace_store] section plus current memory-tier occupancy
     ([mem_entries]/[mem_bytes] are sampled at render time). *)
-val json_of_trace_tally : Trace_store.tally -> Json.t
+val json_of_trace_store : Ledger.t -> Json.t
 
 val json_of_cache : Profile_cache.t -> Json.t
 val figure7_json : Experiment.sweep list -> Json.t

@@ -212,11 +212,11 @@ let clear_cache = Trace_store.clear_memory
 let report_key (arch : Arch.t) (specs : Timing.launch_spec list) : string =
   Profile_cache.report_key ~arch:arch.Arch.name ~policy:"fifo" specs
 
-(* A report not replayed here folds the producing replay's engine stats
-   into the process-wide counters, so cumulative stats still describe
-   the work behind the reported numbers. *)
+(* A report not replayed here adds the producing replay's engine stats
+   to the current ledger, so a request's engine counters describe the
+   work behind its reported numbers. *)
 let settle (((r, es) : Timing.report * Timing.engine_stats), fresh) =
-  if not fresh then Timing.accumulate_stats es;
+  if not fresh then Timing.note_stats es;
   r
 
 (* One replay through the report tiers, on this domain. *)
@@ -512,14 +512,6 @@ let count_rejections (st : search_stats) (ds : Hfuse_analysis.Diag.t list) :
   st.rejections <-
     List.sort (fun (a, _) (b, _) -> String.compare a b) hist
 
-(* the process-wide accumulator the one-shot CLIs print; a server
-   passes each request its own [fresh_search_stats ()] via [?stats] *)
-let global_stats = ref (fresh_search_stats ())
-
-(* a copy: later searches keep mutating the live record *)
-let search_stats () = { !global_stats with profiled = !global_stats.profiled }
-let reset_search_stats () = global_stats := fresh_search_stats ()
-
 let pp_search_stats ppf (s : search_stats) =
   Fmt.pf ppf "%d candidate%s profiled, %d cache hit%s, %.2fs profiling wall"
     s.profiled
@@ -752,9 +744,10 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
     ?(checkpoint = Checkpoint.disabled) ?(top_k : int option)
     ?(repair = false) (arch : Arch.t) (c1 : configured) (c2 : configured) :
     Hfuse_core.Search.result =
-  (* per-request stats land in the caller's record; the historical
-     default keeps accumulating into the process-wide counters *)
-  let stats = match stats with Some st -> st | None -> !global_stats in
+  (* counters land in the caller's record, else in one for this call *)
+  let stats =
+    match stats with Some st -> st | None -> fresh_search_stats ()
+  in
   let cache = match cache with Some c -> c | None -> Settings.cache s in
   (* one pool per search: the caller's, else one scoped to the search
      below, shared by the probe batch and phase 2, recordings and
@@ -884,7 +877,10 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
     in
     let merged = !miss_candidates - !n_uniq in
     stats.trace_merged <- stats.trace_merged + merged;
-    Trace_store.note_merged merged;
+    (* candidates sharing a trace key made one [traced] call, so these
+       never reach the single-flight table; crediting them keeps a lone
+       search's [merges] deterministic *)
+    Ledger.add Trace_store.merges merged;
     stats.trace_wall_s <-
       stats.trace_wall_s +. (Unix.gettimeofday () -. t_trace);
     let miss_idx =

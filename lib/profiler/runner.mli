@@ -81,8 +81,8 @@ val spec_of :
     minted from [settings], as {!search} does), then the process-wide
     memory tier under [settings]' bound.  A miss replays on the
     calling domain, single-flighted, and lands in every tier; a report
-    not replayed here folds its stored engine stats into
-    {!Gpusim.Timing.cumulative_stats}.  Either way the report is
+    not replayed here adds its stored engine stats to the current
+    ledger ({!Gpusim.Timing.note_stats}).  Either way the report is
     bit-identical to a fresh replay. *)
 val native :
   settings:Settings.t -> ?cache:Profile_cache.t -> ?checkpoint:Checkpoint.t ->
@@ -168,14 +168,10 @@ type search_stats = {
           diagnostics on finally-rejected partitions, sorted by tag *)
 }
 
-(** A zeroed record — one per server request, passed to {!search}'s
-    [?stats] so per-request telemetry never mixes across requests. *)
+(** A zeroed record for {!search}'s [?stats]: one per request, or one
+    per figure summing its searches. *)
 val fresh_search_stats : unit -> search_stats
 
-(** Snapshot of the process-wide counters. *)
-val search_stats : unit -> search_stats
-
-val reset_search_stats : unit -> unit
 val pp_search_stats : search_stats Fmt.t
 
 (** Model-vs-simulator verdict over one search's profiled candidates:
@@ -206,8 +202,8 @@ val model_eval :
     ({!Profile_cache.find_report}; keyed over the specs and their packed
     traces), then the memory tier, and only fans the misses out
     (single-flighted), storing their reports after.  Hits are
-    bit-identical to replays, and fold their recorded engine stats into
-    {!Gpusim.Timing.cumulative_stats}.
+    bit-identical to replays, and add their recorded engine stats to the
+    current ledger.
 
     An enabled [checkpoint] journal is consulted before the cache and
     records every result, so a killed run resumed with the same journal
@@ -228,9 +224,10 @@ val run_many :
     @param settings the run's configuration ({!Settings.t}: traced
                  blocks, simulator fuel, trace-memory bound, cache
                  root, chaos plan).
-    @param stats per-request telemetry sink; counters accumulate into
-                 the caller's record instead of the process-wide one
-                 ({!fresh_search_stats} mints an empty record).
+    @param stats the caller's record the search adds its counters to
+                 ({!fresh_search_stats} mints an empty one); trace-store,
+                 pool, fault and engine counters go to the current
+                 ledger.
     @param cache persistent profiling cache (default: minted from
                  [settings] — disabled unless its [cache_dir] is set).
     @param checkpoint resume journal: candidate times and solo

@@ -38,7 +38,8 @@
    candidate times alike.  Its single-flight table dedups concurrent
    computations of one key: the first caller computes (for a trace,
    [load_or_record]: disk, else a recording) while the rest wait and
-   share the result.  Computing happens outside the lock. *)
+   share the result.  Computing happens outside the lock.  A claimant
+   counts its recording in its ledger, a waiter the wait and the hit. *)
 
 module Trace = Gpusim.Trace
 
@@ -76,73 +77,33 @@ let keys ~(arch : string) ~(sim_fuel : int) ~(trace_blocks : int)
   { mem = digest base; disk = digest (arch :: base) }
 
 (* ------------------------------------------------------------------ *)
-(* Process-wide tally                                                   *)
+(* Counters                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type tally = {
-  mem_hits : int;
-  disk_hits : int;
-  recorded : int;  (** fresh recordings added to the store *)
-  stores : int;  (** on-disk entry writes *)
-  corrupt : int;  (** on-disk entries quarantined *)
-  evictions : int;  (** memory-tier entries dropped by the LRU bound *)
-  merges : int;  (** recordings saved by single-flight / batch dedup *)
-}
+(* the ledger's [trace_store] section; hits, recordings, evictions and
+   merges count trace entries only, waits count claims of every kind *)
+let counter = Ledger.counter "trace_store"
+let mem_hits = counter "mem_hits"
+let disk_hits = counter "disk_hits"
+let recorded = counter "recorded"
+let stores = counter "stores"
+let quarantined = counter "quarantined"
+let evictions = counter "evictions"
+let merges = counter "merges"
+let waits = counter "waits"
+let wait_s = Ledger.counter ~seconds:true "trace_store" "wait_s"
 
-let c_mem_hits = Atomic.make 0
-let c_disk_hits = Atomic.make 0
-let c_recorded = Atomic.make 0
-let c_stores = Atomic.make 0
-let c_corrupt = Atomic.make 0
-let c_evictions = Atomic.make 0
-let c_merges = Atomic.make 0
-
-let tally () =
-  {
-    mem_hits = Atomic.get c_mem_hits;
-    disk_hits = Atomic.get c_disk_hits;
-    recorded = Atomic.get c_recorded;
-    stores = Atomic.get c_stores;
-    corrupt = Atomic.get c_corrupt;
-    evictions = Atomic.get c_evictions;
-    merges = Atomic.get c_merges;
-  }
-
-let reset_tally () =
-  List.iter
-    (fun c -> Atomic.set c 0)
-    [
-      c_mem_hits;
-      c_disk_hits;
-      c_recorded;
-      c_stores;
-      c_corrupt;
-      c_evictions;
-      c_merges;
-    ]
-
-let diff ~(before : tally) ~(after : tally) : tally =
-  {
-    mem_hits = after.mem_hits - before.mem_hits;
-    disk_hits = after.disk_hits - before.disk_hits;
-    recorded = after.recorded - before.recorded;
-    stores = after.stores - before.stores;
-    corrupt = after.corrupt - before.corrupt;
-    evictions = after.evictions - before.evictions;
-    merges = after.merges - before.merges;
-  }
-
-let note_merged n = if n > 0 then ignore (Atomic.fetch_and_add c_merges n)
-
-let pp_tally ppf (t : tally) =
+let pp_tally ppf (l : Ledger.t) =
+  let n c = Ledger.get l c in
+  let plural c = if n c = 1 then "" else "s" in
   Fmt.pf ppf "%d mem hit%s, %d disk hit%s, %d recorded, %d merged"
-    t.mem_hits
-    (if t.mem_hits = 1 then "" else "s")
-    t.disk_hits
-    (if t.disk_hits = 1 then "" else "s")
-    t.recorded t.merges;
-  if t.evictions > 0 then Fmt.pf ppf ", %d evicted" t.evictions;
-  if t.corrupt > 0 then Fmt.pf ppf ", %d quarantined" t.corrupt
+    (n mem_hits) (plural mem_hits) (n disk_hits) (plural disk_hits)
+    (n recorded) (n merges);
+  if n evictions > 0 then Fmt.pf ppf ", %d evicted" (n evictions);
+  if n quarantined > 0 then Fmt.pf ppf ", %d quarantined" (n quarantined);
+  if n waits > 0 then
+    Fmt.pf ppf ", %d wait%s (%.2fs)" (n waits) (plural waits)
+      (Ledger.get_seconds l wait_s)
 
 (* ------------------------------------------------------------------ *)
 (* Memory tier: one process-wide LRU for every profiled value           *)
@@ -165,9 +126,9 @@ let get : type v. v kind -> value -> v option =
   | Time, Time -> Some x
   | _ -> None
 
-(* the tally counts trace entries only *)
-let count : type v. v kind -> int Atomic.t -> unit =
- fun k c -> match k with Traces -> Atomic.incr c | Report | Time -> ()
+(* 1 for a trace entry: the trace counters count those only *)
+let trace_entry : type v. v kind -> int =
+ fun k -> match k with Traces -> 1 | Report | Time -> 0
 
 let value_bytes : type v. v kind -> v -> int =
  fun k x ->
@@ -233,23 +194,24 @@ let drop e =
 (* An insertion replaces any entry under its key, then evicts oldest
    first until the tier fits or only the new entry is left: it survives
    even when it alone exceeds the bound, so a search can always keep
-   the trace it is about to replay.  The tally counts trace evictions
-   only. *)
-let insert_mem ~(limit_bytes : int option) k (key : string) x : unit =
+   the trace it is about to replay.  Answers the trace entries evicted. *)
+let insert_mem ~(limit_bytes : int option) k (key : string) x : int =
   Option.iter drop (Hashtbl.find_opt mem_tbl key);
   let bytes = String.length key + value_bytes k x in
   let e = { key; value = V (k, x); bytes; prev = lru; next = lru } in
   push_newest e;
   Hashtbl.add mem_tbl key e;
   mem_total := !mem_total + bytes;
-  match (!limit_override, limit_bytes) with
+  let evicted = ref 0 in
+  (match (!limit_override, limit_bytes) with
   | Some limit, _ | None, Some limit ->
       while !mem_total > limit && lru.prev != e do
         let old = lru.prev in
         drop old;
-        match old.value with V (k, _) -> count k c_evictions
+        match old.value with V (k, _) -> evicted := !evicted + trace_entry k
       done
-  | None, None -> ()
+  | None, None -> ());
+  !evicted
 
 let lookup_mem k (key : string) =
   match Hashtbl.find_opt mem_tbl key with
@@ -261,28 +223,36 @@ let lookup_mem k (key : string) =
 
 let find_memo k ~key = Mutex.protect mem_mutex (fun () -> lookup_mem k key)
 
+(* A caller that blocked on another's claim counts the wait, and the
+   time blocked, whatever the kind: that time is neither its lookup nor
+   its computation. *)
 let get_or_compute ?limit_bytes (k : 'v kind) ~(key : string)
     (compute : unit -> 'v) : 'v =
   (* phase 1: memory tier + single-flight arbitration under the lock *)
-  let hit =
+  let t0 = Unix.gettimeofday () in
+  let hit, waited =
     Mutex.protect mem_mutex (fun () ->
         let rec arbitrate ~waited =
           match lookup_mem k key with
-          | Some _ as hit ->
-              count k c_mem_hits;
-              if waited then count k c_merges;
-              hit
+          | Some _ as hit -> (hit, waited)
           | None when Hashtbl.mem in_flight key ->
               Condition.wait mem_cond mem_mutex;
               arbitrate ~waited:true
           | None ->
               Hashtbl.add in_flight key ();
-              None
+              (None, waited)
         in
         arbitrate ~waited:false)
   in
+  if waited then begin
+    Ledger.add waits 1;
+    Ledger.add_seconds wait_s (Unix.gettimeofday () -. t0)
+  end;
   match hit with
-  | Some v -> v
+  | Some v ->
+      Ledger.add mem_hits (trace_entry k);
+      if waited then Ledger.add merges (trace_entry k);
+      v
   | None ->
       (* phase 2: compute outside the lock, then publish.  On failure
          the claim is released so a waiter retries (a deterministic
@@ -294,7 +264,10 @@ let get_or_compute ?limit_bytes (k : 'v kind) ~(key : string)
               Condition.broadcast mem_cond))
         (fun () ->
           let v = compute () in
-          Mutex.protect mem_mutex (fun () -> insert_mem ~limit_bytes k key v);
+          let evicted =
+            Mutex.protect mem_mutex (fun () -> insert_mem ~limit_bytes k key v)
+          in
+          Ledger.add evictions evicted;
           v)
 
 (* ------------------------------------------------------------------ *)
@@ -323,15 +296,15 @@ let load_or_record (t : t) ~(key : key) (record : unit -> Trace.block array) :
     Trace.block array =
   match Option.map (fun s -> Store.read s ~key:key.disk decode) t with
   | Some (Store.Found blocks) ->
-      Atomic.incr c_disk_hits;
+      Ledger.add disk_hits 1;
       blocks
   | found ->
-      if found = Some Store.Corrupt then Atomic.incr c_corrupt;
+      if found = Some Store.Corrupt then Ledger.add quarantined 1;
       let blocks = record () in
-      Atomic.incr c_recorded;
+      Ledger.add recorded 1;
       Option.iter
         (fun s ->
           Store.write s ~key:key.disk (Trace.encode_blocks blocks);
-          Atomic.incr c_stores)
+          Ledger.add stores 1)
         t;
       blocks

@@ -64,8 +64,10 @@ type _ kind =
     computes while the rest block and share the result.  If [compute]
     raises, the claim is released and a waiter retries.  [compute] runs
     outside the store lock and must not wait on queued pool work.
-    Traces count in the {!tally} ([mem_hits], and [merges] for a shared
-    claim); reports and times do not. *)
+    Traces count [mem_hits] (and [merges] for a shared claim); a caller
+    that blocked on another's claim of any kind counts a [waits] and
+    its blocked seconds in [wait_s].  Counts land in the current
+    ledger. *)
 val get_or_compute :
   ?limit_bytes:int -> 'v kind -> key:string -> (unit -> 'v) -> 'v
 
@@ -78,7 +80,7 @@ val load_or_record :
   Gpusim.Trace.block array
 
 (** Memory-tier lookup without a claim (a miss does not wait for a
-    computation in flight); not counted in the {!tally}. *)
+    computation in flight); not counted. *)
 val find_memo : 'v kind -> key:string -> 'v option
 
 (** Drop every memory-tier entry (disk entries survive). *)
@@ -95,29 +97,24 @@ val mem_entries : unit -> int
 
 val mem_bytes : unit -> int
 
-(** Process-wide cumulative counters (all handles share them, like the
-    pool and fault tallies), over trace entries only; [recorded]
-    doubles as the miss count. *)
-type tally = {
-  mem_hits : int;
-  disk_hits : int;
-  recorded : int;
-  stores : int;
-  corrupt : int;
-  evictions : int;
-  merges : int;
-}
+(** The ledger's [trace_store] section, in this order.  Over trace
+    entries: memory and disk hits, fresh recordings ([recorded] doubles
+    as the miss count), disk writes, quarantined disk entries, LRU
+    evictions and recordings saved by single-flight or batch dedup.
+    Over claims of every kind: [waits] on another caller's claim and
+    the seconds blocked ([wait_s]). *)
+val mem_hits : Ledger.counter
 
-val tally : unit -> tally
-val reset_tally : unit -> unit
+val disk_hits : Ledger.counter
+val recorded : Ledger.counter
+val stores : Ledger.counter
+val quarantined : Ledger.counter
+val evictions : Ledger.counter
+val merges : Ledger.counter
+val waits : Ledger.counter
+val wait_s : Ledger.counter
 
-(** Per-request delta between two snapshots. *)
-val diff : before:tally -> after:tally -> tally
-
-(** Credit [n] recordings saved by a search's batch-level key dedup:
-    candidates sharing a trace key make one {!get_or_compute} call, so
-    these never reach the single-flight table; crediting them keeps a
-    lone search's [merges] deterministic. *)
-val note_merged : int -> unit
-
-val pp_tally : tally Fmt.t
+(** A ledger's trace-store counters: ["H mem hits, D disk hits, R
+    recorded, M merged"], then evictions, quarantines and waits when
+    nonzero. *)
+val pp_tally : Ledger.t Fmt.t

@@ -12,7 +12,7 @@
    to the process's std channels, or mutates hidden global
    configuration; per-request knobs arrive as an explicit
    {!Hfuse_profiler.Settings.t} and per-request counters leave in
-   [telemetry]. *)
+   [telemetry], read from the ledger the verb ran under. *)
 
 module Json = Hfuse_profiler.Report.Json
 module Runner = Hfuse_profiler.Runner
@@ -21,7 +21,6 @@ module Report = Hfuse_profiler.Report
 module Checkpoint = Hfuse_profiler.Checkpoint
 module Trace_store = Hfuse_profiler.Trace_store
 module Fault = Hfuse_fault.Fault
-module Pool = Hfuse_parallel.Pool
 
 type outcome = {
   output : string;  (** deterministic stdout payload *)
@@ -130,24 +129,6 @@ let info_of_src (k : kernel_src) ~(grid : int) :
               regs;
               tunability = Hfuse_core.Kernel_info.Fixed;
             })
-
-(* ------------------------------------------------------------------ *)
-(* Telemetry helpers                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let json_of_pool_tally (t : Pool.tally) : Json.t =
-  Json.Obj
-    [
-      ("failures", Json.Int t.failures);
-      ("retries", Json.Int t.retries);
-      ("recovered", Json.Int t.recovered);
-    ]
-
-let json_of_fault_tally (t : Fault.tally) : Json.t =
-  let kinds l =
-    Json.Obj (List.map (fun (k, n) -> (Fault.kind_name k, Json.Int n)) l)
-  in
-  Json.Obj [ ("injected", kinds t.injected); ("recovered", kinds t.recovered) ]
 
 (* ------------------------------------------------------------------ *)
 (* fuse                                                                 *)
@@ -292,7 +273,9 @@ let simulate ~settings:(s : Settings.t) (p : simulate_params) : outcome =
   let mem = Gpusim.Memory.create () in
   let c = Runner.configure mem spec ~size in
   let specs = [ Runner.spec_of ~settings:s c ~stream:0 () ] in
-  let r, es = Gpusim.Timing.run_with_stats p.m_arch specs in
+  let (r, es), ledger =
+    Ledger.run (fun () -> Gpusim.Timing.run_with_stats p.m_arch specs)
+  in
   let b = Buffer.create 512 in
   Buffer.add_string b (Gpusim.Metrics.header ^ "\n");
   Buffer.add_string b
@@ -301,7 +284,9 @@ let simulate ~settings:(s : Settings.t) (p : simulate_params) : outcome =
     Buffer.add_string b
       (Printf.sprintf "engine: %s\n"
          (Fmt.str "%a" Gpusim.Timing.pp_engine_stats es));
-  let telemetry = Json.Obj [ ("engine", Report.json_of_engine_stats es) ] in
+  let telemetry =
+    Json.Obj [ ("engine", Report.json_of_section ledger "engine") ]
+  in
   if not p.m_validate then
     { output = Buffer.contents b; log = ""; exit_code = 0; telemetry }
   else begin
@@ -338,34 +323,27 @@ let search ~settings:(s : Settings.t) ?(checkpoint = Checkpoint.disabled)
   let arch = p.s_arch in
   (* per-request counters: a fresh stats record, a fresh cache handle
      (shared by the size probe, the native baseline and the search),
-     and tally snapshots bracketing the whole verb (so a one-shot
-     process's delta equals its cumulative tally) — nothing global is
-     reset, so concurrent requests cannot clobber each other *)
+     and a ledger for everything the request does, on any domain *)
   let stats = Runner.fresh_search_stats () in
   let cache = Settings.cache s in
-  let fault_before = Fault.tally () in
-  let pool_before = Pool.tally () in
-  let trace_before = Trace_store.tally () in
-  let size1, size2 =
-    Hfuse_profiler.Experiment.pair_sizes ~settings:s ~cache ~checkpoint arch
-      (p.s_k1, p.s_size1) (p.s_k2, p.s_size2)
-  in
-  let mem = Gpusim.Memory.create () in
-  let c1 = Runner.configure mem p.s_k1 ~size:size1 in
-  let c2 = Runner.configure mem p.s_k2 ~size:size2 in
-  (* the search first: a pair the verifier rejects raises before the
-     native baseline replays or records anything *)
-  let sr =
-    Runner.search ~jobs:p.s_jobs ?pool ~settings:s ~stats ~cache ~checkpoint
-      ?top_k:p.s_top_k ~repair:p.s_repair arch c1 c2
-  in
-  let native =
-    (Runner.native ~settings:s ~cache ~checkpoint arch c1 c2).Gpusim.Timing.time_ms
-  in
-  let fault_delta = Fault.diff ~before:fault_before ~after:(Fault.tally ()) in
-  let pool_delta = Pool.diff ~before:pool_before ~after:(Pool.tally ()) in
-  let trace_delta =
-    Trace_store.diff ~before:trace_before ~after:(Trace_store.tally ())
+  let (sr, native), ledger =
+    Ledger.run @@ fun () ->
+    let size1, size2 =
+      Hfuse_profiler.Experiment.pair_sizes ~settings:s ~cache ~checkpoint arch
+        (p.s_k1, p.s_size1) (p.s_k2, p.s_size2)
+    in
+    let mem = Gpusim.Memory.create () in
+    let c1 = Runner.configure mem p.s_k1 ~size:size1 in
+    let c2 = Runner.configure mem p.s_k2 ~size:size2 in
+    (* the search first: a pair the verifier rejects raises before the
+       native baseline replays or records anything *)
+    let sr =
+      Runner.search ~jobs:p.s_jobs ?pool ~settings:s ~stats ~cache ~checkpoint
+        ?top_k:p.s_top_k ~repair:p.s_repair arch c1 c2
+    in
+    ( sr,
+      (Runner.native ~settings:s ~cache ~checkpoint arch c1 c2)
+        .Gpusim.Timing.time_ms )
   in
   let b = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
@@ -408,10 +386,10 @@ let search ~settings:(s : Settings.t) ?(checkpoint = Checkpoint.disabled)
   Printf.ksprintf (Buffer.add_string lb) "search: %s\n"
     (Fmt.str "%a" Runner.pp_search_stats stats);
   Printf.ksprintf (Buffer.add_string lb) "trace store: %s\n"
-    (Fmt.str "%a" Trace_store.pp_tally trace_delta);
+    (Fmt.str "%a" Trace_store.pp_tally ledger);
   if s.Settings.fault <> None then
     Printf.ksprintf (Buffer.add_string lb) "fault: %s\n"
-      (Fmt.str "%a" Fault.pp_tally fault_delta);
+      (Fmt.str "%a" Fault.pp_tally ledger);
   {
     output = Buffer.contents b;
     log = Buffer.contents lb;
@@ -421,9 +399,9 @@ let search ~settings:(s : Settings.t) ?(checkpoint = Checkpoint.disabled)
         [
           ("search", Report.json_of_search_stats stats);
           ("cache", Report.json_of_cache cache);
-          ("trace_store", Report.json_of_trace_tally trace_delta);
-          ("pool", json_of_pool_tally pool_delta);
-          ("fault", json_of_fault_tally fault_delta);
+          ("trace_store", Report.json_of_trace_store ledger);
+          ("pool", Report.json_of_section ledger "pool");
+          ("fault", Report.json_of_section ledger "fault");
         ];
   }
 

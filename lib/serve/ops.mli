@@ -76,15 +76,12 @@ type request_params =
 
 val verb_name : request_params -> string
 
-(** Tally-to-JSON helpers shared with the daemon's [stats] verb. *)
-val json_of_pool_tally : Hfuse_parallel.Pool.tally -> Json.t
-
-val json_of_fault_tally : Hfuse_fault.Fault.tally -> Json.t
-
 (** Runs the Fig. 6 search under [settings] — the size probe included —
-    with a fresh per-request stats record and a cache handle derived
-    from [settings]; [telemetry] carries the search/cache counters plus
-    pool and fault tally deltas bracketing the request.  [checkpoint]
+    with a fresh per-request stats record, a cache handle derived from
+    [settings], and a fresh ledger ({!Ledger.run}) counting the
+    request's own work on every domain; [telemetry] carries the
+    search/cache counters and the ledger's trace-store, pool and fault
+    sections.  [checkpoint]
     (resume journalling) and [pool] (shared worker pool) are CLI/daemon
     concerns respectively and default off.
     @raise Sys.Break and simulator exceptions as the CLI path does. *)

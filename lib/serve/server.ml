@@ -40,6 +40,9 @@ type t = {
   config : config;
   sock : Unix.file_descr;
   pool : Pool.t;
+  ledger : Ledger.t;
+      (* every request's ledger is opened under this one, so the stats
+         verb's counters are the sum of the requests' own *)
   stop : bool Atomic.t;
   m : Mutex.t;  (* guards everything below *)
   verbs : (string, int) Hashtbl.t;
@@ -96,10 +99,7 @@ let stats_outcome t : Ops.outcome =
           |> List.sort compare ))
   in
   let pending = Pool.pending_submits t.pool in
-  let pool_tally = Pool.tally () in
-  let fault_tally = Fault.tally () in
-  let trace_tally = Hfuse_profiler.Trace_store.tally () in
-  let engine = Gpusim.Timing.cumulative_stats () in
+  let l = t.ledger in
   let b = Buffer.create 512 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "requests: total %d, errors %d, overloaded %d, pending %d\n" total
@@ -109,14 +109,16 @@ let stats_outcome t : Ops.outcome =
        (List.map (fun (v, n) -> Printf.sprintf "%s %d" v n) verbs));
   add "workers: %d (queue limit %d)\n" (Pool.size t.pool)
     t.config.queue_limit;
-  add "pool: %s\n" (Fmt.str "%a" Pool.pp_tally pool_tally);
-  add "fault: %s\n" (Fmt.str "%a" Fault.pp_tally fault_tally);
+  add "pool: %s\n" (Fmt.str "%a" Pool.pp_tally (Pool.tally_of l));
+  add "fault: %s\n" (Fmt.str "%a" Fault.pp_tally l);
   add "trace store: %s (%d entr%s, %d bytes in memory)\n"
-    (Fmt.str "%a" Hfuse_profiler.Trace_store.pp_tally trace_tally)
+    (Fmt.str "%a" Hfuse_profiler.Trace_store.pp_tally l)
     (Hfuse_profiler.Trace_store.mem_entries ())
     (if Hfuse_profiler.Trace_store.mem_entries () = 1 then "y" else "ies")
     (Hfuse_profiler.Trace_store.mem_bytes ());
-  add "engine: %s\n" (Fmt.str "%a" Gpusim.Timing.pp_engine_stats engine);
+  add "engine: %s\n"
+    (Fmt.str "%a" Gpusim.Timing.pp_engine_stats
+       (Gpusim.Timing.engine_stats_of l));
   (let interesting =
      List.filter
        (fun (k, n) ->
@@ -142,12 +144,12 @@ let stats_outcome t : Ops.outcome =
           ("pending", Json.Int pending);
           ("workers", Json.Int (Pool.size t.pool));
           ("verbs", Json.Obj (List.map (fun (v, n) -> (v, Json.Int n)) verbs));
-          ("pool", Ops.json_of_pool_tally pool_tally);
+          ("pool", Report.json_of_section l "pool");
           ( "search",
             Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) search_sums) );
-          ("fault", Ops.json_of_fault_tally fault_tally);
-          ("trace_store", Report.json_of_trace_tally trace_tally);
-          ("engine", Report.json_of_engine_stats engine);
+          ("fault", Report.json_of_section l "fault");
+          ("trace_store", Report.json_of_trace_store l);
+          ("engine", Report.json_of_section l "engine");
           ( "recent",
             Json.List
               (List.map
@@ -201,7 +203,10 @@ let handle_line t ~send ~hold ~release (line : string) =
               let job () =
                 Fun.protect ~finally:release @@ fun () ->
                 let resp =
-                  match Ops.run ~settings params with
+                  match
+                    Ledger.within (Some t.ledger) (fun () ->
+                        Ops.run ~settings params)
+                  with
                   | o ->
                       record t ~id ~verb o;
                       Protocol.response_of_outcome ~id o
@@ -327,6 +332,7 @@ let create (config : config) : t =
     config;
     sock;
     pool;
+    ledger = Ledger.create ();
     stop = Atomic.make false;
     m = Mutex.create ();
     verbs = Hashtbl.create 8;

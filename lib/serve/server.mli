@@ -6,7 +6,8 @@
     Work verbs are scheduled with the request's priority under
     admission control (a full queue answers [overloaded] instead of
     queueing without bound).  Cheap verbs (ping/stats) are answered
-    inline by the reader thread.
+    inline by the reader thread.  [stats] counters are the sum of the
+    requests' own: each runs in a ledger opened under the server's.
 
     Fault containment: a malformed line, a line longer than
     {!Protocol.max_request_bytes}, unknown verb, bad per-request fault

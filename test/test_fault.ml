@@ -1,7 +1,7 @@
 (* The chaos-injection harness: spec parsing, pure deterministic draws,
-   backoff jitter, retry/recovery semantics, and the fault tally.  Plans
-   are passed to every draw, so a draw without one never fires; every
-   test resets the tally on exit. *)
+   backoff jitter, retry/recovery semantics, and the fault counters.
+   Plans are passed to every draw, so a draw without one never fires;
+   a test that reads counters runs under a ledger of its own. *)
 
 module Fault = Hfuse_fault.Fault
 
@@ -13,7 +13,7 @@ let with_plan spec f =
     | exception Fault.Invalid_spec e ->
         Alcotest.failf "spec %S rejected: %s" spec e
   in
-  Fun.protect ~finally:Fault.reset_tally (fun () -> f plan)
+  f plan
 
 let test_configure_ok () =
   with_plan "worker_crash:0.05,cache_corrupt:0.1,sim_hang:0.02,seed:7"
@@ -93,24 +93,23 @@ let test_jitter () =
 
 let test_with_retries_injected () =
   with_plan "worker_crash:1.0" (fun _ ->
-      Fault.reset_tally ();
       (* an injected fault is transient: the wrapper retries until the
          task runs clean, even with no real-failure budget *)
       let calls = ref 0 in
-      let v =
-        Fault.with_retries ~key:11 (fun () ->
-            incr calls;
-            if !calls = 1 then raise (Fault.Injected Worker_crash);
-            41 + 1)
+      let v, ledger =
+        Ledger.run (fun () ->
+            Fault.with_retries ~key:11 (fun () ->
+                incr calls;
+                if !calls = 1 then raise (Fault.Injected Worker_crash);
+                41 + 1))
       in
       Alcotest.(check int) "recovered value" 42 v;
       Alcotest.(check int) "retried once" 2 !calls;
-      Alcotest.(check bool) "recovery noted" true
-        (Fault.recovered_total () >= 1))
+      Alcotest.(check int) "recovery noted" 1
+        (Fault.recovered ledger Worker_crash))
 
 let test_with_retries_budget () =
   (* no plan: only the explicit budget applies *)
-  Fault.reset_tally ();
   let calls = ref 0 in
   let v =
     Fault.with_retries ~budget:2 ~key:5 (fun () ->
@@ -139,28 +138,26 @@ let test_with_retries_budget () =
    with
   | _ -> Alcotest.fail "default budget must not retry"
   | exception Failure _ -> ());
-  Alcotest.(check int) "single attempt" 1 !calls;
-  Fault.reset_tally ()
+  Alcotest.(check int) "single attempt" 1 !calls
 
 let test_tally () =
-  Fault.reset_tally ();
-  Alcotest.(check int) "fresh tally empty" 0 (Fault.injected_total ());
-  Fault.note_injected Worker_crash;
-  Fault.note_injected Worker_crash;
-  Fault.note_injected Sim_hang;
-  Fault.note_recovered Worker_crash;
-  let t = Fault.tally () in
-  Alcotest.(check int) "injected total" 3 (Fault.injected_total ());
-  Alcotest.(check int) "recovered total" 1 (Fault.recovered_total ());
-  Alcotest.(check int) "crash count" 2
-    (List.assoc Fault.Worker_crash t.Fault.injected);
-  Alcotest.(check int) "hang count" 1
-    (List.assoc Fault.Sim_hang t.Fault.injected);
-  let s = Fmt.str "%a" Fault.pp_tally t in
+  let (), ledger =
+    Ledger.run (fun () ->
+        Fault.note_injected Worker_crash;
+        Fault.note_injected Worker_crash;
+        Fault.note_injected Sim_hang;
+        Fault.note_recovered Worker_crash)
+  in
+  Alcotest.(check int) "crash count" 2 (Fault.injected ledger Worker_crash);
+  Alcotest.(check int) "hang count" 1 (Fault.injected ledger Sim_hang);
+  Alcotest.(check int) "recovered" 1 (Fault.recovered ledger Worker_crash);
   Alcotest.(check string) "pp_tally"
-    "injected 3 (crash 2, corrupt 0, hang 1), recovered 1" s;
-  Fault.reset_tally ();
-  Alcotest.(check int) "reset" 0 (Fault.injected_total ())
+    "injected 3 (crash 2, corrupt 0, hang 1), recovered 1"
+    (Fmt.str "%a" Fault.pp_tally ledger);
+  let (), empty = Ledger.run ignore in
+  Alcotest.(check string) "a fresh ledger is empty"
+    "injected 0 (crash 0, corrupt 0, hang 0), recovered 0"
+    (Fmt.str "%a" Fault.pp_tally empty)
 
 let test_from_env_raises () =
   (* regression: a malformed HFUSE_FAULT used to exit the process with
@@ -235,31 +232,6 @@ let test_explicit_plans_are_independent () =
       Alcotest.(check (float 0.0)) "installed crash rate intact" 0.0
         (Fault.rate ~plan:installed Worker_crash))
 
-let test_diff_clamps () =
-  let tally_of injected recovered = { Fault.injected; recovered } in
-  let before =
-    tally_of
-      [ (Fault.Worker_crash, 5); (Fault.Cache_corrupt, 2); (Fault.Sim_hang, 0) ]
-      [ (Fault.Worker_crash, 3); (Fault.Cache_corrupt, 0); (Fault.Sim_hang, 0) ]
-  in
-  let after =
-    tally_of
-      [ (Fault.Worker_crash, 7); (Fault.Cache_corrupt, 1); (Fault.Sim_hang, 4) ]
-      [ (Fault.Worker_crash, 2); (Fault.Cache_corrupt, 0); (Fault.Sim_hang, 1) ]
-  in
-  let d = Fault.diff ~before ~after in
-  Alcotest.(check int) "crash delta" 2
-    (List.assoc Fault.Worker_crash d.Fault.injected);
-  (* a counter reset between snapshots clamps at 0, never negative *)
-  Alcotest.(check int) "corrupt delta clamped" 0
-    (List.assoc Fault.Cache_corrupt d.Fault.injected);
-  Alcotest.(check int) "hang delta" 4
-    (List.assoc Fault.Sim_hang d.Fault.injected);
-  Alcotest.(check int) "recovered delta clamped" 0
-    (List.assoc Fault.Worker_crash d.Fault.recovered);
-  Alcotest.(check int) "hang recovery delta" 1
-    (List.assoc Fault.Sim_hang d.Fault.recovered)
-
 let suite =
   [
     Alcotest.test_case "spec parsing accepts the documented form" `Quick
@@ -282,5 +254,4 @@ let suite =
       test_spec_round_trip;
     Alcotest.test_case "explicit plans never clobber each other" `Quick
       test_explicit_plans_are_independent;
-    Alcotest.test_case "tally diff clamps at zero" `Quick test_diff_clamps;
   ]

@@ -100,18 +100,19 @@ let test_map_isolated_shapes () =
         results)
 
 let test_map_isolated_retries () =
-  Pool.reset_tally ();
   Pool.with_pool 2 (fun p ->
       (* each task fails on its first attempt and succeeds on retry;
          per-index atomics survive the task landing on any domain *)
       let n = 8 in
       let attempts = Array.init n (fun _ -> Atomic.make 0) in
-      let results =
-        Pool.map_isolated ~retries:1 p
-          (fun i ->
-            if Atomic.fetch_and_add attempts.(i) 1 = 0 then failwith "flaky";
-            i + 100)
-          (Array.init n Fun.id)
+      let results, ledger =
+        Ledger.run (fun () ->
+            Pool.map_isolated ~retries:1 p
+              (fun i ->
+                if Atomic.fetch_and_add attempts.(i) 1 = 0 then
+                  failwith "flaky";
+                i + 100)
+              (Array.init n Fun.id))
       in
       Array.iteri
         (fun i r ->
@@ -119,9 +120,10 @@ let test_map_isolated_retries () =
           | Ok v -> Alcotest.(check int) "recovered value" (i + 100) v
           | Error _ -> Alcotest.failf "task %d not recovered" i)
         results;
-      let t = Pool.tally () in
-      Alcotest.(check bool) "retries counted" true (t.Pool.retries >= n);
-      Alcotest.(check bool) "recoveries counted" true (t.Pool.recovered >= n);
+      (* the tasks ran on worker domains, under the submitter's ledger *)
+      let t = Pool.tally_of ledger in
+      Alcotest.(check int) "retries counted" n t.Pool.retries;
+      Alcotest.(check int) "recoveries counted" n t.Pool.recovered;
       (* past the budget the task fails terminally with the attempt count *)
       let r =
         Pool.map_isolated ~retries:2 p
@@ -130,8 +132,7 @@ let test_map_isolated_retries () =
       in
       match r.(0) with
       | Ok _ -> Alcotest.fail "expected terminal failure"
-      | Error fl -> Alcotest.(check int) "budget exhausted" 3 fl.f_attempts);
-  Pool.reset_tally ()
+      | Error fl -> Alcotest.(check int) "budget exhausted" 3 fl.f_attempts)
 
 let test_map_lowest_index_failure () =
   Pool.with_pool 4 (fun p ->
@@ -148,28 +149,25 @@ let test_injected_crashes_recovered () =
   (* a certain worker-crash plan: every task is killed once and must
      still produce the fault-free answer, at any worker count *)
   let fault = Fault.plan_of_spec "worker_crash:1.0" in
-  Fun.protect ~finally:(fun () ->
-      Fault.reset_tally ();
-      Pool.reset_tally ())
-  @@ fun () ->
-  Fault.reset_tally ();
-  Pool.reset_tally ();
   let xs = Array.init 24 Fun.id in
   let expect = Array.map (fun i -> (i * 7) + 1) xs in
   List.iter
     (fun jobs ->
-      Pool.with_pool jobs (fun p ->
-          Alcotest.(check (array int))
-            (Printf.sprintf "bit-identical under crashes at -j %d" jobs)
-            expect
-            (Pool.map ?fault p (fun i -> (i * 7) + 1) xs)))
-    [ 1; 4 ];
-  Alcotest.(check bool) "crashes were injected" true
-    (Fault.injected_total () >= Array.length xs);
-  Alcotest.(check int) "every crash recovered" (Fault.injected_total ())
-    (Fault.recovered_total ());
-  let t = Pool.tally () in
-  Alcotest.(check int) "no terminal failures" 0 t.Pool.failures
+      let got, ledger =
+        Ledger.run (fun () ->
+            Pool.with_pool jobs (fun p ->
+                Pool.map ?fault p (fun i -> (i * 7) + 1) xs))
+      in
+      Alcotest.(check (array int))
+        (Printf.sprintf "bit-identical under crashes at -j %d" jobs)
+        expect got;
+      Alcotest.(check int) "every task crashed once" (Array.length xs)
+        (Fault.injected ledger Worker_crash);
+      Alcotest.(check int) "every crash recovered" (Array.length xs)
+        (Fault.recovered ledger Worker_crash);
+      Alcotest.(check int) "no terminal failures" 0
+        (Pool.tally_of ledger).Pool.failures)
+    [ 1; 4 ]
 
 (* -- service pools: submit, priorities, admission ----------------------- *)
 
@@ -277,7 +275,7 @@ let test_pool_diff_clamps () =
   let before = { Pool.failures = 4; retries = 10; recovered = 3 } in
   let after = { Pool.failures = 2; retries = 16; recovered = 3 } in
   let d = Pool.diff ~before ~after in
-  (* a reset between snapshots clamps at 0, never negative *)
+  (* an inconsistent pair of reads clamps at 0, never negative *)
   Alcotest.(check int) "failures clamped" 0 d.Pool.failures;
   Alcotest.(check int) "retries delta" 6 d.Pool.retries;
   Alcotest.(check int) "recovered delta" 0 d.Pool.recovered;

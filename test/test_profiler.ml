@@ -286,14 +286,14 @@ let test_rep_sizes_served_by_cache () =
 
 (* -- Runner.search: jobs / cache determinism ---------------------------- *)
 
-let search_with ~settings ~jobs ~cache =
+let search_with ?stats ~settings ~jobs ~cache () =
   (* fresh memory and trace cache per run: each run re-traces from the
      same deterministic inputs, like independent processes would *)
   Runner.clear_cache ();
   let mem = Memory.create () in
   let c1 = Runner.configure mem ta_tun ~size:3 in
   let c2 = Runner.configure mem tb_tun ~size:5 in
-  Runner.search ~jobs ~settings ~cache arch c1 c2
+  Runner.search ~jobs ~settings ?stats ~cache arch c1 c2
 
 let search_tun = search_with ~settings:(Test_util.env_settings ())
 
@@ -315,12 +315,12 @@ let best_of (r : Hfuse_core.Search.result) =
 
 let test_search_jobs_deterministic () =
   let nocache = Profile_cache.disabled () in
-  let base = search_tun ~jobs:1 ~cache:nocache in
+  let base = search_tun ~jobs:1 ~cache:nocache () in
   Alcotest.(check bool) "several partitions searched" true
     (List.length base.all >= 7);
   List.iter
     (fun jobs ->
-      let r = search_tun ~jobs ~cache:(Profile_cache.disabled ()) in
+      let r = search_tun ~jobs ~cache:(Profile_cache.disabled ()) () in
       Alcotest.(check bool)
         (Printf.sprintf "all candidates identical at -j %d" jobs)
         true
@@ -335,10 +335,9 @@ let test_search_cache_warm_matches_cold () =
   let dir = tmp_cache_dir "search" in
   let cold_cache = Profile_cache.create ~dir () in
   clear_cache_dir cold_cache;
-  Runner.reset_search_stats ();
-  let cold = search_tun ~jobs:2 ~cache:cold_cache in
+  let cold_stats = Runner.fresh_search_stats () in
+  let cold = search_tun ~stats:cold_stats ~jobs:2 ~cache:cold_cache () in
   let n = List.length cold.all in
-  let cold_stats = Runner.search_stats () in
   Alcotest.(check int) "cold run profiles every candidate once" n
     cold_stats.Runner.profiled;
   (* the cost model's probes are profiled during ranking and stored;
@@ -353,9 +352,8 @@ let test_search_cache_warm_matches_cold () =
   (* a second handle on the same directory — as a rerun of the process
      would create — answers everything from disk, bit-identically *)
   let warm_cache = Profile_cache.create ~dir () in
-  Runner.reset_search_stats ();
-  let warm = search_tun ~jobs:4 ~cache:warm_cache in
-  let warm_stats = Runner.search_stats () in
+  let warm_stats = Runner.fresh_search_stats () in
+  let warm = search_tun ~stats:warm_stats ~jobs:4 ~cache:warm_cache () in
   Alcotest.(check bool) "warm results identical to cold" true
     (sig_of warm = sig_of cold);
   Alcotest.(check bool) "warm best identical to cold" true
@@ -526,25 +524,25 @@ let test_checkpoint_torn_tail () =
     (Checkpoint.find_time ck' ~key:"bad");
   Checkpoint.close ck'
 
-let search_ck ~jobs ~checkpoint =
+let search_ck ~stats ~jobs ~checkpoint =
   Runner.clear_cache ();
   let mem = Memory.create () in
   let c1 = Runner.configure mem ta_tun ~size:3 in
   let c2 = Runner.configure mem tb_tun ~size:5 in
-  Runner.search ~jobs ~settings:(Test_util.env_settings ())
+  Runner.search ~jobs ~settings:(Test_util.env_settings ()) ~stats
     ~cache:(Profile_cache.disabled ()) ~checkpoint arch c1 c2
 
 let test_search_resume_identity () =
-  let baseline = search_tun ~jobs:2 ~cache:(Profile_cache.disabled ()) in
+  let baseline = search_tun ~jobs:2 ~cache:(Profile_cache.disabled ()) () in
   let n = List.length baseline.all in
   let dir, run_id = fresh_journal "resume" in
   let ck = Checkpoint.open_ ~dir ~run_id () in
-  Runner.reset_search_stats ();
-  let first = search_ck ~jobs:2 ~checkpoint:ck in
+  let first_stats = Runner.fresh_search_stats () in
+  let first = search_ck ~stats:first_stats ~jobs:2 ~checkpoint:ck in
   Checkpoint.close ck;
   (* the first journaled run hits its own journal once per probe (the
      model profiles them in phase 1.5, phase 2 replays them) *)
-  let probes = (Runner.search_stats ()).Runner.cache_hits in
+  let probes = first_stats.Runner.cache_hits in
   Alcotest.(check bool) "journaled run identical to plain run" true
     (sig_of first = sig_of baseline);
   (* a resumed run answers every candidate from the journal: nothing is
@@ -552,10 +550,9 @@ let test_search_resume_identity () =
   let ck' = Checkpoint.open_ ~dir ~run_id () in
   Alcotest.(check bool) "journal replays candidates" true
     (Checkpoint.loaded ck' > 0);
-  Runner.reset_search_stats ();
-  let resumed = search_ck ~jobs:4 ~checkpoint:ck' in
+  let stats = Runner.fresh_search_stats () in
+  let resumed = search_ck ~stats ~jobs:4 ~checkpoint:ck' in
   Checkpoint.close ck';
-  let stats = Runner.search_stats () in
   Alcotest.(check bool) "resumed results identical" true
     (sig_of resumed = sig_of baseline);
   Alcotest.(check bool) "resumed best identical" true
@@ -700,24 +697,27 @@ let test_json_stats_roundtrip_nonfinite () =
 
 module Fault = Hfuse_fault.Fault
 
+(* a ledger's count over every fault kind *)
+let faults count ledger =
+  List.fold_left (fun n k -> n + count ledger k) 0 Fault.all_kinds
+
 let test_search_chaos_identity () =
-  let baseline = search_tun ~jobs:2 ~cache:(Profile_cache.disabled ()) in
-  Fun.protect ~finally:Fault.reset_tally @@ fun () ->
+  let baseline = search_tun ~jobs:2 ~cache:(Profile_cache.disabled ()) () in
   let fault =
     Fault.plan_of_spec "worker_crash:1.0,sim_hang:0.2,cache_corrupt:1.0,seed:3"
   in
   let settings = Hfuse_profiler.Settings.resolve ~fault () in
-  Fault.reset_tally ();
   let dir = tmp_cache_dir "chaos" in
   let cache = Profile_cache.create ~dir ?fault () in
   clear_cache_dir cache;
-  Runner.reset_search_stats ();
-  let faulted = search_with ~settings ~jobs:4 ~cache in
+  let stats = Runner.fresh_search_stats () in
+  let faulted, ledger =
+    Ledger.run (fun () -> search_with ~stats ~settings ~jobs:4 ~cache ())
+  in
   (* regression: under injected worker crashes the stats JSON must stay
      machine-readable whatever the float fields hold *)
   (match
-     Json.of_string
-       (Json.to_string (Report.json_of_search_stats (Runner.search_stats ())))
+     Json.of_string (Json.to_string (Report.json_of_search_stats stats))
    with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "faulted stats JSON must parse: %s" e);
@@ -726,13 +726,13 @@ let test_search_chaos_identity () =
   Alcotest.(check bool) "faulted best identical to baseline" true
     (best_of faulted = best_of baseline);
   Alcotest.(check bool) "faults were injected" true
-    (Fault.injected_total () > 0);
+    (faults Fault.injected ledger > 0);
   Alcotest.(check bool) "faults were recovered" true
-    (Fault.recovered_total () > 0);
+    (faults Fault.recovered ledger > 0);
   (* cache_corrupt:1.0 truncated every committed entry; a warm run
      quarantines them all, recomputes, and still matches the baseline *)
   let warm_cache = Profile_cache.create ~dir ?fault () in
-  let warm = search_with ~settings ~jobs:2 ~cache:warm_cache in
+  let warm = search_with ~settings ~jobs:2 ~cache:warm_cache () in
   Alcotest.(check bool) "quarantine-and-recompute identical" true
     (sig_of warm = sig_of baseline);
   Alcotest.(check bool) "corrupted entries quarantined" true
@@ -863,7 +863,8 @@ let test_trace_store_roundtrip () =
   let key = sf_key "rt" in
   let blocks = mk_blocks () in
   let runs = ref 0 in
-  let before = Trace_store.tally () in
+  let (), ledger =
+    Ledger.run @@ fun () ->
   ignore (get_traces store ~key (counting runs blocks));
   Alcotest.(check int) "cold miss records" 1 !runs;
   (* a second handle over a cold memory tier — as a fresh process would
@@ -879,12 +880,13 @@ let test_trace_store_roundtrip () =
   (* ...and the disk hit was promoted into the memory tier *)
   ignore
     (get_traces store' ~key
-       (must_hit "promotion into the memory tier failed"));
-  let d = Trace_store.diff ~before ~after:(Trace_store.tally ()) in
-  Alcotest.(check int) "one recording" 1 d.Trace_store.recorded;
-  Alcotest.(check int) "one disk store" 1 d.Trace_store.stores;
-  Alcotest.(check int) "one disk hit" 1 d.Trace_store.disk_hits;
-  Alcotest.(check bool) "memory hits counted" true (d.Trace_store.mem_hits >= 1)
+       (must_hit "promotion into the memory tier failed"))
+  in
+  let n = Ledger.get ledger in
+  Alcotest.(check int) "one recording" 1 (n Trace_store.recorded);
+  Alcotest.(check int) "one disk store" 1 (n Trace_store.stores);
+  Alcotest.(check int) "one disk hit" 1 (n Trace_store.disk_hits);
+  Alcotest.(check int) "one memory hit" 1 (n Trace_store.mem_hits)
 
 let test_trace_store_quarantine () =
   let root = tmp_cache_dir "traces_q" in
@@ -897,17 +899,19 @@ let test_trace_store_quarantine () =
   let path = Filename.concat (Trace_store.dir store) key.Trace_store.disk in
   corrupt_on_disk path;
   Trace_store.clear_memory ();
-  let before = Trace_store.tally () in
   (* the corrupt entry is a miss: it is moved aside before the
      re-recording runs, and re-recording heals the store *)
   let runs = ref 0 and moved_aside = ref false in
-  ignore
-    (get_traces store ~key (fun () ->
-         moved_aside := not (Sys.file_exists path);
-         counting runs blocks ()));
+  let (), ledger =
+    Ledger.run (fun () ->
+        ignore
+          (get_traces store ~key (fun () ->
+               moved_aside := not (Sys.file_exists path);
+               counting runs blocks ())))
+  in
   Alcotest.(check int) "corrupt entry is a miss" 1 !runs;
-  let d = Trace_store.diff ~before ~after:(Trace_store.tally ()) in
-  Alcotest.(check int) "one quarantined" 1 d.Trace_store.corrupt;
+  Alcotest.(check int) "one quarantined" 1
+    (Ledger.get ledger Trace_store.quarantined);
   Alcotest.(check bool) "entry moved aside" true !moved_aside;
   Alcotest.(check bool) "entry kept for post-mortem" true
     (Sys.file_exists
@@ -973,18 +977,71 @@ let test_trace_store_single_flight () =
   let store = Trace_store.disabled () in
   let key = sf_key "single_flight" in
   let blocks = mk_blocks () in
-  let before = Trace_store.tally () in
-  single_flight Traces ~key:key.mem
-    ~compute:(fun () ->
-      Trace_store.load_or_record store ~key (fun () -> blocks))
-    blocks;
-  let d = Trace_store.diff ~before ~after:(Trace_store.tally ()) in
+  let (), ledger =
+    Ledger.run (fun () ->
+        single_flight Traces ~key:key.mem
+          ~compute:(fun () ->
+            Trace_store.load_or_record store ~key (fun () -> blocks))
+          blocks)
+  in
   Alcotest.(check int) "store saw one recording per run" 2
-    d.Trace_store.recorded;
+    (Ledger.get ledger Trace_store.recorded);
   let report = (mk_report (), mk_engine_stats ()) in
   single_flight Report ~key:"r-single-flight" ~compute:(fun () -> report)
     report;
   single_flight Time ~key:"single-flight" ~compute:(fun () -> 1.25) 1.25
+
+(* A claim wait is the waiter's: a claimant's computation blocks on a
+   latch while a waiter on another domain, under its own ledger, wants
+   the same key.  The claimant's ledger counts the recording, the
+   waiter's the wait, its blocked seconds and the shared hit. *)
+let test_claim_wait_is_the_waiters () =
+  Trace_store.clear_memory ();
+  let store = Trace_store.disabled () in
+  let key = sf_key "claim_wait" in
+  let blocks = mk_blocks () in
+  let claimed = Atomic.make false
+  and waiting = Atomic.make false
+  and latch = Atomic.make false in
+  let spin flag = while not (Atomic.get flag) do Domain.cpu_relax () done in
+  let claimant =
+    Domain.spawn (fun () ->
+        snd
+          (Ledger.run (fun () ->
+               ignore
+                 (get_traces store ~key (fun () ->
+                      Atomic.set claimed true;
+                      spin latch;
+                      blocks)))))
+  in
+  spin claimed;
+  let waiter =
+    Domain.spawn (fun () ->
+        snd
+          (Ledger.run (fun () ->
+               Atomic.set waiting true;
+               ignore
+                 (get_traces store ~key
+                    (must_hit "the waiter computed a claimed key")))))
+  in
+  spin waiting;
+  (* the waiter is a lock and a table probe away from blocking *)
+  Unix.sleepf 0.1;
+  Atomic.set latch true;
+  let claimant = Domain.join claimant and waiter = Domain.join waiter in
+  Trace_store.clear_memory ();
+  let n = Ledger.get in
+  Alcotest.(check int) "the claimant recorded" 1
+    (n claimant Trace_store.recorded);
+  Alcotest.(check int) "the claimant waited on nobody" 0
+    (n claimant Trace_store.waits);
+  Alcotest.(check int) "the waiter recorded nothing" 0
+    (n waiter Trace_store.recorded);
+  Alcotest.(check int) "the waiter waited once" 1 (n waiter Trace_store.waits);
+  Alcotest.(check bool) "the waiter's blocked time counts" true
+    (Ledger.get_seconds waiter Trace_store.wait_s > 0.0);
+  Alcotest.(check int) "the waiter shared the claimant's trace" 1
+    (n waiter Trace_store.merges)
 
 let test_trace_store_lru_eviction () =
   let root = tmp_cache_dir "traces_lru" in
@@ -1001,16 +1058,17 @@ let test_trace_store_lru_eviction () =
      just-inserted entry always survives (a search can keep the trace
      it is about to replay) *)
   Trace_store.set_mem_limit_override (Some 1);
-  let before = Trace_store.tally () in
   let runs = ref 0 in
-  List.iter
-    (fun key ->
-      ignore (get_traces store ~key (counting runs blocks)))
-    keys;
+  let (), ledger =
+    Ledger.run (fun () ->
+        List.iter
+          (fun key -> ignore (get_traces store ~key (counting runs blocks)))
+          keys)
+  in
   Alcotest.(check int) "every key recorded" 3 !runs;
   Alcotest.(check int) "bound holds at one entry" 1 (Trace_store.mem_entries ());
-  let d = Trace_store.diff ~before ~after:(Trace_store.tally ()) in
-  Alcotest.(check int) "two evictions" 2 d.Trace_store.evictions;
+  Alcotest.(check int) "two evictions" 2
+    (Ledger.get ledger Trace_store.evictions);
   (* an evicted key re-fetches from disk, byte-identically *)
   let got =
     get_traces store ~key:(List.hd keys)
@@ -1051,18 +1109,20 @@ let test_memory_tier_kinds () =
   (* three 10-byte entries under a 25-byte bound: touching "aa" leaves
      "bb" the least recently used *)
   set_mem_limit_override (Some 25);
-  let before = tally () in
-  add Time ~key:"aa" 1.;
-  add Time ~key:"bb" 2.;
-  ignore (find_memo Time ~key:"aa");
-  add Time ~key:"cc" 3.;
+  let (), ledger =
+    Ledger.run (fun () ->
+        add Time ~key:"aa" 1.;
+        add Time ~key:"bb" 2.;
+        ignore (find_memo Time ~key:"aa");
+        add Time ~key:"cc" 3.)
+  in
   Alcotest.(check int) "bound holds" 20 (mem_bytes ());
   Alcotest.(check bool) "least recently used evicted" true
     (find_memo Time ~key:"bb" = None);
   Alcotest.(check bool) "touched and newest kept" true
     (find_memo Time ~key:"aa" <> None && find_memo Time ~key:"cc" <> None);
-  Alcotest.(check int) "the tally counts trace evictions only" 0
-    (diff ~before ~after:(tally ())).evictions
+  Alcotest.(check int) "the counters count trace evictions only" 0
+    (Ledger.get ledger evictions)
 
 (* A warm search answers its candidate traces from disk through the
    batch lookup.  Each such disk hit is an insertion and evicts to the
@@ -1084,15 +1144,15 @@ let test_disk_hits_respect_bound () =
   in
   let cold, _ = search ~trace_mem_mb:0 in
   let unbounded = Trace_store.mem_bytes () in
-  let before = Trace_store.tally () in
-  let warm, bound = search ~trace_mem_mb:1 in
-  let d = Trace_store.diff ~before ~after:(Trace_store.tally ()) in
+  let (warm, bound), ledger = Ledger.run (fun () -> search ~trace_mem_mb:1) in
   Alcotest.(check bool)
     (Printf.sprintf "the unbounded tier outgrows the bound (%d bytes)"
        unbounded)
     true (unbounded > bound);
-  Alcotest.(check int) "warm run records nothing" 0 d.Trace_store.recorded;
-  Alcotest.(check bool) "warm run hits disk" true (d.Trace_store.disk_hits > 0);
+  Alcotest.(check int) "warm run records nothing" 0
+    (Ledger.get ledger Trace_store.recorded);
+  Alcotest.(check bool) "warm run hits disk" true
+    (Ledger.get ledger Trace_store.disk_hits > 0);
   Alcotest.(check bool)
     (Printf.sprintf "tier within the bound (%d bytes)"
        (Trace_store.mem_bytes ()))
@@ -1104,21 +1164,23 @@ let test_disk_hits_respect_bound () =
 
 (* -- Runner.search over the trace store ---------------------------------- *)
 
-let search_traced ~fault ~jobs ~dir =
+let search_traced ?stats ~fault ~jobs ~dir () =
   Runner.clear_cache ();
   let settings = Settings.resolve ~cache_dir:(Some dir) ~fault () in
   let mem = Memory.create () in
   let c1 = Runner.configure mem ta_tun ~size:3 in
   let c2 = Runner.configure mem tb_tun ~size:5 in
-  Runner.search ~jobs ~settings ~cache:(Profile_cache.disabled ()) arch c1 c2
+  Runner.search ~jobs ~settings ?stats ~cache:(Profile_cache.disabled ()) arch
+    c1 c2
 
 let test_search_trace_store_warm_identity () =
-  let baseline = search_tun ~jobs:1 ~cache:(Profile_cache.disabled ()) in
+  let baseline = search_tun ~jobs:1 ~cache:(Profile_cache.disabled ()) () in
   let root = tmp_cache_dir "traces_search" in
   clear_trace_root root;
-  Runner.reset_search_stats ();
-  let cold = search_traced ~fault:None ~jobs:2 ~dir:root in
-  let cold_stats = Runner.search_stats () in
+  let cold_stats = Runner.fresh_search_stats () in
+  let cold =
+    search_traced ~stats:cold_stats ~fault:None ~jobs:2 ~dir:root ()
+  in
   Alcotest.(check bool) "store never changes results" true
     (sig_of cold = sig_of baseline);
   Alcotest.(check bool) "cold run records traces" true
@@ -1130,9 +1192,10 @@ let test_search_trace_store_warm_identity () =
     (cold_stats.Runner.trace_merged > 0);
   (* [search_traced] clears the in-process tiers, so this rerun answers
      from the persistent store alone — like a fresh process would *)
-  Runner.reset_search_stats ();
-  let warm = search_traced ~fault:None ~jobs:4 ~dir:root in
-  let warm_stats = Runner.search_stats () in
+  let warm_stats = Runner.fresh_search_stats () in
+  let warm =
+    search_traced ~stats:warm_stats ~fault:None ~jobs:4 ~dir:root ()
+  in
   Alcotest.(check bool) "warm results identical to cold" true
     (sig_of warm = sig_of cold);
   Alcotest.(check bool) "warm best identical" true (best_of warm = best_of cold);
@@ -1144,35 +1207,35 @@ let test_search_trace_store_warm_identity () =
   Fun.protect ~finally:(fun () -> Trace_store.set_mem_limit_override None)
   @@ fun () ->
   Trace_store.set_mem_limit_override (Some 1);
-  let bounded = search_traced ~fault:None ~jobs:2 ~dir:root in
+  let bounded = search_traced ~fault:None ~jobs:2 ~dir:root () in
   Alcotest.(check bool) "bounded store identical results" true
     (sig_of bounded = sig_of cold)
 
 let test_search_trace_chaos_heal () =
-  let baseline = search_tun ~jobs:2 ~cache:(Profile_cache.disabled ()) in
-  Fun.protect ~finally:Fault.reset_tally @@ fun () ->
+  let baseline = search_tun ~jobs:2 ~cache:(Profile_cache.disabled ()) () in
   let fault = Fault.plan_of_spec "cache_corrupt:1.0,seed:5" in
-  Fault.reset_tally ();
   let root = tmp_cache_dir "traces_chaos" in
   clear_trace_root root;
   (* every committed trace entry is torn by the chaos hook; lookups
      quarantine and re-record, and the search never notices *)
-  let cold = search_traced ~fault ~jobs:2 ~dir:root in
+  let cold, cold_ledger =
+    Ledger.run (fun () -> search_traced ~fault ~jobs:2 ~dir:root ())
+  in
   Alcotest.(check bool) "chaos cold identical to baseline" true
     (sig_of cold = sig_of baseline);
   Alcotest.(check bool) "trace corruption injected" true
-    (Fault.injected_total () > 0);
-  let before = Trace_store.tally () in
-  let warm = search_traced ~fault ~jobs:2 ~dir:root in
-  let d = Trace_store.diff ~before ~after:(Trace_store.tally ()) in
+    (Fault.injected cold_ledger Cache_corrupt > 0);
+  let warm, ledger =
+    Ledger.run (fun () -> search_traced ~fault ~jobs:2 ~dir:root ())
+  in
   Alcotest.(check bool) "chaos warm identical to baseline" true
     (sig_of warm = sig_of baseline);
   Alcotest.(check bool) "torn entries quarantined" true
-    (d.Trace_store.corrupt > 0);
+    (Ledger.get ledger Trace_store.quarantined > 0);
   Alcotest.(check bool) "quarantined entries re-recorded" true
-    (d.Trace_store.recorded > 0);
-  Alcotest.(check bool) "recoveries tallied" true
-    (Fault.recovered_total () > 0)
+    (Ledger.get ledger Trace_store.recorded > 0);
+  Alcotest.(check bool) "recoveries counted" true
+    (Fault.recovered ledger Cache_corrupt > 0)
 
 (* -- run ids fold in the traced-block count ------------------------------- *)
 
@@ -1252,6 +1315,8 @@ let suite =
       test_trace_store_quarantine;
     Alcotest.test_case "trace recording is single-flight" `Quick
       test_trace_store_single_flight;
+    Alcotest.test_case "a claim wait counts for the waiter" `Quick
+      test_claim_wait_is_the_waiters;
     Alcotest.test_case "trace store LRU eviction and refetch" `Quick
       test_trace_store_lru_eviction;
     Alcotest.test_case "memory tier kinds and recency" `Quick

@@ -314,17 +314,17 @@ let test_corpus_rejected_pairs_all_repairable () =
 
 let search_repaired ~jobs =
   Runner.clear_cache ();
-  Runner.reset_search_stats ();
+  let stats = Runner.fresh_search_stats () in
   let mem = Gpusim.Memory.create () in
   let c1 = Runner.configure mem (Registry.find_exn "Maxpool") ~size:1 in
   let c2 = Runner.configure mem (Registry.find_exn "SHA256") ~size:1 in
   let r =
     Runner.search ~jobs
       ~settings:(Settings.resolve ~cache_dir:None ~fault:None ())
-      ~cache:(Profile_cache.disabled ()) ~repair:true Gpusim.Arch.gtx1080ti c1
-      c2
+      ~stats ~cache:(Profile_cache.disabled ()) ~repair:true
+      Gpusim.Arch.gtx1080ti c1 c2
   in
-  (r, Runner.search_stats ())
+  (r, stats)
 
 let cand_sig (r : Search.result) =
   List.map

@@ -667,18 +667,20 @@ let test_bounded_tier_identity () =
       Runner.clear_cache ())
   @@ fun () ->
   Trace_store.set_mem_limit_override (Some bound);
-  let before = Trace_store.tally () in
-  List.iter2
-    (fun p expected ->
-      Alcotest.(check string) "bounded output bytes" expected (run p);
-      let bytes = Trace_store.mem_bytes () in
-      Alcotest.(check bool)
-        (Printf.sprintf "tier within the bound (%d bytes)" bytes)
-        true
-        (bytes <= bound || Trace_store.mem_entries () = 1))
-    tier_searches unbounded;
+  let (), ledger =
+    Ledger.run @@ fun () ->
+    List.iter2
+      (fun p expected ->
+        Alcotest.(check string) "bounded output bytes" expected (run p);
+        let bytes = Trace_store.mem_bytes () in
+        Alcotest.(check bool)
+          (Printf.sprintf "tier within the bound (%d bytes)" bytes)
+          true
+          (bytes <= bound || Trace_store.mem_entries () = 1))
+      tier_searches unbounded
+  in
   Alcotest.(check bool) "the bound evicted traces" true
-    (Trace_store.(diff ~before ~after:(tally ())).evictions > 0)
+    (Ledger.get ledger Trace_store.evictions > 0)
 
 (* With the cache off and no bound, the memory tier alone answers a
    repeated search: no candidate profiled (its times are in the tier),
@@ -807,15 +809,16 @@ let test_disconnect_mid_search () =
    would run: every trace and every candidate time goes through the
    memory tier's single-flight, so together they record and profile
    what a lone search does, and both answer byte-identically to it.  A
-   time one request took from the other's claim counts as a hit. *)
+   time one request took from the other's claim counts as a hit.  Each
+   request's telemetry counts its own work only, so the two requests'
+   recordings sum to the lone search's. *)
 let test_concurrent_searches_share_traces () =
   let settings = { (settings_at None) with trace_mem_mb = 0 } in
   let p = { search_params with s_size1 = Some 8; s_size2 = Some 8 } in
   let recorded f =
     Runner.clear_cache ();
-    let before = Trace_store.tally () in
-    let outcomes = f () in
-    (outcomes, Trace_store.(diff ~before ~after:(tally ())).recorded)
+    let outcomes, ledger = Ledger.run f in
+    (outcomes, Ledger.get ledger Trace_store.recorded)
   in
   let search () = Ops.search ~settings p in
   let lone, lone_recorded = recorded (fun () -> [| search () |]) in
@@ -824,9 +827,10 @@ let test_concurrent_searches_share_traces () =
         Hfuse_parallel.Pool.with_pool 2 (fun pool ->
             Hfuse_parallel.Pool.map pool search [| (); () |]))
   in
-  let sum field =
-    Array.fold_left (fun n o -> n + telemetry_count o "search" field) 0 both
+  let sum_in section field =
+    Array.fold_left (fun n o -> n + telemetry_count o section field) 0 both
   in
+  let sum = sum_in "search" in
   let lone = lone.(0) in
   let lone_n field = telemetry_count lone "search" field in
   Alcotest.(check bool) "a lone search records traces" true (lone_recorded > 0);
@@ -835,6 +839,9 @@ let test_concurrent_searches_share_traces () =
       Alcotest.(check string) "concurrent output bytes" lone.output o.output)
     both;
   Alcotest.(check int) "each trace recorded once" lone_recorded both_recorded;
+  Alcotest.(check int) "the requests' own recordings sum to a lone search's"
+    lone_recorded
+    (sum_in "trace_store" "recorded");
   Alcotest.(check int) "each candidate profiled once" (lone_n "profiled")
     (sum "profiled");
   (* both searches make a lone search's lookups; all but one profile
@@ -843,29 +850,148 @@ let test_concurrent_searches_share_traces () =
     (lone_n "profiled" + (2 * lone_n "cache_hits"))
     (sum "cache_hits")
 
+(* The daemon's [stats] counters are the sum of its requests' own:
+   after concurrent searches, every trace-store and pool counter equals
+   the requests' telemetry summed (the memory-tier gauges aside). *)
+let test_stats_sum_requests () =
+  Runner.clear_cache ();
+  let socket = fresh_socket () in
+  let server =
+    Server.start
+      { socket_path = socket; jobs = 2; queue_limit = 8;
+        settings = settings_at None }
+  in
+  Fun.protect ~finally:(fun () ->
+      (try Server.stop server with _ -> ());
+      Runner.clear_cache ())
+  @@ fun () ->
+  let p = { search_params with s_size1 = Some 8; s_size2 = Some 8 } in
+  let request i =
+    Protocol.request_to_line
+      {
+        (search_request ~settings:no_disk_cache (Printf.sprintf "s%d" i)) with
+        verb = Protocol.Work (Ops.Search p);
+      }
+  in
+  let telemetry =
+    List.map
+      (fun line ->
+        match Protocol.parse_response line with
+        | Ok resp -> (expect_result resp).rtel
+        | Error e -> Alcotest.failf "unparseable answer: %s" e)
+      (burst ~socket (List.init 3 request))
+  in
+  let stats =
+    expect_result
+      (call_exn ~socket
+         { id = "st"; priority = 0; settings = Protocol.no_overrides;
+           verb = Protocol.Stats })
+  in
+  let count section field tel =
+    match Option.bind (J.member section tel) (J.member field) with
+    | Some (J.Int n) -> n
+    | _ -> Alcotest.failf "telemetry lacks %s.%s" section field
+  in
+  Alcotest.(check bool) "the searches recorded traces" true
+    (count "trace_store" "recorded" stats.rtel > 0);
+  List.iter
+    (fun section ->
+      match J.member section stats.rtel with
+      | Some (J.Obj fields) ->
+          List.iter
+            (fun (field, v) ->
+              match v with
+              | J.Int total
+                when not (List.mem field [ "mem_entries"; "mem_bytes" ]) ->
+                  Alcotest.(check int)
+                    (Printf.sprintf "stats %s.%s is the requests' sum" section
+                       field)
+                    (List.fold_left
+                       (fun n tel -> n + count section field tel)
+                       0 telemetry)
+                    total
+              | _ -> ())
+            fields
+      | _ -> Alcotest.failf "stats telemetry lacks %s" section)
+    [ "trace_store"; "pool" ]
+
+(* The one-shot stderr counter lines of cold cache-off searches, wall
+   times masked, at -j 1 and -j 2: the counts read before per-request
+   ledgers replaced process-wide tallies. *)
+let mask_walls log =
+  String.split_on_char '\n' log
+  |> List.map (fun line ->
+         String.split_on_char ',' line
+         |> List.map (fun field ->
+                if String.ends_with ~suffix:" wall" field then
+                  let secs = String.index field 's' in
+                  " _" ^ String.sub field secs (String.length field - secs)
+                else field)
+         |> String.concat ",")
+  |> String.concat "\n"
+
+let test_oneshot_counter_lines () =
+  let settings = settings_at None in
+  List.iter
+    (fun (k1, k2, size, top_k, expected) ->
+      List.iter
+        (fun jobs ->
+          Runner.clear_cache ();
+          let o =
+            Ops.search ~settings
+              {
+                search_params with
+                s_k1 = Registry.find_exn k1;
+                s_k2 = Registry.find_exn k2;
+                s_size1 = Some size;
+                s_size2 = Some size;
+                s_emit = false;
+                s_jobs = jobs;
+                s_top_k = top_k;
+              }
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s+%s at -j %d" k1 k2 jobs)
+            expected (mask_walls o.log))
+        [ 1; 2 ])
+    [
+      ( "Maxpool", "Upsample", 8, None,
+        "search: 11 candidates profiled, 6 cache hits, _s profiling wall, 7 \
+         traces recorded, 1 trace hit, 3 merged, _s trace wall, model \
+         agreement 1/1 (max regret 0.00%)\n\
+         trace store: 3 mem hits, 0 disk hits, 9 recorded, 3 merged\n" );
+      ( "Batchnorm", "Hist", 1, Some 8,
+        "search: 11 candidates profiled, 3 cache hits, _s profiling wall, 7 \
+         traces recorded, 0 trace hits, 4 merged, _s trace wall, 6 pruned\n\
+         trace store: 2 mem hits, 0 disk hits, 9 recorded, 4 merged\n" );
+    ];
+  Runner.clear_cache ()
+
 (* A pair the verifier rejects raises before anything is replayed: no
    native baseline, no solo trace recorded, nothing stored. *)
 let test_rejected_search_records_nothing () =
   let root = fresh_root "rejected" in
   let settings = settings_at (Some root) in
   Runner.clear_cache ();
-  let before = Trace_store.tally () in
-  (match
-     Ops.search ~settings
-       {
-         search_params with
-         s_k1 = Registry.find_exn "Hist";
-         s_k2 = Registry.find_exn "SHA256";
-         s_size1 = Some 1;
-         s_size2 = Some 1;
-         s_emit = false;
-         s_top_k = Some 8;
-       }
-   with
-  | _ -> Alcotest.fail "Hist+SHA256 was not rejected"
-  | exception Hfuse_core.Search.No_valid_partition _ -> ());
-  let d = Trace_store.diff ~before ~after:(Trace_store.tally ()) in
-  Alcotest.(check int) "traces recorded" 0 d.recorded;
+  let (), ledger =
+    Ledger.run @@ fun () ->
+    match
+      Ops.search ~settings
+        {
+          search_params with
+          s_k1 = Registry.find_exn "Hist";
+          s_k2 = Registry.find_exn "SHA256";
+          s_size1 = Some 1;
+          s_size2 = Some 1;
+          s_emit = false;
+          s_top_k = Some 8;
+        }
+    with
+    | _ -> Alcotest.fail "Hist+SHA256 was not rejected"
+    | exception Hfuse_core.Search.No_valid_partition _ -> ()
+  in
+  Alcotest.(check int) "traces recorded" 0
+    (Ledger.get ledger Trace_store.recorded);
   let rec files p =
     if not (Sys.file_exists p) then []
     else if Sys.is_directory p then
@@ -1058,6 +1184,10 @@ let suite =
       test_memos_live_in_tier;
     Alcotest.test_case "concurrent searches record each trace once" `Quick
       test_concurrent_searches_share_traces;
+    Alcotest.test_case "stats sums its requests' own counters" `Quick
+      test_stats_sum_requests;
+    Alcotest.test_case "one-shot counter lines" `Quick
+      test_oneshot_counter_lines;
     Alcotest.test_case "rejected search records nothing" `Quick
       test_rejected_search_records_nothing;
     Alcotest.test_case "golden search bytes" `Quick test_golden_search_bytes;

@@ -110,18 +110,20 @@ let test_golden_root_is_warm () =
   Alcotest.(check int) "no cache stores" 0 (Profile_cache.stores cache);
   Alcotest.(check int) "nothing quarantined" 0 (Profile_cache.corrupt cache);
   Trace_store.clear_memory ();
-  let before = Trace_store.tally () in
-  Alcotest.(check string) "trace entry decodes"
-    (Trace.encode_blocks (Test_profiler.mk_blocks ()))
-    (Trace.encode_blocks
-       (Test_profiler.get_traces
+  let traces, ledger =
+    Ledger.run (fun () ->
+        Test_profiler.get_traces
           (Trace_store.create ~dir:root ())
           ~key:trace_key
-          (Test_profiler.must_hit "golden trace entry missed")));
-  let d = Trace_store.diff ~before ~after:(Trace_store.tally ()) in
-  Alcotest.(check int) "one trace disk hit" 1 d.Trace_store.disk_hits;
-  Alcotest.(check int) "no trace stores" 0 d.Trace_store.stores;
-  Alcotest.(check int) "no trace quarantined" 0 d.Trace_store.corrupt;
+          (Test_profiler.must_hit "golden trace entry missed"))
+  in
+  Alcotest.(check string) "trace entry decodes"
+    (Trace.encode_blocks (Test_profiler.mk_blocks ()))
+    (Trace.encode_blocks traces);
+  let n = Ledger.get ledger in
+  Alcotest.(check int) "one trace disk hit" 1 (n Trace_store.disk_hits);
+  Alcotest.(check int) "no trace stores" 0 (n Trace_store.stores);
+  Alcotest.(check int) "no trace quarantined" 0 (n Trace_store.quarantined);
   (* the golden row journal resumes without re-running its pair, and
      replays the row a clean run computes *)
   let cfg = row_cfg () in
