@@ -156,13 +156,12 @@ let chaos_report ~(settings : Settings.t) ledger =
 let run_figure ~(settings : Settings.t) ~cache ~searches name label run
     render json =
   let checkpoint = checkpoint_for ~settings name in
-  let stats = Runner.fresh_search_stats () in
   let t0 = Unix.gettimeofday () in
-  let rows, ledger = Ledger.run (fun () -> run ~stats ~checkpoint) in
+  let rows, ledger = Ledger.run (fun () -> run ~checkpoint) in
   let wall = Unix.gettimeofday () -. t0 in
   say "[%s: %.1fs]" label wall;
   if searches then
-    say "[search: %s]" (Fmt.str "%a" Runner.pp_search_stats stats);
+    say "[search: %s]" (Fmt.str "%a" Runner.pp_search_stats ledger);
   say "[engine: %s]"
     (Fmt.str "%a" Gpusim.Timing.pp_engine_stats
        (Gpusim.Timing.engine_stats_of ledger));
@@ -179,7 +178,7 @@ let run_figure ~(settings : Settings.t) ~cache ~searches name label run
           ("jobs", Int !jobs);
           ("trace_blocks", Int settings.trace_blocks);
           ("cache", Report.json_of_cache cache);
-          ("search", Report.json_of_search_stats stats);
+          ("search", Report.json_of_section ledger "search");
           ("trace_store", Report.json_of_trace_store ledger);
           ("engine_stats", Report.json_of_section ledger "engine");
           ("rows", json rows);
@@ -202,23 +201,23 @@ let multipliers ~full =
 let run_fig7 ~settings ~cache ~full () =
   section "Figure 7: speedup vs execution-time ratio (16 pairs x 2 GPUs)";
   run_figure ~settings ~cache ~searches:true "fig7" "figure 7"
-    (fun ~stats ~checkpoint ->
+    (fun ~checkpoint ->
       Experiment.figure7 ~multipliers:(multipliers ~full) ~jobs:!jobs ~settings
-        ~stats ~cache ~checkpoint ?top_k:!top_k ?pairs:!pair_filter ())
+        ~cache ~checkpoint ?top_k:!top_k ?pairs:!pair_filter ())
     Report.figure7_to_string Report.figure7_json
 
 let run_fig8 ~settings ~cache () =
   section "Figure 8: metrics of individual kernels";
   run_figure ~settings ~cache ~searches:false "fig8" "figure 8"
-    (fun ~stats:_ ~checkpoint ->
+    (fun ~checkpoint ->
       Experiment.figure8 ~jobs:!jobs ~settings ~cache ~checkpoint ())
     Report.figure8_to_string Report.figure8_json
 
 let run_fig9 ~settings ~cache () =
   section "Figure 9: metrics of HFuse fused kernels (RegCap / N-RegCap)";
   run_figure ~settings ~cache ~searches:true "fig9" "figure 9"
-    (fun ~stats ~checkpoint ->
-      Experiment.figure9 ~jobs:!jobs ~settings ~stats ~cache ~checkpoint
+    (fun ~checkpoint ->
+      Experiment.figure9 ~jobs:!jobs ~settings ~cache ~checkpoint
         ?top_k:!top_k ?pairs:!pair_filter ())
     Report.figure9_to_string Report.figure9_json
 

@@ -43,9 +43,6 @@ type t = {
           pay the L2 round trip (~220 cycles); Volta's unified L1 serves
           them in ~28 cycles — a real architectural difference that
           shifts where fusion pays off between the two devices *)
-  l1_sectors_per_block : int;
-      (** modelled L1 capacity per resident block, in 32-byte sectors
-          (the interpreter simulates a sectored FIFO cache per block) *)
   lmem_latency : int;  (** local-memory (spill) access *)
   (* throughputs *)
   lsu_throughput : int;
@@ -93,7 +90,6 @@ let gtx1080ti =
     smem_latency = 30;
     gmem_latency = 440;
     l1_latency = 220;
-    l1_sectors_per_block = 512;
     lmem_latency = 140;
     lsu_throughput = 2;
     gmem_cyc_per_txn = 3;
@@ -128,7 +124,6 @@ let v100 =
     smem_latency = 24;
     gmem_latency = 375;
     l1_latency = 28;
-    l1_sectors_per_block = 1024;
     lmem_latency = 100;
     lsu_throughput = 2;
     gmem_cyc_per_txn = 4;

@@ -31,7 +31,6 @@ type t = {
       (** cached-global-load latency: the L2 round trip on Pascal (whose
           L1 does not cache global loads by default), Volta's fast
           unified L1 on the V100 *)
-  l1_sectors_per_block : int;
   lmem_latency : int;
   lsu_throughput : int;
   gmem_cyc_per_txn : int;

@@ -50,8 +50,10 @@ type config = {
   smem_dynamic : int;  (** bytes of [extern __shared__] memory per block *)
   trace_blocks : int;  (** record traces for the first N blocks *)
   l1_sectors : int;
-      (** modelled per-block L1 capacity in 32-byte sectors (see
-          [Arch.l1_sectors_per_block]); 0 disables the cache model *)
+      (** modelled per-block L1 capacity in 32-byte sectors, the same
+          on every architecture (traces are recorded once for all of
+          them; {!launch_info} defaults to 512); 0 disables the cache
+          model *)
   exec_blocks : int option;
       (** execute only the first N blocks functionally (profiling mode:
           the timing model replays traces cyclically, so executing every

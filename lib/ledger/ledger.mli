@@ -1,6 +1,6 @@
 (** Named counters, counted for the request that did the work.
 
-    A counter belongs to a section (["pool"], ["fault"], ...) and is
+    A counter belongs to a section (["pool"], ["search"], ...) and is
     declared at module initialisation by the module that owns it.  A
     request runs within a ledger of its own ({!run}), its domain's
     current one; every {!add} lands there, in each ledger it was opened
@@ -8,12 +8,15 @@
     submitter's ledger, so concurrent requests each count only their
     own work, on any domain. *)
 
+(** Counts and wall seconds add up; a [Max] keeps the largest value
+    added (from 0; a nan changes nothing). *)
+type kind = Count | Seconds | Max
+
 type counter
 
-(** [counter section name]: an integer count, or a float of wall
-    seconds under [~seconds:true].  Sections list their counters in
-    declaration order. *)
-val counter : ?seconds:bool -> string -> string -> counter
+(** [counter section name] (default [~kind:Count]).  Sections list
+    their counters in declaration order. *)
+val counter : ?kind:kind -> string -> string -> counter
 
 type t
 
@@ -34,14 +37,15 @@ val create : unit -> t
 val run : (unit -> 'a) -> 'a * t
 
 val add : counter -> int -> unit
-val add_seconds : counter -> float -> unit
+val add_float : counter -> float -> unit
 
 (** A counter's value in a ledger (0 when never added to). *)
 val get : t -> counter -> int
 
-val get_seconds : t -> counter -> float
+val get_float : t -> counter -> float
 
-type value = Count of int | Seconds of float
+type value = Int of int | Float of float
 
-(** A section's declared counters, in order, with their values. *)
+(** A section's declared counters, in order, with their values
+    ([Count]s as [Int]). *)
 val fields : t -> string -> (string * value) list

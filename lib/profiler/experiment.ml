@@ -147,7 +147,7 @@ let default_multipliers = [ 0.25; 0.5; 1.0; 2.0; 4.0 ]
     [cache] are passed through to {!Runner.search} and the measurement
     fan-out. *)
 let sweep_pair ?(multipliers = default_multipliers) ?jobs ?pool ~settings
-    ?stats ?cache ?checkpoint ?top_k (arch : Arch.t)
+    ?cache ?checkpoint ?top_k (arch : Arch.t)
     (sizes : (string * int) list) ((s1, s2) : Spec.t * Spec.t) : sweep =
   let mem = Memory.create () in
   let base1 = size_of sizes s1 and size2 = size_of sizes s2 in
@@ -168,7 +168,7 @@ let sweep_pair ?(multipliers = default_multipliers) ?jobs ?pool ~settings
           push rl (arch, [ spec c1 ~stream:0 (); spec c2 ~stream:1 () ])
         in
         let sr =
-          Runner.search ?jobs ?pool ~settings ?stats ?cache ?checkpoint ?top_k
+          Runner.search ?jobs ?pool ~settings ?cache ?checkpoint ?top_k
             arch c1 c2
         in
         let best = sr.Hfuse_core.Search.best in
@@ -219,7 +219,7 @@ let sweep_pair ?(multipliers = default_multipliers) ?jobs ?pool ~settings
   { pair = (s1, s2); arch; varied_first = true; points }
 
 (** The full Figure 7: 16 pairs x 2 architectures, one shared pool. *)
-let figure7 ?multipliers ?(jobs = 1) ~settings ?stats ?cache ?checkpoint
+let figure7 ?multipliers ?(jobs = 1) ~settings ?cache ?checkpoint
     ?top_k ?(archs = Arch.all) ?(pairs = Registry.all_pairs) () : sweep list =
   Hfuse_parallel.Pool.with_pool jobs (fun pool ->
       List.concat_map
@@ -229,7 +229,7 @@ let figure7 ?multipliers ?(jobs = 1) ~settings ?stats ?cache ?checkpoint
           in
           List.map
             (fun pair ->
-              sweep_pair ?multipliers ~pool ~settings ?stats ?cache ?checkpoint
+              sweep_pair ?multipliers ~pool ~settings ?cache ?checkpoint
                 ?top_k arch sizes pair)
             pairs)
         archs)
@@ -320,7 +320,7 @@ type f9_prep = {
   p_regcap : (int * int) option;  (** (r0, replay index) *)
 }
 
-let f9_prepare ?jobs ?pool ~settings ?stats ?cache ?checkpoint ?top_k
+let f9_prepare ?jobs ?pool ~settings ?cache ?checkpoint ?top_k
     (arch : Arch.t) (sizes : (string * int) list) ((s1, s2) : Spec.t * Spec.t)
     rl : f9_prep =
   let mem = Memory.create () in
@@ -331,7 +331,7 @@ let f9_prepare ?jobs ?pool ~settings ?stats ?cache ?checkpoint ?top_k
   let i2 = push rl (arch, [ spec c2 ~stream:0 () ]) in
   let inat = push rl (arch, [ spec c1 ~stream:0 (); spec c2 ~stream:1 () ]) in
   let sr =
-    Runner.search ?jobs ?pool ~settings ?stats ?cache ?checkpoint ?top_k arch
+    Runner.search ?jobs ?pool ~settings ?cache ?checkpoint ?top_k arch
       c1 c2
   in
   let fused = sr.Hfuse_core.Search.best.Hfuse_core.Search.fused in
@@ -389,12 +389,12 @@ let f9_row (reports : Timing.report array) (p : f9_prep) : fused_row =
       Option.map (fun (r, i) -> variant (Some r) reports.(i)) p.p_regcap;
   }
 
-let figure9_pair ?jobs ?pool ~settings ?stats ?cache ?checkpoint ?top_k
+let figure9_pair ?jobs ?pool ~settings ?cache ?checkpoint ?top_k
     (arch : Arch.t) (sizes : (string * int) list) (pair : Spec.t * Spec.t) :
     fused_row =
   let rl = runlist () in
   let prep =
-    f9_prepare ?jobs ?pool ~settings ?stats ?cache ?checkpoint ?top_k arch
+    f9_prepare ?jobs ?pool ~settings ?cache ?checkpoint ?top_k arch
       sizes pair rl
   in
   let reports =
@@ -405,7 +405,7 @@ let figure9_pair ?jobs ?pool ~settings ?stats ?cache ?checkpoint ?top_k
 (** Figure 9 over all pairs and architectures: every pair's traces and
     search run serially (phase 1), then a single pool-wide fan-out
     replays all measurement runs at once. *)
-let figure9 ?(jobs = 1) ~settings ?stats ?cache ?checkpoint ?top_k
+let figure9 ?(jobs = 1) ~settings ?cache ?checkpoint ?top_k
     ?(archs = Arch.all) ?(pairs = Registry.all_pairs) () : fused_row list =
   Hfuse_parallel.Pool.with_pool jobs (fun pool ->
       let rl = runlist () in
@@ -417,7 +417,7 @@ let figure9 ?(jobs = 1) ~settings ?stats ?cache ?checkpoint ?top_k
             in
             List.map
               (fun pair ->
-                f9_prepare ~pool ~settings ?stats ?cache ?checkpoint ?top_k arch
+                f9_prepare ~pool ~settings ?cache ?checkpoint ?top_k arch
                   sizes pair rl)
               pairs)
           archs

@@ -7,7 +7,8 @@
     the measurement replays fan out over one shared
     [Hfuse_parallel.Pool] ([~jobs]/[~pool]).  Recordings and replays
     are pure, so results are bit-identical for any worker count.
-    [?stats] sums the counters of every {!Runner.search} of a figure. *)
+    Every {!Runner.search} of a figure adds its counters to the current
+    ledger: run a figure under {!Ledger.run} to read them. *)
 
 (** Per-kernel sizes with solo times close to a common target, per
     architecture (the paper's "execution time ratios close to one");
@@ -75,7 +76,6 @@ val figure7 :
   ?multipliers:float list ->
   ?jobs:int ->
   settings:Settings.t ->
-  ?stats:Runner.search_stats ->
   ?cache:Profile_cache.t ->
   ?checkpoint:Checkpoint.t ->
   ?top_k:int ->
@@ -120,7 +120,6 @@ val figure9_pair :
   ?jobs:int ->
   ?pool:Hfuse_parallel.Pool.t ->
   settings:Settings.t ->
-  ?stats:Runner.search_stats ->
   ?cache:Profile_cache.t ->
   ?checkpoint:Checkpoint.t ->
   ?top_k:int ->
@@ -135,7 +134,6 @@ val figure9_pair :
 val figure9 :
   ?jobs:int ->
   settings:Settings.t ->
-  ?stats:Runner.search_stats ->
   ?cache:Profile_cache.t ->
   ?checkpoint:Checkpoint.t ->
   ?top_k:int ->

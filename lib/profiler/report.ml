@@ -461,8 +461,8 @@ let json_of_metrics (m : Gpusim.Metrics.t) : Json.t =
    ([injected.worker_crash] becomes [injected: {worker_crash: ..}]). *)
 let json_of_section ?(gauges = []) (l : Ledger.t) (section : string) : Json.t =
   let leaf = function
-    | Ledger.Count n -> Json.Int n
-    | Ledger.Seconds s -> Json.Float s
+    | Ledger.Int n -> Json.Int n
+    | Ledger.Float s -> Json.Float s
   in
   let nest (name, v) fields =
     match (String.split_on_char '.' name, fields) with
@@ -472,33 +472,6 @@ let json_of_section ?(gauges = []) (l : Ledger.t) (section : string) : Json.t =
     | _ -> (name, leaf v) :: fields
   in
   Json.Obj (List.fold_right nest (Ledger.fields l section) gauges)
-
-let json_of_search_stats (s : Runner.search_stats) : Json.t =
-  Json.Obj
-    ([
-      ("profiled", Json.Int s.Runner.profiled);
-      ("cache_hits", Json.Int s.Runner.cache_hits);
-      ("profile_wall_s", Json.Float s.Runner.profile_wall_s);
-      ("failed", Json.Int s.Runner.failed);
-      ("ranked", Json.Int s.Runner.ranked);
-      ("pruned", Json.Int s.Runner.pruned);
-      ("rank_agree", Json.Int s.Runner.rank_agree);
-      ("rank_total", Json.Int s.Runner.rank_total);
-      ("max_regret_pct", Json.Float s.Runner.max_regret_pct);
-      ("traced", Json.Int s.Runner.traced);
-      ("trace_hits", Json.Int s.Runner.trace_hits);
-      ("trace_merged", Json.Int s.Runner.trace_merged);
-      ("trace_wall_s", Json.Float s.Runner.trace_wall_s);
-      ("repair_attempted", Json.Int s.Runner.repair_attempted);
-      ("repaired", Json.Int s.Runner.repaired);
-      ("repair_unsound", Json.Int s.Runner.repair_unsound);
-    ]
-    (* rejection histogram entries are flat [rej_<kind-tag>] integers so
-       the fleet's telemetry aggregation (which sums integer leaves per
-       section.field) adds them across shards without special cases *)
-    @ List.map
-        (fun (tag, n) -> ("rej_" ^ tag, Json.Int n))
-        s.Runner.rejections)
 
 let json_of_trace_store (l : Ledger.t) : Json.t =
   json_of_section l "trace_store"

@@ -48,13 +48,12 @@ val add_telemetry : telemetry_sums -> Json.t -> telemetry_sums
 (** [telemetry_get t section field] — 0 when absent. *)
 val telemetry_get : telemetry_sums -> string -> string -> int
 
-(** A ledger section ([pool], [fault], [engine], ...) as one object:
-    its counters in declaration order (a dotted name nests under its
-    group: [injected.worker_crash] under [injected]), then [gauges]. *)
+(** A ledger section ([pool], [fault], [engine], [search], ...) as one
+    object: its counters in declaration order (a dotted name nests
+    under its group: [injected.worker_crash] under [injected]), then
+    [gauges]. *)
 val json_of_section :
   ?gauges:(string * Json.t) list -> Ledger.t -> string -> Json.t
-
-val json_of_search_stats : Runner.search_stats -> Json.t
 
 (** A ledger's [trace_store] section plus current memory-tier occupancy
     ([mem_entries]/[mem_bytes] are sampled at render time). *)

@@ -438,107 +438,90 @@ let d0_for (c1 : configured) (c2 : configured) : int =
       + Hfuse_core.Kernel_info.threads_per_block c2.info
   | _ -> 1024
 
-(** Cumulative observability counters for the profiling search. *)
+(* The ledger's [search] section: what the Fig. 6 searches did, counted
+   for the request that ran them, in telemetry field order. *)
+module Counters = struct
+  let counter ?kind = Ledger.counter ?kind "search"
+  let profiled = counter "profiled"
+  let cache_hits = counter "cache_hits"
+  let profile_wall_s = counter ~kind:Ledger.Seconds "profile_wall_s"
+  let failed = counter "failed"
+  let ranked = counter "ranked"
+  let pruned = counter "pruned"
+  let rank_agree = counter "rank_agree"
+  let rank_total = counter "rank_total"
+  let max_regret_pct = counter ~kind:Ledger.Max "max_regret_pct"
+  let traced = counter "traced"
+  let trace_hits = counter "trace_hits"
+  let trace_merged = counter "trace_merged"
+  let trace_wall_s = counter ~kind:Ledger.Seconds "trace_wall_s"
+  let repair_attempted = counter "repair_attempted"
+  let repaired = counter "repaired"
+  let repair_unsound = counter "repair_unsound"
+
+  (* flat counts, so the fleet's telemetry sums add them like any other *)
+  let rejections =
+    List.sort String.compare Hfuse_analysis.Diag.all_kind_tags
+    |> List.map (fun tag -> (tag, counter ("rej_" ^ tag)))
+end
+
 type search_stats = {
-  mutable profiled : int;  (** candidates timed on the simulator *)
-  mutable cache_hits : int;  (** candidates answered by the disk cache *)
-  mutable profile_wall_s : float;  (** wall time inside batch profiling *)
-  mutable failed : int;  (** candidates whose profile failed (excluded) *)
-  mutable ranked : int;  (** candidates scored by the cost model *)
-  mutable pruned : int;  (** candidates top-K pruning skipped *)
-  mutable rank_agree : int;
-      (** searches where the model's pick tied the simulated best *)
-  mutable rank_total : int;  (** searches with a model-vs-sim verdict *)
-  mutable max_regret_pct : float;
-      (** worst chosen-vs-best simulated-time gap, percent *)
-  mutable traced : int;  (** distinct trace keys freshly recorded *)
+  mutable profiled : int;
+  mutable cache_hits : int;
+  mutable profile_wall_s : float;
+  mutable traced : int;
   mutable trace_hits : int;
-      (** distinct trace keys answered by the store (memory or disk) *)
   mutable trace_merged : int;
-      (** candidate trace needs deduped onto an already-requested key *)
-  mutable trace_wall_s : float;  (** wall time inside trace acquisition *)
-  mutable repair_attempted : int;
-      (** rejected partitions handed to the repair engine *)
-  mutable repaired : int;
-      (** partitions repaired, oracle-gated and admitted to profiling *)
-  mutable repair_unsound : int;
-      (** statically clean repairs the differential oracle refuted
-          (failed closed back to rejection) *)
-  mutable rejections : (string * int) list;
-      (** per-{!Hfuse_analysis.Diag.kind_tag} histogram of the error
-          diagnostics on finally-rejected partitions, sorted by tag *)
+  mutable trace_wall_s : float;
 }
 
-let fresh_search_stats () : search_stats =
-  {
-    profiled = 0;
-    cache_hits = 0;
-    profile_wall_s = 0.0;
-    failed = 0;
-    ranked = 0;
-    pruned = 0;
-    rank_agree = 0;
-    rank_total = 0;
-    max_regret_pct = 0.0;
-    traced = 0;
-    trace_hits = 0;
-    trace_merged = 0;
-    trace_wall_s = 0.0;
-    repair_attempted = 0;
-    repaired = 0;
-    repair_unsound = 0;
-    rejections = [];
-  }
+let fresh_search_stats () =
+  { profiled = 0; cache_hits = 0; profile_wall_s = 0.0; traced = 0;
+    trace_hits = 0; trace_merged = 0; trace_wall_s = 0.0 }
 
-(** Count each error diagnostic's kind into the [rejections]
-    histogram (kept sorted by tag for deterministic reports). *)
-let count_rejections (st : search_stats) (ds : Hfuse_analysis.Diag.t list) :
-    unit =
-  let bump hist tag =
-    let rec go = function
-      | [] -> [ (tag, 1) ]
-      | (t, n) :: rest when String.equal t tag -> (t, n + 1) :: rest
-      | kv :: rest -> kv :: go rest
-    in
-    go hist
-  in
-  let hist =
-    List.fold_left
-      (fun hist (d : Hfuse_analysis.Diag.t) ->
-        bump hist (Hfuse_analysis.Diag.kind_tag d.kind))
-      st.rejections
-      (Hfuse_analysis.Diag.errors ds)
-  in
-  st.rejections <-
-    List.sort (fun (a, _) (b, _) -> String.compare a b) hist
+(* [f] within a ledger of its own, whose search section is added to
+   [view] on every exit, raising included *)
+let viewed (view : search_stats option) f =
+  match view with
+  | None -> f ()
+  | Some v ->
+      let l = Ledger.create () in
+      let n = Ledger.get l and secs = Ledger.get_float l in
+      let open Counters in
+      Fun.protect
+        ~finally:(fun () ->
+          v.profiled <- v.profiled + n profiled;
+          v.cache_hits <- v.cache_hits + n cache_hits;
+          v.profile_wall_s <- v.profile_wall_s +. secs profile_wall_s;
+          v.traced <- v.traced + n traced;
+          v.trace_hits <- v.trace_hits + n trace_hits;
+          v.trace_merged <- v.trace_merged + n trace_merged;
+          v.trace_wall_s <- v.trace_wall_s +. secs trace_wall_s)
+        (fun () -> Ledger.within (Some l) f)
 
-let pp_search_stats ppf (s : search_stats) =
+let pp_search_stats ppf (l : Ledger.t) =
+  let open Counters in
+  let n = Ledger.get l and secs = Ledger.get_float l in
+  let s c = if n c = 1 then "" else "s" in
   Fmt.pf ppf "%d candidate%s profiled, %d cache hit%s, %.2fs profiling wall"
-    s.profiled
-    (if s.profiled = 1 then "" else "s")
-    s.cache_hits
-    (if s.cache_hits = 1 then "" else "s")
-    s.profile_wall_s;
+    (n profiled) (s profiled) (n cache_hits) (s cache_hits)
+    (secs profile_wall_s);
   Fmt.pf ppf ", %d trace%s recorded, %d trace hit%s, %d merged, %.2fs trace wall"
-    s.traced
-    (if s.traced = 1 then "" else "s")
-    s.trace_hits
-    (if s.trace_hits = 1 then "" else "s")
-    s.trace_merged s.trace_wall_s;
-  if s.failed > 0 then Fmt.pf ppf ", %d failed" s.failed;
-  if s.pruned > 0 then Fmt.pf ppf ", %d pruned" s.pruned;
-  if s.rank_total > 0 then
-    Fmt.pf ppf ", model agreement %d/%d (max regret %.2f%%)" s.rank_agree
-      s.rank_total s.max_regret_pct;
-  if s.repair_attempted > 0 then
-    Fmt.pf ppf ", %d/%d partition%s repaired (%d unsound)" s.repaired
-      s.repair_attempted
-      (if s.repair_attempted = 1 then "" else "s")
-      s.repair_unsound;
-  if s.rejections <> [] then
+    (n traced) (s traced) (n trace_hits) (s trace_hits) (n trace_merged)
+    (secs trace_wall_s);
+  if n failed > 0 then Fmt.pf ppf ", %d failed" (n failed);
+  if n pruned > 0 then Fmt.pf ppf ", %d pruned" (n pruned);
+  if n rank_total > 0 then
+    Fmt.pf ppf ", model agreement %d/%d (max regret %.2f%%)" (n rank_agree)
+      (n rank_total) (secs max_regret_pct);
+  if n repair_attempted > 0 then
+    Fmt.pf ppf ", %d/%d partition%s repaired (%d unsound)" (n repaired)
+      (n repair_attempted) (s repair_attempted) (n repair_unsound);
+  let hist = List.filter (fun (_, c) -> n c > 0) rejections in
+  if hist <> [] then
     Fmt.pf ppf ", rejections %a"
       Fmt.(list ~sep:sp (pair ~sep:(any "×") string int))
-      s.rejections
+      (List.map (fun (tag, c) -> (tag, n c)) hist)
 
 (* Model-vs-simulator verdict over one (exhaustive) search's profiled
    candidates: what would top-[k] pruning have cost?  The model's
@@ -607,8 +590,11 @@ let candidate_key ~(s : Settings.t) (arch : Arch.t) (c1 : configured)
    Each entry is [replay] in batch form: [lookup] runs on the calling
    domain, only the misses reach the pool, through [memo], and their
    reports are persisted afterwards, so a later resume replays this
-   call entirely from the journal.  Tier I/O stays on the calling
-   domain. *)
+   call entirely from the journal.  A key missing more than once (a
+   figure's per-pair solos, a register cap that does not bind) is
+   replayed and persisted once; its repeats take that report as
+   non-fresh, as a memory-tier hit would.  Tier I/O stays on the
+   calling domain. *)
 let run_many ?pool ?(jobs = 1) ~(settings : Settings.t) ?cache
     ?(checkpoint = Checkpoint.disabled)
     (runs : (Arch.t * Timing.launch_spec list) array) : Timing.report array =
@@ -621,8 +607,17 @@ let run_many ?pool ?(jobs = 1) ~(settings : Settings.t) ?cache
   let results =
     Array.map (fun k -> Option.map (fun e -> (e, false)) (lookup t k)) keys
   in
+  (* each distinct missing key replays at its first entry *)
+  let first : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  Array.iteri
+    (fun i r ->
+      if Option.is_none r && not (Hashtbl.mem first keys.(i)) then
+        Hashtbl.add first keys.(i) i)
+    results;
   let miss_idx =
-    List.filter (fun i -> Option.is_none results.(i)) (List.init n Fun.id)
+    List.filter
+      (fun i -> Hashtbl.find_opt first keys.(i) = Some i)
+      (List.init n Fun.id)
     |> Array.of_list
   in
   let go p =
@@ -645,6 +640,12 @@ let run_many ?pool ?(jobs = 1) ~(settings : Settings.t) ?cache
       results.(i) <- Some fresh.(j))
     miss_idx;
   Checkpoint.flush checkpoint;
+  Array.iteri
+    (fun i r ->
+      if Option.is_none r then
+        let e, _ = Option.get results.(Hashtbl.find first keys.(i)) in
+        results.(i) <- Some (e, false))
+    results;
   Array.map (fun r -> settle (Option.get r)) results
 
 (* Exceptions that fail one candidate's profile without invalidating
@@ -744,10 +745,7 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
     ?(checkpoint = Checkpoint.disabled) ?(top_k : int option)
     ?(repair = false) (arch : Arch.t) (c1 : configured) (c2 : configured) :
     Hfuse_core.Search.result =
-  (* counters land in the caller's record, else in one for this call *)
-  let stats =
-    match stats with Some st -> st | None -> fresh_search_stats ()
-  in
+  viewed stats @@ fun () ->
   let cache = match cache with Some c -> c | None -> Settings.cache s in
   (* one pool per search: the caller's, else one scoped to the search
      below, shared by the probe batch and phase 2, recordings and
@@ -761,8 +759,10 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
      crashed worker past its retry budget) is excluded by giving it an
      infinite time: the Fig. 6 fold keeps the first strictly-fastest
      candidate, so infinity never wins while any candidate completed *)
+  let n_failed = ref 0 in
   let candidate_failed (f : Hfuse_core.Hfuse.t) (e : exn) : float =
-    stats.failed <- stats.failed + 1;
+    incr n_failed;
+    Ledger.add Counters.failed 1;
     Printf.eprintf "hfuse: warning: candidate %s (d1=%d d2=%d) failed: %s\n%!"
       f.fn.f_name f.d1 f.d2 (Printexc.to_string e);
     Float.infinity
@@ -853,8 +853,8 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
        (Out_of_memory, programming errors) aborts the search *)
     Array.iter
       (function
-        | Ok (_, true) -> stats.traced <- stats.traced + 1
-        | Ok (_, false) -> stats.trace_hits <- stats.trace_hits + 1
+        | Ok (_, true) -> Ledger.add Counters.traced 1
+        | Ok (_, false) -> Ledger.add Counters.trace_hits 1
         | Error (fl : Hfuse_parallel.Pool.failure)
           when not (is_profile_failure fl.f_exn) ->
             Printexc.raise_with_backtrace fl.f_exn fl.f_backtrace
@@ -876,13 +876,12 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
         batch
     in
     let merged = !miss_candidates - !n_uniq in
-    stats.trace_merged <- stats.trace_merged + merged;
+    Ledger.add Counters.trace_merged merged;
     (* candidates sharing a trace key made one [traced] call, so these
        never reach the single-flight table; crediting them keeps a lone
        search's [merges] deterministic *)
     Ledger.add Trace_store.merges merged;
-    stats.trace_wall_s <-
-      stats.trace_wall_s +. (Unix.gettimeofday () -. t_trace);
+    Ledger.add_float Counters.trace_wall_s (Unix.gettimeofday () -. t_trace);
     let miss_idx =
       Array.to_list miss_specs
       |> List.mapi (fun i s -> (i, s))
@@ -913,13 +912,11 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
             times.(i) <- candidate_failed f fl.f_exn)
       miss_idx;
     Checkpoint.flush checkpoint;
-    stats.profiled <- stats.profiled + !completed;
-    stats.cache_hits <- stats.cache_hits + !hits;
-    stats.profile_wall_s <-
-      stats.profile_wall_s +. (Unix.gettimeofday () -. t0);
+    Ledger.add Counters.profiled !completed;
+    Ledger.add Counters.cache_hits !hits;
+    Ledger.add_float Counters.profile_wall_s (Unix.gettimeofday () -. t0);
     Array.to_list times
   in
-  let failed_before = stats.failed in
   (* phase 1.5: the analytical cost model always scores the verified
      candidates (scores are static and cheap, and the default
      exhaustive run uses them to report model quality — rank agreement
@@ -1025,20 +1022,27 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
   (* the histogram hook fires for every finally-rejected partition —
      including when the verifier rejects them all and [Search.search]
      raises, where [result.rejected] is unreachable *)
-  let on_reject _partition ds = count_rejections stats ds in
+  let on_reject _partition ds =
+    List.iter
+      (fun (d : Hfuse_analysis.Diag.t) ->
+        Ledger.add
+          (List.assoc (Hfuse_analysis.Diag.kind_tag d.kind) Counters.rejections)
+          1)
+      (Hfuse_analysis.Diag.errors ds)
+  in
   let repair_cb =
     if not repair then None
     else
       Some
         (fun ~k1 ~k2 (_ds : Hfuse_analysis.Diag.t list) ->
-          stats.repair_attempted <- stats.repair_attempted + 1;
+          Ledger.add Counters.repair_attempted 1;
           match
             Hfuse_repair.Repair.attempt ~limits:(Arch.sm_limits arch) k1 k2
           with
           | Error _ -> None
           | Ok (r : Hfuse_repair.Repair.repaired) ->
               if repair_gate ~s c1 c2 r.fused then begin
-                stats.repaired <- stats.repaired + 1;
+                Ledger.add Counters.repaired 1;
                 Some
                   {
                     Hfuse_core.Search.r_fused = r.fused;
@@ -1046,7 +1050,7 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
                   }
               end
               else begin
-                stats.repair_unsound <- stats.repair_unsound + 1;
+                Ledger.add Counters.repair_unsound 1;
                 None
               end)
   in
@@ -1057,11 +1061,10 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
       ~profile:(profile pool) ~rank:(rank pool) ?top_k ?repair:repair_cb
       ~on_reject ~d0:(d0_for c1 c2) c1.info c2.info
   in
-  stats.ranked <-
-    stats.ranked
-    + List.length result.Hfuse_core.Search.scores
-    + List.length result.Hfuse_core.Search.pruned;
-  stats.pruned <- stats.pruned + List.length result.Hfuse_core.Search.pruned;
+  Ledger.add Counters.ranked
+    (List.length result.Hfuse_core.Search.scores
+    + List.length result.Hfuse_core.Search.pruned);
+  Ledger.add Counters.pruned (List.length result.Hfuse_core.Search.pruned);
   (* Model quality is only measurable against an exhaustive sweep: a
      pruned run has no ground truth beyond its own window (its best IS
      the window's best, regret trivially zero), so the verdict is
@@ -1077,22 +1080,22 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
          ()
      with
      | Some (_, regret) ->
-         stats.rank_total <- stats.rank_total + 1;
-         if regret <= 0.0 then stats.rank_agree <- stats.rank_agree + 1;
-         if regret > stats.max_regret_pct then stats.max_regret_pct <- regret
+         Ledger.add Counters.rank_total 1;
+         if regret <= 0.0 then Ledger.add Counters.rank_agree 1;
+         Ledger.add_float Counters.max_regret_pct regret
      | None -> ());
   if not (Float.is_finite result.Hfuse_core.Search.best.Hfuse_core.Search.time)
   then
     failwith
       (Printf.sprintf "Runner.search: every candidate of %s + %s failed to profile"
          c1.spec.name c2.spec.name);
-  if stats.failed > failed_before then
+  if !n_failed > 0 then
     Printf.eprintf
       "hfuse: warning: search %s + %s degraded: %d candidate(s) failed, best \
        is best-of-completed\n\
        %!"
       c1.spec.name c2.spec.name
-      (stats.failed - failed_before);
+      !n_failed;
   result
 
 let naive_hfuse (c1 : configured) (c2 : configured) : Hfuse_core.Hfuse.t option

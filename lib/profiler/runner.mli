@@ -126,53 +126,62 @@ val vfuse_spec :
     when both kernels are fixed. *)
 val d0_for : configured -> configured -> int
 
-(** Cumulative observability counters for the profiling search. *)
+(** The ledger's ["search"] section, in telemetry field order: every
+    {!search} adds what it did to the current ledger ({!Ledger.run}
+    reads one request's).  [profiled]: candidates timed on the
+    simulator; [cache_hits]: answered by the disk cache, a resume
+    journal or another request's claim; [failed]: excluded after a
+    failed profile (infinite time, never the winner); [ranked]: scored
+    by the cost model; [pruned]: skipped by top-K pruning; [rank_agree]
+    of [rank_total]: exhaustive searches whose model pick matched the
+    simulated best, [max_regret_pct] ([Max]) the worst gap in percent;
+    [traced]/[trace_hits]: distinct trace keys recorded / answered by
+    the store; [trace_merged]: trace needs deduped onto a key already
+    requested; [repair_attempted]/[repaired]/[repair_unsound]: rejected
+    partitions handed to repair / admitted after the differential
+    oracle / refuted by it; the [_wall_s] pair: seconds inside
+    profiling and trace acquisition. *)
+module Counters : sig
+  val profiled : Ledger.counter
+  val cache_hits : Ledger.counter
+  val profile_wall_s : Ledger.counter
+  val failed : Ledger.counter
+  val ranked : Ledger.counter
+  val pruned : Ledger.counter
+  val rank_agree : Ledger.counter
+  val rank_total : Ledger.counter
+  val max_regret_pct : Ledger.counter
+  val traced : Ledger.counter
+  val trace_hits : Ledger.counter
+  val trace_merged : Ledger.counter
+  val trace_wall_s : Ledger.counter
+  val repair_attempted : Ledger.counter
+  val repaired : Ledger.counter
+  val repair_unsound : Ledger.counter
+
+  (** [rej_<tag>] per {!Hfuse_analysis.Diag.all_kind_tags} entry, by
+      tag: error diagnostics on finally-rejected partitions, also when
+      the verifier rejects them all and the search raises. *)
+  val rejections : (string * Ledger.counter) list
+end
+
+(** The benchmark harness's view of one {!search}'s counters, for
+    [?stats]: the fields it reads. *)
 type search_stats = {
-  mutable profiled : int;  (** candidates timed on the simulator *)
+  mutable profiled : int;
   mutable cache_hits : int;
-      (** candidates answered by the disk cache or a resume journal *)
-  mutable profile_wall_s : float;  (** wall time inside batch profiling *)
-  mutable failed : int;
-      (** candidates whose profile failed and were excluded from the
-          search (their time is infinite, so they can never win) *)
-  mutable ranked : int;
-      (** candidates scored by the analytical cost model (phase 1.5) *)
-  mutable pruned : int;
-      (** verified candidates top-K pruning skipped (never profiled) *)
-  mutable rank_agree : int;
-      (** searches where the model's pick matched the simulated best
-          time exactly *)
-  mutable rank_total : int;
-      (** searches that produced a model-vs-simulator verdict *)
-  mutable max_regret_pct : float;
-      (** worst gap between the model's pick and the fastest simulated
-          candidate, in percent of the latter (0 when they agree) *)
+  mutable profile_wall_s : float;
   mutable traced : int;
-      (** distinct trace keys freshly recorded (interpreter runs) *)
   mutable trace_hits : int;
-      (** distinct trace keys answered by the store, memory or disk *)
   mutable trace_merged : int;
-      (** candidate trace needs deduped onto an already-requested key
-          (register-bound variants of one partition share a trace) *)
   mutable trace_wall_s : float;
-      (** wall time inside trace acquisition (lookup + record + store) *)
-  mutable repair_attempted : int;
-      (** rejected partitions handed to the repair engine *)
-  mutable repaired : int;
-      (** partitions repaired, oracle-gated and admitted to profiling *)
-  mutable repair_unsound : int;
-      (** statically clean repairs the differential oracle refuted
-          (failed closed back to rejection) *)
-  mutable rejections : (string * int) list;
-      (** per-{!Hfuse_analysis.Diag.kind_tag} histogram of the error
-          diagnostics on finally-rejected partitions, sorted by tag *)
 }
 
-(** A zeroed record for {!search}'s [?stats]: one per request, or one
-    per figure summing its searches. *)
 val fresh_search_stats : unit -> search_stats
 
-val pp_search_stats : search_stats Fmt.t
+(** A ledger's search section as the one-line summary the CLI and the
+    bench print. *)
+val pp_search_stats : Ledger.t Fmt.t
 
 (** Model-vs-simulator verdict over one search's profiled candidates:
     [Some (i, regret_pct)] where [i] is the index of the fastest
@@ -200,10 +209,10 @@ val model_eval :
     An enabled [cache] (default: minted from [settings], as {!search}
     does) serves entries from the persistent report cache
     ({!Profile_cache.find_report}; keyed over the specs and their packed
-    traces), then the memory tier, and only fans the misses out
-    (single-flighted), storing their reports after.  Hits are
-    bit-identical to replays, and add their recorded engine stats to the
-    current ledger.
+    traces), then the memory tier, and only fans the misses out, each
+    distinct key once (single-flighted), storing their reports after.
+    Hits are bit-identical to replays, and add their recorded engine
+    stats to the current ledger.
 
     An enabled [checkpoint] journal is consulted before the cache and
     records every result, so a killed run resumed with the same journal
@@ -224,10 +233,9 @@ val run_many :
     @param settings the run's configuration ({!Settings.t}: traced
                  blocks, simulator fuel, trace-memory bound, cache
                  root, chaos plan).
-    @param stats the caller's record the search adds its counters to
-                 ({!fresh_search_stats} mints an empty one); trace-store,
-                 pool, fault and engine counters go to the current
-                 ledger.
+    @param stats a view the call's own {!Counters} are added to when
+                 it returns or raises; every counter, these included,
+                 also lands in the current ledger.
     @param cache persistent profiling cache (default: minted from
                  [settings] — disabled unless its [cache_dir] is set).
     @param checkpoint resume journal: candidate times and solo

@@ -91,7 +91,7 @@ let quarantined = counter "quarantined"
 let evictions = counter "evictions"
 let merges = counter "merges"
 let waits = counter "waits"
-let wait_s = Ledger.counter ~seconds:true "trace_store" "wait_s"
+let wait_s = Ledger.counter ~kind:Ledger.Seconds "trace_store" "wait_s"
 
 let pp_tally ppf (l : Ledger.t) =
   let n c = Ledger.get l c in
@@ -103,7 +103,7 @@ let pp_tally ppf (l : Ledger.t) =
   if n quarantined > 0 then Fmt.pf ppf ", %d quarantined" (n quarantined);
   if n waits > 0 then
     Fmt.pf ppf ", %d wait%s (%.2fs)" (n waits) (plural waits)
-      (Ledger.get_seconds l wait_s)
+      (Ledger.get_float l wait_s)
 
 (* ------------------------------------------------------------------ *)
 (* Memory tier: one process-wide LRU for every profiled value           *)
@@ -246,7 +246,7 @@ let get_or_compute ?limit_bytes (k : 'v kind) ~(key : string)
   in
   if waited then begin
     Ledger.add waits 1;
-    Ledger.add_seconds wait_s (Unix.gettimeofday () -. t0)
+    Ledger.add_float wait_s (Unix.gettimeofday () -. t0)
   end;
   match hit with
   | Some v ->

@@ -321,10 +321,9 @@ let reg_bound_str = function
 let search ~settings:(s : Settings.t) ?(checkpoint = Checkpoint.disabled)
     ?pool (p : search_params) : outcome =
   let arch = p.s_arch in
-  (* per-request counters: a fresh stats record, a fresh cache handle
-     (shared by the size probe, the native baseline and the search),
-     and a ledger for everything the request does, on any domain *)
-  let stats = Runner.fresh_search_stats () in
+  (* per-request counters: a fresh cache handle (shared by the size
+     probe, the native baseline and the search), and a ledger for
+     everything the request does, on any domain *)
   let cache = Settings.cache s in
   let (sr, native), ledger =
     Ledger.run @@ fun () ->
@@ -338,7 +337,7 @@ let search ~settings:(s : Settings.t) ?(checkpoint = Checkpoint.disabled)
     (* the search first: a pair the verifier rejects raises before the
        native baseline replays or records anything *)
     let sr =
-      Runner.search ~jobs:p.s_jobs ?pool ~settings:s ~stats ~cache ~checkpoint
+      Runner.search ~jobs:p.s_jobs ?pool ~settings:s ~cache ~checkpoint
         ?top_k:p.s_top_k ~repair:p.s_repair arch c1 c2
     in
     ( sr,
@@ -384,7 +383,7 @@ let search ~settings:(s : Settings.t) ?(checkpoint = Checkpoint.disabled)
   if p.s_emit then add "%s\n" (Hfuse_core.Hfuse.to_source best.fused);
   let lb = Buffer.create 256 in
   Printf.ksprintf (Buffer.add_string lb) "search: %s\n"
-    (Fmt.str "%a" Runner.pp_search_stats stats);
+    (Fmt.str "%a" Runner.pp_search_stats ledger);
   Printf.ksprintf (Buffer.add_string lb) "trace store: %s\n"
     (Fmt.str "%a" Trace_store.pp_tally ledger);
   if s.Settings.fault <> None then
@@ -397,7 +396,7 @@ let search ~settings:(s : Settings.t) ?(checkpoint = Checkpoint.disabled)
     telemetry =
       Json.Obj
         [
-          ("search", Report.json_of_search_stats stats);
+          ("search", Report.json_of_section ledger "search");
           ("cache", Report.json_of_cache cache);
           ("trace_store", Report.json_of_trace_store ledger);
           ("pool", Report.json_of_section ledger "pool");

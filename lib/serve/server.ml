@@ -46,10 +46,6 @@ type t = {
   stop : bool Atomic.t;
   m : Mutex.t;  (* guards everything below *)
   verbs : (string, int) Hashtbl.t;
-  mutable sums : Report.telemetry_sums;
-      (* cumulative sums of every request's telemetry; its "search"
-         section is the daemon-lifetime per-kind rejection histogram
-         and repair counters the stats verb reports *)
   mutable total : int;
   mutable errors : int;
   mutable overloaded : int;
@@ -72,7 +68,6 @@ let note_overloaded t =
 
 let record t ~id ~verb (o : Ops.outcome) =
   locked t (fun () ->
-      t.sums <- Report.add_telemetry t.sums o.Ops.telemetry;
       let r =
         { r_id = id; r_verb = verb; r_exit = o.Ops.exit_code;
           r_telemetry = o.Ops.telemetry }
@@ -86,7 +81,7 @@ let record t ~id ~verb (o : Ops.outcome) =
 (* ------------------------------------------------------------------ *)
 
 let stats_outcome t : Ops.outcome =
-  let total, errors, overloaded, verbs, recent, search_sums =
+  let total, errors, overloaded, verbs, recent =
     locked t (fun () ->
         ( t.total,
           t.errors,
@@ -94,9 +89,7 @@ let stats_outcome t : Ops.outcome =
           List.map
             (fun v -> (v, Option.value ~default:0 (Hashtbl.find_opt t.verbs v)))
             [ "fuse"; "check"; "simulate"; "search"; "stats"; "ping" ],
-          t.recent,
-          Option.value (List.assoc_opt "search" t.sums) ~default:[]
-          |> List.sort compare ))
+          t.recent ))
   in
   let pending = Pool.pending_submits t.pool in
   let l = t.ledger in
@@ -119,13 +112,20 @@ let stats_outcome t : Ops.outcome =
   add "engine: %s\n"
     (Fmt.str "%a" Gpusim.Timing.pp_engine_stats
        (Gpusim.Timing.engine_stats_of l));
+  (* the daemon-lifetime rejection histogram and repair counters,
+     rejected requests included *)
   (let interesting =
-     List.filter
-       (fun (k, n) ->
-         n > 0
-         && ((String.length k > 4 && String.sub k 0 4 = "rej_")
-            || List.mem k [ "repair_attempted"; "repaired"; "repair_unsound" ]))
-       search_sums
+     List.filter_map
+       (fun (k, v) ->
+         match v with
+         | Ledger.Int n
+           when n > 0
+                && (String.starts_with ~prefix:"rej_" k
+                   || String.starts_with ~prefix:"repair" k) ->
+             Some (k, n)
+         | _ -> None)
+       (Ledger.fields l "search")
+     |> List.sort compare
    in
    if interesting <> [] then
      add "search: %s\n"
@@ -145,8 +145,7 @@ let stats_outcome t : Ops.outcome =
           ("workers", Json.Int (Pool.size t.pool));
           ("verbs", Json.Obj (List.map (fun (v, n) -> (v, Json.Int n)) verbs));
           ("pool", Report.json_of_section l "pool");
-          ( "search",
-            Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) search_sums) );
+          ("search", Report.json_of_section l "search");
           ("fault", Report.json_of_section l "fault");
           ("trace_store", Report.json_of_trace_store l);
           ("engine", Report.json_of_section l "engine");
@@ -336,7 +335,6 @@ let create (config : config) : t =
     stop = Atomic.make false;
     m = Mutex.create ();
     verbs = Hashtbl.create 8;
-    sums = [];
     total = 0;
     errors = 0;
     overloaded = 0;

@@ -269,6 +269,37 @@ let test_run_many_report_cache () =
   Alcotest.(check bool) "warm reports bit-identical" true (warm = cold);
   Alcotest.(check bool) "cache never changes reports" true (uncached = cold)
 
+(* A key repeated in one batch replays and stores once, and no entry
+   waits on another's claim; the repeats count the replay's engine stats
+   as any hit does, so the totals match an all-hit rerun. *)
+let test_run_many_repeated_key () =
+  let cache = Profile_cache.create ~dir:(tmp_cache_dir "run_many_dup") () in
+  clear_cache_dir cache;
+  Runner.clear_cache ();
+  let mem = Memory.create () in
+  let c1 = Runner.configure mem ta_tun ~size:3 in
+  let c2 = Runner.configure mem tb_tun ~size:5 in
+  let settings = Test_util.env_settings () in
+  let solo = (arch, [ Runner.spec_of ~settings c1 ~stream:0 () ]) in
+  let runs =
+    [| solo; (arch, [ Runner.spec_of ~settings c2 ~stream:0 () ]); solo; solo |]
+  in
+  let cold, cold_l =
+    Ledger.run (fun () -> Runner.run_many ~jobs:2 ~settings ~cache runs)
+  in
+  let warm, warm_l =
+    Ledger.run (fun () -> Runner.run_many ~jobs:2 ~settings ~cache runs)
+  in
+  Alcotest.(check int) "one store per distinct key" 2
+    (Profile_cache.stores cache);
+  Alcotest.(check int) "no waits" 0
+    (Ledger.get cold_l Hfuse_profiler.Trace_store.waits);
+  Alcotest.(check bool) "repeats share the report" true
+    (cold.(0) = cold.(2) && cold.(0) = cold.(3));
+  Alcotest.(check bool) "warm reports bit-identical" true (warm = cold);
+  Alcotest.(check bool) "engine totals match an all-hit rerun" true
+    (Timing.engine_stats_of cold_l = Timing.engine_stats_of warm_l)
+
 (* the representative-size probe resolves through the report tiers: a
    process with empty memo tiers answers it from a warm cache root *)
 let test_rep_sizes_served_by_cache () =
@@ -658,28 +689,17 @@ let test_json_stats_roundtrip_nonfinite () =
   (* a search whose every window candidate failed leaves an infinite
      max-regret in the stats; the serialized artifact must still be
      machine-readable end to end *)
-  let stats =
-    {
-      Runner.profiled = 3;
-      cache_hits = 0;
-      profile_wall_s = Float.nan;
-      failed = 3;
-      ranked = 3;
-      pruned = 0;
-      rank_agree = 0;
-      rank_total = 1;
-      max_regret_pct = Float.infinity;
-      traced = 3;
-      trace_hits = 0;
-      trace_merged = 0;
-      trace_wall_s = 0.0;
-      repair_attempted = 0;
-      repaired = 0;
-      repair_unsound = 0;
-      rejections = [];
-    }
+  let (), ledger =
+    Ledger.run (fun () ->
+        let module C = Runner.Counters in
+        List.iter
+          (fun c -> Ledger.add c 3)
+          [ C.profiled; C.failed; C.ranked; C.traced ];
+        Ledger.add C.rank_total 1;
+        Ledger.add_float C.max_regret_pct Float.infinity;
+        Ledger.add_float C.profile_wall_s Float.nan)
   in
-  let s = Json.to_string (Report.json_of_search_stats stats) in
+  let s = Json.to_string (Report.json_of_section ledger "search") in
   match Json.of_string s with
   | Ok obj ->
       Alcotest.(check (option (float 0.))) "infinite regret survives"
@@ -710,14 +730,13 @@ let test_search_chaos_identity () =
   let dir = tmp_cache_dir "chaos" in
   let cache = Profile_cache.create ~dir ?fault () in
   clear_cache_dir cache;
-  let stats = Runner.fresh_search_stats () in
   let faulted, ledger =
-    Ledger.run (fun () -> search_with ~stats ~settings ~jobs:4 ~cache ())
+    Ledger.run (fun () -> search_with ~settings ~jobs:4 ~cache ())
   in
   (* regression: under injected worker crashes the stats JSON must stay
      machine-readable whatever the float fields hold *)
   (match
-     Json.of_string (Json.to_string (Report.json_of_search_stats stats))
+     Json.of_string (Json.to_string (Report.json_of_section ledger "search"))
    with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "faulted stats JSON must parse: %s" e);
@@ -1039,7 +1058,7 @@ let test_claim_wait_is_the_waiters () =
     (n waiter Trace_store.recorded);
   Alcotest.(check int) "the waiter waited once" 1 (n waiter Trace_store.waits);
   Alcotest.(check bool) "the waiter's blocked time counts" true
-    (Ledger.get_seconds waiter Trace_store.wait_s > 0.0);
+    (Ledger.get_float waiter Trace_store.wait_s > 0.0);
   Alcotest.(check int) "the waiter shared the claimant's trace" 1
     (n waiter Trace_store.merges)
 
@@ -1279,6 +1298,8 @@ let suite =
       test_report_cache_roundtrip;
     Alcotest.test_case "run_many report cache" `Quick
       test_run_many_report_cache;
+    Alcotest.test_case "run_many replays a repeated key once" `Quick
+      test_run_many_repeated_key;
     Alcotest.test_case "size probe served by the cache" `Quick
       test_rep_sizes_served_by_cache;
     Alcotest.test_case "search determinism across -j" `Quick

@@ -314,17 +314,14 @@ let test_corpus_rejected_pairs_all_repairable () =
 
 let search_repaired ~jobs =
   Runner.clear_cache ();
-  let stats = Runner.fresh_search_stats () in
   let mem = Gpusim.Memory.create () in
   let c1 = Runner.configure mem (Registry.find_exn "Maxpool") ~size:1 in
   let c2 = Runner.configure mem (Registry.find_exn "SHA256") ~size:1 in
-  let r =
-    Runner.search ~jobs
-      ~settings:(Settings.resolve ~cache_dir:None ~fault:None ())
-      ~stats ~cache:(Profile_cache.disabled ()) ~repair:true
-      Gpusim.Arch.gtx1080ti c1 c2
-  in
-  (r, stats)
+  Ledger.run (fun () ->
+      Runner.search ~jobs
+        ~settings:(Settings.resolve ~cache_dir:None ~fault:None ())
+        ~cache:(Profile_cache.disabled ()) ~repair:true
+        Gpusim.Arch.gtx1080ti c1 c2)
 
 let cand_sig (r : Search.result) =
   List.map
@@ -348,16 +345,17 @@ let test_search_repair_admits_rejected_pair () =
    with
    | _ -> Alcotest.fail "expected No_valid_partition without repair"
    | exception Search.No_valid_partition _ -> ());
-  let r, stats = search_repaired ~jobs:1 in
+  let r, ledger = search_repaired ~jobs:1 in
+  let n = Ledger.get ledger in
   Alcotest.(check int) "nothing admitted directly" 0 r.Search.admitted;
   Alcotest.(check bool) "at least one partition repaired" true
     (r.Search.repaired >= 1);
   Alcotest.(check bool) "best candidate carries provenance" true
     r.Search.best.Search.repaired;
-  Alcotest.(check bool) "stats agree" true (stats.Runner.repaired >= 1);
-  Alcotest.(check int) "no unsound repairs" 0 stats.Runner.repair_unsound;
+  Alcotest.(check bool) "stats agree" true (n Runner.Counters.repaired >= 1);
+  Alcotest.(check int) "no unsound repairs" 0 (n Runner.Counters.repair_unsound);
   Alcotest.(check bool) "attempts cover admissions" true
-    (stats.Runner.repair_attempted >= stats.Runner.repaired)
+    (n Runner.Counters.repair_attempted >= n Runner.Counters.repaired)
 
 let test_search_repair_deterministic_across_jobs () =
   let base, _ = search_repaired ~jobs:1 in

@@ -913,7 +913,58 @@ let test_stats_sum_requests () =
               | _ -> ())
             fields
       | _ -> Alcotest.failf "stats telemetry lacks %s" section)
-    [ "trace_store"; "pool" ]
+    [ "trace_store"; "pool"; "search" ]
+
+(* A request the verifier rejects answers as a failure, yet its search
+   counted the rejection in the daemon's ledger: [stats] shows it. *)
+let test_stats_count_rejected_requests () =
+  Runner.clear_cache ();
+  let socket = fresh_socket () in
+  let server =
+    Server.start
+      { socket_path = socket; jobs = 1; queue_limit = 8;
+        settings = settings_at None }
+  in
+  Fun.protect ~finally:(fun () ->
+      (try Server.stop server with _ -> ());
+      Runner.clear_cache ())
+  @@ fun () ->
+  let p =
+    {
+      search_params with
+      s_k1 = Registry.find_exn "Hist";
+      s_k2 = Registry.find_exn "SHA256";
+      s_size1 = Some 1;
+      s_size2 = Some 1;
+      s_emit = false;
+    }
+  in
+  (match
+     call_exn ~socket
+       {
+         (search_request ~settings:no_disk_cache "rej") with
+         verb = Protocol.Work (Ops.Search p);
+       }
+   with
+  | Protocol.Failure f ->
+      Alcotest.(check string) "rejected as an internal failure" "internal"
+        f.code
+  | Protocol.Result _ -> Alcotest.fail "Hist+SHA256 was not rejected");
+  let stats =
+    expect_result
+      (call_exn ~socket
+         { id = "st"; priority = 0; settings = Protocol.no_overrides;
+           verb = Protocol.Stats })
+  in
+  Alcotest.(check (option int)) "stats search.rej_over-budget" (Some 1)
+    (match
+       Option.bind (J.member "search" stats.rtel) (J.member "rej_over-budget")
+     with
+    | Some (J.Int n) -> Some n
+    | _ -> None);
+  Alcotest.(check bool) "stats prints the rejection" true
+    (List.mem "search: rej_over-budget 1"
+       (String.split_on_char '\n' stats.rout))
 
 (* The one-shot stderr counter lines of cold cache-off searches, wall
    times masked, at -j 1 and -j 2: the counts read before per-request
@@ -1186,6 +1237,8 @@ let suite =
       test_concurrent_searches_share_traces;
     Alcotest.test_case "stats sums its requests' own counters" `Quick
       test_stats_sum_requests;
+    Alcotest.test_case "stats counts rejected requests" `Quick
+      test_stats_count_rejected_requests;
     Alcotest.test_case "one-shot counter lines" `Quick
       test_oneshot_counter_lines;
     Alcotest.test_case "rejected search records nothing" `Quick
