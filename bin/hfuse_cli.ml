@@ -558,7 +558,11 @@ let search_cmd =
       try
         if resume then Ops.search ~settings ~checkpoint params
         else route ~settings (Ops.Search params)
-      with Sys.Break ->
+      with
+      | Hfuse_core.Search.No_valid_partition message ->
+          (* a rejected pair is a verdict, not a crash *)
+          Ops.rejected message
+      | Sys.Break ->
         Hfuse_profiler.Checkpoint.close checkpoint;
         Printf.eprintf "\nhfuse: interrupted%s\n"
           (if resume then

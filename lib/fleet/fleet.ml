@@ -362,14 +362,20 @@ let write_repro (cfg : config) (p : pair) ~(detail : string) =
             p.p_domain cfg.arch.Gpusim.Arch.name detail p.p_k1.Spec.source
             p.p_k2.Spec.source)
 
-(* One search through the in-process verb engine. *)
+(* One search through the in-process verb engine, under a ledger of
+   its own: a rejected search raises, but what it counted (its [rej_*]
+   verdicts) still reaches the report. *)
 let run_local (cfg : config) ?pool ~checkpoint (p : pair) :
     row * Json.t option =
+  let ledger = Ledger.create () in
   match
-    Ops.search ~settings:cfg.settings ~checkpoint ?pool (params_for cfg p)
+    Ledger.within (Some ledger) (fun () ->
+        Ops.search ~settings:cfg.settings ~checkpoint ?pool (params_for cfg p))
   with
   | o -> (row_of_output p o.Ops.output, Some o.Ops.telemetry)
-  | exception Search.No_valid_partition _ -> (status_row p "rejected", None)
+  | exception Search.No_valid_partition _ ->
+      ( status_row p "rejected",
+        Some (Json.Obj [ ("search", Report.json_of_section ledger "search") ]) )
   | exception Sys.Break -> raise Sys.Break
   | exception e ->
       write_repro cfg p ~detail:(Printexc.to_string e);

@@ -274,10 +274,8 @@ let launch ?fault ?(loop_fuel = default_loop_fuel) (mem : Memory.t)
     Array.init traced (fun _ ->
         Array.init warps (fun _ -> Trace.create ()))
   in
-  let param_types = Hashtbl.create 8 in
-  List.iter
-    (fun (p : Ast.param) -> Hashtbl.replace param_types p.p_name p.p_type)
-    fn.f_params;
+  (* names, literals and intrinsics resolve once per launch *)
+  let kernel = Interp.resolve ~warp_size ~layout fn in
   for block_idx = 0 to exec_blocks - 1 do
     let shared = Bytes.make smem_bytes '\000' in
     (* only traced blocks probe the L1 model *)
@@ -288,13 +286,8 @@ let launch ?fault ?(loop_fuel = default_loop_fuel) (mem : Memory.t)
     let make_warp w : unit -> unit =
       let base_tid = w * warp_size in
       let live_threads = min warp_size (threads - base_tid) in
-      let env = Hashtbl.create 32 in
-      let types = Hashtbl.create 32 in
-      Hashtbl.iter (fun k v -> Hashtbl.replace types k v) param_types;
-      List.iter2
-        (fun (p : Ast.param) (a : Value.t) ->
-          Hashtbl.replace env p.p_name (Array.make warp_size a))
-        fn.f_params args;
+      (* parameters bind by slot *)
+      let slots, slot_types = Interp.frame kernel ~warp_size args in
       let trace =
         if block_idx < traced then Some block_traces.(block_idx).(w)
         else None
@@ -308,20 +301,19 @@ let launch ?fault ?(loop_fuel = default_loop_fuel) (mem : Memory.t)
           block_idx;
           block_dim = config.block;
           grid_dim = config.grid;
-          env;
-          types;
+          slots;
+          slot_types;
           mem;
           shared;
-          shared_layout = layout;
           trace;
           tables;
           builtins = Interp.builtins_create ();
-          locals = Hashtbl.create 8;
+          locals = [||];
           local_seq = 0;
           loop_fuel;
         }
       in
-      fun () -> Interp.run_body ctx fn.f_body
+      fun () -> Interp.run_body ctx kernel
     in
     (try run_block ~warps ~kernel_name:fn.f_name make_warp
      with Interp.Fuel_exhausted ->

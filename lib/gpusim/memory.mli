@@ -30,6 +30,11 @@ val buffer_name : t -> int -> string
 (** Length in bytes; does not build the buffer. *)
 val size_bytes : t -> int -> int
 
+(** [check data off width what] fails as a [what] ("load" or
+    "store") of [width] bytes at [off] out of bounds of [data] does.
+    @raise Value.Runtime_error when it is. *)
+val check : Bytes.t -> int -> int -> string -> unit
+
 (** Typed access at a byte offset; bounds-checked.
     @raise Value.Runtime_error on out-of-bounds or untypable access. *)
 val load_bytes : Bytes.t -> int -> Cuda.Ctype.t -> Value.t

@@ -404,6 +404,14 @@ let search ~settings:(s : Settings.t) ?(checkpoint = Checkpoint.disabled)
         ];
   }
 
+let rejected message =
+  {
+    output = "";
+    log = Printf.sprintf "hfuse: rejected: %s\n" message;
+    exit_code = 1;
+    telemetry = Json.Obj [];
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                             *)
 (* ------------------------------------------------------------------ *)

@@ -92,6 +92,13 @@ val search :
   search_params ->
   outcome
 
+(** The one-shot CLI's outcome for a search the verifier rejects
+    ({!Hfuse_core.Search.No_valid_partition} [message]): nothing on
+    stdout, [hfuse: rejected: message] on stderr, exit code 1.  The
+    daemon does not use it: it answers such a request with a failure
+    that names the exception. *)
+val rejected : string -> outcome
+
 (** Dispatches one verb.  [settings] (read by [simulate] and [search]
     only) defaults to [Settings.resolve ()], the environment's; the
     daemon and the CLI pass their own value. *)

@@ -225,6 +225,32 @@ let test_resume_torn_rows () =
   Alcotest.(check int) "everything replays" 3 again.Fleet.resumed;
   Alcotest.(check int) "nothing re-executed" 0 again.Fleet.executed
 
+(* A rejected pair's verdicts count in the report: Hist+SHA256 at size
+   1 is over budget in every partition. *)
+let test_rejected_row_telemetry () =
+  let p =
+    List.find
+      (fun (p : Fleet.pair) ->
+        p.p_k1.Kernel_corpus.Spec.name = "Hist"
+        && p.p_k2.Kernel_corpus.Spec.name = "SHA256")
+      (Fleet.all_pairs ())
+  in
+  let n = p.p_index + 1 in
+  let cfg =
+    { (test_cfg ~limit:n ()) with shards = n; shard = p.p_index; top_k = Some 8 }
+  in
+  let r = Fleet.run cfg in
+  Alcotest.(check (list string)) "one rejected row" [ "rejected" ]
+    (List.map (fun (x : Fleet.row) -> x.r_status) r.rows);
+  let module Json = Hfuse_profiler.Report.Json in
+  let rej =
+    match Json.member "search" (Fleet.report_json cfg r) with
+    | Some s -> (
+        match Json.member "rej_over-budget" s with Some (Json.Int n) -> n | _ -> -1)
+    | None -> -1
+  in
+  Alcotest.(check bool) "rej_over-budget >= 1" true (rej >= 1)
+
 let test_report_shape () =
   let cfg = test_cfg ~limit:2 () in
   let r = Fleet.run cfg in
@@ -261,4 +287,6 @@ let suite =
     Alcotest.test_case "resume identity" `Slow test_resume_identity;
     Alcotest.test_case "resume drops torn rows" `Slow test_resume_torn_rows;
     Alcotest.test_case "report shape" `Quick test_report_shape;
+    Alcotest.test_case "rejected rows keep their telemetry" `Quick
+      test_rejected_row_telemetry;
   ]

@@ -482,6 +482,161 @@ __global__ void k(int* out) {
   Alcotest.(check int32) "x stepped twice, w = ++x is 7, t-- stepped (lane 3)"
     7703l got.(35)
 
+(* Lane-class boundaries, pinned against the interpreter before the
+   typed-lane rewrite: each result below was recorded from the earlier,
+   per-lane boxed interpreter and must stay byte for byte. *)
+
+let lanes_str xs = String.concat "," (Array.to_list (Array.map Int32.to_string xs))
+
+let trace_str (r : Launch.result) =
+  String.concat ";"
+    (Array.to_list
+       (Array.map
+          (fun t -> string_of_int (Trace.length t) ^ ":"
+                    ^ String.concat "," (Array.to_list (Array.map string_of_int (Trace.mix t))))
+          r.Launch.block_traces.(0)))
+
+(* a ternary whose lanes alternate int and unsigned values, compared
+   (per lane: signed on odd lanes, unsigned on even), then stored to
+   memory and to a register *)
+let test_mixed_ternary () =
+  let mem, r =
+    launch ~trace_blocks:1
+      {|
+__global__ void k(int* out) {
+  int t = threadIdx.x;
+  unsigned int u = 5u;
+  int s = -3;
+  out[t] = ((t & 1) ? s : u) < 4 ? 1 : 0;
+  int reg = (t & 2) ? s - t : u + t;
+  out[32 + t] = (((t & 1) ? s : u) >> 1) + reg * 2;
+}
+|}
+      (fun mem -> [ Value.Ptr (alloc_out mem) ])
+  in
+  Alcotest.(check string) "values" "0,1,0,1,0,1,0,1,0,1,0,1,0,1,0,1,0,1,0,1,0,1,0,1,0,1,0,1,0,1,0,1,12,10,-8,-14,20,18,-16,-22,28,26,-24,-30,36,34,-32,-38,44,42,-40,-46,52,50,-48,-54,60,58,-56,-62,68,66,-64,-70" (lanes_str (out_i32 mem 64));
+  Alcotest.(check string) "trace" "18:16,0,0,0,0,0,2,0,0,0,0,0,0,0,0,0" (trace_str r)
+
+(* one name declared with two types in sibling scopes: the warp's flat
+   environment keeps the first binding's lanes, and the last executed
+   declaration's type governs stores *)
+let test_two_types_one_name () =
+  let mem, r =
+    launch ~trace_blocks:1
+      {|
+__global__ void k(int* out) {
+  int t = threadIdx.x;
+  if (t < 16) { int x = t; out[t] = x / 2; }
+  else { float x = t; out[t] = (int)(x / 4.0f * 10.0f); }
+  for (int i = 0; i < 2; i++) {
+    if (i == 0) { unsigned int y = t * 3u; out[32 + t] = y; }
+    else { double y = 0.5; y = y + t; out[32 + t] = out[32 + t] + (int)(y * 4.0); }
+  }
+}
+|}
+      (fun mem -> [ Value.Ptr (alloc_out mem) ])
+  in
+  Alcotest.(check string) "values" "0,0,1,1,2,2,3,3,4,4,5,5,6,6,7,7,40,42,45,47,50,52,55,57,60,62,65,67,70,72,75,77,2,9,16,23,30,37,44,51,58,65,72,79,86,93,100,107,114,121,128,135,142,149,156,163,170,177,184,191,198,205,212,219" (lanes_str (out_i32 mem 64));
+  Alcotest.(check string) "trace" "51:32,5,2,1,0,1,4,0,0,0,0,0,0,0,6,0" (trace_str r)
+
+(* 64-bit shifts and rotates and pointer arithmetic flowing into 32-bit
+   expressions *)
+let test_wide_into_narrow () =
+  let mem, r =
+    launch ~trace_blocks:1
+      {|
+__global__ void k(unsigned int* out, unsigned long long* w) {
+  int t = threadIdx.x;
+  unsigned long long v = w[t];
+  unsigned long long r = rotr64(v, t) ^ (v << (t & 7)) ^ (v >> 3) ^ rotl64(v, 9);
+  long long sv = (long long)v >> (t & 15);
+  unsigned int lo = (unsigned int)r;
+  unsigned int hi = (unsigned int)(r >> 32);
+  unsigned int* p = out + t;
+  unsigned int* q = p + 32;
+  *p = lo + rotl32(hi, 5) + (int)sv;
+  q[0] = (unsigned int)(q - out) + (lo >> 28) + (sv < 0 ? 7 : 0);
+}
+|}
+      (fun mem ->
+        let out = Memory.alloc mem ~name:"out" ~elem:Ctype.UInt ~count:64 in
+        let w = Memory.alloc mem ~name:"w" ~elem:Ctype.ULong ~count:32 in
+        Memory.fill_int64s mem w
+          (Array.init 32 (fun i ->
+               Int64.(logxor (mul (of_int (i + 1)) 0x9E3779B97F4A7C15L)
+                        (shift_left (of_int i) 60))));
+        [ Value.Ptr out; Value.Ptr w ])
+  in
+  Alcotest.(check string) "values" "-519071230,1136680227,-257372648,515113706,-1338455821,268877252,-2139051891,1739852821,-1499338257,-382449276,719560682,-328100890,1144722663,1817327784,758014823,-1819331476,2069141019,-219971256,1038724582,615529832,390091914,169741584,-1013787306,-369492114,514927505,1384752981,560191514,171079107,-1855950066,1247999569,-845667733,-847720076,50,48,54,46,39,57,51,52,46,54,45,64,58,48,63,60,65,57,69,53,59,75,56,71,65,79,73,79,75,67,75,73" (lanes_str (out_i32 mem 64));
+  Alcotest.(check string) "trace" "39:36,0,0,0,0,1,2,0,0,0,0,0,0,0,0,0" (trace_str r)
+
+let launch_error src =
+  match launch src (fun mem -> [ Value.Ptr (alloc_out mem) ]) with
+  | _ -> "no error"
+  | exception Interp.Exec_error msg -> "exec: " ^ msg
+  | exception Value.Runtime_error msg -> "runtime: " ^ msg
+
+(* a runtime error names the value of the lowest active lane that
+   raises it *)
+let test_error_lane () =
+  Alcotest.(check string) "getMSB" "exec: getMSB of non-positive value -7"
+    (launch_error
+       {|
+__global__ void k(int* out) {
+  int t = threadIdx.x;
+  int v = (t == 5) ? -7 : ((t == 9) ? 0 : t + 1);
+  out[t] = getMSB(v);
+}
+|});
+  Alcotest.(check string) "subscript" "exec: subscript of non-pointer value 10 (in x[2])"
+    (launch_error
+       {|
+__global__ void k(int* out) {
+  int t = threadIdx.x;
+  int x = t + 3;
+  if (t >= 7) { out[t] = x[2]; }
+}
+|});
+  Alcotest.(check string) "float modulo" "runtime: invalid float operator"
+    (launch_error
+       {|
+__global__ void k(int* out) {
+  float f = threadIdx.x;
+  if (threadIdx.x > 3) { out[0] = (int)(f % 2.0f); }
+}
+|});
+  Alcotest.(check string) "division by zero" "runtime: integer division by zero"
+    (launch_error
+       {|
+__global__ void k(int* out) {
+  int t = threadIdx.x;
+  out[t] = 100 / (t - 6);
+}
+|})
+
+(* float values stored through int, unsigned, char and bool registers
+   convert as a C assignment does *)
+let test_float_through_int_register () =
+  let mem, _ =
+    launch
+      {|
+__global__ void k(int* out) {
+  int t = threadIdx.x;
+  int r;
+  r = 2.75f * t - 40.0f;
+  unsigned int u = 1.5 * t;
+  char c = 9.9f * t;
+  bool b = 0.25f * (t & 3);
+  float f = r;
+  f = f / 3;
+  out[t] = r * 1000 + c;
+  out[32 + t] = u * 10 + b + (int)(f * 100.0f);
+}
+|}
+      (fun mem -> [ Value.Ptr (alloc_out mem) ])
+  in
+  Alcotest.(check string) "values" "-40000,-36991,-33981,-30971,-28961,-25951,-22941,-19931,-17921,-14911,-11901,-8892,-6882,-3872,-862,1148,4158,6168,9178,12188,15198,17207,20217,23227,26237,28247,31001,34011,37021,39031,42041,45050,-1333,-1222,-1102,-992,-906,-795,-675,-565,-480,-369,-249,-139,-53,58,178,254,373,451,571,681,800,877,997,1107,1226,1304,1424,1534,1653,1731,1851,1961" (lanes_str (out_i32 mem 64))
+
 (* Golden interpreter bytes: md5s of what the interpreter produces for
    the whole fleet corpus, so any change to the interpreter must
    reproduce every trace and every memory byte.  Each line of
@@ -606,5 +761,14 @@ let suite =
     Alcotest.test_case "loop fuel" `Quick test_loop_fuel;
     Alcotest.test_case "post-increment yields the old value" `Quick
       test_post_incdec;
+    Alcotest.test_case "ternary of int and unsigned lanes" `Quick
+      test_mixed_ternary;
+    Alcotest.test_case "one name, two declared types" `Quick
+      test_two_types_one_name;
+    Alcotest.test_case "64-bit values into 32-bit expressions" `Quick
+      test_wide_into_narrow;
+    Alcotest.test_case "error message and raising lane" `Quick test_error_lane;
+    Alcotest.test_case "float through an int register" `Quick
+      test_float_through_int_register;
     Alcotest.test_case "golden interpreter bytes" `Quick test_golden_interp;
   ]

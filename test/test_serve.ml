@@ -1052,6 +1052,33 @@ let test_rejected_search_records_nothing () =
   in
   Alcotest.(check (list string)) "entries under the root" [] (files root)
 
+(* The one-shot CLI answers a rejected pair with the verifier's
+   message on stderr and exit code 1. *)
+let test_oneshot_rejected () =
+  let settings = settings_at None in
+  let o =
+    match
+      Ops.search ~settings
+        {
+          search_params with
+          s_k1 = Registry.find_exn "Hist";
+          s_k2 = Registry.find_exn "SHA256";
+          s_size1 = Some 1;
+          s_size2 = Some 1;
+          s_emit = false;
+        }
+    with
+    | _ -> Alcotest.fail "Hist+SHA256 was not rejected"
+    | exception Hfuse_core.Search.No_valid_partition message ->
+        Ops.rejected message
+  in
+  Alcotest.(check int) "exit code" 1 o.Ops.exit_code;
+  Alcotest.(check string) "stdout" "" o.Ops.output;
+  Alcotest.(check string) "stderr"
+    "hfuse: rejected: hist + sha256: the fusion-safety verifier rejected \
+     all 1 partition(s)\n"
+    o.Ops.log
+
 (* stdout of [Ops.search] against md5s recorded before the cost
    model's probe picker was shared between the unbounded and the capped
    groups: both pairs fit unbounded probes and a three-member capped
@@ -1241,6 +1268,8 @@ let suite =
       test_stats_count_rejected_requests;
     Alcotest.test_case "one-shot counter lines" `Quick
       test_oneshot_counter_lines;
+    Alcotest.test_case "one-shot rejected search exits 1" `Quick
+      test_oneshot_rejected;
     Alcotest.test_case "rejected search records nothing" `Quick
       test_rejected_search_records_nothing;
     Alcotest.test_case "golden search bytes" `Quick test_golden_search_bytes;
