@@ -92,6 +92,9 @@ let mask32 = 0xFFFF_FFFF
 let dummy_ptr = { Value.space = Value.Shared; buf = 0; off = 0; elem = Ctype.Int }
 let[@inline] sext32 x = (x lsl 31) asr 31
 
+(* {!Value.f32}, here so that it stays unboxed in the lane loops *)
+let[@inline] f32 (x : float) : float = Int32.float_of_bits (Int32.bits_of_float x)
+
 (** A per-block model of the SM's sectored L1 data cache: FIFO over
     32-byte sectors.  Shared by all warps of a block; global loads that
     hit avoid the DRAM latency and bandwidth charge in the timing
@@ -130,24 +133,17 @@ let l1_probe (c : l1_cache) ~buf ~sector : bool =
 
 (** Per-block tables, shared by the block's warps (they run one at a
     time and never yield inside an access): the L1 model and the
-    scratch tables of the coalescing analyses.  A scratch table is
-    emptied with [Hashtbl.clear] before each use and holds at most one
-    key per lane, so its 16 buckets never resize and it iterates exactly
-    as a fresh table would. *)
+    sectors of one global access, whose iteration order is the order
+    the L1 is probed in.  [segs] is emptied with [Hashtbl.clear] before
+    each use and holds at most one key per lane, so its 16 buckets
+    never resize and it iterates exactly as a fresh table would. *)
 type block_tables = {
   l1 : l1_cache;
   segs : (int * int, unit) Hashtbl.t;  (** (buf, sector) of one access *)
-  seen : (int, unit) Hashtbl.t;  (** shared words of one access *)
-  counts : (int * int, int) Hashtbl.t;  (** lanes per atomic address *)
 }
 
 let block_tables ~l1_sectors =
-  {
-    l1 = l1_create ~sectors:l1_sectors;
-    segs = Hashtbl.create 16;
-    seen = Hashtbl.create 16;
-    counts = Hashtbl.create 16;
-  }
+  { l1 = l1_create ~sectors:l1_sectors; segs = Hashtbl.create 16 }
 
 (* ------------------------------------------------------------------ *)
 (* The resolved kernel                                                  *)
@@ -160,6 +156,7 @@ let block_tables ~l1_sectors =
 type lmem = { ptrs : Value.ptr array; offs : int array; one : Value.ptr option }
 
 type shfl = Shfl_xor | Shfl_down | Shfl_idx
+type float_fn = Fabs | Sqrt | Rsqrt | Exp | Log | Floor | Ceil | Round
 type atomic = Atomic_add | Atomic_max | Atomic_min | Atomic_exch
 
 type rexpr =
@@ -182,7 +179,7 @@ type rexpr =
   | Cast of Ctype.t * rexpr
   | Min_max of Ast.binop * rexpr * rexpr  (** [Lt] for min, [Gt] for max *)
   | Fmin_max of bool * rexpr * rexpr  (** fminf? *)
-  | Float_fn of (float -> float) * Instr.t * rexpr
+  | Float_fn of float_fn * rexpr
   | Get_msb of rexpr
   | Rot32 of bool * rexpr * rexpr  (** rotate left? *)
   | Rot64 of bool * rexpr * rexpr
@@ -252,14 +249,14 @@ let lanes_of_value n (v : Value.t) : lanes =
   | v -> V (Array.make n v)
 
 let unary_float = function
-  | "fabsf" -> Some (Float.abs, Instr.Falu)
-  | "sqrtf" -> Some (sqrt, Instr.Sfu)
-  | "rsqrtf" -> Some ((fun x -> 1.0 /. sqrt x), Instr.Sfu)
-  | "expf" -> Some (exp, Instr.Sfu)
-  | "logf" -> Some (log, Instr.Sfu)
-  | "floorf" -> Some (Float.floor, Instr.Falu)
-  | "ceilf" -> Some (Float.ceil, Instr.Falu)
-  | "roundf" -> Some (Float.round, Instr.Falu)
+  | "fabsf" -> Some Fabs
+  | "sqrtf" -> Some Sqrt
+  | "rsqrtf" -> Some Rsqrt
+  | "expf" -> Some Exp
+  | "logf" -> Some Log
+  | "floorf" -> Some Floor
+  | "ceilf" -> Some Ceil
+  | "roundf" -> Some Round
   | _ -> None
 
 (** Resolve a kernel body once for a launch: names to slots, shared
@@ -358,6 +355,11 @@ let resolve ~warp_size:n ~(layout : (string, int * Ctype.t) Hashtbl.t)
               { ptrs = Array.make n p; offs = Array.make n p.Value.off; one = Some p }
         | None -> L_reg (slot x, x))
     | Ast.Index (base, idx) -> L_index (expr base, expr idx, e)
+    | Ast.Deref (Ast.Addr_of inner) -> (
+        (* [*&m] is [m] for a memory lvalue *)
+        match lval inner with
+        | L_reg _ as r -> L_deref (Addr_of r)
+        | m -> m)
     | Ast.Deref a -> L_deref (expr a)
     | e -> L_bad e
   and call f args : rexpr =
@@ -371,7 +373,7 @@ let resolve ~warp_size:n ~(layout : (string, int * Ctype.t) Hashtbl.t)
         error "%s expects 2 arguments" f
     | _ when Option.is_some (unary_float f) -> (
         match (unary_float f, args) with
-        | Some (ff, cls), [ a ] -> Float_fn (ff, cls, expr a)
+        | Some fn, [ a ] -> Float_fn (fn, expr a)
         | _ -> error "%s expects 1 argument" f)
     | "getMSB", [ a ] -> Get_msb (expr a)
     | "getMSB", _ -> error "getMSB expects 1 argument"
@@ -405,9 +407,9 @@ let resolve ~warp_size:n ~(layout : (string, int * Ctype.t) Hashtbl.t)
           | "atomicMin" -> Atomic_min
           | _ -> Atomic_exch
         in
-        Atomic (kind, L_deref (expr addr), expr v)
+        Atomic (kind, lval (Ast.Deref addr), expr v)
     | "atomicCAS", [ addr; cmp; v ] ->
-        Atomic_cas (L_deref (expr addr), expr cmp, expr v)
+        Atomic_cas (lval (Ast.Deref addr), expr cmp, expr v)
     | "atomicCAS", _ -> error "atomicCAS expects 3 arguments"
     | "__ballot_sync", [ _m; pred ] -> Ballot (expr pred)
     | "__ballot_sync", _ -> error "__ballot_sync expects 2 arguments"
@@ -549,18 +551,12 @@ let copy_lanes = function
   | D a -> D (Array.copy a)
   | V a -> V (Array.copy a)
 
-(* [Value.to_int], [to_float], [to_i64] of lane [l] *)
+(* [Value.to_int], [to_i64] of lane [l] *)
 let lane_int (v : lanes) l : int =
   match v with
   | I a | U a | B a -> a.(l)
   | F a | D a -> Int64.to_int (Int64.of_float a.(l))
   | V a -> Value.to_int a.(l)
-
-let lane_float (v : lanes) l : float =
-  match v with
-  | I a | U a | B a -> float_of_int a.(l)
-  | F a | D a -> a.(l)
-  | V a -> Value.to_float a.(l)
 
 let lane_i64 (v : lanes) l : int64 =
   match v with
@@ -605,9 +601,18 @@ let fail_first l0 (f : unit -> 'a) (x : 'a) : 'a = if l0 >= 0 then f () else x
 let global_transactions ctx mask (m : lmem) ~probe_l1 : int * int =
   let segs = ctx.tables.segs in
   Hashtbl.clear segs;
+  (* a key repeated from the previous active lane is already in place
+     (replacing it would not move it) *)
+  let last_buf = ref (-1) and last_sector = ref (-1) in
   for l = 0 to ctx.warp_size - 1 do
-    if mask land (1 lsl l) <> 0 then
-      Hashtbl.replace segs (m.ptrs.(l).Value.buf, m.offs.(l) lsr 5) ()
+    if mask land (1 lsl l) <> 0 then begin
+      let buf = m.ptrs.(l).Value.buf and sector = m.offs.(l) lsr 5 in
+      if buf <> !last_buf || sector <> !last_sector then begin
+        Hashtbl.replace segs (buf, sector) ();
+        last_buf := buf;
+        last_sector := sector
+      end
+    end
   done;
   let miss = ref 0 and hit = ref 0 in
   Hashtbl.iter
@@ -617,18 +622,20 @@ let global_transactions ctx mask (m : lmem) ~probe_l1 : int * int =
     segs;
   if !miss + !hit = 0 then (1, 0) else (!miss, !hit)
 
+(* [true] when an active lane below [l] has the key lane [l] has *)
+let seen_before mask (key : int -> bool) l =
+  let rec go j = j < l && ((mask land (1 lsl j) <> 0 && key j) || go (j + 1)) in
+  go 0
+
 (** Shared-memory bank-conflict degree: 32 banks of 4-byte words; lanes
     hitting distinct words in the same bank serialise; identical
     addresses broadcast. *)
 let bank_conflict_degree ctx mask (m : lmem) : int =
   let per_bank = Array.make 32 0 in
-  let seen = ctx.tables.seen in
-  Hashtbl.clear seen;
   for l = 0 to ctx.warp_size - 1 do
     if mask land (1 lsl l) <> 0 then begin
       let word = m.offs.(l) lsr 2 in
-      if not (Hashtbl.mem seen word) then begin
-        Hashtbl.replace seen word ();
+      if not (seen_before mask (fun j -> m.offs.(j) lsr 2 = word) l) then begin
         let bank = word land 31 in
         per_bank.(bank) <- per_bank.(bank) + 1
       end
@@ -639,16 +646,20 @@ let bank_conflict_degree ctx mask (m : lmem) : int =
 (** Serialisation degree of atomics: the maximum number of active lanes
     addressing the same location. *)
 let atomic_conflict_degree ctx mask (m : lmem) : int =
-  let counts = ctx.tables.counts in
-  Hashtbl.clear counts;
+  let same l j =
+    m.ptrs.(j).Value.buf = m.ptrs.(l).Value.buf && m.offs.(j) = m.offs.(l)
+  in
+  let degree = ref 1 in
   for l = 0 to ctx.warp_size - 1 do
-    if mask land (1 lsl l) <> 0 then begin
-      let key = (m.ptrs.(l).Value.buf, m.offs.(l)) in
-      Hashtbl.replace counts key
-        (1 + match Hashtbl.find counts key with n -> n | exception Not_found -> 0)
+    if mask land (1 lsl l) <> 0 && not (seen_before mask (same l) l) then begin
+      let n = ref 0 in
+      for j = l to ctx.warp_size - 1 do
+        if mask land (1 lsl j) <> 0 && same l j then incr n
+      done;
+      degree := max !degree !n
     end
   done;
-  Hashtbl.fold (fun _ n acc -> max n acc) counts 1
+  !degree
 
 (* ------------------------------------------------------------------ *)
 (* Memory access                                                        *)
@@ -758,54 +769,50 @@ let load ctx mask (m : lmem) : lanes =
       done;
       V out
 
+(* [Value.to_float] of the lanes; only active lanes of a boxed vector
+   are read, in order, since they may fail *)
+let floats ctx mask (v : lanes) : float array =
+  match v with
+  | F a | D a -> a
+  | I a | U a | B a ->
+      let out = Array.make ctx.warp_size 0.0 in
+      for l = 0 to ctx.warp_size - 1 do
+        out.(l) <- float_of_int a.(l)
+      done;
+      out
+  | V a ->
+      let out = Array.make ctx.warp_size 0.0 in
+      for l = 0 to ctx.warp_size - 1 do
+        if mask land (1 lsl l) <> 0 then out.(l) <- Value.to_float a.(l)
+      done;
+      out
+
 let store_mem ctx mask (m : lmem) (v : lanes) : unit =
   let n = ctx.warp_size in
   let active l = mask land (1 lsl l) <> 0 in
-  let set32 common f =
+  let set32 (bits : int -> int) =
+    let common = common_bytes ctx m in
     for l = 0 to n - 1 do
       if active l then
         Bytes.set_int32_le (lane_bytes ctx m common l 4 "store") m.offs.(l)
-          (Int32.of_int (f l))
+          (Int32.of_int (bits l))
     done
   in
   match (uniform_elem ctx mask m, v) with
-  | (Ctype.Int | Ctype.UInt), (I a | U a | B a) ->
-      let common = common_bytes ctx m in
-      for l = 0 to n - 1 do
-        if active l then
-          Bytes.set_int32_le (lane_bytes ctx m common l 4 "store") m.offs.(l)
-            (Int32.of_int a.(l))
-      done
-  | Ctype.Int, (F a | D a) -> set32 (common_bytes ctx m) (fun l -> int_of_f a.(l))
-  | Ctype.UInt, (F a | D a) -> set32 (common_bytes ctx m) (fun l -> uint_of_f a.(l))
-  | Ctype.Float, (F a | D a) ->
+  | (Ctype.Int | Ctype.UInt), (I a | U a | B a) -> set32 (fun l -> a.(l))
+  | Ctype.Int, (F a | D a) -> set32 (fun l -> int_of_f a.(l))
+  | Ctype.UInt, (F a | D a) -> set32 (fun l -> uint_of_f a.(l))
+  | Ctype.Float, (I _ | U _ | B _ | F _ | D _) ->
       (* [bits_of_float] rounds a double as [Value.convert Float] does *)
-      let common = common_bytes ctx m in
-      for l = 0 to n - 1 do
-        if active l then
-          Bytes.set_int32_le (lane_bytes ctx m common l 4 "store") m.offs.(l)
-            (Int32.bits_of_float a.(l))
-      done
-  | Ctype.Float, (I a | U a | B a) ->
-      let common = common_bytes ctx m in
-      for l = 0 to n - 1 do
-        if active l then
-          Bytes.set_int32_le (lane_bytes ctx m common l 4 "store") m.offs.(l)
-            (Int32.bits_of_float (float_of_int a.(l)))
-      done
-  | Ctype.Double, (F a | D a) ->
+      let x = floats ctx mask v in
+      set32 (fun l -> Int32.to_int (Int32.bits_of_float x.(l)))
+  | Ctype.Double, (I _ | U _ | B _ | F _ | D _) ->
+      let x = floats ctx mask v in
       let common = common_bytes ctx m in
       for l = 0 to n - 1 do
         if active l then
           Bytes.set_int64_le (lane_bytes ctx m common l 8 "store") m.offs.(l)
-            (Int64.bits_of_float a.(l))
-      done
-  | Ctype.Double, (I a | U a | B a) ->
-      let common = common_bytes ctx m in
-      for l = 0 to n - 1 do
-        if active l then
-          Bytes.set_int64_le (lane_bytes ctx m common l 8 "store") m.offs.(l)
-            (Int64.bits_of_float (float_of_int a.(l)))
+            (Int64.bits_of_float x.(l))
       done
   | _ ->
       for l = 0 to n - 1 do
@@ -1039,7 +1046,7 @@ let float_binop ctx mask (op : Ast.binop) ~single (x : float array)
       | Ast.Mul -> for l = 0 to n - 1 do out.(l) <- x.(l) *. y.(l) done
       | _ -> for l = 0 to n - 1 do out.(l) <- x.(l) /. y.(l) done);
       if single then begin
-        for l = 0 to n - 1 do out.(l) <- Value.f32 out.(l) done;
+        for l = 0 to n - 1 do out.(l) <- f32 out.(l) done;
         F out
       end
       else D out
@@ -1066,17 +1073,6 @@ let float_binop ctx mask (op : Ast.binop) ~single (x : float array)
         (fun () -> Value.fail "invalid float operator")
         (F (Array.make n 0.0))
 
-let floats ctx (v : lanes) : float array =
-  match v with
-  | F a | D a -> a
-  | I a | U a | B a ->
-      let out = Array.make ctx.warp_size 0.0 in
-      for l = 0 to ctx.warp_size - 1 do
-        out.(l) <- float_of_int a.(l)
-      done;
-      out
-  | V _ -> Array.init ctx.warp_size (lane_float v)
-
 (** A C binary operator over the active lanes, with [Value.binop]'s
     conversions: the class pair picks the code once. *)
 let binop ctx mask (op : Ast.binop) (a : lanes) (b : lanes) : lanes =
@@ -1096,8 +1092,8 @@ let binop ctx mask (op : Ast.binop) (a : lanes) (b : lanes) : lanes =
   | _, F x, F y -> float_binop ctx mask op ~single:true x y
   | _, D x, D y -> float_binop ctx mask op ~single:false x y
   | _, D _, _ | _, _, D _ ->
-      float_binop ctx mask op ~single:false (floats ctx a) (floats ctx b)
-  | _ -> float_binop ctx mask op ~single:true (floats ctx a) (floats ctx b)
+      float_binop ctx mask op ~single:false (floats ctx mask a) (floats ctx mask b)
+  | _ -> float_binop ctx mask op ~single:true (floats ctx mask a) (floats ctx mask b)
 
 let unop ctx mask (op : Ast.unop) (v : lanes) : lanes =
   let n = ctx.warp_size in
@@ -1112,7 +1108,7 @@ let unop ctx mask (op : Ast.unop) (v : lanes) : lanes =
     let out = Array.make n 0.0 in
     for l = 0 to n - 1 do
       if mask land (1 lsl l) <> 0 then
-        out.(l) <- (if single then Value.f32 (-.a.(l)) else -.a.(l))
+        out.(l) <- (if single then f32 (-.a.(l)) else -.a.(l))
     done;
     out
   in
@@ -1207,11 +1203,11 @@ let convert_into ctx mask (ty : Ctype.t) (dst : lanes) (v : lanes) : lanes =
       for l = 0 to n - 1 do if active l then d.(l) <- s.(l) done;
       dst
   | Ctype.Float, F d, D s ->
-      for l = 0 to n - 1 do if active l then d.(l) <- Value.f32 s.(l) done;
+      for l = 0 to n - 1 do if active l then d.(l) <- f32 s.(l) done;
       dst
   | Ctype.Float, F d, (I s | U s | B s) ->
       for l = 0 to n - 1 do
-        if active l then d.(l) <- Value.f32 (float_of_int s.(l))
+        if active l then d.(l) <- f32 (float_of_int s.(l))
       done;
       dst
   | Ctype.Double, D d, (I s | U s | B s) ->
@@ -1285,37 +1281,49 @@ let select ctx mask mt (va : lanes) (vb : lanes) : lanes =
 (** An evaluated lvalue. *)
 type lval = Lv_reg of int * string | Lv_mem of lmem
 
-(** The memory lvalue of pointer lanes [vb], lane [l] indexed by
-    [index l] elements ([None]: a dereference); [non_pointer v] fails
-    on a lane that holds no pointer.  Per lane, as the per-lane
-    subscript computes it: the base is checked, then its element size
-    read, then the index. *)
-let pointer_lanes ctx mask (vb : lanes) (index : (int -> int) option)
+(** The memory lvalue of pointer lanes [vb], lane [l] indexed by lane
+    [l] of [vi] elements when [scaled] (else a dereference);
+    [non_pointer v] fails on a lane that holds no pointer.  Per lane,
+    as the per-lane subscript computes it: the base is checked, then
+    its element size read, then the index. *)
+let pointer_lanes ctx mask (vb : lanes) ~scaled (vi : lanes)
     (non_pointer : Value.t -> unit) : lval =
   let n = ctx.warp_size in
-  let ptrs = Array.make n dummy_ptr and offs = Array.make n 0 in
+  let offs = Array.make n 0 in
   (* consecutive lanes mostly hold the very same pointer value: its
-     element size is read once *)
-  let prev = ref vzero and p = ref dummy_ptr and size = ref 0 in
-  let one = ref true in
+     element size is read once, and the per-lane pointers are stored
+     only once a second one shows *)
+  let none = Value.Ptr dummy_ptr (* a value no lane holds *) in
+  let prev = ref none and p = ref dummy_ptr and size = ref 0 in
+  let ptrs = ref [||] in
   for l = 0 to n - 1 do
     if mask land (1 lsl l) <> 0 then begin
       let v = match vb with V a -> a.(l) | _ -> box vb l in
       if v != !prev then begin
         (match v with
         | Value.Ptr q ->
-            if Option.is_some index then size := Ctype.sizeof q.Value.elem;
+            if !prev != none && !ptrs == [||] then ptrs := Array.make n !p;
+            if scaled then size := Ctype.sizeof q.Value.elem;
             p := q
         | v -> non_pointer v);
-        if !prev != vzero then one := false;
         prev := v
       end;
-      ptrs.(l) <- !p;
+      if !ptrs != [||] then !ptrs.(l) <- !p;
       offs.(l) <-
-        (match index with None -> !p.Value.off | Some i -> !p.Value.off + (i l * !size))
+        (if not scaled then !p.Value.off
+         else
+           !p.Value.off
+           + ((match vi with I a | U a | B a -> a.(l) | _ -> lane_int vi l) * !size))
     end
   done;
-  Lv_mem { ptrs; offs; one = (if !one && !prev != vzero then Some !p else None) }
+  if !ptrs != [||] then Lv_mem { ptrs = !ptrs; offs; one = None }
+  else
+    Lv_mem
+      {
+        ptrs = Array.make n !p;
+        offs;
+        one = (if !prev != none then Some !p else None);
+      }
 
 let read_slot ctx slot name : lanes =
   let v = ctx.slots.(slot) in
@@ -1441,23 +1449,38 @@ let rec eval ctx mask (e : rexpr) : lanes =
   | Fmin_max (is_min, a, b) ->
       let va = eval ctx mask a in
       let vb = eval ctx mask b in
+      let x = floats ctx mask va and y = floats ctx mask vb in
       let out = Array.make ctx.warp_size 0.0 in
       for l = 0 to ctx.warp_size - 1 do
-        if mask land (1 lsl l) <> 0 then begin
-          let x = lane_float va l in
-          let y = lane_float vb l in
-          out.(l) <- Value.f32 (if is_min then Float.min x y else Float.max x y)
-        end
+        if mask land (1 lsl l) <> 0 then
+          out.(l) <-
+            f32 (if is_min then Float.min x.(l) y.(l) else Float.max x.(l) y.(l))
       done;
       record ctx Instr.Falu;
       F out
-  | Float_fn (ff, cls, a) ->
+  | Float_fn (fn, a) ->
       let va = eval ctx mask a in
+      let x = floats ctx mask va in
       let out = Array.make ctx.warp_size 0.0 in
       for l = 0 to ctx.warp_size - 1 do
-        if mask land (1 lsl l) <> 0 then out.(l) <- Value.f32 (ff (lane_float va l))
+        if mask land (1 lsl l) <> 0 then
+          let x = x.(l) in
+          out.(l) <-
+            f32
+              (match fn with
+              | Fabs -> Float.abs x
+              | Sqrt -> sqrt x
+              | Rsqrt -> 1.0 /. sqrt x
+              | Exp -> exp x
+              | Log -> log x
+              | Floor -> Float.floor x
+              | Ceil -> Float.ceil x
+              | Round -> Float.round x)
       done;
-      record ctx cls;
+      record ctx
+        (match fn with
+        | Sqrt | Rsqrt | Exp | Log -> Instr.Sfu
+        | Fabs | Floor | Ceil | Round -> Instr.Falu);
       F out
   | Get_msb a ->
       let va = eval ctx mask a in
@@ -1478,7 +1501,11 @@ let rec eval ctx mask (e : rexpr) : lanes =
       let out = Array.make ctx.warp_size 0 in
       for l = 0 to ctx.warp_size - 1 do
         if mask land (1 lsl l) <> 0 then begin
-          let x = Int64.to_int (lane_i64 va l) land mask32 in
+          let x =
+            match va with
+            | I a | U a | B a -> a.(l) land mask32
+            | _ -> Int64.to_int (lane_i64 va l) land mask32
+          in
           let n = lane_int vb l land 31 in
           let n = if left then (32 - n) land 31 else n in
           out.(l) <- ((x lsr n) lor (x lsl ((32 - n) land 31))) land mask32
@@ -1663,7 +1690,7 @@ and atomic ctx mask kind (m : lmem) (vv : lanes) : lanes =
           let x = s.(l) in
           let neu =
             match kind with
-            | Atomic_add -> Value.f32 (old +. x)
+            | Atomic_add -> f32 (old +. x)
             | Atomic_max -> if x > old then x else old
             | Atomic_min -> if x < old then x else old
             | Atomic_exch -> x
@@ -1707,15 +1734,12 @@ and eval_lval ctx mask (lv : rlval) : lval =
       let vb = eval ctx mask base in
       let vi = eval ctx mask idx in
       record ctx Instr.Alu (* address computation *);
-      let ints = match vi with I a | U a | B a -> a | _ -> [||] in
-      pointer_lanes ctx mask vb
-        (Some (fun l -> if ints == [||] then lane_int vi l else ints.(l)))
-        (fun v ->
+      pointer_lanes ctx mask vb ~scaled:true vi (fun v ->
           fail "subscript of non-pointer value %a (in %s)" Value.pp v
             (Pretty.expr_to_string e))
   | L_deref a ->
       let vb = eval ctx mask a in
-      pointer_lanes ctx mask vb None (fun v ->
+      pointer_lanes ctx mask vb ~scaled:false unbound (fun v ->
           fail "dereference of non-pointer value %a" Value.pp v)
   | L_bad e -> fail "not an lvalue: %s" (Pretty.expr_to_string e)
 

@@ -271,8 +271,10 @@ let launch ?fault ?(loop_fuel = default_loop_fuel) (mem : Memory.t)
   in
   let traced = min exec_blocks (max 0 config.trace_blocks) in
   let block_traces =
+    (* a warp's trace starts small and doubles: at the default 1024 the
+       zero-filled arrays cost more than recording a short kernel *)
     Array.init traced (fun _ ->
-        Array.init warps (fun _ -> Trace.create ()))
+        Array.init warps (fun _ -> Trace.create ~capacity:64 ()))
   in
   (* names, literals and intrinsics resolve once per launch *)
   let kernel = Interp.resolve ~warp_size ~layout fn in
