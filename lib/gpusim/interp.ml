@@ -50,10 +50,9 @@
    lanes safely shared.  An inactive lane of a computed vector is read
    only by a shuffle, which takes the value the per-lane interpreter
    left there from the resolved node ([filler]).  The L1 model and the
-   scratch tables of the coalescing analyses (sectors of one global
-   access, words of one shared access, lanes per atomic address) are
-   per block ({!block_tables}), shared by its warps and emptied before
-   each use; only traced blocks size an L1. *)
+   table of the sectors of one global access are per block
+   ({!block_tables}), shared by its warps; the table is emptied before
+   each use, and only traced blocks size an L1. *)
 
 open Cuda
 

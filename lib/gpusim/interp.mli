@@ -37,7 +37,7 @@ type lanes
 
 (** Per-block tables shared by the block's warps: the sectored L1
     model (see {!Launch.config.l1_sectors}; [l1_sectors <= 0] disables
-    it) and the coalescing analyses' scratch tables. *)
+    it) and the table of one global access's sectors. *)
 type block_tables
 
 val block_tables : l1_sectors:int -> block_tables
