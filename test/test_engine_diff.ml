@@ -221,8 +221,10 @@ let gen_instr : Instr.t QCheck.Gen.t =
    (every participant reaches it, so the launch always terminates).
    A third of the grids span one to several waves and some kernels
    trace two blocks, so kernel boundaries and wave tails fall inside a
-   dispatch and split the engine's SM classes. *)
-let gen_kernel (idx : int) : Timing.launch_spec QCheck.Gen.t =
+   dispatch and split the engine's SM classes.  With [~waves:true] the
+   kernel traces one block and its grid spans 10 to 14 waves on either
+   arch, long enough for the engine to fast-forward repeating waves. *)
+let gen_kernel ?(waves = false) (idx : int) : Timing.launch_spec QCheck.Gen.t =
   let open QCheck.Gen in
   int_range 1 8 >>= fun n_warps ->
   frequency [ (2, int_range 1 6); (1, int_range 7 120) ] >>= fun grid ->
@@ -234,7 +236,20 @@ let gen_kernel (idx : int) : Timing.launch_spec QCheck.Gen.t =
   bool >>= fun full_bar ->
   bool >>= fun partial_bar ->
   int_range 1 n_warps >>= fun k ->
+  int_range 10 14 >>= fun n_waves ->
+  int_bound 100 >>= fun extra ->
   let threads = n_warps * 32 in
+  let grid, n_blocks =
+    if not waves then (grid, n_blocks)
+    else
+      let wave (a : Arch.t) =
+        a.Arch.sms
+        * Hfuse_core.Occupancy.blocks_per_sm (Arch.sm_limits a) ~regs ~threads
+            ~smem
+      in
+      let per_wave = max (wave arch) (wave Arch.v100) in
+      ((n_waves * per_wave) + (extra * per_wave / 100), 1)
+  in
   let block =
     list_repeat n_warps (list_size (int_bound 30) gen_instr) >|= fun warps ->
     let warps =
@@ -258,17 +273,34 @@ let gen_kernel (idx : int) : Timing.launch_spec QCheck.Gen.t =
     Timing.block_traces = Array.of_list blocks;
   }
 
-let gen_specs :
-    (Timing.dispatch_policy * Timing.launch_spec list) QCheck.Gen.t =
+(* one to three random kernels *)
+let gen_mixed : Timing.launch_spec list QCheck.Gen.t =
   let open QCheck.Gen in
-  frequency [ (3, return Timing.Fifo); (1, return Timing.Leftover) ]
-  >>= fun policy ->
   int_range 1 3 >>= fun n ->
   let rec go i acc =
-    if i = n then return (policy, List.rev acc)
+    if i = n then return (List.rev acc)
     else gen_kernel i >>= fun s -> go (i + 1) (s :: acc)
   in
   go 0 []
+
+(* a wave-spanning kernel, then up to two random kernels *)
+let gen_waves : Timing.launch_spec list QCheck.Gen.t =
+  let open QCheck.Gen in
+  gen_kernel ~waves:true 0 >>= fun w ->
+  int_bound 2 >>= fun n ->
+  let rec go i acc =
+    if i > n then return (List.rev acc)
+    else gen_kernel i >>= fun s -> go (i + 1) (s :: acc)
+  in
+  go 1 [ w ]
+
+let gen_with (kernels : Timing.launch_spec list QCheck.Gen.t) :
+    (Timing.dispatch_policy * Timing.launch_spec list) QCheck.Gen.t =
+  let open QCheck.Gen in
+  frequency [ (3, return Timing.Fifo); (1, return Timing.Leftover) ]
+  >>= fun policy -> kernels >|= fun specs -> (policy, specs)
+
+let gen_specs = gen_with (QCheck.Gen.frequency [ (3, gen_mixed); (1, gen_waves) ])
 
 let print_specs
     ((policy, specs) : Timing.dispatch_policy * Timing.launch_spec list) :
@@ -309,6 +341,36 @@ let random_specs_bitidentical =
           | Error m, Ok _ ->
               QCheck.Test.fail_reportf "new raised (%s), legacy succeeded" m)
         [ arch; Arch.v100 ])
+
+(* -- seeded draws --------------------------------------------------------- *)
+
+(* Fixed draws of the generators above, 40 of one to three random
+   kernels and 24 led by a wave-spanning kernel, on both arches.  Their
+   report digests in golden/draws.md5 were recorded from the reference
+   engine's reports: a committed reference for the launches the
+   randomized comparison only samples. *)
+let seeded_draws () : (string * string) list =
+  let draw gen seed =
+    QCheck.Gen.generate1 ~rand:(Random.State.make [| seed |]) gen
+  in
+  List.concat_map
+    (fun (name, gen, n) ->
+      List.concat_map
+        (fun seed ->
+          let policy, specs = draw gen seed in
+          List.map
+            (fun (a : Arch.t) ->
+              ( Printf.sprintf "%s/%d/%s" name seed a.Arch.name,
+                Test_replay.outcome ~policy a specs ))
+            [ arch; Arch.v100 ])
+        (List.init n Fun.id))
+    [ ("mixed", gen_with gen_mixed, 40); ("waves", gen_with gen_waves, 24) ]
+
+let test_seeded_draws () =
+  let actual = List.map (fun (n, d) -> n ^ " " ^ d) (seeded_draws ()) in
+  Alcotest.(check (list string)) "seeded draw digests"
+    (Test_replay.golden_lines ~file:"draws.md5" ())
+    actual
 
 (* -- engine self-profiling --------------------------------------------- *)
 
@@ -371,6 +433,7 @@ let suite =
     Alcotest.test_case "synthetic launches vs legacy" `Quick
       test_synthetic_corpus;
     Alcotest.test_case "corpus pairs vs legacy" `Slow test_corpus_pairs;
+    Alcotest.test_case "golden seeded draws" `Quick test_seeded_draws;
     Alcotest.test_case "engine stats counters" `Quick test_engine_stats;
     Alcotest.test_case "pooled figure9 determinism" `Slow test_pool_determinism;
   ]

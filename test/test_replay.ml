@@ -8,8 +8,11 @@
    spill, several streams, barriers (trailing ones included) and both
    dispatch policies, and the shapes that split the engine's SM classes
    (kernel boundaries inside a dispatch, sub-wave grids, two traced
-   blocks per kernel, three streams).  A second test bounds what the
-   hot loop allocates. *)
+   blocks per kernel, three streams).  The lines after the file's
+   second comment were recorded before the engine fast-forwarded
+   repeating waves: the unbounded fused candidates of the fleet pairs
+   whose waves repeat, and multi-wave grids at the edges of a
+   fast-forward.  Further tests bound what the hot loop allocates. *)
 
 open Gpusim
 open Hfuse_profiler
@@ -283,8 +286,122 @@ let split_cases () : (string * string) list =
   in
   launches @ tb2
 
-let golden_lines () =
-  In_channel.with_open_bin (Filename.concat "golden" "replay.md5")
+(* -- waves that repeat -------------------------------------------------- *)
+
+(* The fleet pairs whose fused candidates launch grids of many waves of
+   one template, so the engine's state recurs and whole periods are
+   fast-forwarded. *)
+let recurring_pairs =
+  [ ("Hist", "MulAdd"); ("Maxpool", "gen056"); ("Upsample", "gen026");
+    ("Blur3", "gen026"); ("Resize", "gen027") ]
+
+(* [c1] and [c2] at size 1, with the fleet corpus installed *)
+let fleet_pair n1 n2 =
+  Hfuse_fleet.Corpus.install ();
+  let mem = Memory.create () in
+  let conf name =
+    Runner.configure mem (Kernel_corpus.Registry.find_exn name) ~size:1
+  in
+  (conf n1, conf n2)
+
+(* the pair's verified fused kernels without a register bound, in
+   search order *)
+let unbounded_candidates (a : Arch.t) (c1 : Runner.configured)
+    (c2 : Runner.configured) : Hfuse_core.Hfuse.t list =
+  let r =
+    Hfuse_core.Search.search ~limits:(Arch.sm_limits a)
+      ~profile:(List.map (fun _ -> 0.0))
+      ~d0:(Runner.d0_for c1 c2) c1.info c2.info
+  in
+  List.filter_map
+    (fun (c : Hfuse_core.Search.candidate) ->
+      match c.config.reg_bound with None -> Some c.fused | Some _ -> None)
+    r.all
+
+let fused_spec ~settings c1 c2 f =
+  Runner.hfuse_spec f ~reg_bound:None
+    ~traces:(Runner.hfuse_traces ~settings c1 c2 f)
+
+let fleet_cases () : (string * string) list =
+  List.concat_map
+    (fun (n1, n2) ->
+      let c1, c2 = fleet_pair n1 n2 in
+      List.concat_map
+        (fun (a : Arch.t) ->
+          List.map
+            (fun (f : Hfuse_core.Hfuse.t) ->
+              ( Printf.sprintf "fleet/%s+%s/%d+%d/%s" n1 n2 f.d1 f.d2 a.name,
+                outcome a [ fused_spec ~settings c1 c2 f ] ))
+            (unbounded_candidates a c1 c2))
+        arches)
+    recurring_pairs
+
+(* Multi-wave grids at the edges of a fast-forward: a queue that
+   empties partway through a period or before a second one, spill, a
+   kernel queued behind the waves, Leftover dispatch, and two traced
+   blocks per kernel. *)
+let wave_launches :
+    (string * Timing.dispatch_policy * Timing.launch_spec list) list =
+  (* 256-thread blocks of 32 registers: 8 per SM, a wave of 32 blocks
+     on the 1080Ti and 64 on the V100 *)
+  let waves ?regs ?spill ~label ~grid ~stream () =
+    kernel ?regs ?spill ~label ~grid ~threads:256 ~stream [ warps 8 loady ]
+  in
+  [
+    ("mid-period", Timing.Fifo, [ waves ~label:"w" ~grid:461 ~stream:0 () ]);
+    ("short-queue", Timing.Fifo, [ waves ~label:"w" ~grid:75 ~stream:0 () ]);
+    ( "spill",
+      Timing.Fifo,
+      [ waves ~regs:64 ~spill:24 ~label:"w" ~grid:397 ~stream:0 () ] );
+    ( "then-kernel",
+      Timing.Fifo,
+      [ waves ~label:"w" ~grid:389 ~stream:0 ();
+        kernel ~label:"k" ~grid:29 ~threads:256 ~smem:8192 ~stream:0
+          [ warps 8 shared ] ] );
+    ( "leftover",
+      Timing.Leftover,
+      [ waves ~label:"w" ~grid:421 ~stream:0 ();
+        kernel ~label:"k" ~grid:23 ~threads:128 ~stream:1 [ warps 4 shared ] ]
+    );
+    ( "two-templates",
+      Timing.Fifo,
+      [
+        kernel ~label:"t" ~grid:409 ~threads:256 ~stream:0
+          [ warps 8 loady; warps 8 (fun i -> loady (i + 3) @ alus 9) ];
+      ] );
+  ]
+
+let wave_cases () : (string * string) list =
+  let launches =
+    List.concat_map
+      (fun (a : Arch.t) ->
+        List.map
+          (fun (name, policy, specs) ->
+            (Printf.sprintf "waves/%s/%s" name a.name, outcome ~policy a specs))
+          wave_launches)
+      arches
+  in
+  (* a recurring fused candidate replayed from two traced blocks *)
+  let settings =
+    Settings.resolve ~trace_blocks:2 ~sim_fuel:Launch.default_loop_fuel
+      ~trace_mem_mb:0 ~cache_dir:None ~fault:None ()
+  in
+  let c1, c2 = fleet_pair "Upsample" "gen026" in
+  let tb2 =
+    List.concat_map
+      (fun (a : Arch.t) ->
+        List.map
+          (fun (f : Hfuse_core.Hfuse.t) ->
+            ( Printf.sprintf "fleet-tb2/Upsample+gen026/%d+%d/%s" f.d1 f.d2
+                a.name,
+              outcome a [ fused_spec ~settings c1 c2 f ] ))
+          (unbounded_candidates a c1 c2))
+      arches
+  in
+  launches @ tb2
+
+let golden_lines ?(file = "replay.md5") () =
+  In_channel.with_open_bin (Filename.concat "golden" file)
     In_channel.input_lines
   |> List.filter (fun l -> l <> "" && l.[0] <> '#')
 
@@ -292,7 +409,8 @@ let test_golden_replays () =
   let actual =
     List.map
       (fun (n, d) -> n ^ " " ^ d)
-      (corpus_cases () @ random_cases () @ split_cases ())
+      (corpus_cases () @ random_cases () @ split_cases () @ fleet_cases ()
+     @ wave_cases ())
   in
   Alcotest.(check (list string)) "replay digests" (golden_lines ()) actual
 
