@@ -177,12 +177,18 @@ type engine_stats = {
           (latency or structural miss) instead of a pool scan *)
   warp_allocs : int;  (** warp records freshly allocated *)
   warp_reuses : int;  (** warp records recycled from the free list *)
+  periods_forwarded : int;
+      (** whole periods of a repeating wave advanced without stepping *)
+  cycles_forwarded : int;  (** the cycles those periods span *)
 }
 
-(* the ledger's [engine] section, one counter per field *)
-let engine_counters =
-  List.map
-    (fun (name, field) -> (Ledger.counter "engine" name, field))
+let counters_of fields =
+  List.map (fun (name, field) -> (Ledger.counter "engine" name, field)) fields
+
+(* the ledger's [engine] section, one counter per field: the counters a
+   cached report carries, then those only a fresh replay adds *)
+let cached_counters =
+  counters_of
     [
       ("cycles_stepped", fun s -> s.cycles_stepped);
       ("cycles_skipped", fun s -> s.cycles_skipped);
@@ -193,26 +199,41 @@ let engine_counters =
       ("warp_reuses", fun s -> s.warp_reuses);
     ]
 
-let note_stats (s : engine_stats) =
-  List.iter (fun (c, field) -> Ledger.add c (field s)) engine_counters
+let engine_counters =
+  cached_counters
+  @ counters_of
+      [
+        ("periods_forwarded", fun s -> s.periods_forwarded);
+        ("cycles_forwarded", fun s -> s.cycles_forwarded);
+      ]
+
+let add_counters counters (s : engine_stats) =
+  List.iter (fun (c, field) -> Ledger.add c (field s)) counters
+
+let note_stats = add_counters cached_counters
 
 let engine_stats_of (l : Ledger.t) =
   match List.map (fun (c, _) -> Ledger.get l c) engine_counters with
   | [ cycles_stepped; cycles_skipped; sm_steps; sm_steps_skipped;
-      scan_skip_hits; warp_allocs; warp_reuses ] ->
+      scan_skip_hits; warp_allocs; warp_reuses; periods_forwarded;
+      cycles_forwarded ] ->
       { cycles_stepped; cycles_skipped; sm_steps; sm_steps_skipped;
-        scan_skip_hits; warp_allocs; warp_reuses }
+        scan_skip_hits; warp_allocs; warp_reuses; periods_forwarded;
+        cycles_forwarded }
   | _ -> assert false
 
 let pp_engine_stats ppf (s : engine_stats) =
   let pct a b = if b = 0 then 0.0 else 100.0 *. float_of_int a /. float_of_int b in
-  let cycles = s.cycles_stepped + s.cycles_skipped in
+  let cycles = s.cycles_stepped + s.cycles_skipped + s.cycles_forwarded in
   let sm_cycles = s.sm_steps + s.sm_steps_skipped in
   Fmt.pf ppf
-    "cycles %d (%d stepped, %d skipped = %.1f%%); SM-steps %d (%d skipped = \
-     %.1f%%, %d scan-skip hits); warps %d alloc + %d reused"
+    "cycles %d (%d stepped, %d skipped = %.1f%%, %d forwarded in %d periods \
+     = %.1f%%); SM-steps %d (%d skipped = %.1f%%, %d scan-skip hits); warps \
+     %d alloc + %d reused"
     cycles s.cycles_stepped s.cycles_skipped
     (pct s.cycles_skipped cycles)
+    s.cycles_forwarded s.periods_forwarded
+    (pct s.cycles_forwarded cycles)
     s.sm_steps s.sm_steps_skipped
     (pct s.sm_steps_skipped sm_cycles)
     s.scan_skip_hits s.warp_allocs s.warp_reuses
@@ -338,12 +359,14 @@ type wtrace = {
   wt_facts : Bytes.t;  (** per-instruction {!facts_of} *)
   wt_len : int;
   wt_threads : int;  (** live threads in this warp *)
+  wt_id : int;  (** distinct per template of the run *)
 }
 
 type warp = {
   mutable w_kernel : int;  (** index into specs *)
   mutable w_block_uid : int;  (** unique block instance id (barrier scope) *)
   mutable w_threads : int;  (** live threads in this warp *)
+  mutable w_tmpl : int;  (** its template's [wt_id] *)
   mutable codes : int array;
   mutable payloads : int array;
   mutable facts : Bytes.t;
@@ -447,10 +470,13 @@ type sm = {
       (** cached stall class for the scan-skip window (0 idle, 1 sync,
           2 mem, 3 other) *)
   sched_gen : int array;  (** generation at which sched_next_try was set *)
+  sched_mshr : bool array;
+      (** the window holds a warp blocked on MSHR capacity *)
   mutable sm_gen : int;
       (** bumped whenever eligibility can change other than by a warp's
           own latency or a pipe's release: barrier release, block
-          dispatch, in-flight capacity freed by a drain *)
+          dispatch, in-flight capacity freed by a drain while a window
+          holds an MSHR-blocked warp *)
   mutable gmem_inflight : int;
   mutable gmem_next_complete : int;
       (** earliest completion cycle across the three calendar queues *)
@@ -526,8 +552,14 @@ let drain_gmem sm ~now =
     and c = evq_head_time sm.q_lmem in
     let ab = if a < b then a else b in
     sm.gmem_next_complete <- (if ab < c then ab else c);
-    (* in-flight capacity freed: MSHR-blocked warps may clear *)
-    sm.sm_gen <- sm.sm_gen + 1
+    (* In-flight capacity freed: MSHR-blocked warps may clear.  That is
+       all a drain changes that a window depends on, so only a window
+       holding such a warp is dropped. *)
+    let mshr = ref false in
+    for s = 0 to Array.length sm.sched_mshr - 1 do
+      if sm.sched_mshr.(s) && sm.sched_gen.(s) = sm.sm_gen then mshr := true
+    done;
+    if !mshr then sm.sm_gen <- sm.sm_gen + 1
   end
 
 (* Earliest cycle at which ready warp [w]'s next instruction could
@@ -595,6 +627,19 @@ type run_stats = {
   mutable s_scan_skip_hits : int;
   mutable s_warp_allocs : int;
   mutable s_warp_reuses : int;
+  mutable s_periods_forwarded : int;
+  mutable s_cycles_forwarded : int;
+}
+
+(* One remembered dispatch point of the recurrence search: the machine
+   state relative to its cycle, and the counters the period from it
+   would advance. *)
+type snapshot = {
+  mutable r_hash : int;
+  mutable r_cycle : int;
+  mutable r_state : int array;
+  mutable r_len : int;  (** -1: empty slot *)
+  r_ctr : int array;
 }
 
 let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
@@ -629,10 +674,13 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
       s_scan_skip_hits = 0;
       s_warp_allocs = 0;
       s_warp_reuses = 0;
+      s_periods_forwarded = 0;
+      s_cycles_forwarded = 0;
     }
   in
   (* interned per-warp templates: one per (kernel, trace block, warp),
      shared by all block instances of that kernel *)
+  let n_templates = ref 0 in
   let templates =
     Array.map
       (fun s ->
@@ -653,6 +701,7 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
                   wt_facts = facts;
                   wt_len = t.Trace.len;
                   wt_threads = max 1 live;
+                  wt_id = (incr n_templates; !n_templates);
                 })
               traces)
           s.block_traces)
@@ -707,6 +756,7 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
       sched_next_try = Array.make nsched 0;
       sched_stall_class = Array.make nsched 0;
       sched_gen = Array.make nsched (-1);
+      sched_mshr = Array.make nsched false;
       sm_gen = 0;
       gmem_inflight = 0;
       gmem_next_complete = max_int;
@@ -756,6 +806,7 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
   in
   let block_uid = ref 0 in
   let live_blocks = ref 0 in
+  let dispatched = ref false in
   let reg_granule r =
     let g = limits.Hfuse_core.Occupancy.reg_alloc_granularity in
     max g ((r + g - 1) / g * g)
@@ -806,6 +857,7 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
         w.w_kernel <- kernel;
         w.w_block_uid <- uid;
         w.w_threads <- wt.wt_threads;
+        w.w_tmpl <- wt.wt_id;
         w.codes <- wt.wt_codes;
         w.payloads <- wt.wt_payloads;
         w.facts <- wt.wt_facts;
@@ -826,6 +878,7 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
           w_kernel = kernel;
           w_block_uid = uid;
           w_threads = wt.wt_threads;
+          w_tmpl = wt.wt_id;
           codes = wt.wt_codes;
           payloads = wt.wt_payloads;
           facts = wt.wt_facts;
@@ -872,6 +925,7 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
     let s = specs_a.(k) in
     let uid = !block_uid in
     incr block_uid;
+    dispatched := true;
     live_blocks := !live_blocks + sm.members;
     let t = b mod Array.length templates.(k) in
     log_push sm ((k lsl 20) lor t);
@@ -973,6 +1027,7 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
           wt_facts = w.facts;
           wt_len = w.len;
           wt_threads = w.w_threads;
+          wt_id = w.w_tmpl;
         }
         ~kernel:w.w_kernel ~uid:w.w_block_uid ~cycle:0
     in
@@ -1028,6 +1083,7 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
       sched_next_try = Array.copy sm.sched_next_try;
       sched_stall_class = Array.copy sm.sched_stall_class;
       sched_gen = Array.copy sm.sched_gen;
+      sched_mshr = Array.copy sm.sched_mshr;
       q_gmem = copy_q sm.q_gmem;
       q_l1 = copy_q sm.q_l1;
       q_lmem = copy_q sm.q_lmem;
@@ -1139,6 +1195,7 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
     dispatch !classes.(i) ~sched:(-1) ~cycle:0
   done;
   merge_split ~cycle:(-1);
+  dispatched := false;
   (* issue one instruction of [w] on [sm]/[sched]; assumes eligibility *)
   let issue sm sched (w : warp) ~now =
     let code = ref 0 and payload = ref 0 in
@@ -1302,7 +1359,7 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
          none *)
       let found = ref (-1) and i = ref p.prr and k = ref 0 in
       let all_barrier = ref true and any_mem = ref false in
-      let next = ref max_int in
+      let next = ref max_int and mshr = ref false in
       while !found < 0 && !k < pn do
         let w = parr.(!i) in
         (* a pool holds ready and barrier warps only: a warp is
@@ -1313,6 +1370,7 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
           else begin
             all_barrier := false;
             if b < !next then next := b;
+            if b = max_int then mshr := true;
             if
               w.last_was_mem
               || w.pc < w.len
@@ -1340,6 +1398,7 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
           else 3
         in
         sm.sched_next_try.(sched) <- !next;
+        sm.sched_mshr.(sched) <- !mshr;
         sm.sched_stall_class.(sched) <- cls;
         sm.sched_gen.(sched) <- sm.sm_gen;
         cls
@@ -1408,6 +1467,257 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
     c.resident_warp_cycles <- c.resident_warp_cycles + (c.a_res * n)
   in
   let all_warps_done () = !live_blocks = 0 && Array.for_all q_empty queues in
+  let max_cycles = 2_000_000_000 in
+  (* Temporal symmetry.  At the end of a cycle that dispatched, while
+     the Fifo head kernel replays one template and more than
+     [sms * cap] of its blocks are queued, the machine state relative
+     to [now] is written to [dbuf]: per class its members, blocks,
+     pools, round-robin cursors, pipes and issue ports (a time at or
+     before [now] reads as 0: every use takes [imax now]), MSHR count,
+     completion queues, barrier table and per-cycle contribution; per
+     warp its template, block, pc, ready time, state, scoreboard ring
+     and spill counters.  Block uids are written relative to the next
+     uid.  The queue heads are written, their cursors are not; cached
+     windows and wakes are left out, since they only decide when a
+     class is stepped, never what a step finds.
+
+     When the state recurs from a remembered dispatch point [p] cycles
+     back, the run from it repeats the run from there shifted by [p],
+     as long as every dispatch pops the same blocks: the head kernel
+     keeps more than [sms * cap] blocks queued, so rule 1 holds at
+     every dispatch point and no class splits.  Whole periods are then
+     added at once: each adds the period's counter deltas, and every
+     absolute time moves by [p]. *)
+  let dbuf = ref (Array.make 1024 0) and dlen = ref 0 in
+  let emit x =
+    if !dlen = Array.length !dbuf then begin
+      let a = Array.make (2 * !dlen) 0 in
+      Array.blit !dbuf 0 a 0 !dlen;
+      dbuf := a
+    end;
+    !dbuf.(!dlen) <- x;
+    incr dlen
+  in
+  let since now x = if x > now then x - now else 0 in
+  let digest_state h ~now =
+    dlen := 0;
+    emit h;
+    emit queues.(h).ki;
+    emit !ncls;
+    for i = 0 to !ncls - 1 do
+      let sm = !classes.(i) in
+      emit sm.members;
+      emit sm.resident;
+      emit (sm.warp_seq mod nsched);
+      emit sm.regs_used;
+      emit sm.smem_used;
+      emit sm.threads_used;
+      emit sm.c_idle;
+      emit sm.c_sync;
+      emit sm.c_mem;
+      emit sm.c_other;
+      emit sm.c_res;
+      emit (since now sm.lsu_free_at);
+      emit (since now sm.smem_free_at);
+      emit (since now sm.sfu_free_at);
+      emit (since now sm.gmem_bw_free_at);
+      Array.iter (fun x -> emit (since now x)) sm.sched_free_at;
+      emit sm.gmem_inflight;
+      List.iter
+        (fun q ->
+          emit q.q_n;
+          for j = 0 to q.q_n - 1 do
+            let j = (q.q_head + j) land (Array.length q.q_times - 1) in
+            emit (q.q_times.(j) - now);
+            emit q.q_counts.(j)
+          done)
+        [ sm.q_gmem; sm.q_l1; sm.q_lmem ];
+      emit (List.length sm.blocks);
+      List.iter
+        (fun b ->
+          emit (b.b_uid - !block_uid);
+          emit b.b_kernel;
+          emit b.b_warps_left)
+        sm.blocks;
+      Array.iter
+        (fun p ->
+          emit p.pn;
+          emit p.prr;
+          for j = 0 to p.pn - 1 do
+            let w = p.parr.(j) in
+            emit w.w_tmpl;
+            emit (w.w_block_uid - !block_uid);
+            emit w.pc;
+            emit (w.ready_at - now);
+            emit w.state;
+            emit (Bool.to_int w.last_was_mem);
+            emit w.icount;
+            emit w.pend_n;
+            for e = 0 to w.pend_n - 1 do
+              let e = (w.pend_head + e) mod Array.length w.pend_ready in
+              emit (w.pend_ready.(e) - now);
+              emit (w.pend_use.(e) - w.icount)
+            done;
+            emit w.spill_counter;
+            emit w.pending_spill
+          done)
+        sm.pools;
+      (* the table's order is its hashing's: sort it *)
+      Hashtbl.fold
+        (fun (uid, id) (arrived, waiters) acc ->
+          (uid - !block_uid, id, arrived, List.length waiters) :: acc)
+        sm.barriers []
+      |> List.sort compare
+      |> List.iter (fun (uid, id, arrived, n) ->
+             emit uid;
+             emit id;
+             emit arrived;
+             emit n)
+    done;
+    let x = ref 0 in
+    for j = 0 to !dlen - 1 do
+      x := (!x * 0x100000001b3) lxor !dbuf.(j)
+    done;
+    !x
+  in
+  (* the counters a period advances: issue and slot counts, block uids,
+     the head queue's cursor, then per kernel its issued count and last
+     completion *)
+  let n_ctr = 9 + (2 * nk) in
+  let read_counters h (a : int array) =
+    a.(0) <- c.issued;
+    a.(1) <- c.mem_stall;
+    a.(2) <- c.sync_stall;
+    a.(3) <- c.other_stall;
+    a.(4) <- c.idle;
+    a.(5) <- c.resident_warp_cycles;
+    a.(6) <- !busy_slots;
+    a.(7) <- !block_uid;
+    a.(8) <- queues.(h).next;
+    Array.blit c.issued_per_kernel 0 a 9 nk;
+    Array.blit c.last_complete 0 a (9 + nk) nk
+  in
+  let ctr = Array.make n_ctr 0 in
+  (* advance [k] periods of [p] cycles whose counters moved from [before]
+     to [ctr]: [k * p] cycles *)
+  let forward h ~k ~p (before : int array) =
+    let d = k * p in
+    let step i = k * (ctr.(i) - before.(i)) in
+    c.issued <- c.issued + step 0;
+    c.mem_stall <- c.mem_stall + step 1;
+    c.sync_stall <- c.sync_stall + step 2;
+    c.other_stall <- c.other_stall + step 3;
+    c.idle <- c.idle + step 4;
+    c.resident_warp_cycles <- c.resident_warp_cycles + step 5;
+    busy_slots := !busy_slots + step 6;
+    block_uid := !block_uid + step 7;
+    queues.(h).next <- queues.(h).next + step 8;
+    for x = 0 to nk - 1 do
+      c.issued_per_kernel.(x) <- c.issued_per_kernel.(x) + step (9 + x);
+      if ctr.(9 + nk + x) <> before.(9 + nk + x) then
+        c.last_complete.(x) <- c.last_complete.(x) + d
+    done;
+    let shift x = if x = max_int then x else x + d in
+    for i = 0 to !ncls - 1 do
+      let sm = !classes.(i) in
+      sm.lsu_free_at <- sm.lsu_free_at + d;
+      sm.smem_free_at <- sm.smem_free_at + d;
+      sm.sfu_free_at <- sm.sfu_free_at + d;
+      sm.gmem_bw_free_at <- sm.gmem_bw_free_at + d;
+      Array.iteri (fun s x -> sm.sched_free_at.(s) <- x + d) sm.sched_free_at;
+      List.iter
+        (fun q ->
+          for j = 0 to q.q_n - 1 do
+            let j = (q.q_head + j) land (Array.length q.q_times - 1) in
+            q.q_times.(j) <- q.q_times.(j) + d
+          done)
+        [ sm.q_gmem; sm.q_l1; sm.q_lmem ];
+      sm.gmem_next_complete <- shift sm.gmem_next_complete;
+      sm.sm_wake <- shift sm.sm_wake;
+      (* every scheduler window is dropped *)
+      sm.sm_gen <- sm.sm_gen + 1;
+      Array.iter
+        (fun p ->
+          for j = 0 to p.pn - 1 do
+            let w = p.parr.(j) in
+            w.ready_at <- w.ready_at + d;
+            Array.iteri (fun e x -> w.pend_ready.(e) <- x + d) w.pend_ready
+          done)
+        sm.pools
+    done;
+    st.s_periods_forwarded <- st.s_periods_forwarded + k;
+    st.s_cycles_forwarded <- st.s_cycles_forwarded + d
+  in
+  (* the last dispatch points, newest at [ring_pos - 1] *)
+  let ring_size = 64 in
+  let ring =
+    Array.init ring_size (fun _ ->
+        { r_hash = 0; r_cycle = 0; r_state = [||]; r_len = -1;
+          r_ctr = Array.make n_ctr 0 })
+  in
+  let ring_pos = ref 0 in
+  let same_state r =
+    r.r_len = !dlen
+    &&
+    let j = ref 0 in
+    while !j < !dlen && r.r_state.(!j) = !dbuf.(!j) do
+      incr j
+    done;
+    !j = !dlen
+  in
+  (* The end of a cycle that dispatched: remember the state, or advance
+     the whole periods it repeats; returns the cycles advanced. *)
+  let recur ~now =
+    match policy with
+    | Leftover -> 0
+    | Fifo ->
+        let h = fifo_head () in
+        if h < 0 then 0
+        else begin
+          let q = queues.(h) in
+          let k = q.kernels.(q.ki) in
+          let threshold = arch.sms * cap.(k) in
+          let queued = specs_a.(k).grid - q.next in
+          if not (one_template.(k) && queued > threshold) then 0
+          else begin
+            let hash = digest_state h ~now in
+            read_counters h ctr;
+            let found = ref (-1) and i = ref 1 in
+            while !found < 0 && !i <= ring_size do
+              let r = ring.((!ring_pos - !i + ring_size) mod ring_size) in
+              if r.r_len >= 0 && r.r_hash = hash && same_state r then
+                found := (!ring_pos - !i + ring_size) mod ring_size;
+              incr i
+            done;
+            if !found >= 0 then begin
+              let r = ring.(!found) in
+              let p = now - r.r_cycle and b = ctr.(8) - r.r_ctr.(8) in
+              (* every skipped period leaves more than [threshold] queued *)
+              let periods =
+                min ((queued - threshold - 1) / b) ((max_cycles - now) / p)
+              in
+              if periods <= 0 then 0
+              else begin
+                forward h ~k:periods ~p r.r_ctr;
+                Array.iter (fun r -> r.r_len <- -1) ring;
+                periods * p
+              end
+            end
+            else begin
+              let r = ring.(!ring_pos) in
+              ring_pos := (!ring_pos + 1) mod ring_size;
+              if Array.length r.r_state < !dlen then
+                r.r_state <- Array.make (Array.length !dbuf) 0;
+              Array.blit !dbuf 0 r.r_state 0 !dlen;
+              r.r_len <- !dlen;
+              r.r_hash <- hash;
+              r.r_cycle <- now;
+              Array.blit ctr 0 r.r_ctr 0 n_ctr;
+              0
+            end
+          end
+        end
+  in
   (* The reference loop also wakes at pipe releases and issue-port
      completions nobody waits on, so it sees a deadlock only after the
      last of them: report that cycle, as it does. *)
@@ -1430,7 +1740,6 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
     done;
     !t
   in
-  let max_cycles = 2_000_000_000 in
   let cycle = ref 0 in
   let finished = ref false in
   while not !finished do
@@ -1457,6 +1766,15 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
         merge_split ~cycle:now
       end;
       charge 1;
+      if !dispatched then begin
+        dispatched := false;
+        let d = recur ~now in
+        if d > 0 then begin
+          cycle := now + d;
+          if !t < max_int then t := !t + d
+        end
+      end;
+      let now = !cycle in
       if !t = max_int then begin
         if all_warps_done () then finished := true
         else
@@ -1507,9 +1825,11 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
       scan_skip_hits = st.s_scan_skip_hits;
       warp_allocs = st.s_warp_allocs;
       warp_reuses = st.s_warp_reuses;
+      periods_forwarded = st.s_periods_forwarded;
+      cycles_forwarded = st.s_cycles_forwarded;
     }
   in
-  note_stats stats;
+  add_counters engine_counters stats;
   ( {
       elapsed_cycles = elapsed;
       time_ms;

@@ -93,6 +93,11 @@ type engine_stats = {
           (latency or structural miss) instead of a pool scan *)
   warp_allocs : int;  (** warp records freshly allocated *)
   warp_reuses : int;  (** warp records recycled from the free list *)
+  periods_forwarded : int;
+      (** whole periods of a repeating wave advanced without stepping *)
+  cycles_forwarded : int;
+      (** the cycles those periods span; stepped, skipped and forwarded
+          cycles sum to the elapsed cycles *)
 }
 
 val pp_engine_stats : Format.formatter -> engine_stats -> unit
@@ -113,9 +118,11 @@ val run_with_stats :
   ?policy:dispatch_policy -> Arch.t -> launch_spec list -> report * engine_stats
 
 (** Add [s] to the current ledger's [engine] section, as {!run} does
-    with its own stats.  For callers that satisfy a replay from a cache
-    but still count the producing replay's engine work (the profiler's
-    report cache stores each report's stats alongside it). *)
+    with its own stats, but for the forwarded periods and cycles, which
+    only a fresh replay counts.  For callers that satisfy a replay from
+    a cache but still count the producing replay's engine work (the
+    profiler's report cache stores each report's stats alongside it,
+    without the forwarded counts). *)
 val note_stats : engine_stats -> unit
 
 (** A ledger's [engine] section. *)

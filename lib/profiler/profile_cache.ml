@@ -213,7 +213,7 @@ let report_key ~(arch : string) ~(policy : string)
      line 1: the 11 top-level report fields, floats as %h
      line 2: kernel count N
      N lines: label NUL elapsed issued blocks_per_sm
-     last:    the 7 engine_stats counters
+     last:    the 7 engine_stats counters a cached report carries
    Also the checkpoint journal's report payload. *)
 
 let encode_report
@@ -292,6 +292,9 @@ let decode_report (s : string) :
           scan_skip_hits = int_of_string sc;
           warp_allocs = int_of_string wa;
           warp_reuses = int_of_string wr;
+          (* only a fresh replay counts what it forwarded *)
+          periods_forwarded = 0;
+          cycles_forwarded = 0;
         }
     | _ -> failwith "report stats line"
   in

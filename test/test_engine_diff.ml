@@ -222,11 +222,12 @@ let gen_instr : Instr.t QCheck.Gen.t =
    A third of the grids span one to several waves and some kernels
    trace two blocks, so kernel boundaries and wave tails fall inside a
    dispatch and split the engine's SM classes.  With [~waves:true] the
-   kernel traces one block and its grid spans 10 to 14 waves on either
-   arch, long enough for the engine to fast-forward repeating waves. *)
+   kernel has 8 to 32 warps, traces one block and its grid spans 10 to
+   14 waves on either arch: about a third of such launches repeat long
+   enough for the engine to fast-forward whole periods. *)
 let gen_kernel ?(waves = false) (idx : int) : Timing.launch_spec QCheck.Gen.t =
   let open QCheck.Gen in
-  int_range 1 8 >>= fun n_warps ->
+  (if waves then int_range 8 32 else int_range 1 8) >>= fun n_warps ->
   frequency [ (2, int_range 1 6); (1, int_range 7 120) ] >>= fun grid ->
   frequency [ (3, return 1); (1, return 2) ] >>= fun n_blocks ->
   oneofl [ 32; 40; 64; 96 ] >>= fun regs ->

@@ -206,6 +206,9 @@ let mk_engine_stats () : Timing.engine_stats =
     scan_skip_hits = 5;
     warp_allocs = 6;
     warp_reuses = 7;
+    (* not persisted: a cached report's stats read them as 0 *)
+    periods_forwarded = 0;
+    cycles_forwarded = 0;
   }
 
 let test_report_cache_roundtrip () =

@@ -339,35 +339,33 @@ let fleet_cases () : (string * string) list =
 (* Multi-wave grids at the edges of a fast-forward: a queue that
    empties partway through a period or before a second one, spill, a
    kernel queued behind the waves, Leftover dispatch, and two traced
-   blocks per kernel. *)
+   blocks per kernel.  Their 1024-thread blocks fit two to an SM, so a
+   wave is 8 blocks on the 1080Ti and 16 on the V100, and the Fifo
+   waves of one template repeat. *)
 let wave_launches :
     (string * Timing.dispatch_policy * Timing.launch_spec list) list =
-  (* 256-thread blocks of 32 registers: 8 per SM, a wave of 32 blocks
-     on the 1080Ti and 64 on the V100 *)
-  let waves ?regs ?spill ~label ~grid ~stream () =
-    kernel ?regs ?spill ~label ~grid ~threads:256 ~stream [ warps 8 loady ]
+  let waves ?spill ~grid ~stream () =
+    kernel ?spill ~label:"w" ~grid ~threads:1024 ~stream [ warps 32 loady ]
   in
   [
-    ("mid-period", Timing.Fifo, [ waves ~label:"w" ~grid:461 ~stream:0 () ]);
-    ("short-queue", Timing.Fifo, [ waves ~label:"w" ~grid:75 ~stream:0 () ]);
-    ( "spill",
-      Timing.Fifo,
-      [ waves ~regs:64 ~spill:24 ~label:"w" ~grid:397 ~stream:0 () ] );
+    ("mid-period", Timing.Fifo, [ waves ~grid:203 ~stream:0 () ]);
+    ("short-queue", Timing.Fifo, [ waves ~grid:25 ~stream:0 () ]);
+    ("spill", Timing.Fifo, [ waves ~spill:8 ~grid:203 ~stream:0 () ]);
     ( "then-kernel",
       Timing.Fifo,
-      [ waves ~label:"w" ~grid:389 ~stream:0 ();
+      [ waves ~grid:203 ~stream:0 ();
         kernel ~label:"k" ~grid:29 ~threads:256 ~smem:8192 ~stream:0
           [ warps 8 shared ] ] );
     ( "leftover",
       Timing.Leftover,
-      [ waves ~label:"w" ~grid:421 ~stream:0 ();
+      [ waves ~grid:203 ~stream:0 ();
         kernel ~label:"k" ~grid:23 ~threads:128 ~stream:1 [ warps 4 shared ] ]
     );
     ( "two-templates",
       Timing.Fifo,
       [
-        kernel ~label:"t" ~grid:409 ~threads:256 ~stream:0
-          [ warps 8 loady; warps 8 (fun i -> loady (i + 3) @ alus 9) ];
+        kernel ~label:"t" ~grid:203 ~threads:1024 ~stream:0
+          [ warps 32 loady; warps 32 (fun i -> loady (i + 3) @ alus 9) ];
       ] );
   ]
 
@@ -453,9 +451,48 @@ let test_classes_engaged () =
        per_cycle es.Timing.cycles_stepped)
     true (per_cycle <= 1.2)
 
+(* Repeating waves are advanced whole periods at a time.  Upsample+gen026's
+   unbounded fused candidate runs 44,425 cycles on the 1080Ti; stepping
+   every wave visited 38,329 of them, and from cycle 3,702 its state
+   repeats every 1,851 cycles.  A grid whose queue runs dry before a
+   second period, Leftover dispatch and two traced blocks are stepped
+   to the end. *)
+let test_waves_fast_forward () =
+  let c1, c2 = fleet_pair "Upsample" "gen026" in
+  let a = Arch.gtx1080ti in
+  let f =
+    match unbounded_candidates a c1 c2 with
+    | [ f ] -> f
+    | fs -> Alcotest.failf "%d unbounded candidates" (List.length fs)
+  in
+  let r, es = Timing.run_with_stats a [ fused_spec ~settings c1 c2 f ] in
+  Alcotest.(check int) "elapsed cycles" 44_425 r.Timing.elapsed_cycles;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d cycles stepped, %d forwarded in %d periods"
+       es.Timing.cycles_stepped es.Timing.cycles_forwarded
+       es.Timing.periods_forwarded)
+    true
+    (2 * es.Timing.cycles_stepped < 38_329);
+  Alcotest.(check int) "cycles add up" r.Timing.elapsed_cycles
+    (es.Timing.cycles_stepped + es.Timing.cycles_skipped
+   + es.Timing.cycles_forwarded);
+  (* the wave launches cross a fast-forward where one may occur *)
+  List.iter
+    (fun (a : Arch.t) ->
+      List.iter
+        (fun (name, policy, specs) ->
+          let _, es = Timing.run_with_stats ~policy a specs in
+          Alcotest.(check bool)
+            (Printf.sprintf "waves/%s/%s forwards" name a.name)
+            (List.mem name [ "mid-period"; "spill"; "then-kernel" ])
+            (es.Timing.cycles_forwarded > 0))
+        wave_launches)
+    arches
+
 let suite =
   [
     Alcotest.test_case "golden replay digests" `Quick test_golden_replays;
+    Alcotest.test_case "waves fast-forward" `Quick test_waves_fast_forward;
     Alcotest.test_case "hot loop allocation" `Quick test_hot_loop_allocation;
     Alcotest.test_case "SM classes engaged" `Quick test_classes_engaged;
   ]
