@@ -399,22 +399,12 @@ let run_via_server (cfg : config) ~socket (p : pair) : row * Json.t option =
   | Ok (Protocol.Result { exit_code; _ }) ->
       write_repro cfg p ~detail:(Printf.sprintf "daemon exit_code %d" exit_code);
       (status_row p "failed", None)
+  | Ok (Protocol.Failure { code; _ })
+    when code = Protocol.code_name Protocol.Rejected ->
+      (status_row p "rejected", None)
   | Ok (Protocol.Failure { message; _ }) ->
-      let rejected =
-        (* the daemon serialises the exception; classify it the same
-           way the local path's handler does *)
-        let sub = "No_valid_partition" in
-        let n = String.length message and m = String.length sub in
-        let rec has i =
-          i + m <= n && (String.sub message i m = sub || has (i + 1))
-        in
-        has 0
-      in
-      if rejected then (status_row p "rejected", None)
-      else begin
-        write_repro cfg p ~detail:("daemon: " ^ message);
-        (status_row p "failed", None)
-      end
+      write_repro cfg p ~detail:("daemon: " ^ message);
+      (status_row p "failed", None)
   | Error msg -> failwith (Printf.sprintf "fleet: daemon transport: %s" msg)
 
 (* ------------------------------------------------------------------ *)

@@ -48,6 +48,7 @@ type error_code =
   | Unknown_verb
   | Overloaded
   | Shutting_down
+  | Rejected
   | Internal
 
 let code_name = function
@@ -57,6 +58,7 @@ let code_name = function
   | Unknown_verb -> "unknown_verb"
   | Overloaded -> "overloaded"
   | Shutting_down -> "shutting_down"
+  | Rejected -> "rejected"
   | Internal -> "internal"
 
 type response =

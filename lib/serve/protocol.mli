@@ -59,6 +59,10 @@ type error_code =
   | Unknown_verb
   | Overloaded  (** admission control: the daemon's queue is full *)
   | Shutting_down
+  | Rejected
+      (** a search the verifier refused at every partition: a verdict on
+          the pair, not a fault; the message names
+          [No_valid_partition] *)
   | Internal  (** an exception escaped the verb body *)
 
 val code_name : error_code -> string

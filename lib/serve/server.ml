@@ -209,6 +209,9 @@ let handle_line t ~send ~hold ~release (line : string) =
                   | o ->
                       record t ~id ~verb o;
                       Protocol.response_of_outcome ~id o
+                  | exception (Hfuse_core.Search.No_valid_partition _ as e) ->
+                      Protocol.failure ~id Protocol.Rejected
+                        (Printexc.to_string e)
                   | exception e ->
                       note_error t;
                       Protocol.failure ~id Protocol.Internal

@@ -947,8 +947,9 @@ let test_stats_count_rejected_requests () =
        }
    with
   | Protocol.Failure f ->
-      Alcotest.(check string) "rejected as an internal failure" "internal"
-        f.code
+      Alcotest.(check string) "rejected as a verdict" "rejected" f.code;
+      Alcotest.(check bool) "the message names the exception" true
+        (Test_util.contains f.message "No_valid_partition")
   | Protocol.Result _ -> Alcotest.fail "Hist+SHA256 was not rejected");
   let stats =
     expect_result
@@ -956,6 +957,8 @@ let test_stats_count_rejected_requests () =
          { id = "st"; priority = 0; settings = Protocol.no_overrides;
            verb = Protocol.Stats })
   in
+  Alcotest.(check bool) "a verdict is not an error" true
+    (J.member "errors" stats.rtel = Some (J.Int 0));
   Alcotest.(check (option int)) "stats search.rej_over-budget" (Some 1)
     (match
        Option.bind (J.member "search" stats.rtel) (J.member "rej_over-budget")
