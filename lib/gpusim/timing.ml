@@ -837,13 +837,15 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
         !n)
       specs_a
   in
-  (* kernels whose blocks all replay one template that stays resident
-     once dispatched (some warp has work) *)
-  let one_template =
+  (* kernels whose every block template stays resident once dispatched
+     (some warp has work), and those of them with one template *)
+  let resident =
     Array.map
-      (fun t ->
-        Array.length t = 1 && Array.exists (fun wt -> wt.wt_len > 0) t.(0))
+      (Array.for_all (fun b -> Array.exists (fun wt -> wt.wt_len > 0) b))
       templates
+  in
+  let one_template =
+    Array.mapi (fun k t -> resident.(k) && Array.length t = 1) templates
   in
   (* warp records (and their scoreboard rings) recycle through a free
      list: the grid dispatches thousands of block instances whose warps
@@ -1501,8 +1503,11 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
   let since now x = if x > now then x - now else 0 in
   let digest_state h ~now =
     dlen := 0;
+    let q = queues.(h) in
     emit h;
-    emit queues.(h).ki;
+    emit q.ki;
+    (* the template the next block replays *)
+    emit (q.next mod Array.length templates.(q.kernels.(q.ki)));
     emit !ncls;
     for i = 0 to !ncls - 1 do
       let sm = !classes.(i) in
@@ -1676,9 +1681,7 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
         else begin
           let q = queues.(h) in
           let k = q.kernels.(q.ki) in
-          let threshold = arch.sms * cap.(k) in
-          let queued = specs_a.(k).grid - q.next in
-          if not (one_template.(k) && queued > threshold) then 0
+          if not resident.(k) then 0
           else begin
             let hash = digest_state h ~now in
             read_counters h ctr;
@@ -1692,9 +1695,22 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
             if !found >= 0 then begin
               let r = ring.(!found) in
               let p = now - r.r_cycle and b = ctr.(8) - r.r_ctr.(8) in
-              (* every skipped period leaves more than [threshold] queued *)
+              (* The period's dispatch points saw between [queued] and
+                 [queued + b] blocks queued; a skipped one sees [b] fewer
+                 per period.  Rule 1 asks a class of [m > 1] members for
+                 more than [m * cap k]: every answer stays the same while
+                 no such threshold below [queued + b] is reached, and
+                 every pop while a block of [k] stays queued. *)
+              let queued = specs_a.(k).grid - q.next in
+              let floor = ref 0 in
+              if one_template.(k) then
+                for m = 2 to arch.sms do
+                  if m * cap.(k) < queued + b then floor := m * cap.(k)
+                done;
               let periods =
-                min ((queued - threshold - 1) / b) ((max_cycles - now) / p)
+                (* a period pops whole rounds of the templates *)
+                if b mod Array.length templates.(k) <> 0 then 0
+                else min ((queued - !floor - 1) / b) ((max_cycles - now) / p)
               in
               if periods <= 0 then 0
               else begin

@@ -222,9 +222,10 @@ let gen_instr : Instr.t QCheck.Gen.t =
    A third of the grids span one to several waves and some kernels
    trace two blocks, so kernel boundaries and wave tails fall inside a
    dispatch and split the engine's SM classes.  With [~waves:true] the
-   kernel has 8 to 32 warps, traces one block and its grid spans 10 to
-   14 waves on either arch: about a third of such launches repeat long
-   enough for the engine to fast-forward whole periods. *)
+   kernel has 8 to 32 warps and its grid spans 10 to 14 waves on either
+   arch: about a third of such launches, most of them of one traced
+   block, repeat long enough for the engine to fast-forward whole
+   periods. *)
 let gen_kernel ?(waves = false) (idx : int) : Timing.launch_spec QCheck.Gen.t =
   let open QCheck.Gen in
   (if waves then int_range 8 32 else int_range 1 8) >>= fun n_warps ->
@@ -240,16 +241,17 @@ let gen_kernel ?(waves = false) (idx : int) : Timing.launch_spec QCheck.Gen.t =
   int_range 10 14 >>= fun n_waves ->
   int_bound 100 >>= fun extra ->
   let threads = n_warps * 32 in
+  let per_sm (a : Arch.t) ~regs =
+    Hfuse_core.Occupancy.blocks_per_sm (Arch.sm_limits a) ~regs ~threads ~smem
+  in
+  (* a wave-spanning kernel fits, at 32 registers if need be *)
+  let regs = if waves && per_sm arch ~regs = 0 then 32 else regs in
   let grid, n_blocks =
     if not waves then (grid, n_blocks)
     else
-      let wave (a : Arch.t) =
-        a.Arch.sms
-        * Hfuse_core.Occupancy.blocks_per_sm (Arch.sm_limits a) ~regs ~threads
-            ~smem
-      in
+      let wave (a : Arch.t) = a.Arch.sms * per_sm a ~regs in
       let per_wave = max (wave arch) (wave Arch.v100) in
-      ((n_waves * per_wave) + (extra * per_wave / 100), 1)
+      ((n_waves * per_wave) + (extra * per_wave / 100), n_blocks)
   in
   let block =
     list_repeat n_warps (list_size (int_bound 30) gen_instr) >|= fun warps ->
@@ -301,7 +303,8 @@ let gen_with (kernels : Timing.launch_spec list QCheck.Gen.t) :
   frequency [ (3, return Timing.Fifo); (1, return Timing.Leftover) ]
   >>= fun policy -> kernels >|= fun specs -> (policy, specs)
 
-let gen_specs = gen_with (QCheck.Gen.frequency [ (3, gen_mixed); (1, gen_waves) ])
+let gen_specs =
+  gen_with (QCheck.Gen.frequency [ (3, gen_mixed); (1, gen_waves) ])
 
 let print_specs
     ((policy, specs) : Timing.dispatch_policy * Timing.launch_spec list) :

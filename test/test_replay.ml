@@ -454,9 +454,9 @@ let test_classes_engaged () =
 (* Repeating waves are advanced whole periods at a time.  Upsample+gen026's
    unbounded fused candidate runs 44,425 cycles on the 1080Ti; stepping
    every wave visited 38,329 of them, and from cycle 3,702 its state
-   repeats every 1,851 cycles.  A grid whose queue runs dry before a
-   second period, Leftover dispatch and two traced blocks are stepped
-   to the end. *)
+   repeats every 1,851 cycles.  Replayed from two traced blocks, its
+   waves repeat too.  A grid whose queue runs dry before a second
+   period and Leftover dispatch are stepped to the end. *)
 let test_waves_fast_forward () =
   let c1, c2 = fleet_pair "Upsample" "gen026" in
   let a = Arch.gtx1080ti in
@@ -476,6 +476,18 @@ let test_waves_fast_forward () =
   Alcotest.(check int) "cycles add up" r.Timing.elapsed_cycles
     (es.Timing.cycles_stepped + es.Timing.cycles_skipped
    + es.Timing.cycles_forwarded);
+  let settings2 =
+    Settings.resolve ~trace_blocks:2 ~sim_fuel:Launch.default_loop_fuel
+      ~trace_mem_mb:0 ~cache_dir:None ~fault:None ()
+  in
+  let _, es2 =
+    Timing.run_with_stats a [ fused_spec ~settings:settings2 c1 c2 f ]
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "two traced blocks: %d cycles forwarded"
+       es2.Timing.cycles_forwarded)
+    true
+    (es2.Timing.cycles_forwarded > 0);
   (* the wave launches cross a fast-forward where one may occur *)
   List.iter
     (fun (a : Arch.t) ->
