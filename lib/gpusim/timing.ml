@@ -74,9 +74,15 @@
      latency expiry of a waiting warp, the release of every pipe a
      structurally blocked warp needs, or "never" for a warp blocked on
      MSHRs — valid until that cycle or the next bump of [sm_gen]
-     (barrier release, block dispatch, drain).  A sleeping SM wakes at
+     (barrier release, block dispatch, a drain while a window holds an
+     MSHR-blocked warp).  A sleeping SM wakes at
      the least of its schedulers' bounds and its next memory
      completion, without rescanning its warps.
+   - Temporal symmetry.  A Fifo grid of many waves settles into waves
+     that repeat the last, shifted in time: when the machine state
+     relative to the cycle recurs at a dispatching cycle, whole periods
+     are added at once (see [recur] below).  The counterpart of SM
+     classes, across time instead of across SMs.
    - No allocation on the hot path: the main loop, the scheduler scan
      and [issue] run [for]/[while] loops over unboxed locals; barrier
      arrivals decode (id, count) directly from the packed payload;
@@ -1471,26 +1477,25 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
   let all_warps_done () = !live_blocks = 0 && Array.for_all q_empty queues in
   let max_cycles = 2_000_000_000 in
   (* Temporal symmetry.  At the end of a cycle that dispatched, while
-     the Fifo head kernel replays one template and more than
-     [sms * cap] of its blocks are queued, the machine state relative
-     to [now] is written to [dbuf]: per class its members, blocks,
-     pools, round-robin cursors, pipes and issue ports (a time at or
-     before [now] reads as 0: every use takes [imax now]), MSHR count,
-     completion queues, barrier table and per-cycle contribution; per
-     warp its template, block, pc, ready time, state, scoreboard ring
-     and spill counters.  Block uids are written relative to the next
-     uid.  The queue heads are written, their cursors are not; cached
-     windows and wakes are left out, since they only decide when a
-     class is stepped, never what a step finds.
+     the Fifo head kernel's block templates all have work, the machine
+     state relative to [now] is written to [dbuf]: the head queue, its
+     kernel and the template its next block replays (not the cursor);
+     per class its members, blocks, pools, round-robin cursors, pipes
+     and issue ports (a time at or before [now] reads as 0: every use
+     takes [imax now]), MSHR count, completion queues, barrier table
+     and per-cycle contribution; per warp its template, block, pc,
+     ready time, state, scoreboard ring and spill counters.  Block uids
+     are written relative to the next uid.  Cached windows, [sm_gen]
+     and wakes are left out: they only decide when a class is stepped,
+     never what a step finds.
 
      When the state recurs from a remembered dispatch point [p] cycles
-     back, the run from it repeats the run from there shifted by [p],
-     as long as every dispatch pops the same blocks: the head kernel
-     keeps more than [sms * cap] blocks queued, so rule 1 holds at
-     every dispatch point and no class splits.  Whole periods are then
-     added at once: each adds the period's counter deltas, and every
-     absolute time moves by [p]. *)
-  let dbuf = ref (Array.make 1024 0) and dlen = ref 0 in
+     back, the run from it repeats the run from there shifted by [p] as
+     long as every dispatch point pops as it did: the queue is the
+     only input the state leaves out.  Whole periods are then added at
+     once: each adds the period's counter deltas, and every absolute
+     time moves by [p]. *)
+  let dbuf = ref (Array.make 256 0) and dlen = ref 0 in
   let emit x =
     if !dlen = Array.length !dbuf then begin
       let a = Array.make (2 * !dlen) 0 in
@@ -1653,8 +1658,9 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
     st.s_periods_forwarded <- st.s_periods_forwarded + k;
     st.s_cycles_forwarded <- st.s_cycles_forwarded + d
   in
-  (* the last dispatch points, newest at [ring_pos - 1] *)
-  let ring_size = 64 in
+  (* the last dispatch points, newest at [ring_pos - 1]: in cold fig9
+     every recurrence lies within 14 of them *)
+  let ring_size = 16 in
   let ring =
     Array.init ring_size (fun _ ->
         { r_hash = 0; r_cycle = 0; r_state = [||]; r_len = -1;
@@ -1723,7 +1729,7 @@ let run_with_stats ?(policy = Fifo) (arch : Arch.t) (specs : launch_spec list)
               let r = ring.(!ring_pos) in
               ring_pos := (!ring_pos + 1) mod ring_size;
               if Array.length r.r_state < !dlen then
-                r.r_state <- Array.make (Array.length !dbuf) 0;
+                r.r_state <- Array.make !dlen 0;
               Array.blit !dbuf 0 r.r_state 0 !dlen;
               r.r_len <- !dlen;
               r.r_hash <- hash;

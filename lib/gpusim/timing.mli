@@ -19,9 +19,31 @@
     or an MSHR drain) — and an SM that provably cannot issue sleeps
     until the earliest of its windows and its next memory completion,
     while its constant stall/occupancy contribution is charged
-    arithmetically.  Reports are bit-identical to the reference
-    {!Timing_legacy} engine — the differential test suite enforces this
-    field-for-field, and committed golden digests pin full reports. *)
+    arithmetically.  A window stays valid until its cycle, a barrier
+    release, a block dispatch, or a drain of memory completions while
+    it holds a warp blocked on MSHR capacity: the in-flight count is
+    all a drain changes that a window depends on.
+
+    Repeating waves are advanced whole periods at a time.  At the end
+    of each cycle that dispatched, while the Fifo head kernel's block
+    templates all have work, the engine takes a digest of the machine
+    state relative to the cycle: every SM class's members, blocks,
+    pools and round-robin cursors; every warp's template, pc, ready
+    time, state, scoreboard ring and spill counters; pipe and
+    issue-port free times, the MSHR count and the completion queues;
+    the barrier table and the per-cycle stall and residency
+    contribution; the queue heads but not their cursors.  Cached
+    windows and wakes are left out, as they decide only when a class
+    is stepped, never what a step finds.  When a digest recurs after
+    [P] cycles and [B] dispatched blocks, whole periods are added at
+    once, each with the period's counter deltas and every absolute time
+    shifted by [P], as long as each would pop its blocks exactly as the
+    first did; then every scheduler window is dropped and the tail is
+    stepped.
+
+    Reports are bit-identical to the reference {!Timing_legacy} engine
+    — the differential test suite enforces this field-for-field, and
+    committed golden digests pin full reports. *)
 
 exception Timing_error of string
 
