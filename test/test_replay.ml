@@ -17,10 +17,13 @@
 open Gpusim
 open Hfuse_profiler
 
-(* fixed settings: no environment, no disk tiers *)
-let settings =
-  Settings.resolve ~trace_blocks:1 ~sim_fuel:Launch.default_loop_fuel
+(* fixed settings: no environment, no disk tiers; one or two traced
+   blocks per kernel *)
+let settings_tb tb =
+  Settings.resolve ~trace_blocks:tb ~sim_fuel:Launch.default_loop_fuel
     ~trace_mem_mb:0 ~cache_dir:None ~fault:None ()
+
+let settings = settings_tb 1
 
 let fingerprint (r : Timing.report) : string =
   let b = Buffer.create 256 in
@@ -261,10 +264,7 @@ let split_cases () : (string * string) list =
       arches
   in
   (* native pairs replayed from two traced blocks per kernel *)
-  let settings =
-    Settings.resolve ~trace_blocks:2 ~sim_fuel:Launch.default_loop_fuel
-      ~trace_mem_mb:0 ~cache_dir:None ~fault:None ()
-  in
+  let settings = settings_tb 2 in
   let mem = Memory.create () in
   let conf name =
     Runner.configure mem (Kernel_corpus.Registry.find_exn name) ~size:1
@@ -380,10 +380,7 @@ let wave_cases () : (string * string) list =
       arches
   in
   (* a recurring fused candidate replayed from two traced blocks *)
-  let settings =
-    Settings.resolve ~trace_blocks:2 ~sim_fuel:Launch.default_loop_fuel
-      ~trace_mem_mb:0 ~cache_dir:None ~fault:None ()
-  in
+  let settings = settings_tb 2 in
   let c1, c2 = fleet_pair "Upsample" "gen026" in
   let tb2 =
     List.concat_map
@@ -476,12 +473,8 @@ let test_waves_fast_forward () =
   Alcotest.(check int) "cycles add up" r.Timing.elapsed_cycles
     (es.Timing.cycles_stepped + es.Timing.cycles_skipped
    + es.Timing.cycles_forwarded);
-  let settings2 =
-    Settings.resolve ~trace_blocks:2 ~sim_fuel:Launch.default_loop_fuel
-      ~trace_mem_mb:0 ~cache_dir:None ~fault:None ()
-  in
   let _, es2 =
-    Timing.run_with_stats a [ fused_spec ~settings:settings2 c1 c2 f ]
+    Timing.run_with_stats a [ fused_spec ~settings:(settings_tb 2) c1 c2 f ]
   in
   Alcotest.(check bool)
     (Printf.sprintf "two traced blocks: %d cycles forwarded"
