@@ -37,11 +37,13 @@
    exhaustive; the model still scores every candidate and the search
    line / JSON report its rank agreement and worst regret.
 
-   Fault tolerance: [--resume] journals every profiled result to
-   _hfuse_cache/journal/<run_id>.jnl as it is produced, so a run killed
-   mid-figure (crash, SIGKILL, Ctrl-C) restarted with the same flags
-   replays the journal and recomputes only the remainder —
-   bit-identically to an uninterrupted run.  [--fault SPEC] (or
+   Fault tolerance: [--resume] without a cache profiles into the run's
+   own cache root _hfuse_cache/journal/<run_id>/, where every result
+   commits as it is produced, so a run killed mid-figure (crash,
+   SIGKILL, Ctrl-C) restarted with the same flags answers from that
+   root and recomputes only the remainder — bit-identically to an
+   uninterrupted run.  With a cache enabled, the cache serves the
+   resume.  [--fault SPEC] (or
    HFUSE_FAULT) arms the chaos harness, e.g.
    [--fault worker_crash:0.05,cache_corrupt:0.1,sim_hang:0.02]: faults
    are injected deterministically, recovered transparently, and tallied
@@ -54,8 +56,9 @@
    pairs.  [--via-server SOCKET] drives a live [hfuse serve] daemon
    with [-j] concurrent client threads instead of searching
    in-process; [--out DIR] writes .cu repros of failed pairs;
-   [--resume] journals finished rows (and candidate times) so a killed
-   shard resumes without recomputation.  Per-pair rows are
+   [--resume] journals finished rows (and, without a cache, profiles
+   into the shard's own root) so a killed shard resumes without
+   recomputation.  Per-pair rows are
    bit-identical across shard counts, [-j], cache temperature, chaos
    specs and daemon routing — the invariant [bench_gate --fleet]
    enforces; [--json] writes the BENCH_fleet.json it gates. *)
@@ -89,15 +92,9 @@ let pair_filter : (Spec.t * Spec.t) list option ref = ref None
 let default_top_k = Hfuse_costmodel.default_top_k
 let top_k : int option ref = ref None
 
-(* checkpoint/resume state: --resume opens one journal per figure,
-   identified by everything that shapes the figure's outputs (the pairs
-   spec, --full, --trace-blocks).  -j and --fault are deliberately
-   excluded: results are bit-identical across them, so a resume may
-   change either. *)
 let resume = ref false
 let raw_pairs = ref "all"
 let full_ref = ref false
-let active_checkpoint = ref Checkpoint.disabled
 
 (* fleet subcommand state: sharding, corpus cut, daemon routing *)
 let fleet_shards = ref 1
@@ -108,36 +105,25 @@ let fleet_server : string option ref = ref None
 let fleet_out : string option ref = ref None
 let fleet_repair = ref false
 
-let checkpoint_for ~(settings : Settings.t) (figure : string) : Checkpoint.t =
-  if not !resume then Checkpoint.disabled
-  else begin
-    let id =
-      Checkpoint.run_id ~sim_fuel:settings.sim_fuel
-        ~trace_blocks:settings.trace_blocks
-        ~parts:
-          [
-            figure;
-            !raw_pairs;
-            (if !full_ref then "full" else "short");
-            (match !top_k with
-            | None -> "exhaustive"
-            | Some k -> "top" ^ string_of_int k);
-          ]
-        ()
-    in
-    let ck = Checkpoint.open_ ~run_id:id () in
-    if Checkpoint.loaded ck > 0 then
-      say "[resume: replaying %d journaled result%s from %s]"
-        (Checkpoint.loaded ck)
-        (if Checkpoint.loaded ck = 1 then "" else "s")
-        (Checkpoint.path ck);
-    active_checkpoint := ck;
-    ck
-  end
-
-let finish_checkpoint () =
-  Checkpoint.close !active_checkpoint;
-  active_checkpoint := Checkpoint.disabled
+(* A resumable figure run's identity: the figures asked for and
+   everything that shapes their outputs (the pairs spec, --full,
+   --top-k, --trace-blocks, the fuel).  -j and --fault are deliberately
+   excluded: results are bit-identical across them, so a resume may
+   change either. *)
+let figure_run_id ~(settings : Settings.t) (scope : string list) : string =
+  Checkpoint.run_id ~sim_fuel:settings.sim_fuel
+    ~trace_blocks:settings.trace_blocks
+    ~parts:
+      [
+        "bench";
+        (match scope with [] -> "all" | figs -> String.concat "," figs);
+        !raw_pairs;
+        (if !full_ref then "full" else "short");
+        (match !top_k with
+        | None -> "exhaustive"
+        | Some k -> "top" ^ string_of_int k);
+      ]
+    ()
 
 (* chaos observability: how many faults the figure's run injected and
    recovered (the figures themselves must not change under any spec) *)
@@ -155,9 +141,8 @@ let chaos_report ~(settings : Settings.t) ledger =
    writes them beside the rows as BENCH_<name>.json. *)
 let run_figure ~(settings : Settings.t) ~cache ~searches name label run
     render json =
-  let checkpoint = checkpoint_for ~settings name in
   let t0 = Unix.gettimeofday () in
-  let rows, ledger = Ledger.run (fun () -> run ~checkpoint) in
+  let rows, ledger = Ledger.run run in
   let wall = Unix.gettimeofday () -. t0 in
   say "[%s: %.1fs]" label wall;
   if searches then
@@ -165,7 +150,6 @@ let run_figure ~(settings : Settings.t) ~cache ~searches name label run
   say "[engine: %s]"
     (Fmt.str "%a" Gpusim.Timing.pp_engine_stats
        (Gpusim.Timing.engine_stats_of ledger));
-  finish_checkpoint ();
   print_string (render rows);
   chaos_report ~settings ledger;
   if !json_out then begin
@@ -201,24 +185,23 @@ let multipliers ~full =
 let run_fig7 ~settings ~cache ~full () =
   section "Figure 7: speedup vs execution-time ratio (16 pairs x 2 GPUs)";
   run_figure ~settings ~cache ~searches:true "fig7" "figure 7"
-    (fun ~checkpoint ->
+    (fun () ->
       Experiment.figure7 ~multipliers:(multipliers ~full) ~jobs:!jobs ~settings
-        ~cache ~checkpoint ?top_k:!top_k ?pairs:!pair_filter ())
+        ~cache ?top_k:!top_k ?pairs:!pair_filter ())
     Report.figure7_to_string Report.figure7_json
 
 let run_fig8 ~settings ~cache () =
   section "Figure 8: metrics of individual kernels";
   run_figure ~settings ~cache ~searches:false "fig8" "figure 8"
-    (fun ~checkpoint ->
-      Experiment.figure8 ~jobs:!jobs ~settings ~cache ~checkpoint ())
+    (fun () -> Experiment.figure8 ~jobs:!jobs ~settings ~cache ())
     Report.figure8_to_string Report.figure8_json
 
 let run_fig9 ~settings ~cache () =
   section "Figure 9: metrics of HFuse fused kernels (RegCap / N-RegCap)";
   run_figure ~settings ~cache ~searches:true "fig9" "figure 9"
-    (fun ~checkpoint ->
-      Experiment.figure9 ~jobs:!jobs ~settings ~cache ~checkpoint
-        ?top_k:!top_k ?pairs:!pair_filter ())
+    (fun () ->
+      Experiment.figure9 ~jobs:!jobs ~settings ~cache ?top_k:!top_k
+        ?pairs:!pair_filter ())
     Report.figure9_to_string Report.figure9_json
 
 (* ------------------------------------------------------------------ *)
@@ -654,7 +637,14 @@ let () =
     | [] -> []
   in
   let args = parse_flags args in
+  (* --resume: a figure run without a cache profiles into its own root;
+     the fleet names its own ({!Fleet.run_id}) *)
   let settings = !settings in
+  let settings =
+    if !resume && args <> [ "fleet" ] then
+      Settings.resumable settings ~run_id:(figure_run_id ~settings args)
+    else settings
+  in
   (* one cache handle for the whole run, so its counters span figures *)
   let cache = Settings.cache settings in
   let t0 = Unix.gettimeofday () in
@@ -683,14 +673,12 @@ let () =
            (String.concat " " other);
          exit 2
    with Sys.Break ->
-     (* journal records are flushed as written; close for good measure
-        and point at the resume path *)
-     Checkpoint.flush !active_checkpoint;
-     Checkpoint.close !active_checkpoint;
+     (* results commit by rename as they are produced; point at the
+        resume path *)
      Printf.eprintf
        "\nbench: interrupted%s\n"
        (if !resume then
-          "; journaled results saved — rerun with --resume to continue"
+          "; profiled results saved — rerun with --resume to continue"
         else "; rerun with --resume to make interrupted runs resumable");
      exit 130);
   say "";

@@ -204,10 +204,11 @@ let resume_arg =
     value & flag
     & info [ "resume" ]
         ~doc:
-          "Journal every profiled result to \
-           $(b,_hfuse_cache/journal/<run_id>.jnl) and replay a previous \
-           interrupted run's journal, recomputing only the remainder \
-           (bit-identical to an uninterrupted run).")
+          "Make the run resumable: without a cache, profile into the \
+           run's own root $(b,_hfuse_cache/journal/<run_id>/), so a rerun \
+           after an interruption recomputes only the remainder \
+           (bit-identical to an uninterrupted run).  With a cache \
+           enabled, the cache already serves that purpose.")
 
 (* --prune / --top-k K: phase-1.5 analytical pruning of the Fig. 6
    search.  --top-k implies --prune; --prune alone uses the default K. *)
@@ -248,7 +249,8 @@ let prune_arg =
   Term.(const resolve $ prune $ top_k)
 
 (* The pruning configuration changes which candidates are profiled, so
-   it is part of a resumable run's identity. *)
+   it is part of a resumable run's identity (as is [--repair], which
+   adds candidates). *)
 let prune_id_part = function
   | None -> "exhaustive"
   | Some k -> "top" ^ string_of_int k
@@ -508,37 +510,25 @@ let search_cmd =
     (* one env/flag capture up front, threaded explicitly (and shipped
        to the daemon when routed) *)
     let settings = settings ?trace_blocks ?cache_dir ?fault () in
-    let checkpoint =
-      if not resume then Hfuse_profiler.Checkpoint.disabled
+    (* a resumed run is named by the requested sizes, so its root is open
+       before the size probe; entries are content-keyed, so the name
+       only isolates runs and can never serve a stale result *)
+    let settings =
+      if not resume then settings
       else
-        (* the journal's identity needs the resolved sizes *)
-        let size1, size2 =
-          Hfuse_profiler.Experiment.pair_sizes ~settings
-            ~cache:(Settings.cache settings)
-            ~checkpoint:Hfuse_profiler.Checkpoint.disabled arch (s1, size1)
-            (s2, size2)
-        in
-        let id =
-          Hfuse_profiler.Checkpoint.run_id ~sim_fuel:settings.Settings.sim_fuel
-            ~trace_blocks:settings.Settings.trace_blocks
-            ~parts:
-              ([
-                 "search"; arch.Gpusim.Arch.name; s1.name;
-                 string_of_int size1; s2.name; string_of_int size2;
-                 prune_id_part top_k;
-               ]
-               (* only when enabled: repair adds candidates, so it is
-                  part of a resumable run's identity, but repair-off
-                  ids must keep matching pre-repair journals *)
-              @ if repair then [ "repair" ] else [])
-            ()
-        in
-        let ck = Hfuse_profiler.Checkpoint.open_ ~run_id:id () in
-        if Hfuse_profiler.Checkpoint.loaded ck > 0 then
-          Printf.eprintf "resume: replaying %d journaled result(s) from %s\n%!"
-            (Hfuse_profiler.Checkpoint.loaded ck)
-            (Hfuse_profiler.Checkpoint.path ck);
-        ck
+        let size = Option.fold ~none:"default" ~some:string_of_int in
+        Settings.resumable settings
+          ~run_id:
+            (Hfuse_profiler.Checkpoint.run_id
+               ~sim_fuel:settings.Settings.sim_fuel
+               ~trace_blocks:settings.Settings.trace_blocks
+               ~parts:
+                 ([
+                    "search"; arch.Gpusim.Arch.name; s1.name; size size1;
+                    s2.name; size size2; prune_id_part top_k;
+                  ]
+                 @ if repair then [ "repair" ] else [])
+               ())
     in
     let params =
       {
@@ -554,23 +544,17 @@ let search_cmd =
       }
     in
     let outcome =
-      (* --resume journals to local disk, so it always runs in process *)
-      try
-        if resume then Ops.search ~settings ~checkpoint params
-        else route ~settings (Ops.Search params)
-      with
+      try route ~settings (Ops.Search params) with
       | Hfuse_core.Search.No_valid_partition message ->
           (* a rejected pair is a verdict, not a crash *)
           Ops.rejected message
       | Sys.Break ->
-        Hfuse_profiler.Checkpoint.close checkpoint;
         Printf.eprintf "\nhfuse: interrupted%s\n"
           (if resume then
-             "; journaled results saved — rerun with --resume to continue"
+             "; profiled results saved — rerun with --resume to continue"
            else "; rerun with --resume to make interrupted runs resumable");
         exit 130
     in
-    Hfuse_profiler.Checkpoint.close checkpoint;
     finish outcome
   in
   let emit =
@@ -609,9 +593,7 @@ let model_cmd =
     let size1, size2 =
       let settings = settings ?trace_blocks () in
       Hfuse_profiler.Experiment.pair_sizes ~settings
-        ~cache:(Settings.cache settings)
-        ~checkpoint:Hfuse_profiler.Checkpoint.disabled arch (s1, size1)
-        (s2, size2)
+        ~cache:(Settings.cache settings) arch (s1, size1) (s2, size2)
     in
     let mem = Gpusim.Memory.create () in
     let c1 = Hfuse_profiler.Runner.configure mem s1 ~size:size1 in

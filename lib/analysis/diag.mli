@@ -56,15 +56,10 @@ val kind_tag : kind -> string
 (** Every tag {!kind_tag} can produce, in declaration order. *)
 val all_kind_tags : string list
 
-val pp_severity : severity Fmt.t
 val pp : t Fmt.t
 
-(** Like {!pp} but with the kind tag in brackets after the severity:
-    [error[shared-race]: <detail>]. *)
-val pp_tagged : t Fmt.t
-
-(** Multi-line report, errors first (each line tagged as {!pp_tagged}),
-    with a closing verdict line. *)
+(** Multi-line report, errors first, each line tagged with its kind
+    ([error[shared-race]: <detail>]), with a closing verdict line. *)
 val pp_report : t list Fmt.t
 
 val report_to_string : t list -> string

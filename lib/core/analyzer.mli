@@ -20,7 +20,6 @@ type mix = {
   loop_depth : int;
 }
 
-val empty_mix : mix
 val analyze_fn : Cuda.Ast.fn -> mix
 
 (** The paper's resource taxonomy (Section IV-C). *)

@@ -5,10 +5,6 @@
     the partial PTX barrier [bar.sync id, count], which synchronises
     exactly [count] threads on hardware barrier [id]. *)
 
-(** PTX provides barrier ids 0..15; id 0 is the one [__syncthreads]
-    itself uses, so fused kernels allocate from 1. *)
-val max_barrier_id : int
-
 exception Invalid_barrier of string
 
 (** Replace every [__syncthreads()] with [bar.sync id, count].

@@ -19,11 +19,6 @@ type prepared = {
       (** renamed extern __shared__ arrays with element types *)
 }
 
-(** Split a lifted body into leading declarations and the rest.
-    @raise Fusion_error when the body is not in lifted form. *)
-val split_lifted :
-  Cuda.Ast.stmt list -> Cuda.Ast.decl list * Cuda.Ast.stmt list
-
 (** Rename one input kernel's parameters, locals and labels to be fresh
     w.r.t. the (accumulating) pool, and extract its extern shared
     arrays. *)

@@ -79,24 +79,6 @@ let with_block_dim t (bx : int) : t =
         else { t with block = (bx, 1, 1) }
       end
 
-(** Valid block dimensions for the thread-space partition search, at the
-    paper's granularity of 128 (Section III-B): for tunable kernels every
-    multiple of 128 compatible with the kernel's constraint; for fixed
-    kernels just the native size. *)
-let candidate_block_dims t ~max_threads : int list =
-  match t.tunability with
-  | Fixed -> [ threads_per_block t ]
-  | Tunable { multiple_of } ->
-      let _, ny, nz = t.block in
-      let step = 128 in
-      let rec go d acc =
-        if d >= max_threads then List.rev acc
-        else
-          let ok = d mod multiple_of = 0 && d mod (max 1 (ny * nz)) = 0 in
-          go (d + step) (if ok then d :: acc else acc)
-      in
-      go step []
-
 let pp ppf t =
   let x, y, z = t.block in
   Fmt.pf ppf "%s<<<%d, (%d,%d,%d)>>> regs=%d smem=%d+%d" t.fn.f_name t.grid x

@@ -30,8 +30,6 @@ val threads_per_block : t -> int
     sized [__shared__] declarations. *)
 val smem_static_of_body : Cuda.Ast.stmt list -> int
 
-val smem_static : t -> int
-
 (** Static plus dynamic shared memory per block. *)
 val smem_total : t -> int
 
@@ -43,10 +41,5 @@ val smem_total : t -> int
     @raise Invalid_argument for a [Fixed] kernel asked to change size,
     or when [bx] violates the tunability constraint. *)
 val with_block_dim : t -> int -> t
-
-(** Valid block dimensions for the partition search at the paper's
-    granularity of 128 (Section III-B), strictly below [max_threads].
-    [Fixed] kernels admit only their native size. *)
-val candidate_block_dims : t -> max_threads:int -> int list
 
 val pp : t Fmt.t

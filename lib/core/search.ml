@@ -22,13 +22,6 @@
 
 type config = { partition : Partition.t; reg_bound : int option }
 
-let pp_config ppf c =
-  Fmt.pf ppf "partition %a%a" Partition.pp c.partition
-    (fun ppf -> function
-      | None -> Fmt.string ppf ", no register bound"
-      | Some r -> Fmt.pf ppf ", register bound %d" r)
-    c.reg_bound
-
 (** One profiled candidate.  [repaired] marks provenance: the partition
     was first rejected by the verifier, then admitted by the repair
     engine (and its caller's differential soundness gate). *)

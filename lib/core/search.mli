@@ -9,8 +9,6 @@
 
 type config = { partition : Partition.t; reg_bound : int option }
 
-val pp_config : config Fmt.t
-
 (** One profiled candidate.  [repaired] marks provenance: the partition
     was first rejected by the verifier, then admitted by the repair
     engine (and its caller's differential soundness gate). *)

@@ -46,8 +46,6 @@ let rec fold_expr (f : 'a -> expr -> 'a) (acc : 'a) (e : expr) : 'a =
   | Call (_, args) -> List.fold_left fr acc args
   | Index (a, i) -> fr (fr acc a) i
 
-let iter_expr f e = fold_expr (fun () e -> f e) () e
-
 (* ------------------------------------------------------------------ *)
 (* Statement traversal                                                  *)
 (* ------------------------------------------------------------------ *)

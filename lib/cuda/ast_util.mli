@@ -9,12 +9,8 @@ val map_expr : (Ast.expr -> Ast.expr) -> Ast.expr -> Ast.expr
 (** Pre-order fold over all sub-expressions. *)
 val fold_expr : ('a -> Ast.expr -> 'a) -> 'a -> Ast.expr -> 'a
 
-val iter_expr : (Ast.expr -> unit) -> Ast.expr -> unit
-
 (** Rewrite every expression inside the statements. *)
 val map_stmts_expr : (Ast.expr -> Ast.expr) -> Ast.stmt list -> Ast.stmt list
-
-val map_stmt_expr : (Ast.expr -> Ast.expr) -> Ast.stmt -> Ast.stmt
 
 (** Structure-preserving statement rewriting; [f] runs after children
     and may expand one statement into several. *)
@@ -49,18 +45,6 @@ val used_builtins : Ast.stmt list -> Ast.builtin list
     thread diverges just like one under a thread-dependent [If]. *)
 val fold_stmts_guarded :
   ('a -> guards:Ast.expr list -> Ast.stmt -> 'a) -> 'a -> Ast.stmt list -> 'a
-
-(** Every (variable, defining expression) pair: initialised declarations
-    and (compound) assignments to plain variables.  Increments and
-    uninitialised declarations are omitted. *)
-val var_defs : Ast.stmt list -> (string * Ast.expr) list
-
-(** Variables whose address is taken somewhere in the statements. *)
-val address_taken : Ast.stmt list -> StrSet.t
-
-(** Is a call to this function inherently thread-dependent (atomics,
-    shuffles, ballots) even for uniform arguments? *)
-val thread_dependent_call : string -> bool
 
 (** May the expression evaluate differently on two threads of the same
     block, given the set [tainted] of thread-dependent variables?
@@ -105,7 +89,6 @@ val replace_builtins :
   (Ast.builtin -> Ast.expr option) -> Ast.stmt list -> Ast.stmt list
 
 val equal_expr : Ast.expr -> Ast.expr -> bool
-val equal_stmt : Ast.stmt -> Ast.stmt -> bool
 val equal_stmts : Ast.stmt list -> Ast.stmt list -> bool
 
 (** Drop [Nop]s and flatten bare blocks (for round-trip comparison). *)

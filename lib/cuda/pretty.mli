@@ -9,8 +9,3 @@ val expr_to_string : Ast.expr -> string
 val stmt_to_string : Ast.stmt -> string
 val fn_to_string : Ast.fn -> string
 val program_to_string : Ast.program -> string
-
-(** Exposed for tools that print operators. *)
-val string_of_binop : Ast.binop -> string
-
-val string_of_builtin : Ast.builtin -> string

@@ -12,16 +12,5 @@ val intrinsics : string list
 
 val is_intrinsic : string -> bool
 
-(** Infer an expression's type in an environment; used by tools. *)
-type env
-
-val mk_env : Ast.program -> env
-val declare : env -> Loc.t -> string -> Ctype.t -> unit
-val type_of : env -> Loc.t -> Ast.expr -> Ctype.t
-
-(** Check one function in its translation unit.
-    @raise Error on the first problem. *)
-val check_fn : Ast.program -> Ast.fn -> unit
-
 val check_program : Ast.program -> unit
 val check_program_result : Ast.program -> (unit, string * Loc.t) result

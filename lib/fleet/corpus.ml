@@ -7,8 +7,8 @@
    verifier is clean, resources are modest, and a solo simulated launch
    completes.  The scan is a pure function of the generator, so every
    process (bench driver, daemon, tests) reconstructs the identical
-   corpus, and {!digest} fingerprints it for cache keys and checkpoint
-   run ids. *)
+   corpus, and {!digest} fingerprints it for cache keys and the fleet's
+   resume run ids. *)
 
 open Cuda
 module Gen = Hfuse_fuzz.Gen

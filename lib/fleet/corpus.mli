@@ -4,8 +4,8 @@
     Curation is a deterministic scan: seeds are tried from 0 upward and
     kept iff {!vet} accepts the generated kernel — so every process
     reconstructs the identical corpus with no hand-maintained seed
-    list, and {!digest} fingerprints it for CI cache keys and
-    checkpoint run ids. *)
+    list, and {!digest} fingerprints it for CI cache keys and the
+    fleet's resume run ids. *)
 
 type entry = {
   seed : int;  (** generator seed (also encoded in the kernel name) *)
@@ -25,12 +25,6 @@ val vet : Hfuse_fuzz.Gen.kernel -> (unit, string) result
     registers/shared memory are modest, and a solo simulated launch
     completes under the fuzzer's loop-fuel budget. *)
 
-val spec_of_kernel : Hfuse_fuzz.Gen.kernel -> Kernel_corpus.Spec.t
-(** Wrap a generated kernel as a corpus spec: [instantiate] binds the
-    oracle's deterministic buffer contents, [check] is trivial (the
-    differential oracle is the correctness story for generated
-    kernels), tunability is [Fixed]. *)
-
 val curated : unit -> entry list
 (** The curated corpus, in ascending seed order.  Memoized; the first
     call runs the scan (a few seconds of generation + vetting). *)
@@ -47,4 +41,4 @@ val install : unit -> unit
 val digest : unit -> string
 (** MD5 hex fingerprint of the whole corpus (names, sources, resource
     calibration, launch shapes) — the CI cache key and a component of
-    fleet checkpoint run ids. *)
+    the fleet's resume run ids ({!Fleet.run_id}). *)

@@ -15,11 +15,11 @@
    can diff whole fleets cheaply.
 
    Kill/resume: with [resume] every completed row is journaled (one
-   {!Hfuse_profiler.Store.Journal} record per row, its JSON line) and
-   candidate-level profiling rides the regular checkpoint journal,
-   so a shard killed mid-run resumes without recomputing finished
-   pairs — and mid-pair kills resume without re-profiling finished
-   candidates. *)
+   {!Hfuse_profiler.Store.Journal} record per row, its JSON line) and a
+   shard without a cache profiles into its run's own cache root
+   ({!Hfuse_profiler.Settings.resumable}), so a shard killed mid-run
+   resumes without recomputing finished pairs — and mid-pair kills
+   resume without re-profiling finished candidates. *)
 
 module Spec = Kernel_corpus.Spec
 module Settings = Hfuse_profiler.Settings
@@ -365,12 +365,11 @@ let write_repro (cfg : config) (p : pair) ~(detail : string) =
 (* One search through the in-process verb engine, under a ledger of
    its own: a rejected search raises, but what it counted (its [rej_*]
    verdicts) still reaches the report. *)
-let run_local (cfg : config) ?pool ~checkpoint (p : pair) :
-    row * Json.t option =
+let run_local (cfg : config) ?pool (p : pair) : row * Json.t option =
   let ledger = Ledger.create () in
   match
     Ledger.within (Some ledger) (fun () ->
-        Ops.search ~settings:cfg.settings ~checkpoint ?pool (params_for cfg p))
+        Ops.search ~settings:cfg.settings ?pool (params_for cfg p))
   with
   | o -> (row_of_output p o.Ops.output, Some o.Ops.telemetry)
   | exception Search.No_valid_partition _ ->
@@ -420,21 +419,25 @@ let run (cfg : config) : result =
   let pairs_total = List.length (limited_pairs cfg) in
   let total = List.length pairs in
   let id = run_id cfg in
-  let journal, torn, checkpoint =
-    if cfg.resume && cfg.via_server = None then begin
+  let cfg =
+    if cfg.resume then
+      { cfg with settings = Settings.resumable cfg.settings ~run_id:id }
+    else cfg
+  in
+  let journal, torn =
+    if cfg.resume then begin
       let j, payloads, torn =
         Store.Journal.open_ ~header:None (rows_path ~id)
       in
       let done_rows, bad = rows_of_payloads payloads in
-      (Some (done_rows, j), torn + bad, Checkpoint.open_ ~run_id:id ())
+      (Some (done_rows, j), torn + bad)
     end
-    else (None, 0, Checkpoint.disabled)
+    else (None, 0)
   in
-  (* both journals close on every exit, Ctrl-C and transport failures
-     included *)
+  (* the row journal closes on every exit, Ctrl-C and transport
+     failures included *)
   Fun.protect ~finally:(fun () ->
-      Option.iter (fun (_, j) -> Store.Journal.close j) journal;
-      Checkpoint.close checkpoint)
+      Option.iter (fun (_, j) -> Store.Journal.close j) journal)
   @@ fun () ->
   let telemetry = ref [] in
   let telemetry_mutex = Mutex.create () in
@@ -511,7 +514,7 @@ let run (cfg : config) : result =
               match journaled with
               | Some r -> record slot r ~fresh:false
               | None ->
-                  let row, tel = run_local cfg ?pool ~checkpoint p in
+                  let row, tel = run_local cfg ?pool p in
                   note_telemetry tel;
                   record slot row ~fresh:true)
             pairs));

@@ -44,7 +44,9 @@ type config = {
       (** attempt diagnostic-driven repair of verifier-rejected
           partitions; admission stays behind the differential oracle *)
   via_server : string option;  (** socket path: drive a live daemon *)
-  resume : bool;  (** journal rows; replay finished pairs on restart *)
+  resume : bool;
+      (** journal rows and, without a cache, profile into the run's own
+          root; a restart replays finished pairs and candidates *)
   out_dir : string option;  (** write [.cu] repros of failed pairs *)
   settings : Hfuse_profiler.Settings.t;
   on_row : completed:int -> total:int -> row -> unit;  (** progress *)
@@ -77,16 +79,19 @@ val shard_pairs : config -> pair list
     indices congruent to [shard] mod [shards]. *)
 
 val run_id : config -> string
-(** Content-hashed identity of this shard's row journal.  [-j], cache
+(** Content-hashed identity of this shard's row journal and resume
+    root.  [-j], cache
     temperature, chaos plans and [via_server] are deliberately
     excluded — rows are bit-identical across them, so a resume may
     change any of them. *)
 
 val run : config -> result
 (** Drive the shard.  With [resume], finished rows replay from the
-    journal ([Checkpoint.default_dir/<run_id>.rows]) and candidate
-    profiling rides the regular checkpoint journal, so kills resume
-    without recomputation.  A daemon transport error aborts the run
+    journal ([Checkpoint.default_dir/<run_id>.rows]), and a shard
+    without a cache profiles into the root
+    [Checkpoint.default_dir/<run_id>/]
+    ({!Hfuse_profiler.Settings.resumable}), so kills resume without
+    recomputation.  A daemon transport error aborts the run
     (raises [Failure]) rather than recording failed rows. *)
 
 val report_json : config -> result -> Json.t

@@ -8,12 +8,6 @@
 
 exception Error of string
 
-(** Functions on a call-graph cycle (empty = recursion-free). *)
-val recursive_functions : Cuda.Ast.program -> string list
-
-(** Conservative side-effect test used by the substitution rule. *)
-val expr_has_side_effects : Cuda.Ast.expr -> bool
-
 (** Inline every device-function call in the kernel, to fixpoint.
     @raise Error on recursion or an uninlinable shape. *)
 val inline_fn : Cuda.Ast.program -> Cuda.Ast.fn -> Cuda.Ast.fn

@@ -52,10 +52,6 @@ type report = {
   repro_files : string list;  (** paths written under [out_dir] *)
 }
 
-(** The per-case seed for run [index] of a campaign — exposed so tests
-    can replay a single run. *)
-val case_seed : seed:int -> int -> int
-
 (** Bump every [bar.sync] thread count by one warp — a guaranteed
     fused-side deadlock the oracle must catch.  The canonical [inject]
     for meta-testing. *)

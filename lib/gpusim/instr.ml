@@ -72,12 +72,6 @@ let decode (c : int) (p : int) : t =
   | 14 -> Branch
   | c -> invalid_arg (Printf.sprintf "Instr.decode: bad code %d" c)
 
-let is_memory = function
-  | Ld_global _ | St_global _ | Ld_shared _ | St_shared _ | Atom_shared _
-  | Atom_global _ | Ld_local | St_local ->
-      true
-  | _ -> false
-
 let pp ppf = function
   | Alu -> Fmt.string ppf "ALU"
   | Falu -> Fmt.string ppf "FALU"

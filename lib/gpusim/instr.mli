@@ -25,5 +25,4 @@ val code : t -> int
 
 val payload : t -> int
 val decode : int -> int -> t
-val is_memory : t -> bool
 val pp : t Fmt.t

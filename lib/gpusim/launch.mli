@@ -44,12 +44,6 @@ type result = {
   warps_per_block : int;
 }
 
-(** Byte offsets of the kernel's shared declarations plus the static
-    region's size.  All [extern __shared__] arrays alias the region after
-    the static one, as in CUDA. *)
-val shared_layout :
-  Cuda.Ast.stmt list -> (string, int * Cuda.Ctype.t) Hashtbl.t * int
-
 val static_shared_bytes : Cuda.Ast.stmt list -> int
 
 (** Launch [fn] (normalised internally) over the grid; [args] bind the

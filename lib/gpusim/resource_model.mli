@@ -9,7 +9,6 @@
 
 val reg_cost_of_type : Cuda.Ctype.t -> int
 val expr_depth : Cuda.Ast.expr -> int
-val estimate_body : Cuda.Ast.param list -> Cuda.Ast.stmt list -> int
 val estimate_fn : Cuda.Ast.fn -> int
 
 (** Calibration value when recorded ([regs > 0]), else the estimate. *)

@@ -17,10 +17,6 @@ type instance = {
           the same seed. *)
 }
 
-(** Absolute/relative tolerance for fp32 reductions (device and host
-    reduction orders differ). *)
-val float_tol : float
-
 val check_floats :
   what:string -> expect:float array -> float array -> (unit, string) result
 

@@ -32,7 +32,7 @@ open Kernel_corpus
     holds for the whole corpus (spatial width or hash iterations).  The
     solo replays resolve through the report tiers, so a warm process or
     cache root answers without simulating. *)
-let representative_sizes ?settings ?pool ?cache ?checkpoint (arch : Arch.t)
+let representative_sizes ?settings ?pool ?cache (arch : Arch.t)
     : (string * int) list =
   let settings =
     match settings with Some s -> s | None -> Settings.resolve ()
@@ -47,8 +47,7 @@ let representative_sizes ?settings ?pool ?cache ?checkpoint (arch : Arch.t)
       Registry.all
   in
   let reports =
-    Runner.run_many ?pool ~settings ?cache ?checkpoint
-      (Array.of_list (List.map snd prepped))
+    Runner.run_many ?pool ~settings ?cache (Array.of_list (List.map snd prepped))
   in
   let timed =
     List.mapi (fun i (s, _) -> (s, reports.(i).Timing.time_ms)) prepped
@@ -70,13 +69,13 @@ let size_of sizes (s : Spec.t) =
 (* Explicit sizes win; the probe runs only when one is missing, so a
    request that pins both (the fleet driver always does) never pays
    for it. *)
-let pair_sizes ~settings ~cache ~checkpoint (arch : Arch.t)
+let pair_sizes ~settings ~cache (arch : Arch.t)
     ((s1, size1) : Spec.t * int option) ((s2, size2) : Spec.t * int option) :
     int * int =
   match (size1, size2) with
   | Some n1, Some n2 -> (n1, n2)
   | _ ->
-      let sizes = representative_sizes ~settings ~cache ~checkpoint arch in
+      let sizes = representative_sizes ~settings ~cache arch in
       ( Option.value size1 ~default:(size_of sizes s1),
         Option.value size2 ~default:(size_of sizes s2) )
 
@@ -147,8 +146,8 @@ let default_multipliers = [ 0.25; 0.5; 1.0; 2.0; 4.0 ]
     [cache] are passed through to {!Runner.search} and the measurement
     fan-out. *)
 let sweep_pair ?(multipliers = default_multipliers) ?jobs ?pool ~settings
-    ?cache ?checkpoint ?top_k (arch : Arch.t)
-    (sizes : (string * int) list) ((s1, s2) : Spec.t * Spec.t) : sweep =
+    ?cache ?top_k (arch : Arch.t) (sizes : (string * int) list)
+    ((s1, s2) : Spec.t * Spec.t) : sweep =
   let mem = Memory.create () in
   let base1 = size_of sizes s1 and size2 = size_of sizes s2 in
   let rl = runlist () in
@@ -168,8 +167,7 @@ let sweep_pair ?(multipliers = default_multipliers) ?jobs ?pool ~settings
           push rl (arch, [ spec c1 ~stream:0 (); spec c2 ~stream:1 () ])
         in
         let sr =
-          Runner.search ?jobs ?pool ~settings ?cache ?checkpoint ?top_k
-            arch c1 c2
+          Runner.search ?jobs ?pool ~settings ?cache ?top_k arch c1 c2
         in
         let best = sr.Hfuse_core.Search.best in
         let ivf =
@@ -194,7 +192,7 @@ let sweep_pair ?(multipliers = default_multipliers) ?jobs ?pool ~settings
   in
   (* phase 2: pure measurement replays, fanned over the pool *)
   let reports =
-    Runner.run_many ?pool ?jobs ~settings ?cache ?checkpoint (runs_of rl)
+    Runner.run_many ?pool ?jobs ~settings ?cache (runs_of rl)
   in
   let points =
     List.map
@@ -219,18 +217,18 @@ let sweep_pair ?(multipliers = default_multipliers) ?jobs ?pool ~settings
   { pair = (s1, s2); arch; varied_first = true; points }
 
 (** The full Figure 7: 16 pairs x 2 architectures, one shared pool. *)
-let figure7 ?multipliers ?(jobs = 1) ~settings ?cache ?checkpoint
-    ?top_k ?(archs = Arch.all) ?(pairs = Registry.all_pairs) () : sweep list =
+let figure7 ?multipliers ?(jobs = 1) ~settings ?cache ?top_k
+    ?(archs = Arch.all) ?(pairs = Registry.all_pairs) () : sweep list =
   Hfuse_parallel.Pool.with_pool jobs (fun pool ->
       List.concat_map
         (fun arch ->
           let sizes =
-            representative_sizes ~settings ~pool ?cache ?checkpoint arch
+            representative_sizes ~settings ~pool ?cache arch
           in
           List.map
             (fun pair ->
-              sweep_pair ?multipliers ~pool ~settings ?cache ?checkpoint
-                ?top_k arch sizes pair)
+              sweep_pair ?multipliers ~pool ~settings ?cache ?top_k arch
+                sizes pair)
             pairs)
         archs)
 
@@ -243,7 +241,7 @@ type kernel_row = {
   per_arch : (Arch.t * Metrics.t) list;  (** in [archs] order *)
 }
 
-let figure8 ?(jobs = 1) ?pool ~settings ?cache ?checkpoint ?(archs = Arch.all)
+let figure8 ?(jobs = 1) ?pool ~settings ?cache ?(archs = Arch.all)
     () : kernel_row list =
   let go pool =
     let rl = runlist () in
@@ -251,7 +249,7 @@ let figure8 ?(jobs = 1) ?pool ~settings ?cache ?checkpoint ?(archs = Arch.all)
       List.map
         (fun (arch : Arch.t) ->
           ( arch.name,
-            representative_sizes ~settings ~pool ?cache ?checkpoint arch ))
+            representative_sizes ~settings ~pool ?cache arch ))
         archs
     in
     let prepped =
@@ -269,7 +267,7 @@ let figure8 ?(jobs = 1) ?pool ~settings ?cache ?checkpoint ?(archs = Arch.all)
         Registry.all
     in
     let reports =
-      Runner.run_many ~pool ~settings ?cache ?checkpoint (runs_of rl)
+      Runner.run_many ~pool ~settings ?cache (runs_of rl)
     in
     List.map
       (fun ((s : Spec.t), per_arch) ->
@@ -320,7 +318,7 @@ type f9_prep = {
   p_regcap : (int * int) option;  (** (r0, replay index) *)
 }
 
-let f9_prepare ?jobs ?pool ~settings ?cache ?checkpoint ?top_k
+let f9_prepare ?jobs ?pool ~settings ?cache ?top_k
     (arch : Arch.t) (sizes : (string * int) list) ((s1, s2) : Spec.t * Spec.t)
     rl : f9_prep =
   let mem = Memory.create () in
@@ -331,7 +329,7 @@ let f9_prepare ?jobs ?pool ~settings ?cache ?checkpoint ?top_k
   let i2 = push rl (arch, [ spec c2 ~stream:0 () ]) in
   let inat = push rl (arch, [ spec c1 ~stream:0 (); spec c2 ~stream:1 () ]) in
   let sr =
-    Runner.search ?jobs ?pool ~settings ?cache ?checkpoint ?top_k arch
+    Runner.search ?jobs ?pool ~settings ?cache ?top_k arch
       c1 c2
   in
   let fused = sr.Hfuse_core.Search.best.Hfuse_core.Search.fused in
@@ -389,23 +387,23 @@ let f9_row (reports : Timing.report array) (p : f9_prep) : fused_row =
       Option.map (fun (r, i) -> variant (Some r) reports.(i)) p.p_regcap;
   }
 
-let figure9_pair ?jobs ?pool ~settings ?cache ?checkpoint ?top_k
+let figure9_pair ?jobs ?pool ~settings ?cache ?top_k
     (arch : Arch.t) (sizes : (string * int) list) (pair : Spec.t * Spec.t) :
     fused_row =
   let rl = runlist () in
   let prep =
-    f9_prepare ?jobs ?pool ~settings ?cache ?checkpoint ?top_k arch
+    f9_prepare ?jobs ?pool ~settings ?cache ?top_k arch
       sizes pair rl
   in
   let reports =
-    Runner.run_many ?pool ?jobs ~settings ?cache ?checkpoint (runs_of rl)
+    Runner.run_many ?pool ?jobs ~settings ?cache (runs_of rl)
   in
   f9_row reports prep
 
 (** Figure 9 over all pairs and architectures: every pair's traces and
     search run serially (phase 1), then a single pool-wide fan-out
     replays all measurement runs at once. *)
-let figure9 ?(jobs = 1) ~settings ?cache ?checkpoint ?top_k
+let figure9 ?(jobs = 1) ~settings ?cache ?top_k
     ?(archs = Arch.all) ?(pairs = Registry.all_pairs) () : fused_row list =
   Hfuse_parallel.Pool.with_pool jobs (fun pool ->
       let rl = runlist () in
@@ -413,16 +411,16 @@ let figure9 ?(jobs = 1) ~settings ?cache ?checkpoint ?top_k
         List.concat_map
           (fun arch ->
             let sizes =
-              representative_sizes ~settings ~pool ?cache ?checkpoint arch
+              representative_sizes ~settings ~pool ?cache arch
             in
             List.map
               (fun pair ->
-                f9_prepare ~pool ~settings ?cache ?checkpoint ?top_k arch
+                f9_prepare ~pool ~settings ?cache ?top_k arch
                   sizes pair rl)
               pairs)
           archs
       in
       let reports =
-        Runner.run_many ~pool ~settings ?cache ?checkpoint (runs_of rl)
+        Runner.run_many ~pool ~settings ?cache (runs_of rl)
       in
       List.map (f9_row reports) preps)

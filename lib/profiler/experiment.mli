@@ -15,14 +15,13 @@
     traced and replayed under [settings] (default:
     [Settings.resolve ()], the environment's), and resolved through
     the report tiers like every other replay ({!Runner.run_many}): the
-    [checkpoint] journal, the persistent report cache (default: minted
-    from [settings]), then the process-wide memory tier.  [pool] parallelises
+    persistent report cache (default: minted from [settings]), then the
+    process-wide memory tier.  [pool] parallelises
     the solo probes that miss. *)
 val representative_sizes :
   ?settings:Settings.t ->
   ?pool:Hfuse_parallel.Pool.t ->
   ?cache:Profile_cache.t ->
-  ?checkpoint:Checkpoint.t ->
   Gpusim.Arch.t ->
   (string * int) list
 
@@ -31,12 +30,10 @@ val representative_sizes :
 val size_of : (string * int) list -> Kernel_corpus.Spec.t -> int
 
 (** A pair's workload sizes: each explicit size as given, a missing one
-    from {!representative_sizes} under [settings], over [cache] and
-    [checkpoint].  The probe runs only when a size is missing. *)
+    from {!representative_sizes} under [settings], over [cache].  The probe runs only when a size is missing. *)
 val pair_sizes :
   settings:Settings.t ->
   cache:Profile_cache.t ->
-  checkpoint:Checkpoint.t ->
   Gpusim.Arch.t ->
   Kernel_corpus.Spec.t * int option ->
   Kernel_corpus.Spec.t * int option ->
@@ -77,7 +74,6 @@ val figure7 :
   ?jobs:int ->
   settings:Settings.t ->
   ?cache:Profile_cache.t ->
-  ?checkpoint:Checkpoint.t ->
   ?top_k:int ->
   ?archs:Gpusim.Arch.t list ->
   ?pairs:(Kernel_corpus.Spec.t * Kernel_corpus.Spec.t) list ->
@@ -95,7 +91,6 @@ val figure8 :
   ?pool:Hfuse_parallel.Pool.t ->
   settings:Settings.t ->
   ?cache:Profile_cache.t ->
-  ?checkpoint:Checkpoint.t ->
   ?archs:Gpusim.Arch.t list ->
   unit ->
   kernel_row list
@@ -121,7 +116,6 @@ val figure9_pair :
   ?pool:Hfuse_parallel.Pool.t ->
   settings:Settings.t ->
   ?cache:Profile_cache.t ->
-  ?checkpoint:Checkpoint.t ->
   ?top_k:int ->
   Gpusim.Arch.t ->
   (string * int) list ->
@@ -135,7 +129,6 @@ val figure9 :
   ?jobs:int ->
   settings:Settings.t ->
   ?cache:Profile_cache.t ->
-  ?checkpoint:Checkpoint.t ->
   ?top_k:int ->
   ?archs:Gpusim.Arch.t list ->
   ?pairs:(Kernel_corpus.Spec.t * Kernel_corpus.Spec.t) list ->

@@ -213,8 +213,7 @@ let report_key ~(arch : string) ~(policy : string)
      line 1: the 11 top-level report fields, floats as %h
      line 2: kernel count N
      N lines: label NUL elapsed issued blocks_per_sm
-     last:    the 7 engine_stats counters a cached report carries
-   Also the checkpoint journal's report payload. *)
+     last:    the 7 engine_stats counters a cached report carries *)
 
 let encode_report
     ((r : Gpusim.Timing.report), (es : Gpusim.Timing.engine_stats)) : string =

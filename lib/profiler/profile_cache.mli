@@ -7,6 +7,11 @@
     cache self-invalidates when any input — including the compiler's
     emitted source — changes.
 
+    The same keys make a resumed run ([--resume]) a warm run: without a
+    cache of its own, it profiles into a root named by its run id
+    ({!Settings.resumable}), and its rerun after a kill answers every
+    entry the killed run committed.
+
     Entries are {!Store} checksummed entries under [dir]/v2/ (magic
     [hfuse-cache]); a corrupt one is quarantined to
     [<root>/quarantine/<key>], counted in {!corrupt}, and treated as a
@@ -80,16 +85,6 @@ val store_report :
   key:string ->
   Gpusim.Timing.report * Gpusim.Timing.engine_stats ->
   unit
-
-(** Exact textual payload encodings, shared with the checkpoint
-    journal.  [encode_time]/[encode_report] round-trip bit-identically
-    through their decoders; the decoders raise [Failure] on malformed
-    input. *)
-val encode_time : float -> string
-
-val decode_time : string -> float
-val encode_report : Gpusim.Timing.report * Gpusim.Timing.engine_stats -> string
-val decode_report : string -> Gpusim.Timing.report * Gpusim.Timing.engine_stats
 
 (** Lifetime counters for this handle. *)
 val hits : t -> int

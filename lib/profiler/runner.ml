@@ -21,7 +21,7 @@
 
    The Fig. 6 search runs as a two-phase engine.  Phase 1 is serial
    enumeration/verification ([Search.search]); the batch evaluator
-   then looks candidate times up in the journal/cache/memory tiers,
+   then looks candidate times up in the cache/memory tiers,
    fetches the missing traces concurrently (deduped per distinct trace
    key — N register-bound variants of one partition share one
    recording), and fans the pure [Timing.run] replays out over one
@@ -121,51 +121,36 @@ type trace_key =
    a kernel's source changes under a persistent directory), and — on
    disk only — the arch. *)
 
-(* One tier a profiled value can come from: checkpoint journal or
-   persistent cache, each touched by the resolving domain only. *)
-type 'v tier = {
-  find : key:string -> 'v option;
-  add : key:string -> 'v -> unit;
-}
-
-(* Behind both comes the trace store's memory tier under the settings'
-   bound, shared by every request in the process: the daemon's warm
-   profile cache, so a repeated search replays nothing.  Hits are
-   bit-identical to replays — the simulator is deterministic and
-   entries keep every report field. *)
+(* A profiled value resolves through two tiers: the persistent cache
+   (touched by the resolving domain only), then the trace store's
+   memory tier under the settings' bound, shared by every request in
+   the process: the daemon's warm profile cache, so a repeated search
+   replays nothing.  Hits are bit-identical to replays — the simulator
+   is deterministic and entries keep every report field. *)
 type 'v tiers = {
   kind : 'v Trace_store.kind;
   limit_bytes : int option;
-  journal : 'v tier;
-  cache : 'v tier;
+  find : key:string -> 'v option;
+  store : key:string -> 'v -> unit;
 }
 
-let tiers ~(s : Settings.t) kind ~journal ~cache =
-  { kind; limit_bytes = Settings.trace_limit_bytes s; journal; cache }
-
 (* replay reports, content-keyed over specs + packed traces + arch *)
-let report_tiers ~s ~cache ~checkpoint =
-  tiers ~s Report
-    ~journal:
-      {
-        find = Checkpoint.find_report checkpoint;
-        add = Checkpoint.record_report checkpoint;
-      }
-    ~cache:
-      {
-        find = Profile_cache.find_report cache;
-        add = Profile_cache.store_report cache;
-      }
+let report_tiers ~(s : Settings.t) ~cache =
+  {
+    kind = Report;
+    limit_bytes = Settings.trace_limit_bytes s;
+    find = Profile_cache.find_report cache;
+    store = Profile_cache.store_report cache;
+  }
 
 (* the search's per-candidate times, keyed by [candidate_key] *)
-let time_tiers ~s ~cache ~checkpoint =
-  tiers ~s Time
-    ~journal:
-      {
-        find = Checkpoint.find_time checkpoint;
-        add = Checkpoint.record_time checkpoint;
-      }
-    ~cache:{ find = Profile_cache.find cache; add = Profile_cache.store cache }
+let time_tiers ~(s : Settings.t) ~cache =
+  {
+    kind = Time;
+    limit_bytes = Settings.trace_limit_bytes s;
+    find = Profile_cache.find cache;
+    store = Profile_cache.store cache;
+  }
 
 (* The memory tier's single-flight get-or-compute, safe on any domain,
    and whether this call computed the value. *)
@@ -179,31 +164,21 @@ let memo (t : 'v tiers) (key : string) (compute : unit -> 'v) : 'v * bool =
   in
   (v, !fresh)
 
-(* a value the memory tier answered or [memo] computed *)
-let persist (t : 'v tiers) (key : string) (v : 'v) : unit =
-  t.cache.add ~key v;
-  t.journal.add ~key v
-
-(* The one place that knows the resolution order: the checkpoint
-   journal first (a resumed run replays the interrupted run's answers),
-   then the persistent cache (hits are journaled so the resume no
-   longer depends on the cache file), then the memory tier, unclaimed
-   (a long-lived daemon's earlier requests).  The memory tier comes
-   last so that one-shot runs see the same cache hit/store counters
-   with or without it.  A miss is computed by [memo], then persisted. *)
+(* The one place that knows the resolution order: the persistent cache
+   first, then the memory tier, unclaimed (a long-lived daemon's
+   earlier requests; its hits are stored to the cache).  The memory
+   tier comes last so that one-shot runs see the same cache hit/store
+   counters with or without it.  A miss is computed by [memo], then
+   stored. *)
 let lookup (t : 'v tiers) (key : string) : 'v option =
-  match t.journal.find ~key with
-  | Some _ as hit -> hit
-  | None -> (
-      match t.cache.find ~key with
-      | Some v ->
-          t.journal.add ~key v;
-          ignore (memo t key (Fun.const v));
-          Some v
-      | None ->
-          let hit = Trace_store.find_memo t.kind ~key in
-          Option.iter (persist t key) hit;
-          hit)
+  match t.find ~key with
+  | Some v ->
+      ignore (memo t key (Fun.const v));
+      Some v
+  | None ->
+      let hit = Trace_store.find_memo t.kind ~key in
+      Option.iter (t.store ~key) hit;
+      hit
 
 let clear_cache = Trace_store.clear_memory
 
@@ -220,16 +195,16 @@ let settle (((r, es) : Timing.report * Timing.engine_stats), fresh) =
   r
 
 (* One replay through the report tiers, on this domain. *)
-let replay ~(s : Settings.t) ?cache ?(checkpoint = Checkpoint.disabled)
-    (arch : Arch.t) (specs : Timing.launch_spec list) : Timing.report =
+let replay ~(s : Settings.t) ?cache (arch : Arch.t)
+    (specs : Timing.launch_spec list) : Timing.report =
   let cache = match cache with Some c -> c | None -> Settings.cache s in
-  let t = report_tiers ~s ~cache ~checkpoint in
+  let t = report_tiers ~s ~cache in
   let key = report_key arch specs in
   match lookup t key with
   | Some entry -> settle (entry, false)
   | None ->
       let got = memo t key (fun () -> Timing.run_with_stats arch specs) in
-      persist t key (fst got);
+      t.store ~key (fst got);
       settle got
 
 (* render a trace key into the store's digest input *)
@@ -307,9 +282,9 @@ let spec_of ~settings ?arch (c : configured) ?(block_dim : int option)
 
 (** Native baseline: both kernels submitted via parallel streams,
     replayed through the report tiers. *)
-let native ~settings ?cache ?checkpoint (arch : Arch.t) (c1 : configured)
+let native ~settings ?cache (arch : Arch.t) (c1 : configured)
     (c2 : configured) : Timing.report =
-  replay ~s:settings ?cache ?checkpoint arch
+  replay ~s:settings ?cache arch
     [
       spec_of ~settings ~arch:arch.Arch.name c1 ~stream:0 ();
       spec_of ~settings ~arch:arch.Arch.name c2 ~stream:1 ();
@@ -589,20 +564,19 @@ let candidate_key ~(s : Settings.t) (arch : Arch.t) (c1 : configured)
 
    Each entry is [replay] in batch form: [lookup] runs on the calling
    domain, only the misses reach the pool, through [memo], and their
-   reports are persisted afterwards, so a later resume replays this
-   call entirely from the journal.  A key missing more than once (a
+   reports are stored afterwards, so a later run over the same root
+   replays nothing.  A key missing more than once (a
    figure's per-pair solos, a register cap that does not bind) is
-   replayed and persisted once; its repeats take that report as
+   replayed and stored once; its repeats take that report as
    non-fresh, as a memory-tier hit would.  Tier I/O stays on the
    calling domain. *)
 let run_many ?pool ?(jobs = 1) ~(settings : Settings.t) ?cache
-    ?(checkpoint = Checkpoint.disabled)
     (runs : (Arch.t * Timing.launch_spec list) array) : Timing.report array =
   let cache =
     match cache with Some c -> c | None -> Settings.cache settings
   in
   let n = Array.length runs in
-  let t = report_tiers ~s:settings ~cache ~checkpoint in
+  let t = report_tiers ~s:settings ~cache in
   let keys = Array.map (fun (arch, specs) -> report_key arch specs) runs in
   let results =
     Array.map (fun k -> Option.map (fun e -> (e, false)) (lookup t k)) keys
@@ -636,10 +610,9 @@ let run_many ?pool ?(jobs = 1) ~(settings : Settings.t) ?cache
   in
   Array.iteri
     (fun j i ->
-      persist t keys.(i) (fst fresh.(j));
+      t.store ~key:keys.(i) (fst fresh.(j));
       results.(i) <- Some fresh.(j))
     miss_idx;
-  Checkpoint.flush checkpoint;
   Array.iteri
     (fun i r ->
       if Option.is_none r then
@@ -663,10 +636,10 @@ let is_profile_failure = function
    report tiers, so a warm search or a daemon's repeat never
    re-simulates it.  A failed solo yields [None] and the model runs
    uncalibrated. *)
-let solo_cycles ~(s : Settings.t) ~cache ~checkpoint (arch : Arch.t)
-    (c : configured) : float option =
+let solo_cycles ~(s : Settings.t) ~cache (arch : Arch.t) (c : configured) :
+    float option =
   match
-    replay ~s ~cache ~checkpoint arch
+    replay ~s ~cache arch
       [ spec_of ~settings:s ~arch:arch.Arch.name c ~stream:0 () ]
   with
   | r -> Some (float_of_int r.Timing.elapsed_cycles)
@@ -742,8 +715,7 @@ let extremes_and_mid
   (lo, mid, hi)
 
 let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
-    ?(checkpoint = Checkpoint.disabled) ?(top_k : int option)
-    ?(repair = false) (arch : Arch.t) (c1 : configured) (c2 : configured) :
+    ?(top_k : int option) ?(repair = false) (arch : Arch.t) (c1 : configured) (c2 : configured) :
     Hfuse_core.Search.result =
   viewed stats @@ fun () ->
   let cache = match cache with Some c -> c | None -> Settings.cache s in
@@ -805,7 +777,7 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
             ~reg_bound:cfg.reg_bound)
         batch
     in
-    let tiers = time_tiers ~s ~cache ~checkpoint in
+    let tiers = time_tiers ~s ~cache in
     let cached = Array.map (lookup tiers) keys in
     let times = Array.map (Option.value ~default:nan) cached in
     (* trace acquisition for the misses: one [traced] call per
@@ -906,12 +878,11 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
         | Ok (t, fresh) ->
             incr (if fresh then completed else hits);
             times.(i) <- t;
-            persist tiers keys.(i) t
+            tiers.store ~key:keys.(i) t
         | Error (fl : Hfuse_parallel.Pool.failure) ->
             let f, _ = batch.(i) in
             times.(i) <- candidate_failed f fl.f_exn)
       miss_idx;
-    Checkpoint.flush checkpoint;
     Ledger.add Counters.profiled !completed;
     Ledger.add Counters.cache_hits !hits;
     Ledger.add_float Counters.profile_wall_s (Unix.gettimeofday () -. t0);
@@ -934,8 +905,8 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
        search *)
     let inputs =
       match
-        ( solo_cycles ~s ~cache ~checkpoint arch c1,
-          solo_cycles ~s ~cache ~checkpoint arch c2 )
+        ( solo_cycles ~s ~cache arch c1,
+          solo_cycles ~s ~cache arch c2 )
       with
       | Some s1, Some s2 -> Hfuse_costmodel.calibrate inputs ~solo1:s1 ~solo2:s2
       | _ -> inputs
@@ -1016,7 +987,6 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
             ()
       | _ -> inputs
     in
-    Checkpoint.flush checkpoint;
     Hfuse_costmodel.rank inputs candidates
   in
   (* the histogram hook fires for every finally-rejected partition —

@@ -76,17 +76,16 @@ val spec_of :
 
     The replay goes through the same tiers as {!run_many}, keyed by
     {!Profile_cache.report_key} over the two launch specs and their
-    packed traces: the [checkpoint] journal (default
-    {!Checkpoint.disabled}), then the persistent report cache (default:
-    minted from [settings], as {!search} does), then the process-wide
+    packed traces: the persistent report cache (default: minted from
+    [settings], as {!search} does), then the process-wide
     memory tier under [settings]' bound.  A miss replays on the
     calling domain, single-flighted, and lands in every tier; a report
     not replayed here adds its stored engine stats to the current
     ledger ({!Gpusim.Timing.note_stats}).  Either way the report is
     bit-identical to a fresh replay. *)
 val native :
-  settings:Settings.t -> ?cache:Profile_cache.t -> ?checkpoint:Checkpoint.t ->
-  Gpusim.Arch.t -> configured -> configured -> Gpusim.Timing.report
+  settings:Settings.t -> ?cache:Profile_cache.t -> Gpusim.Arch.t ->
+  configured -> configured -> Gpusim.Timing.report
 
 (** One kernel alone (Fig. 8 metrics, ratio probes), like {!native}. *)
 val solo :
@@ -129,8 +128,8 @@ val d0_for : configured -> configured -> int
 (** The ledger's ["search"] section, in telemetry field order: every
     {!search} adds what it did to the current ledger ({!Ledger.run}
     reads one request's).  [profiled]: candidates timed on the
-    simulator; [cache_hits]: answered by the disk cache, a resume
-    journal or another request's claim; [failed]: excluded after a
+    simulator; [cache_hits]: answered by the disk cache or another
+    request's claim; [failed]: excluded after a
     failed profile (infinite time, never the winner); [ranked]: scored
     by the cost model; [pruned]: skipped by top-K pruning; [rank_agree]
     of [rank_total]: exhaustive searches whose model pick matched the
@@ -212,14 +211,10 @@ val model_eval :
     traces), then the memory tier, and only fans the misses out, each
     distinct key once (single-flighted), storing their reports after.
     Hits are bit-identical to replays, and add their recorded engine
-    stats to the current ledger.
-
-    An enabled [checkpoint] journal is consulted before the cache and
-    records every result, so a killed run resumed with the same journal
-    replays this call's answers bit-identically. *)
+    stats to the current ledger. *)
 val run_many :
   ?pool:Hfuse_parallel.Pool.t -> ?jobs:int -> settings:Settings.t ->
-  ?cache:Profile_cache.t -> ?checkpoint:Checkpoint.t ->
+  ?cache:Profile_cache.t ->
   (Gpusim.Arch.t * Gpusim.Timing.launch_spec list) array ->
   Gpusim.Timing.report array
 
@@ -238,10 +233,6 @@ val run_many :
                  also lands in the current ledger.
     @param cache persistent profiling cache (default: minted from
                  [settings] — disabled unless its [cache_dir] is set).
-    @param checkpoint resume journal: candidate times and solo
-                 calibration reports already recorded by an interrupted
-                 run are replayed, and every fresh one is journaled
-                 (default {!Checkpoint.disabled}).
     @param top_k profile only the [top_k] candidates the analytical
                  cost model ({!Hfuse_costmodel}) ranks best; the rest
                  are recorded un-profiled in [result.pruned].  Without
@@ -272,7 +263,7 @@ val run_many :
 val search :
   ?jobs:int -> ?pool:Hfuse_parallel.Pool.t -> settings:Settings.t ->
   ?stats:search_stats -> ?cache:Profile_cache.t ->
-  ?checkpoint:Checkpoint.t -> ?top_k:int -> ?repair:bool ->
+  ?top_k:int -> ?repair:bool ->
   Gpusim.Arch.t -> configured -> configured -> Hfuse_core.Search.result
 
 val naive_hfuse : configured -> configured -> Hfuse_core.Hfuse.t option

@@ -71,6 +71,14 @@ let resolve ?trace_blocks ?sim_fuel ?trace_mem_mb ?cache_dir ?fault () =
     fault = (match fault with Some v -> v | None -> env_fault ());
   }
 
+(* the cache root a resumed run answers from: the enabled cache, else
+   the run's own root, isolated from every other run *)
+let resumable (s : t) ~(run_id : string) : t =
+  match s.cache_dir with
+  | Some _ -> s
+  | None ->
+      { s with cache_dir = Some (Filename.concat Checkpoint.default_dir run_id) }
+
 let cache (s : t) : Profile_cache.t =
   match s.cache_dir with
   | Some dir -> Profile_cache.create ~dir ?fault:s.fault ()

@@ -48,6 +48,14 @@ val resolve :
     {!Profile_cache.default_dir}. *)
 val cache_root : unit -> string
 
+(** [s] for the resumable run [run_id]: unchanged when its cache is
+    enabled, else with the run's own root
+    [Checkpoint.default_dir/<run_id>/] as its cache root.  Everything
+    the run profiles (times, replay reports, traces) commits there as
+    it is produced, so a rerun after a kill answers it from disk, while
+    the root stays isolated from every other run's. *)
+val resumable : t -> run_id:string -> t
+
 (** A fresh profile-cache handle for these settings: enabled at
     [cache_dir] when set (chaos draws scoped to [fault]), disabled
     otherwise.  Handles are cheap; concurrent requests sharing one

@@ -171,8 +171,6 @@ module Journal = struct
        in flight, which the load-time digest drops *)
     Stdlib.flush oc
 
-  let flush = Stdlib.flush
-
   let close oc =
     (try Stdlib.flush oc with Sys_error _ -> ());
     close_out_noerr oc

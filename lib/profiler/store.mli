@@ -1,7 +1,7 @@
-(** The one persistence primitive: the profile cache, the trace store's
-    disk tier, the checkpoint journal and the fleet row journal all
-    write through it.  Callers keep their own counters; this module
-    only moves bytes.
+(** The one persistence primitive: the profile cache and the trace
+    store's disk tier write checksummed entries through it, and
+    {!Journal} serves the fleet row journal only.  Callers keep their
+    own counters; this module only moves bytes.
 
     {1 Checksummed entries}
 
@@ -72,8 +72,6 @@ module Journal : sig
 
   (** Append one record and flush it. *)
   val append : t -> string -> unit
-
-  val flush : t -> unit
 
   (** Flush and close; never raises. *)
   val close : t -> unit

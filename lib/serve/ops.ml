@@ -18,7 +18,6 @@ module Json = Hfuse_profiler.Report.Json
 module Runner = Hfuse_profiler.Runner
 module Settings = Hfuse_profiler.Settings
 module Report = Hfuse_profiler.Report
-module Checkpoint = Hfuse_profiler.Checkpoint
 module Trace_store = Hfuse_profiler.Trace_store
 module Fault = Hfuse_fault.Fault
 
@@ -318,8 +317,7 @@ let reg_bound_str = function
   | None -> "unbounded"
   | Some r -> Printf.sprintf "r0=%d" r
 
-let search ~settings:(s : Settings.t) ?(checkpoint = Checkpoint.disabled)
-    ?pool (p : search_params) : outcome =
+let search ~settings:(s : Settings.t) ?pool (p : search_params) : outcome =
   let arch = p.s_arch in
   (* per-request counters: a fresh cache handle (shared by the size
      probe, the native baseline and the search), and a ledger for
@@ -328,7 +326,7 @@ let search ~settings:(s : Settings.t) ?(checkpoint = Checkpoint.disabled)
   let (sr, native), ledger =
     Ledger.run @@ fun () ->
     let size1, size2 =
-      Hfuse_profiler.Experiment.pair_sizes ~settings:s ~cache ~checkpoint arch
+      Hfuse_profiler.Experiment.pair_sizes ~settings:s ~cache arch
         (p.s_k1, p.s_size1) (p.s_k2, p.s_size2)
     in
     let mem = Gpusim.Memory.create () in
@@ -337,11 +335,11 @@ let search ~settings:(s : Settings.t) ?(checkpoint = Checkpoint.disabled)
     (* the search first: a pair the verifier rejects raises before the
        native baseline replays or records anything *)
     let sr =
-      Runner.search ~jobs:p.s_jobs ?pool ~settings:s ~cache ~checkpoint
-        ?top_k:p.s_top_k ~repair:p.s_repair arch c1 c2
+      Runner.search ~jobs:p.s_jobs ?pool ~settings:s ~cache ?top_k:p.s_top_k
+        ~repair:p.s_repair arch c1 c2
     in
     ( sr,
-      (Runner.native ~settings:s ~cache ~checkpoint arch c1 c2)
+      (Runner.native ~settings:s ~cache arch c1 c2)
         .Gpusim.Timing.time_ms )
   in
   let b = Buffer.create 1024 in
@@ -416,7 +414,7 @@ let rejected message =
 (* Dispatch                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let run ?settings ?checkpoint ?pool (p : request_params) : outcome =
+let run ?settings ?pool (p : request_params) : outcome =
   let settings () =
     match settings with Some s -> s | None -> Settings.resolve ()
   in
@@ -424,4 +422,4 @@ let run ?settings ?checkpoint ?pool (p : request_params) : outcome =
   | Fuse p -> fuse p
   | Check p -> check p
   | Simulate p -> simulate ~settings:(settings ()) p
-  | Search p -> search ~settings:(settings ()) ?checkpoint ?pool p
+  | Search p -> search ~settings:(settings ()) ?pool p

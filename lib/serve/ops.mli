@@ -81,13 +81,12 @@ val verb_name : request_params -> string
     [settings], and a fresh ledger ({!Ledger.run}) counting the
     request's own work on every domain; [telemetry] carries the
     search/cache counters and the ledger's trace-store, pool and fault
-    sections.  [checkpoint]
-    (resume journalling) and [pool] (shared worker pool) are CLI/daemon
-    concerns respectively and default off.
+    sections.  [pool] (a shared worker pool) is the daemon's concern
+    and defaults off; a resumed run differs only in its settings' cache
+    root ({!Hfuse_profiler.Settings.resumable}).
     @raise Sys.Break and simulator exceptions as the CLI path does. *)
 val search :
   settings:Hfuse_profiler.Settings.t ->
-  ?checkpoint:Hfuse_profiler.Checkpoint.t ->
   ?pool:Hfuse_parallel.Pool.t ->
   search_params ->
   outcome
@@ -104,7 +103,6 @@ val rejected : string -> outcome
     daemon and the CLI pass their own value. *)
 val run :
   ?settings:Hfuse_profiler.Settings.t ->
-  ?checkpoint:Hfuse_profiler.Checkpoint.t ->
   ?pool:Hfuse_parallel.Pool.t ->
   request_params ->
   outcome

@@ -488,120 +488,76 @@ let test_run_many_recomputes_corrupted () =
     (Runner.run_many ~settings ~cache:warm runs = cold);
   Alcotest.(check int) "two disk hits" 2 (Profile_cache.hits warm)
 
-(* -- Checkpoint journal -------------------------------------------------- *)
+(* -- Resume: a run's own cache root -------------------------------------- *)
 
 module Checkpoint = Hfuse_profiler.Checkpoint
 
-let fresh_journal tag =
-  let dir = tmp_cache_dir ("jnl_" ^ tag) in
-  let run_id =
-    Checkpoint.run_id ~sim_fuel:3_000_000 ~trace_blocks:1
-      ~parts:[ "test"; tag ] ()
-  in
-  let file = Filename.concat dir (run_id ^ ".jnl") in
-  if Sys.file_exists file then Sys.remove file;
-  (dir, run_id)
+(* A resumed no-cache run's settings: the environment's, rooted at the
+   run's own root. *)
+let resumable ~run_id =
+  Hfuse_profiler.Settings.resumable
+    { (Test_util.env_settings ()) with cache_dir = None }
+    ~run_id
 
-let test_checkpoint_roundtrip () =
-  let dir, run_id = fresh_journal "roundtrip" in
-  let ck = Checkpoint.open_ ~dir ~run_id () in
-  Alcotest.(check bool) "enabled" true (Checkpoint.enabled ck);
-  Alcotest.(check int) "fresh journal empty" 0 (Checkpoint.loaded ck);
-  let t = 0.12345678901234567 /. 3.0 in
-  let entry = (mk_report (), mk_engine_stats ()) in
-  Checkpoint.record_time ck ~key:(mk_key ()) t;
-  Checkpoint.record_report ck ~key:"rk" entry;
-  Alcotest.check some_time "answers before close" (Some t)
-    (Checkpoint.find_time ck ~key:(mk_key ()));
-  Checkpoint.close ck;
-  (* reopening the same run id replays both records bit-exactly *)
-  let ck' = Checkpoint.open_ ~dir ~run_id () in
-  Alcotest.(check int) "both records loaded" 2 (Checkpoint.loaded ck');
-  Alcotest.(check int) "nothing torn" 0 (Checkpoint.torn ck');
-  Alcotest.check some_time "time replayed" (Some t)
-    (Checkpoint.find_time ck' ~key:(mk_key ()));
-  Alcotest.(check bool) "report replayed (newlines survive escaping)" true
-    (Checkpoint.find_report ck' ~key:"rk" = Some entry);
-  Alcotest.check some_time "other keys still miss" None
-    (Checkpoint.find_time ck' ~key:"absent");
-  Checkpoint.close ck';
-  (* a different run id opens a different journal: no stale replays *)
-  let other = Checkpoint.open_ ~dir ~run_id:(run_id ^ "x") () in
-  Alcotest.(check int) "other run sees nothing" 0 (Checkpoint.loaded other);
-  Checkpoint.close other;
-  (* the disabled journal records and answers nothing *)
-  Alcotest.(check bool) "disabled" false (Checkpoint.enabled Checkpoint.disabled);
-  Checkpoint.record_time Checkpoint.disabled ~key:"k" 1.0;
-  Alcotest.check some_time "disabled never finds" None
-    (Checkpoint.find_time Checkpoint.disabled ~key:"k")
-
-let test_checkpoint_torn_tail () =
-  let dir, run_id = fresh_journal "torn" in
-  let ck = Checkpoint.open_ ~dir ~run_id () in
-  let t = 1.0 /. 7.0 in
-  Checkpoint.record_time ck ~key:"good" t;
-  Checkpoint.close ck;
-  (* simulate a crash mid-append: a checksum-failing line and a torn
-     half-record after the good one *)
-  let oc =
-    open_out_gen [ Open_append ] 0o644 (Checkpoint.path ck)
-  in
-  output_string oc "T bad 00000000000000000000000000000000 0x1p-1\n";
-  output_string oc "T torn 0123";
-  close_out oc;
-  let ck' = Checkpoint.open_ ~dir ~run_id () in
-  Alcotest.(check int) "good record survives" 1 (Checkpoint.loaded ck');
-  Alcotest.(check int) "damaged tail dropped" 2 (Checkpoint.torn ck');
-  Alcotest.check some_time "good record replayed" (Some t)
-    (Checkpoint.find_time ck' ~key:"good");
-  Alcotest.check some_time "bad record not replayed" None
-    (Checkpoint.find_time ck' ~key:"bad");
-  Checkpoint.close ck'
-
-let search_ck ~stats ~jobs ~checkpoint =
-  Runner.clear_cache ();
-  let mem = Memory.create () in
-  let c1 = Runner.configure mem ta_tun ~size:3 in
-  let c2 = Runner.configure mem tb_tun ~size:5 in
-  Runner.search ~jobs ~settings:(Test_util.env_settings ()) ~stats
-    ~cache:(Profile_cache.disabled ()) ~checkpoint arch c1 c2
+(* the same, on an emptied root *)
+let fresh_resumable ~run_id =
+  let s = resumable ~run_id in
+  Test_util.rm_rf (Option.get s.cache_dir);
+  s
 
 let test_search_resume_identity () =
   let baseline = search_tun ~jobs:2 ~cache:(Profile_cache.disabled ()) () in
   let n = List.length baseline.all in
-  let dir, run_id = fresh_journal "resume" in
-  let ck = Checkpoint.open_ ~dir ~run_id () in
-  let first_stats = Runner.fresh_search_stats () in
-  let first = search_ck ~stats:first_stats ~jobs:2 ~checkpoint:ck in
-  Checkpoint.close ck;
-  (* the first journaled run hits its own journal once per probe (the
-     model profiles them in phase 1.5, phase 2 replays them) *)
+  let settings =
+    fresh_resumable
+      ~run_id:
+        (Checkpoint.run_id ~sim_fuel:3_000_000 ~trace_blocks:1
+           ~parts:[ "test"; "resume" ] ())
+  in
+  let search ~jobs =
+    let stats = Runner.fresh_search_stats () in
+    let r, ledger =
+      Ledger.run (fun () ->
+          search_with ~stats ~settings ~jobs
+            ~cache:(Hfuse_profiler.Settings.cache settings) ())
+    in
+    (r, stats, ledger)
+  in
+  let first, first_stats, _ = search ~jobs:2 in
+  (* the first run hits its own root once per probe (the model profiles
+     them in phase 1.5, phase 2 finds them) *)
   let probes = first_stats.Runner.cache_hits in
-  Alcotest.(check bool) "journaled run identical to plain run" true
+  Alcotest.(check bool) "resumable run identical to plain run" true
     (sig_of first = sig_of baseline);
-  (* a resumed run answers every candidate from the journal: nothing is
-     re-profiled and the result is bit-identical *)
-  let ck' = Checkpoint.open_ ~dir ~run_id () in
-  Alcotest.(check bool) "journal replays candidates" true
-    (Checkpoint.loaded ck' > 0);
-  let stats = Runner.fresh_search_stats () in
-  let resumed = search_ck ~stats ~jobs:4 ~checkpoint:ck' in
-  Checkpoint.close ck';
+  (* a resumed run, in a process with empty memory tiers, answers every
+     candidate and trace from the root: nothing is re-profiled or
+     re-recorded and the result is bit-identical *)
+  let resumed, stats, ledger = search ~jobs:4 in
   Alcotest.(check bool) "resumed results identical" true
     (sig_of resumed = sig_of baseline);
   Alcotest.(check bool) "resumed best identical" true
     (best_of resumed = best_of baseline);
   Alcotest.(check int) "resume profiles nothing" 0 stats.Runner.profiled;
-  Alcotest.(check int) "every candidate and probe replayed" (n + probes)
-    stats.Runner.cache_hits
+  Alcotest.(check int) "every candidate and probe answered" (n + probes)
+    stats.Runner.cache_hits;
+  Alcotest.(check int) "resume records no trace" 0
+    (Ledger.get ledger Hfuse_profiler.Trace_store.recorded)
 
 (* -- run ids fold in the simulator fuel budget --------------------------- *)
 
+(* Store a time under run [a]'s emptied root, and ask run [b]'s root
+   for it. *)
+let answer_across ~a ~b =
+  if a <> b then ignore (fresh_resumable ~run_id:b);
+  let cache = Hfuse_profiler.Settings.cache in
+  Profile_cache.store (cache (fresh_resumable ~run_id:a)) ~key:"cand" 1.0;
+  Profile_cache.find (cache (resumable ~run_id:b)) ~key:"cand"
+
 let test_run_id_sim_fuel () =
-  (* a journal recorded under one fuel budget must be invisible to a
-     resume under another: the same simulation can legitimately produce
-     different times (a watchdogged candidate completes under a bigger
-     budget), so replaying it would be wrong, not just stale *)
+  (* a run under one fuel budget must be invisible to a resume under
+     another: the same simulation can legitimately produce different
+     times (a watchdogged candidate completes under a bigger budget),
+     so sharing its root would be wrong, not just stale *)
   let run_id ~sim_fuel =
     Checkpoint.run_id ~sim_fuel ~trace_blocks:1 ~parts:[ "fuel"; "t" ] ()
   in
@@ -611,27 +567,10 @@ let test_run_id_sim_fuel () =
     (id_a <> id_b);
   Alcotest.(check string) "same fuel, same run id" id_a
     (run_id ~sim_fuel:1_000);
-  let dir = tmp_cache_dir "jnl_fuel" in
-  List.iter
-    (fun id ->
-      let f = Filename.concat dir (id ^ ".jnl") in
-      if Sys.file_exists f then Sys.remove f)
-    [ id_a; id_b ];
-  let ck = Checkpoint.open_ ~dir ~run_id:id_a () in
-  Checkpoint.record_time ck ~key:"cand" 1.0;
-  Checkpoint.close ck;
-  (* resuming under a changed fuel budget sees an empty journal... *)
-  let ck_b = Checkpoint.open_ ~dir ~run_id:id_b () in
-  Alcotest.(check int) "changed fuel: stale journal not reused" 0
-    (Checkpoint.loaded ck_b);
   Alcotest.check some_time "changed fuel: no stale answer" None
-    (Checkpoint.find_time ck_b ~key:"cand");
-  Checkpoint.close ck_b;
-  (* ...while the same budget replays it *)
-  let ck_a = Checkpoint.open_ ~dir ~run_id:id_a () in
-  Alcotest.(check int) "same fuel: journal replayed" 1
-    (Checkpoint.loaded ck_a);
-  Checkpoint.close ck_a
+    (answer_across ~a:id_a ~b:id_b);
+  Alcotest.check some_time "same fuel: the run's own root answers" (Some 1.0)
+    (answer_across ~a:id_a ~b:id_a)
 
 (* -- model_eval: the top-k window verdict -------------------------------- *)
 
@@ -1263,8 +1202,8 @@ let test_search_trace_chaos_heal () =
 
 let test_run_id_trace_blocks () =
   (* same bug class as the fuel fix: profiled times are a function of
-     how many blocks were traced, so a journal recorded at one width
-     must be invisible to a resume at another *)
+     how many blocks were traced, so a run at one width must not share
+     its root with a resume at another *)
   let run_id ~trace_blocks =
     Checkpoint.run_id ~sim_fuel:3_000_000 ~trace_blocks ~parts:[ "tb"; "t" ] ()
   in
@@ -1273,19 +1212,8 @@ let test_run_id_trace_blocks () =
   Alcotest.(check bool) "different width, different run id" true (id_a <> id_b);
   Alcotest.(check string) "same width, same run id" id_a
     (run_id ~trace_blocks:1);
-  let dir = tmp_cache_dir "jnl_tb" in
-  List.iter
-    (fun id ->
-      let f = Filename.concat dir (id ^ ".jnl") in
-      if Sys.file_exists f then Sys.remove f)
-    [ id_a; id_b ];
-  let ck = Checkpoint.open_ ~dir ~run_id:id_a () in
-  Checkpoint.record_time ck ~key:"cand" 1.0;
-  Checkpoint.close ck;
-  let ck_b = Checkpoint.open_ ~dir ~run_id:id_b () in
-  Alcotest.(check int) "changed width: stale journal not reused" 0
-    (Checkpoint.loaded ck_b);
-  Checkpoint.close ck_b
+  Alcotest.check some_time "changed width: no stale answer" None
+    (answer_across ~a:id_a ~b:id_b)
 
 let suite =
   [
@@ -1313,10 +1241,6 @@ let suite =
       test_cache_quarantine;
     Alcotest.test_case "run_many heals a corrupted cache" `Quick
       test_run_many_recomputes_corrupted;
-    Alcotest.test_case "checkpoint journal round trip" `Quick
-      test_checkpoint_roundtrip;
-    Alcotest.test_case "checkpoint torn tail dropped" `Quick
-      test_checkpoint_torn_tail;
     Alcotest.test_case "resumed search is bit-identical" `Quick
       test_search_resume_identity;
     Alcotest.test_case "run id folds in the fuel budget" `Quick

@@ -524,23 +524,15 @@ let fresh_root tag =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "hfuse_serve_%s_%d" tag (Unix.getpid ()))
   in
-  let rec rm p =
-    if Sys.file_exists p then
-      if Sys.is_directory p then begin
-        Array.iter (fun f -> rm (Filename.concat p f)) (Sys.readdir p);
-        Sys.rmdir p
-      end
-      else Sys.remove p
-  in
-  rm root;
+  Test_util.rm_rf root;
   root
 
 let settings_at root = Settings.resolve ~cache_dir:root ~fault:None ()
 
 (* a one-shot CLI process: empty memo tiers, then the verb *)
-let oneshot ?checkpoint settings =
+let oneshot settings =
   Runner.clear_cache ();
-  let o = Ops.search ~settings ?checkpoint search_params in
+  let o = Ops.search ~settings search_params in
   Alcotest.(check int) "search exit code" 0 o.exit_code;
   o
 
@@ -603,28 +595,31 @@ let test_search_heals_corrupt_native () =
   Alcotest.(check int) "healed cache misses nothing" 0
     (cache_count again "misses")
 
+(* A resumed no-cache search answers everything from its run's own
+   root under [Checkpoint.default_dir], the journal directory: its
+   native baseline, candidate times and solo traces.  Nothing is
+   profiled, recorded or stored again. *)
 let test_search_resume_answers_native () =
-  let settings = settings_at None in
-  let dir = fresh_root "journal" in
-  let run_id =
-    Checkpoint.run_id ~sim_fuel:settings.sim_fuel
-      ~trace_blocks:settings.trace_blocks ~parts:[ "serve"; "native" ] ()
+  let settings =
+    Test_profiler.fresh_resumable
+      ~run_id:
+        (Checkpoint.run_id ~sim_fuel:3_000_000 ~trace_blocks:1
+           ~parts:[ "serve"; "resume" ] ())
   in
-  let ck = Checkpoint.open_ ~dir ~run_id () in
-  let first = oneshot ~checkpoint:ck settings in
-  Checkpoint.close ck;
-  let ck = Checkpoint.open_ ~dir ~run_id () in
-  Alcotest.(check bool) "journal holds the native report" true
-    (Checkpoint.find_report ck ~key:(native_key settings) <> None);
-  let journaled = Checkpoint.loaded ck in
-  let resumed = oneshot ~checkpoint:ck settings in
-  Checkpoint.close ck;
+  let first = oneshot settings in
+  Alcotest.(check bool) "the run's root holds the native report" true
+    (Profile_cache.find_report (Settings.cache settings)
+       ~key:(native_key settings)
+    <> None);
+  Alcotest.(check bool) "the first run records traces" true
+    (telemetry_count first "trace_store" "recorded" > 0);
+  let resumed = oneshot settings in
   Alcotest.(check string) "resumed output bytes" first.output resumed.output;
-  (* a replay would have appended its fresh record *)
-  let ck = Checkpoint.open_ ~dir ~run_id () in
-  Alcotest.(check int) "resume appended nothing" journaled
-    (Checkpoint.loaded ck);
-  Checkpoint.close ck
+  Alcotest.(check int) "nothing profiled" 0
+    (telemetry_count resumed "search" "profiled");
+  Alcotest.(check int) "no trace recorded" 0
+    (telemetry_count resumed "trace_store" "recorded");
+  Alcotest.(check int) "nothing stored" 0 (cache_count resumed "stores")
 
 (* Distinct searches, each small enough to run in a fraction of a
    second. *)

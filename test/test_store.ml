@@ -3,8 +3,8 @@
    the fleet row journal before they shared {!Hfuse_profiler.Store}:
    every writer must keep producing those bytes, and every reader must
    take them as warm hits, so a cache root filled by an older binary
-   stays warm.  Also the journal half of the store: escaping, header,
-   torn-line accounting. *)
+   stays warm.  Also the journal half of the store, the fleet row
+   journal's: escaping, header, torn-line accounting. *)
 
 module Profile_cache = Hfuse_profiler.Profile_cache
 module Trace_store = Hfuse_profiler.Trace_store
@@ -23,17 +23,9 @@ let golden name = read_file (Filename.concat "golden" name)
 let check_golden name actual =
   Alcotest.(check string) (name ^ " bytes") (golden name) actual
 
-let rec rm_rf p =
-  if Sys.file_exists p then
-    if Sys.is_directory p then begin
-      Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
-      Sys.rmdir p
-    end
-    else Sys.remove p
-
 let fresh_root tag =
   let root = Test_profiler.tmp_cache_dir ("store_" ^ tag) in
-  rm_rf root;
+  Test_util.rm_rf root;
   root
 
 (* the pinned values *)
@@ -184,28 +176,6 @@ let test_journal_lines () =
     (payloads @ [ "after reopen"; "after the tear" ]) loaded;
   Alcotest.(check int) "still two torn lines" 2 torn
 
-(* a checkpoint line in the pre-Store grammar, with a valid digest of
-   that grammar, is counted torn and recomputed, never misread *)
-let test_old_checkpoint_lines_torn () =
-  let dir = fresh_root "old_journal" in
-  let run_id =
-    Checkpoint.run_id ~sim_fuel:3_000_000 ~trace_blocks:1
-      ~parts:[ "old grammar" ] ()
-  in
-  let escaped = "0x1.2p-3\\n" in
-  let digest = Digest.to_hex (Digest.string ("T\x00k\x00" ^ escaped)) in
-  Profile_cache.mkdir_p dir;
-  write_file
-    (Filename.concat dir (run_id ^ ".jnl"))
-    (Printf.sprintf "# hfuse-journal v2 run %s\nT k %s %s\n" run_id digest
-       escaped);
-  let ck = Checkpoint.open_ ~dir ~run_id () in
-  Alcotest.(check int) "nothing loaded" 0 (Checkpoint.loaded ck);
-  Alcotest.(check int) "old line torn" 1 (Checkpoint.torn ck);
-  Alcotest.check Test_profiler.some_time "not replayed" None
-    (Checkpoint.find_time ck ~key:"k");
-  Checkpoint.close ck
-
 let suite =
   [
     Alcotest.test_case "golden cache entry bytes" `Quick test_cache_entry_bytes;
@@ -213,6 +183,4 @@ let suite =
     Alcotest.test_case "golden fleet row bytes" `Quick test_fleet_row_bytes;
     Alcotest.test_case "golden root reads warm" `Quick test_golden_root_is_warm;
     Alcotest.test_case "journal lines" `Quick test_journal_lines;
-    Alcotest.test_case "old checkpoint lines load torn" `Quick
-      test_old_checkpoint_lines_torn;
   ]

@@ -27,3 +27,12 @@ let qcheck_cases (tests : QCheck.Test.t list) : unit Alcotest.test_case list =
 (** The settings a one-shot run resolves from the test environment
     (e.g. [HFUSE_CACHE=0], or a pre-warmed [HFUSE_CACHE_DIR]). *)
 let env_settings () = Hfuse_profiler.Settings.resolve ()
+
+(** [rm -rf p]. *)
+let rec rm_rf p =
+  if Sys.file_exists p then
+    if Sys.is_directory p then begin
+      Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
+      Sys.rmdir p
+    end
+    else Sys.remove p
