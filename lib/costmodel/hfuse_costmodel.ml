@@ -45,10 +45,10 @@
                chain by [spill * lmem_latency] per wave.
 
    A candidate whose configuration cannot run at all (zero resident
-   blocks) scores infinite.  Absolute scale is irrelevant for ranking;
-   {!calibrate_scale} fits the one free scale factor against simulated
-   times (report JSON `elapsed_cycles` / `time_ms`) so model quality —
-   rank agreement and regret — can be measured and gated. *)
+   blocks) scores infinite.  Absolute scale is irrelevant for ranking,
+   so no scale is fitted: [Runner.model_eval] measures model quality —
+   rank agreement and regret — from the score order against simulated
+   times, and the bench gates it. *)
 
 open Hfuse_core
 
@@ -348,6 +348,74 @@ let calibrate (inp : inputs) ~(solo1 : float) ~(solo2 : float) : inputs =
     cal2 = cal_of (solo_predict inp inp.native2 inp.mix2 inp.work2) solo2;
   }
 
+(* A probe group's extremes by d1 (the first candidate wins a tie) and
+   the member nearest their middle (the earliest non-extreme wins a tie;
+   [None] when every member is an extreme).  [group] is non-empty. *)
+let extremes_and_mid (group : (Hfuse.t * Search.config) list) =
+  let d1_of ((_, cfg) : Hfuse.t * Search.config) =
+    cfg.Search.partition.Partition.d1
+  in
+  let first = List.hd group in
+  let lo, hi =
+    List.fold_left
+      (fun (mn, mx) c ->
+        ( (if d1_of c < d1_of mn then c else mn),
+          if d1_of c > d1_of mx then c else mx ))
+      (first, first) group
+  in
+  let target = (d1_of lo + d1_of hi) / 2 in
+  let mid =
+    List.fold_left
+      (fun best c ->
+        if c == lo || c == hi then best
+        else
+          match best with
+          | Some b when abs (d1_of b - target) <= abs (d1_of c - target) ->
+              best
+          | _ -> Some c)
+      None group
+  in
+  (lo, mid, hi)
+
+type probes = {
+  lo : Hfuse.t * Search.config;
+  mid : (Hfuse.t * Search.config) option;
+  hi : Hfuse.t * Search.config;
+  capped : (Hfuse.t * Search.config) list;
+}
+
+(* The unbounded candidates' extremes and middle (minimal d1 starves
+   kernel 1, maximal d1 starves kernel 2, the middle pins the
+   residency-invariant floor), then per spilling register bound, in
+   increasing order, that group's extremes and middle: only candidates
+   whose bound actually forces spilling reveal the capped physics.  A
+   group of one is probed once. *)
+let pick_probes (candidates : (Hfuse.t * Search.config) list) : probes option
+    =
+  let spilling_bound ((f, cfg) : Hfuse.t * Search.config) =
+    match cfg.Search.reg_bound with
+    | Some r when f.Hfuse.regs > r -> Some r
+    | _ -> None
+  in
+  match
+    List.filter
+      (fun ((_, cfg) : Hfuse.t * Search.config) -> cfg.Search.reg_bound = None)
+      candidates
+  with
+  | _ :: _ :: _ as unbounded ->
+      let lo, mid, hi = extremes_and_mid unbounded in
+      let capped =
+        List.sort_uniq compare (List.filter_map spilling_bound candidates)
+        |> List.concat_map (fun r ->
+               let glo, gmid, ghi =
+                 extremes_and_mid
+                   (List.filter (fun c -> spilling_bound c = Some r) candidates)
+               in
+               (glo :: Option.to_list gmid) @ if ghi == glo then [] else [ ghi ])
+      in
+      Some { lo; mid; hi; capped }
+  | _ -> None
+
 let calibrate_probes (inp : inputs) ~(lo : (Hfuse.t * Search.config) * float)
     ?(mid : ((Hfuse.t * Search.config) * float) option)
     ?(capped : ((Hfuse.t * Search.config) * float) list = [])
@@ -499,30 +567,3 @@ let rank (inp : inputs) (candidates : (Hfuse.t * Search.config) list) :
    enough that a pruned search still skips a meaningful share of the
    sweep on top of the probes it already paid for. *)
 let default_top_k = 6
-
-(* -- model-vs-simulator evaluation ----------------------------------- *)
-
-let model_pick (scores : float list) : int option =
-  let best = ref None in
-  List.iteri
-    (fun i s ->
-      if Float.is_finite s then
-        match !best with
-        | Some (_, s') when s' <= s -> ()
-        | _ -> best := Some (i, s))
-    scores;
-  Option.map fst !best
-
-let calibrate_scale ~(scores : float list) ~(times : float list) :
-    float option =
-  (* least-squares scale c minimising sum (c*score - time)^2 over the
-     finite pairs: c = sum(score*time) / sum(score^2) *)
-  let num = ref 0. and den = ref 0. in
-  List.iter2
-    (fun s t ->
-      if Float.is_finite s && Float.is_finite t then begin
-        num := !num +. (s *. t);
-        den := !den +. (s *. s)
-      end)
-    scores times;
-  if !den > 0. then Some (!num /. !den) else None

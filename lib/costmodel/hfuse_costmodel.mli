@@ -9,8 +9,9 @@
     roofline max of an issue-bandwidth bound, a DRAM-bandwidth bound and
     an occupancy-dependent latency-hiding bound; lower is better, and a
     candidate that cannot run at all (zero resident blocks) scores
-    [infinity].  Scores are relative — use {!calibrate_scale} to relate
-    them to simulated times when measuring model quality. *)
+    [infinity].  Scores are relative: only their order matters, and
+    [Hfuse_profiler.Runner.model_eval] measures model quality from that
+    order against simulated times. *)
 
 open Hfuse_core
 
@@ -71,6 +72,26 @@ val of_pair :
     uncalibrated. *)
 val calibrate : inputs -> solo1:float -> solo2:float -> inputs
 
+(** The probe candidates {!calibrate_probes} consumes.  [lo] and [hi]
+    are the unbounded candidates at minimal and maximal [d1] (the first
+    candidate wins a tie); [mid] is the unbounded one nearest their
+    middle (the earliest non-extreme wins a tie; [None] when every
+    unbounded candidate is an extreme).  [capped] holds, per spilling
+    register bound in increasing order, that group's extremes and
+    middle chosen the same way — lo, then mid, then hi, and one probe
+    when the group's lo is its hi. *)
+type probes = {
+  lo : Hfuse.t * Search.config;
+  mid : (Hfuse.t * Search.config) option;
+  hi : Hfuse.t * Search.config;
+  capped : (Hfuse.t * Search.config) list;
+}
+
+(** [pick_probes candidates] picks the probes from a search's verified
+    candidates, in search order.  [None] when fewer than two candidates
+    are unbounded. *)
+val pick_probes : (Hfuse.t * Search.config) list -> probes option
+
 (** Fit the empirical {!probe_model} from profiled probe candidates.
     [lo] and [hi] must be UNBOUNDED candidates at the extremes of the
     partition range (minimal and maximal [d1]) with their simulated
@@ -103,16 +124,6 @@ val score : inputs -> fused:Hfuse.t -> config:Search.config -> float
     {!Hfuse_core.Search.search}'s [rank] hook expects. *)
 val rank : inputs -> (Hfuse.t * Search.config) list -> float list
 
-(** Index of the model's preferred candidate: the first finite minimum
-    score.  [None] when every score is non-finite. *)
-val model_pick : float list -> int option
-
 (** Default pruning window for [--prune]: how many of the model's
     best-ranked candidates the search still simulates. *)
 val default_top_k : int
-
-(** Least-squares scale factor [c] minimising [(c*score - time)^2] over
-    the pairs where both are finite — relates model scores to simulated
-    times for calibration and regret reporting.  [None] when no finite
-    pair exists. *)
-val calibrate_scale : scores:float list -> times:float list -> float option

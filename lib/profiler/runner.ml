@@ -19,16 +19,15 @@
    purity buys two things: recordings parallelize (each task owns its
    memory), and they persist ({!Trace_store}'s disk tier).
 
-   The Fig. 6 search runs as a two-phase engine.  Phase 1 is serial
-   enumeration/verification ([Search.search]); the batch evaluator
-   then looks candidate times up in the cache/memory tiers,
-   fetches the missing traces concurrently (deduped per distinct trace
-   key — N register-bound variants of one partition share one
-   recording), and fans the pure [Timing.run] replays out over one
-   OCaml 5 domain pool per search ([Hfuse_parallel.Pool]) with a
-   persistent on-disk cache ({!Profile_cache}) keyed by content.
-   Results are bit-identical to the serial path for any worker count
-   and any cache temperature. *)
+   The Fig. 6 search is [Search.search] with this module's stages as
+   its hooks, all over one per-search context: trace (time-tier lookup,
+   then one recording per distinct trace key — the register-bound
+   variants of one partition share it), replay (the pure [Timing.run]
+   replays over one OCaml 5 domain pool per search, then stores into
+   the persistent content-keyed cache, {!Profile_cache}), rank (solo
+   calibration, probes, scores), repair, and account.  Results are
+   bit-identical to the serial path for any worker count and any cache
+   temperature. *)
 
 open Gpusim
 open Kernel_corpus
@@ -554,72 +553,95 @@ let candidate_key ~(s : Settings.t) (arch : Arch.t) (c1 : configured)
     ~reg_bound ~k1:c1.spec.name ~size1:c1.size ~k2:c2.spec.name
     ~size2:c2.size ~trace_blocks:s.Settings.trace_blocks
 
-(* Fan pure [Timing.run] replays over a pool: one (arch, spec list) per
-   report.  [Pool.map] preserves order, so results are bit-identical to
-   a serial loop for any pool width; the pool draws its chaos from the
-   settings' plan.  A caller-supplied [?pool] is reused (figure sweeps
-   time hundreds of spec lists; spawning domains per call would
-   dominate); otherwise a fresh pool of [jobs] workers is scoped to
-   this call.
+module Pool = Hfuse_parallel.Pool
 
-   Each entry is [replay] in batch form: [lookup] runs on the calling
-   domain, only the misses reach the pool, through [memo], and their
-   reports are stored afterwards, so a later run over the same root
-   replays nothing.  A key missing more than once (a
-   figure's per-pair solos, a register cap that does not bind) is
-   replayed and stored once; its repeats take that report as
-   non-fresh, as a memory-tier hit would.  Tier I/O stays on the
-   calling domain. *)
+(* The batch form of [replay], shared by [run_many] and the search's
+   replay stage.  Every key is looked up on the calling domain; [plan]
+   is handed the misses, in order, and answers each one's computation
+   or the failure that already excludes it; each distinct planned key
+   is computed once on the pool under [memo] and stored on the calling
+   domain.  A key missing more than once takes its first entry's value
+   as non-fresh, as a memory-tier hit would.  Per entry: the value and
+   whether this call computed it, or the failure, in input order for
+   any pool width.  [with_pool] is entered only when something is left
+   to compute. *)
+let resolve ~(s : Settings.t) ~(with_pool : (Pool.t -> 'r) -> 'r)
+    (t : 'v tiers) (keys : string array)
+    ~(plan : int array -> int -> (unit -> 'v, Pool.failure) result) :
+    ('v * bool, Pool.failure) result array =
+  let results =
+    Array.map (fun k -> Option.map (fun v -> Ok (v, false)) (lookup t k)) keys
+  in
+  let misses =
+    List.init (Array.length keys) Fun.id
+    |> List.filter (fun i -> Option.is_none results.(i))
+    |> Array.of_list
+  in
+  let compute = plan misses in
+  (* each distinct key computes at its first miss *)
+  let first : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  let todo =
+    Array.fold_left
+      (fun todo i ->
+        match compute i with
+        | Error fl ->
+            results.(i) <- Some (Error fl);
+            todo
+        | Ok _ when Hashtbl.mem first keys.(i) -> todo
+        | Ok thunk ->
+            Hashtbl.add first keys.(i) i;
+            (i, thunk) :: todo)
+      [] misses
+    |> List.rev |> Array.of_list
+  in
+  let got =
+    if todo = [||] then [||]
+    else
+      with_pool (fun p ->
+          Pool.map_isolated ?fault:s.Settings.fault p
+            (fun (i, thunk) -> memo t keys.(i) thunk)
+            todo)
+  in
+  Array.iteri
+    (fun j (i, _) ->
+      Result.iter (fun (v, _) -> t.store ~key:keys.(i) v) got.(j);
+      results.(i) <- Some got.(j))
+    todo;
+  Array.mapi
+    (fun i r ->
+      match r with
+      | Some r -> r
+      | None -> (
+          match Option.get results.(Hashtbl.find first keys.(i)) with
+          | Ok (v, _) -> Ok (v, false)
+          | Error _ as e -> e))
+    results
+
+(* Fan pure [Timing.run] replays over a pool through [resolve]: one
+   (arch, spec list) per report.  A caller-supplied [?pool] is reused
+   (figure sweeps time hundreds of spec lists; spawning domains per
+   call would dominate); otherwise a fresh pool of [jobs] workers is
+   scoped to this call.  The lowest-index failure is re-raised, as
+   [Pool.map] does. *)
 let run_many ?pool ?(jobs = 1) ~(settings : Settings.t) ?cache
     (runs : (Arch.t * Timing.launch_spec list) array) : Timing.report array =
   let cache =
     match cache with Some c -> c | None -> Settings.cache settings
   in
-  let n = Array.length runs in
-  let t = report_tiers ~s:settings ~cache in
-  let keys = Array.map (fun (arch, specs) -> report_key arch specs) runs in
-  let results =
-    Array.map (fun k -> Option.map (fun e -> (e, false)) (lookup t k)) keys
+  let with_pool f =
+    match pool with Some p -> f p | None -> Pool.with_pool jobs f
   in
-  (* each distinct missing key replays at its first entry *)
-  let first : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  Array.iteri
-    (fun i r ->
-      if Option.is_none r && not (Hashtbl.mem first keys.(i)) then
-        Hashtbl.add first keys.(i) i)
-    results;
-  let miss_idx =
-    List.filter
-      (fun i -> Hashtbl.find_opt first keys.(i) = Some i)
-      (List.init n Fun.id)
-    |> Array.of_list
-  in
-  let go p =
-    Hfuse_parallel.Pool.map ?fault:settings.Settings.fault p
-      (fun i ->
-        let arch, specs = runs.(i) in
-        memo t keys.(i) (fun () -> Timing.run_with_stats arch specs))
-      miss_idx
-  in
-  let fresh =
-    if Array.length miss_idx = 0 then [||]
-    else
-      match pool with
-      | Some p -> go p
-      | None -> Hfuse_parallel.Pool.with_pool jobs go
-  in
-  Array.iteri
-    (fun j i ->
-      t.store ~key:keys.(i) (fst fresh.(j));
-      results.(i) <- Some fresh.(j))
-    miss_idx;
-  Array.iteri
-    (fun i r ->
-      if Option.is_none r then
-        let e, _ = Option.get results.(Hashtbl.find first keys.(i)) in
-        results.(i) <- Some (e, false))
-    results;
-  Array.map (fun r -> settle (Option.get r)) results
+  resolve ~s:settings ~with_pool
+    (report_tiers ~s:settings ~cache)
+    (Array.map (fun (arch, specs) -> report_key arch specs) runs)
+    ~plan:(fun _ i ->
+      let arch, specs = runs.(i) in
+      Ok (fun () -> Timing.run_with_stats arch specs))
+  |> Array.map (function
+       | Ok got -> got
+       | Error (fl : Pool.failure) ->
+           Printexc.raise_with_backtrace fl.f_exn fl.f_backtrace)
+  |> Array.map settle
 
 (* Exceptions that fail one candidate's profile without invalidating
    the rest of the search: simulator watchdog trips, launch/geometry
@@ -684,369 +706,258 @@ let repair_gate ~(s : Settings.t) (c1 : configured) (c2 : configured)
   | equal -> equal
   | exception e when is_profile_failure e -> false
 
-(* A probe group's extremes by d1 (the first candidate wins a tie) and
-   the member nearest their middle (the earliest non-extreme wins a tie;
-   [None] when every member is an extreme).  [group] is non-empty. *)
-let extremes_and_mid
-    (group : (Hfuse_core.Hfuse.t * Hfuse_core.Search.config) list) =
-  let d1_of ((_, cfg) : Hfuse_core.Hfuse.t * Hfuse_core.Search.config) =
-    cfg.Hfuse_core.Search.partition.Hfuse_core.Partition.d1
-  in
-  let first = List.hd group in
-  let lo, hi =
-    List.fold_left
-      (fun (mn, mx) c ->
-        ( (if d1_of c < d1_of mn then c else mn),
-          if d1_of c > d1_of mx then c else mx ))
-      (first, first) group
-  in
-  let target = (d1_of lo + d1_of hi) / 2 in
-  let mid =
-    List.fold_left
-      (fun best c ->
-        if c == lo || c == hi then best
-        else
-          match best with
-          | Some b when abs (d1_of b - target) <= abs (d1_of c - target) ->
-              best
-          | _ -> Some c)
-      None group
-  in
-  (lo, mid, hi)
+(* ------------------------------------------------------------------ *)
+(* The search's stages                                                  *)
+(* ------------------------------------------------------------------ *)
 
-let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
-    ?(top_k : int option) ?(repair = false) (arch : Arch.t) (c1 : configured) (c2 : configured) :
-    Hfuse_core.Search.result =
-  viewed stats @@ fun () ->
-  let cache = match cache with Some c -> c | None -> Settings.cache s in
-  (* one pool per search: the caller's, else one scoped to the search
-     below, shared by the probe batch and phase 2, recordings and
-     replays alike *)
-  let with_search_pool f =
-    match pool with
-    | Some p -> f p
-    | None -> Hfuse_parallel.Pool.with_pool jobs f
-  in
-  (* a candidate whose profile fails (fuel exhaustion, deadlock, a
-     crashed worker past its retry budget) is excluded by giving it an
-     infinite time: the Fig. 6 fold keeps the first strictly-fastest
-     candidate, so infinity never wins while any candidate completed *)
-  let n_failed = ref 0 in
-  let candidate_failed (f : Hfuse_core.Hfuse.t) (e : exn) : float =
-    incr n_failed;
+module Search = Hfuse_core.Search
+
+type candidate = Hfuse_core.Hfuse.t * Search.config
+
+(* What every stage of one search shares.  [sources]: each partition's
+   fused kernel printed once (one fused kernel per partition within a
+   search): the one source keys both register-bound variants' time
+   entries, in the probe batch and in the full batch, and the
+   partition's trace entry.  [failures]: the search's failed candidates
+   by time key.  Both are touched on the calling domain only and die
+   with the search. *)
+type ctx = {
+  s : Settings.t;
+  arch : Arch.t;
+  c1 : configured;
+  c2 : configured;
+  cache : Profile_cache.t;
+  pool : Pool.t;
+  sources : (Hfuse_core.Partition.t, string) Hashtbl.t;
+  failures : (string, Pool.failure) Hashtbl.t;
+}
+
+let source_of ctx ((f, cfg) : candidate) : string =
+  match Hashtbl.find_opt ctx.sources cfg.partition with
+  | Some src -> src
+  | None ->
+      let src = Hfuse_core.Hfuse.to_source f in
+      Hashtbl.add ctx.sources cfg.partition src;
+      src
+
+(* A candidate whose profile fails (fuel exhaustion, deadlock, a
+   crashed worker past its retry budget) is excluded by giving it an
+   infinite time: the Fig. 6 fold keeps the first strictly-fastest
+   candidate, so infinity never wins while any candidate completed.
+   Injected faults retry in the pool, so a failure that reaches here is
+   deterministic: it is warned about and counted once per search. *)
+let candidate_failed ctx ~(key : string) ((f, _) : candidate)
+    (fl : Pool.failure) : float =
+  if not (Hashtbl.mem ctx.failures key) then begin
+    Hashtbl.add ctx.failures key fl;
     Ledger.add Counters.failed 1;
     Printf.eprintf "hfuse: warning: candidate %s (d1=%d d2=%d) failed: %s\n%!"
-      f.fn.f_name f.d1 f.d2 (Printexc.to_string e);
-    Float.infinity
-  in
-  (* each partition's fused kernel is printed once per search: the one
-     source keys both register-bound variants' time entries, in the
-     probe batch and in phase 2, and the partition's trace entry.  Keyed
-     by partition (one fused kernel each within a search) and scoped to
-     this call, so nothing outlives the search. *)
-  let sources : (Hfuse_core.Partition.t, string) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let source_of (f, (cfg : Hfuse_core.Search.config)) =
-    match Hashtbl.find_opt sources cfg.partition with
-    | Some src -> src
-    | None ->
-        let src = Hfuse_core.Hfuse.to_source f in
-        Hashtbl.add sources cfg.partition src;
-        src
-  in
-  (* phase 2 evaluator: time-tier lookups run serially on this domain
-     (the cache file I/O and its counters are single-domain), the
-     misses' traces come through {!traced} on the pool (one call per
-     distinct trace key, recorded in a fresh memory on a store miss),
-     then the pure Timing.run replays fan out over the same pool, each
-     under its time key's single-flight claim.
-     Candidate order is preserved end-to-end, so results are
-     bit-identical to the serial path for any [jobs] and any
-     cache/store temperature. *)
-  let profile pool
-      (batch : (Hfuse_core.Hfuse.t * Hfuse_core.Search.config) list) :
-      float list =
-    let t0 = Unix.gettimeofday () in
-    let batch = Array.of_list batch in
-    let srcs = Array.map source_of batch in
-    let keys =
-      Array.mapi
-        (fun i (f, (cfg : Hfuse_core.Search.config)) ->
-          candidate_key ~s arch c1 c2 f ~source:srcs.(i)
-            ~reg_bound:cfg.reg_bound)
-        batch
-    in
-    let tiers = time_tiers ~s ~cache in
-    let cached = Array.map (lookup tiers) keys in
-    let times = Array.map (Option.value ~default:nan) cached in
-    (* trace acquisition for the misses: one [traced] call per
-       *distinct* trace key, fanned over the pool.  Candidates sharing a
-       key — the same partition under different register bounds — are
-       merged onto one call (the search's deterministic dedup); the
-       store's single-flight shares each key with concurrent requests.
-       Keys are collected in candidate order and recordings are pure,
-       so results are bit-identical for any [jobs] and any store
-       temperature. *)
-    let t_trace = Unix.gettimeofday () in
-    let tb = s.Settings.trace_blocks in
-    let key_slot : (trace_key, int) Hashtbl.t = Hashtbl.create 16 in
-    let uniq_rev = ref [] and n_uniq = ref 0 and miss_candidates = ref 0 in
-    Array.iteri
-      (fun i (f, (_ : Hfuse_core.Search.config)) ->
-        match cached.(i) with
-        | Some _ -> ()
-        | None ->
-            incr miss_candidates;
-            let k = hfuse_key ~tb c1 c2 f in
-            if not (Hashtbl.mem key_slot k) then begin
-              Hashtbl.add key_slot k !n_uniq;
-              incr n_uniq;
-              uniq_rev := i :: !uniq_rev
-            end)
-      batch;
-    (* each key's traces, and whether this task recorded them (its
-       record thunk ran) or the store answered *)
-    let acquired =
-      Hfuse_parallel.Pool.map_isolated ?fault:s.Settings.fault pool
-        (fun i ->
-          let f = fst batch.(i) in
-          let fresh = ref false in
-          let traces =
-            traced ~s ~arch:arch.Arch.name ~source:srcs.(i)
-              (hfuse_key ~tb c1 c2 f) (fun () ->
-                fresh := true;
-                record ~s [ c1; c2 ] (Hfuse_core.Hfuse.info f))
-          in
-          (traces, !fresh))
-        (Array.of_list (List.rev !uniq_rev))
-    in
-    (* an exception that is not a per-candidate profile failure
-       (Out_of_memory, programming errors) aborts the search *)
-    Array.iter
-      (function
-        | Ok (_, true) -> Ledger.add Counters.traced 1
-        | Ok (_, false) -> Ledger.add Counters.trace_hits 1
-        | Error (fl : Hfuse_parallel.Pool.failure)
-          when not (is_profile_failure fl.f_exn) ->
-            Printexc.raise_with_backtrace fl.f_exn fl.f_backtrace
-        | Error _ -> ())
-      acquired;
-    let miss_specs =
-      Array.mapi
-        (fun i (f, (cfg : Hfuse_core.Search.config)) ->
-          match cached.(i) with
-          | Some _ -> None
-          | None -> (
-              let j = Hashtbl.find key_slot (hfuse_key ~tb c1 c2 f) in
-              match acquired.(j) with
-              | Ok (traces, _) ->
-                  Some (hfuse_spec f ~reg_bound:cfg.reg_bound ~traces)
-              | Error (fl : Hfuse_parallel.Pool.failure) ->
-                  times.(i) <- candidate_failed f fl.f_exn;
-                  None))
-        batch
-    in
-    let merged = !miss_candidates - !n_uniq in
-    Ledger.add Counters.trace_merged merged;
-    (* candidates sharing a trace key made one [traced] call, so these
-       never reach the single-flight table; crediting them keeps a lone
-       search's [merges] deterministic *)
-    Ledger.add Trace_store.merges merged;
-    Ledger.add_float Counters.trace_wall_s (Unix.gettimeofday () -. t_trace);
-    let miss_idx =
-      Array.to_list miss_specs
-      |> List.mapi (fun i s -> (i, s))
-      |> List.filter_map (fun (i, s) -> Option.map (fun s -> (i, s)) s)
-      |> Array.of_list
-    in
-    (* per-task isolation: a worker exception (or a crashed injected
-       task past its retry budget) fails one candidate, not the batch *)
-    let miss_times =
-      Hfuse_parallel.Pool.map_isolated ?fault:s.Settings.fault pool
-        (fun (i, spec) ->
-          memo tiers keys.(i) (fun () ->
-              (Timing.run arch [ spec ]).Timing.time_ms))
-        miss_idx
-    in
-    (* a time another request's claim computed is a hit, not a profile *)
-    let completed = ref 0 and hits = ref 0 in
-    Array.iter (fun c -> if Option.is_some c then incr hits) cached;
-    Array.iteri
-      (fun j (i, _) ->
-        match miss_times.(j) with
-        | Ok (t, fresh) ->
-            incr (if fresh then completed else hits);
-            times.(i) <- t;
-            tiers.store ~key:keys.(i) t
-        | Error (fl : Hfuse_parallel.Pool.failure) ->
-            let f, _ = batch.(i) in
-            times.(i) <- candidate_failed f fl.f_exn)
-      miss_idx;
-    Ledger.add Counters.profiled !completed;
-    Ledger.add Counters.cache_hits !hits;
-    Ledger.add_float Counters.profile_wall_s (Unix.gettimeofday () -. t0);
-    Array.to_list times
-  in
-  (* phase 1.5: the analytical cost model always scores the verified
-     candidates (scores are static and cheap, and the default
-     exhaustive run uses them to report model quality — rank agreement
-     and regret — against the full simulated sweep).  Only an explicit
-     [top_k] makes the scores prune. *)
-  let rank pool candidates =
-    let inputs =
-      Hfuse_costmodel.of_pair
-        ~limits:(Arch.sm_limits arch)
-        ~arch c1.info c2.info
-    in
-    (* pin each side's cost magnitude to its observed solo run (cached
-       and shared across every pair involving the kernel); a failed
-       solo leaves the model uncalibrated rather than failing the
-       search *)
-    let inputs =
-      match
-        ( solo_cycles ~s ~cache arch c1,
-          solo_cycles ~s ~cache arch c2 )
-      with
-      | Some s1, Some s2 -> Hfuse_costmodel.calibrate inputs ~solo1:s1 ~solo2:s2
-      | _ -> inputs
-    in
-    (* fit the pair's empirical time-vs-partition shape from profiled
-       probes: the two extreme unbounded candidates (minimal d1 starves
-       kernel 1, maximal d1 starves kernel 2), the unbounded one
-       nearest the middle (pins the residency-invariant floor), and per
-       spilling register bound that group's extremes and middle.  The
-       probes are real candidates profiled through [profile], so
-       they fan out over the worker pool and their times come from
-       (and land in) the same caches as phase 2.
+      f.fn.f_name f.d1 f.d2 (Printexc.to_string fl.f_exn)
+  end;
+  Float.infinity
 
-       When a [top_k] was requested but cannot cut anything (the pair
-       has no more candidates than the window), the probe simulations
-       would buy nothing — the search profiles every candidate anyway —
-       so they are skipped and the static scores stand.  An exhaustive
-       run (no [top_k]) always fits probes: it is the only run that can
-       measure model quality, and with caching enabled the probes are
-       phase-2 cache hits, not extra simulations. *)
-    let probes_useful =
-      match top_k with
-      | None -> true
-      | Some k -> max 1 k < List.length candidates
-    in
-    let inputs =
-      if not probes_useful then inputs
-      else
-      let unbounded, bounded =
-        List.partition
-          (fun ((_, cfg) : Hfuse_core.Hfuse.t * Hfuse_core.Search.config) ->
-            cfg.Hfuse_core.Search.reg_bound = None)
-          candidates
-      in
-      match unbounded with
-      | _ :: _ :: _ ->
-          let lo, mid, hi = extremes_and_mid unbounded in
-          (* per spilling register bound: that group's extremes and the
-             member nearest the middle — only candidates whose bound
-             actually forces spilling reveal the capped physics *)
-          let spilling =
-            List.filter
-              (fun ((f, cfg) : Hfuse_core.Hfuse.t * Hfuse_core.Search.config)
-                 ->
-                match cfg.Hfuse_core.Search.reg_bound with
-                | Some r -> f.Hfuse_core.Hfuse.regs > r
-                | None -> false)
-              bounded
-          in
-          let capped =
-            List.sort_uniq compare
-              (List.filter_map
-                 (fun ((_, cfg) :
-                        Hfuse_core.Hfuse.t * Hfuse_core.Search.config) ->
-                   cfg.Hfuse_core.Search.reg_bound)
-                 spilling)
-            |> List.concat_map (fun r ->
-                   let glo, gmid, ghi =
-                     extremes_and_mid
-                       (List.filter
-                          (fun ((_, cfg) :
-                                 Hfuse_core.Hfuse.t
-                                 * Hfuse_core.Search.config) ->
-                            cfg.Hfuse_core.Search.reg_bound = Some r)
-                          spilling)
-                   in
-                   (glo :: Option.to_list gmid)
-                   @ if ghi == glo then [] else [ ghi ])
-          in
-          let probes = (lo :: Option.to_list mid) @ (hi :: capped) in
-          let timed = List.combine probes (profile pool probes) in
-          let time_of c = List.assq c timed in
-          Hfuse_costmodel.calibrate_probes inputs
-            ~lo:(lo, time_of lo)
-            ?mid:(Option.map (fun c -> (c, time_of c)) mid)
-            ~capped:(List.map (fun c -> (c, time_of c)) capped)
-            ~hi:(hi, time_of hi)
-            ()
-      | _ -> inputs
-    in
-    Hfuse_costmodel.rank inputs candidates
+(* trace: the traces of the candidates the time tiers missed, one
+   [traced] call per distinct trace key, fanned over the pool.
+   Candidates sharing a key — one partition under different register
+   bounds — merge onto one call (the search's deterministic dedup); the
+   store's single-flight shares each key with concurrent requests.  A
+   known failure is answered as such, never traced again.  Keys are
+   collected in candidate order and recordings are pure, so results are
+   bit-identical for any [jobs] and any store temperature.  Answers
+   each miss's launch spec or failure; an exception that is not a
+   profile failure (Out_of_memory, programming errors) aborts the
+   search. *)
+let trace_stage ctx (batch : candidate array) ~(srcs : string array)
+    ~(keys : string array) (misses : int array) :
+    int -> (Timing.launch_spec, Pool.failure) result =
+  let t0 = Unix.gettimeofday () in
+  let tb = ctx.s.Settings.trace_blocks in
+  let trace_key i = hfuse_key ~tb ctx.c1 ctx.c2 (fst batch.(i)) in
+  let todo =
+    List.filter
+      (fun i -> not (Hashtbl.mem ctx.failures keys.(i)))
+      (Array.to_list misses)
   in
-  (* the histogram hook fires for every finally-rejected partition —
-     including when the verifier rejects them all and [Search.search]
-     raises, where [result.rejected] is unreachable *)
-  let on_reject _partition ds =
-    List.iter
-      (fun (d : Hfuse_analysis.Diag.t) ->
-        Ledger.add
-          (List.assoc (Hfuse_analysis.Diag.kind_tag d.kind) Counters.rejections)
-          1)
-      (Hfuse_analysis.Diag.errors ds)
+  let slot : (trace_key, int) Hashtbl.t = Hashtbl.create 16 in
+  let uniq =
+    List.filter
+      (fun i ->
+        let k = trace_key i in
+        let is_new = not (Hashtbl.mem slot k) in
+        if is_new then Hashtbl.add slot k (Hashtbl.length slot);
+        is_new)
+      todo
   in
-  let repair_cb =
-    if not repair then None
-    else
-      Some
-        (fun ~k1 ~k2 (_ds : Hfuse_analysis.Diag.t list) ->
-          Ledger.add Counters.repair_attempted 1;
-          match
-            Hfuse_repair.Repair.attempt ~limits:(Arch.sm_limits arch) k1 k2
-          with
-          | Error _ -> None
-          | Ok (r : Hfuse_repair.Repair.repaired) ->
-              if repair_gate ~s c1 c2 r.fused then begin
-                Ledger.add Counters.repaired 1;
-                Some
-                  {
-                    Hfuse_core.Search.r_fused = r.fused;
-                    r_reg_bound = r.reg_bound;
-                  }
-              end
-              else begin
-                Ledger.add Counters.repair_unsound 1;
-                None
-              end)
+  (* each key's traces, and whether this task recorded them (its record
+     thunk ran) or the store answered *)
+  let acquired =
+    Pool.map_isolated ?fault:ctx.s.Settings.fault ctx.pool
+      (fun i ->
+        let f = fst batch.(i) in
+        let fresh = ref false in
+        let traces =
+          traced ~s:ctx.s ~arch:ctx.arch.Arch.name ~source:srcs.(i)
+            (trace_key i) (fun () ->
+              fresh := true;
+              record ~s:ctx.s [ ctx.c1; ctx.c2 ] (Hfuse_core.Hfuse.info f))
+        in
+        (traces, !fresh))
+      (Array.of_list uniq)
   in
-  let result =
-    with_search_pool @@ fun pool ->
-    Hfuse_core.Search.search
-      ~limits:(Arch.sm_limits arch)
-      ~profile:(profile pool) ~rank:(rank pool) ?top_k ?repair:repair_cb
-      ~on_reject ~d0:(d0_for c1 c2) c1.info c2.info
+  Array.iter
+    (function
+      | Ok (_, true) -> Ledger.add Counters.traced 1
+      | Ok (_, false) -> Ledger.add Counters.trace_hits 1
+      | Error (fl : Pool.failure) when not (is_profile_failure fl.f_exn) ->
+          Printexc.raise_with_backtrace fl.f_exn fl.f_backtrace
+      | Error _ -> ())
+    acquired;
+  let merged = List.length todo - List.length uniq in
+  Ledger.add Counters.trace_merged merged;
+  (* candidates sharing a trace key made one [traced] call, so these
+     never reach the single-flight table; crediting them keeps a lone
+     search's [merges] deterministic *)
+  Ledger.add Trace_store.merges merged;
+  Ledger.add_float Counters.trace_wall_s (Unix.gettimeofday () -. t0);
+  fun i ->
+    match Hashtbl.find_opt ctx.failures keys.(i) with
+    | Some fl -> Error fl
+    | None ->
+        let f, (cfg : Search.config) = batch.(i) in
+        Result.map
+          (fun (traces, _) -> hfuse_spec f ~reg_bound:cfg.reg_bound ~traces)
+          acquired.(Hashtbl.find slot (trace_key i))
+
+(* replay: [Search.search]'s [~profile] hook.  The time tiers are
+   looked up on this domain, the misses' traces come from
+   [trace_stage], and the pure [Timing.run] replays fan out over the
+   same pool, each under its time key's single-flight claim, through
+   [resolve].  Candidate order is preserved end to end. *)
+let replay_stage ctx (candidates : candidate list) : float list =
+  let t0 = Unix.gettimeofday () in
+  let batch = Array.of_list candidates in
+  let srcs = Array.map (source_of ctx) batch in
+  let keys =
+    Array.mapi
+      (fun i (f, (cfg : Search.config)) ->
+        candidate_key ~s:ctx.s ctx.arch ctx.c1 ctx.c2 f ~source:srcs.(i)
+          ~reg_bound:cfg.reg_bound)
+      batch
   in
+  let got =
+    resolve ~s:ctx.s
+      ~with_pool:(fun f -> f ctx.pool)
+      (time_tiers ~s:ctx.s ~cache:ctx.cache)
+      keys
+      ~plan:(fun misses ->
+        let spec = trace_stage ctx batch ~srcs ~keys misses in
+        fun i ->
+          Result.map
+            (fun spec () -> (Timing.run ctx.arch [ spec ]).Timing.time_ms)
+            (spec i))
+  in
+  (* a time another request's claim computed is a hit, not a profile *)
+  let times =
+    Array.mapi
+      (fun i -> function
+        | Ok (t, fresh) ->
+            Ledger.add (if fresh then Counters.profiled else Counters.cache_hits) 1;
+            t
+        | Error fl -> candidate_failed ctx ~key:keys.(i) batch.(i) fl)
+      got
+  in
+  Ledger.add_float Counters.profile_wall_s (Unix.gettimeofday () -. t0);
+  Array.to_list times
+
+(* rank: [Search.search]'s [~rank] hook.  The analytical cost model
+   always scores the verified candidates (scores are static and cheap,
+   and the default exhaustive run uses them to report model quality
+   against the full simulated sweep); only an explicit [top_k] makes
+   the scores prune.  Each side's cost magnitude is pinned to its
+   observed solo run (a failed solo leaves the model uncalibrated), and
+   the pair's time-vs-partition shape is fitted from the probes
+   {!Hfuse_costmodel.pick_probes} names, profiled through
+   [replay_stage], so their times come from (and land in) the same
+   tiers as the full batch.  When a [top_k] cannot cut anything the
+   probes would buy nothing and are skipped; an exhaustive run always
+   fits them: it is the only run that can measure model quality. *)
+let rank_stage ctx ~(top_k : int option) (candidates : candidate list) :
+    float list =
+  let { s; arch; c1; c2; cache; _ } = ctx in
+  let inputs =
+    Hfuse_costmodel.of_pair ~limits:(Arch.sm_limits arch) ~arch c1.info
+      c2.info
+  in
+  let inputs =
+    match (solo_cycles ~s ~cache arch c1, solo_cycles ~s ~cache arch c2) with
+    | Some s1, Some s2 -> Hfuse_costmodel.calibrate inputs ~solo1:s1 ~solo2:s2
+    | _ -> inputs
+  in
+  let probes_useful =
+    match top_k with None -> true | Some k -> max 1 k < List.length candidates
+  in
+  let inputs =
+    match
+      if probes_useful then Hfuse_costmodel.pick_probes candidates else None
+    with
+    | None -> inputs
+    | Some { lo; mid; hi; capped } ->
+        let probes = (lo :: Option.to_list mid) @ (hi :: capped) in
+        let timed = List.combine probes (replay_stage ctx probes) in
+        let with_time c = (c, List.assq c timed) in
+        Hfuse_costmodel.calibrate_probes inputs ~lo:(with_time lo)
+          ?mid:(Option.map with_time mid)
+          ~capped:(List.map with_time capped)
+          ~hi:(with_time hi) ()
+  in
+  Hfuse_costmodel.rank inputs candidates
+
+(* repair: [Search.search]'s [~repair] hook — one [Repair.attempt] per
+   rejected partition, admitted only past [repair_gate] *)
+let repair_stage ctx ~k1 ~k2 (_ : Hfuse_analysis.Diag.t list) :
+    Search.repair_outcome option =
+  Ledger.add Counters.repair_attempted 1;
+  match
+    Hfuse_repair.Repair.attempt ~limits:(Arch.sm_limits ctx.arch) k1 k2
+  with
+  | Error _ -> None
+  | Ok (r : Hfuse_repair.Repair.repaired) ->
+      if repair_gate ~s:ctx.s ctx.c1 ctx.c2 r.fused then begin
+        Ledger.add Counters.repaired 1;
+        Some { Search.r_fused = r.fused; r_reg_bound = r.reg_bound }
+      end
+      else begin
+        Ledger.add Counters.repair_unsound 1;
+        None
+      end
+
+(* [Search.search]'s [~on_reject] hook: the histogram counts every
+   finally-rejected partition — including when the verifier rejects
+   them all and [Search.search] raises, where [result.rejected] is
+   unreachable *)
+let count_rejection _partition ds =
+  List.iter
+    (fun (d : Hfuse_analysis.Diag.t) ->
+      Ledger.add
+        (List.assoc (Hfuse_analysis.Diag.kind_tag d.kind) Counters.rejections)
+        1)
+    (Hfuse_analysis.Diag.errors ds)
+
+(* account: the ranked/pruned counters and the model verdict, then the
+   all-failed raise or the degraded warning.  Model quality is only
+   measurable against an exhaustive sweep: a pruned run has no ground
+   truth beyond its own window (its best IS the window's best, regret
+   trivially zero), so the verdict is recorded only when no pruning was
+   requested. *)
+let account ctx ~(top_k : int option) (result : Search.result) :
+    Search.result =
   Ledger.add Counters.ranked
-    (List.length result.Hfuse_core.Search.scores
-    + List.length result.Hfuse_core.Search.pruned);
-  Ledger.add Counters.pruned (List.length result.Hfuse_core.Search.pruned);
-  (* Model quality is only measurable against an exhaustive sweep: a
-     pruned run has no ground truth beyond its own window (its best IS
-     the window's best, regret trivially zero), so the verdict is
-     recorded only when no pruning was requested. *)
+    (List.length result.scores + List.length result.pruned);
+  Ledger.add Counters.pruned (List.length result.pruned);
   (if top_k = None then
      match
-       model_eval ~k:Hfuse_costmodel.default_top_k
-         ~scores:result.Hfuse_core.Search.scores
-         ~times:
-           (List.map
-              (fun (c : Hfuse_core.Search.candidate) -> c.time)
-              result.Hfuse_core.Search.all)
+       model_eval ~k:Hfuse_costmodel.default_top_k ~scores:result.scores
+         ~times:(List.map (fun (c : Search.candidate) -> c.time) result.all)
          ()
      with
      | Some (_, regret) ->
@@ -1054,19 +965,44 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
          if regret <= 0.0 then Ledger.add Counters.rank_agree 1;
          Ledger.add_float Counters.max_regret_pct regret
      | None -> ());
-  if not (Float.is_finite result.Hfuse_core.Search.best.Hfuse_core.Search.time)
-  then
+  let k1 = ctx.c1.spec.name and k2 = ctx.c2.spec.name in
+  if not (Float.is_finite result.best.time) then
     failwith
-      (Printf.sprintf "Runner.search: every candidate of %s + %s failed to profile"
-         c1.spec.name c2.spec.name);
-  if !n_failed > 0 then
+      (Printf.sprintf
+         "Runner.search: every candidate of %s + %s failed to profile" k1 k2);
+  let n_failed = Hashtbl.length ctx.failures in
+  if n_failed > 0 then
     Printf.eprintf
       "hfuse: warning: search %s + %s degraded: %d candidate(s) failed, best \
        is best-of-completed\n\
        %!"
-      c1.spec.name c2.spec.name
-      !n_failed;
+      k1 k2 n_failed;
   result
+
+let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
+    ?(top_k : int option) ?(repair = false) (arch : Arch.t) (c1 : configured)
+    (c2 : configured) : Search.result =
+  viewed stats @@ fun () ->
+  let cache = match cache with Some c -> c | None -> Settings.cache s in
+  (* one pool per search: the caller's, else one scoped to the search,
+     shared by the probe batch and the full batch, recordings and
+     replays alike *)
+  let with_search_pool f =
+    match pool with Some p -> f p | None -> Pool.with_pool jobs f
+  in
+  let ctx, result =
+    with_search_pool @@ fun pool ->
+    let ctx =
+      { s; arch; c1; c2; cache; pool; sources = Hashtbl.create 16;
+        failures = Hashtbl.create 4 }
+    in
+    ( ctx,
+      Search.search ~limits:(Arch.sm_limits arch) ~profile:(replay_stage ctx)
+        ~rank:(rank_stage ctx ~top_k) ?top_k
+        ?repair:(if repair then Some (repair_stage ctx) else None)
+        ~on_reject:count_rejection ~d0:(d0_for c1 c2) c1.info c2.info )
+  in
+  account ctx ~top_k result
 
 let naive_hfuse (c1 : configured) (c2 : configured) : Hfuse_core.Hfuse.t option
     =

@@ -14,13 +14,14 @@
     byte-identical to in-search recordings (trace payloads are
     coalescing analysis results, invariant under buffer renaming).
 
-    {!search} is a two-phase engine: candidates are enumerated and
-    verified serially, missing traces are fetched concurrently (deduped
-    per distinct trace key), and the pure [Timing.run] replays fan out
-    over an OCaml 5 domain pool ([~jobs]) with a persistent on-disk
-    profiling cache ({!Profile_cache}, [~cache]).  Traces, reports and
-    times are computed through {!Trace_store.get_or_compute}, once
-    across concurrent requests.
+    {!search} runs [Hfuse_core.Search.search] with named stages as its
+    hooks: trace (time-tier lookup, then the missing traces, one
+    recording per distinct trace key), replay (the pure [Timing.run]
+    replays over an OCaml 5 domain pool, [~jobs], stored in the
+    persistent profiling cache {!Profile_cache}, [~cache]), rank (the
+    cost model's calibration, probes and scores), repair, and account.
+    Traces, reports and times are computed through
+    {!Trace_store.get_or_compute}, once across concurrent requests.
     Results are bit-identical to the serial path for any worker count
     and any cache/store temperature. *)
 
@@ -199,19 +200,16 @@ val model_eval :
     (arch, launch-spec list) per report, results in input order
     (bit-identical to a serial loop for any width).  Pass [?pool] to
     reuse a live pool across many calls (figure sweeps); otherwise a
-    fresh pool of [jobs] workers is scoped to the call.  Spec lists
-    must already hold their traces — building them traces kernels,
-    which stays on the calling domain.
+    fresh pool of [jobs] workers is scoped to the call, opened only
+    when something misses.  Spec lists must already hold their traces.
 
-    The pool draws its [worker_crash] chaos from [settings].
-
-    An enabled [cache] (default: minted from [settings], as {!search}
-    does) serves entries from the persistent report cache
-    ({!Profile_cache.find_report}; keyed over the specs and their packed
-    traces), then the memory tier, and only fans the misses out, each
-    distinct key once (single-flighted), storing their reports after.
-    Hits are bit-identical to replays, and add their recorded engine
-    stats to the current ledger. *)
+    Entries resolve as {!native}'s does — the persistent report cache
+    (default: minted from [settings]), then the memory tier — through
+    the batch resolver {!search}'s replay stage uses: each distinct
+    missing key is replayed once on the pool (single-flighted, under
+    [settings]' [worker_crash] chaos) and stored after.  Hits add their
+    recorded engine stats to the current ledger.  A replay that fails
+    re-raises, the lowest-index one first. *)
 val run_many :
   ?pool:Hfuse_parallel.Pool.t -> ?jobs:int -> settings:Settings.t ->
   ?cache:Profile_cache.t ->
@@ -249,7 +247,9 @@ val run_many :
     watchdog trip, deadlock, a crashed worker past its retry budget)
     is excluded with an infinite time and a stderr warning, and the
     search degrades to best-of-completed; only when {e every}
-    candidate fails does the call raise [Failure].
+    candidate fails does the call raise [Failure].  Such a failure is
+    deterministic (injected faults retry in the pool), so a probe that
+    failed is warned about and counted once, never profiled again.
 
     With [~repair:true], partitions the fusion-safety verifier rejects
     get one {!Hfuse_repair.Repair.attempt}; a statically repaired

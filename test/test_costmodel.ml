@@ -1,5 +1,5 @@
-(* The analytical cost model: monotonicity of the static roofline,
-   probe-fit behaviour, and the model-vs-simulator evaluation helpers.
+(* The analytical cost model: monotonicity of the static roofline, the
+   probe picker's tie rules and probe-fit behaviour.
    Candidates come from a real Search.search over the synthetic tunable
    kernel, so the fused registers / shared memory / partitions are the
    ones the model sees in production. *)
@@ -174,17 +174,62 @@ let synth_time inp (floor, l1, l2) ((fused, config) : Hfuse.t * Search.config)
        (l2 /. float_of_int (b * d2))
 
 let probe_extremes cands =
+  match Cm.pick_probes cands with
+  | Some { Cm.lo; mid = Some mid; hi; _ } -> (lo, mid, hi)
+  | _ -> Alcotest.fail "expected lo, mid and hi probes"
+
+(* the picker's tie rules, over the synthetic pair's candidates: the
+   unbounded d1 run 128..896 in steps of 128, so the middle is 512 *)
+let test_pick_probes () =
+  let cands = candidates () in
   let unb = unbounded cands in
-  let lo =
-    List.fold_left (fun m c -> if d1_of c < d1_of m then c else m)
-      (List.hd unb) unb
+  let pick cs =
+    match Cm.pick_probes cs with
+    | Some p -> p
+    | None -> Alcotest.fail "expected probes"
   in
-  let hi =
-    List.fold_left (fun m c -> if d1_of c > d1_of m then c else m)
-      (List.hd unb) unb
+  let d1s = List.map d1_of in
+  let p = pick cands in
+  Alcotest.(check (list int)) "lo, mid, hi by d1" [ 128; 512; 896 ]
+    (d1s (p.Cm.lo :: Option.to_list p.Cm.mid @ [ p.Cm.hi ]));
+  (* a copy of an extreme later in the list loses the tie *)
+  let copy (f, cfg) = (f, cfg) in
+  Alcotest.(check bool) "a copy is another candidate" false
+    (copy p.Cm.lo == p.Cm.lo);
+  let tied = unb @ [ copy p.Cm.lo; copy p.Cm.hi ] in
+  let pt = pick tied in
+  Alcotest.(check bool) "first lo wins a tie" true (pt.Cm.lo == p.Cm.lo);
+  Alcotest.(check bool) "first hi wins a tie" true (pt.Cm.hi == p.Cm.hi);
+  (* without 512, 384 and 640 are equally near the middle: the earlier
+     one wins, in whichever order the list gives them *)
+  let no_512 = List.filter (fun c -> d1_of c <> 512) unb in
+  Alcotest.(check (list int)) "earliest mid wins a tie" [ 384 ]
+    (d1s (Option.to_list (pick no_512).Cm.mid));
+  Alcotest.(check (list int)) "earliest mid wins a tie, reversed" [ 640 ]
+    (d1s (Option.to_list (pick (List.rev no_512)).Cm.mid));
+  (* every member an extreme: no mid *)
+  let ends = [ p.Cm.lo; p.Cm.hi ] in
+  Alcotest.(check bool) "no mid between two extremes" true
+    ((pick ends).Cm.mid = None);
+  Alcotest.(check bool) "one unbounded candidate picks nothing" true
+    (Cm.pick_probes [ p.Cm.lo ] = None);
+  (* the capped groups: the spilling candidates' lo, mid and hi; a
+     group of one is probed once *)
+  let spilling =
+    List.filter
+      (fun ((f, cfg) : Hfuse.t * Search.config) ->
+        match cfg.Search.reg_bound with
+        | Some r -> f.Hfuse.regs > r
+        | None -> false)
+      cands
   in
-  let mid = List.find (fun c -> d1_of c = 512) unb in
-  (lo, mid, hi)
+  Alcotest.(check (list int)) "capped lo, mid, hi" [ 128; 512; 896 ]
+    (d1s p.Cm.capped);
+  let one = List.nth spilling 2 in
+  let p1 = pick (ends @ [ one ]) in
+  Alcotest.(check bool) "a capped group whose lo is its hi is one probe"
+    true
+    (match p1.Cm.capped with [ c ] -> c == one | _ -> false)
 
 let test_probe_fit_recovers_family () =
   let inp = inputs () in
@@ -303,41 +348,11 @@ let test_probe_capped_family () =
       Alcotest.(check bool) "one probe fits no family" true
         (p.Cm.p_capped = [])
 
-(* -- evaluation helpers ------------------------------------------------ *)
-
-let test_model_pick () =
-  Alcotest.(check (option int)) "first finite minimum" (Some 2)
-    (Cm.model_pick [ Float.nan; 3.0; 1.0; Float.infinity; 1.0 ]);
-  Alcotest.(check (option int)) "all non-finite" None
-    (Cm.model_pick [ Float.nan; Float.infinity ]);
-  Alcotest.(check (option int)) "empty" None (Cm.model_pick [])
-
-let test_calibrate_scale () =
-  (match Cm.calibrate_scale ~scores:[ 1.0; 2.0 ] ~times:[ 2.0; 4.0 ] with
-  | Some c -> Alcotest.(check (float 1e-12)) "exact scale" 2.0 c
-  | None -> Alcotest.fail "expected a scale");
-  (match
-     Cm.calibrate_scale
-       ~scores:[ Float.infinity; 1.0 ]
-       ~times:[ 5.0; 3.0 ]
-   with
-  | Some c -> Alcotest.(check (float 1e-12)) "non-finite pairs dropped" 3.0 c
-  | None -> Alcotest.fail "expected a scale");
-  Alcotest.(check bool) "no finite pair" true
-    (Cm.calibrate_scale ~scores:[ Float.nan ] ~times:[ 1.0 ] = None)
+(* -- defaults ------------------------------------------------------------ *)
 
 let test_default_top_k () =
   Alcotest.(check bool) "window is sane" true
     (Cm.default_top_k >= 1 && Cm.default_top_k <= 16)
-
-(* ranking is invariant under any positive rescaling of the scores *)
-let scale_invariance_prop =
-  QCheck.Test.make ~name:"model_pick invariant under positive scaling"
-    ~count:50
-    QCheck.(pair (list_of_size Gen.(1 -- 10) (float_range 0. 100.)) pos_float)
-    (fun (scores, c) ->
-      QCheck.assume (c > 1e-6 && Float.is_finite c);
-      Cm.model_pick scores = Cm.model_pick (List.map (fun s -> s *. c) scores))
 
 let suite =
   [
@@ -352,6 +367,7 @@ let suite =
     Alcotest.test_case "solo calibration" `Quick test_calibrate;
     Alcotest.test_case "calibration shifts the ranking" `Quick
       test_calibration_shifts_ranking;
+    Alcotest.test_case "probe picker tie rules" `Quick test_pick_probes;
     Alcotest.test_case "probe fit recovers the family" `Quick
       test_probe_fit_recovers_family;
     Alcotest.test_case "no middle probe means floor zero" `Quick
@@ -360,8 +376,5 @@ let suite =
       test_probe_unusable_extreme_disables;
     Alcotest.test_case "capped probes fit their own family" `Quick
       test_probe_capped_family;
-    Alcotest.test_case "model pick" `Quick test_model_pick;
-    Alcotest.test_case "calibrate scale" `Quick test_calibrate_scale;
     Alcotest.test_case "default top-k" `Quick test_default_top_k;
   ]
-  @ Test_util.qcheck_cases [ scale_invariance_prop ]

@@ -100,10 +100,7 @@ let test_trace_key_collision () =
 
 (* -- Profile_cache ------------------------------------------------------ *)
 
-let tmp_cache_dir tag =
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "hfuse_test_%s_%d" tag (Unix.getpid ()))
+let tmp_cache_dir tag = Test_util.tmp_path ("cache_" ^ tag)
 
 (* empty the versioned entry directory so each test run starts cold *)
 let clear_cache_dir (cache : Profile_cache.t) =
@@ -1123,6 +1120,33 @@ let test_disk_hits_respect_bound () =
     (sig_of warm = sig_of cold);
   Runner.clear_cache ()
 
+(* A search whose every candidate fails raises, and counts each failed
+   candidate once.  Under a fuel of 10 every fused recording of the pair
+   trips the watchdog: the 6 probes fail in the probe batch, and the
+   full batch takes their known failures without requesting their 3
+   trace keys, warning or counting again; its other 8 candidates merge
+   onto 4 keys. *)
+let test_degraded_search_counts_once () =
+  Runner.clear_cache ();
+  let settings =
+    Settings.resolve ~sim_fuel:10 ~cache_dir:None ~fault:None ()
+  in
+  let mem = Memory.create () in
+  let c1 = Runner.configure mem (Registry.find_exn "Batchnorm") ~size:1 in
+  let c2 = Runner.configure mem (Registry.find_exn "Hist") ~size:1 in
+  let ledger = Ledger.create () in
+  Alcotest.check_raises "every candidate failed"
+    (Failure
+       "Runner.search: every candidate of Batchnorm + Hist failed to profile")
+    (fun () ->
+      Ledger.within (Some ledger) (fun () ->
+          ignore (Runner.search ~jobs:2 ~settings arch c1 c2)));
+  Alcotest.(check int) "each failed candidate counted once" 14
+    (Ledger.get ledger Runner.Counters.failed);
+  Alcotest.(check int) "no failed probe's trace requested again" 7
+    (Ledger.get ledger Runner.Counters.trace_merged);
+  Runner.clear_cache ()
+
 (* -- Runner.search over the trace store ---------------------------------- *)
 
 let search_traced ?stats ~fault ~jobs ~dir () =
@@ -1271,6 +1295,8 @@ let suite =
       test_memory_tier_kinds;
     Alcotest.test_case "disk hits evict to the settings' bound" `Quick
       test_disk_hits_respect_bound;
+    Alcotest.test_case "a degraded search counts each failure once" `Quick
+      test_degraded_search_counts_once;
     Alcotest.test_case "warm trace store reproduces cold search" `Quick
       test_search_trace_store_warm_identity;
     Alcotest.test_case "chaos-torn trace store heals" `Quick

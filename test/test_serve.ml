@@ -22,11 +22,7 @@ let fresh_socket =
   let n = ref 0 in
   fun () ->
     incr n;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "hsrv-%d-%d" (Unix.getpid ()) !n)
-    in
+    let dir = Test_util.tmp_path (Printf.sprintf "hsrv-%d" !n) in
     (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
     Filename.concat dir "d.sock"
 
@@ -517,13 +513,9 @@ let test_stale_socket_replaced () =
 (* ------------------------------------------------------------------ *)
 (* The native baseline through the report tiers                        *)
 
-(* a fresh, empty root under the system temp dir *)
+(* a fresh, empty root under the test process's temp dir *)
 let fresh_root tag =
-  let root =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "hfuse_serve_%s_%d" tag (Unix.getpid ()))
-  in
+  let root = Test_util.tmp_path ("serve_" ^ tag) in
   Test_util.rm_rf root;
   root
 

@@ -36,3 +36,21 @@ let rec rm_rf p =
       Sys.rmdir p
     end
     else Sys.remove p
+
+(** This test process's own directory under the system temp dir, made
+    at start and removed with everything in it at exit: every cache
+    root and socket directory the suites make lives here, so no run
+    leaves one behind. *)
+let tmp_root =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "hfuse-test-%d" (Unix.getpid ()))
+  in
+  rm_rf dir;
+  Unix.mkdir dir 0o700;
+  at_exit (fun () -> try rm_rf dir with Sys_error _ -> ());
+  dir
+
+(** [name] under {!tmp_root}. *)
+let tmp_path name = Filename.concat tmp_root name
