@@ -56,12 +56,12 @@
    pairs.  [--via-server SOCKET] drives a live [hfuse serve] daemon
    with [-j] concurrent client threads instead of searching
    in-process; [--out DIR] writes .cu repros of failed pairs;
-   [--resume] journals finished rows (and, without a cache, profiles
-   into the shard's own root) so a killed shard resumes without
-   recomputation.  Per-pair rows are
-   bit-identical across shard counts, [-j], cache temperature, chaos
-   specs and daemon routing — the invariant [bench_gate --fleet]
-   enforces; [--json] writes the BENCH_fleet.json it gates. *)
+   [--resume] without a cache profiles into the shard's own root, so a
+   killed shard's rerun answers every finished candidate from it.
+   Per-pair rows are bit-identical across shard counts, [-j], cache
+   temperature, chaos specs and daemon routing — the invariant
+   [bench_gate --fleet] enforces; [--json] writes the BENCH_fleet.json
+   it gates. *)
 
 open Hfuse_profiler
 open Kernel_corpus
@@ -107,23 +107,19 @@ let fleet_repair = ref false
 
 (* A resumable figure run's identity: the figures asked for and
    everything that shapes their outputs (the pairs spec, --full,
-   --top-k, --trace-blocks, the fuel).  -j and --fault are deliberately
-   excluded: results are bit-identical across them, so a resume may
-   change either. *)
-let figure_run_id ~(settings : Settings.t) (scope : string list) : string =
-  Checkpoint.run_id ~sim_fuel:settings.sim_fuel
-    ~trace_blocks:settings.trace_blocks
-    ~parts:
-      [
-        "bench";
-        (match scope with [] -> "all" | figs -> String.concat "," figs);
-        !raw_pairs;
-        (if !full_ref then "full" else "short");
-        (match !top_k with
-        | None -> "exhaustive"
-        | Some k -> "top" ^ string_of_int k);
-      ]
-    ()
+   --top-k; {!Settings.resumable} folds in --trace-blocks and the
+   fuel).  -j and --fault are deliberately excluded: results are
+   bit-identical across them, so a resume may change either. *)
+let figure_run_parts (scope : string list) : string list =
+  [
+    "bench";
+    (match scope with [] -> "all" | figs -> String.concat "," figs);
+    !raw_pairs;
+    (if !full_ref then "full" else "short");
+    (match !top_k with
+    | None -> "exhaustive"
+    | Some k -> "top" ^ string_of_int k);
+  ]
 
 (* chaos observability: how many faults the figure's run injected and
    recovered (the figures themselves must not change under any spec) *)
@@ -320,18 +316,14 @@ let run_fleet ~settings () =
   let count st =
     List.length (List.filter (fun x -> x.Fleet.r_status = st) r.Fleet.rows)
   in
+  let rows = List.length r.Fleet.rows in
   say "%d kernels, %d corpus pairs; shard ran %d rows: %d ok, %d rejected, \
-       %d failed (%d executed, %d resumed)"
-    r.Fleet.kernels r.Fleet.pairs_total
-    (List.length r.Fleet.rows)
-    (count "ok") (count "rejected") (count "failed") r.Fleet.executed
-    r.Fleet.resumed;
-  if r.Fleet.torn > 0 then
-    say "row journal: %d torn row%s dropped and re-run" r.Fleet.torn
-      (if r.Fleet.torn = 1 then "" else "s");
+       %d failed"
+    r.Fleet.kernels r.Fleet.pairs_total rows (count "ok") (count "rejected")
+    (count "failed");
   say "wall %.1fs, %.1f searches/min" r.Fleet.wall_s
     (if r.Fleet.wall_s > 0.0 then
-       float_of_int r.Fleet.executed /. r.Fleet.wall_s *. 60.0
+       float_of_int rows /. r.Fleet.wall_s *. 60.0
      else 0.0);
   let tget = Report.telemetry_get r.Fleet.telemetry in
   if !fleet_repair then
@@ -638,11 +630,11 @@ let () =
   in
   let args = parse_flags args in
   (* --resume: a figure run without a cache profiles into its own root;
-     the fleet names its own ({!Fleet.run_id}) *)
+     the fleet names its own ({!Fleet.run_parts}) *)
   let settings = !settings in
   let settings =
     if !resume && args <> [ "fleet" ] then
-      Settings.resumable settings ~run_id:(figure_run_id ~settings args)
+      Settings.resumable settings ~parts:(figure_run_parts args)
     else settings
   in
   (* one cache handle for the whole run, so its counters span figures *)

@@ -518,17 +518,12 @@ let search_cmd =
       else
         let size = Option.fold ~none:"default" ~some:string_of_int in
         Settings.resumable settings
-          ~run_id:
-            (Hfuse_profiler.Checkpoint.run_id
-               ~sim_fuel:settings.Settings.sim_fuel
-               ~trace_blocks:settings.Settings.trace_blocks
-               ~parts:
-                 ([
-                    "search"; arch.Gpusim.Arch.name; s1.name; size size1;
-                    s2.name; size size2; prune_id_part top_k;
-                  ]
-                 @ if repair then [ "repair" ] else [])
-               ())
+          ~parts:
+            ([
+               "search"; arch.Gpusim.Arch.name; s1.name; size size1; s2.name;
+               size size2; prune_id_part top_k;
+             ]
+            @ if repair then [ "repair" ] else [])
     in
     let params =
       {
@@ -548,6 +543,11 @@ let search_cmd =
       | Hfuse_core.Search.No_valid_partition message ->
           (* a rejected pair is a verdict, not a crash *)
           Ops.rejected message
+      | Hfuse_profiler.Runner.All_candidates_failed message ->
+          (* so is a pair whose every candidate failed to profile; the
+             routed path answers it with exit code 1 as well *)
+          Printf.eprintf "hfuse: %s\n" message;
+          exit 1
       | Sys.Break ->
         Printf.eprintf "\nhfuse: interrupted%s\n"
           (if resume then

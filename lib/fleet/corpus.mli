@@ -41,4 +41,4 @@ val install : unit -> unit
 val digest : unit -> string
 (** MD5 hex fingerprint of the whole corpus (names, sources, resource
     calibration, launch shapes) — the CI cache key and a component of
-    the fleet's resume run ids ({!Fleet.run_id}). *)
+    the fleet's resume roots ({!Fleet.run_parts}). *)

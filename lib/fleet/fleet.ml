@@ -14,16 +14,14 @@
    digest is the MD5 of the search's byte-exact stdout payload, so CI
    can diff whole fleets cheaply.
 
-   Kill/resume: with [resume] every completed row is journaled (one
-   {!Hfuse_profiler.Store.Journal} record per row, its JSON line) and a
-   shard without a cache profiles into its run's own cache root
-   ({!Hfuse_profiler.Settings.resumable}), so a shard killed mid-run
-   resumes without recomputing finished pairs — and mid-pair kills
-   resume without re-profiling finished candidates. *)
+   Kill/resume: with [resume] a shard without a cache profiles into its
+   run's own cache root ({!Hfuse_profiler.Settings.resumable}), as every
+   other [--resume] does.  A restart runs every pair again; finished
+   pairs and finished candidates answer from their content-keyed cache
+   and trace entries, so nothing committed is profiled twice. *)
 
 module Spec = Kernel_corpus.Spec
 module Settings = Hfuse_profiler.Settings
-module Checkpoint = Hfuse_profiler.Checkpoint
 module Store = Hfuse_profiler.Store
 module Json = Hfuse_profiler.Report.Json
 module Report = Hfuse_profiler.Report
@@ -90,9 +88,6 @@ let default_config (settings : Settings.t) : config =
 type result = {
   rows : row list;  (** this shard's rows, ascending index *)
   pairs_total : int;  (** corpus-wide pair count after [limit] *)
-  executed : int;  (** rows computed in this invocation *)
-  resumed : int;  (** rows replayed from the journal *)
-  torn : int;  (** damaged journal rows dropped (their pairs re-ran) *)
   wall_s : float;
   telemetry : Report.telemetry_sums;
       (** per-section counter sums over every executed search *)
@@ -149,34 +144,29 @@ let shard_pairs (cfg : config) : pair list =
     (limited_pairs cfg)
 
 (* ------------------------------------------------------------------ *)
-(* Run identity and the row journal                                     *)
+(* Run identity                                                         *)
 (* ------------------------------------------------------------------ *)
 
 (* -j, fault plans, cache temperature and via_server are deliberately
    excluded: rows are bit-identical across them, so a resume may change
    any of them. *)
-let run_id (cfg : config) : string =
-  Checkpoint.run_id
-    ~sim_fuel:cfg.settings.Settings.sim_fuel
-    ~trace_blocks:cfg.settings.Settings.trace_blocks
-    ~parts:
-      ([
-        "fleet";
-        Corpus.digest ();
-        cfg.arch.Gpusim.Arch.name;
-        "size" ^ string_of_int cfg.size;
-        (match cfg.limit with
-        | None -> "nolimit"
-        | Some n -> "limit" ^ string_of_int n);
-        (match cfg.top_k with
-        | None -> "exhaustive"
-        | Some k -> "top" ^ string_of_int k);
-        Printf.sprintf "shard%d.%d" cfg.shard cfg.shards;
-      ]
-      (* appended only when enabled, so every pre-repair journal id —
-         and every repair-off id minted by this version — is unchanged *)
-      @ (if cfg.repair then [ "repair" ] else []))
-    ()
+let run_parts (cfg : config) : string list =
+  [
+    "fleet";
+    Corpus.digest ();
+    cfg.arch.Gpusim.Arch.name;
+    "size" ^ string_of_int cfg.size;
+    (match cfg.limit with
+    | None -> "nolimit"
+    | Some n -> "limit" ^ string_of_int n);
+    (match cfg.top_k with
+    | None -> "exhaustive"
+    | Some k -> "top" ^ string_of_int k);
+    Printf.sprintf "shard%d.%d" cfg.shard cfg.shards;
+  ]
+  (* appended only when enabled, so every pre-repair run id — and
+     every repair-off id minted by this version — is unchanged *)
+  @ if cfg.repair then [ "repair" ] else []
 
 let json_of_row (r : row) : Json.t =
   Json.Obj
@@ -192,55 +182,6 @@ let json_of_row (r : row) : Json.t =
       ("repaired", Json.Bool r.r_repaired);
       ("newly_fusable", Json.Bool r.r_newly_fusable);
     ]
-
-let row_of_json (j : Json.t) : row option =
-  let str k = match Json.member k j with Some (Json.Str s) -> Some s | _ -> None in
-  let num k = Option.bind (Json.member k j) Json.to_float_opt in
-  let int k = match Json.member k j with Some (Json.Int i) -> Some i | _ -> None in
-  match (int "i", str "pair", str "domain", str "status") with
-  | Some i, Some pair, Some domain, Some status ->
-      Some
-        {
-          r_index = i;
-          r_pair = pair;
-          r_domain = domain;
-          r_status = status;
-          r_digest = Option.value (str "digest") ~default:"";
-          r_native_ms = Option.value (num "native_ms") ~default:0.0;
-          r_best_ms = Option.value (num "best_ms") ~default:0.0;
-          r_speedup_pct = Option.value (num "speedup_pct") ~default:0.0;
-          (* absent in pre-repair journals: those rows never repaired *)
-          r_repaired =
-            (match Json.member "repaired" j with
-            | Some (Json.Bool b) -> b
-            | _ -> false);
-          r_newly_fusable =
-            (match Json.member "newly_fusable" j with
-            | Some (Json.Bool b) -> b
-            | _ -> false);
-        }
-  | _ -> None
-
-let rows_path ~id = Filename.concat Checkpoint.default_dir (id ^ ".rows")
-
-(* journaled rows by index, and how many payloads did not decode *)
-let rows_of_payloads payloads : (int, row) Hashtbl.t * int =
-  let tbl = Hashtbl.create 256 in
-  let bad =
-    List.fold_left
-      (fun bad payload ->
-        let json = Result.to_option (Json.of_string payload) in
-        match Option.bind json row_of_json with
-        | Some r ->
-            Hashtbl.replace tbl r.r_index r;
-            bad
-        | None -> bad + 1)
-      0 payloads
-  in
-  (tbl, bad)
-
-let append_row j (r : row) =
-  Store.Journal.append j (Json.to_line (json_of_row r))
 
 (* ------------------------------------------------------------------ *)
 (* Executing one pair                                                   *)
@@ -418,40 +359,21 @@ let run (cfg : config) : result =
   let pairs = shard_pairs cfg in
   let pairs_total = List.length (limited_pairs cfg) in
   let total = List.length pairs in
-  let id = run_id cfg in
   let cfg =
     if cfg.resume then
-      { cfg with settings = Settings.resumable cfg.settings ~run_id:id }
+      {
+        cfg with
+        settings = Settings.resumable cfg.settings ~parts:(run_parts cfg);
+      }
     else cfg
   in
-  let journal, torn =
-    if cfg.resume then begin
-      let j, payloads, torn =
-        Store.Journal.open_ ~header:None (rows_path ~id)
-      in
-      let done_rows, bad = rows_of_payloads payloads in
-      (Some (done_rows, j), torn + bad)
-    end
-    else (None, 0)
-  in
-  (* the row journal closes on every exit, Ctrl-C and transport
-     failures included *)
-  Fun.protect ~finally:(fun () ->
-      Option.iter (fun (_, j) -> Store.Journal.close j) journal)
-  @@ fun () ->
   let telemetry = ref [] in
   let telemetry_mutex = Mutex.create () in
-  let resumed = ref 0 and executed = ref 0 in
   let results : row option array = Array.make total None in
   let completed = ref 0 in
-  let record slot (r : row) ~(fresh : bool) =
+  let record slot (r : row) =
     results.(slot) <- Some r;
     incr completed;
-    if fresh then begin
-      incr executed;
-      Option.iter (fun (_, j) -> append_row j r) journal
-    end
-    else incr resumed;
     cfg.on_row ~completed:!completed ~total r
   in
   let note_telemetry = function
@@ -484,7 +406,7 @@ let run (cfg : config) : result =
               | row, tel ->
                   note_telemetry tel;
                   Mutex.lock m;
-                  record i row ~fresh:true;
+                  record i row;
                   Mutex.unlock m
               | exception e ->
                   Mutex.lock m;
@@ -506,17 +428,9 @@ let run (cfg : config) : result =
         (fun () ->
           List.iteri
             (fun slot p ->
-              let journaled =
-                match journal with
-                | Some (done_rows, _) -> Hashtbl.find_opt done_rows p.p_index
-                | None -> None
-              in
-              match journaled with
-              | Some r -> record slot r ~fresh:false
-              | None ->
-                  let row, tel = run_local cfg ?pool p in
-                  note_telemetry tel;
-                  record slot row ~fresh:true)
+              let row, tel = run_local cfg ?pool p in
+              note_telemetry tel;
+              record slot row)
             pairs));
   let rows =
     Array.to_list results
@@ -526,9 +440,6 @@ let run (cfg : config) : result =
   {
     rows;
     pairs_total;
-    executed = !executed;
-    resumed = !resumed;
-    torn;
     wall_s = Unix.gettimeofday () -. t0;
     telemetry = !telemetry;
     corpus_digest = Corpus.digest ();
@@ -619,12 +530,11 @@ let report_json (cfg : config) (r : result) : Json.t =
       ( "rows_newly_fusable",
         Json.Int
           (List.length (List.filter (fun x -> x.r_newly_fusable) r.rows)) );
-      ("executed", Json.Int r.executed);
-      ("resumed", Json.Int r.resumed);
       ("wall_s", Json.Float r.wall_s);
       ( "searches_per_min",
         Json.Float
-          (if r.wall_s > 0.0 then float_of_int r.executed /. r.wall_s *. 60.0
+          (if r.wall_s > 0.0 then
+             float_of_int (List.length r.rows) /. r.wall_s *. 60.0
            else 0.0) );
       section "search"
         ([

@@ -45,8 +45,8 @@ type config = {
           partitions; admission stays behind the differential oracle *)
   via_server : string option;  (** socket path: drive a live daemon *)
   resume : bool;
-      (** journal rows and, without a cache, profile into the run's own
-          root; a restart replays finished pairs and candidates *)
+      (** without a cache, profile into the run's own root; a restart
+          runs every pair again, answering finished work from it *)
   out_dir : string option;  (** write [.cu] repros of failed pairs *)
   settings : Hfuse_profiler.Settings.t;
   on_row : completed:int -> total:int -> row -> unit;  (** progress *)
@@ -59,12 +59,9 @@ val default_config : Hfuse_profiler.Settings.t -> config
 type result = {
   rows : row list;  (** this shard's rows, ascending index *)
   pairs_total : int;  (** corpus-wide pair count after [limit] *)
-  executed : int;  (** rows computed in this invocation *)
-  resumed : int;  (** rows replayed from the journal *)
-  torn : int;  (** damaged journal rows dropped (their pairs re-ran) *)
   wall_s : float;
   telemetry : Hfuse_profiler.Report.telemetry_sums;
-      (** per-section counter sums over every executed search *)
+      (** per-section counter sums over every search *)
   corpus_digest : string;
   kernels : int;
 }
@@ -78,21 +75,20 @@ val shard_pairs : config -> pair list
 (** The pairs this configuration runs: first [limit], then keep the
     indices congruent to [shard] mod [shards]. *)
 
-val run_id : config -> string
-(** Content-hashed identity of this shard's row journal and resume
-    root.  [-j], cache
-    temperature, chaos plans and [via_server] are deliberately
-    excluded — rows are bit-identical across them, so a resume may
-    change any of them. *)
+val run_parts : config -> string list
+(** The parameters that name this shard's resume root
+    ({!Hfuse_profiler.Settings.resumable}).  [-j], cache temperature,
+    chaos plans and [via_server] are deliberately excluded — rows are
+    bit-identical across them, so a resume may change any of them. *)
 
 val run : config -> result
-(** Drive the shard.  With [resume], finished rows replay from the
-    journal ([Checkpoint.default_dir/<run_id>.rows]), and a shard
-    without a cache profiles into the root
-    [Checkpoint.default_dir/<run_id>/]
-    ({!Hfuse_profiler.Settings.resumable}), so kills resume without
-    recomputation.  A daemon transport error aborts the run
-    (raises [Failure]) rather than recording failed rows. *)
+(** Drive the shard.  With [resume], a shard without a cache profiles
+    into its run's own root ({!Hfuse_profiler.Settings.resumable}
+    [~parts:(run_parts config)]), so a rerun after a kill runs every
+    pair again and answers whatever the killed run committed from disk
+    — bit-identical rows, nothing committed profiled twice.  A daemon
+    transport error aborts the run (raises [Failure]) rather than
+    recording failed rows. *)
 
 val report_json : config -> result -> Json.t
 (** The fleet report: corpus identity, throughput, cache / trace-store

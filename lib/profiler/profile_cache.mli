@@ -8,9 +8,10 @@
     emitted source — changes.
 
     The same keys make a resumed run ([--resume]) a warm run: without a
-    cache of its own, it profiles into a root named by its run id
-    ({!Settings.resumable}), and its rerun after a kill answers every
-    entry the killed run committed.
+    cache of its own, it profiles into a root named by its parameters
+    ({!Settings.resumable}), and its rerun after a kill — a fleet
+    shard's included, which runs every pair again — answers every entry
+    the killed run committed.
 
     Entries are {!Store} checksummed entries under [dir]/v2/ (magic
     [hfuse-cache]); a corrupt one is quarantined to

@@ -714,6 +714,8 @@ module Search = Hfuse_core.Search
 
 type candidate = Hfuse_core.Hfuse.t * Search.config
 
+exception All_candidates_failed of string
+
 (* What every stage of one search shares.  [sources]: each partition's
    fused kernel printed once (one fused kernel per partition within a
    search): the one source keys both register-bound variants' time
@@ -967,9 +969,9 @@ let account ctx ~(top_k : int option) (result : Search.result) :
      | None -> ());
   let k1 = ctx.c1.spec.name and k2 = ctx.c2.spec.name in
   if not (Float.is_finite result.best.time) then
-    failwith
-      (Printf.sprintf
-         "Runner.search: every candidate of %s + %s failed to profile" k1 k2);
+    raise
+      (All_candidates_failed
+         (Printf.sprintf "every candidate of %s + %s failed to profile" k1 k2));
   let n_failed = Hashtbl.length ctx.failures in
   if n_failed > 0 then
     Printf.eprintf

@@ -216,6 +216,11 @@ val run_many :
   (Gpusim.Arch.t * Gpusim.Timing.launch_spec list) array ->
   Gpusim.Timing.report array
 
+(** Raised by {!search} when every candidate of a pair failed to
+    profile; the message names the pair.  A deterministic outcome of
+    the inputs and the fuel budget, not a crash. *)
+exception All_candidates_failed of string
+
 (** The Fig. 6 search with the simulator as the profiling oracle.
 
     @param jobs  domain-pool width for trace acquisition and the
@@ -247,9 +252,10 @@ val run_many :
     watchdog trip, deadlock, a crashed worker past its retry budget)
     is excluded with an infinite time and a stderr warning, and the
     search degrades to best-of-completed; only when {e every}
-    candidate fails does the call raise [Failure].  Such a failure is
-    deterministic (injected faults retry in the pool), so a probe that
-    failed is warned about and counted once, never profiled again.
+    candidate fails does the call raise {!All_candidates_failed}.
+    Such a failure is deterministic (injected faults retry in the
+    pool), so a probe that failed is warned about and counted once,
+    never profiled again.
 
     With [~repair:true], partitions the fusion-safety verifier rejects
     get one {!Hfuse_repair.Repair.attempt}; a statically repaired

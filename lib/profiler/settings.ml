@@ -71,13 +71,31 @@ let resolve ?trace_blocks ?sim_fuel ?trace_mem_mb ?cache_dir ?fault () =
     fault = (match fault with Some v -> v | None -> env_fault ());
   }
 
+let resume_dir = Filename.concat Profile_cache.default_dir "journal"
+
+(* A resumed run's root is named by a content hash of its parameters.
+   The simulation fuel changes every simulated outcome (a run that
+   times out under a small budget may succeed under a larger one), and
+   every profiled time is a function of how many blocks were traced,
+   so both are folded in: a run resumed under another value of either
+   must not share its root. *)
+let run_id (s : t) (parts : string list) : string =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\x00"
+          (parts
+          @ [
+              Printf.sprintf "sim_fuel=%d" s.sim_fuel;
+              Printf.sprintf "trace_blocks=%d" s.trace_blocks;
+            ])))
+
 (* the cache root a resumed run answers from: the enabled cache, else
    the run's own root, isolated from every other run *)
-let resumable (s : t) ~(run_id : string) : t =
+let resumable (s : t) ~(parts : string list) : t =
   match s.cache_dir with
   | Some _ -> s
   | None ->
-      { s with cache_dir = Some (Filename.concat Checkpoint.default_dir run_id) }
+      { s with cache_dir = Some (Filename.concat resume_dir (run_id s parts)) }
 
 let cache (s : t) : Profile_cache.t =
   match s.cache_dir with

@@ -9,7 +9,9 @@
     {!resolve}.  The CLI and bench resolve one value per run from their
     flags and the environment; the daemon resolves a base value at
     startup and overrides it per request.  Code below them takes the
-    value as an argument and never consults a process default. *)
+    value as an argument and never consults a process default.  A
+    resumed run differs from a fresh one only in its settings: its
+    cache root ({!resumable}). *)
 
 type t = {
   trace_blocks : int;  (** traced blocks per profiling launch *)
@@ -48,13 +50,18 @@ val resolve :
     {!Profile_cache.default_dir}. *)
 val cache_root : unit -> string
 
-(** [s] for the resumable run [run_id]: unchanged when its cache is
+(** [s] for a resumable run named by [parts] (its defining parameters:
+    verb, kernels, sizes, pruning...): unchanged when its cache is
     enabled, else with the run's own root
-    [Checkpoint.default_dir/<run_id>/] as its cache root.  Everything
-    the run profiles (times, replay reports, traces) commits there as
-    it is produced, so a rerun after a kill answers it from disk, while
-    the root stays isolated from every other run's. *)
-val resumable : t -> run_id:string -> t
+    [_hfuse_cache/journal/<run id>/] as its cache root.  The run id is
+    the MD5 of [parts] with [s]'s [sim_fuel] and [trace_blocks] folded
+    in, since simulated outcomes depend on both: a run under one value
+    of either never resumes under another.  Everything the run profiles
+    (times, replay reports, traces) commits there as it is produced, so
+    a rerun after a kill answers it from disk, while the root stays
+    isolated from every other run's.  Entries are keyed by content, so
+    a root can never answer for other inputs. *)
+val resumable : t -> parts:string list -> t
 
 (** A fresh profile-cache handle for these settings: enabled at
     [cache_dir] when set (chaos draws scoped to [fault]), disabled

@@ -1,5 +1,4 @@
-(* Checksummed entries and append-only journals; see store.mli for
-   both on-disk grammars. *)
+(* Checksummed entries; see store.mli for the on-disk grammar. *)
 
 module Fault = Hfuse_fault.Fault
 
@@ -16,10 +15,6 @@ let rec mkdir_p d =
          with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
 
 let md5 s = Digest.to_hex (Digest.string s)
-
-(* ------------------------------------------------------------------ *)
-(* Checksummed entries                                                  *)
-(* ------------------------------------------------------------------ *)
 
 type t = {
   header : string;  (** ["<magic> <version>"] *)
@@ -97,81 +92,3 @@ let write t ~key payload =
     try Unix.truncate final (max 8 (String.length payload / 2))
     with Unix.Unix_error _ -> ()
   end
-
-(* ------------------------------------------------------------------ *)
-(* Append-only journal                                                  *)
-(* ------------------------------------------------------------------ *)
-
-module Journal = struct
-  type t = out_channel
-
-  let escape (s : string) : string =
-    let buf = Buffer.create (String.length s + 16) in
-    String.iter
-      (function
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\x00' -> Buffer.add_string buf "\\z"
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  let unescape (s : string) : string =
-    let buf = Buffer.create (String.length s) in
-    let n = String.length s in
-    let i = ref 0 in
-    while !i < n do
-      (match s.[!i] with
-      | '\\' when !i + 1 < n ->
-          incr i;
-          Buffer.add_char buf
-            (match s.[!i] with 'n' -> '\n' | 'z' -> '\x00' | c -> c)
-      | c -> Buffer.add_char buf c);
-      incr i
-    done;
-    Buffer.contents buf
-
-  (* ["<md5> <escaped>"] -> payload *)
-  let parse_line (line : string) : string option =
-    if String.length line >= 33 && line.[32] = ' ' then
-      let escaped = String.sub line 33 (String.length line - 33) in
-      if String.sub line 0 32 = md5 escaped then Some (unescape escaped)
-      else None
-    else None
-
-  let open_ ~header path =
-    let raw =
-      try In_channel.with_open_bin path In_channel.input_all
-      with Sys_error _ -> ""
-    in
-    let records, torn =
-      List.fold_left
-        (fun (acc, torn) line ->
-          if line = "" || line.[0] = '#' then (acc, torn)
-          else
-            match parse_line line with
-            | Some p -> (p :: acc, torn)
-            | None -> (acc, torn + 1))
-        ([], 0)
-        (String.split_on_char '\n' raw)
-    in
-    mkdir_p (Filename.dirname path);
-    let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
-    if raw = "" then Option.iter (Printf.fprintf oc "# %s\n") header
-    else if raw.[String.length raw - 1] <> '\n' then
-      (* end the torn tail's line, so the next record does not fuse onto
-         it and get dropped with it *)
-      output_char oc '\n';
-    (oc, List.rev records, torn)
-
-  let append oc payload =
-    let escaped = escape payload in
-    Printf.fprintf oc "%s %s\n" (md5 escaped) escaped;
-    (* durable the moment it is written: a kill can only tear the line
-       in flight, which the load-time digest drops *)
-    Stdlib.flush oc
-
-  let close oc =
-    (try Stdlib.flush oc with Sys_error _ -> ());
-    close_out_noerr oc
-end

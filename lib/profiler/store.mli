@@ -1,9 +1,6 @@
 (** The one persistence primitive: the profile cache and the trace
-    store's disk tier write checksummed entries through it, and
-    {!Journal} serves the fleet row journal only.  Callers keep their
-    own counters; this module only moves bytes.
-
-    {1 Checksummed entries}
+    store's disk tier write checksummed entries through it.  Callers
+    keep their own counters; this module only moves bytes.
 
     One file per key, [<dir>/<key>]:
 
@@ -21,22 +18,7 @@
     {!Corrupt}; the caller recomputes and re-stores it, so damage can
     slow a run down but never change its result.  With a fault plan
     enabled, each commit draws [cache_corrupt] from the key and, when it
-    fires, truncates the committed file (a modelled torn write).
-
-    {1 Append-only journal}
-
-    One record per line, flushed as written:
-
-    {v
-# <free-form header, ignored on load>
-<md5-hex of escaped payload> <escaped payload>\n
-    v}
-
-    Escaping makes a record one line: a backslash, a newline and a NUL
-    become the two-byte sequences backslash-backslash, backslash-n and
-    backslash-z, so a payload without those bytes is written verbatim.
-    A kill can only tear the line being written; loading drops any line
-    whose digest fails (torn tail, garbled line) and counts it. *)
+    fires, truncates the committed file (a modelled torn write). *)
 
 (** [mkdir -p]; EEXIST from a racing creator is success. *)
 val mkdir_p : string -> unit
@@ -59,20 +41,3 @@ val read : t -> key:string -> (string -> 'a) -> 'a read
 
 (** Commit one entry, then apply the chaos hook. *)
 val write : t -> key:string -> string -> unit
-
-module Journal : sig
-  type t
-
-  (** Open [path] for appending, creating its directory, and load it:
-      the verified payloads in file order and the number of torn
-      lines.  [header] goes in as a [#] line when the file is new or
-      empty; a torn last line is ended first, so new records start a
-      line of their own. *)
-  val open_ : header:string option -> string -> t * string list * int
-
-  (** Append one record and flush it. *)
-  val append : t -> string -> unit
-
-  (** Flush and close; never raises. *)
-  val close : t -> unit
-end

@@ -1,5 +1,6 @@
 (* Fleet tests: deterministic corpus curation, shard partitioning, row
-   identity across shard counts, and kill/resume journal replay. *)
+   identity across shard counts, and kill/resume on the run's own
+   cache root. *)
 
 module Corpus = Hfuse_fleet.Corpus
 module Fleet = Hfuse_fleet.Fleet
@@ -8,6 +9,7 @@ module Oracle = Hfuse_fuzz.Oracle
 module Registry = Kernel_corpus.Registry
 module Prng = Kernel_corpus.Prng
 module Settings = Hfuse_profiler.Settings
+module Report = Hfuse_profiler.Report
 
 (* a few in-process searches per test: quiet, no cache, no chaos *)
 let test_settings () =
@@ -121,20 +123,25 @@ let test_shard_partition () =
         (List.fold_left ( + ) 0 (List.map List.length parts)))
     [ 1; 2; 3; 7 ]
 
+(* The cache root a resumed no-cache run of [cfg] profiles into. *)
+let resume_root (cfg : Fleet.config) =
+  Option.get
+    (Settings.resumable cfg.settings ~parts:(Fleet.run_parts cfg)).cache_dir
+
 let test_run_id_invariants () =
   let cfg = test_cfg () in
-  Alcotest.(check string) "stable" (Fleet.run_id cfg) (Fleet.run_id cfg);
-  (* jobs and via_server must NOT shape the journal identity — rows
-     are bit-identical across them, so a resume may change either *)
-  Alcotest.(check string) "jobs excluded" (Fleet.run_id cfg)
-    (Fleet.run_id { cfg with Fleet.jobs = 7 });
-  Alcotest.(check string) "via_server excluded" (Fleet.run_id cfg)
-    (Fleet.run_id { cfg with Fleet.via_server = Some "/tmp/x.sock" });
+  Alcotest.(check string) "stable" (resume_root cfg) (resume_root cfg);
+  (* jobs and via_server must NOT shape the resume root — rows are
+     bit-identical across them, so a resume may change either *)
+  Alcotest.(check string) "jobs excluded" (resume_root cfg)
+    (resume_root { cfg with Fleet.jobs = 7 });
+  Alcotest.(check string) "via_server excluded" (resume_root cfg)
+    (resume_root { cfg with Fleet.via_server = Some "/tmp/x.sock" });
   (* the shard, the cut and the corpus DO shape it *)
   Alcotest.(check bool) "shard included" true
-    (Fleet.run_id cfg <> Fleet.run_id { cfg with Fleet.shards = 2; shard = 1 });
+    (resume_root cfg <> resume_root { cfg with Fleet.shards = 2; shard = 1 });
   Alcotest.(check bool) "limit included" true
-    (Fleet.run_id cfg <> Fleet.run_id { cfg with Fleet.limit = Some 9 })
+    (resume_root cfg <> resume_root { cfg with Fleet.limit = Some 9 })
 
 let test_rows_identical_across_shards () =
   (* the tentpole invariant at test scale: a 4-pair fleet run whole and
@@ -164,66 +171,54 @@ let test_rows_identical_across_shards () =
         (r.Fleet.r_digest <> ""))
     whole.Fleet.rows
 
-let test_resume_identity () =
-  (* journaled rows replay bit-identically: run once with --resume to
-     populate, run again — everything resumes, nothing recomputes *)
-  let cfg =
-    { (test_cfg ~limit:2 ()) with Fleet.resume = true; size = 2 }
-  in
-  let path = Filename.concat Hfuse_profiler.Checkpoint.default_dir
-               (Fleet.run_id cfg ^ ".rows") in
-  if Sys.file_exists path then Sys.remove path;
-  let first = Fleet.run cfg in
-  Alcotest.(check int) "first run executes" 2 first.Fleet.executed;
-  let second = Fleet.run cfg in
-  Alcotest.(check int) "second run resumes" 2 second.Fleet.resumed;
-  Alcotest.(check int) "second run computes nothing" 0 second.Fleet.executed;
-  Alcotest.(check (list string)) "resumed rows identical"
-    (List.map row_repr first.Fleet.rows)
-    (List.map row_repr second.Fleet.rows);
-  (* a fresh no-resume run agrees too: the journal didn't shape rows *)
-  let clean = Fleet.run { cfg with Fleet.resume = false } in
-  Alcotest.(check (list string)) "no-resume rows identical"
-    (List.map row_repr first.Fleet.rows)
-    (List.map row_repr clean.Fleet.rows)
+(* A resumable two-pair shard on an emptied root.  A resume starts as
+   a new process would: with empty memory tiers. *)
+let resume_cfg () =
+  let cfg = { (test_cfg ~limit:2 ()) with Fleet.resume = true; size = 2 } in
+  Test_util.rm_rf (resume_root cfg);
+  Hfuse_profiler.Runner.clear_cache ();
+  cfg
 
-let test_resume_torn_rows () =
-  (* a damaged row journal — one garbled line, a tail cut mid-line —
-     resumes the intact row, re-runs exactly the two damaged pairs, and
-     ends with a clean run's rows *)
-  let cfg = { (test_cfg ~limit:3 ()) with Fleet.resume = true } in
-  let path = Filename.concat Hfuse_profiler.Checkpoint.default_dir
-               (Fleet.run_id cfg ^ ".rows") in
-  if Sys.file_exists path then Sys.remove path;
-  let clean = Fleet.run cfg in
-  Alcotest.(check int) "first run executes" 3 clean.Fleet.executed;
-  let lines =
-    In_channel.with_open_bin path In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter (fun l -> l <> "")
-  in
-  (match lines with
-  | [ intact; garbled; cut ] ->
-      let flip c = if c = '1' then '2' else '1' in
-      let garbled =
-        String.mapi (fun i c -> if i = 50 then flip c else c) garbled
-      in
-      Out_channel.with_open_bin path (fun oc ->
-          output_string oc (intact ^ "\n" ^ garbled ^ "\n");
-          output_string oc (String.sub cut 0 (String.length cut / 2)))
-  | _ -> Alcotest.fail "expected three journaled rows");
+let count (r : Fleet.result) = Report.telemetry_get r.telemetry
+
+let rows (r : Fleet.result) = List.map row_repr r.rows
+
+let test_resume_identity () =
+  (* a finished shard's resume is a warm run on its own root: every
+     pair runs again, and answers everything from the root *)
+  let cfg = resume_cfg () in
+  let first = Fleet.run cfg in
+  Alcotest.(check bool) "first run profiles" true
+    (count first "search" "profiled" > 0);
+  Hfuse_profiler.Runner.clear_cache ();
+  let second = Fleet.run cfg in
+  Alcotest.(check int) "second run profiles nothing" 0
+    (count second "search" "profiled");
+  Alcotest.(check int) "second run records no trace" 0
+    (count second "trace_store" "recorded");
+  let clean = Fleet.run { cfg with Fleet.resume = false } in
+  Alcotest.(check (list string)) "resumed rows equal a clean run's"
+    (rows clean) (rows second)
+
+exception Killed
+
+let test_resume_interrupted () =
+  (* a shard killed after its first row resumes into a clean run's
+     rows, reusing the finished pair's entries and profiling the rest *)
+  let cfg = resume_cfg () in
+  let kill ~completed ~total:_ _ = if completed = 1 then raise Killed in
+  (match Fleet.run { cfg with Fleet.on_row = kill } with
+  | _ -> Alcotest.fail "the interrupted run finished"
+  | exception Killed -> ());
+  Hfuse_profiler.Runner.clear_cache ();
   let resumed = Fleet.run cfg in
-  Alcotest.(check int) "intact row replayed" 1 resumed.Fleet.resumed;
-  Alcotest.(check int) "damaged rows re-executed" 2 resumed.Fleet.executed;
-  Alcotest.(check int) "damaged rows counted" 2 resumed.Fleet.torn;
-  Alcotest.(check (list string)) "rows match the clean run"
-    (List.map row_repr clean.Fleet.rows)
-    (List.map row_repr resumed.Fleet.rows);
-  (* the re-executed rows were journaled on lines of their own, not
-     fused onto the cut tail: a third run replays everything *)
-  let again = Fleet.run cfg in
-  Alcotest.(check int) "everything replays" 3 again.Fleet.resumed;
-  Alcotest.(check int) "nothing re-executed" 0 again.Fleet.executed
+  Alcotest.(check bool) "resume reuses the killed run's entries" true
+    (count resumed "cache" "hits" > 0);
+  Alcotest.(check bool) "resume profiles the rest" true
+    (count resumed "search" "profiled" > 0);
+  let clean = Fleet.run { cfg with Fleet.resume = false } in
+  Alcotest.(check (list string)) "resumed rows equal a clean run's"
+    (rows clean) (rows resumed)
 
 (* A rejected pair's verdicts count in the report: Hist+SHA256 at size
    1 is over budget in every partition. *)
@@ -285,7 +280,7 @@ let suite =
     Alcotest.test_case "rows identical across shards" `Slow
       test_rows_identical_across_shards;
     Alcotest.test_case "resume identity" `Slow test_resume_identity;
-    Alcotest.test_case "resume drops torn rows" `Slow test_resume_torn_rows;
+    Alcotest.test_case "interrupted resume" `Slow test_resume_interrupted;
     Alcotest.test_case "report shape" `Quick test_report_shape;
     Alcotest.test_case "rejected rows keep their telemetry" `Quick
       test_rejected_row_telemetry;

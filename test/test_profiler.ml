@@ -487,30 +487,21 @@ let test_run_many_recomputes_corrupted () =
 
 (* -- Resume: a run's own cache root -------------------------------------- *)
 
-module Checkpoint = Hfuse_profiler.Checkpoint
-
-(* A resumed no-cache run's settings: the environment's, rooted at the
-   run's own root. *)
-let resumable ~run_id =
-  Hfuse_profiler.Settings.resumable
-    { (Test_util.env_settings ()) with cache_dir = None }
-    ~run_id
+(* A resumed no-cache run's settings: [settings] (default: the
+   environment's), rooted at the run's own root. *)
+let resumable ?(settings = Test_util.env_settings ()) parts =
+  Hfuse_profiler.Settings.resumable { settings with cache_dir = None } ~parts
 
 (* the same, on an emptied root *)
-let fresh_resumable ~run_id =
-  let s = resumable ~run_id in
+let fresh_resumable ?settings parts =
+  let s = resumable ?settings parts in
   Test_util.rm_rf (Option.get s.cache_dir);
   s
 
 let test_search_resume_identity () =
   let baseline = search_tun ~jobs:2 ~cache:(Profile_cache.disabled ()) () in
   let n = List.length baseline.all in
-  let settings =
-    fresh_resumable
-      ~run_id:
-        (Checkpoint.run_id ~sim_fuel:3_000_000 ~trace_blocks:1
-           ~parts:[ "test"; "resume" ] ())
-  in
+  let settings = fresh_resumable [ "test"; "resume" ] in
   let search ~jobs =
     let stats = Runner.fresh_search_stats () in
     let r, ledger =
@@ -542,32 +533,43 @@ let test_search_resume_identity () =
 
 (* -- run ids fold in the simulator fuel budget --------------------------- *)
 
-(* Store a time under run [a]'s emptied root, and ask run [b]'s root
-   for it. *)
-let answer_across ~a ~b =
-  if a <> b then ignore (fresh_resumable ~run_id:b);
+(* A resumed run's settings under [sim_fuel] and [trace_blocks]. *)
+let resumed_under ~sim_fuel ~trace_blocks parts =
+  resumable
+    ~settings:{ (Test_util.env_settings ()) with sim_fuel; trace_blocks }
+    parts
+
+(* Store a time under resumed run [a]'s emptied root, and ask resumed
+   run [b]'s root for it. *)
+let answer_across (a : Hfuse_profiler.Settings.t)
+    (b : Hfuse_profiler.Settings.t) =
+  Test_util.rm_rf (Option.get b.cache_dir);
+  Test_util.rm_rf (Option.get a.cache_dir);
   let cache = Hfuse_profiler.Settings.cache in
-  Profile_cache.store (cache (fresh_resumable ~run_id:a)) ~key:"cand" 1.0;
-  Profile_cache.find (cache (resumable ~run_id:b)) ~key:"cand"
+  Profile_cache.store (cache a) ~key:"cand" 1.0;
+  Profile_cache.find (cache b) ~key:"cand"
 
 let test_run_id_sim_fuel () =
   (* a run under one fuel budget must be invisible to a resume under
      another: the same simulation can legitimately produce different
      times (a watchdogged candidate completes under a bigger budget),
      so sharing its root would be wrong, not just stale *)
-  let run_id ~sim_fuel =
-    Checkpoint.run_id ~sim_fuel ~trace_blocks:1 ~parts:[ "fuel"; "t" ] ()
+  let resumed ~sim_fuel =
+    resumed_under ~sim_fuel ~trace_blocks:1 [ "fuel"; "t" ]
   in
-  let id_a = run_id ~sim_fuel:1_000 in
-  let id_b = run_id ~sim_fuel:2_000 in
-  Alcotest.(check bool) "different fuel, different run id" true
-    (id_a <> id_b);
-  Alcotest.(check string) "same fuel, same run id" id_a
-    (run_id ~sim_fuel:1_000);
+  let a = resumed ~sim_fuel:1_000 and b = resumed ~sim_fuel:2_000 in
+  Alcotest.(check bool) "different fuel, different root" true
+    (a.cache_dir <> b.cache_dir);
+  (* the root's name is the MD5 of the parts and the folded-in fuel and
+     trace-block count, NUL-separated: pinned, so a resume finds the
+     roots earlier versions wrote *)
+  Alcotest.(check (option string)) "same fuel, same root"
+    (Some "_hfuse_cache/journal/7c0fd0ade08dab8566e3a645f7153042")
+    (resumed ~sim_fuel:1_000).cache_dir;
   Alcotest.check some_time "changed fuel: no stale answer" None
-    (answer_across ~a:id_a ~b:id_b);
+    (answer_across a b);
   Alcotest.check some_time "same fuel: the run's own root answers" (Some 1.0)
-    (answer_across ~a:id_a ~b:id_a)
+    (answer_across a a)
 
 (* -- model_eval: the top-k window verdict -------------------------------- *)
 
@@ -1136,8 +1138,8 @@ let test_degraded_search_counts_once () =
   let c2 = Runner.configure mem (Registry.find_exn "Hist") ~size:1 in
   let ledger = Ledger.create () in
   Alcotest.check_raises "every candidate failed"
-    (Failure
-       "Runner.search: every candidate of Batchnorm + Hist failed to profile")
+    (Runner.All_candidates_failed
+       "every candidate of Batchnorm + Hist failed to profile")
     (fun () ->
       Ledger.within (Some ledger) (fun () ->
           ignore (Runner.search ~jobs:2 ~settings arch c1 c2)));
@@ -1228,16 +1230,17 @@ let test_run_id_trace_blocks () =
   (* same bug class as the fuel fix: profiled times are a function of
      how many blocks were traced, so a run at one width must not share
      its root with a resume at another *)
-  let run_id ~trace_blocks =
-    Checkpoint.run_id ~sim_fuel:3_000_000 ~trace_blocks ~parts:[ "tb"; "t" ] ()
+  let resumed ~trace_blocks =
+    resumed_under ~sim_fuel:3_000_000 ~trace_blocks [ "tb"; "t" ]
   in
-  let id_a = run_id ~trace_blocks:1 in
-  let id_b = run_id ~trace_blocks:4 in
-  Alcotest.(check bool) "different width, different run id" true (id_a <> id_b);
-  Alcotest.(check string) "same width, same run id" id_a
-    (run_id ~trace_blocks:1);
+  let a = resumed ~trace_blocks:1 and b = resumed ~trace_blocks:4 in
+  Alcotest.(check bool) "different width, different root" true
+    (a.cache_dir <> b.cache_dir);
+  Alcotest.(check (option string)) "same width, same root"
+    (Some "_hfuse_cache/journal/8a50d80443494692f5fca253c5b4cf18")
+    (resumed ~trace_blocks:1).cache_dir;
   Alcotest.check some_time "changed width: no stale answer" None
-    (answer_across ~a:id_a ~b:id_b)
+    (answer_across a b)
 
 let suite =
   [

@@ -14,7 +14,6 @@ module J = Hfuse_profiler.Report.Json
 module Runner = Hfuse_profiler.Runner
 module Profile_cache = Hfuse_profiler.Profile_cache
 module Trace_store = Hfuse_profiler.Trace_store
-module Checkpoint = Hfuse_profiler.Checkpoint
 
 (* Unix-domain socket paths are length-limited (~108 bytes), so the
    harness binds under the system temp dir, never the build sandbox. *)
@@ -588,16 +587,11 @@ let test_search_heals_corrupt_native () =
     (cache_count again "misses")
 
 (* A resumed no-cache search answers everything from its run's own
-   root under [Checkpoint.default_dir], the journal directory: its
-   native baseline, candidate times and solo traces.  Nothing is
-   profiled, recorded or stored again. *)
+   root under [_hfuse_cache/journal/]: its native baseline, candidate
+   times and solo traces.  Nothing is profiled, recorded or stored
+   again. *)
 let test_search_resume_answers_native () =
-  let settings =
-    Test_profiler.fresh_resumable
-      ~run_id:
-        (Checkpoint.run_id ~sim_fuel:3_000_000 ~trace_blocks:1
-           ~parts:[ "serve"; "resume" ] ())
-  in
+  let settings = Test_profiler.fresh_resumable [ "serve"; "resume" ] in
   let first = oneshot settings in
   Alcotest.(check bool) "the run's root holds the native report" true
     (Profile_cache.find_report (Settings.cache settings)

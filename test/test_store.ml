@@ -1,16 +1,11 @@
 (* The on-disk formats, pinned byte for byte.  The files under
-   [test/golden/] were written by the profile cache, the trace store and
-   the fleet row journal before they shared {!Hfuse_profiler.Store}:
-   every writer must keep producing those bytes, and every reader must
-   take them as warm hits, so a cache root filled by an older binary
-   stays warm.  Also the journal half of the store, the fleet row
-   journal's: escaping, header, torn-line accounting. *)
+   [test/golden/] were written by the profile cache and the trace store
+   before they shared {!Hfuse_profiler.Store}: every writer must keep
+   producing those bytes, and every reader must take them as warm hits,
+   so a cache root filled by an older binary stays warm. *)
 
 module Profile_cache = Hfuse_profiler.Profile_cache
 module Trace_store = Hfuse_profiler.Trace_store
-module Checkpoint = Hfuse_profiler.Checkpoint
-module Store = Hfuse_profiler.Store
-module Fleet = Hfuse_fleet.Fleet
 module Trace = Gpusim.Trace
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
@@ -39,20 +34,6 @@ let trace_key =
   Trace_store.keys ~arch:"1080Ti" ~sim_fuel:1000 ~trace_blocks:1
     ~ident:[ "golden" ]
 
-(* the corpus's last pair: two small generated kernels, one cheap search *)
-let row_cfg () =
-  let n = List.length (Fleet.all_pairs ()) in
-  {
-    (Test_fleet.test_cfg ()) with
-    Fleet.limit = None;
-    shards = n;
-    shard = n - 1;
-    resume = true;
-  }
-
-let rows_path cfg =
-  Filename.concat Checkpoint.default_dir (Fleet.run_id cfg ^ ".rows")
-
 (* -- writers produce the golden bytes ------------------------------------ *)
 
 let test_cache_entry_bytes () =
@@ -70,14 +51,6 @@ let test_trace_entry_bytes () =
   check_golden "trace.entry"
     (read_file
        (Filename.concat (Trace_store.dir store) trace_key.Trace_store.disk))
-
-let test_fleet_row_bytes () =
-  let cfg = row_cfg () in
-  let path = rows_path cfg in
-  if Sys.file_exists path then Sys.remove path;
-  let r = Fleet.run cfg in
-  Alcotest.(check int) "one row executed" 1 r.Fleet.executed;
-  check_golden "fleet.rows" (read_file path)
 
 (* -- readers take the golden bytes as warm hits -------------------------- *)
 
@@ -115,72 +88,11 @@ let test_golden_root_is_warm () =
   let n = Ledger.get ledger in
   Alcotest.(check int) "one trace disk hit" 1 (n Trace_store.disk_hits);
   Alcotest.(check int) "no trace stores" 0 (n Trace_store.stores);
-  Alcotest.(check int) "no trace quarantined" 0 (n Trace_store.quarantined);
-  (* the golden row journal resumes without re-running its pair, and
-     replays the row a clean run computes *)
-  let cfg = row_cfg () in
-  let path = rows_path cfg in
-  Profile_cache.mkdir_p (Filename.dirname path);
-  write_file path (golden "fleet.rows");
-  let resumed = Fleet.run cfg in
-  Alcotest.(check int) "row resumed" 1 resumed.Fleet.resumed;
-  Alcotest.(check int) "nothing executed" 0 resumed.Fleet.executed;
-  Alcotest.(check string) "journal untouched" (golden "fleet.rows")
-    (read_file path);
-  let clean = Fleet.run { cfg with Fleet.resume = false } in
-  Alcotest.(check (list string)) "replayed row equals a clean run's"
-    (List.map Test_fleet.row_repr clean.Fleet.rows)
-    (List.map Test_fleet.row_repr resumed.Fleet.rows)
-
-(* -- the journal grammar ------------------------------------------------- *)
-
-let test_journal_lines () =
-  let path = Filename.concat (fresh_root "journal") "j.jnl" in
-  let reopen () = Store.Journal.open_ ~header:(Some "test journal") path in
-  let payloads =
-    [ "plain payload"; "back\\slash"; "two\nlines"; "nul\x00"; "" ]
-  in
-  let j, loaded, torn = reopen () in
-  Alcotest.(check (pair (list string) int)) "new journal is empty" ([], 0)
-    (loaded, torn);
-  List.iter (Store.Journal.append j) payloads;
-  Store.Journal.close j;
-  let lines = String.split_on_char '\n' (read_file path) in
-  Alcotest.(check string) "header line" "# test journal" (List.hd lines);
-  (* a payload without backslash, newline or NUL is written verbatim *)
-  Alcotest.(check string) "plain record verbatim"
-    (Digest.to_hex (Digest.string "plain payload") ^ " plain payload")
-    (List.nth lines 1);
-  Alcotest.(check int) "one line per record" (2 + List.length payloads)
-    (List.length lines);
-  (* reopening loads the records in order and adds no second header *)
-  let j, loaded, torn = reopen () in
-  Alcotest.(check (pair (list string) int)) "records round-trip in order"
-    (payloads, 0) (loaded, torn);
-  Store.Journal.append j "after reopen";
-  Store.Journal.close j;
-  (* a garbled record and a torn tail are counted, not returned; the
-     next append starts a line of its own *)
-  Out_channel.with_open_gen [ Open_append ] 0o644 path (fun oc ->
-      output_string oc
-        "00000000000000000000000000000000 garbled\n0123456789abcdef torn");
-  let j, loaded, torn = reopen () in
-  Alcotest.(check (list string)) "intact records survive"
-    (payloads @ [ "after reopen" ]) loaded;
-  Alcotest.(check int) "damaged lines counted torn" 2 torn;
-  Store.Journal.append j "after the tear";
-  Store.Journal.close j;
-  let j, loaded, torn = reopen () in
-  Store.Journal.close j;
-  Alcotest.(check (list string)) "appends after a torn tail survive"
-    (payloads @ [ "after reopen"; "after the tear" ]) loaded;
-  Alcotest.(check int) "still two torn lines" 2 torn
+  Alcotest.(check int) "no trace quarantined" 0 (n Trace_store.quarantined)
 
 let suite =
   [
     Alcotest.test_case "golden cache entry bytes" `Quick test_cache_entry_bytes;
     Alcotest.test_case "golden trace entry bytes" `Quick test_trace_entry_bytes;
-    Alcotest.test_case "golden fleet row bytes" `Quick test_fleet_row_bytes;
     Alcotest.test_case "golden root reads warm" `Quick test_golden_root_is_warm;
-    Alcotest.test_case "journal lines" `Quick test_journal_lines;
   ]
