@@ -96,6 +96,126 @@ let test_bad_char () =
       Alcotest.(check int) "offset" 0 loc.Loc.offset
   | _ -> Alcotest.fail "expected a lexer error"
 
+(* -- Golden tokens --------------------------------------------------------- *)
+
+(* [golden/tokens.md5] pins the lexer's exact output: every token's kind,
+   payload, line, column and offset, the [#define]d constants, and the
+   message and location of every lexer or parser error below.  One md5 per
+   line: a corpus kernel, a batch of 25 seeded fuzzer programs, a set of
+   hand-written edge cases, and one malformed input each. *)
+
+let token_line ((tok : Token.t), (l : Loc.t)) =
+  let kind =
+    match tok with
+    | INT_LIT (v, ty) -> Printf.sprintf "INT %Ld %s" v (Ctype.to_string ty)
+    | FLOAT_LIT (v, ty) -> Printf.sprintf "FLOAT %h %s" v (Ctype.to_string ty)
+    | STRING_LIT s -> Printf.sprintf "STRING %S" s
+    | IDENT s -> "IDENT " ^ s
+    | KW s -> "KW " ^ s
+    | t -> Token.to_string t
+  in
+  Printf.sprintf "%s @%d:%d+%d" kind l.line l.col l.offset
+
+let lexed_dump src =
+  let lexed = Lexer.lex src in
+  String.concat "\n"
+    (List.map token_line (Array.to_list lexed.tokens)
+    @ List.map (fun (n, v) -> Printf.sprintf "define %s %Ld" n v) lexed.defines)
+
+let digest_of (parts : string list) =
+  Digest.to_hex (Digest.string (String.concat "\n\x00" parts))
+
+(* lexes the quirks of the number, define and comment scanners *)
+let edge_sources =
+  [
+    "1. 1.f 1.5F .5 .5f 1e5 1e5f 1E+5 2.5e-3f 3.e 1.x 1.5e 0x1.5 0xFFull";
+    "0XaBcDu 42Lu 42uL 7ULL 18446744073709551615u 08 0 00 0x0";
+    "a\r\nb\tc\n\n  d /* x\ny */ e // tail\nf";
+    "#define A 1\n#define B (0x20)\n#define  C   ( 7 )\n#define D\n#define E x\n";
+    "#define LONG_ONE \\\n  12\nint x;";
+    "# define SPACED 3\n#include <x.h>\n#pragma unroll\nint y;";
+    "#define LAST 9";
+    {|asm("bar.sync 1, 64;\n\t\"q\"\\") "" "a\qb"|};
+    "a<<=b>>=c<<d>>e<=f>=g==h!=i&&j||k++l--m->n+=o-=p*=q/=r%=s&=t|=u^=v";
+    "( ) { } [ ] ; , : ? . + - * / % & | ^ ~ ! < > =";
+    "x/y /**/z/***/w/* ** */v";
+    "";
+    "   \n\t ";
+  ]
+
+(* lexer and parser errors, each with its message and location *)
+let malformed_sources =
+  [
+    ("unterminated comment", "int a; /* never closed\n more");
+    ("unterminated comment at end", "a /*");
+    ("unterminated string", "asm(\"bar.sync");
+    ("unterminated escape", "asm(\"bar\\");
+    ("bare hex", "int x = 0x;");
+    ("hex then ident", "int x = 0xg;");
+    ("too large integer", "unsigned long x = 99999999999999999999999;");
+    ("bad exponent", "float f = 1e+;");
+    ("bad exponent sign", "float f = 1.5e-;");
+    ("stray at", "int x = 1 @ 2;");
+    ("stray dollar", "\n\n  $");
+    ("stray backslash", "a \\ b");
+    ("stray backquote", "int `x`;");
+    ("stray hash in line", "int x # y;");
+    ("missing semicolon", "__global__ void k(int *a) { a[0] = 1 }");
+    ("missing operand", "__global__ void k(int *a) { a[0] = ; }");
+    ("unclosed block", "__global__ void k(int *a) { a[0] = 1;");
+    ("unclosed paren", "__global__ void k(int *a { }");
+    ("no kernel", "__device__ int f(int x) { return x; }");
+  ]
+
+let error_line src =
+  match Parser.parse_kernel src with
+  | _ -> "ok"
+  | exception Lexer.Error (msg, l) ->
+      Printf.sprintf "lexer %S @%d:%d+%d" msg l.line l.col l.offset
+  | exception Parser.Error (msg, l) ->
+      Printf.sprintf "parser %S @%d:%d+%d" msg l.line l.col l.offset
+  | exception Failure msg -> Printf.sprintf "failure %S" msg
+
+let golden_token_lines () : string list =
+  let corpus =
+    List.map
+      (fun (s : Kernel_corpus.Spec.t) ->
+        Printf.sprintf "corpus %s %s" s.name (digest_of [ lexed_dump s.source ]))
+      (Hfuse_fleet.Corpus.all_specs ())
+  in
+  let fuzz =
+    List.init 4 (fun b ->
+        let seeds = List.init 25 (fun i -> (b * 25) + i) in
+        Printf.sprintf "fuzz %d-%d %s" (b * 25) ((b * 25) + 24)
+          (digest_of
+             (List.concat_map
+                (fun seed ->
+                  (Hfuse_fuzz.Gen.generate_case ~seed ()).c_kernels
+                  |> List.map (fun k -> lexed_dump (Hfuse_fuzz.Gen.kernel_source k)))
+                seeds)))
+  in
+  let edges =
+    List.mapi
+      (fun i src -> Printf.sprintf "edge %d %s" i (digest_of [ lexed_dump src ]))
+      edge_sources
+  in
+  let errors =
+    List.map
+      (fun (name, src) ->
+        Printf.sprintf "error %s %s" (String.map (function ' ' -> '-' | c -> c) name)
+          (digest_of [ error_line src ]))
+      malformed_sources
+  in
+  corpus @ fuzz @ edges @ errors
+
+let test_golden_tokens () =
+  let expected =
+    In_channel.with_open_bin (Filename.concat "golden" "tokens.md5")
+      In_channel.input_lines
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  Alcotest.(check (list string)) "token streams" expected (golden_token_lines ())
+
 let suite =
   [
     Alcotest.test_case "idents and keywords" `Quick test_idents_keywords;
@@ -111,4 +231,5 @@ let suite =
       test_define_ignores_nonconstant;
     Alcotest.test_case "positions" `Quick test_positions;
     Alcotest.test_case "bad character" `Quick test_bad_char;
+    Alcotest.test_case "golden token streams" `Quick test_golden_tokens;
   ]
