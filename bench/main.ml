@@ -424,7 +424,9 @@ let run_micro ~settings () =
      Batchnorm and Hist solo traces at size 32 *)
   let vet_spec = (List.hd (Hfuse_fleet.Corpus.curated ())).spec in
   let vet_info =
-    Spec.kernel_info vet_spec (vet_spec.instantiate (Gpusim.Memory.create ()) ~size:1)
+    Hfuse_core.Kernel_info.normalized
+      (Spec.kernel_info vet_spec
+         (vet_spec.instantiate (Gpusim.Memory.create ()) ~size:1))
   in
   let record_launches =
     let mem = Gpusim.Memory.create () in
@@ -433,7 +435,7 @@ let run_micro ~settings () =
         let c = Runner.configure mem s ~size:32 in
         fun () ->
           ignore
-            (Gpusim.Launch.launch_info ~exec_blocks:1 mem c.info
+            (Gpusim.Launch.launch_info ~exec_blocks:1 mem c.runnable
                ~args:c.inst.args ~trace_blocks:1))
       [ bn; hist ]
   in
@@ -448,6 +450,22 @@ let run_micro ~settings () =
         (let prog, fn = Cuda.Parser.parse_kernel bn.source in
          Staged.stage (fun () ->
              ignore (Hfuse_frontend.Inline.normalize_kernel prog fn)));
+    ]
+    (* the front end on the crypto kernels, whose sources are the
+       largest of the paper's corpus (SHA256 is ~25 KB, ~12k tokens) *)
+    @ List.concat_map
+        (fun name ->
+          let src = (Registry.find_exn name).source in
+          let prog, fn = Cuda.Parser.parse_kernel src in
+          [
+            Test.make ~name:("parse " ^ name)
+              (Staged.stage (fun () -> ignore (Cuda.Parser.parse_kernel src)));
+            Test.make ~name:("normalize " ^ name)
+              (Staged.stage (fun () ->
+                   ignore (Hfuse_frontend.Inline.normalize_kernel prog fn)));
+          ])
+        [ "SHA256"; "Blake256"; "Blake2B" ]
+    @ [
       Test.make ~name:"hfuse generate"
         (Staged.stage (fun () -> ignore (Hfuse_core.Hfuse.generate k1 k2)));
       Test.make ~name:"vfuse generate"

@@ -94,6 +94,9 @@ let route ~settings (params : Ops.request_params) : Ops.outcome =
       | Error msg ->
           Printf.eprintf "hfuse: %s\n" msg;
           exit 3
+      | Ok (Protocol.Failure f)
+        when String.equal f.code (Protocol.code_name Protocol.All_failed) ->
+          Ops.all_failed f.message
       | Ok (Protocol.Failure f) ->
           Printf.eprintf "hfuse: server: %s (%s)\n" f.message f.code;
           exit 1
@@ -544,10 +547,9 @@ let search_cmd =
           (* a rejected pair is a verdict, not a crash *)
           Ops.rejected message
       | Hfuse_profiler.Runner.All_candidates_failed message ->
-          (* so is a pair whose every candidate failed to profile; the
-             routed path answers it with exit code 1 as well *)
-          Printf.eprintf "hfuse: %s\n" message;
-          exit 1
+          (* so is a pair whose every candidate failed to profile; a
+             routed search ends with the same outcome *)
+          Ops.all_failed message
       | Sys.Break ->
         Printf.eprintf "\nhfuse: interrupted%s\n"
           (if resume then

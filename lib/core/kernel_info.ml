@@ -25,6 +25,8 @@ type t = {
   tunability : tunability;
 }
 
+let normalized t = { t with fn = Hfuse_frontend.Inline.normalize_kernel t.prog t.fn }
+
 let threads_per_block t =
   let x, y, z = t.block in
   x * y * z

@@ -23,6 +23,11 @@ type t = {
   tunability : tunability;
 }
 
+(** The kernel with its body normalised
+    ({!Hfuse_frontend.Inline.normalize_kernel}): the form
+    {!Gpusim.Launch} runs. *)
+val normalized : t -> t
+
 (** Total threads per block. *)
 val threads_per_block : t -> int
 

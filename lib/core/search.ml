@@ -99,7 +99,7 @@ let search ?(limits = Occupancy.pascal_volta_limits)
        repair_outcome option)
        option)
     ?(on_reject : (Partition.t -> Hfuse_analysis.Diag.t list -> unit) option)
-    ~(profile : (Hfuse.t * config) list -> float list) ~(d0 : int)
+    ?bodies ~(profile : (Hfuse.t * config) list -> float list) ~(d0 : int)
     (k1 : Kernel_info.t) (k2 : Kernel_info.t) : result =
   let partitions =
     Partition.enumerate
@@ -122,11 +122,11 @@ let search ?(limits = Occupancy.pascal_volta_limits)
     (match on_reject with Some f -> f partition ds | None -> ());
     rejected := (partition, ds) :: !rejected
   in
-  (* the inputs are normalised once, where the first partition to pass
-     the geometry checks needs them; every later partition fuses the
-     same bodies (normalisation ignores the block dimension).  A plain
-     ref: phase 1 runs on the calling domain only. *)
-  let bodies = ref None in
+  (* the inputs are normalised once (by the caller, or where the first
+     partition to pass the geometry checks needs them); every later
+     partition fuses the same bodies (normalisation ignores the block
+     dimension).  A plain ref: phase 1 runs on the calling domain only. *)
+  let bodies = ref bodies in
   let normalized () =
     match !bodies with
     | Some b -> b
@@ -268,11 +268,12 @@ let search ?(limits = Occupancy.pascal_volta_limits)
 
 (** The Naive variant of the evaluation: even partition, no profiling,
     no register bound. *)
-let naive ~(d0 : int) (k1 : Kernel_info.t) (k2 : Kernel_info.t) :
+let naive ?bodies ~(d0 : int) (k1 : Kernel_info.t) (k2 : Kernel_info.t) :
     Hfuse.t option =
   match Partition.naive k1 k2 ~d0 with
   | None -> None
   | Some { Partition.d1; d2 } ->
       let k1c = Kernel_info.with_block_dim k1 d1 in
       let k2c = Kernel_info.with_block_dim k2 d2 in
-      Some (Hfuse.generate k1c k2c)
+      let normalized = Option.map (fun b () -> b) bodies in
+      Some (Hfuse.generate ?normalized k1c k2c)

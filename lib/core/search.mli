@@ -93,6 +93,10 @@ exception No_valid_partition of string
            [result.rejected], this also fires when every partition is
            rejected and the search raises {!No_valid_partition} —
            the hook the harness's rejection histograms rely on.
+    @param bodies the two kernels' normalised bodies
+           ({!Hfuse.normalize}) when the caller has them already;
+           without it they are normalised once, for the first partition
+           that needs them.
     @raise No_valid_partition when the pair admits no partition, or
            the verifier rejects every partition. *)
 val search :
@@ -105,6 +109,7 @@ val search :
     Hfuse_analysis.Diag.t list ->
     repair_outcome option) ->
   ?on_reject:(Partition.t -> Hfuse_analysis.Diag.t list -> unit) ->
+  ?bodies:Cuda.Ast.fn * Cuda.Ast.fn ->
   profile:((Hfuse.t * config) list -> float list) ->
   d0:int ->
   Kernel_info.t ->
@@ -112,5 +117,10 @@ val search :
   result
 
 (** The Naive evaluation variant: even partition, no profiling, no
-    register bound. *)
-val naive : d0:int -> Kernel_info.t -> Kernel_info.t -> Hfuse.t option
+    register bound.  [bodies] as for {!search}. *)
+val naive :
+  ?bodies:Cuda.Ast.fn * Cuda.Ast.fn ->
+  d0:int ->
+  Kernel_info.t ->
+  Kernel_info.t ->
+  Hfuse.t option

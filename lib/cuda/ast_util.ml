@@ -11,23 +11,75 @@ open Ast
 (* Expression traversal                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Every map below shares what it leaves alone: a node whose children
+   all come back physically equal is returned as it is, so a pass that
+   changes nothing allocates nothing and a changed leaf rebuilds only its
+   ancestors.  Children are visited in the order OCaml evaluates
+   constructor arguments, last to first, and list elements first to last,
+   so a side-effecting [f] (fresh names, errors) sees nodes in the same
+   order as a plain rebuild would show them. *)
+
+(* [List.map] that answers [l] itself when [f] changes no element *)
+let rec map_list f l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+      let x' = f x in
+      let rest' = map_list f rest in
+      if x' == x && rest' == rest then l else x' :: rest'
+
+let map_opt f o =
+  match o with
+  | None -> o
+  | Some x ->
+      let x' = f x in
+      if x' == x then o else Some x'
+
 (** Bottom-up expression rewriting: children first, then [f] on the node. *)
 let rec map_expr (f : expr -> expr) (e : expr) : expr =
   let r = map_expr f in
   let e' =
     match e with
     | Int_lit _ | Float_lit _ | Bool_lit _ | Var _ | Builtin _ -> e
-    | Unop (op, a) -> Unop (op, r a)
-    | Binop (op, a, b) -> Binop (op, r a, r b)
-    | Assign (a, b) -> Assign (r a, r b)
-    | Op_assign (op, a, b) -> Op_assign (op, r a, r b)
-    | Incdec i -> Incdec { i with lval = r i.lval }
-    | Ternary (c, a, b) -> Ternary (r c, r a, r b)
-    | Call (name, args) -> Call (name, List.map r args)
-    | Index (a, i) -> Index (r a, r i)
-    | Deref a -> Deref (r a)
-    | Addr_of a -> Addr_of (r a)
-    | Cast (t, a) -> Cast (t, r a)
+    | Unop (op, a) ->
+        let a' = r a in
+        if a' == a then e else Unop (op, a')
+    | Binop (op, a, b) ->
+        let b' = r b in
+        let a' = r a in
+        if a' == a && b' == b then e else Binop (op, a', b')
+    | Assign (a, b) ->
+        let b' = r b in
+        let a' = r a in
+        if a' == a && b' == b then e else Assign (a', b')
+    | Op_assign (op, a, b) ->
+        let b' = r b in
+        let a' = r a in
+        if a' == a && b' == b then e else Op_assign (op, a', b')
+    | Incdec i ->
+        let lval = r i.lval in
+        if lval == i.lval then e else Incdec { i with lval }
+    | Ternary (c, a, b) ->
+        let b' = r b in
+        let a' = r a in
+        let c' = r c in
+        if c' == c && a' == a && b' == b then e else Ternary (c', a', b')
+    | Call (name, args) ->
+        let args' = map_list r args in
+        if args' == args then e else Call (name, args')
+    | Index (a, i) ->
+        let i' = r i in
+        let a' = r a in
+        if a' == a && i' == i then e else Index (a', i')
+    | Deref a ->
+        let a' = r a in
+        if a' == a then e else Deref a'
+    | Addr_of a ->
+        let a' = r a in
+        if a' == a then e else Addr_of a'
+    | Cast (t, a) ->
+        let a' = r a in
+        if a' == a then e else Cast (t, a')
   in
   f e'
 
@@ -53,55 +105,97 @@ let rec fold_expr (f : 'a -> expr -> 'a) (acc : 'a) (e : expr) : 'a =
 (** Rewrite every expression inside a statement list with [f] (bottom-up
     within each expression). *)
 let rec map_stmts_expr (f : expr -> expr) (stmts : stmt list) : stmt list =
-  List.map (map_stmt_expr f) stmts
+  map_list (map_stmt_expr f) stmts
 
 and map_stmt_expr f (s : stmt) : stmt =
   let me = map_expr f in
   let ms = map_stmts_expr f in
+  let map_decl d =
+    let init = map_opt me d.d_init in
+    if init == d.d_init then d else { d with d_init = init }
+  in
   let desc =
     match s.s with
-    | Decl d -> Decl { d with d_init = Option.map me d.d_init }
-    | Expr e -> Expr (me e)
-    | If (c, t, e) -> If (me c, ms t, ms e)
+    | Decl d ->
+        let d' = map_decl d in
+        if d' == d then s.s else Decl d'
+    | Expr e ->
+        let e' = me e in
+        if e' == e then s.s else Expr e'
+    | If (c, t, e) ->
+        let e' = ms e in
+        let t' = ms t in
+        let c' = me c in
+        if c' == c && t' == t && e' == e then s.s else If (c', t', e')
     | For (init, cond, step, body) ->
-        let init =
+        let init' =
           match init with
-          | None -> None
-          | Some (For_expr e) -> Some (For_expr (me e))
+          | None -> init
+          | Some (For_expr e) ->
+              let e' = me e in
+              if e' == e then init else Some (For_expr e')
           | Some (For_decl ds) ->
-              Some
-                (For_decl
-                   (List.map
-                      (fun d -> { d with d_init = Option.map me d.d_init })
-                      ds))
+              let ds' = map_list map_decl ds in
+              if ds' == ds then init else Some (For_decl ds')
         in
-        For (init, Option.map me cond, Option.map me step, ms body)
-    | While (c, body) -> While (me c, ms body)
-    | Do_while (body, c) -> Do_while (ms body, me c)
-    | Return e -> Return (Option.map me e)
+        let body' = ms body in
+        let step' = map_opt me step in
+        let cond' = map_opt me cond in
+        if init' == init && cond' == cond && step' == step && body' == body
+        then s.s
+        else For (init', cond', step', body')
+    | While (c, body) ->
+        let body' = ms body in
+        let c' = me c in
+        if c' == c && body' == body then s.s else While (c', body')
+    | Do_while (body, c) ->
+        let c' = me c in
+        let body' = ms body in
+        if c' == c && body' == body then s.s else Do_while (body', c')
+    | Return e ->
+        let e' = map_opt me e in
+        if e' == e then s.s else Return e'
     | (Break | Continue | Sync | Bar_sync _ | Goto _ | Label _ | Nop) as d ->
         d
-    | Block b -> Block (ms b)
+    | Block b ->
+        let b' = ms b in
+        if b' == b then s.s else Block b'
   in
-  { s with s = desc }
+  if desc == s.s then s else { s with s = desc }
 
 (** Structure-preserving statement rewriting: [f] is applied to each
     statement after its children have been rewritten; [f] may expand a
     statement into several. *)
 let rec map_stmts (f : stmt -> stmt list) (stmts : stmt list) : stmt list =
-  List.concat_map
-    (fun s ->
+  match stmts with
+  | [] -> stmts
+  | s :: rest -> (
+      let ms = map_stmts f in
       let desc =
         match s.s with
-        | If (c, t, e) -> If (c, map_stmts f t, map_stmts f e)
-        | For (i, c, st, body) -> For (i, c, st, map_stmts f body)
-        | While (c, body) -> While (c, map_stmts f body)
-        | Do_while (body, c) -> Do_while (map_stmts f body, c)
-        | Block b -> Block (map_stmts f b)
+        | If (c, t, e) ->
+            let e' = ms e in
+            let t' = ms t in
+            if t' == t && e' == e then s.s else If (c, t', e')
+        | For (i, c, st, body) ->
+            let body' = ms body in
+            if body' == body then s.s else For (i, c, st, body')
+        | While (c, body) ->
+            let body' = ms body in
+            if body' == body then s.s else While (c, body')
+        | Do_while (body, c) ->
+            let body' = ms body in
+            if body' == body then s.s else Do_while (body', c)
+        | Block b ->
+            let b' = ms b in
+            if b' == b then s.s else Block b'
         | d -> d
       in
-      f { s with s = desc })
-    stmts
+      let out = f (if desc == s.s then s else { s with s = desc }) in
+      let rest' = ms rest in
+      match out with
+      | [ s' ] when s' == s && rest' == rest -> stmts
+      | _ -> out @ rest')
 
 (** Fold over every statement (pre-order), descending into nested lists. *)
 let rec fold_stmts (f : 'a -> stmt -> 'a) (acc : 'a) (stmts : stmt list) : 'a

@@ -3,7 +3,16 @@
 
 module StrSet : Set.S with type elt = string
 
-(** Bottom-up expression rewriting (children first, then [f]). *)
+(** [List.map] answering the list itself, not a copy, when [f] returns
+    every element physically unchanged. *)
+val map_list : ('a -> 'a) -> 'a list -> 'a list
+
+(** [Option.map] with the same sharing as {!map_list}. *)
+val map_opt : ('a -> 'a) -> 'a option -> 'a option
+
+(** Bottom-up expression rewriting (children first, then [f]).  This and
+    the statement maps below return unchanged subtrees physically
+    shared, so a rewrite that changes nothing allocates nothing. *)
 val map_expr : (Ast.expr -> Ast.expr) -> Ast.expr -> Ast.expr
 
 (** Pre-order fold over all sub-expressions. *)

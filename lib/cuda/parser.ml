@@ -15,36 +15,42 @@
 exception Error of string * Loc.t
 
 type state = {
-  toks : (Token.t * Loc.t) array;
+  lexed : Lexer.lexed;
   mutable idx : int;
+  mutable cur : Token.t;  (** token [idx], read once per step *)
   defines : (string, int64) Hashtbl.t;
 }
 
-let error st msg =
-  let _, loc = st.toks.(st.idx) in
-  raise (Error (msg, loc))
+let start lexed defines =
+  { lexed; idx = 0; cur = Lexer.token lexed 0; defines }
 
-let peek st = fst st.toks.(st.idx)
-let peek_loc st = snd st.toks.(st.idx)
+let peek_loc st = Lexer.loc_at st.lexed st.idx
+let error st msg = raise (Error (msg, peek_loc st))
+let peek st = st.cur
 
 let peek_n st n =
   let i = st.idx + n in
-  if i < Array.length st.toks then fst st.toks.(i) else Token.EOF
+  if i < st.lexed.count then Lexer.token st.lexed i else Token.EOF
 
 let next st =
-  let t = st.toks.(st.idx) in
-  if st.idx < Array.length st.toks - 1 then st.idx <- st.idx + 1;
-  fst t
+  let t = st.cur in
+  if st.idx < st.lexed.count - 1 then begin
+    st.idx <- st.idx + 1;
+    st.cur <- Lexer.token st.lexed st.idx
+  end;
+  t
+
+(* punctuation is immediate, so most comparisons end at [==] *)
+let[@inline] is st tok = st.cur == tok || Token.equal st.cur tok
 
 let expect st tok =
-  let got = peek st in
-  if Token.equal got tok then ignore (next st)
+  if is st tok then ignore (next st)
   else
     error st
-      (Fmt.str "expected %a but found %a" Token.pp tok Token.pp got)
+      (Fmt.str "expected %a but found %a" Token.pp tok Token.pp st.cur)
 
 let accept st tok =
-  if Token.equal (peek st) tok then (
+  if is st tok then (
     ignore (next st);
     true)
   else false
@@ -398,7 +404,7 @@ and parse_primary st =
       expect st Token.RPAREN;
       e
   | Token.IDENT name when is_builtin_base name
-                          && Token.equal (peek_n st 1) Token.DOT -> (
+                          && peek_n st 1 == Token.DOT -> (
       ignore (next st);
       expect st Token.DOT;
       let field = expect_ident st in
@@ -408,7 +414,10 @@ and parse_primary st =
       match peek st with
       | Token.LPAREN -> Ast.Call (name, parse_call_args st)
       | _ -> (
-          match Hashtbl.find_opt st.defines name with
+          match
+            if Hashtbl.length st.defines = 0 then None
+            else Hashtbl.find_opt st.defines name
+          with
           | Some v -> Ast.Int_lit (v, Ctype.Int)
           | None -> Ast.Var name))
   | t -> error st (Fmt.str "expected expression but found %a" Token.pp t)
@@ -502,11 +511,11 @@ let rec parse_stmt st : Ast.stmt =
         end
       in
       let cond =
-        if Token.equal (peek st) Token.SEMI then None else Some (parse_expr st)
+        if is st Token.SEMI then None else Some (parse_expr st)
       in
       expect st Token.SEMI;
       let step =
-        if Token.equal (peek st) Token.RPAREN then None
+        if is st Token.RPAREN then None
         else Some (parse_expr st)
       in
       expect st Token.RPAREN;
@@ -514,7 +523,7 @@ let rec parse_stmt st : Ast.stmt =
   | Token.KW "return" ->
       ignore (next st);
       let e =
-        if Token.equal (peek st) Token.SEMI then None else Some (parse_expr st)
+        if is st Token.SEMI then None else Some (parse_expr st)
       in
       expect st Token.SEMI;
       mk (Ast.Return e)
@@ -550,11 +559,11 @@ let rec parse_stmt st : Ast.stmt =
       mk (Ast.Bar_sync (id, count))
   | Token.KW ("extern" | "__shared__") -> parse_decl_stmt st ~loc
   | Token.KW k when is_type_start_kw k -> parse_decl_stmt st ~loc
-  | Token.IDENT l when Token.equal (peek_n st 1) Token.COLON ->
+  | Token.IDENT l when peek_n st 1 == Token.COLON ->
       ignore (next st);
       ignore (next st);
       mk (Ast.Label l)
-  | Token.IDENT "__syncthreads" when Token.equal (peek_n st 1) Token.LPAREN ->
+  | Token.IDENT "__syncthreads" when peek_n st 1 == Token.LPAREN ->
       ignore (next st);
       expect st Token.LPAREN;
       expect st Token.RPAREN;
@@ -573,8 +582,8 @@ and parse_stmt_as_list st : Ast.stmt list =
 and parse_block st : Ast.stmt list =
   expect st Token.LBRACE;
   let stmts = ref [] in
-  while not (Token.equal (peek st) Token.RBRACE) do
-    if Token.equal (peek st) Token.EOF then error st "unterminated block";
+  while not (is st Token.RBRACE) do
+    if is st Token.EOF then error st "unterminated block";
     stmts := parse_stmt st :: !stmts
   done;
   expect st Token.RBRACE;
@@ -721,9 +730,9 @@ let parse_program (src : string) : Ast.program =
   let lexed = Lexer.lex src in
   let defines = Hashtbl.create 16 in
   List.iter (fun (k, v) -> Hashtbl.replace defines k v) lexed.defines;
-  let st = { toks = lexed.tokens; idx = 0; defines } in
+  let st = start lexed defines in
   let fns = ref [] in
-  while not (Token.equal (peek st) Token.EOF) do
+  while not (is st Token.EOF) do
     fns := parse_function st :: !fns
   done;
   { Ast.defines = lexed.defines; functions = List.rev !fns }
@@ -745,7 +754,7 @@ let parse_kernel (src : string) : Ast.program * Ast.fn =
 (** Parse a single expression (testing convenience). *)
 let parse_expr_string (src : string) : Ast.expr =
   let lexed = Lexer.lex src in
-  let st = { toks = lexed.tokens; idx = 0; defines = Hashtbl.create 1 } in
+  let st = start lexed (Hashtbl.create 1) in
   let e = parse_expr st in
   expect st Token.EOF;
   e
@@ -754,9 +763,9 @@ let parse_expr_string (src : string) : Ast.expr =
     (testing convenience). *)
 let parse_stmts_string (src : string) : Ast.stmt list =
   let lexed = Lexer.lex src in
-  let st = { toks = lexed.tokens; idx = 0; defines = Hashtbl.create 1 } in
+  let st = start lexed (Hashtbl.create 1) in
   let stmts = ref [] in
-  while not (Token.equal (peek st) Token.EOF) do
+  while not (is st Token.EOF) do
     stmts := parse_stmt st :: !stmts
   done;
   List.rev !stmts

@@ -57,24 +57,17 @@ type t =
 (** Reserved words recognised by the lexer.  Type names are handled as
     keywords so the parser can distinguish declarations from expressions
     without a symbol table. *)
-let keywords =
-  [
-    "void"; "bool"; "char"; "short"; "int"; "long"; "float"; "double";
-    "signed"; "unsigned"; "const"; "volatile"; "restrict"; "__restrict__";
-    "uint8_t"; "uint16_t"; "uint32_t"; "uint64_t"; "int8_t"; "int16_t";
-    "int32_t"; "int64_t"; "size_t"; "uint";
-    "if"; "else"; "for"; "while"; "do"; "return"; "break"; "continue";
-    "goto"; "true"; "false"; "asm";
-    "__global__"; "__device__"; "__shared__"; "__host__"; "__forceinline__";
-    "__launch_bounds__"; "extern"; "static"; "inline";
-  ]
-
-let keyword_set : (string, unit) Hashtbl.t =
-  let h = Hashtbl.create 64 in
-  List.iter (fun k -> Hashtbl.replace h k ()) keywords;
-  h
-
-let is_keyword s = Hashtbl.mem keyword_set s
+let is_keyword = function
+  | "void" | "bool" | "char" | "short" | "int" | "long" | "float" | "double"
+  | "signed" | "unsigned" | "const" | "volatile" | "restrict" | "__restrict__"
+  | "uint8_t" | "uint16_t" | "uint32_t" | "uint64_t" | "int8_t" | "int16_t"
+  | "int32_t" | "int64_t" | "size_t" | "uint"
+  | "if" | "else" | "for" | "while" | "do" | "return" | "break" | "continue"
+  | "goto" | "true" | "false" | "asm"
+  | "__global__" | "__device__" | "__shared__" | "__host__" | "__forceinline__"
+  | "__launch_bounds__" | "extern" | "static" | "inline" ->
+      true
+  | _ -> false
 
 let pp ppf = function
   | INT_LIT (v, _) -> Fmt.pf ppf "int literal %Ld" v
@@ -131,10 +124,13 @@ let pp ppf = function
 
 let to_string t = Fmt.str "%a" pp t
 
+(* punctuation tokens are immediates: equal exactly when physically so *)
 let equal (a : t) (b : t) =
+  a == b
+  ||
   match (a, b) with
   | INT_LIT (x, tx), INT_LIT (y, ty) -> Int64.equal x y && Ctype.equal tx ty
   | FLOAT_LIT (x, tx), FLOAT_LIT (y, ty) -> Float.equal x y && Ctype.equal tx ty
   | STRING_LIT x, STRING_LIT y | IDENT x, IDENT y | KW x, KW y ->
       String.equal x y
-  | a, b -> a = b
+  | _ -> false

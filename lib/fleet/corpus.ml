@@ -142,8 +142,8 @@ let vet (k : Gen.kernel) : (unit, string) result =
             let mem = Memory.create () in
             let args = bind k mem in
             match
-              Launch.launch_info ~loop_fuel:vet_loop_fuel mem info ~args
-                ~trace_blocks:0
+              Launch.launch_info ~loop_fuel:vet_loop_fuel mem
+                { info with fn = fn' } ~args ~trace_blocks:0
             with
             | _ -> Ok ()
             | exception Launch.Deadlock msg -> Error ("deadlock: " ^ msg)

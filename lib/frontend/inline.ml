@@ -243,30 +243,15 @@ let splice_void_call (pool : Rename.pool) (f : Ast.fn)
   in
   param_decls @ body
 
-(** Inline every call to a program-defined [__device__] function inside
-    [kernel], to a fixpoint (callees may call other device functions).
-    Raises {!Error} on recursion or uninlinable shapes. *)
-let inline_fn (prog : Ast.program) (kernel : Ast.fn) : Ast.fn =
-  (match recursive_functions prog with
-  | [] -> ()
-  | cyc ->
-      raise
-        (Error
-           (Fmt.str "recursive function calls are not supported: %a"
-              Fmt.(list ~sep:comma string)
-              cyc)));
+(* Inline the calls [is_target] names, to a fixpoint: an inlined body
+   may call further device functions.  A round that inlines nothing
+   shares the whole body, so it costs a walk and no allocation. *)
+let inline_calls (prog : Ast.program) ~is_target (kernel : Ast.fn) : Ast.fn =
   let pool =
     Rename.of_names
       (Ast_util.StrSet.elements (Ast_util.used_names kernel.f_body)
       @ List.map (fun (p : Ast.param) -> p.p_name) kernel.f_params)
   in
-  let target_fns =
-    List.filter_map
-      (fun (f : Ast.fn) ->
-        match f.f_kind with Device -> Some f.f_name | Global -> None)
-      prog.functions
-  in
-  let is_target name = List.mem name target_fns in
   let changed = ref true in
   let body = ref kernel.f_body in
   let guard = ref 0 in
@@ -327,6 +312,30 @@ let inline_fn (prog : Ast.program) (kernel : Ast.fn) : Ast.fn =
   done;
   { kernel with f_body = !body }
 
+(** Inline every call to a program-defined [__device__] function inside
+    [kernel], to a fixpoint (callees may call other device functions).
+    Raises {!Error} on recursion or uninlinable shapes. *)
+let inline_fn (prog : Ast.program) (kernel : Ast.fn) : Ast.fn =
+  (match recursive_functions prog with
+  | [] -> ()
+  | cyc ->
+      raise
+        (Error
+           (Fmt.str "recursive function calls are not supported: %a"
+              Fmt.(list ~sep:comma string)
+              cyc)));
+  let target_fns =
+    List.filter_map
+      (fun (f : Ast.fn) ->
+        match f.f_kind with Device -> Some f.f_name | Global -> None)
+      prog.functions
+  in
+  let is_target name = List.mem name target_fns in
+  (* a kernel that calls none of them is returned as it is *)
+  if Ast_util.StrSet.exists is_target (Ast_util.called_names kernel.f_body)
+  then inline_calls prog ~is_target kernel
+  else kernel
+
 (** Convenience: parse+normalise pipeline used by the fusion driver.
     Runs shadowing-uniquification, inlining and declaration lifting on the
     kernel, returning a self-contained function ready for fusion. *)
@@ -334,8 +343,10 @@ let normalize_kernel (prog : Ast.program) (kernel : Ast.fn) : Ast.fn =
   let kernel =
     { kernel with f_body = Rename.uniquify_shadowing kernel.f_body }
   in
-  let kernel = inline_fn prog kernel in
+  let inlined = inline_fn prog kernel in
+  (* a body that inlining left as it was is unique already *)
   let kernel =
-    { kernel with f_body = Rename.uniquify_shadowing kernel.f_body }
+    if inlined.f_body == kernel.f_body then kernel
+    else { inlined with f_body = Rename.uniquify_shadowing inlined.f_body }
   in
   Lift_decls.lift_fn kernel

@@ -78,31 +78,62 @@ let rename_labels (p : pool) (stmts : Ast.stmt list) : Ast.stmt list =
         | _ -> [ s ])
       stmts
 
+(* Names used anywhere in [stmts] but declared nowhere in them (the
+   parameters and would-be globals), as {!Ast_util.free_names} without
+   its two sets. *)
+let reserve_free (p : pool) (stmts : Ast.stmt list) =
+  let declared = Hashtbl.create 64 in
+  List.iter
+    (fun (d : Ast.decl) -> Hashtbl.replace declared d.d_name ())
+    (Ast_util.collect_decls stmts);
+  Ast_util.fold_stmts_expr
+    (fun () e ->
+      Ast_util.fold_expr
+        (fun () e ->
+          match e with
+          | Ast.Var x when not (Hashtbl.mem declared x) -> reserve p x
+          | _ -> ())
+        () e)
+    () stmts
+
 (** Uniquify shadowing declarations *within* one kernel body: C allows the
     same name to be declared in sibling or nested scopes; after
     declaration lifting (see {!Lift_decls}) all declarations live in one
     scope, so they must be distinct first.  Walks the statements with a
     scoped environment, renaming any declaration whose name is already
-    visible. *)
+    visible.  Subtrees with nothing renamed are shared, not copied. *)
 let uniquify_shadowing (stmts : Ast.stmt list) : Ast.stmt list =
   let p = create () in
   (* Reserve every free name (parameters etc.) so locals can't capture. *)
-  Ast_util.StrSet.iter (reserve p) (Ast_util.free_names stmts);
-  let rec go_list (env : (string * string) list) stmts =
-    let env = ref env in
-    List.map
-      (fun s ->
-        let s' = go_stmt !env s in
-        (match s.Ast.s with
-        | Ast.Decl d ->
-            let d' =
-              match s'.Ast.s with Ast.Decl d' -> d' | _ -> assert false
-            in
-            env := (d.d_name, d'.d_name) :: !env
-        | _ -> ());
-        s')
-      stmts
-  and rename_decl env (d : Ast.decl) : Ast.decl * (string * string) =
+  reserve_free p stmts;
+  (* the visible declarations, innermost binding of a name first: a
+     scope [Hashtbl.add]s its bindings and removes them when it ends *)
+  let env : (string, string) Hashtbl.t = Hashtbl.create 64 in
+  let renamed = ref 0 in
+  (* [renamed] counts the visible bindings that change a name; while it
+     is 0 every expression is left as it is *)
+  let bind (x, x') =
+    Hashtbl.add env x x';
+    if not (String.equal x x') then incr renamed
+  in
+  let unbind (x, x') =
+    Hashtbl.remove env x;
+    if not (String.equal x x') then decr renamed
+  in
+  let rewrite_expr e =
+    if !renamed = 0 then e
+    else
+      Ast_util.map_expr
+        (fun e ->
+          match e with
+          | Var x -> (
+              match Hashtbl.find_opt env x with
+              | Some x' when not (String.equal x x') -> Var x'
+              | _ -> e)
+          | e -> e)
+        e
+  in
+  let rename_decl (d : Ast.decl) : Ast.decl * (string * string) =
     let new_name =
       if mem p d.d_name then fresh p d.d_name
       else begin
@@ -110,61 +141,95 @@ let uniquify_shadowing (stmts : Ast.stmt list) : Ast.stmt list =
         d.d_name
       end
     in
+    let init = Ast_util.map_opt rewrite_expr d.d_init in
     let d' =
-      {
-        d with
-        d_name = new_name;
-        d_init = Option.map (rewrite_expr env) d.d_init;
-      }
+      if String.equal new_name d.d_name && init == d.d_init then d
+      else { d with d_name = new_name; d_init = init }
     in
     (d', (d.d_name, new_name))
-  and rewrite_expr env e =
-    Ast_util.map_expr
-      (fun e ->
-        match e with
-        | Var x -> (
-            match List.assoc_opt x env with
-            | Some x' -> Var x'
-            | None -> e)
-        | e -> e)
-      e
-  and go_stmt env (s : Ast.stmt) : Ast.stmt =
-    let re = rewrite_expr env in
+  in
+  (* a statement list is a scope: its declarations are visible to the
+     statements after them and gone at its end *)
+  let rec go_list stmts =
+    let bound = ref [] in
+    let stmts' =
+      Ast_util.map_list
+        (fun (s : Ast.stmt) ->
+          match s.s with
+          | Decl d ->
+              let d', binding = rename_decl d in
+              bind binding;
+              bound := binding :: !bound;
+              if d' == d then s else { s with s = Decl d' }
+          | _ -> go_stmt s)
+        stmts
+    in
+    List.iter unbind !bound;
+    stmts'
+  and go_stmt (s : Ast.stmt) : Ast.stmt =
     let desc : Ast.stmt_desc =
       match s.s with
-      | Decl d ->
-          let d', _ = rename_decl env d in
-          Decl d'
-      | Expr e -> Expr (re e)
-      | If (c, t, e) -> If (re c, go_list env t, go_list env e)
+      | Decl _ -> assert false
+      | Expr e ->
+          let e' = rewrite_expr e in
+          if e' == e then s.s else Expr e'
+      | If (c, t, e) ->
+          (* the else branch first, the order its names were always
+             drawn in *)
+          let e' = go_list e in
+          let t' = go_list t in
+          let c' = rewrite_expr c in
+          if c' == c && t' == t && e' == e then s.s else If (c', t', e')
       | For (init, cond, step, body) ->
-          let env', init' =
+          let init', bound =
             match init with
-            | None -> (env, None)
-            | Some (Ast.For_expr e) -> (env, Some (Ast.For_expr (re e)))
+            | None | Some (Ast.For_expr _) ->
+                (Ast_util.map_opt
+                   (function
+                     | Ast.For_expr e as i ->
+                         let e' = rewrite_expr e in
+                         if e' == e then i else Ast.For_expr e'
+                     | i -> i)
+                   init,
+                 [])
             | Some (Ast.For_decl ds) ->
-                let env', ds' =
-                  List.fold_left
-                    (fun (env, acc) d ->
-                      let d', binding = rename_decl env d in
-                      (binding :: env, d' :: acc))
-                    (env, []) ds
+                let bound = ref [] in
+                let ds' =
+                  Ast_util.map_list
+                    (fun d ->
+                      let d', binding = rename_decl d in
+                      bind binding;
+                      bound := binding :: !bound;
+                      d')
+                    ds
                 in
-                (env', Some (Ast.For_decl (List.rev ds')))
+                ((if ds' == ds then init else Some (Ast.For_decl ds')), !bound)
           in
-          For
-            ( init',
-              Option.map (rewrite_expr env') cond,
-              Option.map (rewrite_expr env') step,
-              go_list env' body )
-      | While (c, body) -> While (re c, go_list env body)
-      | Do_while (body, c) -> Do_while (go_list env body, re c)
-      | Return e -> Return (Option.map re e)
-      | Block b -> Block (go_list env b)
+          let body' = go_list body in
+          let step' = Ast_util.map_opt rewrite_expr step in
+          let cond' = Ast_util.map_opt rewrite_expr cond in
+          List.iter unbind bound;
+          if init' == init && cond' == cond && step' == step && body' == body
+          then s.s
+          else For (init', cond', step', body')
+      | While (c, body) ->
+          let body' = go_list body in
+          let c' = rewrite_expr c in
+          if c' == c && body' == body then s.s else While (c', body')
+      | Do_while (body, c) ->
+          let body' = go_list body in
+          let c' = rewrite_expr c in
+          if c' == c && body' == body then s.s else Do_while (body', c')
+      | Return e ->
+          let e' = Ast_util.map_opt rewrite_expr e in
+          if e' == e then s.s else Return e'
+      | Block b ->
+          let b' = go_list b in
+          if b' == b then s.s else Block b'
       | (Break | Continue | Sync | Bar_sync _ | Goto _ | Label _ | Nop) as d
         ->
           d
     in
-    { s with s = desc }
+    if desc == s.s then s else { s with s = desc }
   in
-  go_list [] stmts
+  go_list stmts

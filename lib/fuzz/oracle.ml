@@ -4,6 +4,7 @@ module Memory = Gpusim.Memory
 module Launch = Gpusim.Launch
 module Value = Gpusim.Value
 module Hfuse = Hfuse_core.Hfuse
+module Kernel_info = Hfuse_core.Kernel_info
 module Multi = Hfuse_core.Multi
 module Diag = Hfuse_analysis.Diag
 
@@ -165,8 +166,8 @@ let run_unfused (c : Gen.case) : (string * Bytes.t) list =
        (fun (k : Gen.kernel) ->
          let args = bind_kernel mem k in
          ignore
-           (Launch.launch_info ~loop_fuel:fuzz_loop_fuel mem k.g_info ~args
-              ~trace_blocks:0))
+           (Launch.launch_info ~loop_fuel:fuzz_loop_fuel mem
+              (Kernel_info.normalized k.g_info) ~args ~trace_blocks:0))
        c.c_kernels
    with
   | Launch.Deadlock msg ->
@@ -195,8 +196,8 @@ let run_fused ?(inject = fun fn -> fn) (c : Gen.case) (fused : Hfuse.t) :
   let args = List.concat_map (bind_kernel mem) c.c_kernels in
   (try
      ignore
-       (Launch.launch_info ~loop_fuel:fuzz_loop_fuel mem info ~args
-          ~trace_blocks:0)
+       (Launch.launch_info ~loop_fuel:fuzz_loop_fuel mem
+          (Kernel_info.normalized info) ~args ~trace_blocks:0)
    with
   | Launch.Deadlock msg -> raise (Stop (Failed (Fused_crash ("deadlock: " ^ msg))))
   | Launch.Launch_error msg ->

@@ -11,7 +11,6 @@
    a horizontally fused kernel — and is reported as {!Deadlock}. *)
 
 open Cuda
-open Hfuse_frontend
 
 exception Deadlock of string
 exception Launch_error of string
@@ -231,13 +230,13 @@ let run_block ~(warps : int) ~(kernel_name : string)
 (* Full launches                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** Launch [fn] (normalising it first: inlining device calls, lifting
-    declarations) over the grid, executing every block functionally and
-    recording dynamic traces for the first [config.trace_blocks] blocks.
-    [args] bind the kernel parameters positionally. *)
+(** Launch [fn], already normalised (device calls inlined, declarations
+    lifted: {!Hfuse_frontend.Inline.normalize_kernel}), over the grid,
+    executing every block functionally and recording dynamic traces for
+    the first [config.trace_blocks] blocks.  [args] bind the kernel
+    parameters positionally. *)
 let launch ?fault ?(loop_fuel = default_loop_fuel) (mem : Memory.t)
-    ~(prog : Ast.program) ~(fn : Ast.fn) ~(args : Value.t list)
-    (config : config) : result =
+    ~(fn : Ast.fn) ~(args : Value.t list) (config : config) : result =
   (* chaos harness: a [sim_hang] draw (fresh key per launch) emulates a
      hung kernel by collapsing the fuel budget; the resulting watchdog
      trip is re-raised as the transient [Fault.Injected Sim_hang] so
@@ -255,7 +254,6 @@ let launch ?fault ?(loop_fuel = default_loop_fuel) (mem : Memory.t)
   if threads <= 0 || threads > 1024 then
     fail "block of %d threads out of range 1..1024" threads;
   if config.grid <= 0 then fail "grid must be positive (got %d)" config.grid;
-  let fn = Inline.normalize_kernel prog fn in
   if List.length args <> List.length fn.f_params then
     fail "kernel %s expects %d arguments, got %d" fn.f_name
       (List.length fn.f_params)
@@ -333,11 +331,12 @@ let launch ?fault ?(loop_fuel = default_loop_fuel) (mem : Memory.t)
     warps_per_block = warps;
   }
 
-(** Launch from a {!Hfuse_core.Kernel_info.t}, the common harness path. *)
+(** Launch from a {!Hfuse_core.Kernel_info.t} whose kernel is normalised
+    ({!Hfuse_core.Kernel_info.normalized}), the common harness path. *)
 let launch_info ?exec_blocks ?(l1_sectors = 512) ?fault ?loop_fuel
     (mem : Memory.t) (info : Hfuse_core.Kernel_info.t)
     ~(args : Value.t list) ~(trace_blocks : int) : result =
-  launch ?fault ?loop_fuel mem ~prog:info.prog ~fn:info.fn ~args
+  launch ?fault ?loop_fuel mem ~fn:info.fn ~args
     {
       grid = info.grid;
       block = info.block;

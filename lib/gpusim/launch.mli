@@ -46,8 +46,11 @@ type result = {
 
 val static_shared_bytes : Cuda.Ast.stmt list -> int
 
-(** Launch [fn] (normalised internally) over the grid; [args] bind the
-    kernel parameters positionally.  [loop_fuel] defaults to
+(** Launch [fn] over the grid; [args] bind the kernel parameters
+    positionally.  [fn] must be normalised already
+    ({!Hfuse_frontend.Inline.normalize_kernel}): a launch does not
+    normalise, so a caller that launches one kernel many times pays for
+    it once, and a raw-source caller normalises first.  [loop_fuel] defaults to
     {!default_loop_fuel}.  [fault] is the chaos plan for this launch's
     [sim_hang] draw — e.g. one server request's; omitted, nothing is
     injected.
@@ -61,13 +64,14 @@ val launch :
   ?fault:Hfuse_fault.Fault.plan ->
   ?loop_fuel:int ->
   Memory.t ->
-  prog:Cuda.Ast.program ->
   fn:Cuda.Ast.fn ->
   args:Value.t list ->
   config ->
   result
 
-(** Launch from a {!Hfuse_core.Kernel_info.t} (the harness path). *)
+(** Launch from a {!Hfuse_core.Kernel_info.t} (the harness path); its
+    kernel must be normalised, as {!Hfuse_core.Kernel_info.normalized}
+    returns it. *)
 val launch_info :
   ?exec_blocks:int ->
   ?l1_sectors:int ->

@@ -42,13 +42,19 @@ type configured = {
   spec : Spec.t;
   size : int;
   info : Hfuse_core.Kernel_info.t;  (** at native block dimensions *)
+  runnable : Hfuse_core.Kernel_info.t;
+      (** [info] normalised, once: what a launch runs and fusion fuses *)
   inst : Workload.instance;
 }
 
 let configure (mem : Memory.t) (spec : Spec.t) ~(size : int) : configured =
   let inst = spec.instantiate mem ~size in
   let info = Spec.kernel_info spec inst in
-  { spec; size; info; inst }
+  { spec; size; info; runnable = Hfuse_core.Kernel_info.normalized info; inst }
+
+(* both kernels' normalised bodies, as fusion takes them *)
+let bodies (c1 : configured) (c2 : configured) =
+  (c1.runnable.fn, c2.runnable.fn)
 
 (* ------------------------------------------------------------------ *)
 (* The canonical environment                                            *)
@@ -65,7 +71,9 @@ let fresh (cs : configured list) : Memory.t * configured list =
 
 (* One launch under the settings' chaos plan and fuel: [~traced:true]
    executes and records only the traced blocks (profiling mode),
-   [~traced:false] runs the whole grid untraced. *)
+   [~traced:false] runs the whole grid untraced.  [info]'s kernel must
+   be normalised: a configured kernel's [runnable], or a fused kernel
+   through {!Hfuse_core.Kernel_info.normalized}. *)
 let launch ~(s : Settings.t) ~(traced : bool) (mem : Memory.t)
     (info : Hfuse_core.Kernel_info.t) (cs : configured list) : Launch.result =
   let tb = if traced then s.Settings.trace_blocks else 0 in
@@ -252,7 +260,7 @@ let traces_of ~settings:(s : Settings.t) ?(arch = "-") (c : configured)
   traced ~s ~arch ~source:c.spec.source
     (K_solo { kernel = c.spec.name; size = c.size; block_dim = d; tb })
     (fun () ->
-      record ~s [ c ] (Hfuse_core.Kernel_info.with_block_dim c.info d))
+      record ~s [ c ] (Hfuse_core.Kernel_info.with_block_dim c.runnable d))
 
 (* ------------------------------------------------------------------ *)
 (* Timing-spec constructors                                             *)
@@ -318,7 +326,9 @@ let hfuse_traces ~settings:(s : Settings.t) ?(arch = "-") (c1 : configured)
   traced ~s ~arch
     ~source:(Hfuse_core.Hfuse.to_source f)
     (hfuse_key ~tb:s.Settings.trace_blocks c1 c2 f)
-    (fun () -> record ~s [ c1; c2 ] (Hfuse_core.Hfuse.info f))
+    (fun () ->
+      record ~s [ c1; c2 ]
+        (Hfuse_core.Kernel_info.normalized (Hfuse_core.Hfuse.info f)))
 
 (** Launch spec for a fused candidate over already-recorded traces.
     Pure — safe to build and [Timing.run] on any domain. *)
@@ -386,7 +396,7 @@ let vfuse_spec ~settings:(s : Settings.t) ?(arch = "-") (c1 : configured)
            block = v.block;
            tb;
          })
-      (fun () -> record ~s [ c1; c2 ] vinfo)
+      (fun () -> record ~s [ c1; c2 ] (Hfuse_core.Kernel_info.normalized vinfo))
   in
   {
     Timing.label = v.fn.f_name;
@@ -696,11 +706,14 @@ let repair_gate ~(s : Settings.t) (c1 : configured) (c2 : configured)
       snapshot_of (fun cs ->
           List.map2
             (fun (c : configured) d ->
-              (Hfuse_core.Kernel_info.with_block_dim c.info d, [ c ]))
+              (Hfuse_core.Kernel_info.with_block_dim c.runnable d, [ c ]))
             cs
             [ f.Hfuse_core.Hfuse.d1; f.Hfuse_core.Hfuse.d2 ])
     in
-    let fused = snapshot_of (fun cs -> [ (Hfuse_core.Hfuse.info f, cs) ]) in
+    let fused =
+      snapshot_of (fun cs ->
+          [ (Hfuse_core.Kernel_info.normalized (Hfuse_core.Hfuse.info f), cs) ])
+    in
     Memory.equal_snapshot reference fused
   with
   | equal -> equal
@@ -748,13 +761,19 @@ let source_of ctx ((f, cfg) : candidate) : string =
    candidate, so infinity never wins while any candidate completed.
    Injected faults retry in the pool, so a failure that reaches here is
    deterministic: it is warned about and counted once per search. *)
-let candidate_failed ctx ~(key : string) ((f, _) : candidate)
+let candidate_failed ctx ~(key : string) ((f, cfg) : candidate)
     (fl : Pool.failure) : float =
   if not (Hashtbl.mem ctx.failures key) then begin
     Hashtbl.add ctx.failures key fl;
     Ledger.add Counters.failed 1;
-    Printf.eprintf "hfuse: warning: candidate %s (d1=%d d2=%d) failed: %s\n%!"
-      f.fn.f_name f.d1 f.d2 (Printexc.to_string fl.f_exn)
+    (* a partition's two register-bound variants are two candidates *)
+    Printf.eprintf
+      "hfuse: warning: candidate %s (d1=%d d2=%d reg_bound=%s) failed: %s\n%!"
+      f.fn.f_name f.d1 f.d2
+      (match cfg.Search.reg_bound with
+      | Some r -> string_of_int r
+      | None -> "none")
+      (Printexc.to_string fl.f_exn)
   end;
   Float.infinity
 
@@ -801,7 +820,8 @@ let trace_stage ctx (batch : candidate array) ~(srcs : string array)
           traced ~s:ctx.s ~arch:ctx.arch.Arch.name ~source:srcs.(i)
             (trace_key i) (fun () ->
               fresh := true;
-              record ~s:ctx.s [ ctx.c1; ctx.c2 ] (Hfuse_core.Hfuse.info f))
+              record ~s:ctx.s [ ctx.c1; ctx.c2 ]
+                (Hfuse_core.Kernel_info.normalized (Hfuse_core.Hfuse.info f)))
         in
         (traces, !fresh))
       (Array.of_list uniq)
@@ -1002,13 +1022,15 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
       Search.search ~limits:(Arch.sm_limits arch) ~profile:(replay_stage ctx)
         ~rank:(rank_stage ctx ~top_k) ?top_k
         ?repair:(if repair then Some (repair_stage ctx) else None)
-        ~on_reject:count_rejection ~d0:(d0_for c1 c2) c1.info c2.info )
+        ~on_reject:count_rejection ~bodies:(bodies c1 c2) ~d0:(d0_for c1 c2)
+        c1.info c2.info )
   in
   account ctx ~top_k result
 
 let naive_hfuse (c1 : configured) (c2 : configured) : Hfuse_core.Hfuse.t option
     =
-  Hfuse_core.Search.naive ~d0:(d0_for c1 c2) c1.info c2.info
+  Hfuse_core.Search.naive ~bodies:(bodies c1 c2) ~d0:(d0_for c1 c2) c1.info
+    c2.info
 
 (* ------------------------------------------------------------------ *)
 (* Correctness validation (full functional execution)                   *)
@@ -1030,7 +1052,10 @@ let validate ~(s : Settings.t) ~(key : int) (s1 : Spec.t) ~(size1 : int)
   match fuse c1 c2 with
   | exception Hfuse_core.Fuse_common.Fusion_error e -> Error e
   | info -> (
-      match launch ~s ~traced:false mem info [ c1; c2 ] with
+      match
+        launch ~s ~traced:false mem (Hfuse_core.Kernel_info.normalized info)
+          [ c1; c2 ]
+      with
       | exception Launch.Deadlock e -> Error e
       | _ -> (
           match c1.inst.check mem with

@@ -30,6 +30,9 @@ type configured = {
   spec : Kernel_corpus.Spec.t;
   size : int;
   info : Hfuse_core.Kernel_info.t;  (** at native block dimensions *)
+  runnable : Hfuse_core.Kernel_info.t;
+      (** [info] normalised once, at {!configure}: what launches run and
+          what fusion fuses *)
   inst : Kernel_corpus.Workload.instance;
 }
 

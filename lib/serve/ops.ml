@@ -294,7 +294,8 @@ let simulate ~settings:(s : Settings.t) (p : simulate_params) : outcome =
     let info = Kernel_corpus.Spec.kernel_info spec inst in
     ignore
       (Gpusim.Launch.launch_info ?fault:s.Settings.fault
-         ~loop_fuel:s.Settings.sim_fuel mem2 info ~args:inst.args
+         ~loop_fuel:s.Settings.sim_fuel mem2
+         (Hfuse_core.Kernel_info.normalized info) ~args:inst.args
          ~trace_blocks:0);
     match inst.check mem2 with
     | Ok () ->
@@ -406,6 +407,14 @@ let rejected message =
   {
     output = "";
     log = Printf.sprintf "hfuse: rejected: %s\n" message;
+    exit_code = 1;
+    telemetry = Json.Obj [];
+  }
+
+let all_failed message =
+  {
+    output = "";
+    log = Printf.sprintf "hfuse: %s\n" message;
     exit_code = 1;
     telemetry = Json.Obj [];
   }

@@ -98,6 +98,13 @@ val search :
     that names the exception. *)
 val rejected : string -> outcome
 
+(** The outcome of a search whose every candidate failed to profile
+    ({!Hfuse_profiler.Runner.All_candidates_failed}): nothing on
+    stdout, [hfuse: message] on stderr, exit code 1.  The one-shot CLI
+    and a routed one, answered with the daemon's [all_failed] code,
+    both end with it. *)
+val all_failed : string -> outcome
+
 (** Dispatches one verb.  [settings] (read by [simulate] and [search]
     only) defaults to [Settings.resolve ()], the environment's; the
     daemon and the CLI pass their own value. *)

@@ -49,6 +49,7 @@ type error_code =
   | Overloaded
   | Shutting_down
   | Rejected
+  | All_failed
   | Internal
 
 let code_name = function
@@ -59,6 +60,7 @@ let code_name = function
   | Overloaded -> "overloaded"
   | Shutting_down -> "shutting_down"
   | Rejected -> "rejected"
+  | All_failed -> "all_failed"
   | Internal -> "internal"
 
 type response =

@@ -63,6 +63,11 @@ type error_code =
       (** a search the verifier refused at every partition: a verdict on
           the pair, not a fault; the message names
           [No_valid_partition] *)
+  | All_failed
+      (** a search whose every candidate failed to profile (the
+          simulator's fuel ran out, say): a verdict too, not counted
+          among the daemon's errors; the message is the one the
+          one-shot CLI prints ({!Ops.all_failed}) *)
   | Internal  (** an exception escaped the verb body *)
 
 val code_name : error_code -> string

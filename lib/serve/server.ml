@@ -212,6 +212,9 @@ let handle_line t ~send ~hold ~release (line : string) =
                   | exception (Hfuse_core.Search.No_valid_partition _ as e) ->
                       Protocol.failure ~id Protocol.Rejected
                         (Printexc.to_string e)
+                  | exception Hfuse_profiler.Runner.All_candidates_failed msg
+                    ->
+                      Protocol.failure ~id Protocol.All_failed msg
                   | exception e ->
                       note_error t;
                       Protocol.failure ~id Protocol.Internal

@@ -124,8 +124,35 @@ let test_calibration_preferred () =
   Alcotest.(check bool) "estimator used when uncalibrated" true
     (Gpusim.Resource_model.regs_of_info { info with regs = 0 } >= 16)
 
+(* The maps rebuild only the path to a change: identity rewrites
+   return the input itself, and renaming one variable leaves every
+   statement that does not mention it physically shared. *)
+let test_maps_share () =
+  let body =
+    stmts "int a = 1; if (a) { b = a; } else { c = 2; } for (;;) { d = 3; }"
+  in
+  Alcotest.(check bool) "map_stmts_expr identity" true
+    (Ast_util.map_stmts_expr Fun.id body == body);
+  Alcotest.(check bool) "map_stmts identity" true
+    (Ast_util.map_stmts (fun s -> [ s ]) body == body);
+  let renamed =
+    Ast_util.map_stmts_expr
+      (function Ast.Var "b" -> Ast.Var "b2" | e -> e)
+      body
+  in
+  match (body, renamed) with
+  | [ a; { s = If (c, t, e); _ }; f ], [ a'; { s = If (c', t', e'); _ }; f' ]
+    ->
+      Alcotest.(check bool) "untouched statements shared" true
+        (a == a' && f == f' && c == c' && e == e');
+      Alcotest.(check bool) "changed branch rebuilt" false (t == t');
+      Alcotest.(check string) "rewritten" "b2 = a;"
+        (String.trim (Pretty.stmt_to_string (List.hd t')))
+  | _ -> Alcotest.fail "unexpected statement shapes"
+
 let suite =
   [
+    Alcotest.test_case "maps share unchanged subtrees" `Quick test_maps_share;
     Alcotest.test_case "collect decls" `Quick test_collect_decls;
     Alcotest.test_case "free names" `Quick test_free_names;
     Alcotest.test_case "calls and labels" `Quick test_called_and_labels;

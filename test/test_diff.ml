@@ -88,7 +88,8 @@ let interp_matches_direct =
       let mem = Memory.create () in
       let out = Memory.alloc mem ~name:"out" ~elem:Ctype.Int ~count:32 in
       ignore
-        (Launch.launch mem ~prog ~fn ~args:[ Value.Ptr out ]
+        (Launch.launch mem ~fn:(Hfuse_frontend.Inline.normalize_kernel prog fn)
+           ~args:[ Value.Ptr out ]
            {
              grid = 1;
              block = (32, 1, 1);
@@ -139,6 +140,10 @@ let arb_kernel_pair =
       gen_kernel_src >>= fun b ->
       int_range 1 7 >|= fun d -> (a, b, d * 128))
 
+(* a raw kernel's solo launch: normalised first, as Launch requires *)
+let launch_raw mem (k : Hfuse_core.Kernel_info.t) ~args cfg =
+  Launch.launch mem ~fn:(Hfuse_core.Kernel_info.normalized k).fn ~args cfg
+
 let run_native_and_fused (src1, src2, d1) =
   let d2 = 1024 - d1 in
   let info src block name : Hfuse_core.Kernel_info.t =
@@ -163,14 +168,15 @@ let run_native_and_fused (src1, src2, d1) =
   (* native *)
   let mem_n = Memory.create () in
   let o1 = alloc mem_n "o1" and o2 = alloc mem_n "o2" in
-  ignore (Launch.launch mem_n ~prog:k1.prog ~fn:k1.fn ~args:[ Value.Ptr o1 ] (cfg d1));
-  ignore (Launch.launch mem_n ~prog:k2.prog ~fn:k2.fn ~args:[ Value.Ptr o2 ] (cfg d2));
+  ignore (launch_raw mem_n k1 ~args:[ Value.Ptr o1 ] (cfg d1));
+  ignore (launch_raw mem_n k2 ~args:[ Value.Ptr o2 ] (cfg d2));
   (* fused *)
   let fused = Hfuse_core.Hfuse.generate k1 k2 in
   let mem_f = Memory.create () in
   let p1 = alloc mem_f "o1" and p2 = alloc mem_f "o2" in
   ignore
-    (Launch.launch_info ~l1_sectors:0 mem_f (Hfuse_core.Hfuse.info fused)
+    (Launch.launch_info ~l1_sectors:0 mem_f
+       (Hfuse_core.Kernel_info.normalized (Hfuse_core.Hfuse.info fused))
        ~args:[ Value.Ptr p1; Value.Ptr p2 ] ~trace_blocks:0);
   Memory.equal_snapshot (Memory.snapshot mem_n) (Memory.snapshot mem_f)
 
@@ -204,13 +210,14 @@ let run_native_and_vfused (src1, src2, _) =
   in
   let mem_n = Memory.create () in
   let o1 = alloc mem_n "o1" and o2 = alloc mem_n "o2" in
-  ignore (Launch.launch mem_n ~prog:k1.prog ~fn:k1.fn ~args:[ Value.Ptr o1 ] cfg);
-  ignore (Launch.launch mem_n ~prog:k2.prog ~fn:k2.fn ~args:[ Value.Ptr o2 ] cfg);
+  ignore (launch_raw mem_n k1 ~args:[ Value.Ptr o1 ] cfg);
+  ignore (launch_raw mem_n k2 ~args:[ Value.Ptr o2 ] cfg);
   let v = Hfuse_core.Vfuse.generate k1 k2 in
   let mem_f = Memory.create () in
   let p1 = alloc mem_f "o1" and p2 = alloc mem_f "o2" in
   ignore
-    (Launch.launch_info ~l1_sectors:0 mem_f (Hfuse_core.Vfuse.info v)
+    (Launch.launch_info ~l1_sectors:0 mem_f
+       (Hfuse_core.Kernel_info.normalized (Hfuse_core.Vfuse.info v))
        ~args:[ Value.Ptr p1; Value.Ptr p2 ] ~trace_blocks:0);
   Memory.equal_snapshot (Memory.snapshot mem_n) (Memory.snapshot mem_f)
 
@@ -247,14 +254,14 @@ let run_native_and_3fused (src1, src2, _) =
   List.iter2
     (fun k o ->
       ignore
-        (Launch.launch mem_n ~prog:k.Hfuse_core.Kernel_info.prog
-           ~fn:k.Hfuse_core.Kernel_info.fn ~args:[ Value.Ptr o ] cfg))
+        (launch_raw mem_n k ~args:[ Value.Ptr o ] cfg))
     [ k1; k2; k3 ] os;
   let m = Hfuse_core.Multi.generate [ k1; k2; k3 ] in
   let mem_f = Memory.create () in
   let ps = List.map (fun t -> alloc mem_f t) [ "o1"; "o2"; "o3" ] in
   ignore
-    (Launch.launch_info ~l1_sectors:0 mem_f (Hfuse_core.Hfuse.info m.fused)
+    (Launch.launch_info ~l1_sectors:0 mem_f
+       (Hfuse_core.Kernel_info.normalized (Hfuse_core.Hfuse.info m.fused))
        ~args:(List.map (fun p -> Value.Ptr p) ps)
        ~trace_blocks:0);
   Memory.equal_snapshot (Memory.snapshot mem_n) (Memory.snapshot mem_f)

@@ -99,7 +99,9 @@ let test_multi_equivalence () =
   let m = Hfuse_core.Multi.generate infos in
   let args = List.concat_map (fun (_, i) -> i.Workload.args) insts in
   ignore
-    (Launch.launch_info mem (Hfuse_core.Hfuse.info m.fused) ~args
+    (Launch.launch_info mem
+       (Hfuse_core.Kernel_info.normalized (Hfuse_core.Hfuse.info m.fused))
+       ~args
        ~trace_blocks:0);
   List.iter
     (fun ((s : Spec.t), inst) ->

@@ -227,6 +227,48 @@ let test_uses_multidim () =
   Alcotest.(check bool) "1-D" false (Builtins.uses_multidim s1);
   Alcotest.(check bool) "2-D" true (Builtins.uses_multidim s2)
 
+(* Normalising a normalised kernel changes nothing: a launch takes
+   the normalised body, so normalising once (per configured kernel) and
+   normalising at every launch must run the same program.  Compared as
+   printed bytes over every fleet corpus kernel and 100 fuzzer
+   programs. *)
+let test_normalize_idempotent () =
+  let check label (prog : Ast.program) (fn : Ast.fn) =
+    let once = Inline.normalize_kernel prog fn in
+    let twice = Inline.normalize_kernel prog once in
+    Alcotest.(check string) label (Pretty.fn_to_string once)
+      (Pretty.fn_to_string twice)
+  in
+  List.iter
+    (fun (s : Kernel_corpus.Spec.t) ->
+      let prog, fn = Kernel_corpus.Spec.parse s in
+      check s.name prog fn)
+    (Hfuse_fleet.Corpus.all_specs ());
+  for seed = 0 to 99 do
+    List.iter
+      (fun (k : Hfuse_fuzz.Gen.kernel) ->
+        check
+          (Printf.sprintf "fuzz %d %s" seed k.g_info.fn.f_name)
+          k.g_info.prog k.g_info.fn)
+      (Hfuse_fuzz.Gen.generate_case ~seed ()).c_kernels
+  done
+
+(* The passes share what they leave alone: a body with no shadowing
+   comes back from uniquification as the very same list, and a kernel
+   calling no device function from inlining as the very same kernel. *)
+let test_passes_share_unchanged () =
+  let prog, k =
+    Test_util.kernel_of_source
+      "__device__ int sq(int x) { return x * x; }\n\
+       __global__ void k(int *a) {\n\
+      \  int i = threadIdx.x;\n\
+      \  if (i < 4) { int j = i + 1; a[i] = j; }\n\
+       }"
+  in
+  Alcotest.(check bool) "uniquify shares" true
+    (Rename.uniquify_shadowing k.f_body == k.f_body);
+  Alcotest.(check bool) "inline shares" true (Inline.inline_fn prog k == k)
+
 let suite =
   [
     Alcotest.test_case "fresh names" `Quick test_fresh_names;
@@ -243,6 +285,9 @@ let suite =
     Alcotest.test_case "inline rejects effectful dup" `Quick
       test_inline_rejects_effectful_dup;
     Alcotest.test_case "normalize pipeline" `Quick test_normalize_pipeline;
+    Alcotest.test_case "normalize idempotent" `Quick test_normalize_idempotent;
+    Alcotest.test_case "passes share unchanged subtrees" `Quick
+      test_passes_share_unchanged;
     Alcotest.test_case "builtin replacement" `Quick test_builtin_replacement;
     Alcotest.test_case "uses_multidim" `Quick test_uses_multidim;
   ]

@@ -10,7 +10,8 @@ let launch ?(grid = 1) ?(block = (32, 1, 1)) ?(smem_dynamic = 0)
   let mem = Memory.create () in
   let prog, fn = Test_util.kernel_of_source src in
   let r =
-    Launch.launch mem ~prog ~fn ~args:(args mem)
+    Launch.launch mem ~fn:(Hfuse_frontend.Inline.normalize_kernel prog fn)
+      ~args:(args mem)
       {
         grid;
         block;
@@ -683,7 +684,8 @@ let solo_cases () =
         let c = Runner.configure mem s ~size:1 in
         ( "memory/" ^ s.name,
           match
-            Launch.launch_info mem c.info ~args:c.inst.args ~trace_blocks:0
+            Launch.launch_info mem c.runnable ~args:c.inst.args
+              ~trace_blocks:0
           with
           | _ -> snapshot_md5 mem
           | exception e -> "error:" ^ Printexc.to_string e )

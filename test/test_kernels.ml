@@ -8,7 +8,7 @@ open Kernel_corpus
 let validate (s : Spec.t) ~size () =
   let mem = Memory.create () in
   let inst = s.instantiate mem ~size in
-  let info = Spec.kernel_info s inst in
+  let info = Hfuse_core.Kernel_info.normalized (Spec.kernel_info s inst) in
   (match Launch.launch_info mem info ~args:inst.Workload.args ~trace_blocks:0 with
   | _ -> ()
   | exception e -> Alcotest.failf "%s: launch failed: %s" s.name (Printexc.to_string e));

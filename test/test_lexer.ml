@@ -3,9 +3,7 @@
 open Cuda
 
 let tokens src =
-  let lexed = Lexer.lex src in
-  Array.to_list lexed.tokens
-  |> List.map fst
+  Lexer.token_list (Lexer.lex src)
   |> List.filter (fun t -> t <> Token.EOF)
 
 let token = Alcotest.testable Token.pp Token.equal
@@ -85,7 +83,7 @@ let test_define_ignores_nonconstant () =
 
 let test_positions () =
   let lexed = Lexer.lex "ab\n  cd" in
-  let _, loc = lexed.tokens.(1) in
+  let loc = Lexer.loc_at lexed 1 in
   Alcotest.(check int) "line" 2 loc.Loc.line;
   Alcotest.(check int) "col" 3 loc.Loc.col
 
@@ -104,7 +102,7 @@ let test_bad_char () =
    line: a corpus kernel, a batch of 25 seeded fuzzer programs, a set of
    hand-written edge cases, and one malformed input each. *)
 
-let token_line ((tok : Token.t), (l : Loc.t)) =
+let token_line (tok : Token.t) (l : Loc.t) =
   let kind =
     match tok with
     | INT_LIT (v, ty) -> Printf.sprintf "INT %Ld %s" v (Ctype.to_string ty)
@@ -119,7 +117,9 @@ let token_line ((tok : Token.t), (l : Loc.t)) =
 let lexed_dump src =
   let lexed = Lexer.lex src in
   String.concat "\n"
-    (List.map token_line (Array.to_list lexed.tokens)
+    (List.mapi
+       (fun i tok -> token_line tok (Lexer.loc_at lexed i))
+       (Lexer.token_list lexed)
     @ List.map (fun (n, v) -> Printf.sprintf "define %s %Ld" n v) lexed.defines)
 
 let digest_of (parts : string list) =

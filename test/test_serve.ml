@@ -950,6 +950,88 @@ let test_stats_count_rejected_requests () =
     (List.mem "search: rej_over-budget 1"
        (String.split_on_char '\n' stats.rout))
 
+(* A search whose every candidate fails to profile (here: a fuel of 10
+   instructions) is a verdict too: the daemon answers it with its own
+   [all_failed] code, not [internal], leaves it out of [errors], and the
+   routed CLI's outcome is the one-shot CLI's to the byte. *)
+let test_all_failed_search () =
+  let p =
+    {
+      search_params with
+      s_k1 = Registry.find_exn "Batchnorm";
+      s_k2 = Registry.find_exn "Hist";
+      s_size1 = Some 1;
+      s_size2 = Some 1;
+      s_emit = false;
+    }
+  in
+  Runner.clear_cache ();
+  let oneshot, stderr =
+    Test_util.capture_stderr (fun () ->
+        match
+          Ops.search
+            ~settings:
+              (Settings.resolve ~cache_dir:None ~fault:None ~sim_fuel:10 ())
+            p
+        with
+        | _ -> Alcotest.fail "a fuel of 10 let a candidate profile"
+        | exception Runner.All_candidates_failed message ->
+            Ops.all_failed message)
+  in
+  (* each failed candidate is warned about once, by a line naming its
+     partition and its register bound *)
+  let warnings =
+    List.filter
+      (String.starts_with ~prefix:"hfuse: warning: candidate")
+      (String.split_on_char '\n' stderr)
+  in
+  Alcotest.(check bool) "candidates warned about" true (warnings <> []);
+  Alcotest.(check int) "distinct warnings" (List.length warnings)
+    (List.length (List.sort_uniq compare warnings));
+  Alcotest.(check int) "one-shot exit code" 1 oneshot.Ops.exit_code;
+  Alcotest.(check string) "one-shot stderr"
+    "hfuse: every candidate of Batchnorm + Hist failed to profile\n"
+    oneshot.Ops.log;
+  Runner.clear_cache ();
+  let socket = fresh_socket () in
+  let server =
+    Server.start
+      { socket_path = socket; jobs = 1; queue_limit = 8;
+        settings = settings_at None }
+  in
+  Fun.protect ~finally:(fun () ->
+      (try Server.stop server with _ -> ());
+      Runner.clear_cache ())
+  @@ fun () ->
+  (match
+     call_exn ~socket
+       {
+         (search_request
+            ~settings:{ no_disk_cache with sp_sim_fuel = Some 10 }
+            "all-failed")
+         with
+         verb = Protocol.Work (Ops.Search p);
+       }
+   with
+  | Protocol.Failure f ->
+      Alcotest.(check string) "its own code" "all_failed" f.code;
+      Alcotest.(check string) "code name"
+        (Protocol.code_name Protocol.All_failed) f.code;
+      let routed = Ops.all_failed f.message in
+      Alcotest.(check int) "routed exit code" oneshot.exit_code
+        routed.exit_code;
+      Alcotest.(check string) "routed stderr" oneshot.log routed.log;
+      Alcotest.(check string) "routed stdout" oneshot.output routed.output
+  | Protocol.Result _ -> Alcotest.fail "a fuel of 10 let a candidate profile");
+  let stats =
+    expect_result
+      (call_exn ~socket
+         { id = "st"; priority = 0; settings = Protocol.no_overrides;
+           verb = Protocol.Stats })
+  in
+  Alcotest.(check bool) "a verdict is not an error" true
+    (J.member "errors" stats.rtel = Some (J.Int 0))
+
 (* The one-shot stderr counter lines of cold cache-off searches, wall
    times masked, at -j 1 and -j 2: the counts read before per-request
    ledgers replaced process-wide tallies. *)
@@ -1254,6 +1336,8 @@ let suite =
       test_oneshot_counter_lines;
     Alcotest.test_case "one-shot rejected search exits 1" `Quick
       test_oneshot_rejected;
+    Alcotest.test_case "all-failed search is a verdict" `Quick
+      test_all_failed_search;
     Alcotest.test_case "rejected search records nothing" `Quick
       test_rejected_search_records_nothing;
     Alcotest.test_case "golden search bytes" `Quick test_golden_search_bytes;

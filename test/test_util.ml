@@ -54,3 +54,21 @@ let tmp_root =
 
 (** [name] under {!tmp_root}. *)
 let tmp_path name = Filename.concat tmp_root name
+
+(** [f ()] and what it wrote to the process's stderr meanwhile. *)
+let capture_stderr f =
+  let path = Filename.temp_file ~temp_dir:tmp_root "stderr" ".txt" in
+  flush stderr;
+  let saved = Unix.dup Unix.stderr in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  let result =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stderr;
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved)
+      f
+  in
+  (result, In_channel.with_open_bin path In_channel.input_all)
