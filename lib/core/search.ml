@@ -268,12 +268,11 @@ let search ?(limits = Occupancy.pascal_volta_limits)
 
 (** The Naive variant of the evaluation: even partition, no profiling,
     no register bound. *)
-let naive ?bodies ~(d0 : int) (k1 : Kernel_info.t) (k2 : Kernel_info.t) :
+let naive ~(d0 : int) (k1 : Kernel_info.t) (k2 : Kernel_info.t) :
     Hfuse.t option =
   match Partition.naive k1 k2 ~d0 with
   | None -> None
   | Some { Partition.d1; d2 } ->
       let k1c = Kernel_info.with_block_dim k1 d1 in
       let k2c = Kernel_info.with_block_dim k2 d2 in
-      let normalized = Option.map (fun b () -> b) bodies in
-      Some (Hfuse.generate ?normalized k1c k2c)
+      Some (Hfuse.generate k1c k2c)

@@ -117,10 +117,5 @@ val search :
   result
 
 (** The Naive evaluation variant: even partition, no profiling, no
-    register bound.  [bodies] as for {!search}. *)
-val naive :
-  ?bodies:Cuda.Ast.fn * Cuda.Ast.fn ->
-  d0:int ->
-  Kernel_info.t ->
-  Kernel_info.t ->
-  Hfuse.t option
+    register bound. *)
+val naive : d0:int -> Kernel_info.t -> Kernel_info.t -> Hfuse.t option

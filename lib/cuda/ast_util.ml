@@ -271,8 +271,14 @@ let used_names (stmts : stmt list) : StrSet.t =
 (** Variables referenced but not declared locally — i.e. kernel parameters
     and (would-be) globals. *)
 let free_names (stmts : stmt list) : StrSet.t =
-  let declared = StrSet.of_list (declared_names stmts) in
-  StrSet.diff (used_names stmts) declared
+  let declared = Hashtbl.create 64 in
+  List.iter (fun d -> Hashtbl.replace declared d.d_name ()) (collect_decls stmts);
+  fold_stmts_expr
+    (fold_expr (fun acc e ->
+         match e with
+         | Var x when not (Hashtbl.mem declared x) -> StrSet.add x acc
+         | _ -> acc))
+    StrSet.empty stmts
 
 (** All function names called anywhere in the statements. *)
 let called_names (stmts : stmt list) : StrSet.t =

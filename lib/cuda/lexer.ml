@@ -38,9 +38,6 @@ let token lexed i = lexed.tokens.(i lsr chunk_bits).(i land (chunk - 1))
 
 let offset lexed i = lexed.offsets.(i lsr chunk_bits).(i land (chunk - 1))
 
-(** The whole token stream, [EOF] last. *)
-let token_list lexed = List.init lexed.count (token lexed)
-
 (* 0 and the byte after every newline *)
 let line_starts src =
   let rec go acc i =

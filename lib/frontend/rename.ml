@@ -78,24 +78,6 @@ let rename_labels (p : pool) (stmts : Ast.stmt list) : Ast.stmt list =
         | _ -> [ s ])
       stmts
 
-(* Names used anywhere in [stmts] but declared nowhere in them (the
-   parameters and would-be globals), as {!Ast_util.free_names} without
-   its two sets. *)
-let reserve_free (p : pool) (stmts : Ast.stmt list) =
-  let declared = Hashtbl.create 64 in
-  List.iter
-    (fun (d : Ast.decl) -> Hashtbl.replace declared d.d_name ())
-    (Ast_util.collect_decls stmts);
-  Ast_util.fold_stmts_expr
-    (fun () e ->
-      Ast_util.fold_expr
-        (fun () e ->
-          match e with
-          | Ast.Var x when not (Hashtbl.mem declared x) -> reserve p x
-          | _ -> ())
-        () e)
-    () stmts
-
 (** Uniquify shadowing declarations *within* one kernel body: C allows the
     same name to be declared in sibling or nested scopes; after
     declaration lifting (see {!Lift_decls}) all declarations live in one
@@ -105,7 +87,7 @@ let reserve_free (p : pool) (stmts : Ast.stmt list) =
 let uniquify_shadowing (stmts : Ast.stmt list) : Ast.stmt list =
   let p = create () in
   (* Reserve every free name (parameters etc.) so locals can't capture. *)
-  reserve_free p stmts;
+  Ast_util.StrSet.iter (reserve p) (Ast_util.free_names stmts);
   (* the visible declarations, innermost binding of a name first: a
      scope [Hashtbl.add]s its bindings and removes them when it ends *)
   let env : (string, string) Hashtbl.t = Hashtbl.create 64 in

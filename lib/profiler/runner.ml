@@ -52,10 +52,6 @@ let configure (mem : Memory.t) (spec : Spec.t) ~(size : int) : configured =
   let info = Spec.kernel_info spec inst in
   { spec; size; info; runnable = Hfuse_core.Kernel_info.normalized info; inst }
 
-(* both kernels' normalised bodies, as fusion takes them *)
-let bodies (c1 : configured) (c2 : configured) =
-  (c1.runnable.fn, c2.runnable.fn)
-
 (* ------------------------------------------------------------------ *)
 (* The canonical environment                                            *)
 (* ------------------------------------------------------------------ *)
@@ -1022,15 +1018,15 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
       Search.search ~limits:(Arch.sm_limits arch) ~profile:(replay_stage ctx)
         ~rank:(rank_stage ctx ~top_k) ?top_k
         ?repair:(if repair then Some (repair_stage ctx) else None)
-        ~on_reject:count_rejection ~bodies:(bodies c1 c2) ~d0:(d0_for c1 c2)
-        c1.info c2.info )
+        ~on_reject:count_rejection
+        ~bodies:(c1.runnable.fn, c2.runnable.fn)
+        ~d0:(d0_for c1 c2) c1.info c2.info )
   in
   account ctx ~top_k result
 
 let naive_hfuse (c1 : configured) (c2 : configured) : Hfuse_core.Hfuse.t option
     =
-  Hfuse_core.Search.naive ~bodies:(bodies c1 c2) ~d0:(d0_for c1 c2) c1.info
-    c2.info
+  Hfuse_core.Search.naive ~d0:(d0_for c1 c2) c1.info c2.info
 
 (* ------------------------------------------------------------------ *)
 (* Correctness validation (full functional execution)                   *)

@@ -2,8 +2,11 @@
 
 open Cuda
 
+(* the whole stream, [EOF] last *)
+let token_list (lexed : Lexer.lexed) = List.init lexed.count (Lexer.token lexed)
+
 let tokens src =
-  Lexer.token_list (Lexer.lex src)
+  token_list (Lexer.lex src)
   |> List.filter (fun t -> t <> Token.EOF)
 
 let token = Alcotest.testable Token.pp Token.equal
@@ -119,7 +122,7 @@ let lexed_dump src =
   String.concat "\n"
     (List.mapi
        (fun i tok -> token_line tok (Lexer.loc_at lexed i))
-       (Lexer.token_list lexed)
+       (token_list lexed)
     @ List.map (fun (n, v) -> Printf.sprintf "define %s %Ld" n v) lexed.defines)
 
 let digest_of (parts : string list) =
