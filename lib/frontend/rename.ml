@@ -165,15 +165,10 @@ let uniquify_shadowing (stmts : Ast.stmt list) : Ast.stmt list =
       | For (init, cond, step, body) ->
           let init', bound =
             match init with
-            | None | Some (Ast.For_expr _) ->
-                (Ast_util.map_opt
-                   (function
-                     | Ast.For_expr e as i ->
-                         let e' = rewrite_expr e in
-                         if e' == e then i else Ast.For_expr e'
-                     | i -> i)
-                   init,
-                 [])
+            | None -> (init, [])
+            | Some (Ast.For_expr e) ->
+                let e' = rewrite_expr e in
+                ((if e' == e then init else Some (Ast.For_expr e')), [])
             | Some (Ast.For_decl ds) ->
                 let bound = ref [] in
                 let ds' =
