@@ -11,12 +11,13 @@
    Every figure runs in two phases.  Phase 1 walks the pairs in order:
    configuration and the Fig. 6 searches, each fanning its recordings
    and replays over the shared [Hfuse_parallel.Pool]; measurement
-   replays are only *described*, as (arch, launch-spec list) entries on
-   a run list.  Phase 2 fans those replays over the same pool
-   ([Runner.run_many], order-preserving).  Every recording runs in a
-   fresh memory holding only its keyed workload, so traces are pure
-   functions of their keys wherever they are recorded, and every figure
-   is bit-identical for any [jobs]. *)
+   replays are only *described*, as (arch, keyed launch list) entries
+   on a run list.  Phase 2 fans those replays over the same pool
+   ([Runner.run_many], order-preserving); a replay whose report misses
+   acquires its traces there, so a warm figure reads no trace for
+   them.  Every recording runs in a fresh memory holding only its keyed
+   workload, so traces are pure functions of their keys wherever they
+   are recorded, and every figure is bit-identical for any [jobs]. *)
 
 open Gpusim
 open Kernel_corpus
@@ -43,7 +44,7 @@ let representative_sizes ?settings ?pool ?cache (arch : Arch.t)
     List.map
       (fun (s : Spec.t) ->
         let c = Runner.configure mem s ~size:s.default_size in
-        (s, (arch, [ Runner.spec_of ~settings c ~stream:0 () ])))
+        (s, (arch, [ Runner.launch_of ~settings c ~stream:0 () ])))
       Registry.all
   in
   let reports =
@@ -82,7 +83,7 @@ let pair_sizes ~settings ~cache (arch : Arch.t)
 (* A run list under construction: phase 1 pushes (arch, specs) entries
    and remembers their indices into the phase-2 report array. *)
 type runlist = {
-  mutable rl_rev : (Arch.t * Timing.launch_spec list) list;
+  mutable rl_rev : (Arch.t * Runner.launch list) list;
   mutable rl_n : int;
 }
 
@@ -160,7 +161,7 @@ let sweep_pair ?(multipliers = default_multipliers) ?jobs ?pool ~settings
         in
         let c1 = Runner.configure mem s1 ~size:size1 in
         let c2 = Runner.configure mem s2 ~size:size2 in
-        let spec c = Runner.spec_of ~settings c in
+        let spec c = Runner.launch_of ~settings c in
         let i1 = push rl (arch, [ spec c1 ~stream:0 () ]) in
         let i2 = push rl (arch, [ spec c2 ~stream:0 () ]) in
         let inat =
@@ -172,7 +173,8 @@ let sweep_pair ?(multipliers = default_multipliers) ?jobs ?pool ~settings
         let best = sr.Hfuse_core.Search.best in
         let ivf =
           match Runner.vfuse_generate c1 c2 with
-          | v -> Some (push rl (arch, [ Runner.vfuse_spec ~settings c1 c2 v ]))
+          | v ->
+              Some (push rl (arch, [ Runner.vfuse_launch ~settings c1 c2 v ]))
           | exception Hfuse_core.Fuse_common.Fusion_error _ -> None
         in
         let inv =
@@ -180,10 +182,11 @@ let sweep_pair ?(multipliers = default_multipliers) ?jobs ?pool ~settings
           then
             match Runner.naive_hfuse c1 c2 with
             | Some f ->
-                let traces = Runner.hfuse_traces ~settings c1 c2 f in
                 Some
                   (push rl
-                     (arch, [ Runner.hfuse_spec f ~reg_bound:None ~traces ]))
+                     ( arch,
+                       [ Runner.hfuse_launch ~settings c1 c2 f ~reg_bound:None ]
+                     ))
             | None -> None
           else None
         in
@@ -262,7 +265,8 @@ let figure8 ?(jobs = 1) ?pool ~settings ?cache ?(archs = Arch.all)
                 let mem = Memory.create () in
                 let c = Runner.configure mem s ~size:(size_of sizes s) in
                 ( arch,
-                  push rl (arch, [ Runner.spec_of ~settings c ~stream:0 () ]) ))
+                  push rl
+                    (arch, [ Runner.launch_of ~settings c ~stream:0 () ]) ))
               archs ))
         Registry.all
     in
@@ -324,7 +328,7 @@ let f9_prepare ?jobs ?pool ~settings ?cache ?top_k
   let mem = Memory.create () in
   let c1 = Runner.configure mem s1 ~size:(size_of sizes s1) in
   let c2 = Runner.configure mem s2 ~size:(size_of sizes s2) in
-  let spec c = Runner.spec_of ~settings c in
+  let spec c = Runner.launch_of ~settings c in
   let i1 = push rl (arch, [ spec c1 ~stream:0 () ]) in
   let i2 = push rl (arch, [ spec c2 ~stream:0 () ]) in
   let inat = push rl (arch, [ spec c1 ~stream:0 (); spec c2 ~stream:1 () ]) in
@@ -333,8 +337,8 @@ let f9_prepare ?jobs ?pool ~settings ?cache ?top_k
       c1 c2
   in
   let fused = sr.Hfuse_core.Search.best.Hfuse_core.Search.fused in
-  let traces = Runner.hfuse_traces ~settings c1 c2 fused in
-  let ihf0 = push rl (arch, [ Runner.hfuse_spec fused ~reg_bound:None ~traces ]) in
+  let launch = Runner.hfuse_launch ~settings c1 c2 fused in
+  let ihf0 = push rl (arch, [ launch ~reg_bound:None ]) in
   let fused_smem =
     Hfuse_core.Kernel_info.smem_total (Hfuse_core.Hfuse.info fused)
   in
@@ -348,8 +352,7 @@ let f9_prepare ?jobs ?pool ~settings ?cache ?top_k
     Option.map
       (fun r ->
         ( r,
-          push rl
-            (arch, [ Runner.hfuse_spec fused ~reg_bound:(Some r) ~traces ]) ))
+          push rl (arch, [ launch ~reg_bound:(Some r) ]) ))
       r0
   in
   {

@@ -12,7 +12,8 @@
 
    Entries are {!Store} entries under [dir]/v2/<digest> (times as a
    single [%h] hex-float line; [r-<digest>] files hold whole
-   measurement-replay reports — see the full-report section below).
+   measurement-replay reports keyed by their traces' identities — see
+   the full-report section below).
    A handle is touched by one domain at a time: the domain that
    resolves through it (a search's or a sweep's coordinating domain, a
    daemon request's worker), never the pool tasks it fans out, so its
@@ -20,8 +21,9 @@
    handles. *)
 
 (* bump whenever the key derivation, the entry format, or the timing
-   model's inputs change incompatibly; old entries are simply never
-   looked up again *)
+   model's inputs change incompatibly, or the engine changes what it
+   reports for the same launches (test/golden/replay.md5 and draws.md5
+   pin that); old entries are simply never looked up again *)
 let version = "v2"
 let magic = "hfuse-cache"
 
@@ -142,32 +144,36 @@ let store (t : t) ~(key : string) (time_ms : float) : unit =
 (* ------------------------------------------------------------------ *)
 
 (* The figure sweeps spend most of their warm-run wall time in pure
-   measurement replays whose inputs (traces included) have not changed
-   since the previous run.  Report entries cache the complete
-   [Timing.report] — every counter exact, every float stored as [%h] —
-   keyed by a content hash over the launch specs and the packed traces
-   themselves, so a hit is bit-identical to re-running the engine and
-   any trace change (compiler, interpreter, workload) self-invalidates.
+   measurement replays whose inputs have not changed since the previous
+   run.  Report entries cache the complete [Timing.report] — every
+   counter exact, every float stored as [%h] — keyed by each launch's
+   scalars and the identity of its traces: the {!Trace_store} digest
+   they are filed under (kernel, sizes, block dims, traced blocks, fuel
+   and a source digest; for a fused kernel, its printed source).  Traces
+   are a pure function of that identity, so a hit is bit-identical to
+   re-running the engine on them, and a warm lookup reads no trace at
+   all: the traces are loaded or recorded only when the report misses.
+   A change to what an identity records (interpreter, workloads) bumps
+   [Trace_store.version], which retires the reports with the traces.
    Each entry also records the producing replay's [engine_stats]; a hit
    adds those to the current ledger, so a request's engine counters
    keep describing the replays behind its reported numbers. *)
 
-(* FNV-1a-style fold over a packed int array: one xor-multiply per
-   element keeps hashing multi-million-instruction traces cheap; the
-   64-bit state is then digested with everything else, so collisions
-   need simultaneous FNV and MD5 collisions. *)
-let fold_ints (h : int64) (arr : int array) (len : int) : int64 =
-  let h = ref h in
-  for i = 0 to len - 1 do
-    h := Int64.mul (Int64.logxor !h (Int64.of_int arr.(i))) 0x100000001b3L
-  done;
-  !h
+type part = {
+  label : string;
+  grid : int;
+  threads : int;
+  regs : int;
+  spill : int;
+  smem : int;
+  stream : int;
+  traced_blocks : int;
+  trace : string;
+}
 
-let fnv_basis = 0xcbf29ce484222325L
-
-let report_key ~(arch : string) ~(policy : string)
-    (specs : Gpusim.Timing.launch_spec list) : string =
-  let buf = Buffer.create 1024 in
+let report_key ~(arch : string) ~(policy : string) (parts : part list) :
+    string =
+  let buf = Buffer.create 256 in
   Buffer.add_string buf version;
   Buffer.add_string buf ":report\x00";
   Buffer.add_string buf arch;
@@ -175,37 +181,10 @@ let report_key ~(arch : string) ~(policy : string)
   Buffer.add_string buf policy;
   Buffer.add_char buf '\x00';
   List.iter
-    (fun (s : Gpusim.Timing.launch_spec) ->
-      Buffer.add_string buf s.label;
-      List.iter
-        (fun n ->
-          Buffer.add_char buf ' ';
-          Buffer.add_string buf (string_of_int n))
-        [
-          s.grid;
-          s.threads_per_block;
-          s.regs;
-          s.spill;
-          s.smem;
-          s.stream;
-          Array.length s.block_traces;
-        ];
-      Array.iter
-        (fun (block : Gpusim.Trace.block) ->
-          Buffer.add_char buf '|';
-          Buffer.add_string buf (string_of_int (Array.length block));
-          Array.iter
-            (fun (tr : Gpusim.Trace.t) ->
-              let h = fold_ints fnv_basis tr.Gpusim.Trace.codes tr.len in
-              let h = fold_ints h tr.payloads tr.len in
-              Buffer.add_char buf ',';
-              Buffer.add_string buf (string_of_int tr.len);
-              Buffer.add_char buf ':';
-              Buffer.add_string buf (Printf.sprintf "%Lx" h))
-            block)
-        s.block_traces;
-      Buffer.add_char buf '\n')
-    specs;
+    (fun p ->
+      Printf.bprintf buf "%s %d %d %d %d %d %d %d %s\n" p.label p.grid
+        p.threads p.regs p.spill p.smem p.stream p.traced_blocks p.trace)
+    parts;
   (* distinct filename namespace from candidate-time entries *)
   "r-" ^ Digest.to_hex (Digest.string (Buffer.contents buf))
 

@@ -1,11 +1,14 @@
-(** Persistent on-disk cache of profiled candidate times.
+(** Persistent on-disk cache of profiled candidate times and replay
+    reports.
 
-    Keys are content hashes of everything a candidate's simulated time
-    depends on (GPU model, fused source, partition, launch geometry,
-    register bound, workload sizes, trace-block count), so repeated
-    [bench] / [hfuse search] sweeps skip the simulator entirely and the
-    cache self-invalidates when any input — including the compiler's
-    emitted source — changes.
+    Time keys are content hashes of everything a candidate's simulated
+    time depends on (GPU model, fused source, partition, launch
+    geometry, register bound, workload sizes, trace-block count), so
+    repeated [bench] / [hfuse search] sweeps skip the simulator
+    entirely and the cache self-invalidates when any input — including
+    the compiler's emitted source — changes.  Report keys name each
+    launch's traces by their trace-store identity ({!report_key}), so
+    a warm report lookup reads no trace.
 
     The same keys make a resumed run ([--resume]) a warm run: without a
     cache of its own, it profiles into a root named by its parameters
@@ -22,6 +25,12 @@
     concurrent requests hold their own handles. *)
 
 type t
+
+(** Entry-format/version tag of the entry directory, folded into every
+    key.  Bumped with any engine change that moves a report for the
+    same launches (test/golden/replay.md5 and draws.md5 pin those; the
+    profiler suite pins this tag beside their digests). *)
+val version : string
 
 (** Default cache directory ([_hfuse_cache], relative to the cwd). *)
 val default_dir : string
@@ -67,11 +76,29 @@ val find : t -> key:string -> float option
 (** Persist a time for [key] (no-op when disabled). *)
 val store : t -> key:string -> float -> unit
 
-(** Content hash identifying one measurement replay: the launch specs
-    and the packed traces themselves (hashed in full), plus the GPU
-    model and dispatch policy.  Any trace change self-invalidates. *)
-val report_key :
-  arch:string -> policy:string -> Gpusim.Timing.launch_spec list -> string
+(** One launch's part of a replay's identity: its launch scalars and
+    the identity of its traces. *)
+type part = {
+  label : string;
+  grid : int;
+  threads : int;  (** per block *)
+  regs : int;
+  spill : int;
+  smem : int;
+  stream : int;
+  traced_blocks : int;
+  trace : string;
+      (** the {!Trace_store.key} digest the launch's traces are filed
+          under: kernel, sizes, block dims, traced blocks, fuel and a
+          source digest (a fused kernel's printed source) *)
+}
+
+(** Hash identifying one measurement replay: the GPU model, dispatch
+    policy and every launch's {!part}.  A report is a pure function of
+    these because traces are a pure function of their identity, so a
+    lookup needs no trace in hand; a change to what an identity
+    records must bump [Trace_store.version]. *)
+val report_key : arch:string -> policy:string -> part list -> string
 
 (** Cached report (with the engine stats of the replay that produced
     it) for [key], if present and well-formed.  Bit-identical to

@@ -44,13 +44,23 @@ type configured = {
   info : Hfuse_core.Kernel_info.t;  (** at native block dimensions *)
   runnable : Hfuse_core.Kernel_info.t;
       (** [info] normalised, once: what a launch runs and fusion fuses *)
+  source_digest : string;  (** hex MD5 of [spec.source], once *)
   inst : Workload.instance;
 }
+
+let md5_hex (s : string) : string = Digest.to_hex (Digest.string s)
 
 let configure (mem : Memory.t) (spec : Spec.t) ~(size : int) : configured =
   let inst = spec.instantiate mem ~size in
   let info = Spec.kernel_info spec inst in
-  { spec; size; info; runnable = Hfuse_core.Kernel_info.normalized info; inst }
+  {
+    spec;
+    size;
+    info;
+    runnable = Hfuse_core.Kernel_info.normalized info;
+    source_digest = md5_hex spec.source;
+    inst;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* The canonical environment                                            *)
@@ -118,11 +128,12 @@ type trace_key =
 
 (* Traces themselves live in {!Trace_store}: a process-wide in-memory
    LRU (shared by every request, bounded by [Settings.trace_mem_mb])
-   over a persistent on-disk tier under the profile-cache root.  The
-   store's digests fold in everything the keys above name plus the
-   simulation fuel, the kernel source (names alone would go stale when
-   a kernel's source changes under a persistent directory), and — on
-   disk only — the arch. *)
+   over a persistent on-disk tier under the profile-cache root, both
+   under one digest of everything the keys above name plus the
+   simulation fuel and the kernel source's digest (names alone would
+   go stale when a kernel's source changes under a persistent
+   directory).  The same digest names the traces in replay-report
+   keys. *)
 
 (* A profiled value resolves through two tiers: the persistent cache
    (touched by the resolving domain only), then the trace store's
@@ -137,7 +148,7 @@ type 'v tiers = {
   store : key:string -> 'v -> unit;
 }
 
-(* replay reports, content-keyed over specs + packed traces + arch *)
+(* replay reports, keyed by launch scalars, trace identities and arch *)
 let report_tiers ~(s : Settings.t) ~cache =
   {
     kind = Report;
@@ -185,30 +196,12 @@ let lookup (t : 'v tiers) (key : string) : 'v option =
 
 let clear_cache = Trace_store.clear_memory
 
-(* Replay entries are content-keyed over the specs and their packed
-   traces, so any input change misses. *)
-let report_key (arch : Arch.t) (specs : Timing.launch_spec list) : string =
-  Profile_cache.report_key ~arch:arch.Arch.name ~policy:"fifo" specs
-
 (* A report not replayed here adds the producing replay's engine stats
    to the current ledger, so a request's engine counters describe the
    work behind its reported numbers. *)
 let settle (((r, es) : Timing.report * Timing.engine_stats), fresh) =
   if not fresh then Timing.note_stats es;
   r
-
-(* One replay through the report tiers, on this domain. *)
-let replay ~(s : Settings.t) ?cache (arch : Arch.t)
-    (specs : Timing.launch_spec list) : Timing.report =
-  let cache = match cache with Some c -> c | None -> Settings.cache s in
-  let t = report_tiers ~s ~cache in
-  let key = report_key arch specs in
-  match lookup t key with
-  | Some entry -> settle (entry, false)
-  | None ->
-      let got = memo t key (fun () -> Timing.run_with_stats arch specs) in
-      t.store ~key (fst got);
-      settle got
 
 (* render a trace key into the store's digest input *)
 let trace_ident (key : trace_key) : string list =
@@ -223,40 +216,69 @@ let trace_ident (key : trace_key) : string list =
       [ "vfuse"; k1; string_of_int size1; k2; string_of_int size2;
         string_of_int block; string_of_int tb ]
 
-let store_key ~(s : Settings.t) ~(arch : string) ~(source : string)
-    (key : trace_key) : Trace_store.key =
-  Trace_store.keys ~arch ~sim_fuel:s.Settings.sim_fuel
+(* the digest [key]'s traces are filed under, [source_digest] being
+   the hex MD5 of the launched kernel's source *)
+let store_key ~(s : Settings.t) ~(source_digest : string) (key : trace_key) :
+    string =
+  Trace_store.key ~sim_fuel:s.Settings.sim_fuel
     ~trace_blocks:s.Settings.trace_blocks
-    ~ident:(trace_ident key @ [ Digest.to_hex (Digest.string source) ])
+    ~ident:(trace_ident key @ [ source_digest ])
 
 (* traces resolve memory tier → disk → recording *)
-let traced ~(s : Settings.t) ~(arch : string) ~(source : string)
-    (key : trace_key) (record : unit -> Trace.block array) :
-    Trace.block array =
-  let skey = store_key ~s ~arch ~source key in
+let traced ~(s : Settings.t) ~(digest : string) (key : trace_key)
+    (record : unit -> Trace.block array) : Trace.block array =
   Trace_store.get_or_compute ?limit_bytes:(Settings.trace_limit_bytes s)
-    Traces ~key:skey.mem (fun () ->
-      Trace_store.load_or_record (Settings.trace_store s) ~key:skey (fun () ->
+    Traces ~key:digest (fun () ->
+      Trace_store.load_or_record (Settings.trace_store s) ~key:digest
+        (fun () ->
           (* every trace-recording launch is an injection point for the
              chaos harness's sim_hang; injected faults are transient, so
              the retry wrapper keeps them out of callers *)
           Fault.with_retries ~key:(Hashtbl.hash key) record))
 
-(** Traces of [c] at block dimension [d] (defaults to native).
-    [arch] scopes only the persistent entry (traces themselves are
-    arch-independent). *)
-let traces_of ~settings:(s : Settings.t) ?(arch = "-") (c : configured)
-    ?(block_dim : int option) () : Trace.block array =
-  let d =
-    match block_dim with
-    | None -> Hfuse_core.Kernel_info.threads_per_block c.info
-    | Some d -> d
-  in
-  let tb = s.Settings.trace_blocks in
-  traced ~s ~arch ~source:c.spec.source
-    (K_solo { kernel = c.spec.name; size = c.size; block_dim = d; tb })
-    (fun () ->
-      record ~s [ c ] (Hfuse_core.Kernel_info.with_block_dim c.runnable d))
+(* A launch the report tiers resolve: its part of the report key, and
+   its spec, whose traces are loaded or recorded only when the report
+   misses.  [spec] is pure and safe on any domain. *)
+type launch = { part : Profile_cache.part; spec : unit -> Timing.launch_spec }
+
+(* [template] (its traces ignored) over the traces filed under [digest] *)
+let keyed ~(s : Settings.t) ~(digest : string) (template : Timing.launch_spec)
+    (traces : unit -> Trace.block array) : launch =
+  {
+    part =
+      {
+        label = template.label;
+        grid = template.grid;
+        threads = template.threads_per_block;
+        regs = template.regs;
+        spill = template.spill;
+        smem = template.smem;
+        stream = template.stream;
+        traced_blocks = s.Settings.trace_blocks;
+        trace = digest;
+      };
+    spec = (fun () -> { template with block_traces = traces () });
+  }
+
+let report_key (arch : Arch.t) (launches : launch list) : string =
+  Profile_cache.report_key ~arch:arch.Arch.name ~policy:"fifo"
+    (List.map (fun l -> l.part) launches)
+
+let run_launches (arch : Arch.t) (launches : launch list) =
+  Timing.run_with_stats arch (List.map (fun l -> l.spec ()) launches)
+
+(* One replay through the report tiers, on this domain. *)
+let replay ~(s : Settings.t) ?cache (arch : Arch.t) (launches : launch list) :
+    Timing.report =
+  let cache = match cache with Some c -> c | None -> Settings.cache s in
+  let t = report_tiers ~s ~cache in
+  let key = report_key arch launches in
+  match lookup t key with
+  | Some entry -> settle (entry, false)
+  | None ->
+      let got = memo t key (fun () -> run_launches arch launches) in
+      t.store ~key (fst got);
+      settle got
 
 (* ------------------------------------------------------------------ *)
 (* Timing-spec constructors                                             *)
@@ -265,38 +287,49 @@ let traces_of ~settings:(s : Settings.t) ?(arch = "-") (c : configured)
 let static_smem (info : Hfuse_core.Kernel_info.t) : int =
   Launch.static_shared_bytes info.fn.f_body
 
-let spec_of ~settings ?arch (c : configured) ?(block_dim : int option)
-    ~(stream : int) () : Timing.launch_spec =
+(** One kernel at [block_dim] (defaults to native) on [stream]. *)
+let launch_of ~settings:(s : Settings.t) (c : configured)
+    ?(block_dim : int option) ~(stream : int) () : launch =
   let d =
     match block_dim with
     | None -> Hfuse_core.Kernel_info.threads_per_block c.info
     | Some d -> d
   in
-  {
-    Timing.label = c.spec.name;
-    block_traces = traces_of ~settings ?arch c ~block_dim:d ();
-    grid = c.inst.grid;
-    threads_per_block = d;
-    regs = c.spec.regs;
-    spill = 0;
-    smem = static_smem c.info + c.inst.smem_dynamic;
-    stream;
-  }
+  let key =
+    K_solo
+      { kernel = c.spec.name; size = c.size; block_dim = d;
+        tb = s.Settings.trace_blocks }
+  in
+  let digest = store_key ~s ~source_digest:c.source_digest key in
+  keyed ~s ~digest
+    {
+      Timing.label = c.spec.name;
+      block_traces = [||];
+      grid = c.inst.grid;
+      threads_per_block = d;
+      regs = c.spec.regs;
+      spill = 0;
+      smem = static_smem c.info + c.inst.smem_dynamic;
+      stream;
+    }
+    (fun () ->
+      traced ~s ~digest key (fun () ->
+          record ~s [ c ] (Hfuse_core.Kernel_info.with_block_dim c.runnable d)))
+
+let spec_of ~settings (c : configured) ?block_dim ~stream () :
+    Timing.launch_spec =
+  (launch_of ~settings c ?block_dim ~stream ()).spec ()
 
 (** Native baseline: both kernels submitted via parallel streams,
     replayed through the report tiers. *)
 let native ~settings ?cache (arch : Arch.t) (c1 : configured)
     (c2 : configured) : Timing.report =
   replay ~s:settings ?cache arch
-    [
-      spec_of ~settings ~arch:arch.Arch.name c1 ~stream:0 ();
-      spec_of ~settings ~arch:arch.Arch.name c2 ~stream:1 ();
-    ]
+    [ launch_of ~settings c1 ~stream:0 (); launch_of ~settings c2 ~stream:1 () ]
 
 (** One kernel alone (Fig. 8 metrics; also the ratio probes). *)
 let solo ~settings (arch : Arch.t) (c : configured) : Timing.report =
-  replay ~s:settings arch
-    [ spec_of ~settings ~arch:arch.Arch.name c ~stream:0 () ]
+  replay ~s:settings arch [ launch_of ~settings c ~stream:0 () ]
 
 (* ------------------------------------------------------------------ *)
 (* Fused runs                                                           *)
@@ -315,16 +348,28 @@ let hfuse_key ~(tb : int) (c1 : configured) (c2 : configured)
       tb;
     }
 
+(* The traces of a fused kernel over [c1] and [c2], filed under
+   [digest], the store key of [key] and the kernel's printed source *)
+let fused_traces ~(s : Settings.t) ~(digest : string) (key : trace_key)
+    (c1 : configured) (c2 : configured) (info : Hfuse_core.Kernel_info.t) :
+    Trace.block array =
+  traced ~s ~digest key (fun () ->
+      record ~s [ c1; c2 ] (Hfuse_core.Kernel_info.normalized info))
+
+(* the fused kernel's trace key, and the digest its traces are filed
+   under (the source is printed here) *)
+let hfuse_trace_id ~(s : Settings.t) (c1 : configured) (c2 : configured)
+    (f : Hfuse_core.Hfuse.t) : trace_key * string =
+  let key = hfuse_key ~tb:s.Settings.trace_blocks c1 c2 f in
+  (key, store_key ~s ~source_digest:(md5_hex (Hfuse_core.Hfuse.to_source f)) key)
+
 (** Traces of the horizontally fused kernel (recorded on first use;
-    stored).  [arch] scopes only the persistent entry. *)
-let hfuse_traces ~settings:(s : Settings.t) ?(arch = "-") (c1 : configured)
-    (c2 : configured) (f : Hfuse_core.Hfuse.t) : Trace.block array =
-  traced ~s ~arch
-    ~source:(Hfuse_core.Hfuse.to_source f)
-    (hfuse_key ~tb:s.Settings.trace_blocks c1 c2 f)
-    (fun () ->
-      record ~s [ c1; c2 ]
-        (Hfuse_core.Kernel_info.normalized (Hfuse_core.Hfuse.info f)))
+    stored).  [arch] is unused: traces are arch-independent. *)
+let hfuse_traces ~settings:(s : Settings.t) ?arch:(_ : string option)
+    (c1 : configured) (c2 : configured) (f : Hfuse_core.Hfuse.t) :
+    Trace.block array =
+  let key, digest = hfuse_trace_id ~s c1 c2 f in
+  fused_traces ~s ~digest key c1 c2 (Hfuse_core.Hfuse.info f)
 
 (** Launch spec for a fused candidate over already-recorded traces.
     Pure — safe to build and [Timing.run] on any domain. *)
@@ -347,14 +392,23 @@ let hfuse_spec (f : Hfuse_core.Hfuse.t) ~(reg_bound : int option)
     stream = 0;
   }
 
+(** A horizontally fused kernel under a register bound; its source is
+    printed and digested once for every bound it is applied to. *)
+let hfuse_launch ~settings:(s : Settings.t) (c1 : configured)
+    (c2 : configured) (f : Hfuse_core.Hfuse.t) : reg_bound:int option -> launch
+    =
+  let key, digest = hfuse_trace_id ~s c1 c2 f in
+  fun ~reg_bound ->
+    keyed ~s ~digest (hfuse_spec f ~reg_bound ~traces:[||]) (fun () ->
+        fused_traces ~s ~digest key c1 c2 (Hfuse_core.Hfuse.info f))
+
 (** Interpret a horizontally fused kernel (profiling mode) and time it
     under an optional register bound, replayed through the report
     tiers. *)
 let hfuse_report ~settings (arch : Arch.t) (c1 : configured)
     (c2 : configured) (f : Hfuse_core.Hfuse.t) ~(reg_bound : int option) :
     Timing.report =
-  let traces = hfuse_traces ~settings ~arch:arch.Arch.name c1 c2 f in
-  replay ~s:settings arch [ hfuse_spec f ~reg_bound ~traces ]
+  replay ~s:settings arch [ hfuse_launch ~settings c1 c2 f ~reg_bound ]
 
 (** Vertically fused baseline.  Both kernels run at the larger of the
     two native block dimensions (tunable kernels adapt; a fixed smaller
@@ -374,36 +428,37 @@ let vfuse_generate (c1 : configured) (c2 : configured) : Hfuse_core.Vfuse.t =
   in
   Hfuse_core.Vfuse.generate (adapt c1) (adapt c2)
 
-(** Launch spec for the vertical baseline (records the fused kernel's
-    traces in a fresh memory on first use; stored). *)
-let vfuse_spec ~settings:(s : Settings.t) ?(arch = "-") (c1 : configured)
-    (c2 : configured) (v : Hfuse_core.Vfuse.t) : Timing.launch_spec =
+(** The vertical baseline (records the fused kernel's traces in a
+    fresh memory when its report misses; stored). *)
+let vfuse_launch ~settings:(s : Settings.t) (c1 : configured)
+    (c2 : configured) (v : Hfuse_core.Vfuse.t) : launch =
   let vinfo = Hfuse_core.Vfuse.info v in
-  let tb = s.Settings.trace_blocks in
-  let traces =
-    traced ~s ~arch
-      ~source:(Hfuse_core.Vfuse.to_source v)
-      (K_vfuse
-         {
-           k1 = c1.spec.name;
-           size1 = c1.size;
-           k2 = c2.spec.name;
-           size2 = c2.size;
-           block = v.block;
-           tb;
-         })
-      (fun () -> record ~s [ c1; c2 ] (Hfuse_core.Kernel_info.normalized vinfo))
+  let key =
+    K_vfuse
+      {
+        k1 = c1.spec.name;
+        size1 = c1.size;
+        k2 = c2.spec.name;
+        size2 = c2.size;
+        block = v.block;
+        tb = s.Settings.trace_blocks;
+      }
   in
-  {
-    Timing.label = v.fn.f_name;
-    block_traces = traces;
-    grid = v.grid;
-    threads_per_block = v.block;
-    regs = v.regs;
-    spill = 0;
-    smem = static_smem vinfo + v.smem_dynamic;
-    stream = 0;
-  }
+  let digest =
+    store_key ~s ~source_digest:(md5_hex (Hfuse_core.Vfuse.to_source v)) key
+  in
+  keyed ~s ~digest
+    {
+      Timing.label = v.fn.f_name;
+      block_traces = [||];
+      grid = v.grid;
+      threads_per_block = v.block;
+      regs = v.regs;
+      spill = 0;
+      smem = static_smem vinfo + v.smem_dynamic;
+      stream = 0;
+    }
+    (fun () -> fused_traces ~s ~digest key c1 c2 vinfo)
 
 (* ------------------------------------------------------------------ *)
 (* The Fig. 6 search, driven by the simulator                           *)
@@ -624,13 +679,14 @@ let resolve ~(s : Settings.t) ~(with_pool : (Pool.t -> 'r) -> 'r)
     results
 
 (* Fan pure [Timing.run] replays over a pool through [resolve]: one
-   (arch, spec list) per report.  A caller-supplied [?pool] is reused
-   (figure sweeps time hundreds of spec lists; spawning domains per
+   (arch, launch list) per report, each miss's traces acquired by its
+   task (recordings are pure too).  A caller-supplied [?pool] is reused
+   (figure sweeps time hundreds of launch lists; spawning domains per
    call would dominate); otherwise a fresh pool of [jobs] workers is
    scoped to this call.  The lowest-index failure is re-raised, as
    [Pool.map] does. *)
 let run_many ?pool ?(jobs = 1) ~(settings : Settings.t) ?cache
-    (runs : (Arch.t * Timing.launch_spec list) array) : Timing.report array =
+    (runs : (Arch.t * launch list) array) : Timing.report array =
   let cache =
     match cache with Some c -> c | None -> Settings.cache settings
   in
@@ -639,10 +695,10 @@ let run_many ?pool ?(jobs = 1) ~(settings : Settings.t) ?cache
   in
   resolve ~s:settings ~with_pool
     (report_tiers ~s:settings ~cache)
-    (Array.map (fun (arch, specs) -> report_key arch specs) runs)
+    (Array.map (fun (arch, launches) -> report_key arch launches) runs)
     ~plan:(fun _ i ->
-      let arch, specs = runs.(i) in
-      Ok (fun () -> Timing.run_with_stats arch specs))
+      let arch, launches = runs.(i) in
+      Ok (fun () -> run_launches arch launches))
   |> Array.map (function
        | Ok got -> got
        | Error (fl : Pool.failure) ->
@@ -666,10 +722,7 @@ let is_profile_failure = function
    uncalibrated. *)
 let solo_cycles ~(s : Settings.t) ~cache (arch : Arch.t) (c : configured) :
     float option =
-  match
-    replay ~s ~cache arch
-      [ spec_of ~settings:s ~arch:arch.Arch.name c ~stream:0 () ]
-  with
+  match replay ~s ~cache arch [ launch_of ~settings:s c ~stream:0 () ] with
   | r -> Some (float_of_int r.Timing.elapsed_cycles)
   | exception e when is_profile_failure e -> None
 
@@ -812,9 +865,13 @@ let trace_stage ctx (batch : candidate array) ~(srcs : string array)
       (fun i ->
         let f = fst batch.(i) in
         let fresh = ref false in
+        let key = trace_key i in
         let traces =
-          traced ~s:ctx.s ~arch:ctx.arch.Arch.name ~source:srcs.(i)
-            (trace_key i) (fun () ->
+          traced ~s:ctx.s
+            ~digest:
+              (store_key ~s:ctx.s ~source_digest:(md5_hex srcs.(i)) key)
+            key
+            (fun () ->
               fresh := true;
               record ~s:ctx.s [ ctx.c1; ctx.c2 ]
                 (Hfuse_core.Kernel_info.normalized (Hfuse_core.Hfuse.info f)))

@@ -33,6 +33,9 @@ type configured = {
   runnable : Hfuse_core.Kernel_info.t;
       (** [info] normalised once, at {!configure}: what launches run and
           what fusion fuses *)
+  source_digest : string;
+      (** hex MD5 of the kernel's source, once, at {!configure}: part of
+          every trace identity it launches under *)
   inst : Kernel_corpus.Workload.instance;
 }
 
@@ -43,8 +46,9 @@ val configure :
     dimension(s).  Structured — both sizes and both block dimensions of
     a fused pair appear explicitly, so distinct size pairs can never
     collide onto one entry (the old packed encoding could, returning a
-    stale trace).  {!Trace_store} digests additionally fold in the
-    simulation fuel, the kernel source, and (on disk) the arch. *)
+    stale trace).  The {!Trace_store} digest additionally folds in the
+    simulation fuel and the kernel source's digest (for a fused kernel,
+    its printed source); it is the traces' identity in report keys. *)
 type trace_key =
   | K_solo of { kernel : string; size : int; block_dim : int; tb : int }
   | K_hfuse of {
@@ -71,22 +75,44 @@ val clear_cache : unit -> unit
 
 val static_smem : Hfuse_core.Kernel_info.t -> int
 
-(** Timing spec for one kernel (building block for custom runs). *)
+(** A launch the report tiers resolve: its part of the report key
+    (launch scalars and the identity of its traces, {!trace_key} plus
+    fuel and source digest), and its launch spec, whose traces are
+    loaded from the trace store or recorded only when called.  The
+    report tiers call it only on a miss, so a report hit reads no
+    trace.  [spec] is pure and safe on any domain. *)
+type launch = {
+  part : Profile_cache.part;
+  spec : unit -> Gpusim.Timing.launch_spec;
+}
+
+(** One kernel at block dimension [block_dim] (default: native) on
+    [stream]. *)
+val launch_of :
+  settings:Settings.t -> configured -> ?block_dim:int -> stream:int -> unit ->
+  launch
+
+(** [launch_of]'s spec, traces acquired (building block for custom
+    runs). *)
 val spec_of :
-  settings:Settings.t -> ?arch:string -> configured -> ?block_dim:int ->
-  stream:int -> unit -> Gpusim.Timing.launch_spec
+  settings:Settings.t -> configured -> ?block_dim:int -> stream:int -> unit ->
+  Gpusim.Timing.launch_spec
+
+(** {!Profile_cache.report_key} of [launches] on [arch] under FIFO
+    dispatch: what every report tier files their replay under. *)
+val report_key : Gpusim.Arch.t -> launch list -> string
 
 (** Native baseline: both kernels via parallel streams (FIFO dispatch).
 
     The replay goes through the same tiers as {!run_many}, keyed by
-    {!Profile_cache.report_key} over the two launch specs and their
-    packed traces: the persistent report cache (default: minted from
-    [settings], as {!search} does), then the process-wide
-    memory tier under [settings]' bound.  A miss replays on the
-    calling domain, single-flighted, and lands in every tier; a report
-    not replayed here adds its stored engine stats to the current
-    ledger ({!Gpusim.Timing.note_stats}).  Either way the report is
-    bit-identical to a fresh replay. *)
+    {!report_key} over the two launches, which names their traces by
+    identity: the persistent report cache (default: minted from
+    [settings]), as {!search} does, then the process-wide memory tier
+    under [settings]' bound.  A hit loads no trace.  A miss acquires
+    the traces and replays on the calling domain, single-flighted, and
+    lands in every tier; a report not replayed here adds its stored
+    engine stats to the current ledger ({!Gpusim.Timing.note_stats}).
+    Either way the report is bit-identical to a fresh replay. *)
 val native :
   settings:Settings.t -> ?cache:Profile_cache.t -> Gpusim.Arch.t ->
   configured -> configured -> Gpusim.Timing.report
@@ -97,7 +123,8 @@ val solo :
 
 (** Traces of a horizontally fused kernel (recorded in a fresh memory
     on first use; stored).  Single-flighted: concurrent callers of one
-    key share the first recording. *)
+    key share the first recording.  [arch] is accepted and unused:
+    traces are arch-independent. *)
 val hfuse_traces :
   settings:Settings.t -> ?arch:string -> configured -> configured ->
   Hfuse_core.Hfuse.t -> Gpusim.Trace.block array
@@ -107,6 +134,14 @@ val hfuse_traces :
 val hfuse_spec :
   Hfuse_core.Hfuse.t -> reg_bound:int option ->
   traces:Gpusim.Trace.block array -> Gpusim.Timing.launch_spec
+
+(** A horizontally fused kernel under a register bound, as a keyed
+    launch; applied to [settings], the pair and the kernel, it prints
+    and digests the fused source once for every bound it is then
+    given. *)
+val hfuse_launch :
+  settings:Settings.t -> configured -> configured -> Hfuse_core.Hfuse.t ->
+  reg_bound:int option -> launch
 
 (** Time a fused kernel under an optional register bound (interprets it
     in profiling mode on first use; replayed like {!solo}). *)
@@ -119,11 +154,11 @@ val hfuse_report :
     @raise Hfuse_core.Fuse_common.Fusion_error when illegal. *)
 val vfuse_generate : configured -> configured -> Hfuse_core.Vfuse.t
 
-(** Launch spec for the vertical baseline over stored traces (records
-    them in a fresh memory on first use; the spec is pure). *)
-val vfuse_spec :
-  settings:Settings.t -> ?arch:string -> configured -> configured ->
-  Hfuse_core.Vfuse.t -> Gpusim.Timing.launch_spec
+(** The vertical baseline as a keyed launch (its traces are recorded
+    in a fresh memory when first needed). *)
+val vfuse_launch :
+  settings:Settings.t -> configured -> configured -> Hfuse_core.Vfuse.t ->
+  launch
 
 (** Fused block dimension target: 1024 for tunable pairs; the native sum
     when both kernels are fixed. *)
@@ -200,23 +235,24 @@ val model_eval :
   ?k:int -> scores:float list -> times:float list -> unit -> (int * float) option
 
 (** Fan pure [Timing.run] replays over worker domains: one
-    (arch, launch-spec list) per report, results in input order
+    (arch, launch list) per report, results in input order
     (bit-identical to a serial loop for any width).  Pass [?pool] to
     reuse a live pool across many calls (figure sweeps); otherwise a
     fresh pool of [jobs] workers is scoped to the call, opened only
-    when something misses.  Spec lists must already hold their traces.
+    when something misses.  A missing report's task acquires its
+    launches' traces (a store read or a recording) before replaying.
 
     Entries resolve as {!native}'s does — the persistent report cache
     (default: minted from [settings]), then the memory tier — through
     the batch resolver {!search}'s replay stage uses: each distinct
     missing key is replayed once on the pool (single-flighted, under
     [settings]' [worker_crash] chaos) and stored after.  Hits add their
-    recorded engine stats to the current ledger.  A replay that fails
-    re-raises, the lowest-index one first. *)
+    recorded engine stats to the current ledger.  A replay or recording
+    that fails re-raises, the lowest-index one first. *)
 val run_many :
   ?pool:Hfuse_parallel.Pool.t -> ?jobs:int -> settings:Settings.t ->
   ?cache:Profile_cache.t ->
-  (Gpusim.Arch.t * Gpusim.Timing.launch_spec list) array ->
+  (Gpusim.Arch.t * launch list) array ->
   Gpusim.Timing.report array
 
 (** Raised by {!search} when every candidate of a pair failed to

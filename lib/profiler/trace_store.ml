@@ -20,19 +20,24 @@
 
    - a process-wide in-memory LRU keyed by a digest of everything the
      trace depends on (kernel identities + sizes + partition + launch
-     geometry + trace-block count + simulation fuel).  One table for
-     the whole process, so concurrent daemon requests share warm
-     traces.  The same table is Runner's memo tier for replay reports
+     geometry + trace-block count + simulation fuel + a source
+     digest).  One table for the whole process, so concurrent daemon
+     requests share warm traces.  The same table is Runner's memo tier for replay reports
      and candidate times, so an optional byte bound
      ([Settings.trace_mem_mb]) covers everything a long-lived daemon
      keeps in memory.
 
    - a per-handle on-disk tier: {!Store} entries under
-     [<root>/traces/v1/<digest>], corrupt ones quarantined to
-     [<root>/traces/quarantine/<digest>] and re-recorded.  Disk keys
-     additionally fold in the GPU model name and a source digest, so
-     shared directories self-invalidate across archs and kernel-source
-     changes even though trace keys only carry kernel *names*.
+     [<root>/traces/v1/<digest>], the same digest as the memory tier's,
+     corrupt ones quarantined to [<root>/traces/quarantine/<digest>]
+     and re-recorded.
+
+   The digest is also each trace's identity in replay-report keys
+   ({!Profile_cache.report_key}): a report hit reads no trace at all.
+   So a change to what a trace holds for a given identity — the
+   interpreter, the workloads' input bytes, [Value] — must bump
+   [version], or warm disk traces and replay reports go stale alike
+   (profiler "trace identity versions follow the goldens").
 
    [get_or_compute] is the one way in, for traces, replay reports and
    candidate times alike.  Its single-flight table dedups concurrent
@@ -44,7 +49,10 @@
 module Trace = Gpusim.Trace
 
 (* bump whenever the key derivation or Trace.encode_blocks changes
-   incompatibly; old entries are simply never looked up again *)
+   incompatibly, or the interpreter or a workload changes what a trace
+   holds (the goldens interp.md5, inputs.md5 and value.md5 pin that);
+   old entries and the replay reports keyed by them are simply never
+   looked up again *)
 let version = "v1"
 let magic = "hfuse-traces"
 
@@ -52,29 +60,19 @@ let magic = "hfuse-traces"
 (* Keys                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-type key = {
-  mem : string;
-      (** in-memory tier digest: everything the recorded trace is a
-          function of.  Deliberately excludes [arch] — traces are
-          arch-independent (the interpreter takes no device model), so
-          a two-arch sweep records each pair once. *)
-  disk : string;
-      (** on-disk tier digest: [mem]'s inputs plus arch.  Disk entries
-          outlive the process and may be shared across machines, so
-          they pay for defensive splitting the memory tier need not. *)
-}
-
-let digest parts = Digest.to_hex (Digest.string (String.concat "\x00" parts))
-
-let keys ~(arch : string) ~(sim_fuel : int) ~(trace_blocks : int)
-    ~(ident : string list) : key =
-  let base =
-    magic :: version
-    :: string_of_int sim_fuel
-    :: string_of_int trace_blocks
-    :: ident
-  in
-  { mem = digest base; disk = digest (arch :: base) }
+(* One digest of everything the recorded trace is a function of, for
+   both tiers: traces are arch-independent (the interpreter takes no
+   device model), so a two-arch sweep records each trace once and a
+   trace first recorded under one arch is a disk hit under the other. *)
+let key ~(sim_fuel : int) ~(trace_blocks : int) ~(ident : string list) :
+    string =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\x00"
+          (magic :: version
+          :: string_of_int sim_fuel
+          :: string_of_int trace_blocks
+          :: ident)))
 
 (* ------------------------------------------------------------------ *)
 (* Counters                                                             *)
@@ -292,9 +290,9 @@ let decode payload =
   | None -> failwith "trace entry"
 
 (* A trace's computation: the disk tier, else a recording. *)
-let load_or_record (t : t) ~(key : key) (record : unit -> Trace.block array) :
-    Trace.block array =
-  match Option.map (fun s -> Store.read s ~key:key.disk decode) t with
+let load_or_record (t : t) ~(key : string)
+    (record : unit -> Trace.block array) : Trace.block array =
+  match Option.map (fun s -> Store.read s ~key decode) t with
   | Some (Store.Found blocks) ->
       Ledger.add disk_hits 1;
       blocks
@@ -304,7 +302,7 @@ let load_or_record (t : t) ~(key : key) (record : unit -> Trace.block array) :
       Ledger.add recorded 1;
       Option.iter
         (fun s ->
-          Store.write s ~key:key.disk (Trace.encode_blocks blocks);
+          Store.write s ~key (Trace.encode_blocks blocks);
           Ledger.add stores 1)
         t;
       blocks

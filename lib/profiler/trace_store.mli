@@ -18,22 +18,23 @@
     used entries until the tier fits the caller's [limit_bytes]; the
     newest entry always stays. *)
 
-(** Entry-format/version tag baked into paths and keys. *)
+(** Entry-format/version tag baked into paths and keys.  Bumped with
+    any change to what a trace identity records (interpreter,
+    workload inputs, [Value]): test/golden/interp.md5, inputs.md5 and
+    value.md5 pin those, and the profiler suite pins this tag beside
+    their digests. *)
 val version : string
 
-(** The two-tier digest pair for one trace identity. *)
-type key = private { mem : string; disk : string }
-
-(** Derive both digests.  [ident] is the rendered trace identity
-    (kernel names, sizes, partition, geometry, plus a source digest);
-    [sim_fuel] and [trace_blocks] always participate (a trace recorded
-    under generous fuel must not mask a timeout under a tight one).
-    [arch] participates only in the disk digest: traces are
-    arch-independent, so the in-memory tier shares them across a
-    two-arch sweep, while long-lived shared directories pay for the
-    defensive split. *)
-val keys :
-  arch:string -> sim_fuel:int -> trace_blocks:int -> ident:string list -> key
+(** The digest one trace identity is filed under, in both tiers.
+    [ident] is the rendered trace identity (kernel names, sizes,
+    partition, geometry, plus a source digest); [sim_fuel] and
+    [trace_blocks] always participate (a trace recorded under generous
+    fuel must not mask a timeout under a tight one).  The arch does
+    not: traces are arch-independent.  Replay reports are keyed by
+    these digests ({!Profile_cache.report_key}), so anything that
+    changes a trace without changing its identity must bump
+    {!version}. *)
+val key : sim_fuel:int -> trace_blocks:int -> ident:string list -> string
 
 type t
 
@@ -71,12 +72,12 @@ type _ kind =
 val get_or_compute :
   ?limit_bytes:int -> 'v kind -> key:string -> (unit -> 'v) -> 'v
 
-(** A trace's computation under its claim on [key.mem]: the disk entry
-    (a checksum- or decode-failing one is quarantined to
+(** A trace's computation under its memory-tier claim on [key]: the
+    disk entry (a checksum- or decode-failing one is quarantined to
     [<root>/traces/quarantine/<digest>] and missed), else [record ()]'s
     traces, written to disk and counted as [recorded]. *)
 val load_or_record :
-  t -> key:key -> (unit -> Gpusim.Trace.block array) ->
+  t -> key:string -> (unit -> Gpusim.Trace.block array) ->
   Gpusim.Trace.block array
 
 (** Memory-tier lookup without a claim (a miss does not wait for a

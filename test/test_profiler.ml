@@ -214,9 +214,8 @@ let test_report_cache_roundtrip () =
   let mem = Memory.create () in
   let c = Runner.configure mem ta_tun ~size:3 in
   let settings = Test_util.env_settings () in
-  let specs = [ Runner.spec_of ~settings c ~stream:0 () ] in
   let key =
-    Profile_cache.report_key ~arch:arch.Arch.name ~policy:"fifo" specs
+    Runner.report_key arch [ Runner.launch_of ~settings c ~stream:0 () ]
   in
   Alcotest.(check bool)
     "cold miss" true
@@ -226,14 +225,6 @@ let test_report_cache_roundtrip () =
   Alcotest.(check bool)
     "bit-exact round trip" true
     (Profile_cache.find_report cache ~key = Some entry);
-  (* the packed trace contents participate in the key: a different
-     workload size re-traces and must map to a different entry *)
-  let c' = Runner.configure mem ta_tun ~size:17 in
-  let key' =
-    Profile_cache.report_key ~arch:arch.Arch.name ~policy:"fifo"
-      [ Runner.spec_of ~settings c' ~stream:0 () ]
-  in
-  Alcotest.(check bool) "trace contents keyed" true (key <> key');
   (* a torn/garbage entry must read as a miss, not an exception *)
   let oc = open_out (Filename.concat (Profile_cache.dir cache) key) in
   output_string oc "garbage\n";
@@ -251,11 +242,11 @@ let test_run_many_report_cache () =
   let settings = Test_util.env_settings () in
   let runs =
     [|
-      (arch, [ Runner.spec_of ~settings c1 ~stream:0 () ]);
+      (arch, [ Runner.launch_of ~settings c1 ~stream:0 () ]);
       ( arch,
         [
-          Runner.spec_of ~settings c1 ~stream:0 ();
-          Runner.spec_of ~settings c2 ~stream:1 ();
+          Runner.launch_of ~settings c1 ~stream:0 ();
+          Runner.launch_of ~settings c2 ~stream:1 ();
         ] );
     |]
   in
@@ -280,9 +271,10 @@ let test_run_many_repeated_key () =
   let c1 = Runner.configure mem ta_tun ~size:3 in
   let c2 = Runner.configure mem tb_tun ~size:5 in
   let settings = Test_util.env_settings () in
-  let solo = (arch, [ Runner.spec_of ~settings c1 ~stream:0 () ]) in
+  let solo = (arch, [ Runner.launch_of ~settings c1 ~stream:0 () ]) in
   let runs =
-    [| solo; (arch, [ Runner.spec_of ~settings c2 ~stream:0 () ]); solo; solo |]
+    [| solo; (arch, [ Runner.launch_of ~settings c2 ~stream:0 () ]); solo;
+       solo |]
   in
   let cold, cold_l =
     Ledger.run (fun () -> Runner.run_many ~jobs:2 ~settings ~cache runs)
@@ -459,11 +451,11 @@ let test_run_many_recomputes_corrupted () =
   let settings = Test_util.env_settings () in
   let runs =
     [|
-      (arch, [ Runner.spec_of ~settings c1 ~stream:0 () ]);
+      (arch, [ Runner.launch_of ~settings c1 ~stream:0 () ]);
       ( arch,
         [
-          Runner.spec_of ~settings c1 ~stream:0 ();
-          Runner.spec_of ~settings c2 ~stream:1 ();
+          Runner.launch_of ~settings c1 ~stream:0 ();
+          Runner.launch_of ~settings c2 ~stream:1 ();
         ] );
     |]
   in
@@ -751,34 +743,143 @@ let test_trace_codec_roundtrip () =
 (* -- Trace_store: key derivation ----------------------------------------- *)
 
 let test_trace_store_keys () =
-  let base ?(arch = "1080Ti") ?(sim_fuel = 1000) ?(trace_blocks = 1)
+  let base ?(sim_fuel = 1000) ?(trace_blocks = 1)
       ?(ident = [ "hfuse"; "ta"; "3"; "tb"; "5" ]) () =
-    Trace_store.keys ~arch ~sim_fuel ~trace_blocks ~ident
+    Trace_store.key ~sim_fuel ~trace_blocks ~ident
   in
   let k = base () in
   Alcotest.(check bool) "deterministic" true (base () = k);
   (* fuel: a trace recorded under generous fuel must not mask a timeout
-     under a tight one — both tiers invalidate *)
-  let kf = base ~sim_fuel:2000 () in
-  Alcotest.(check bool) "fuel changes mem digest" true (kf.Trace_store.mem <> k.Trace_store.mem);
-  Alcotest.(check bool) "fuel changes disk digest" true
-    (kf.Trace_store.disk <> k.Trace_store.disk);
-  let kb = base ~trace_blocks:2 () in
-  Alcotest.(check bool) "trace_blocks changes mem digest" true
-    (kb.Trace_store.mem <> k.Trace_store.mem);
-  Alcotest.(check bool) "trace_blocks changes disk digest" true
-    (kb.Trace_store.disk <> k.Trace_store.disk);
-  let ki = base ~ident:[ "hfuse"; "ta"; "4"; "tb"; "5" ] () in
-  Alcotest.(check bool) "identity changes both digests" true
-    (ki.Trace_store.mem <> k.Trace_store.mem
-    && ki.Trace_store.disk <> k.Trace_store.disk);
-  (* arch: traces are arch-independent, so the memory tier shares them
-     across a two-arch sweep; persistent entries split defensively *)
-  let ka = base ~arch:"V100" () in
-  Alcotest.(check string) "arch keeps the mem digest" k.Trace_store.mem
-    ka.Trace_store.mem;
-  Alcotest.(check bool) "arch changes the disk digest" true
-    (ka.Trace_store.disk <> k.Trace_store.disk)
+     under a tight one *)
+  Alcotest.(check bool) "fuel changes the digest" true
+    (base ~sim_fuel:2000 () <> k);
+  Alcotest.(check bool) "trace_blocks changes the digest" true
+    (base ~trace_blocks:2 () <> k);
+  Alcotest.(check bool) "identity changes the digest" true
+    (base ~ident:[ "hfuse"; "ta"; "4"; "tb"; "5" ] () <> k)
+
+(* Report keys name traces by identity, never by content: every launch
+   scalar and every field of the trace identity must reach the key. *)
+let report_part_gen : Profile_cache.part QCheck.Gen.t =
+  let open QCheck.Gen in
+  let* label = string_size ~gen:printable (int_range 1 8) in
+  let* grid = int_range 1 4096 and* threads = int_range 1 1024 in
+  let* regs = int_range 0 255 and* spill = int_range 0 64 in
+  let* smem = int_range 0 49152 and* stream = int_range 0 3 in
+  let* traced_blocks = int_range 1 4 in
+  let+ trace = string_size ~gen:(char_range 'a' 'f') (return 32) in
+  { Profile_cache.label; grid; threads; regs; spill; smem; stream;
+    traced_blocks; trace }
+
+(* [p] with field [i] moved to a value it cannot already hold *)
+let bump_field (p : Profile_cache.part) (i : int) : Profile_cache.part =
+  match i with
+  | 0 -> { p with label = p.label ^ "x" }
+  | 1 -> { p with grid = p.grid + 1 }
+  | 2 -> { p with threads = p.threads + 1 }
+  | 3 -> { p with regs = p.regs + 1 }
+  | 4 -> { p with spill = p.spill + 1 }
+  | 5 -> { p with smem = p.smem + 1 }
+  | 6 -> { p with stream = p.stream + 1 }
+  | 7 -> { p with traced_blocks = p.traced_blocks + 1 }
+  | _ -> { p with trace = "g" ^ String.sub p.trace 1 31 }
+
+let test_report_key_scalars =
+  QCheck.Test.make ~name:"every launch scalar reaches the report key"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(triple (list_size (int_range 1 3) report_part_gen)
+                     (int_range 0 2) (int_range 0 8)))
+    (fun (parts, at, field) ->
+      let at = at mod List.length parts in
+      let key = Profile_cache.report_key ~arch:"1080Ti" ~policy:"fifo" in
+      let moved =
+        List.mapi (fun j p -> if j = at then bump_field p field else p) parts
+      in
+      let other_arch = Profile_cache.report_key ~arch:"V100" ~policy:"fifo" in
+      let other_policy = Profile_cache.report_key ~arch:"1080Ti" ~policy:"lo" in
+      key parts <> key moved
+      && key parts <> other_arch parts
+      && key parts <> other_policy parts)
+
+(* the trace-identity fields, through [Runner.launch_of]: each one
+   changes the launch's trace digest and with it the report key *)
+let test_report_key_trace_identity () =
+  let settings = Test_util.env_settings () in
+  let mem = Memory.create () in
+  let c = Runner.configure mem ta_tun ~size:3 in
+  let launch ?(settings = settings) ?block_dim ?(stream = 0) c =
+    Runner.launch_of ~settings c ?block_dim ~stream ()
+  in
+  let key ?(arch = arch) l = Runner.report_key arch [ l ] in
+  let base = launch c in
+  let differs what ?(same_trace = false) (l : Runner.launch) k =
+    Alcotest.(check bool) (what ^ " changes the report key") true
+      (k <> key base);
+    if not same_trace then
+      Alcotest.(check bool) (what ^ " changes the trace digest") true
+        (l.part.trace <> base.part.trace)
+  in
+  Alcotest.(check string) "deterministic" (key base) (key (launch c));
+  (* [ta_tun]'s name and workload, another source *)
+  let renamed =
+    mk_spec "tc" "a[i] * 3.0f"
+      ~tunability:(Hfuse_core.Kernel_info.Tunable { multiple_of = 32 })
+      ~native_block:(256, 1, 1)
+  in
+  let l = launch (Runner.configure mem renamed ~size:3) in
+  differs "source" l (key l);
+  let l = launch (Runner.configure mem ta_tun ~size:17) in
+  differs "size" l (key l);
+  let l = launch ~block_dim:128 c in
+  differs "block dim" l (key l);
+  let tb = settings.trace_blocks + 1 and fuel = settings.sim_fuel + 1 in
+  let l = launch ~settings:{ settings with trace_blocks = tb } c in
+  differs "traced blocks" l (key l);
+  let l = launch ~settings:{ settings with sim_fuel = fuel } c in
+  differs "fuel" l (key l);
+  differs "arch" ~same_trace:true base (key ~arch:Arch.v100 base);
+  let l = launch ~stream:1 c in
+  differs "stream" ~same_trace:true l (key l)
+
+(* Disk traces and replay reports trust a trace's identity, not its
+   bytes: a change to what an identity records must bump the version
+   that retires the stale entries.  [golden/versions.md5] records each
+   version beside the digests of the goldens that pin those bytes, so
+   regenerating one of them without the bump fails here. *)
+let test_versions_follow_goldens () =
+  let recorded =
+    In_channel.with_open_bin (Filename.concat "golden" "versions.md5")
+      In_channel.input_lines
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+    |> List.map (String.split_on_char ' ')
+  in
+  List.iter
+    (fun (constant, version, goldens) ->
+      let now =
+        constant :: version
+        :: List.concat_map
+             (fun g ->
+               [ g; Digest.to_hex (Digest.file (Filename.concat "golden" g)) ])
+             goldens
+      in
+      match List.find_opt (fun l -> List.hd l = constant) recorded with
+      | Some line when line = now -> ()
+      | line ->
+          Alcotest.failf
+            "golden/versions.md5 records %S for %s, now %S: a golden that \
+             pins what its entries hold changed; bump %s, then record the \
+             new version and digests"
+            (String.concat " " (Option.value line ~default:[]))
+            constant (String.concat " " now) constant)
+    [
+      ( "Trace_store.version",
+        Trace_store.version,
+        [ "interp.md5"; "inputs.md5"; "value.md5" ] );
+      ( "Profile_cache.version",
+        Profile_cache.version,
+        [ "replay.md5"; "draws.md5" ] );
+    ]
 
 (* -- Trace_store: disk round trip, quarantine, LRU ----------------------- *)
 
@@ -796,14 +897,14 @@ let clear_trace_root root =
   rm (Filename.concat traces "quarantine")
 
 let sf_key tag =
-  Trace_store.keys ~arch:"1080Ti" ~sim_fuel:1000 ~trace_blocks:1
+  Trace_store.key ~sim_fuel:1000 ~trace_blocks:1
     ~ident:[ "test"; tag ]
 
 (* A trace through the store's two tiers, as [Runner] fetches one:
    the memory tier's get-or-compute, whose computation is the disk
    tier, else the recording. *)
-let get_traces store ~(key : Trace_store.key) record =
-  Trace_store.get_or_compute Traces ~key:key.mem (fun () ->
+let get_traces store ~(key : string) record =
+  Trace_store.get_or_compute Traces ~key (fun () ->
       Trace_store.load_or_record store ~key record)
 
 (* [get_traces] thunks: one that fails the test if it runs (the store
@@ -856,7 +957,7 @@ let test_trace_store_quarantine () =
   let key = sf_key "quarantine" in
   let blocks = mk_blocks () in
   ignore (get_traces store ~key (fun () -> blocks));
-  let path = Filename.concat (Trace_store.dir store) key.Trace_store.disk in
+  let path = Filename.concat (Trace_store.dir store) key in
   corrupt_on_disk path;
   Trace_store.clear_memory ();
   (* the corrupt entry is a miss: it is moved aside before the
@@ -877,7 +978,7 @@ let test_trace_store_quarantine () =
     (Sys.file_exists
        (Filename.concat
           (Filename.concat (Filename.concat root "traces") "quarantine")
-          key.Trace_store.disk));
+          key));
   Trace_store.clear_memory ();
   let got =
     get_traces store ~key (must_hit "healed entry missed")
@@ -939,7 +1040,7 @@ let test_trace_store_single_flight () =
   let blocks = mk_blocks () in
   let (), ledger =
     Ledger.run (fun () ->
-        single_flight Traces ~key:key.mem
+        single_flight Traces ~key
           ~compute:(fun () ->
             Trace_store.load_or_record store ~key (fun () -> blocks))
           blocks)
@@ -1284,6 +1385,11 @@ let suite =
       test_trace_codec_roundtrip;
     Alcotest.test_case "trace store key derivation" `Quick
       test_trace_store_keys;
+    QCheck_alcotest.to_alcotest test_report_key_scalars;
+    Alcotest.test_case "trace identity reaches the report key" `Quick
+      test_report_key_trace_identity;
+    Alcotest.test_case "trace identity versions follow the goldens" `Quick
+      test_versions_follow_goldens;
     Alcotest.test_case "trace store disk round trip" `Quick
       test_trace_store_roundtrip;
     Alcotest.test_case "trace store quarantines torn entries" `Quick

@@ -541,10 +541,10 @@ let native_key settings =
   let conf spec size = Runner.configure mem spec ~size:(Option.get size) in
   let c1 = conf search_params.s_k1 search_params.s_size1 in
   let c2 = conf search_params.s_k2 search_params.s_size2 in
-  Profile_cache.report_key ~arch:arch.Gpusim.Arch.name ~policy:"fifo"
+  Runner.report_key arch
     [
-      Runner.spec_of ~settings ~arch:arch.Gpusim.Arch.name c1 ~stream:0 ();
-      Runner.spec_of ~settings ~arch:arch.Gpusim.Arch.name c2 ~stream:1 ();
+      Runner.launch_of ~settings c1 ~stream:0 ();
+      Runner.launch_of ~settings c2 ~stream:1 ();
     ]
 
 let test_search_warm_replays_nothing () =
@@ -562,6 +562,52 @@ let test_search_warm_replays_nothing () =
   Alcotest.(check int) "warm hits"
     (cache_count cold "stores" + cache_count cold "hits")
     (cache_count warm "hits")
+
+(* A warm one-shot search reads no trace: the reports it needs (the
+   native baseline, the two solo calibrations) name their traces by
+   identity, so a hit never loads them.  With the report entries gone,
+   the same search replays them from the disk traces, recording
+   nothing. *)
+let test_warm_search_reads_no_trace () =
+  let root = fresh_root "no_trace" in
+  let settings = settings_at (Some root) in
+  let params =
+    {
+      search_params with
+      s_k1 = Registry.find_exn "Batchnorm";
+      s_k2 = Registry.find_exn "Hist";
+      s_size1 = Some 1;
+      s_size2 = Some 1;
+      s_emit = false;
+    }
+  in
+  let search () =
+    Runner.clear_cache ();
+    let o = Ops.search ~settings params in
+    Alcotest.(check int) "search exit code" 0 o.exit_code;
+    o
+  in
+  let reads o =
+    List.map (telemetry_count o "trace_store")
+      [ "mem_hits"; "disk_hits"; "recorded" ]
+  in
+  let cold = search () in
+  let warm = search () in
+  Alcotest.(check string) "warm output bytes" cold.output warm.output;
+  Alcotest.(check (list int)) "warm trace reads: mem, disk, recorded"
+    [ 0; 0; 0 ] (reads warm);
+  let dir = Profile_cache.dir (Settings.cache settings) in
+  Array.iter
+    (fun f ->
+      if String.starts_with ~prefix:"r-" f then
+        Sys.remove (Filename.concat dir f))
+    (Sys.readdir dir);
+  let replayed = search () in
+  Alcotest.(check string) "replayed output bytes" cold.output replayed.output;
+  Alcotest.(check bool) "reports replay from disk traces" true
+    (telemetry_count replayed "trace_store" "disk_hits" > 0);
+  Alcotest.(check int) "nothing recorded" 0
+    (telemetry_count replayed "trace_store" "recorded")
 
 let test_search_heals_corrupt_native () =
   let root = fresh_root "corrupt" in
@@ -1314,6 +1360,8 @@ let suite =
       test_stale_socket_replaced;
     Alcotest.test_case "warm search replays nothing" `Quick
       test_search_warm_replays_nothing;
+    Alcotest.test_case "a warm search reads no trace" `Quick
+      test_warm_search_reads_no_trace;
     Alcotest.test_case "corrupt native report heals" `Quick
       test_search_heals_corrupt_native;
     Alcotest.test_case "resume answers native from the journal" `Quick

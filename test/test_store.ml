@@ -31,8 +31,7 @@ let report_value =
   (Test_profiler.mk_report (), Test_profiler.mk_engine_stats ())
 
 let trace_key =
-  Trace_store.keys ~arch:"1080Ti" ~sim_fuel:1000 ~trace_blocks:1
-    ~ident:[ "golden" ]
+  Trace_store.key ~sim_fuel:1000 ~trace_blocks:1 ~ident:[ "golden" ]
 
 (* -- writers produce the golden bytes ------------------------------------ *)
 
@@ -50,7 +49,7 @@ let test_trace_entry_bytes () =
     (Test_profiler.get_traces store ~key:trace_key Test_profiler.mk_blocks);
   check_golden "trace.entry"
     (read_file
-       (Filename.concat (Trace_store.dir store) trace_key.Trace_store.disk))
+       (Filename.concat (Trace_store.dir store) trace_key))
 
 (* -- readers take the golden bytes as warm hits -------------------------- *)
 
@@ -65,7 +64,7 @@ let test_golden_root_is_warm () =
   install entries report_key "report.entry";
   install
     (Filename.concat (Filename.concat root "traces") "v1")
-    trace_key.Trace_store.disk "trace.entry";
+    trace_key "trace.entry";
   let cache = Profile_cache.create ~dir:root () in
   Alcotest.check Test_profiler.some_time "time entry hits" (Some time_value)
     (Profile_cache.find cache ~key:time_key);
