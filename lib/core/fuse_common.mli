@@ -4,6 +4,15 @@
     consume kernels normalised by
     {!Hfuse_frontend.Inline.normalize_kernel}. *)
 
+(** Version of what fusion generates from the same inputs.  The
+    profiler keys a fused kernel by this constant, the fusion kind and
+    the input kernels' sources instead of by its printed text, so any
+    change to the front end, the fusers or the printer that moves a
+    fused kernel's bytes must bump it: test/golden/pretty.md5 pins those
+    bytes, and the profiler suite pins this constant beside that
+    golden's digest. *)
+val version : string
+
 exception Fusion_error of string
 
 val fail : ('a, Format.formatter, unit, 'b) format4 -> 'a

@@ -3,12 +3,16 @@
    The Fig. 6 search re-profiles the same fused kernels on every
    [bench] or [hfuse search] rerun; the cycle-level simulator makes
    each of those profiles expensive.  This cache keys a candidate by a
-   content hash of everything its simulated time depends on — GPU
-   model, fused kernel source, partition, launch geometry, register
-   bound, workload sizes, and the trace-block count — so a warmed cache
-   reproduces cold-run times exactly and invalidates itself whenever
-   any input changes (including compiler changes that alter the emitted
-   fused source).
+   hash of everything its simulated time depends on — GPU model, the
+   fused kernel's fusion identity (what generated it: the fusion kind,
+   both input sources and [Fuse_common.version]), partition, launch
+   geometry, register bound, workload sizes, and the trace-block count
+   — so a warmed cache reproduces cold-run times exactly and misses
+   whenever an input changes.  The key holds no printed source, so a
+   compiler change that alters the emitted fused source invalidates
+   the entries only through the version guard: test/golden/pretty.md5
+   pins every fused byte, and the profiler suite fails until
+   [Fuse_common.version] moves with it.
 
    Entries are {!Store} entries under [dir]/v2/<digest> (times as a
    single [%h] hex-float line; [r-<digest>] files hold whole
@@ -20,10 +24,13 @@
    counters need no locking.  Concurrent requests hold their own
    handles. *)
 
-(* bump whenever the key derivation, the entry format, or the timing
-   model's inputs change incompatibly, or the engine changes what it
-   reports for the same launches (test/golden/replay.md5 and draws.md5
-   pin that); old entries are simply never looked up again *)
+(* bump whenever the entry format or the timing model's inputs change
+   incompatibly, or the engine changes what it reports for the same
+   launches (test/golden/replay.md5 and draws.md5 pin that); old
+   entries are simply never looked up again.  A change to the key
+   derivation itself needs no bump when it renames every entry it
+   touches (a regeneration of test/golden/keys.md5 shows that), since
+   no old name can then be read as a new one. *)
 let version = "v2"
 let magic = "hfuse-cache"
 
@@ -64,10 +71,10 @@ let disabled () = { store = None; stats = fresh_stats () }
 (* Keys                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(** Content hash of a profiled candidate.  Every input the simulated
-    time depends on participates; the fused source (not just the pair's
-    names) makes compiler changes self-invalidating. *)
-let key ~(arch : string) ~(source : string) ~(d1 : int) ~(d2 : int)
+(** Hash of a profiled candidate.  Every input the simulated time
+    depends on participates; [fusion] names what generated the fused
+    kernel (see the header). *)
+let key ~(arch : string) ~(fusion : string) ~(d1 : int) ~(d2 : int)
     ~(grid : int) ~(smem_dynamic : int) ~(regs : int)
     ~(reg_bound : int option) ~(k1 : string) ~(size1 : int) ~(k2 : string)
     ~(size2 : int) ~(trace_blocks : int) : string =
@@ -90,7 +97,7 @@ let key ~(arch : string) ~(source : string) ~(d1 : int) ~(d2 : int)
       string_of_int regs;
       (match reg_bound with None -> "-" | Some r -> string_of_int r);
       string_of_int trace_blocks;
-      source;
+      fusion;
     ];
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
@@ -149,7 +156,7 @@ let store (t : t) ~(key : string) (time_ms : float) : unit =
    counter exact, every float stored as [%h] — keyed by each launch's
    scalars and the identity of its traces: the {!Trace_store} digest
    they are filed under (kernel, sizes, block dims, traced blocks, fuel
-   and a source digest; for a fused kernel, its printed source).  Traces
+   and a source digest; for a fused kernel, its fusion identity).  Traces
    are a pure function of that identity, so a hit is bit-identical to
    re-running the engine on them, and a warm lookup reads no trace at
    all: the traces are loaded or recorded only when the report misses.

@@ -1,14 +1,18 @@
 (** Persistent on-disk cache of profiled candidate times and replay
     reports.
 
-    Time keys are content hashes of everything a candidate's simulated
-    time depends on (GPU model, fused source, partition, launch
-    geometry, register bound, workload sizes, trace-block count), so
-    repeated [bench] / [hfuse search] sweeps skip the simulator
-    entirely and the cache self-invalidates when any input — including
-    the compiler's emitted source — changes.  Report keys name each
-    launch's traces by their trace-store identity ({!report_key}), so
-    a warm report lookup reads no trace.
+    Time keys are hashes of everything a candidate's simulated time
+    depends on (GPU model, the fused kernel's fusion identity,
+    partition, launch geometry, register bound, workload sizes,
+    trace-block count), so repeated [bench] / [hfuse search] sweeps
+    skip the simulator entirely, print no fused source, and miss when
+    any input changes.  The fusion identity names what generated the
+    kernel (kind, both input sources, [Fuse_common.version]), not its
+    bytes: a compiler change that moves the emitted source retires the
+    entries only by bumping that version, which the profiler suite
+    requires whenever test/golden/pretty.md5 changes.  Report keys name
+    each launch's traces by their trace-store identity ({!report_key}),
+    so a warm report lookup reads no trace.
 
     The same keys make a resumed run ([--resume]) a warm run: without a
     cache of its own, it profiles into a root named by its parameters
@@ -29,7 +33,9 @@ type t
 (** Entry-format/version tag of the entry directory, folded into every
     key.  Bumped with any engine change that moves a report for the
     same launches (test/golden/replay.md5 and draws.md5 pin those; the
-    profiler suite pins this tag beside their digests). *)
+    profiler suite pins this tag beside their digests).  A key
+    derivation change that renames every entry it touches needs no
+    bump. *)
 val version : string
 
 (** Default cache directory ([_hfuse_cache], relative to the cwd). *)
@@ -51,10 +57,11 @@ val dir : t -> string
 (** {!Store.mkdir_p}. *)
 val mkdir_p : string -> unit
 
-(** Content hash identifying one profiled candidate. *)
+(** Hash identifying one profiled candidate; [fusion] is the fused
+    kernel's fusion identity ([Runner.fusion_id]). *)
 val key :
   arch:string ->
-  source:string ->
+  fusion:string ->
   d1:int ->
   d2:int ->
   grid:int ->
@@ -90,7 +97,7 @@ type part = {
   trace : string;
       (** the {!Trace_store.key} digest the launch's traces are filed
           under: kernel, sizes, block dims, traced blocks, fuel and a
-          source digest (a fused kernel's printed source) *)
+          source digest (a fused kernel's fusion identity) *)
 }
 
 (** Hash identifying one measurement replay: the GPU model, dispatch

@@ -130,10 +130,10 @@ type trace_key =
    LRU (shared by every request, bounded by [Settings.trace_mem_mb])
    over a persistent on-disk tier under the profile-cache root, both
    under one digest of everything the keys above name plus the
-   simulation fuel and the kernel source's digest (names alone would
-   go stale when a kernel's source changes under a persistent
-   directory).  The same digest names the traces in replay-report
-   keys. *)
+   simulation fuel and the launched kernel's origin: a kernel's source
+   digest (names alone would go stale when a kernel's source changes
+   under a persistent directory), a fused kernel's [fusion_id].  The
+   same digest names the traces in replay-report keys. *)
 
 (* A profiled value resolves through two tiers: the persistent cache
    (touched by the resolving domain only), then the trace store's
@@ -216,13 +216,13 @@ let trace_ident (key : trace_key) : string list =
       [ "vfuse"; k1; string_of_int size1; k2; string_of_int size2;
         string_of_int block; string_of_int tb ]
 
-(* the digest [key]'s traces are filed under, [source_digest] being
-   the hex MD5 of the launched kernel's source *)
-let store_key ~(s : Settings.t) ~(source_digest : string) (key : trace_key) :
-    string =
+(* the digest [key]'s traces are filed under, [origin] naming what the
+   launched kernel was made from: a configured kernel's
+   [source_digest], a fused kernel's [fusion_id] *)
+let store_key ~(s : Settings.t) ~(origin : string) (key : trace_key) : string =
   Trace_store.key ~sim_fuel:s.Settings.sim_fuel
     ~trace_blocks:s.Settings.trace_blocks
-    ~ident:(trace_ident key @ [ source_digest ])
+    ~ident:(trace_ident key @ [ origin ])
 
 (* traces resolve memory tier → disk → recording *)
 let traced ~(s : Settings.t) ~(digest : string) (key : trace_key)
@@ -300,7 +300,7 @@ let launch_of ~settings:(s : Settings.t) (c : configured)
       { kernel = c.spec.name; size = c.size; block_dim = d;
         tb = s.Settings.trace_blocks }
   in
-  let digest = store_key ~s ~source_digest:c.source_digest key in
+  let digest = store_key ~s ~origin:c.source_digest key in
   keyed ~s ~digest
     {
       Timing.label = c.spec.name;
@@ -335,6 +335,26 @@ let solo ~settings (arch : Arch.t) (c : configured) : Timing.report =
 (* Fused runs                                                           *)
 (* ------------------------------------------------------------------ *)
 
+type fusion = Hfused | Vfused | Repaired of string
+
+(* What a fused kernel's keys name it by instead of its printed source.
+   A fused kernel is a pure function of the fusion kind, the two
+   sources and what enters every key beside this identity (sizes,
+   partition, geometry, registers), under the generator that
+   [Fuse_common.version] names; a repaired one went through transforms
+   the identity does not name, so it carries its own printed source. *)
+let fusion_id (fusion : fusion) (c1 : configured) (c2 : configured) : string =
+  let kind =
+    match fusion with
+    | Hfused -> [ "hfuse" ]
+    | Vfused -> [ "vfuse" ]
+    | Repaired source -> [ "repaired"; source ]
+  in
+  md5_hex
+    (String.concat "\x00"
+       ((Hfuse_core.Fuse_common.version :: kind)
+       @ [ c1.source_digest; c2.source_digest ]))
+
 let hfuse_key ~(tb : int) (c1 : configured) (c2 : configured)
     (f : Hfuse_core.Hfuse.t) : trace_key =
   K_hfuse
@@ -349,26 +369,27 @@ let hfuse_key ~(tb : int) (c1 : configured) (c2 : configured)
     }
 
 (* The traces of a fused kernel over [c1] and [c2], filed under
-   [digest], the store key of [key] and the kernel's printed source *)
+   [digest], the store key of [key] and the kernel's [fusion_id] *)
 let fused_traces ~(s : Settings.t) ~(digest : string) (key : trace_key)
     (c1 : configured) (c2 : configured) (info : Hfuse_core.Kernel_info.t) :
     Trace.block array =
   traced ~s ~digest key (fun () ->
       record ~s [ c1; c2 ] (Hfuse_core.Kernel_info.normalized info))
 
-(* the fused kernel's trace key, and the digest its traces are filed
-   under (the source is printed here) *)
-let hfuse_trace_id ~(s : Settings.t) (c1 : configured) (c2 : configured)
-    (f : Hfuse_core.Hfuse.t) : trace_key * string =
+(* the trace key of [f], fused from [c1] and [c2] as [fusion] (a
+   [fusion_id]) names, and the digest its traces are filed under *)
+let hfuse_trace_id ~(s : Settings.t) ~(fusion : string) (c1 : configured)
+    (c2 : configured) (f : Hfuse_core.Hfuse.t) : trace_key * string =
   let key = hfuse_key ~tb:s.Settings.trace_blocks c1 c2 f in
-  (key, store_key ~s ~source_digest:(md5_hex (Hfuse_core.Hfuse.to_source f)) key)
+  (key, store_key ~s ~origin:fusion key)
 
 (** Traces of the horizontally fused kernel (recorded on first use;
     stored).  [arch] is unused: traces are arch-independent. *)
 let hfuse_traces ~settings:(s : Settings.t) ?arch:(_ : string option)
     (c1 : configured) (c2 : configured) (f : Hfuse_core.Hfuse.t) :
     Trace.block array =
-  let key, digest = hfuse_trace_id ~s c1 c2 f in
+  let fusion = fusion_id Hfused c1 c2 in
+  let key, digest = hfuse_trace_id ~s ~fusion c1 c2 f in
   fused_traces ~s ~digest key c1 c2 (Hfuse_core.Hfuse.info f)
 
 (** Launch spec for a fused candidate over already-recorded traces.
@@ -392,12 +413,15 @@ let hfuse_spec (f : Hfuse_core.Hfuse.t) ~(reg_bound : int option)
     stream = 0;
   }
 
-(** A horizontally fused kernel under a register bound; its source is
-    printed and digested once for every bound it is applied to. *)
-let hfuse_launch ~settings:(s : Settings.t) (c1 : configured)
+(** A horizontally fused kernel under a register bound, keyed by
+    [fusion] (default: [Hfused]'s identity). *)
+let hfuse_launch ~settings:(s : Settings.t) ?fusion (c1 : configured)
     (c2 : configured) (f : Hfuse_core.Hfuse.t) : reg_bound:int option -> launch
     =
-  let key, digest = hfuse_trace_id ~s c1 c2 f in
+  let fusion =
+    match fusion with Some id -> id | None -> fusion_id Hfused c1 c2
+  in
+  let key, digest = hfuse_trace_id ~s ~fusion c1 c2 f in
   fun ~reg_bound ->
     keyed ~s ~digest (hfuse_spec f ~reg_bound ~traces:[||]) (fun () ->
         fused_traces ~s ~digest key c1 c2 (Hfuse_core.Hfuse.info f))
@@ -444,9 +468,7 @@ let vfuse_launch ~settings:(s : Settings.t) (c1 : configured)
         tb = s.Settings.trace_blocks;
       }
   in
-  let digest =
-    store_key ~s ~source_digest:(md5_hex (Hfuse_core.Vfuse.to_source v)) key
-  in
+  let digest = store_key ~s ~origin:(fusion_id Vfused c1 c2) key in
   keyed ~s ~digest
     {
       Timing.label = v.fn.f_name;
@@ -604,12 +626,12 @@ let model_eval ?(k = 1) ~(scores : float list) ~(times : float list) () :
       Some (i, regret)
   | _ -> None
 
-(* [source] is [Hfuse.to_source f], printed once per partition by the
-   search *)
-let candidate_key ~(s : Settings.t) (arch : Arch.t) (c1 : configured)
-    (c2 : configured) (f : Hfuse_core.Hfuse.t) ~(source : string)
+(* the time entry of [f], fused from [c1] and [c2] as [fusion] (a
+   [fusion_id]) names, under [reg_bound] *)
+let candidate_key ~settings:(s : Settings.t) (arch : Arch.t) (c1 : configured)
+    (c2 : configured) ~(fusion : string) (f : Hfuse_core.Hfuse.t)
     ~(reg_bound : int option) : string =
-  Profile_cache.key ~arch:arch.Arch.name ~source
+  Profile_cache.key ~arch:arch.Arch.name ~fusion
     ~d1:f.d1 ~d2:f.d2 ~grid:f.grid ~smem_dynamic:f.smem_dynamic ~regs:f.regs
     ~reg_bound ~k1:c1.spec.name ~size1:c1.size ~k2:c2.spec.name
     ~size2:c2.size ~trace_blocks:s.Settings.trace_blocks
@@ -778,12 +800,13 @@ type candidate = Hfuse_core.Hfuse.t * Search.config
 
 exception All_candidates_failed of string
 
-(* What every stage of one search shares.  [sources]: each partition's
-   fused kernel printed once (one fused kernel per partition within a
-   search): the one source keys both register-bound variants' time
-   entries, in the probe batch and in the full batch, and the
-   partition's trace entry.  [failures]: the search's failed candidates
-   by time key.  Both are touched on the calling domain only and die
+(* What every stage of one search shares.  [fusion]: the pair's
+   [Hfused] identity, which keys every plain candidate's time entry and
+   trace entry (one fused kernel per partition within a search, so the
+   partition and the pair's names complete the key); [repaired]: the
+   [Repaired] identity of each partition [repair_stage] admitted, its
+   one printed source.  [failures]: the search's failed candidates by
+   time key.  The tables are touched on the calling domain only and die
    with the search. *)
 type ctx = {
   s : Settings.t;
@@ -792,17 +815,13 @@ type ctx = {
   c2 : configured;
   cache : Profile_cache.t;
   pool : Pool.t;
-  sources : (Hfuse_core.Partition.t, string) Hashtbl.t;
+  fusion : string;
+  repaired : (Hfuse_core.Partition.t, string) Hashtbl.t;
   failures : (string, Pool.failure) Hashtbl.t;
 }
 
-let source_of ctx ((f, cfg) : candidate) : string =
-  match Hashtbl.find_opt ctx.sources cfg.partition with
-  | Some src -> src
-  | None ->
-      let src = Hfuse_core.Hfuse.to_source f in
-      Hashtbl.add ctx.sources cfg.partition src;
-      src
+let fusion_of ctx ((_, cfg) : candidate) : string =
+  Option.value (Hashtbl.find_opt ctx.repaired cfg.partition) ~default:ctx.fusion
 
 (* A candidate whose profile fails (fuel exhaustion, deadlock, a
    crashed worker past its retry budget) is excluded by giving it an
@@ -837,7 +856,7 @@ let candidate_failed ctx ~(key : string) ((f, cfg) : candidate)
    each miss's launch spec or failure; an exception that is not a
    profile failure (Out_of_memory, programming errors) aborts the
    search. *)
-let trace_stage ctx (batch : candidate array) ~(srcs : string array)
+let trace_stage ctx (batch : candidate array) ~(fusions : string array)
     ~(keys : string array) (misses : int array) :
     int -> (Timing.launch_spec, Pool.failure) result =
   let t0 = Unix.gettimeofday () in
@@ -868,8 +887,7 @@ let trace_stage ctx (batch : candidate array) ~(srcs : string array)
         let key = trace_key i in
         let traces =
           traced ~s:ctx.s
-            ~digest:
-              (store_key ~s:ctx.s ~source_digest:(md5_hex srcs.(i)) key)
+            ~digest:(store_key ~s:ctx.s ~origin:fusions.(i) key)
             key
             (fun () ->
               fresh := true;
@@ -911,12 +929,12 @@ let trace_stage ctx (batch : candidate array) ~(srcs : string array)
 let replay_stage ctx (candidates : candidate list) : float list =
   let t0 = Unix.gettimeofday () in
   let batch = Array.of_list candidates in
-  let srcs = Array.map (source_of ctx) batch in
+  let fusions = Array.map (fusion_of ctx) batch in
   let keys =
     Array.mapi
       (fun i (f, (cfg : Search.config)) ->
-        candidate_key ~s:ctx.s ctx.arch ctx.c1 ctx.c2 f ~source:srcs.(i)
-          ~reg_bound:cfg.reg_bound)
+        candidate_key ~settings:ctx.s ctx.arch ctx.c1 ctx.c2
+          ~fusion:fusions.(i) f ~reg_bound:cfg.reg_bound)
       batch
   in
   let got =
@@ -925,7 +943,7 @@ let replay_stage ctx (candidates : candidate list) : float list =
       (time_tiers ~s:ctx.s ~cache:ctx.cache)
       keys
       ~plan:(fun misses ->
-        let spec = trace_stage ctx batch ~srcs ~keys misses in
+        let spec = trace_stage ctx batch ~fusions ~keys misses in
         fun i ->
           Result.map
             (fun spec () -> (Timing.run ctx.arch [ spec ]).Timing.time_ms)
@@ -988,7 +1006,8 @@ let rank_stage ctx ~(top_k : int option) (candidates : candidate list) :
   Hfuse_costmodel.rank inputs candidates
 
 (* repair: [Search.search]'s [~repair] hook — one [Repair.attempt] per
-   rejected partition, admitted only past [repair_gate] *)
+   rejected partition, admitted only past [repair_gate]; an admitted
+   fusion is printed here, once, for its [Repaired] identity *)
 let repair_stage ctx ~k1 ~k2 (_ : Hfuse_analysis.Diag.t list) :
     Search.repair_outcome option =
   Ledger.add Counters.repair_attempted 1;
@@ -999,6 +1018,11 @@ let repair_stage ctx ~k1 ~k2 (_ : Hfuse_analysis.Diag.t list) :
   | Ok (r : Hfuse_repair.Repair.repaired) ->
       if repair_gate ~s:ctx.s ctx.c1 ctx.c2 r.fused then begin
         Ledger.add Counters.repaired 1;
+        let threads = Hfuse_core.Kernel_info.threads_per_block in
+        Hashtbl.replace ctx.repaired
+          { Hfuse_core.Partition.d1 = threads k1; d2 = threads k2 }
+          (fusion_id (Repaired (Hfuse_core.Hfuse.to_source r.fused)) ctx.c1
+             ctx.c2);
         Some { Search.r_fused = r.fused; r_reg_bound = r.reg_bound }
       end
       else begin
@@ -1068,8 +1092,8 @@ let search ?(jobs = 1) ?pool ~settings:(s : Settings.t) ?stats ?cache
   let ctx, result =
     with_search_pool @@ fun pool ->
     let ctx =
-      { s; arch; c1; c2; cache; pool; sources = Hashtbl.create 16;
-        failures = Hashtbl.create 4 }
+      { s; arch; c1; c2; cache; pool; fusion = fusion_id Hfused c1 c2;
+        repaired = Hashtbl.create 4; failures = Hashtbl.create 4 }
     in
     ( ctx,
       Search.search ~limits:(Arch.sm_limits arch) ~profile:(replay_stage ctx)

@@ -48,7 +48,7 @@ val configure :
     collide onto one entry (the old packed encoding could, returning a
     stale trace).  The {!Trace_store} digest additionally folds in the
     simulation fuel and the kernel source's digest (for a fused kernel,
-    its printed source); it is the traces' identity in report keys. *)
+    its {!fusion_id}); it is the traces' identity in report keys. *)
 type trace_key =
   | K_solo of { kernel : string; size : int; block_dim : int; tb : int }
   | K_hfuse of {
@@ -77,7 +77,8 @@ val static_smem : Hfuse_core.Kernel_info.t -> int
 
 (** A launch the report tiers resolve: its part of the report key
     (launch scalars and the identity of its traces, {!trace_key} plus
-    fuel and source digest), and its launch spec, whose traces are
+    fuel and source digest or {!fusion_id}), and its launch spec, whose
+    traces are
     loaded from the trace store or recorded only when called.  The
     report tiers call it only on a miss, so a report hit reads no
     trace.  [spec] is pure and safe on any domain. *)
@@ -121,10 +122,33 @@ val native :
 val solo :
   settings:Settings.t -> Gpusim.Arch.t -> configured -> Gpusim.Timing.report
 
-(** Traces of a horizontally fused kernel (recorded in a fresh memory
-    on first use; stored).  Single-flighted: concurrent callers of one
-    key share the first recording.  [arch] is accepted and unused:
-    traces are arch-independent. *)
+(** What generated a fused kernel: [Hfuse_core.Hfuse.generate] over the
+    pair at the kernel's partition, {!vfuse_generate} over the pair, or
+    the repair engine, with the repaired kernel's printed source. *)
+type fusion = Hfused | Vfused | Repaired of string
+
+(** The identity a fused kernel's time and trace keys carry in place of
+    its printed source: a digest of
+    [Hfuse_core.Fuse_common.version], the fusion kind (and a repaired
+    kernel's source) and both kernels' [source_digest].  The sizes,
+    partition, geometry, registers and traced blocks enter the keys
+    beside it.  Sound because the printed fused source of every fleet
+    partition and paper-pair vfuse is pinned by test/golden/pretty.md5,
+    and the profiler suite requires [Fuse_common.version] to move with
+    that golden.  Prints nothing except for [Repaired]. *)
+val fusion_id : fusion -> configured -> configured -> string
+
+(** The time-entry key ({!Profile_cache.key}) of a fused candidate
+    under [reg_bound], [fusion] being its {!fusion_id}. *)
+val candidate_key :
+  settings:Settings.t -> Gpusim.Arch.t -> configured -> configured ->
+  fusion:string -> Hfuse_core.Hfuse.t -> reg_bound:int option -> string
+
+(** Traces of a horizontally fused kernel, [Hfused] from the pair
+    (recorded in a fresh memory on first use; stored).
+    Single-flighted: concurrent callers of one key share the first
+    recording.  [arch] is accepted and unused: traces are
+    arch-independent. *)
 val hfuse_traces :
   settings:Settings.t -> ?arch:string -> configured -> configured ->
   Hfuse_core.Hfuse.t -> Gpusim.Trace.block array
@@ -136,15 +160,15 @@ val hfuse_spec :
   traces:Gpusim.Trace.block array -> Gpusim.Timing.launch_spec
 
 (** A horizontally fused kernel under a register bound, as a keyed
-    launch; applied to [settings], the pair and the kernel, it prints
-    and digests the fused source once for every bound it is then
-    given. *)
+    launch whose traces are filed under [fusion] (a {!fusion_id};
+    default: [Hfused]'s).  Prints nothing. *)
 val hfuse_launch :
-  settings:Settings.t -> configured -> configured -> Hfuse_core.Hfuse.t ->
-  reg_bound:int option -> launch
+  settings:Settings.t -> ?fusion:string -> configured -> configured ->
+  Hfuse_core.Hfuse.t -> reg_bound:int option -> launch
 
-(** Time a fused kernel under an optional register bound (interprets it
-    in profiling mode on first use; replayed like {!solo}). *)
+(** Time a fused kernel, [Hfused] from the pair, under an optional
+    register bound (interprets it in profiling mode on first use;
+    replayed like {!solo}). *)
 val hfuse_report :
   settings:Settings.t -> Gpusim.Arch.t -> configured -> configured ->
   Hfuse_core.Hfuse.t -> reg_bound:int option -> Gpusim.Timing.report
@@ -154,8 +178,9 @@ val hfuse_report :
     @raise Hfuse_core.Fuse_common.Fusion_error when illegal. *)
 val vfuse_generate : configured -> configured -> Hfuse_core.Vfuse.t
 
-(** The vertical baseline as a keyed launch (its traces are recorded
-    in a fresh memory when first needed). *)
+(** The vertical baseline as a keyed launch, filed under [Vfused]'s
+    {!fusion_id} (its traces are recorded in a fresh memory when first
+    needed). *)
 val vfuse_launch :
   settings:Settings.t -> configured -> configured -> Hfuse_core.Vfuse.t ->
   launch

@@ -20,8 +20,9 @@
 
    - a process-wide in-memory LRU keyed by a digest of everything the
      trace depends on (kernel identities + sizes + partition + launch
-     geometry + trace-block count + simulation fuel + a source
-     digest).  One table for the whole process, so concurrent daemon
+     geometry + trace-block count + simulation fuel + what the kernel
+     was made from: its source digest, or a fused kernel's fusion
+     identity).  One table for the whole process, so concurrent daemon
      requests share warm traces.  The same table is Runner's memo tier for replay reports
      and candidate times, so an optional byte bound
      ([Settings.trace_mem_mb]) covers everything a long-lived daemon
@@ -48,11 +49,13 @@
 
 module Trace = Gpusim.Trace
 
-(* bump whenever the key derivation or Trace.encode_blocks changes
-   incompatibly, or the interpreter or a workload changes what a trace
-   holds (the goldens interp.md5, inputs.md5 and value.md5 pin that);
-   old entries and the replay reports keyed by them are simply never
-   looked up again *)
+(* bump whenever Trace.encode_blocks changes incompatibly, or the
+   interpreter or a workload changes what a trace holds (the goldens
+   interp.md5, inputs.md5 and value.md5 pin that); old entries and the
+   replay reports keyed by them are simply never looked up again.  A
+   change to the key derivation needs no bump when it renames every
+   entry it touches (a regeneration of test/golden/keys.md5 shows
+   that), since no old name can then be read as a new one. *)
 let version = "v1"
 let magic = "hfuse-traces"
 

@@ -27,7 +27,8 @@ val version : string
 
 (** The digest one trace identity is filed under, in both tiers.
     [ident] is the rendered trace identity (kernel names, sizes,
-    partition, geometry, plus a source digest); [sim_fuel] and
+    partition, geometry, plus a source digest or a fused kernel's
+    fusion identity); [sim_fuel] and
     [trace_blocks] always participate (a trace recorded under generous
     fuel must not mask a timeout under a tight one).  The arch does
     not: traces are arch-independent.  Replay reports are keyed by

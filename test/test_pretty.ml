@@ -136,10 +136,12 @@ let print_deterministic =
 
 (* -- Golden bytes ------------------------------------------------------- *)
 
-(* [golden/pretty.md5] pins the printer's exact output: the source text
-   of a fused kernel is part of every profile-cache and trace-store key,
-   so a printer that changed one byte would turn every existing cache
-   root cold.  One md5 per line, each over the printed programs of one
+(* [golden/pretty.md5] pins the printer's exact output.  Cached times
+   and traces of a fused kernel are keyed by what generated it, not by
+   its printed source, so this golden is what notices a fused byte
+   moving: the profiler suite pins its digest beside
+   [Fuse_common.version], which must be bumped with it.  One md5 per
+   line, each over the printed programs of one
    group: a corpus kernel, every partition of every fleet pair led by
    one kernel, the vertical baseline of a paper pair, a batch of fuzzer
    programs, deep statement nests (whose indentation stops growing at

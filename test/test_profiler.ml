@@ -115,9 +115,10 @@ let clear_cache_dir (cache : Profile_cache.t) =
 let some_time = Alcotest.(option (float 0.0)) (* exact match *)
 
 let mk_key ?(reg_bound = Some 32) () =
-  Profile_cache.key ~arch:"GTX 1080 Ti" ~source:"__global__ void f() {}"
-    ~d1:128 ~d2:896 ~grid:96 ~smem_dynamic:768 ~regs:36 ~reg_bound ~k1:"ta"
-    ~size1:3 ~k2:"tb" ~size2:5 ~trace_blocks:1
+  Profile_cache.key ~arch:"GTX 1080 Ti"
+    ~fusion:(Digest.to_hex (Digest.string "f")) ~d1:128 ~d2:896 ~grid:96
+    ~smem_dynamic:768 ~regs:36 ~reg_bound ~k1:"ta" ~size1:3 ~k2:"tb" ~size2:5
+    ~trace_blocks:1
 
 let test_profile_cache_roundtrip () =
   let cache = Profile_cache.create ~dir:(tmp_cache_dir "roundtrip") () in
@@ -842,11 +843,161 @@ let test_report_key_trace_identity () =
   let l = launch ~stream:1 c in
   differs "stream" ~same_trace:true l (key l)
 
+(* A fused kernel's time key and trace digest name it by its fusion
+   identity, not by its printed source, so every input of the
+   generators must still reach them.  A draw picks each input from two
+   (or three) values; a second draw moves one field, or none.  The keys
+   agree exactly when the draws agree on every input the key stands
+   on: for the time key (a vertical baseline's report key), all of
+   them; for the trace digest, all but the register bound and the arch,
+   which by design share traces (a partition's register-bound variants
+   replay one recording; traces are arch-independent).  Fields a kind
+   does not have (a vertical baseline's partition and bound, a plain
+   fusion's repaired source) are ignored. *)
+type fused_kind = Plain | Repair | Vertical
+
+type fused_draw = {
+  v1 : bool;  (** first kernel's source variant *)
+  v2 : bool;
+  n1 : int;  (** sizes *)
+  n2 : int;
+  at : int;  (** partition index *)
+  bound : int option;
+  tblocks : int;
+  on_v100 : bool;
+  kind : fused_kind;
+  resrc : bool;  (** a repaired kernel's source variant *)
+}
+
+let fused_partitions = [| (256, 256); (128, 256); (128, 384) |]
+
+let fused_specs =
+  let tun = Hfuse_core.Kernel_info.Tunable { multiple_of = 32 } in
+  let mk name expr =
+    mk_spec name expr ~tunability:tun ~native_block:(256, 1, 1)
+  in
+  ( (mk "tc" "a[i] * 2.0f", mk "tc" "a[i] * 3.0f"),
+    (mk "td" "a[i] + 1.0f", mk "td" "a[i] + 2.0f") )
+
+let fused_draw_gen : fused_draw QCheck.Gen.t =
+  let open QCheck.Gen in
+  let* v1 = bool and* v2 = bool and* n1 = int_range 1 2 in
+  let* n2 = int_range 1 2 and* at = int_range 0 2 in
+  let* bound = opt (int_range 16 17) and* tblocks = int_range 1 2 in
+  let* on_v100 = bool and* resrc = bool in
+  let+ kind = oneofl [ Plain; Repair; Vertical ] in
+  { v1; v2; n1; n2; at; bound; tblocks; on_v100; kind; resrc }
+
+(* [d] with field [i] moved; [i] past the last field moves nothing *)
+let move_fused (d : fused_draw) (i : int) : fused_draw =
+  match i with
+  | 0 -> { d with v1 = not d.v1 }
+  | 1 -> { d with v2 = not d.v2 }
+  | 2 -> { d with n1 = 3 - d.n1 }
+  | 3 -> { d with n2 = 3 - d.n2 }
+  | 4 -> { d with at = (d.at + 1) mod Array.length fused_partitions }
+  | 5 ->
+      { d with bound = (match d.bound with None -> Some 16 | Some _ -> None) }
+  | 6 -> { d with tblocks = 3 - d.tblocks }
+  | 7 -> { d with on_v100 = not d.on_v100 }
+  | 8 ->
+      let kind =
+        match d.kind with Plain -> Repair | Repair -> Vertical | Vertical -> Plain
+      in
+      { d with kind }
+  | 9 -> { d with resrc = not d.resrc }
+  | _ -> d
+
+(* the inputs each key stands on *)
+let time_inputs (d : fused_draw) =
+  match d.kind with
+  | Plain -> { d with resrc = false }
+  | Repair -> d
+  | Vertical -> { d with at = 0; bound = None; resrc = false }
+
+let trace_inputs (d : fused_draw) =
+  { (time_inputs d) with bound = None; on_v100 = false }
+
+(* (time key, trace digest) of the candidate [d] describes *)
+let fused_keys (d : fused_draw) : string * string =
+  let settings =
+    { (Test_util.env_settings ()) with trace_blocks = d.tblocks }
+  in
+  let arch = if d.on_v100 then Arch.v100 else Arch.gtx1080ti in
+  let (a, a'), (b, b') = fused_specs in
+  let mem = Memory.create () in
+  let c1 = Runner.configure mem (if d.v1 then a' else a) ~size:d.n1 in
+  let c2 = Runner.configure mem (if d.v2 then b' else b) ~size:d.n2 in
+  match d.kind with
+  | Vertical ->
+      let v = Runner.vfuse_generate c1 c2 in
+      let l = Runner.vfuse_launch ~settings c1 c2 v in
+      (Runner.report_key arch [ l ], l.part.trace)
+  | Plain | Repair ->
+      let d1, d2 = fused_partitions.(d.at) in
+      let f =
+        Hfuse_core.Hfuse.generate
+          (Hfuse_core.Kernel_info.with_block_dim c1.info d1)
+          (Hfuse_core.Kernel_info.with_block_dim c2.info d2)
+      in
+      let fusion =
+        Runner.fusion_id
+          (if d.kind = Plain then Runner.Hfused
+           else
+             Runner.Repaired
+               (Hfuse_core.Hfuse.to_source f ^ if d.resrc then "\n" else ""))
+          c1 c2
+      in
+      let reg_bound = d.bound in
+      ( Runner.candidate_key ~settings arch c1 c2 ~fusion f ~reg_bound,
+        (Runner.hfuse_launch ~settings ~fusion c1 c2 f ~reg_bound).part.trace )
+
+let test_fused_keys_inputs =
+  QCheck.Test.make ~name:"every fusion input reaches the fused keys" ~count:300
+    (QCheck.make QCheck.Gen.(pair fused_draw_gen (int_range 0 10)))
+    (fun (d, i) ->
+      let d' = move_fused d i in
+      let time, trace = fused_keys d and time', trace' = fused_keys d' in
+      (time = time') = (time_inputs d = time_inputs d')
+      && (trace = trace') = (trace_inputs d = trace_inputs d'))
+
+(* the search keys a repaired partition apart from its plain fusion
+   even where the two print the same source *)
+let test_repaired_keys_apart () =
+  let (a, _), (b, _) = fused_specs in
+  let mem = Memory.create () in
+  let c1 = Runner.configure mem a ~size:1 in
+  let c2 = Runner.configure mem b ~size:1 in
+  let settings = Test_util.env_settings () in
+  let f =
+    Hfuse_core.Hfuse.generate
+      (Hfuse_core.Kernel_info.with_block_dim c1.info 256)
+      (Hfuse_core.Kernel_info.with_block_dim c2.info 256)
+  in
+  let keys fusion =
+    ( Runner.candidate_key ~settings arch c1 c2 ~fusion f ~reg_bound:None,
+      (Runner.hfuse_launch ~settings ~fusion c1 c2 f ~reg_bound:None).part
+        .trace )
+  in
+  let plain = Runner.fusion_id Runner.Hfused c1 c2 in
+  let repaired =
+    Runner.fusion_id (Runner.Repaired (Hfuse_core.Hfuse.to_source f)) c1 c2
+  in
+  let (t, tr), (t', tr') = (keys plain, keys repaired) in
+  Alcotest.(check bool) "time keys apart" true (t <> t');
+  Alcotest.(check bool) "trace digests apart" true (tr <> tr');
+  (* the default identity of [hfuse_launch] is the plain one *)
+  Alcotest.(check string) "default fusion" tr
+    (Runner.hfuse_launch ~settings c1 c2 f ~reg_bound:None).part.trace
+
 (* Disk traces and replay reports trust a trace's identity, not its
-   bytes: a change to what an identity records must bump the version
-   that retires the stale entries.  [golden/versions.md5] records each
-   version beside the digests of the goldens that pin those bytes, so
-   regenerating one of them without the bump fails here. *)
+   bytes, and a fused kernel's time and trace entries trust its fusion
+   identity, not its printed source: a change to what an identity
+   stands for must bump the version that retires the stale entries.
+   [golden/versions.md5] records each version beside the digests of the
+   goldens that pin those bytes (pretty.md5: every fleet partition's
+   and paper-pair vfuse's printed fused source), so regenerating one of
+   them without the bump fails here. *)
 let test_versions_follow_goldens () =
   let recorded =
     In_channel.with_open_bin (Filename.concat "golden" "versions.md5")
@@ -879,6 +1030,7 @@ let test_versions_follow_goldens () =
       ( "Profile_cache.version",
         Profile_cache.version,
         [ "replay.md5"; "draws.md5" ] );
+      ("Fuse_common.version", Hfuse_core.Fuse_common.version, [ "pretty.md5" ]);
     ]
 
 (* -- Trace_store: disk round trip, quarantine, LRU ----------------------- *)
@@ -1388,6 +1540,9 @@ let suite =
     QCheck_alcotest.to_alcotest test_report_key_scalars;
     Alcotest.test_case "trace identity reaches the report key" `Quick
       test_report_key_trace_identity;
+    QCheck_alcotest.to_alcotest test_fused_keys_inputs;
+    Alcotest.test_case "a repaired candidate keys apart from its plain fusion"
+      `Quick test_repaired_keys_apart;
     Alcotest.test_case "trace identity versions follow the goldens" `Quick
       test_versions_follow_goldens;
     Alcotest.test_case "trace store disk round trip" `Quick

@@ -1227,10 +1227,12 @@ let test_golden_search_bytes () =
 
 (* The entry names a cold exhaustive search writes into a fresh root —
    time, report and trace entries, as paths relative to the root —
-   against [golden/keys.md5], recorded before each search printed its
-   fused kernels once.  The names are content keys over the printed
-   source, so matching them is what keeps an existing cache root warm
-   across a change to the printer or the search. *)
+   against [golden/keys.md5].  A fused kernel's names carry its fusion
+   identity (what generated it), not its printed source, so matching
+   them is what keeps an existing cache root warm across a change to
+   the search; a change to the printer or the generators is retired by
+   [Fuse_common.version] instead (profiler "trace identity versions
+   follow the goldens"). *)
 let rec entry_names root rel =
   let dir = if rel = "" then root else Filename.concat root rel in
   Sys.readdir dir |> Array.to_list
