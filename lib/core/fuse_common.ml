@@ -10,8 +10,9 @@ open Cuda
 open Hfuse_frontend
 
 (* bump with any change that moves a fused kernel's printed bytes
-   (test/golden/pretty.md5 pins them): cached times and traces of fused
-   kernels are keyed by this constant, not by the printed source *)
+   (test/golden/pretty.md5 pins them at the sizes it prints): cached
+   times and traces of fused kernels are keyed by this constant, not
+   by the printed source *)
 let version = "f1"
 
 exception Fusion_error of string

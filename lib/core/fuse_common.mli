@@ -8,9 +8,12 @@
     profiler keys a fused kernel by this constant, the fusion kind and
     the input kernels' sources instead of by its printed text, so any
     change to the front end, the fusers or the printer that moves a
-    fused kernel's bytes must bump it: test/golden/pretty.md5 pins those
-    bytes, and the profiler suite pins this constant beside that
-    golden's digest. *)
+    fused kernel's bytes must bump it.  test/golden/pretty.md5 pins
+    those bytes at the sizes it prints (every fleet partition at size
+    1; the paper pairs' partitions and vertical baselines at their
+    representative sizes), and the profiler suite pins this constant
+    beside that golden's digest, so a change that moves them fails
+    until it is bumped; bytes at other sizes are not guarded. *)
 val version : string
 
 exception Fusion_error of string

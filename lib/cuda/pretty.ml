@@ -5,9 +5,10 @@
    grammar needs) and is exercised by a parse/print round-trip property
    test.
 
-   Everything is written straight into one [Buffer].  Every
-   profile-cache and trace-store key digests the printed source, so the
-   layout must not move by a byte (test/golden/pretty.md5 pins it): a
+   Everything is written straight into one [Buffer].  Cached fused
+   kernels are keyed by what generated them, not by their printed
+   text, so the layout must not move by a byte without a
+   [Fuse_common.version] bump (test/golden/pretty.md5 pins it): a
    braced body indents its statements two columns past the line that
    opens it, and the indentation stops growing at column 68, so
    statements nested deeper than that all start at column 68. *)

@@ -11,8 +11,9 @@
    whenever an input changes.  The key holds no printed source, so a
    compiler change that alters the emitted fused source invalidates
    the entries only through the version guard: test/golden/pretty.md5
-   pins every fused byte, and the profiler suite fails until
-   [Fuse_common.version] moves with it.
+   pins the fused bytes at the sizes it prints (see
+   [Fuse_common.version]), and the profiler suite fails until the
+   version moves with it.
 
    Entries are {!Store} entries under [dir]/v2/<digest> (times as a
    single [%h] hex-float line; [r-<digest>] files hold whole

@@ -216,13 +216,14 @@ let trace_ident (key : trace_key) : string list =
       [ "vfuse"; k1; string_of_int size1; k2; string_of_int size2;
         string_of_int block; string_of_int tb ]
 
-(* the digest [key]'s traces are filed under, [origin] naming what the
-   launched kernel was made from: a configured kernel's
-   [source_digest], a fused kernel's [fusion_id] *)
-let store_key ~(s : Settings.t) ~(origin : string) (key : trace_key) : string =
+(* the digest [key]'s traces are filed under, [source_digest] being
+   the hex MD5 of the launched kernel's source, or a fused kernel's
+   [fusion_id] *)
+let store_key ~(s : Settings.t) ~(source_digest : string) (key : trace_key) :
+    string =
   Trace_store.key ~sim_fuel:s.Settings.sim_fuel
     ~trace_blocks:s.Settings.trace_blocks
-    ~ident:(trace_ident key @ [ origin ])
+    ~ident:(trace_ident key @ [ source_digest ])
 
 (* traces resolve memory tier → disk → recording *)
 let traced ~(s : Settings.t) ~(digest : string) (key : trace_key)
@@ -300,7 +301,7 @@ let launch_of ~settings:(s : Settings.t) (c : configured)
       { kernel = c.spec.name; size = c.size; block_dim = d;
         tb = s.Settings.trace_blocks }
   in
-  let digest = store_key ~s ~origin:c.source_digest key in
+  let digest = store_key ~s ~source_digest:c.source_digest key in
   keyed ~s ~digest
     {
       Timing.label = c.spec.name;
@@ -376,12 +377,13 @@ let fused_traces ~(s : Settings.t) ~(digest : string) (key : trace_key)
   traced ~s ~digest key (fun () ->
       record ~s [ c1; c2 ] (Hfuse_core.Kernel_info.normalized info))
 
-(* the trace key of [f], fused from [c1] and [c2] as [fusion] (a
-   [fusion_id]) names, and the digest its traces are filed under *)
+(** The trace key of [f], fused from [c1] and [c2] as [fusion] (a
+    [fusion_id]) names, and the digest its traces are filed under; the
+    search's trace stage and {!hfuse_launch} both file traces here. *)
 let hfuse_trace_id ~(s : Settings.t) ~(fusion : string) (c1 : configured)
     (c2 : configured) (f : Hfuse_core.Hfuse.t) : trace_key * string =
   let key = hfuse_key ~tb:s.Settings.trace_blocks c1 c2 f in
-  (key, store_key ~s ~origin:fusion key)
+  (key, store_key ~s ~source_digest:fusion key)
 
 (** Traces of the horizontally fused kernel (recorded on first use;
     stored).  [arch] is unused: traces are arch-independent. *)
@@ -414,13 +416,11 @@ let hfuse_spec (f : Hfuse_core.Hfuse.t) ~(reg_bound : int option)
   }
 
 (** A horizontally fused kernel under a register bound, keyed by
-    [fusion] (default: [Hfused]'s identity). *)
-let hfuse_launch ~settings:(s : Settings.t) ?fusion (c1 : configured)
+    [Hfused]'s identity. *)
+let hfuse_launch ~settings:(s : Settings.t) (c1 : configured)
     (c2 : configured) (f : Hfuse_core.Hfuse.t) : reg_bound:int option -> launch
     =
-  let fusion =
-    match fusion with Some id -> id | None -> fusion_id Hfused c1 c2
-  in
+  let fusion = fusion_id Hfused c1 c2 in
   let key, digest = hfuse_trace_id ~s ~fusion c1 c2 f in
   fun ~reg_bound ->
     keyed ~s ~digest (hfuse_spec f ~reg_bound ~traces:[||]) (fun () ->
@@ -468,7 +468,7 @@ let vfuse_launch ~settings:(s : Settings.t) (c1 : configured)
         tb = s.Settings.trace_blocks;
       }
   in
-  let digest = store_key ~s ~origin:(fusion_id Vfused c1 c2) key in
+  let digest = store_key ~s ~source_digest:(fusion_id Vfused c1 c2) key in
   keyed ~s ~digest
     {
       Timing.label = v.fn.f_name;
@@ -628,8 +628,8 @@ let model_eval ?(k = 1) ~(scores : float list) ~(times : float list) () :
 
 (* the time entry of [f], fused from [c1] and [c2] as [fusion] (a
    [fusion_id]) names, under [reg_bound] *)
-let candidate_key ~settings:(s : Settings.t) (arch : Arch.t) (c1 : configured)
-    (c2 : configured) ~(fusion : string) (f : Hfuse_core.Hfuse.t)
+let candidate_key ~(s : Settings.t) (arch : Arch.t) (c1 : configured)
+    (c2 : configured) (f : Hfuse_core.Hfuse.t) ~(fusion : string)
     ~(reg_bound : int option) : string =
   Profile_cache.key ~arch:arch.Arch.name ~fusion
     ~d1:f.d1 ~d2:f.d2 ~grid:f.grid ~smem_dynamic:f.smem_dynamic ~regs:f.regs
@@ -884,11 +884,11 @@ let trace_stage ctx (batch : candidate array) ~(fusions : string array)
       (fun i ->
         let f = fst batch.(i) in
         let fresh = ref false in
-        let key = trace_key i in
+        let key, digest =
+          hfuse_trace_id ~s:ctx.s ~fusion:fusions.(i) ctx.c1 ctx.c2 f
+        in
         let traces =
-          traced ~s:ctx.s
-            ~digest:(store_key ~s:ctx.s ~origin:fusions.(i) key)
-            key
+          traced ~s:ctx.s ~digest key
             (fun () ->
               fresh := true;
               record ~s:ctx.s [ ctx.c1; ctx.c2 ]
@@ -933,8 +933,8 @@ let replay_stage ctx (candidates : candidate list) : float list =
   let keys =
     Array.mapi
       (fun i (f, (cfg : Search.config)) ->
-        candidate_key ~settings:ctx.s ctx.arch ctx.c1 ctx.c2
-          ~fusion:fusions.(i) f ~reg_bound:cfg.reg_bound)
+        candidate_key ~s:ctx.s ctx.arch ctx.c1 ctx.c2 f ~fusion:fusions.(i)
+          ~reg_bound:cfg.reg_bound)
       batch
   in
   let got =

@@ -132,17 +132,26 @@ type fusion = Hfused | Vfused | Repaired of string
     [Hfuse_core.Fuse_common.version], the fusion kind (and a repaired
     kernel's source) and both kernels' [source_digest].  The sizes,
     partition, geometry, registers and traced blocks enter the keys
-    beside it.  Sound because the printed fused source of every fleet
-    partition and paper-pair vfuse is pinned by test/golden/pretty.md5,
-    and the profiler suite requires [Fuse_common.version] to move with
-    that golden.  Prints nothing except for [Repaired]. *)
+    beside it.  Sound as far as test/golden/pretty.md5 reaches: it pins
+    the printed fused source of every fleet partition at size 1 and of
+    every paper pair's partitions and vfuse at their representative
+    sizes, and the profiler suite requires [Fuse_common.version] to
+    move with that golden.  Prints nothing except for [Repaired]. *)
 val fusion_id : fusion -> configured -> configured -> string
 
 (** The time-entry key ({!Profile_cache.key}) of a fused candidate
-    under [reg_bound], [fusion] being its {!fusion_id}. *)
+    under [reg_bound], [fusion] being its {!fusion_id}; the search keys
+    its candidates' times with it. *)
 val candidate_key :
-  settings:Settings.t -> Gpusim.Arch.t -> configured -> configured ->
-  fusion:string -> Hfuse_core.Hfuse.t -> reg_bound:int option -> string
+  s:Settings.t -> Gpusim.Arch.t -> configured -> configured ->
+  Hfuse_core.Hfuse.t -> fusion:string -> reg_bound:int option -> string
+
+(** The {!trace_key} of a fused candidate and the {!Trace_store} digest
+    its traces are filed under, [fusion] being its {!fusion_id}; the
+    search's trace stage and {!hfuse_launch} both derive it here. *)
+val hfuse_trace_id :
+  s:Settings.t -> fusion:string -> configured -> configured ->
+  Hfuse_core.Hfuse.t -> trace_key * string
 
 (** Traces of a horizontally fused kernel, [Hfused] from the pair
     (recorded in a fresh memory on first use; stored).
@@ -160,11 +169,11 @@ val hfuse_spec :
   traces:Gpusim.Trace.block array -> Gpusim.Timing.launch_spec
 
 (** A horizontally fused kernel under a register bound, as a keyed
-    launch whose traces are filed under [fusion] (a {!fusion_id};
-    default: [Hfused]'s).  Prints nothing. *)
+    launch whose traces are filed under [Hfused]'s {!fusion_id}.
+    Prints nothing. *)
 val hfuse_launch :
-  settings:Settings.t -> ?fusion:string -> configured -> configured ->
-  Hfuse_core.Hfuse.t -> reg_bound:int option -> launch
+  settings:Settings.t -> configured -> configured -> Hfuse_core.Hfuse.t ->
+  reg_bound:int option -> launch
 
 (** Time a fused kernel, [Hfused] from the pair, under an optional
     register bound (interprets it in profiling mode on first use;

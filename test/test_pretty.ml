@@ -143,9 +143,14 @@ let print_deterministic =
    [Fuse_common.version], which must be bumped with it.  One md5 per
    line, each over the printed programs of one
    group: a corpus kernel, every partition of every fleet pair led by
-   one kernel, the vertical baseline of a paper pair, a batch of fuzzer
-   programs, deep statement nests (whose indentation stops growing at
-   column 68), and seeded random expressions. *)
+   one kernel, the vertical baseline of a paper pair, every partition
+   and the vertical baseline of a paper pair at its representative
+   sizes on each GPU model (a fused kernel's grid guards and shared
+   memory offsets come from its workloads' grids and shared memory,
+   which may vary with size, and Fig. 9 and warm paper searches run
+   there), a batch of fuzzer programs, deep statement
+   nests (whose indentation stops growing at column 68), and seeded
+   random expressions. *)
 
 module Kernel_info = Hfuse_core.Kernel_info
 module Runner = Hfuse_profiler.Runner
@@ -153,8 +158,8 @@ module Runner = Hfuse_profiler.Runner
 let digest_of (parts : string list) =
   Digest.to_hex (Digest.string (String.concat "\n\x00" parts))
 
-let configured spec =
-  Runner.configure (Gpusim.Memory.create ()) spec ~size:1
+let configured ?(size = 1) spec =
+  Runner.configure (Gpusim.Memory.create ()) spec ~size
 
 (* the fused source of every partition the search would try (the
    error text where a partition does not fuse) *)
@@ -218,17 +223,37 @@ let golden_pretty_lines () : string list =
              (List.concat_map (fun (_, c2) -> partition_sources c1 c2) rest))
         :: pairs rest
   in
+  let vfuse_source c1 c2 =
+    match Runner.vfuse_generate c1 c2 with
+    | v -> Hfuse_core.Vfuse.to_source v
+    | exception e -> Printexc.to_string e
+  in
   let vfuse =
     List.map
       (fun ((s1 : Kernel_corpus.Spec.t), (s2 : Kernel_corpus.Spec.t)) ->
         Fmt.str "vfuse %s+%s %s" s1.name s2.name
-          (digest_of
-             [
-               (match Runner.vfuse_generate (configured s1) (configured s2) with
-               | v -> Hfuse_core.Vfuse.to_source v
-               | exception e -> Printexc.to_string e);
-             ]))
+          (digest_of [ vfuse_source (configured s1) (configured s2) ]))
       Kernel_corpus.Registry.all_pairs
+  in
+  let representative =
+    List.concat_map
+      (fun (arch : Gpusim.Arch.t) ->
+        let sizes =
+          Hfuse_profiler.Experiment.representative_sizes
+            ~settings:(Test_util.env_settings ())
+            ~cache:(Hfuse_profiler.Profile_cache.disabled ())
+            arch
+        in
+        List.map
+          (fun ((s1 : Kernel_corpus.Spec.t), (s2 : Kernel_corpus.Spec.t)) ->
+            let size s = Hfuse_profiler.Experiment.size_of sizes s in
+            let c1 = configured ~size:(size s1) s1 in
+            let c2 = configured ~size:(size s2) s2 in
+            Fmt.str "representative %s %s+%s %d %d %s" arch.name s1.name
+              s2.name c1.size c2.size
+              (digest_of (partition_sources c1 c2 @ [ vfuse_source c1 c2 ])))
+          Kernel_corpus.Registry.all_pairs)
+      Gpusim.Arch.all
   in
   let fuzz =
     List.init 4 (fun b ->
@@ -252,7 +277,7 @@ let golden_pretty_lines () : string list =
     QCheck.Gen.generate ~rand:(Random.State.make [| 19 |]) ~n:500 gen_expr
     |> List.map Pretty.expr_to_string
   in
-  corpus @ pairs cs @ vfuse @ fuzz @ nests
+  corpus @ pairs cs @ vfuse @ representative @ fuzz @ nests
   @ [ Fmt.str "exprs %s" (digest_of exprs) ]
 
 let test_golden_pretty () =

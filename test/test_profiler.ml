@@ -948,9 +948,9 @@ let fused_keys (d : fused_draw) : string * string =
                (Hfuse_core.Hfuse.to_source f ^ if d.resrc then "\n" else ""))
           c1 c2
       in
-      let reg_bound = d.bound in
-      ( Runner.candidate_key ~settings arch c1 c2 ~fusion f ~reg_bound,
-        (Runner.hfuse_launch ~settings ~fusion c1 c2 f ~reg_bound).part.trace )
+      ( Runner.candidate_key ~s:settings arch c1 c2 f ~fusion
+          ~reg_bound:d.bound,
+        snd (Runner.hfuse_trace_id ~s:settings ~fusion c1 c2 f) )
 
 let test_fused_keys_inputs =
   QCheck.Test.make ~name:"every fusion input reaches the fused keys" ~count:300
@@ -975,9 +975,8 @@ let test_repaired_keys_apart () =
       (Hfuse_core.Kernel_info.with_block_dim c2.info 256)
   in
   let keys fusion =
-    ( Runner.candidate_key ~settings arch c1 c2 ~fusion f ~reg_bound:None,
-      (Runner.hfuse_launch ~settings ~fusion c1 c2 f ~reg_bound:None).part
-        .trace )
+    ( Runner.candidate_key ~s:settings arch c1 c2 f ~fusion ~reg_bound:None,
+      snd (Runner.hfuse_trace_id ~s:settings ~fusion c1 c2 f) )
   in
   let plain = Runner.fusion_id Runner.Hfused c1 c2 in
   let repaired =
@@ -986,8 +985,9 @@ let test_repaired_keys_apart () =
   let (t, tr), (t', tr') = (keys plain, keys repaired) in
   Alcotest.(check bool) "time keys apart" true (t <> t');
   Alcotest.(check bool) "trace digests apart" true (tr <> tr');
-  (* the default identity of [hfuse_launch] is the plain one *)
-  Alcotest.(check string) "default fusion" tr
+  (* [hfuse_launch] files a fused kernel's traces where a plain
+     search candidate's go *)
+  Alcotest.(check string) "hfuse_launch is plain" tr
     (Runner.hfuse_launch ~settings c1 c2 f ~reg_bound:None).part.trace
 
 (* Disk traces and replay reports trust a trace's identity, not its
@@ -995,9 +995,10 @@ let test_repaired_keys_apart () =
    identity, not its printed source: a change to what an identity
    stands for must bump the version that retires the stale entries.
    [golden/versions.md5] records each version beside the digests of the
-   goldens that pin those bytes (pretty.md5: every fleet partition's
-   and paper-pair vfuse's printed fused source), so regenerating one of
-   them without the bump fails here. *)
+   goldens that pin those bytes (pretty.md5: the printed fused source
+   of every fleet partition at size 1 and of every paper pair's
+   partitions and vfuse at their representative sizes), so
+   regenerating one of them without the bump fails here. *)
 let test_versions_follow_goldens () =
   let recorded =
     In_channel.with_open_bin (Filename.concat "golden" "versions.md5")
