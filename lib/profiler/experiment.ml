@@ -337,6 +337,8 @@ let f9_prepare ?jobs ?pool ~settings ?cache ?top_k
       c1 c2
   in
   let fused = sr.Hfuse_core.Search.best.Hfuse_core.Search.fused in
+  (* the search profiled this launch as its unbounded candidate, so its
+     report is the entry the search filed, not a second replay *)
   let launch = Runner.hfuse_launch ~settings c1 c2 fused in
   let ihf0 = push rl (arch, [ launch ~reg_bound:None ]) in
   let fused_smem =

@@ -1,24 +1,16 @@
-(* Persistent on-disk cache of profiled candidate times.
+(* Persistent on-disk cache of replay reports.
 
    The Fig. 6 search re-profiles the same fused kernels on every
-   [bench] or [hfuse search] rerun; the cycle-level simulator makes
-   each of those profiles expensive.  This cache keys a candidate by a
-   hash of everything its simulated time depends on — GPU model, the
-   fused kernel's fusion identity (what generated it: the fusion kind,
-   both input sources and [Fuse_common.version]), partition, launch
-   geometry, register bound, workload sizes, and the trace-block count
-   — so a warmed cache reproduces cold-run times exactly and misses
-   whenever an input changes.  The key holds no printed source, so a
-   compiler change that alters the emitted fused source invalidates
-   the entries only through the version guard: test/golden/pretty.md5
-   pins the fused bytes at the sizes it prints (see
-   [Fuse_common.version]), and the profiler suite fails until the
-   version moves with it.
+   [bench] or [hfuse search] rerun, and the figure sweeps re-measure
+   the same launches; the cycle-level simulator makes each of those
+   replays expensive.  A candidate's profile is the time of its
+   one-launch replay, so it is filed like every other measurement: as
+   a whole [Timing.report], keyed by the launches' scalars and the
+   identity of their traces (see the report section below).  A warmed
+   cache reproduces cold-run reports exactly and misses whenever an
+   input changes, the traces' identity included.
 
-   Entries are {!Store} entries under [dir]/v2/<digest> (times as a
-   single [%h] hex-float line; [r-<digest>] files hold whole
-   measurement-replay reports keyed by their traces' identities — see
-   the full-report section below).
+   Entries are {!Store} entries under [dir]/v2/r-<digest>.
    A handle is touched by one domain at a time: the domain that
    resolves through it (a search's or a sweep's coordinating domain, a
    daemon request's worker), never the pool tasks it fans out, so its
@@ -68,97 +60,20 @@ let create ?(dir = default_dir) ?fault () =
 
 let disabled () = { store = None; stats = fresh_stats () }
 
-(* ------------------------------------------------------------------ *)
-(* Keys                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(** Hash of a profiled candidate.  Every input the simulated time
-    depends on participates; [fusion] names what generated the fused
-    kernel (see the header). *)
-let key ~(arch : string) ~(fusion : string) ~(d1 : int) ~(d2 : int)
-    ~(grid : int) ~(smem_dynamic : int) ~(regs : int)
-    ~(reg_bound : int option) ~(k1 : string) ~(size1 : int) ~(k2 : string)
-    ~(size2 : int) ~(trace_blocks : int) : string =
-  let buf = Buffer.create 512 in
-  List.iter
-    (fun s ->
-      Buffer.add_string buf s;
-      Buffer.add_char buf '\x00')
-    [
-      version;
-      arch;
-      k1;
-      string_of_int size1;
-      k2;
-      string_of_int size2;
-      string_of_int d1;
-      string_of_int d2;
-      string_of_int grid;
-      string_of_int smem_dynamic;
-      string_of_int regs;
-      (match reg_bound with None -> "-" | Some r -> string_of_int r);
-      string_of_int trace_blocks;
-      fusion;
-    ];
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
-(* ------------------------------------------------------------------ *)
-(* Storage                                                              *)
-(* ------------------------------------------------------------------ *)
-
 let mkdir_p = Store.mkdir_p
 
-(* A corrupt entry counts as both a miss and a [corrupt]. *)
-let find_entry (t : t) ~(key : string) (decode : string -> 'a) : 'a option =
-  let miss () =
-    t.stats.misses <- t.stats.misses + 1;
-    None
-  in
-  match t.store with
-  | None -> None
-  | Some s -> (
-      match Store.read s ~key decode with
-      | Store.Found v ->
-          t.stats.hits <- t.stats.hits + 1;
-          Some v
-      | Store.Absent -> miss ()
-      | Store.Corrupt ->
-          t.stats.corrupt <- t.stats.corrupt + 1;
-          miss ())
-
-let store_entry (t : t) ~(key : string) (payload : string) : unit =
-  Option.iter
-    (fun s ->
-      Store.write s ~key payload;
-      t.stats.stores <- t.stats.stores + 1)
-    t.store
-
 (* ------------------------------------------------------------------ *)
-(* Candidate-time entries                                               *)
+(* Report entries                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* %h is a hexadecimal float literal: exact binary round-trip, so
-   warmed-cache runs reproduce cold-run times bit-for-bit *)
-let encode_time (time_ms : float) : string = Printf.sprintf "%h\n" time_ms
-let decode_time (s : string) : float = float_of_string (String.trim s)
-
-let find (t : t) ~(key : string) : float option = find_entry t ~key decode_time
-
-let store (t : t) ~(key : string) (time_ms : float) : unit =
-  store_entry t ~key (encode_time time_ms)
-
-(* ------------------------------------------------------------------ *)
-(* Full-report entries (measurement replays)                            *)
-(* ------------------------------------------------------------------ *)
-
-(* The figure sweeps spend most of their warm-run wall time in pure
-   measurement replays whose inputs have not changed since the previous
-   run.  Report entries cache the complete [Timing.report] — every
-   counter exact, every float stored as [%h] — keyed by each launch's
-   scalars and the identity of its traces: the {!Trace_store} digest
-   they are filed under (kernel, sizes, block dims, traced blocks, fuel
-   and a source digest; for a fused kernel, its fusion identity).  Traces
-   are a pure function of that identity, so a hit is bit-identical to
+(* A search's candidate profiles and the figure sweeps' measurements
+   are pure replays whose inputs rarely change between runs.  Report
+   entries cache the complete [Timing.report] — every counter exact,
+   every float stored as [%h] — keyed by each launch's scalars and the
+   identity of its traces: the {!Trace_store} digest they are filed
+   under (kernel, sizes, block dims, traced blocks, fuel and a source
+   digest; for a fused kernel, its fusion identity).  Traces are a
+   pure function of that identity, so a hit is bit-identical to
    re-running the engine on them, and a warm lookup reads no trace at
    all: the traces are loaded or recorded only when the report misses.
    A change to what an identity records (interpreter, workloads) bumps
@@ -193,7 +108,6 @@ let report_key ~(arch : string) ~(policy : string) (parts : part list) :
       Printf.bprintf buf "%s %d %d %d %d %d %d %d %s\n" p.label p.grid
         p.threads p.regs p.spill p.smem p.stream p.traced_blocks p.trace)
     parts;
-  (* distinct filename namespace from candidate-time entries *)
   "r-" ^ Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* payload layout (text, one record per line):
@@ -288,8 +202,27 @@ let decode_report (s : string) :
 
 let store_report (t : t) ~(key : string)
     (entry : Gpusim.Timing.report * Gpusim.Timing.engine_stats) : unit =
-  store_entry t ~key (encode_report entry)
+  Option.iter
+    (fun s ->
+      Store.write s ~key (encode_report entry);
+      t.stats.stores <- t.stats.stores + 1)
+    t.store
 
+(* A corrupt entry counts as both a miss and a [corrupt]. *)
 let find_report (t : t) ~(key : string) :
     (Gpusim.Timing.report * Gpusim.Timing.engine_stats) option =
-  find_entry t ~key decode_report
+  let miss () =
+    t.stats.misses <- t.stats.misses + 1;
+    None
+  in
+  match t.store with
+  | None -> None
+  | Some s -> (
+      match Store.read s ~key decode_report with
+      | Store.Found v ->
+          t.stats.hits <- t.stats.hits + 1;
+          Some v
+      | Store.Absent -> miss ()
+      | Store.Corrupt ->
+          t.stats.corrupt <- t.stats.corrupt + 1;
+          miss ())

@@ -1,18 +1,18 @@
-(** Persistent on-disk cache of profiled candidate times and replay
-    reports.
+(** Persistent on-disk cache of replay reports: the figure sweeps'
+    measurements and the search's candidate profiles, each a
+    [Timing.report] keyed by {!report_key}.
 
-    Time keys are hashes of everything a candidate's simulated time
-    depends on (GPU model, the fused kernel's fusion identity,
-    partition, launch geometry, register bound, workload sizes,
-    trace-block count), so repeated [bench] / [hfuse search] sweeps
-    skip the simulator entirely, print no fused source, and miss when
-    any input changes.  The fusion identity names what generated the
-    kernel (kind, both input sources, [Fuse_common.version]), not its
-    bytes: a compiler change that moves the emitted source retires the
-    entries only by bumping that version, which the profiler suite
-    requires whenever test/golden/pretty.md5 changes.  Report keys name
-    each launch's traces by their trace-store identity ({!report_key}),
-    so a warm report lookup reads no trace.
+    A key names every launch's scalars and the identity of its traces
+    (the {!Trace_store} digest: kernel, sizes, geometry, traced blocks,
+    fuel, [Trace_store.version] and a source digest, or a fused
+    kernel's fusion identity), so repeated [bench] / [hfuse search]
+    sweeps skip the simulator entirely, read no trace, print no fused
+    source, and miss when any input changes.  The fusion identity
+    names what generated a fused kernel (kind, both input sources,
+    [Fuse_common.version]), not its bytes: a compiler change that
+    moves the emitted source retires the entries only by bumping that
+    version, which the profiler suite requires whenever
+    test/golden/pretty.md5 changes.
 
     The same keys make a resumed run ([--resume]) a warm run: without a
     cache of its own, it profiles into a root named by its parameters
@@ -20,8 +20,8 @@
     shard's included, which runs every pair again — answers every entry
     the killed run committed.
 
-    Entries are {!Store} checksummed entries under [dir]/v2/ (magic
-    [hfuse-cache]); a corrupt one is quarantined to
+    Entries are {!Store} checksummed entries under [dir]/v2/r-<digest>
+    (magic [hfuse-cache]); a corrupt one is quarantined to
     [<root>/quarantine/<key>], counted in {!corrupt}, and treated as a
     miss, so the value is recomputed and re-stored — a corrupted cache
     can slow a run down but never change its result.  A handle must be
@@ -56,32 +56,6 @@ val dir : t -> string
 
 (** {!Store.mkdir_p}. *)
 val mkdir_p : string -> unit
-
-(** Hash identifying one profiled candidate; [fusion] is the fused
-    kernel's fusion identity ([Runner.fusion_id]). *)
-val key :
-  arch:string ->
-  fusion:string ->
-  d1:int ->
-  d2:int ->
-  grid:int ->
-  smem_dynamic:int ->
-  regs:int ->
-  reg_bound:int option ->
-  k1:string ->
-  size1:int ->
-  k2:string ->
-  size2:int ->
-  trace_blocks:int ->
-  string
-
-(** Cached time for [key], if present and well-formed.  Counts a hit or
-    a miss; a checksum-failing entry is quarantined and counts as both
-    a miss and a {!corrupt}. *)
-val find : t -> key:string -> float option
-
-(** Persist a time for [key] (no-op when disabled). *)
-val store : t -> key:string -> float -> unit
 
 (** One launch's part of a replay's identity: its launch scalars and
     the identity of its traces. *)

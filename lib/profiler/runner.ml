@@ -20,11 +20,12 @@
    memory), and they persist ({!Trace_store}'s disk tier).
 
    The Fig. 6 search is [Search.search] with this module's stages as
-   its hooks, all over one per-search context: trace (time-tier lookup,
-   then one recording per distinct trace key — the register-bound
-   variants of one partition share it), replay (the pure [Timing.run]
-   replays over one OCaml 5 domain pool per search, then stores into
-   the persistent content-keyed cache, {!Profile_cache}), rank (solo
+   its hooks, all over one per-search context: trace (report-tier
+   lookup, then one trace acquisition per distinct trace digest — the
+   register-bound variants of one partition share it), replay (the
+   pure one-launch [Timing.run] replays over one OCaml 5 domain pool
+   per search, filed as replay reports in the persistent cache,
+   {!Profile_cache}, like every other measurement), rank (solo
    calibration, probes, scores), repair, and account.  Results are
    bit-identical to the serial path for any worker count and any cache
    temperature. *)
@@ -155,15 +156,6 @@ let report_tiers ~(s : Settings.t) ~cache =
     limit_bytes = Settings.trace_limit_bytes s;
     find = Profile_cache.find_report cache;
     store = Profile_cache.store_report cache;
-  }
-
-(* the search's per-candidate times, keyed by [candidate_key] *)
-let time_tiers ~(s : Settings.t) ~cache =
-  {
-    kind = Time;
-    limit_bytes = Settings.trace_limit_bytes s;
-    find = Profile_cache.find cache;
-    store = Profile_cache.store cache;
   }
 
 (* The memory tier's single-flight get-or-compute, safe on any domain,
@@ -377,23 +369,6 @@ let fused_traces ~(s : Settings.t) ~(digest : string) (key : trace_key)
   traced ~s ~digest key (fun () ->
       record ~s [ c1; c2 ] (Hfuse_core.Kernel_info.normalized info))
 
-(** The trace key of [f], fused from [c1] and [c2] as [fusion] (a
-    [fusion_id]) names, and the digest its traces are filed under; the
-    search's trace stage and {!hfuse_launch} both file traces here. *)
-let hfuse_trace_id ~(s : Settings.t) ~(fusion : string) (c1 : configured)
-    (c2 : configured) (f : Hfuse_core.Hfuse.t) : trace_key * string =
-  let key = hfuse_key ~tb:s.Settings.trace_blocks c1 c2 f in
-  (key, store_key ~s ~source_digest:fusion key)
-
-(** Traces of the horizontally fused kernel (recorded on first use;
-    stored).  [arch] is unused: traces are arch-independent. *)
-let hfuse_traces ~settings:(s : Settings.t) ?arch:(_ : string option)
-    (c1 : configured) (c2 : configured) (f : Hfuse_core.Hfuse.t) :
-    Trace.block array =
-  let fusion = fusion_id Hfused c1 c2 in
-  let key, digest = hfuse_trace_id ~s ~fusion c1 c2 f in
-  fused_traces ~s ~digest key c1 c2 (Hfuse_core.Hfuse.info f)
-
 (** Launch spec for a fused candidate over already-recorded traces.
     Pure — safe to build and [Timing.run] on any domain. *)
 let hfuse_spec (f : Hfuse_core.Hfuse.t) ~(reg_bound : int option)
@@ -415,16 +390,30 @@ let hfuse_spec (f : Hfuse_core.Hfuse.t) ~(reg_bound : int option)
     stream = 0;
   }
 
-(** A horizontally fused kernel under a register bound, keyed by
-    [Hfused]'s identity. *)
-let hfuse_launch ~settings:(s : Settings.t) (c1 : configured)
-    (c2 : configured) (f : Hfuse_core.Hfuse.t) : reg_bound:int option -> launch
-    =
-  let fusion = fusion_id Hfused c1 c2 in
-  let key, digest = hfuse_trace_id ~s ~fusion c1 c2 f in
+(** [f], fused from [c1] and [c2] as [fusion] (a [fusion_id]) names,
+    under a register bound: its traces are filed under the store key of
+    its trace key and [fusion].  The search's candidates and
+    {!hfuse_launch} are both derived here. *)
+let fused_launch ~settings:(s : Settings.t) ~(fusion : string)
+    (c1 : configured) (c2 : configured) (f : Hfuse_core.Hfuse.t) :
+    reg_bound:int option -> launch =
+  let key = hfuse_key ~tb:s.Settings.trace_blocks c1 c2 f in
+  let digest = store_key ~s ~source_digest:fusion key in
   fun ~reg_bound ->
     keyed ~s ~digest (hfuse_spec f ~reg_bound ~traces:[||]) (fun () ->
         fused_traces ~s ~digest key c1 c2 (Hfuse_core.Hfuse.info f))
+
+(** A horizontally fused kernel under a register bound, keyed by
+    [Hfused]'s identity. *)
+let hfuse_launch ~settings (c1 : configured) (c2 : configured)
+    (f : Hfuse_core.Hfuse.t) : reg_bound:int option -> launch =
+  fused_launch ~settings ~fusion:(fusion_id Hfused c1 c2) c1 c2 f
+
+(** Traces of the horizontally fused kernel (recorded on first use;
+    stored).  [arch] is unused: traces are arch-independent. *)
+let hfuse_traces ~settings ?arch:(_ : string option) (c1 : configured)
+    (c2 : configured) (f : Hfuse_core.Hfuse.t) : Trace.block array =
+  ((hfuse_launch ~settings c1 c2 f ~reg_bound:None).spec ()).block_traces
 
 (** Interpret a horizontally fused kernel (profiling mode) and time it
     under an optional register bound, replayed through the report
@@ -626,16 +615,6 @@ let model_eval ?(k = 1) ~(scores : float list) ~(times : float list) () :
       Some (i, regret)
   | _ -> None
 
-(* the time entry of [f], fused from [c1] and [c2] as [fusion] (a
-   [fusion_id]) names, under [reg_bound] *)
-let candidate_key ~(s : Settings.t) (arch : Arch.t) (c1 : configured)
-    (c2 : configured) (f : Hfuse_core.Hfuse.t) ~(fusion : string)
-    ~(reg_bound : int option) : string =
-  Profile_cache.key ~arch:arch.Arch.name ~fusion
-    ~d1:f.d1 ~d2:f.d2 ~grid:f.grid ~smem_dynamic:f.smem_dynamic ~regs:f.regs
-    ~reg_bound ~k1:c1.spec.name ~size1:c1.size ~k2:c2.spec.name
-    ~size2:c2.size ~trace_blocks:s.Settings.trace_blocks
-
 module Pool = Hfuse_parallel.Pool
 
 (* The batch form of [replay], shared by [run_many] and the search's
@@ -801,13 +780,13 @@ type candidate = Hfuse_core.Hfuse.t * Search.config
 exception All_candidates_failed of string
 
 (* What every stage of one search shares.  [fusion]: the pair's
-   [Hfused] identity, which keys every plain candidate's time entry and
-   trace entry (one fused kernel per partition within a search, so the
-   partition and the pair's names complete the key); [repaired]: the
-   [Repaired] identity of each partition [repair_stage] admitted, its
-   one printed source.  [failures]: the search's failed candidates by
-   time key.  The tables are touched on the calling domain only and die
-   with the search. *)
+   [Hfused] identity, which names every plain candidate's traces (one
+   fused kernel per partition within a search, so the partition and the
+   pair's names complete its trace key); [repaired]: the [Repaired]
+   identity of each partition [repair_stage] admitted, its one printed
+   source.  [failures]: the search's failed candidates by report key.
+   The tables are touched on the calling domain only and die with the
+   search. *)
 type ctx = {
   s : Settings.t;
   arch : Arch.t;
@@ -820,8 +799,15 @@ type ctx = {
   failures : (string, Pool.failure) Hashtbl.t;
 }
 
-let fusion_of ctx ((_, cfg) : candidate) : string =
-  Option.value (Hashtbl.find_opt ctx.repaired cfg.partition) ~default:ctx.fusion
+(* a candidate as one fused launch under its own fusion identity and
+   register bound: its replay report is its profile *)
+let candidate_launch ctx ((f, cfg) : candidate) : launch =
+  let fusion =
+    Option.value (Hashtbl.find_opt ctx.repaired cfg.partition)
+      ~default:ctx.fusion
+  in
+  fused_launch ~settings:ctx.s ~fusion ctx.c1 ctx.c2 f
+    ~reg_bound:cfg.Search.reg_bound
 
 (* A candidate whose profile fails (fuel exhaustion, deadlock, a
    crashed worker past its retry budget) is excluded by giving it an
@@ -845,56 +831,44 @@ let candidate_failed ctx ~(key : string) ((f, cfg) : candidate)
   end;
   Float.infinity
 
-(* trace: the traces of the candidates the time tiers missed, one
-   [traced] call per distinct trace key, fanned over the pool.
-   Candidates sharing a key — one partition under different register
-   bounds — merge onto one call (the search's deterministic dedup); the
-   store's single-flight shares each key with concurrent requests.  A
-   known failure is answered as such, never traced again.  Keys are
-   collected in candidate order and recordings are pure, so results are
-   bit-identical for any [jobs] and any store temperature.  Answers
-   each miss's launch spec or failure; an exception that is not a
-   profile failure (Out_of_memory, programming errors) aborts the
+(* trace: the traces of the candidates the report tiers missed, one
+   acquisition per distinct trace digest, fanned over the pool.
+   Candidates sharing a digest — one partition under different register
+   bounds — merge onto one acquisition (the search's deterministic
+   dedup); the store's single-flight shares each digest with concurrent
+   requests.  A known failure is answered as such, never traced again.
+   Digests are collected in candidate order and recordings are pure, so
+   results are bit-identical for any [jobs] and any store temperature.
+   Answers each miss's launch spec or failure; an exception that is not
+   a profile failure (Out_of_memory, programming errors) aborts the
    search. *)
-let trace_stage ctx (batch : candidate array) ~(fusions : string array)
+let trace_stage ctx (batch : candidate array) (launches : launch array)
     ~(keys : string array) (misses : int array) :
     int -> (Timing.launch_spec, Pool.failure) result =
   let t0 = Unix.gettimeofday () in
-  let tb = ctx.s.Settings.trace_blocks in
-  let trace_key i = hfuse_key ~tb ctx.c1 ctx.c2 (fst batch.(i)) in
+  let digest i = launches.(i).part.trace in
   let todo =
     List.filter
       (fun i -> not (Hashtbl.mem ctx.failures keys.(i)))
       (Array.to_list misses)
   in
-  let slot : (trace_key, int) Hashtbl.t = Hashtbl.create 16 in
+  let slot : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let uniq =
     List.filter
       (fun i ->
-        let k = trace_key i in
-        let is_new = not (Hashtbl.mem slot k) in
-        if is_new then Hashtbl.add slot k (Hashtbl.length slot);
+        let d = digest i in
+        let is_new = not (Hashtbl.mem slot d) in
+        if is_new then Hashtbl.add slot d (Hashtbl.length slot);
         is_new)
       todo
   in
-  (* each key's traces, and whether this task recorded them (its record
-     thunk ran) or the store answered *)
+  (* each digest's traces, and whether this task recorded them (its own
+     ledger counts the recording) or the store answered *)
   let acquired =
     Pool.map_isolated ?fault:ctx.s.Settings.fault ctx.pool
       (fun i ->
-        let f = fst batch.(i) in
-        let fresh = ref false in
-        let key, digest =
-          hfuse_trace_id ~s:ctx.s ~fusion:fusions.(i) ctx.c1 ctx.c2 f
-        in
-        let traces =
-          traced ~s:ctx.s ~digest key
-            (fun () ->
-              fresh := true;
-              record ~s:ctx.s [ ctx.c1; ctx.c2 ]
-                (Hfuse_core.Kernel_info.normalized (Hfuse_core.Hfuse.info f)))
-        in
-        (traces, !fresh))
+        let spec, l = Ledger.run launches.(i).spec in
+        (spec.Timing.block_traces, Ledger.get l Trace_store.recorded > 0))
       (Array.of_list uniq)
   in
   Array.iter
@@ -907,9 +881,9 @@ let trace_stage ctx (batch : candidate array) ~(fusions : string array)
     acquired;
   let merged = List.length todo - List.length uniq in
   Ledger.add Counters.trace_merged merged;
-  (* candidates sharing a trace key made one [traced] call, so these
-     never reach the single-flight table; crediting them keeps a lone
-     search's [merges] deterministic *)
+  (* candidates sharing a digest made one acquisition, so these never
+     reach the single-flight table; crediting them keeps a lone search's
+     [merges] deterministic *)
   Ledger.add Trace_store.merges merged;
   Ledger.add_float Counters.trace_wall_s (Unix.gettimeofday () -. t0);
   fun i ->
@@ -919,43 +893,39 @@ let trace_stage ctx (batch : candidate array) ~(fusions : string array)
         let f, (cfg : Search.config) = batch.(i) in
         Result.map
           (fun (traces, _) -> hfuse_spec f ~reg_bound:cfg.reg_bound ~traces)
-          acquired.(Hashtbl.find slot (trace_key i))
+          acquired.(Hashtbl.find slot (digest i))
 
-(* replay: [Search.search]'s [~profile] hook.  The time tiers are
-   looked up on this domain, the misses' traces come from
-   [trace_stage], and the pure [Timing.run] replays fan out over the
-   same pool, each under its time key's single-flight claim, through
-   [resolve].  Candidate order is preserved end to end. *)
+(* replay: [Search.search]'s [~profile] hook.  Each candidate's
+   one-launch report is looked up in the report tiers on this domain,
+   the misses' traces come from [trace_stage], and the pure replays fan
+   out over the same pool, each under its report key's single-flight
+   claim, through [resolve].  A candidate's time is its report's; a
+   report not replayed here notes its engine stats, as every report hit
+   does.  Candidate order is preserved end to end. *)
 let replay_stage ctx (candidates : candidate list) : float list =
   let t0 = Unix.gettimeofday () in
   let batch = Array.of_list candidates in
-  let fusions = Array.map (fusion_of ctx) batch in
-  let keys =
-    Array.mapi
-      (fun i (f, (cfg : Search.config)) ->
-        candidate_key ~s:ctx.s ctx.arch ctx.c1 ctx.c2 f ~fusion:fusions.(i)
-          ~reg_bound:cfg.reg_bound)
-      batch
-  in
+  let launches = Array.map (candidate_launch ctx) batch in
+  let keys = Array.map (fun l -> report_key ctx.arch [ l ]) launches in
   let got =
     resolve ~s:ctx.s
       ~with_pool:(fun f -> f ctx.pool)
-      (time_tiers ~s:ctx.s ~cache:ctx.cache)
+      (report_tiers ~s:ctx.s ~cache:ctx.cache)
       keys
       ~plan:(fun misses ->
-        let spec = trace_stage ctx batch ~fusions ~keys misses in
+        let spec = trace_stage ctx batch launches ~keys misses in
         fun i ->
           Result.map
-            (fun spec () -> (Timing.run ctx.arch [ spec ]).Timing.time_ms)
+            (fun spec () -> Timing.run_with_stats ctx.arch [ spec ])
             (spec i))
   in
-  (* a time another request's claim computed is a hit, not a profile *)
+  (* a report another request's claim computed is a hit, not a profile *)
   let times =
     Array.mapi
       (fun i -> function
-        | Ok (t, fresh) ->
+        | Ok ((_, fresh) as got) ->
             Ledger.add (if fresh then Counters.profiled else Counters.cache_hits) 1;
-            t
+            (settle got).Timing.time_ms
         | Error fl -> candidate_failed ctx ~key:keys.(i) batch.(i) fl)
       got
   in

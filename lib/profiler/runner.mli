@@ -15,13 +15,14 @@
     coalescing analysis results, invariant under buffer renaming).
 
     {!search} runs [Hfuse_core.Search.search] with named stages as its
-    hooks: trace (time-tier lookup, then the missing traces, one
-    recording per distinct trace key), replay (the pure [Timing.run]
-    replays over an OCaml 5 domain pool, [~jobs], stored in the
-    persistent profiling cache {!Profile_cache}, [~cache]), rank (the
-    cost model's calibration, probes and scores), repair, and account.
-    Traces, reports and times are computed through
-    {!Trace_store.get_or_compute}, once across concurrent requests.
+    hooks: trace (report-tier lookup, then the missing traces, one
+    acquisition per distinct trace digest), replay (each candidate's
+    one-launch [Timing.run] replay over an OCaml 5 domain pool,
+    [~jobs], filed as a replay report in the persistent profiling
+    cache {!Profile_cache}, [~cache]), rank (the cost model's
+    calibration, probes and scores), repair, and account.  Traces and
+    reports are computed through {!Trace_store.get_or_compute}, once
+    across concurrent requests.
     Results are bit-identical to the serial path for any worker count
     and any cache/store temperature. *)
 
@@ -70,7 +71,7 @@ type trace_key =
     }
 
 (** {!Trace_store.clear_memory}: drop the in-process memory tier of
-    traces, reports and times; persistent entries survive. *)
+    traces and reports; persistent entries survive. *)
 val clear_cache : unit -> unit
 
 val static_smem : Hfuse_core.Kernel_info.t -> int
@@ -127,8 +128,8 @@ val solo :
     the repair engine, with the repaired kernel's printed source. *)
 type fusion = Hfused | Vfused | Repaired of string
 
-(** The identity a fused kernel's time and trace keys carry in place of
-    its printed source: a digest of
+(** The identity a fused kernel's trace keys (and so its report keys)
+    carry in place of its printed source: a digest of
     [Hfuse_core.Fuse_common.version], the fusion kind (and a repaired
     kernel's source) and both kernels' [source_digest].  The sizes,
     partition, geometry, registers and traced blocks enter the keys
@@ -138,20 +139,6 @@ type fusion = Hfused | Vfused | Repaired of string
     sizes, and the profiler suite requires [Fuse_common.version] to
     move with that golden.  Prints nothing except for [Repaired]. *)
 val fusion_id : fusion -> configured -> configured -> string
-
-(** The time-entry key ({!Profile_cache.key}) of a fused candidate
-    under [reg_bound], [fusion] being its {!fusion_id}; the search keys
-    its candidates' times with it. *)
-val candidate_key :
-  s:Settings.t -> Gpusim.Arch.t -> configured -> configured ->
-  Hfuse_core.Hfuse.t -> fusion:string -> reg_bound:int option -> string
-
-(** The {!trace_key} of a fused candidate and the {!Trace_store} digest
-    its traces are filed under, [fusion] being its {!fusion_id}; the
-    search's trace stage and {!hfuse_launch} both derive it here. *)
-val hfuse_trace_id :
-  s:Settings.t -> fusion:string -> configured -> configured ->
-  Hfuse_core.Hfuse.t -> trace_key * string
 
 (** Traces of a horizontally fused kernel, [Hfused] from the pair
     (recorded in a fresh memory on first use; stored).
@@ -168,9 +155,19 @@ val hfuse_spec :
   Hfuse_core.Hfuse.t -> reg_bound:int option ->
   traces:Gpusim.Trace.block array -> Gpusim.Timing.launch_spec
 
-(** A horizontally fused kernel under a register bound, as a keyed
-    launch whose traces are filed under [Hfused]'s {!fusion_id}.
-    Prints nothing. *)
+(** A fused kernel under a register bound, as a keyed launch whose
+    traces are filed under its {!trace_key} and [fusion], its
+    {!fusion_id}.  Prints nothing.  A search candidate is this launch
+    under its own identity ([Hfused], or [Repaired] for a repaired
+    partition): its profile is the launch's replay report, filed under
+    {!report_key}, so a change to its traces' identity (fuel, traced
+    blocks, [Trace_store.version]) retires it. *)
+val fused_launch :
+  settings:Settings.t -> fusion:string -> configured -> configured ->
+  Hfuse_core.Hfuse.t -> reg_bound:int option -> launch
+
+(** {!fused_launch} under [Hfused]'s identity: a figure's measurement
+    of a searched kernel is the search's own report entry. *)
 val hfuse_launch :
   settings:Settings.t -> configured -> configured -> Hfuse_core.Hfuse.t ->
   reg_bound:int option -> launch

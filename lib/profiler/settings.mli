@@ -18,8 +18,8 @@ type t = {
   sim_fuel : int;  (** per-warp interpreter loop-fuel watchdog budget *)
   trace_mem_mb : int;
       (** byte bound (in MB) on the process-wide memory tier of
-          traces, replay reports and candidate times; [0], the
-          default, means unbounded ([HFUSE_TRACE_MEM_MB]) *)
+          traces and replay reports; [0], the default, means unbounded
+          ([HFUSE_TRACE_MEM_MB]) *)
   cache_dir : string option;
       (** persistent profile-cache root; [None] disables the cache *)
   fault : Hfuse_fault.Fault.plan option;

@@ -23,10 +23,10 @@
      geometry + trace-block count + simulation fuel + what the kernel
      was made from: its source digest, or a fused kernel's fusion
      identity).  One table for the whole process, so concurrent daemon
-     requests share warm traces.  The same table is Runner's memo tier for replay reports
-     and candidate times, so an optional byte bound
-     ([Settings.trace_mem_mb]) covers everything a long-lived daemon
-     keeps in memory.
+     requests share warm traces.  The same table is Runner's memo tier
+     for replay reports (a search's candidate profiles among them), so
+     an optional byte bound ([Settings.trace_mem_mb]) covers everything
+     a long-lived daemon keeps in memory.
 
    - a per-handle on-disk tier: {!Store} entries under
      [<root>/traces/v1/<digest>], the same digest as the memory tier's,
@@ -40,11 +40,10 @@
    [version], or warm disk traces and replay reports go stale alike
    (profiler "trace identity versions follow the goldens").
 
-   [get_or_compute] is the one way in, for traces, replay reports and
-   candidate times alike.  Its single-flight table dedups concurrent
-   computations of one key: the first caller computes (for a trace,
-   [load_or_record]: disk, else a recording) while the rest wait and
-   share the result.  Computing happens outside the lock.  A claimant
+   [get_or_compute] is the one way in, for traces and replay reports
+   alike.  Its single-flight table dedups concurrent computations of
+   one key: the first caller computes (for a trace, [load_or_record]:
+   disk, else a recording) while the rest wait and share the result.  Computing happens outside the lock.  A claimant
    counts its recording in its ledger, a waiter the wait and the hit. *)
 
 module Trace = Gpusim.Trace
@@ -113,7 +112,6 @@ let pp_tally ppf (l : Ledger.t) =
 type _ kind =
   | Traces : Trace.block array kind
   | Report : (Gpusim.Timing.report * Gpusim.Timing.engine_stats) kind
-  | Time : float kind
 
 type value = V : 'v kind * 'v -> value
 
@@ -124,19 +122,17 @@ let get : type v. v kind -> value -> v option =
   match (k, k') with
   | Traces, Traces -> Some x
   | Report, Report -> Some x
-  | Time, Time -> Some x
   | _ -> None
 
 (* 1 for a trace entry: the trace counters count those only *)
 let trace_entry : type v. v kind -> int =
- fun k -> match k with Traces -> 1 | Report | Time -> 0
+ fun k -> match k with Traces -> 1 | Report -> 0
 
 let value_bytes : type v. v kind -> v -> int =
  fun k x ->
   match k with
   | Traces -> Trace.blocks_bytes x
   | Report -> Obj.reachable_words (Obj.repr x) * (Sys.word_size / 8)
-  | Time -> 8
 
 (* Entries sit on a circular doubly-linked recency list through the
    sentinel [lru], newest first: a hit moves its entry to the front and
@@ -150,7 +146,7 @@ type entry = {
 }
 
 let rec lru =
-  { key = ""; value = V (Time, 0.); bytes = 0; prev = lru; next = lru }
+  { key = ""; value = V (Traces, [||]); bytes = 0; prev = lru; next = lru }
 
 let mem_mutex = Mutex.create ()
 let mem_cond = Condition.create ()

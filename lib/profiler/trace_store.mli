@@ -11,12 +11,12 @@
     [<root>/traces/v1/<digest>] (magic [hfuse-traces]), corrupt ones
     quarantined and re-recorded.
 
-    The LRU is the process's one memory tier: it holds traces, replay
-    reports and candidate times ({!kind}), and {!get_or_compute} is the
-    one way to fill it; its single-flight table dedups concurrent
-    computations of one key.  Every insertion evicts least-recently
-    used entries until the tier fits the caller's [limit_bytes]; the
-    newest entry always stays. *)
+    The LRU is the process's one memory tier: it holds traces and
+    replay reports, a search's candidate profiles among them ({!kind}),
+    and {!get_or_compute} is the one way to fill it; its single-flight
+    table dedups concurrent computations of one key.  Every insertion
+    evicts least-recently used entries until the tier fits the
+    caller's [limit_bytes]; the newest entry always stays. *)
 
 (** Entry-format/version tag baked into paths and keys.  Bumped with
     any change to what a trace identity records (interpreter,
@@ -56,7 +56,6 @@ val dir : t -> string
 type _ kind =
   | Traces : Gpusim.Trace.block array kind
   | Report : (Gpusim.Timing.report * Gpusim.Timing.engine_stats) kind
-  | Time : float kind
 
 (** The value under [key] in the memory tier, else [compute ()]'s,
     inserted (evicting past [limit_bytes] if given).  Every profiled
@@ -93,8 +92,8 @@ val clear_memory : unit -> unit
 val set_mem_limit_override : int option -> unit
 
 (** Memory-tier occupancy over all kinds.  An entry costs its key plus
-    its value: {!Gpusim.Trace.blocks_bytes}, a report's reachable heap
-    words, 8 bytes for a time. *)
+    its value: {!Gpusim.Trace.blocks_bytes}, or a report's reachable
+    heap words. *)
 val mem_entries : unit -> int
 
 val mem_bytes : unit -> int

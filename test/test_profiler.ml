@@ -112,57 +112,6 @@ let clear_cache_dir (cache : Profile_cache.t) =
         if not (Sys.is_directory p) then Sys.remove p)
       (Sys.readdir dir)
 
-let some_time = Alcotest.(option (float 0.0)) (* exact match *)
-
-let mk_key ?(reg_bound = Some 32) () =
-  Profile_cache.key ~arch:"GTX 1080 Ti"
-    ~fusion:(Digest.to_hex (Digest.string "f")) ~d1:128 ~d2:896 ~grid:96
-    ~smem_dynamic:768 ~regs:36 ~reg_bound ~k1:"ta" ~size1:3 ~k2:"tb" ~size2:5
-    ~trace_blocks:1
-
-let test_profile_cache_roundtrip () =
-  let cache = Profile_cache.create ~dir:(tmp_cache_dir "roundtrip") () in
-  clear_cache_dir cache;
-  let key = mk_key () in
-  Alcotest.check some_time "cold miss" None (Profile_cache.find cache ~key);
-  (* a time with no short decimal representation must round-trip
-     bit-for-bit through the hex-float entry format *)
-  let t = 0.12345678901234567 /. 3.0 in
-  Profile_cache.store cache ~key t;
-  Alcotest.check some_time "bit-exact round trip" (Some t)
-    (Profile_cache.find cache ~key);
-  (* the register bound participates in the key *)
-  let key' = mk_key ~reg_bound:None () in
-  Alcotest.(check bool) "distinct keys" true (key <> key');
-  Alcotest.check some_time "other key misses" None
-    (Profile_cache.find cache ~key:key');
-  Alcotest.(check int) "counters" 2 (Profile_cache.misses cache);
-  Alcotest.(check int) "one hit" 1 (Profile_cache.hits cache);
-  Alcotest.(check int) "one store" 1 (Profile_cache.stores cache)
-
-let test_profile_cache_corrupt_entry () =
-  let cache = Profile_cache.create ~dir:(tmp_cache_dir "corrupt") () in
-  clear_cache_dir cache;
-  let key = mk_key () in
-  Profile_cache.store cache ~key 1.5;
-  (* a torn/garbage entry must read as a miss, not an exception *)
-  let path = Filename.concat (Profile_cache.dir cache) key in
-  let oc = open_out path in
-  output_string oc "not a float\n";
-  close_out oc;
-  Alcotest.check some_time "corrupt entry is a miss" None
-    (Profile_cache.find cache ~key)
-
-let test_profile_cache_disabled () =
-  let cache = Profile_cache.disabled () in
-  Alcotest.(check bool) "disabled" false (Profile_cache.enabled cache);
-  let key = mk_key () in
-  Profile_cache.store cache ~key 1.0;
-  Alcotest.check some_time "never finds" None (Profile_cache.find cache ~key);
-  Alcotest.(check int) "never stores" 0 (Profile_cache.stores cache)
-
-(* -- Profile_cache: full-report entries --------------------------------- *)
-
 (* finite floats with no short decimal representation: the %h entry
    format must reproduce every bit *)
 let mk_report () : Timing.report =
@@ -209,6 +158,76 @@ let mk_engine_stats () : Timing.engine_stats =
     cycles_forwarded = 0;
   }
 
+let mk_entry () = (mk_report (), mk_engine_stats ())
+
+(* a cached report, compared exactly *)
+let some_entry =
+  Alcotest.(
+    option
+      (testable
+         (fun ppf ((r : Timing.report), _) -> Fmt.pf ppf "%h ms" r.time_ms)
+         ( = )))
+
+(* The report key of a search candidate: the 128+896 partition of
+   [ta_tun] and [tb_tun] (36 fused registers) under [reg_bound]. *)
+let mk_key ?(reg_bound = Some 32) () =
+  let mem = Memory.create () in
+  let c1 = Runner.configure mem ta_tun ~size:3 in
+  let c2 = Runner.configure mem tb_tun ~size:5 in
+  let f =
+    Hfuse_core.Hfuse.generate
+      (Hfuse_core.Kernel_info.with_block_dim c1.info 128)
+      (Hfuse_core.Kernel_info.with_block_dim c2.info 896)
+  in
+  Runner.report_key arch
+    [
+      Runner.hfuse_launch ~settings:(Test_util.env_settings ()) c1 c2 f
+        ~reg_bound;
+    ]
+
+let test_profile_cache_roundtrip () =
+  let cache = Profile_cache.create ~dir:(tmp_cache_dir "roundtrip") () in
+  clear_cache_dir cache;
+  let key = mk_key () in
+  Alcotest.check some_entry "cold miss" None
+    (Profile_cache.find_report cache ~key);
+  let entry = mk_entry () in
+  Profile_cache.store_report cache ~key entry;
+  Alcotest.check some_entry "round trip" (Some entry)
+    (Profile_cache.find_report cache ~key);
+  (* the register bound participates in the key *)
+  let key' = mk_key ~reg_bound:None () in
+  Alcotest.(check bool) "distinct keys" true (key <> key');
+  Alcotest.check some_entry "other key misses" None
+    (Profile_cache.find_report cache ~key:key');
+  Alcotest.(check int) "counters" 2 (Profile_cache.misses cache);
+  Alcotest.(check int) "one hit" 1 (Profile_cache.hits cache);
+  Alcotest.(check int) "one store" 1 (Profile_cache.stores cache)
+
+let test_profile_cache_corrupt_entry () =
+  let cache = Profile_cache.create ~dir:(tmp_cache_dir "corrupt") () in
+  clear_cache_dir cache;
+  let key = mk_key () in
+  Profile_cache.store_report cache ~key (mk_entry ());
+  (* a torn/garbage entry must read as a miss, not an exception *)
+  let path = Filename.concat (Profile_cache.dir cache) key in
+  let oc = open_out path in
+  output_string oc "garbage\n";
+  close_out oc;
+  Alcotest.check some_entry "corrupt entry is a miss" None
+    (Profile_cache.find_report cache ~key)
+
+let test_profile_cache_disabled () =
+  let cache = Profile_cache.disabled () in
+  Alcotest.(check bool) "disabled" false (Profile_cache.enabled cache);
+  let key = mk_key () in
+  Profile_cache.store_report cache ~key (mk_entry ());
+  Alcotest.check some_entry "never finds" None
+    (Profile_cache.find_report cache ~key);
+  Alcotest.(check int) "never stores" 0 (Profile_cache.stores cache)
+
+(* -- Profile_cache: full-report entries --------------------------------- *)
+
 let test_report_cache_roundtrip () =
   let cache = Profile_cache.create ~dir:(tmp_cache_dir "report") () in
   clear_cache_dir cache;
@@ -218,21 +237,12 @@ let test_report_cache_roundtrip () =
   let key =
     Runner.report_key arch [ Runner.launch_of ~settings c ~stream:0 () ]
   in
-  Alcotest.(check bool)
-    "cold miss" true
-    (Profile_cache.find_report cache ~key = None);
-  let entry = (mk_report (), mk_engine_stats ()) in
+  Alcotest.check some_entry "cold miss" None
+    (Profile_cache.find_report cache ~key);
+  let entry = mk_entry () in
   Profile_cache.store_report cache ~key entry;
-  Alcotest.(check bool)
-    "bit-exact round trip" true
-    (Profile_cache.find_report cache ~key = Some entry);
-  (* a torn/garbage entry must read as a miss, not an exception *)
-  let oc = open_out (Filename.concat (Profile_cache.dir cache) key) in
-  output_string oc "garbage\n";
-  close_out oc;
-  Alcotest.(check bool)
-    "corrupt entry is a miss" true
-    (Profile_cache.find_report cache ~key = None)
+  Alcotest.check some_entry "bit-exact round trip" (Some entry)
+    (Profile_cache.find_report cache ~key)
 
 let test_run_many_report_cache () =
   let cache = Profile_cache.create ~dir:(tmp_cache_dir "run_many") () in
@@ -415,32 +425,32 @@ let test_cache_quarantine () =
       (fun f -> Sys.remove (Filename.concat qdir f))
       (Sys.readdir qdir);
   let key = mk_key () in
-  let t = 0.12345678901234567 /. 3.0 in
-  Profile_cache.store cache ~key t;
+  let t = mk_entry () in
+  Profile_cache.store_report cache ~key t;
   let path = Filename.concat (Profile_cache.dir cache) key in
   (* a truncated entry (torn write) is quarantined and reads as a miss *)
   let oc = open_out_bin path in
   output_string oc "hfuse-cache v2 0123";
   close_out oc;
-  Alcotest.check some_time "truncated entry is a miss" None
-    (Profile_cache.find cache ~key);
+  Alcotest.check some_entry "truncated entry is a miss" None
+    (Profile_cache.find_report cache ~key);
   Alcotest.(check int) "one quarantined" 1 (Profile_cache.corrupt cache);
   Alcotest.(check bool) "entry moved aside" false (Sys.file_exists path);
   Alcotest.(check bool) "entry in quarantine" true
     (Sys.file_exists (Filename.concat qdir key));
   (* re-store and bit-flip: a checksum failure is also quarantined *)
-  Profile_cache.store cache ~key t;
+  Profile_cache.store_report cache ~key t;
   corrupt_on_disk path;
-  Alcotest.check some_time "bit-flipped entry is a miss" None
-    (Profile_cache.find cache ~key);
+  Alcotest.check some_entry "bit-flipped entry is a miss" None
+    (Profile_cache.find_report cache ~key);
   Alcotest.(check int) "two quarantined" 2 (Profile_cache.corrupt cache);
   Alcotest.(check bool) "flipped entry moved aside" false
     (Sys.file_exists path);
   (* recompute path: a fresh store over the quarantined key heals the
      cache and the value round-trips bit-exactly again *)
-  Profile_cache.store cache ~key t;
-  Alcotest.check some_time "healed entry round-trips" (Some t)
-    (Profile_cache.find cache ~key)
+  Profile_cache.store_report cache ~key t;
+  Alcotest.check some_entry "healed entry round-trips" (Some t)
+    (Profile_cache.find_report cache ~key)
 
 let test_run_many_recomputes_corrupted () =
   let dir = tmp_cache_dir "heal" in
@@ -532,15 +542,15 @@ let resumed_under ~sim_fuel ~trace_blocks parts =
     ~settings:{ (Test_util.env_settings ()) with sim_fuel; trace_blocks }
     parts
 
-(* Store a time under resumed run [a]'s emptied root, and ask resumed
-   run [b]'s root for it. *)
+(* Store a report under resumed run [a]'s emptied root, and ask
+   resumed run [b]'s root for it. *)
 let answer_across (a : Hfuse_profiler.Settings.t)
     (b : Hfuse_profiler.Settings.t) =
   Test_util.rm_rf (Option.get b.cache_dir);
   Test_util.rm_rf (Option.get a.cache_dir);
   let cache = Hfuse_profiler.Settings.cache in
-  Profile_cache.store (cache a) ~key:"cand" 1.0;
-  Profile_cache.find (cache b) ~key:"cand"
+  Profile_cache.store_report (cache a) ~key:"r-cand" (mk_entry ());
+  Profile_cache.find_report (cache b) ~key:"r-cand"
 
 let test_run_id_sim_fuel () =
   (* a run under one fuel budget must be invisible to a resume under
@@ -559,9 +569,10 @@ let test_run_id_sim_fuel () =
   Alcotest.(check (option string)) "same fuel, same root"
     (Some "_hfuse_cache/journal/7c0fd0ade08dab8566e3a645f7153042")
     (resumed ~sim_fuel:1_000).cache_dir;
-  Alcotest.check some_time "changed fuel: no stale answer" None
+  Alcotest.check some_entry "changed fuel: no stale answer" None
     (answer_across a b);
-  Alcotest.check some_time "same fuel: the run's own root answers" (Some 1.0)
+  Alcotest.check some_entry "same fuel: the run's own root answers"
+    (Some (mk_entry ()))
     (answer_across a a)
 
 (* -- model_eval: the top-k window verdict -------------------------------- *)
@@ -909,16 +920,16 @@ let move_fused (d : fused_draw) (i : int) : fused_draw =
   | _ -> d
 
 (* the inputs each key stands on *)
-let time_inputs (d : fused_draw) =
+let report_inputs (d : fused_draw) =
   match d.kind with
   | Plain -> { d with resrc = false }
   | Repair -> d
   | Vertical -> { d with at = 0; bound = None; resrc = false }
 
 let trace_inputs (d : fused_draw) =
-  { (time_inputs d) with bound = None; on_v100 = false }
+  { (report_inputs d) with bound = None; on_v100 = false }
 
-(* (time key, trace digest) of the candidate [d] describes *)
+(* (report key, trace digest) of the candidate [d] describes *)
 let fused_keys (d : fused_draw) : string * string =
   let settings =
     { (Test_util.env_settings ()) with trace_blocks = d.tblocks }
@@ -948,17 +959,18 @@ let fused_keys (d : fused_draw) : string * string =
                (Hfuse_core.Hfuse.to_source f ^ if d.resrc then "\n" else ""))
           c1 c2
       in
-      ( Runner.candidate_key ~s:settings arch c1 c2 f ~fusion
-          ~reg_bound:d.bound,
-        snd (Runner.hfuse_trace_id ~s:settings ~fusion c1 c2 f) )
+      let l =
+        Runner.fused_launch ~settings ~fusion c1 c2 f ~reg_bound:d.bound
+      in
+      (Runner.report_key arch [ l ], l.part.trace)
 
 let test_fused_keys_inputs =
   QCheck.Test.make ~name:"every fusion input reaches the fused keys" ~count:300
     (QCheck.make QCheck.Gen.(pair fused_draw_gen (int_range 0 10)))
     (fun (d, i) ->
       let d' = move_fused d i in
-      let time, trace = fused_keys d and time', trace' = fused_keys d' in
-      (time = time') = (time_inputs d = time_inputs d')
+      let report, trace = fused_keys d and report', trace' = fused_keys d' in
+      (report = report') = (report_inputs d = report_inputs d')
       && (trace = trace') = (trace_inputs d = trace_inputs d'))
 
 (* the search keys a repaired partition apart from its plain fusion
@@ -975,20 +987,21 @@ let test_repaired_keys_apart () =
       (Hfuse_core.Kernel_info.with_block_dim c2.info 256)
   in
   let keys fusion =
-    ( Runner.candidate_key ~s:settings arch c1 c2 f ~fusion ~reg_bound:None,
-      snd (Runner.hfuse_trace_id ~s:settings ~fusion c1 c2 f) )
+    let l = Runner.fused_launch ~settings ~fusion c1 c2 f ~reg_bound:None in
+    (Runner.report_key arch [ l ], l.part.trace)
   in
   let plain = Runner.fusion_id Runner.Hfused c1 c2 in
   let repaired =
     Runner.fusion_id (Runner.Repaired (Hfuse_core.Hfuse.to_source f)) c1 c2
   in
   let (t, tr), (t', tr') = (keys plain, keys repaired) in
-  Alcotest.(check bool) "time keys apart" true (t <> t');
+  Alcotest.(check bool) "report keys apart" true (t <> t');
   Alcotest.(check bool) "trace digests apart" true (tr <> tr');
-  (* [hfuse_launch] files a fused kernel's traces where a plain
-     search candidate's go *)
-  Alcotest.(check string) "hfuse_launch is plain" tr
-    (Runner.hfuse_launch ~settings c1 c2 f ~reg_bound:None).part.trace
+  (* [hfuse_launch] is a plain search candidate: a figure's measurement
+     of a searched kernel is the search's own report entry *)
+  Alcotest.(check string) "hfuse_launch is plain" t
+    (Runner.report_key arch
+       [ Runner.hfuse_launch ~settings c1 c2 f ~reg_bound:None ])
 
 (* Disk traces and replay reports trust a trace's identity, not its
    bytes, and a fused kernel's time and trace entries trust its fusion
@@ -1144,7 +1157,7 @@ let test_trace_store_quarantine () =
    every caller shares its value.  Then a claimant whose computation
    raises releases its claim: one waiter computes instead and the
    rest share that.  One input per kind: a trace through the disk tier
-   (a disabled one), a replay report, a candidate time. *)
+   (a disabled one), and a replay report. *)
 let single_flight (type v) (kind : v Trace_store.kind) ~key
     ~(compute : unit -> v) (v : v) =
   let calls = Atomic.make 0 in
@@ -1200,10 +1213,9 @@ let test_trace_store_single_flight () =
   in
   Alcotest.(check int) "store saw one recording per run" 2
     (Ledger.get ledger Trace_store.recorded);
-  let report = (mk_report (), mk_engine_stats ()) in
+  let report = mk_entry () in
   single_flight Report ~key:"r-single-flight" ~compute:(fun () -> report)
-    report;
-  single_flight Time ~key:"single-flight" ~compute:(fun () -> 1.25) 1.25
+    report
 
 (* A claim wait is the waiter's: a claimant's computation blocks on a
    latch while a waiter on another domain, under its own ledger, wants
@@ -1303,38 +1315,42 @@ let test_memory_tier_kinds () =
       clear_memory ())
   @@ fun () ->
   let add k ~key v = ignore (get_or_compute k ~key (Fun.const v)) in
-  add Time ~key:"k" 1.5;
-  Alcotest.(check bool) "a report lookup misses a time" true
-    (find_memo Report ~key:"k" = None);
-  Alcotest.(check bool) "a trace lookup misses a time" true
+  let report = mk_entry () in
+  let report_bytes =
+    Obj.reachable_words (Obj.repr report) * (Sys.word_size / 8)
+  in
+  add Report ~key:"k" report;
+  Alcotest.(check bool) "a trace lookup misses a report" true
     (find_memo Traces ~key:"k" = None);
-  Alcotest.(check (option (float 0.))) "the time answers" (Some 1.5)
-    (find_memo Time ~key:"k");
-  Alcotest.(check int) "a time costs its key plus 8 bytes" 9 (mem_bytes ());
+  Alcotest.check some_entry "the report answers" (Some report)
+    (find_memo Report ~key:"k");
+  Alcotest.(check int) "a report costs its key plus its heap words"
+    (1 + report_bytes) (mem_bytes ());
   let blocks = mk_blocks () in
   add Traces ~key:"k" blocks;
   Alcotest.(check int) "another kind replaces the entry" 1 (mem_entries ());
-  Alcotest.(check bool) "the replaced time is gone" true
-    (find_memo Time ~key:"k" = None);
+  Alcotest.(check bool) "a report lookup misses the trace" true
+    (find_memo Report ~key:"k" = None);
   Alcotest.(check int) "a trace costs its key plus its blocks"
     (1 + Trace.blocks_bytes blocks)
     (mem_bytes ());
   clear_memory ();
-  (* three 10-byte entries under a 25-byte bound: touching "aa" leaves
+  (* three reports under a bound that holds two: touching "aa" leaves
      "bb" the least recently used *)
-  set_mem_limit_override (Some 25);
+  let entry = 2 + report_bytes in
+  set_mem_limit_override (Some ((2 * entry) + (entry / 2)));
   let (), ledger =
     Ledger.run (fun () ->
-        add Time ~key:"aa" 1.;
-        add Time ~key:"bb" 2.;
-        ignore (find_memo Time ~key:"aa");
-        add Time ~key:"cc" 3.)
+        add Report ~key:"aa" report;
+        add Report ~key:"bb" report;
+        ignore (find_memo Report ~key:"aa");
+        add Report ~key:"cc" report)
   in
-  Alcotest.(check int) "bound holds" 20 (mem_bytes ());
+  Alcotest.(check int) "bound holds" (2 * entry) (mem_bytes ());
   Alcotest.(check bool) "least recently used evicted" true
-    (find_memo Time ~key:"bb" = None);
+    (find_memo Report ~key:"bb" = None);
   Alcotest.(check bool) "touched and newest kept" true
-    (find_memo Time ~key:"aa" <> None && find_memo Time ~key:"cc" <> None);
+    (find_memo Report ~key:"aa" <> None && find_memo Report ~key:"cc" <> None);
   Alcotest.(check int) "the counters count trace evictions only" 0
     (Ledger.get ledger evictions)
 
@@ -1374,6 +1390,45 @@ let test_disk_hits_respect_bound () =
     (Trace_store.mem_bytes () <= bound);
   Alcotest.(check bool) "bounded warm results identical" true
     (sig_of warm = sig_of cold);
+  Runner.clear_cache ()
+
+(* A cold figure-9 row measures its chosen kernel's N-RegCap variant
+   with the launch the search profiled it as, so that replay is the
+   search's own report entry, not a second one: beyond the search's
+   entries the row stores only its native baseline.  Its bytes are
+   those of a row that replayed the kernel again (pinned). *)
+let test_fig9_row_reuses_search () =
+  let k1 = Registry.find_exn "Batchnorm" and k2 = Registry.find_exn "Hist" in
+  let settings = Test_util.env_settings () in
+  let fresh_cache tag =
+    Runner.clear_cache ();
+    let dir = tmp_cache_dir tag in
+    Test_util.rm_rf dir;
+    Profile_cache.create ~dir ()
+  in
+  let searched = fresh_cache "fig9_search" in
+  let mem = Memory.create () in
+  let c1 = Runner.configure mem k1 ~size:1 in
+  let c2 = Runner.configure mem k2 ~size:1 in
+  let sr = Runner.search ~settings ~cache:searched arch c1 c2 in
+  let no_regcap =
+    Runner.report_key arch
+      [ Runner.hfuse_launch ~settings c1 c2 sr.best.fused ~reg_bound:None ]
+  in
+  Alcotest.(check bool) "the search filed the N-RegCap report" true
+    (Profile_cache.find_report searched ~key:no_regcap <> None);
+  let cache = fresh_cache "fig9_row" in
+  let row =
+    Hfuse_profiler.Experiment.figure9_pair ~settings ~cache arch
+      [ ("Batchnorm", 1); ("Hist", 1) ]
+      (k1, k2)
+  in
+  Alcotest.(check int) "the row adds only its native baseline"
+    (Profile_cache.stores searched + 1)
+    (Profile_cache.stores cache);
+  Alcotest.(check string) "row bytes" "70d2fca0ab9bcc4a8e9404d83a95f73e"
+    (Digest.to_hex
+       (Digest.string (Json.to_string (Report.figure9_json [ row ]))));
   Runner.clear_cache ()
 
 (* A search whose every candidate fails raises, and counts each failed
@@ -1493,7 +1548,7 @@ let test_run_id_trace_blocks () =
   Alcotest.(check (option string)) "same width, same root"
     (Some "_hfuse_cache/journal/8a50d80443494692f5fca253c5b4cf18")
     (resumed ~trace_blocks:1).cache_dir;
-  Alcotest.check some_time "changed width: no stale answer" None
+  Alcotest.check some_entry "changed width: no stale answer" None
     (answer_across a b)
 
 let suite =
@@ -1560,6 +1615,8 @@ let suite =
       test_memory_tier_kinds;
     Alcotest.test_case "disk hits evict to the settings' bound" `Quick
       test_disk_hits_respect_bound;
+    Alcotest.test_case "a fig9 row reuses the search's report" `Quick
+      test_fig9_row_reuses_search;
     Alcotest.test_case "a degraded search counts each failure once" `Quick
       test_degraded_search_counts_once;
     Alcotest.test_case "warm trace store reproduces cold search" `Quick

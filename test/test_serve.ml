@@ -609,6 +609,73 @@ let test_warm_search_reads_no_trace () =
   Alcotest.(check int) "nothing recorded" 0
     (telemetry_count replayed "trace_store" "recorded")
 
+(* A candidate's profile is its replay report, keyed by its traces'
+   identity, so whatever retires the traces retires the candidates: a
+   warm search over a root filled under another fuel budget, or with
+   every trace identity changed, profiles every candidate again and
+   prints the cold bytes.  Its search counters are the cold run's: the
+   only cache hits are the full batch's re-hits of the probes it
+   profiled itself. *)
+let retire_params =
+  {
+    search_params with
+    s_k1 = Registry.find_exn "Maxpool";
+    s_k2 = Registry.find_exn "Upsample";
+    s_size1 = Some 1;
+    s_size2 = Some 1;
+    s_emit = false;
+  }
+
+let check_retired ~cold ~warm ~retired =
+  let counts o =
+    List.map (telemetry_count o "search") [ "profiled"; "cache_hits" ]
+  in
+  List.iter
+    (fun (o : Ops.outcome) ->
+      Alcotest.(check int) "search exit code" 0 o.exit_code)
+    [ cold; warm; retired ];
+  Alcotest.(check int) "the root is warm" 0
+    (telemetry_count warm "search" "profiled");
+  Alcotest.(check string) "retired output bytes" cold.Ops.output
+    retired.Ops.output;
+  Alcotest.(check (list int)) "every candidate profiled again: profiled, hits"
+    (counts cold) (counts retired)
+
+let test_fuel_retires_candidates () =
+  let settings = settings_at (Some (fresh_root "retire_fuel")) in
+  let search settings =
+    Runner.clear_cache ();
+    Ops.search ~settings retire_params
+  in
+  let cold = search settings in
+  let warm = search settings in
+  (* one more unit of fuel: every launch completes as before *)
+  let retired = search { settings with sim_fuel = settings.sim_fuel + 1 } in
+  check_retired ~cold ~warm ~retired
+
+let test_trace_identity_retires_candidates () =
+  let settings = settings_at (Some (fresh_root "retire_trace")) in
+  let search p =
+    Runner.clear_cache ();
+    Ops.search ~settings p
+  in
+  let cold = search retire_params in
+  let warm = search retire_params in
+  (* a comment moves each kernel's source digest, and with it every
+     trace identity, without changing what the kernel does *)
+  let touch (spec : Kernel_corpus.Spec.t) =
+    { spec with source = spec.source ^ "/* */\n" }
+  in
+  let retired =
+    search
+      {
+        retire_params with
+        s_k1 = touch retire_params.s_k1;
+        s_k2 = touch retire_params.s_k2;
+      }
+  in
+  check_retired ~cold ~warm ~retired
+
 let test_search_heals_corrupt_native () =
   let root = fresh_root "corrupt" in
   let settings = settings_at (Some root) in
@@ -634,7 +701,7 @@ let test_search_heals_corrupt_native () =
 
 (* A resumed no-cache search answers everything from its run's own
    root under [_hfuse_cache/journal/]: its native baseline, candidate
-   times and solo traces.  Nothing is profiled, recorded or stored
+   reports and solo traces.  Nothing is profiled, recorded or stored
    again. *)
 let test_search_resume_answers_native () =
   let settings = Test_profiler.fresh_resumable [ "serve"; "resume" ] in
@@ -710,9 +777,9 @@ let test_bounded_tier_identity () =
     (Ledger.get ledger Trace_store.evictions > 0)
 
 (* With the cache off and no bound, the memory tier alone answers a
-   repeated search: no candidate profiled (its times are in the tier),
-   no trace recorded, no entry added, the native report found there.
-   Clearing it drops traces, reports and times alike. *)
+   repeated search: no candidate profiled (its reports are in the
+   tier), no trace recorded, no entry added, the native report found
+   there.  Clearing it drops traces and reports alike. *)
 let test_memos_live_in_tier () =
   let settings = settings_at None in
   let first = oneshot settings in
@@ -736,7 +803,7 @@ let test_memos_live_in_tier () =
   Alcotest.(check int) "and every byte" 0 (Trace_store.mem_bytes ());
   Alcotest.(check bool) "the native report is gone" false (native_report ());
   let third = Ops.search ~settings search_params in
-  Alcotest.(check bool) "times and traces are gone too" true
+  Alcotest.(check bool) "candidates and traces are gone too" true
     (telemetry_count third "search" "profiled"
      = telemetry_count first "search" "profiled"
     && telemetry_count third "search" "traced"
@@ -833,10 +900,10 @@ let test_disconnect_mid_search () =
   Alcotest.(check string) "repeat search bytes" lone (ask (search "again")).rout
 
 (* Two identical cache-off searches at once, as two daemon requests
-   would run: every trace and every candidate time goes through the
+   would run: every trace and every candidate report goes through the
    memory tier's single-flight, so together they record and profile
    what a lone search does, and both answer byte-identically to it.  A
-   time one request took from the other's claim counts as a hit.  Each
+   report one request took from the other's claim counts as a hit.  Each
    request's telemetry counts its own work only, so the two requests'
    recordings sum to the lone search's. *)
 let test_concurrent_searches_share_traces () =
@@ -1226,7 +1293,7 @@ let test_golden_search_bytes () =
          | _ -> Alcotest.failf "malformed golden line %S" line)
 
 (* The entry names a cold exhaustive search writes into a fresh root —
-   time, report and trace entries, as paths relative to the root —
+   report and trace entries, as paths relative to the root —
    against [golden/keys.md5].  A fused kernel's names carry its fusion
    identity (what generated it), not its printed source, so matching
    them is what keeps an existing cache root warm across a change to
@@ -1364,6 +1431,10 @@ let suite =
       test_search_warm_replays_nothing;
     Alcotest.test_case "a warm search reads no trace" `Quick
       test_warm_search_reads_no_trace;
+    Alcotest.test_case "a fuel change retires candidate reports" `Quick
+      test_fuel_retires_candidates;
+    Alcotest.test_case "a trace identity change retires candidate reports"
+      `Quick test_trace_identity_retires_candidates;
     Alcotest.test_case "corrupt native report heals" `Quick
       test_search_heals_corrupt_native;
     Alcotest.test_case "resume answers native from the journal" `Quick
